@@ -58,7 +58,7 @@ print("\ndecoding (beam width 5 + cosine re-rank):")
 tfidf = TfidfStats(clusters)
 stopwords = default_stopwords()
 for c in clusters:
-    text = beamdecode.generate_summary(model, c, scores[c.id], 2, 5, config.max_len, tfidf, stopwords)
+    text = beamdecode.decode_cluster(model, c, scores[c.id], 2, 5, config.max_len, tfidf, stopwords)["summary"]
     gold = detokenize(c.summary.norms())
     mark = "=" if text == gold else "!"
     print(f"   {c.id} [{mark}] {text!r}")

@@ -7,6 +7,7 @@ log-likelihood. backward_pass differentiates the whole composite by hand
 sweep is kept on a ForwardTrace.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,13 +276,24 @@ class _StepCache:
     h: np.ndarray
 
 
+def _rows(W, x):
+    """W @ x for a vector x, or W @ x_r for every row x_r of a matrix x.
+
+    A vector takes the same matrix-vector product as a single sequence
+    always has, so the training path keeps its exact arithmetic.
+    """
+    return (W @ x.T).T
+
+
 def _lstm_forward(p, u, prev):
-    i = sigmoid_elem(p.W_iu @ u + p.W_ih @ prev.h + p.W_ic @ prev.c + p.b_i)
-    f = sigmoid_elem(p.W_fu @ u + p.W_fh @ prev.h + p.W_fc @ prev.c + p.b_f)
-    g = np.tanh(p.W_cu @ u + p.W_ch @ prev.h + p.b_c)
+    """One LSTM update. u and the state are vectors, or matrices with one
+    row per sequence (the live rows of a beam)."""
+    i = sigmoid_elem(_rows(p.W_iu, u) + _rows(p.W_ih, prev.h) + _rows(p.W_ic, prev.c) + p.b_i)
+    f = sigmoid_elem(_rows(p.W_fu, u) + _rows(p.W_fh, prev.h) + _rows(p.W_fc, prev.c) + p.b_f)
+    g = np.tanh(_rows(p.W_cu, u) + _rows(p.W_ch, prev.h) + p.b_c)
     c = f * prev.c + i * g
     # the output gate sees the NEW cell
-    o = sigmoid_elem(p.W_ou @ u + p.W_oh @ prev.h + p.W_oc @ c + p.b_o)
+    o = sigmoid_elem(_rows(p.W_ou, u) + _rows(p.W_oh, prev.h) + _rows(p.W_oc, c) + p.b_o)
     h = o * np.tanh(c)
     cache = _StepCache(u=u, h_prev=prev.h, c_prev=prev.c, i=i, f=f, g=g, o=o, c=c, h=h)
     return LstmState(h=h, c=c), cache
@@ -299,12 +311,14 @@ def lstm_step(params, u, prev):
 
 
 def _token_repr(model, index, feat_ids, tfidf_val):
+    """Input vector of one token, or one row per token for an index array
+    (feat_ids then has one row of channel ids per token)."""
     parts = [model.embeddings.matrix[index]]
     if model.features:
-        for ch, fid in zip(CHANNELS, feat_ids):
-            parts.append(model.feat_tables[ch][fid])
-        parts.append(np.array([tfidf_val]))
-    return np.concatenate(parts)
+        for k, ch in enumerate(CHANNELS):
+            parts.append(model.feat_tables[ch][feat_ids[..., k]])
+        parts.append(np.full(np.shape(index) + (1,), tfidf_val, dtype=np.float64))
+    return np.concatenate(parts, axis=-1)
 
 
 @dataclass
@@ -315,6 +329,7 @@ class _EncTrace:
     fwd: list
     bwd: list
     contexts: np.ndarray
+    keys: np.ndarray
 
 
 def _encode_trace(model, z):
@@ -347,12 +362,24 @@ def _encode_trace(model, z):
         bwd.append(cache)
         h_b[pos] = state.h
     contexts = np.concatenate([h_f, h_b], axis=1)
-    return _EncTrace(z=z, ids=ids, reprs=reprs, fwd=fwd, bwd=bwd, contexts=contexts)
+    return _EncTrace(
+        z=z, ids=ids, reprs=reprs, fwd=fwd, bwd=bwd, contexts=contexts,
+        keys=attention_keys(model, contexts),
+    )
 
 
 def encode(model, z):
     """Context vectors b_1..b_n: concatenated forward/backward states."""
     return _encode_trace(model, z).contexts
+
+
+def attention_keys(model, contexts):
+    """The context half of the attention pre-activation, contexts @ W_cg^T.
+
+    It does not depend on the decoder state, so a decoder computes it once
+    per input sequence and passes it to every step.
+    """
+    return contexts @ model.attn.W_cg.T
 
 
 @dataclass
@@ -362,8 +389,10 @@ class _AttnCache:
     s: np.ndarray
 
 
-def _attend(model, contexts, h_prev):
-    q = contexts @ model.attn.W_cg.T + model.attn.W_hg @ h_prev  # n x d_a
+def _attend(model, contexts, keys, h_prev):
+    """Attention for a decoder state h_prev, or for each row of a matrix of
+    states; a row axis on h_prev leads every output."""
+    q = keys + _rows(model.attn.W_hg, h_prev)[..., None, :]  # ([B x] n x d_a)
     t = np.tanh(q)
     e = t @ model.attn.W_s
     a = softmax(e)
@@ -375,13 +404,13 @@ def attend(model, contexts, h_prev):
     """Attention coefficients and the weighted context sum."""
     if len(contexts) == 0:
         raise ValueError("attend needs at least one context vector")
-    cache = _attend(model, contexts, h_prev)
+    cache = _attend(model, contexts, attention_keys(model, contexts), h_prev)
     return cache.a, cache.s
 
 
 @dataclass
 class _DecStepCache:
-    input_index: int
+    input_index: int | np.ndarray
     input_ids: np.ndarray | None
     attn: _AttnCache
     lstm: _StepCache
@@ -389,19 +418,30 @@ class _DecStepCache:
     target: int | None = None
 
 
-def _decode_core(model, y_prev_index, state_prev, contexts):
-    attn_cache = _attend(model, contexts, state_prev.h)
-    feat_ids = (
-        model.features.decode_ids(model.vocab.word_of(y_prev_index))
-        if model.features
-        else None
-    )
+def _decode_ids(model, y_prev_index):
+    """Feature channel ids of the previous output word(s), or None."""
+    if not model.features:
+        return None
+    if np.ndim(y_prev_index) == 0:
+        return model.features.decode_ids(model.vocab.word_of(y_prev_index))
+    return np.array(
+        [model.features.decode_ids(model.vocab.word_of(i)) for i in y_prev_index],
+        dtype=np.int64,
+    ).reshape(len(y_prev_index), len(CHANNELS))
+
+
+def _decode_core(model, y_prev_index, state_prev, contexts, keys):
+    """One decoder step for one sequence (an int token, vector states) or
+    for a batch of sequences sharing one input (a token array, one state
+    row per sequence)."""
+    attn_cache = _attend(model, contexts, keys, state_prev.h)
+    feat_ids = _decode_ids(model, y_prev_index)
     rep = _token_repr(model, y_prev_index, feat_ids, 0.0)
-    u = np.concatenate([rep, attn_cache.s])
+    u = np.concatenate([rep, attn_cache.s], axis=-1)
     state, lstm_cache = _lstm_forward(model.dec, u, state_prev)
-    logits = model.W_out @ state.h + model.b_out
+    logits = _rows(model.W_out, state.h) + model.b_out
     return state, logits, _DecStepCache(
-        input_index=int(y_prev_index),
+        input_index=y_prev_index,
         input_ids=feat_ids,
         attn=attn_cache,
         lstm=lstm_cache,
@@ -414,8 +454,25 @@ def decode_step(model, y_prev_index, state_prev, contexts):
     y_prev_index = int(y_prev_index)
     if not 0 <= y_prev_index < len(model.vocab):
         raise ValueError(f"token index {y_prev_index} out of vocabulary")
-    state, _, cache = _decode_core(model, y_prev_index, state_prev, contexts)
+    keys = attention_keys(model, contexts)
+    state, _, cache = _decode_core(model, y_prev_index, state_prev, contexts, keys)
     return state, cache.probs, cache.attn.a
+
+
+def decode_rows(model, y_prev, state_prev, contexts, keys):
+    """decode_step for B sequences that share one encoded input.
+
+    y_prev holds B previous tokens, state_prev.h and .c are B x d_h, and
+    keys is attention_keys(model, contexts). Returns the new state (B x d_h
+    rows) and the B x |V| word distributions.
+    """
+    y_prev = np.asarray(y_prev, dtype=np.int64)
+    if y_prev.ndim != 1 or state_prev.h.shape != (len(y_prev), model.d_h):
+        raise ValueError("decode_rows needs one token and one state row per sequence")
+    if y_prev.size and (y_prev.min() < 0 or y_prev.max() >= len(model.vocab)):
+        raise ValueError("decode_rows: token index out of vocabulary")
+    state, _, cache = _decode_core(model, y_prev, state_prev, contexts, keys)
+    return state, cache.probs
 
 
 @dataclass
@@ -450,7 +507,7 @@ def sequence_log_prob(model, z, y):
     loglik = 0.0
     steps = []
     for inp, target in zip(inputs, y):
-        state, logits, cache = _decode_core(model, inp, state, enc.contexts)
+        state, logits, cache = _decode_core(model, inp, state, enc.contexts, enc.keys)
         cache.target = target
         loglik += float(log_softmax(logits)[target])
         steps.append(cache)
@@ -633,68 +690,101 @@ def save_model(model, path):
             _write_tensor(fh, name, arr)
 
 
+def _take(path, lines, n, what):
+    """The next n lines of a model file; a file that ends first raises."""
+    block = list(itertools.islice(lines, n))
+    if len(block) < n:
+        raise ValueError(f"{path}: file ends inside {what}")
+    return block
+
+
+def _counted(path, lines, key):
+    """The lines announced by a '<key> <n>' line."""
+    return _take(path, lines, int(_take(path, lines, 1, key)[0].split()[1]), key)
+
+
+def _read_tensors(path, lines, tensors):
+    """Fill every tensor from its block; each must appear exactly once,
+    with the model's shape and the declared number of values per row.
+    Blocks are read one at a time, so only one tensor's text is held."""
+    seen = set()
+    for header in lines:
+        if not header:
+            break
+        fields = header.split()
+        if len(fields) != 4 or fields[0] != "tensor":
+            raise ValueError(f"{path}: expected a tensor header, got {header[:40]!r}")
+        _, name, rows, cols = fields
+        if name not in tensors:
+            raise ValueError(f"{path}: unknown tensor {name}")
+        if name in seen:
+            raise ValueError(f"{path}: tensor {name} appears twice")
+        target = tensors[name]
+        shape = (int(rows), int(cols))
+        if shape != np.atleast_2d(target).shape:
+            raise ValueError(
+                f"{path}: tensor {name} is {shape[0]} x {shape[1]}, "
+                f"the model needs {np.atleast_2d(target).shape}"
+            )
+        block = _take(path, lines, shape[0], f"tensor {name}")
+        try:
+            values = np.loadtxt(block, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: tensor {name}: {exc}") from None
+        if values.shape != shape:
+            raise ValueError(
+                f"{path}: tensor {name} declares {shape[0]} x {shape[1]} values, "
+                f"its rows hold {values.shape[0]} x {values.shape[1]}"
+            )
+        target[...] = values.reshape(target.shape)
+        seen.add(name)
+    if any(lines):
+        raise ValueError(f"{path}: unexpected content after the tensors")
+    missing = [name for name in tensors if name not in seen]
+    if missing:
+        raise ValueError(f"{path}: missing tensor(s) {', '.join(missing)}")
+
+
 def load_model(path):
-    """Rebuild a model (vocabulary, feature registry, tensors) from disk."""
+    """Rebuild a model (vocabulary, feature registry, tensors) from disk.
+
+    Raises ValueError unless every tensor is present exactly once and
+    complete, so a truncated or edited file never loads as zeros.
+    """
     from .textcorpus import RESERVED, Vocabulary
 
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != "opinesum-model v1":
-        raise ValueError(f"{path}: not a model file")
-    pos = 1
-    _, d_emb, d_h, d_a = lines[pos].split()
-    d_emb, d_h, d_a = int(d_emb), int(d_h), int(d_a)
-    pos += 1
-    n_vocab = int(lines[pos].split()[1])
-    words = lines[pos + 1 : pos + 1 + n_vocab]
-    if tuple(words[: len(RESERVED)]) != RESERVED:
-        raise ValueError(f"{path}: reserved token block is corrupt")
-    vocab = Vocabulary(words[len(RESERVED) :])
-    pos += 1 + n_vocab
-    features = None
-    if lines[pos] == "features v1":
-        pos += 1
-        dim = int(lines[pos].split()[1])
-        pos += 1
-        n_tags = int(lines[pos].split()[1])
-        tags = lines[pos + 1 : pos + 1 + n_tags]
-        pos += 1 + n_tags
-        n_cats = int(lines[pos].split()[1])
-        cats = lines[pos + 1 : pos + 1 + n_cats]
-        pos += 1 + n_cats
-        n_lex = int(lines[pos].split()[1])
-        word_lex = {}
-        for ln in lines[pos + 1 : pos + 1 + n_lex]:
-            w, _, c = ln.partition("\t")
-            word_lex[w] = c
-        pos += 1 + n_lex
-        n_sent = int(lines[pos].split()[1])
-        word_sent = {}
-        for ln in lines[pos + 1 : pos + 1 + n_sent]:
-            w, _, s = ln.partition("\t")
-            word_sent[w] = s
-        pos += 1 + n_sent
-        features = TokenFeatureSet.from_resolved(tags, cats, word_lex, word_sent, dim)
-    elif lines[pos] == "features none":
-        pos += 1
-    else:
-        raise ValueError(f"{path}: expected a features block")
-    trainable = np.array([ch == "1" for ch in lines[pos].split()[1]], dtype=bool)
-    covered = np.array([ch == "1" for ch in lines[pos + 1].split()[1]], dtype=bool)
-    pos += 2
-    model = new_model(vocab, features, d_emb, d_h, d_a)
-    model.embeddings.trainable[...] = trainable
-    model.embeddings.covered[...] = covered
-    tensors = dict(model.named_tensors())
-    while pos < len(lines) and lines[pos]:
-        _, name, rows, cols = lines[pos].split()
-        rows, cols = int(rows), int(cols)
-        if name not in tensors:
-            raise ValueError(f"{path}: unknown tensor {name}")
-        values = np.array(
-            [[float(x) for x in lines[pos + 1 + r].split()] for r in range(rows)]
+        lines = (ln.rstrip("\n") for ln in fh)
+        if next(lines, None) != "opinesum-model v1":
+            raise ValueError(f"{path}: not a model file")
+        _, d_emb, d_h, d_a = _take(path, lines, 1, "dims")[0].split()
+        words = _counted(path, lines, "vocab")
+        if tuple(words[: len(RESERVED)]) != RESERVED:
+            raise ValueError(f"{path}: reserved token block is corrupt")
+        vocab = Vocabulary(words[len(RESERVED) :])
+        features = None
+        block = _take(path, lines, 1, "features")[0]
+        if block == "features v1":
+            dim = int(_take(path, lines, 1, "features")[0].split()[1])
+            tags = _counted(path, lines, "pos_tags")
+            cats = _counted(path, lines, "lex_categories")
+            word_lex = {}
+            for ln in _counted(path, lines, "word_lex"):
+                w, _, c = ln.partition("\t")
+                word_lex[w] = c
+            word_sent = {}
+            for ln in _counted(path, lines, "word_sent"):
+                w, _, s = ln.partition("\t")
+                word_sent[w] = s
+            features = TokenFeatureSet.from_resolved(tags, cats, word_lex, word_sent, dim)
+        elif block != "features none":
+            raise ValueError(f"{path}: expected a features block")
+        trainable, covered = (
+            np.array([ch == "1" for ch in ln.split()[1]], dtype=bool)
+            for ln in _take(path, lines, 2, "embedding flags")
         )
-        target = tensors[name]
-        target[...] = values.reshape(target.shape)
-        pos += 1 + rows
+        model = new_model(vocab, features, int(d_emb), int(d_h), int(d_a))
+        model.embeddings.trainable[...] = trainable
+        model.embeddings.covered[...] = covered
+        _read_tensors(path, lines, dict(model.named_tensors()))
     return model

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attnseq2seq import LstmState, decode_step, encode
+from .attnseq2seq import LstmState, attention_keys, decode_rows, encode
 from .sampler import select_test_input
 from .textcorpus import (
     TfidfStats,
@@ -21,12 +21,10 @@ from .textcorpus import (
 
 @dataclass(frozen=True)
 class BeamHypothesis:
-    """Partial or complete output sequence (tokens start after BOS)."""
+    """Completed output sequence (tokens start after BOS, end with EOS)."""
 
     tokens: tuple
     logp: float
-    state: LstmState
-    completed: bool
 
 
 def banned_indices(vocab, cluster=None):
@@ -38,13 +36,28 @@ def banned_indices(vocab, cluster=None):
     return banned
 
 
+def _backtrack(tokens, parents, row):
+    """Token tuple of one live row, read back along the parent pointers."""
+    out = []
+    for step in range(len(tokens) - 1, -1, -1):
+        out.append(int(tokens[step][row]))
+        row = parents[step][row]
+    return tuple(reversed(out))
+
+
 def beam_search(model, z, width, max_len, banned=None):
     """Top-`width` beam search; returns completed hypotheses, best first.
 
-    Each step expands every live hypothesis over the full vocabulary and
-    keeps the top-`width` expansions; completed ones among those move to
-    the result pool. Stops when nothing is live or at max_len, where the
-    survivors are force-completed with EOS (at its actual log-prob).
+    Each step expands every live hypothesis over the allowed vocabulary
+    and keeps the top-`width` expansions, ordered by (-logp, tokens); the
+    completed ones among those retire to the result pool. Stops when
+    nothing is live or at max_len, where the survivors are force-completed
+    with EOS (at its actual log-prob). The pool is ordered by (-logp,
+    length, tokens).
+
+    The live beam is held as arrays: one B x d_h state matrix advanced by
+    one batched decoder step per time step, the running log-probs, and per
+    step the last token and parent row of every live hypothesis.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
@@ -53,33 +66,48 @@ def beam_search(model, z, width, max_len, banned=None):
     vocab = model.vocab
     banned_set = set(banned) if banned is not None else {vocab.seg, vocab.bos}
     banned_set.discard(vocab.eos)
-    allowed = [i for i in range(len(vocab)) if i not in banned_set]
+    allowed = np.array([i for i in range(len(vocab)) if i not in banned_set])
     contexts = encode(model, z)
-    live = [BeamHypothesis((), 0.0, LstmState.zeros(model.d_h), False)]
+    keys = attention_keys(model, contexts)
+    state = LstmState(h=np.zeros((1, model.d_h)), c=np.zeros((1, model.d_h)))
+    prev = np.array([vocab.bos])
+    live_logp = np.zeros(1)
+    # rank of each live hypothesis's token tuple in lexicographic order; all
+    # live tuples have the same length, so (parent rank, token) orders the
+    # expansions exactly as comparing their tuples does
+    lex_rank = np.zeros(1, dtype=np.int64)
+    tokens, parents = [], []  # per step, for every live row
     pool = []
     for step in range(1, max_len + 1):
-        candidates = []
-        for hyp in live:
-            prev = hyp.tokens[-1] if hyp.tokens else vocab.bos
-            state, probs, _ = decode_step(model, prev, hyp.state, contexts)
-            with np.errstate(divide="ignore"):  # underflowed probs rank last
-                logp = np.log(probs)
-            expansion = (vocab.eos,) if step == max_len else allowed
-            for w in expansion:
-                candidates.append(
-                    BeamHypothesis(
-                        tokens=hyp.tokens + (w,),
-                        logp=hyp.logp + float(logp[w]),
-                        state=state,
-                        completed=w == vocab.eos,
-                    )
-                )
-        candidates.sort(key=lambda h: (-h.logp, h.tokens))
-        live = []
-        for h in candidates[:width]:
-            (pool if h.completed else live).append(h)
-        if not live:
+        state, probs = decode_rows(model, prev, state, contexts, keys)
+        expansion = np.array([vocab.eos]) if step == max_len else allowed
+        with np.errstate(divide="ignore"):  # underflowed probs rank last
+            logp = (live_logp[:, None] + np.log(probs[:, expansion])).ravel()
+        # every candidate tied with the width-th best stays in the final sort
+        if logp.size > width:
+            kth = np.partition(-logp, width - 1)[width - 1]
+            cand = np.flatnonzero(-logp <= kth)
+        else:
+            cand = np.arange(logp.size)
+        row, col = np.divmod(cand, len(expansion))
+        word = expansion[col]
+        order = np.lexsort((word, lex_rank[row], -logp[cand]))[:width]
+        cand, row, word = cand[order], row[order], word[order]
+        done = word == vocab.eos
+        for r, lp in zip(row[done], logp[cand[done]]):
+            pool.append(BeamHypothesis(_backtrack(tokens, parents, r) + (vocab.eos,), float(lp)))
+        keep = ~done
+        if not keep.any():
             break
+        cand, row, word = cand[keep], row[keep], word[keep]
+        parent_rank = lex_rank[row]
+        lex_rank = np.empty(len(row), dtype=np.int64)
+        lex_rank[np.lexsort((word, parent_rank))] = np.arange(len(row))
+        tokens.append(word)
+        parents.append(row)
+        state = LstmState(h=state.h[row], c=state.c[row])
+        prev = word
+        live_logp = logp[cand]
     pool.sort(key=lambda h: (-h.logp, len(h.tokens), h.tokens))
     return pool
 
@@ -109,13 +137,13 @@ def rerank_similarities(nbest, cluster, tfidf, stopwords, vocab):
     return sims
 
 
-def cosine_rerank(nbest, cluster, tfidf, stopwords, vocab):
-    """Best hypothesis by input cosine; ties broken by higher log-prob."""
+def cosine_rerank(nbest, sims):
+    """Index of the best hypothesis given its input cosines `sims`: the
+    highest cosine, ties to the higher log-prob, then to the earlier
+    (better-ranked) hypothesis."""
     if not nbest:
         raise ValueError("empty n-best list")
-    sims = rerank_similarities(nbest, cluster, tfidf, stopwords, vocab)
-    best = max(range(len(nbest)), key=lambda i: (sims[i], nbest[i].logp, -i))
-    return nbest[best]
+    return max(range(len(nbest)), key=lambda i: (sims[i], nbest[i].logp, -i))
 
 
 def decode_cluster(
@@ -123,7 +151,8 @@ def decode_cluster(
 ):
     """Full decode of one cluster; returns the record written by the CLI.
 
-    select_test_input -> beam_search -> cosine_rerank -> restore_entity.
+    select_test_input -> beam_search -> cosine_rerank -> restore_entity;
+    record["summary"] is the one-sentence abstract.
     """
     vocab = model.vocab
     sub = substitute_entity(cluster)
@@ -134,7 +163,7 @@ def decode_cluster(
     z = select_test_input(sub, scores, K, vocab, tfidf)
     nbest = beam_search(model, z, width, max_len, banned_indices(vocab, sub))
     sims = rerank_similarities(nbest, sub, tfidf, stopwords, vocab)
-    best = max(range(len(nbest)), key=lambda i: (sims[i], nbest[i].logp, -i))
+    best = cosine_rerank(nbest, sims)
 
     def text_of(hyp):
         norms = [vocab.word_of(t) for t in hyp.tokens[:-1]]
@@ -148,10 +177,3 @@ def decode_cluster(
             for h, s in zip(nbest, sims)
         ],
     }
-
-
-def generate_summary(model, cluster, scores, K, width, max_len, tfidf=None, stopwords=None):
-    """One-sentence abstract for a cluster (text, entity restored)."""
-    return decode_cluster(model, cluster, scores, K, width, max_len, tfidf, stopwords)[
-        "summary"
-    ]

@@ -41,13 +41,24 @@ def as_matrix(m, name="matrix"):
     return arr
 
 
+def as_rows(v, name="array"):
+    """Coerce to a finite float64 vector, or a matrix of row vectors."""
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"{name} must be 1-D or 2-D, got shape {arr.shape}")
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains NaN or Inf")
+    return arr
+
+
 def softmax(v):
-    """Max-subtracted exp-normalize; entries positive, sum 1."""
-    arr = as_vector(v)
-    if arr.size == 0:
+    """Max-subtracted exp-normalize over the last axis; entries positive,
+    each row sums to 1."""
+    arr = as_rows(v)
+    if arr.shape[-1] == 0:
         raise ValueError("softmax of empty vector")
-    e = np.exp(arr - arr.max())
-    return e / e.sum()
+    e = np.exp(arr - arr.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(v):
@@ -61,41 +72,13 @@ def log_softmax(v):
 
 def sigmoid_elem(v):
     """Elementwise logistic sigmoid, stable on both tails."""
-    arr = as_vector(v)
+    arr = as_rows(v)
     out = np.empty_like(arr)
     pos = arr >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
     ez = np.exp(arr[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def tanh_elem(v):
-    return np.tanh(as_vector(v))
-
-
-def hadamard(a, b):
-    x = as_vector(a, "a")
-    y = as_vector(b, "b")
-    if x.shape != y.shape:
-        raise ValueError(f"hadamard shape mismatch: {x.shape} vs {y.shape}")
-    return x * y
-
-
-def matvec(m, v):
-    mat = as_matrix(m)
-    vec = as_vector(v)
-    if mat.shape[1] != vec.shape[0]:
-        raise ValueError(f"matvec shape mismatch: {mat.shape} @ {vec.shape}")
-    return mat @ vec
-
-
-def affine(m, v, b):
-    bias = as_vector(b, "bias")
-    out = matvec(m, v)
-    if out.shape != bias.shape:
-        raise ValueError(f"affine bias shape mismatch: {out.shape} vs {bias.shape}")
-    return out + bias
 
 
 def cholesky_lower(a):
@@ -161,10 +144,6 @@ class SeededRng:
 
     def permutation(self, n):
         return self._gen.permutation(n)
-
-    def spawn(self, *keys):
-        """Independent child stream addressed by keys (not by draw order)."""
-        return SeededRng(derive_seed(self.seed, *keys))
 
 
 def multinomial_draw(weights, count, rng):

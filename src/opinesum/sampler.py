@@ -106,7 +106,3 @@ def select_test_input(cluster, scores, K, vocab, tfidf=None):
     order = sorted(range(len(cluster.units)), key=lambda i: (-scores[i], i))[:k]
     return build_input(cluster, order, vocab, tfidf)
 
-
-def seg_count(concat, vocab):
-    """Number of SEG delimiters in an input (= units - 1)."""
-    return int(np.count_nonzero(concat.indices == vocab.seg))

@@ -445,12 +445,6 @@ class TfidfStats:
         return {term: tf * self.idf(term) for term, tf in counts.items()}
 
 
-def tfidf_weights(clusters):
-    """Per-cluster, per-unit term->tf*idf maps over the given clusters."""
-    stats = TfidfStats(clusters)
-    return [[stats.unit_weights(u) for u in c.units] for c in clusters]
-
-
 def cosine_weight_maps(a, b):
     """Cosine similarity of two sparse term->weight maps; 0 if either is zero."""
     dot = sum(w * b.get(t, 0.0) for t, w in a.items())

@@ -155,9 +155,9 @@ def test_criterion_4_memorization():
         hyps.append(norms)
         refs.append(c.summary.norms())
         # the full pipeline (beam + cosine rerank) also returns the gold text
-        text = beamdecode.generate_summary(
+        text = beamdecode.decode_cluster(
             model, c, scores[c.id], config.K, 5, config.max_len, tfidf, stopwords
-        )
+        )["summary"]
         assert text == detokenize(c.summary.norms()), f"cluster {c.id} pipeline output"
     assert bleu(hyps, refs) == pytest.approx(1.0, abs=1e-12)
     elapsed = time.perf_counter() - start

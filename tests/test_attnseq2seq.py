@@ -7,7 +7,9 @@ from opinesum.attnseq2seq import (
     LstmState,
     StaleTraceError,
     attend,
+    attention_keys,
     backward_pass,
+    decode_rows,
     decode_step,
     encode,
     load_model,
@@ -226,6 +228,37 @@ class TestDecodeStep:
             decode_step(model, -1, LstmState.zeros(model.d_h), encode(model, z))
 
 
+class TestDecodeRows:
+    def test_each_row_matches_decode_step(self):
+        for with_features in (False, True):
+            model, _, z, y = tiny_setup(seed=5, with_features=with_features, scale=0.8)
+            contexts = encode(model, z)
+            rng = np.random.default_rng(4)
+            rows = 4
+            h = np.tanh(rng.normal(size=(rows, model.d_h)))
+            c = rng.normal(size=(rows, model.d_h))
+            prev = np.array([model.vocab.bos] + y[: rows - 1])
+            state, probs = decode_rows(
+                model, prev, LstmState(h=h, c=c), contexts, attention_keys(model, contexts)
+            )
+            assert probs.shape == (rows, len(model.vocab))
+            for r in range(rows):
+                one, p, _ = decode_step(model, prev[r], LstmState(h=h[r], c=c[r]), contexts)
+                np.testing.assert_allclose(state.h[r], one.h, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(state.c[r], one.c, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(probs[r], p, rtol=1e-12, atol=1e-15)
+
+    def test_rejects_bad_rows(self, tiny):
+        model, _, z, _ = tiny
+        contexts = encode(model, z)
+        keys = attention_keys(model, contexts)
+        state = LstmState(h=np.zeros((2, model.d_h)), c=np.zeros((2, model.d_h)))
+        with pytest.raises(ValueError):
+            decode_rows(model, [model.vocab.bos], state, contexts, keys)
+        with pytest.raises(ValueError):
+            decode_rows(model, [0, len(model.vocab)], state, contexts, keys)
+
+
 class TestSequenceLogProb:
     def test_uniform_model_loglik(self, tiny):
         model, _, z, y = tiny
@@ -394,4 +427,54 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text("not a model\n")
         with pytest.raises(ValueError):
+            load_model(path)
+
+    def _saved_lines(self, tiny, tmp_path):
+        model, _, _, _ = tiny
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        return path, path.read_text().split("\n")
+
+    def test_rejects_file_cut_before_a_tensor(self, tiny, tmp_path):
+        path, lines = self._saved_lines(tiny, tmp_path)
+        cut = lines.index(next(ln for ln in lines if ln.startswith("tensor W_out ")))
+        path.write_text("\n".join(lines[:cut]) + "\n")
+        with pytest.raises(ValueError, match="missing tensor.*W_out"):
+            load_model(path)
+
+    def test_rejects_file_cut_inside_a_tensor(self, tiny, tmp_path):
+        path, lines = self._saved_lines(tiny, tmp_path)
+        start = lines.index(next(ln for ln in lines if ln.startswith("tensor W_out ")))
+        path.write_text("\n".join(lines[: start + 2]) + "\n")
+        with pytest.raises(ValueError, match="W_out"):
+            load_model(path)
+        # a row cut short inside the last tensor
+        path.write_text("\n".join(lines[:-2] + [lines[-2].rsplit(" ", 1)[0]]) + "\n")
+        with pytest.raises(ValueError, match="b_out"):
+            load_model(path)
+
+    def test_rejects_duplicated_tensor(self, tiny, tmp_path):
+        path, lines = self._saved_lines(tiny, tmp_path)
+        start = lines.index(next(ln for ln in lines if ln.startswith("tensor b_out ")))
+        path.write_text("\n".join(lines[:-1] + lines[start:-1]) + "\n")
+        with pytest.raises(ValueError, match="b_out appears twice"):
+            load_model(path)
+
+    def test_rejects_wrong_shape(self, tiny, tmp_path):
+        model, _, _, _ = tiny
+        path, lines = self._saved_lines(tiny, tmp_path)
+        start = lines.index(next(ln for ln in lines if ln.startswith("tensor attn.W_s ")))
+        d_a = model.d_a
+        # same number of values, declared with the rows and columns swapped
+        lines[start : start + 2] = [f"tensor attn.W_s {d_a} 1"] + lines[start + 1].split()
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match="attn.W_s is"):
+            load_model(path)
+
+    def test_rejects_row_with_wrong_value_count(self, tiny, tmp_path):
+        path, lines = self._saved_lines(tiny, tmp_path)
+        start = lines.index(next(ln for ln in lines if ln.startswith("tensor W_out ")))
+        lines[start + 1] += " 0.5"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match="W_out"):
             load_model(path)

@@ -1,21 +1,94 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from conftest import make_cluster, randomize, tiny_setup
-from opinesum.attnseq2seq import LstmState, decode_step, encode, new_model, sequence_log_prob
+from opinesum.attnseq2seq import (
+    LstmState,
+    TokenFeatureSet,
+    decode_step,
+    encode,
+    new_model,
+    sequence_log_prob,
+)
 from opinesum.beamdecode import (
     BeamHypothesis,
     banned_indices,
     beam_search,
     cosine_rerank,
     decode_cluster,
-    generate_summary,
     greedy_decode,
+    rerank_similarities,
 )
 from opinesum.sampler import build_input
 from opinesum.textcorpus import TfidfStats, build_vocab, substitute_entity
+
+
+@dataclass(frozen=True)
+class RefHypothesis:
+    tokens: tuple
+    logp: float
+    state: LstmState
+    completed: bool
+
+
+def reference_beam_search(model, z, width, max_len, banned=None):
+    """Object-per-hypothesis beam search: one decode_step per live
+    hypothesis, and a full sort of every expansion at each step."""
+    vocab = model.vocab
+    banned_set = set(banned) if banned is not None else {vocab.seg, vocab.bos}
+    banned_set.discard(vocab.eos)
+    allowed = [i for i in range(len(vocab)) if i not in banned_set]
+    contexts = encode(model, z)
+    live = [RefHypothesis((), 0.0, LstmState.zeros(model.d_h), False)]
+    pool = []
+    for step in range(1, max_len + 1):
+        candidates = []
+        for hyp in live:
+            prev = hyp.tokens[-1] if hyp.tokens else vocab.bos
+            state, probs, _ = decode_step(model, prev, hyp.state, contexts)
+            with np.errstate(divide="ignore"):
+                logp = np.log(probs)
+            expansion = (vocab.eos,) if step == max_len else allowed
+            for w in expansion:
+                candidates.append(
+                    RefHypothesis(hyp.tokens + (w,), hyp.logp + float(logp[w]), state, w == vocab.eos)
+                )
+        candidates.sort(key=lambda h: (-h.logp, h.tokens))
+        live = []
+        for h in candidates[:width]:
+            (pool if h.completed else live).append(h)
+        if not live:
+            break
+    pool.sort(key=lambda h: (-h.logp, len(h.tokens), h.tokens))
+    return pool
+
+
+def assert_matches_reference(model, z, width, max_len, banned=None):
+    got = beam_search(model, z, width, max_len, banned)
+    want = reference_beam_search(model, z, width, max_len, banned)
+    assert [h.tokens for h in got] == [h.tokens for h in want]
+    for g, w in zip(got, want):
+        assert g.logp == w.logp or abs(g.logp - w.logp) <= 1e-12
+    return got
+
+
+def wide_vocab_setup(seed, with_features=False):
+    """Random model over 25 words (|V| = 30), optionally with token features."""
+    words = [f"w{i:02d}" for i in range(25)]
+    cluster = make_cluster([" ".join(words[:13]), " ".join(words[13:])], summary="w01 w02")
+    vocab = build_vocab([cluster])
+    features = None
+    if with_features:
+        features = TokenFeatureSet(
+            lexicon={"w01": ("Positiv",), "w05": ("Negativ",)},
+            sentiment={"w02": "positive", "w07": "negative"},
+            dim=2,
+        )
+    model = randomize(new_model(vocab, features, 5, 4, 3), seed=seed, scale=0.9)
+    return model, vocab, build_input(cluster, [0, 1], vocab)
 
 
 def six_word_setup(seed):
@@ -95,7 +168,6 @@ class TestBeamSearch:
         for h in beam_search(model, z, width=5, max_len=6):
             assert h.tokens[-1] == vocab.eos
             assert h.tokens.count(vocab.eos) == 1
-            assert h.completed
 
     def test_pool_size_bound(self):
         for width, max_len in ((1, 4), (3, 5), (8, 3)):
@@ -141,6 +213,47 @@ class TestBeamSearch:
         assert [h.tokens for h in pool] == [(vocab.eos,)]
 
 
+class TestMatchesReferenceBeam:
+    """The array beam returns the reference beam's pool: the same token
+    tuples in the same order, log-probs within 1e-12."""
+
+    def test_random_models(self):
+        for seed in range(3):
+            for width in (1, 3, 20):
+                model, vocab, z = wide_vocab_setup(seed, with_features=seed == 1)
+                assert_matches_reference(model, z, width, 6, banned_indices(vocab))
+
+    def test_zero_model_all_candidates_tied(self):
+        model, vocab, z = wide_vocab_setup(0)
+        model = new_model(vocab, None, model.d_emb, model.d_h, model.d_a)
+        for width in (1, 3, 20):
+            pool = assert_matches_reference(model, z, width, 4, banned_indices(vocab))
+            assert len({h.logp for h in pool if len(h.tokens) == 4}) == 1
+
+    def test_exact_ties_across_parents_break_by_tokens(self):
+        # W_out = 0: every step has the same distribution, so (hi, lo) and
+        # (lo, hi) tie exactly; the better parent (hi) has the larger id
+        model, vocab, z = wide_vocab_setup(4)
+        lo, hi = sorted(vocab.index_of(w) for w in ("w03", "w10"))
+        model.W_out[...] = 0.0
+        model.b_out[...] = 0.0
+        model.b_out[hi], model.b_out[lo] = 2.0, 1.0
+        pool = assert_matches_reference(model, z, 2, 3, banned_indices(vocab))
+        assert (lo, hi, vocab.eos) in [h.tokens for h in pool]
+
+    def test_six_words_width_above_candidates(self):
+        for seed in range(3):
+            model, vocab, z = six_word_setup(seed)
+            assert_matches_reference(model, z, 20, 5, banned_indices(vocab))
+
+    def test_underflowed_word_kept_like_reference(self):
+        model, vocab, z = six_word_setup(2)
+        word = vocab.index_of("ww")
+        model.b_out[word] = -1e4  # exp underflows: probability exactly 0
+        pool = assert_matches_reference(model, z, 20, 4, banned_indices(vocab))
+        assert any(h.logp == -np.inf and word in h.tokens for h in pool)
+
+
 class TestCosineRerank:
     def setup_method(self):
         self.cluster = make_cluster(
@@ -152,16 +265,20 @@ class TestCosineRerank:
 
     def hyp(self, words, logp):
         tokens = tuple(self.vocab.index_of(w) for w in words) + (self.vocab.eos,)
-        return BeamHypothesis(tokens=tokens, logp=logp, state=None, completed=True)
+        return BeamHypothesis(tokens=tokens, logp=logp)
+
+    def best(self, nbest):
+        sims = rerank_similarities(nbest, self.cluster, self.tfidf, self.stopwords, self.vocab)
+        return nbest[cosine_rerank(nbest, sims)]
 
     def test_singleton(self):
         only = self.hyp(["dull"], -1.0)
-        assert cosine_rerank([only], self.cluster, self.tfidf, self.stopwords, self.vocab) is only
+        assert self.best([only]) is only
 
     def test_overlapping_beats_disjoint(self):
         good = self.hyp(["great", "fun"], -5.0)
         bad = self.hyp(["zzz"], -0.1)  # OOV -> UNK, shares nothing
-        best = cosine_rerank([bad, good], self.cluster, self.tfidf, self.stopwords, self.vocab)
+        best = self.best([bad, good])
         assert best is good
 
     def test_matches_hand_cosines(self):
@@ -172,8 +289,6 @@ class TestCosineRerank:
             self.hyp(["great", "dull"], -1.0),
             self.hyp(["ride", "slog", "boring"], -3.0),
         ]
-        from opinesum.beamdecode import rerank_similarities
-
         sims = rerank_similarities(candidates, self.cluster, self.tfidf, self.stopwords, self.vocab)
         idf = math.log(2)  # every content word appears in exactly 1 of 2 units
         input_vec = {w: idf for w in ("great", "fun", "ride", "dull", "boring", "slog")}
@@ -189,24 +304,25 @@ class TestCosineRerank:
     def test_unk_penalty(self):
         clean = self.hyp(["great", "fun"], -10.0)
         unked = self.hyp(["great", "fun", "zzz"], -0.5)  # zzz -> UNK
-        best = cosine_rerank([unked, clean], self.cluster, self.tfidf, self.stopwords, self.vocab)
+        best = self.best([unked, clean])
         assert best is clean
 
     def test_tie_broken_by_logp(self):
         a = self.hyp(["great"], -3.0)
         b = self.hyp(["great", "great"], -1.0)  # same direction, higher logp
-        best = cosine_rerank([a, b], self.cluster, self.tfidf, self.stopwords, self.vocab)
+        best = self.best([a, b])
         assert best is b
 
     def test_empty_nbest(self):
         with pytest.raises(ValueError):
-            cosine_rerank([], self.cluster, self.tfidf, self.stopwords, self.vocab)
+            self.best([])
 
 
 class TestGenerateSummary:
     def test_no_seg_bos_or_entity_label_in_text(self):
         model, cluster, z, y = tiny_setup(seed=11)
-        text = generate_summary(model, cluster, np.ones(len(cluster.units)), K=2, width=3, max_len=5)
+        record = decode_cluster(model, cluster, np.ones(len(cluster.units)), K=2, width=3, max_len=5)
+        text = record["summary"]
         for forbidden in ("SEG", "BOS"):
             assert forbidden not in text.split()
 
@@ -223,7 +339,7 @@ class TestGenerateSummary:
         # constant logits: generic label then forced EOS
         model.b_out[vocab.entity] = 2.0
         model.b_out[vocab.eos] = 1.0
-        text = generate_summary(model, cluster, np.ones(2), K=2, width=2, max_len=3)
+        text = decode_cluster(model, cluster, np.ones(2), K=2, width=2, max_len=3)["summary"]
         assert "ENTITY" not in text
         assert "the martian" in text
 

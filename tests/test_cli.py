@@ -273,9 +273,9 @@ class TestDecodeEvaluate:
         for raw_c, sub_c in zip(raw, subs):
             feats = salience.cluster_features(sub_c, registry, lexicons, tfidf)
             scores = salience.score_units(sal, feats)
-            expected = beamdecode.generate_summary(
+            expected = beamdecode.decode_cluster(
                 model, raw_c, scores, 2, 3, 8, tfidf, lexicons.stopwords
-            )
+            )["summary"]
             assert records[raw_c.id]["summary"] == expected
 
     def test_decode_rerun_byte_identical(self, tmp_path, corpus_file, fitted_salience):

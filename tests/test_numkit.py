@@ -6,17 +6,13 @@ import pytest
 from opinesum.numkit import (
     NotPositiveDefiniteError,
     SeededRng,
-    affine,
     cholesky_lower,
     derive_seed,
-    hadamard,
     log_softmax,
-    matvec,
     multinomial_draw,
     sigmoid_elem,
     softmax,
     solve_spd,
-    tanh_elem,
 )
 
 
@@ -68,30 +64,6 @@ class TestElementwise:
         out = sigmoid_elem([-1000.0, 1000.0])
         assert np.all(np.isfinite(out))
         assert out[0] < 1e-300 and out[1] == 1.0
-
-    def test_tanh(self):
-        np.testing.assert_allclose(tanh_elem([0.0, 1.0]), [0.0, math.tanh(1.0)])
-
-    def test_hadamard_hand(self):
-        np.testing.assert_allclose(hadamard([2, 3], [4, 5]), [8, 15])
-
-    def test_hadamard_mismatch(self):
-        with pytest.raises(ValueError):
-            hadamard([1, 2], [1, 2, 3])
-
-    def test_matvec_identity(self):
-        np.testing.assert_allclose(matvec(np.eye(3), [1, 2, 3]), [1, 2, 3])
-
-    def test_matvec_mismatch(self):
-        with pytest.raises(ValueError):
-            matvec(np.eye(3), [1, 2])
-
-    def test_affine(self):
-        np.testing.assert_allclose(affine(np.eye(2), [1, 2], [10, 20]), [11, 22])
-
-    def test_affine_bias_mismatch(self):
-        with pytest.raises(ValueError):
-            affine(np.eye(2), [1, 2], [1, 2, 3])
 
 
 class TestSolveSpd:
@@ -159,9 +131,6 @@ class TestSeededRng:
         assert derive_seed(5, "init") == derive_seed(5, "init")
         assert derive_seed(5, "init") != derive_seed(5, "shuffle")
         assert derive_seed(5, "a", 1) != derive_seed(5, "a", 2)
-
-    def test_spawn_matches_derive(self):
-        assert SeededRng(9).spawn("x").seed == SeededRng(derive_seed(9, "x")).seed
 
 
 class TestMultinomialDraw:

@@ -22,7 +22,6 @@ from opinesum.textcorpus import (
     restore_entity,
     substitute_entity,
     text_unit,
-    tfidf_weights,
     tokenize,
 )
 
@@ -247,21 +246,22 @@ class TestEntitySubstitution:
 class TestTfidf:
     def test_ubiquitous_term_zero(self):
         clusters = [make_cluster(["cat dog", "cat bird"], "s")]
-        maps = tfidf_weights(clusters)
-        assert maps[0][0]["cat"] == 0.0
+        weights = TfidfStats(clusters).unit_weights(clusters[0].units[0])
+        assert weights["cat"] == 0.0
 
     def test_hand_computed(self):
         clusters = [make_cluster(["cat dog", "bird"], "s")]
-        maps = tfidf_weights(clusters)
-        assert maps[0][0]["cat"] == pytest.approx(math.log(2))
+        weights = TfidfStats(clusters).unit_weights(clusters[0].units[0])
+        assert weights["cat"] == pytest.approx(math.log(2))
 
     def test_non_negative(self):
         rng = np.random.default_rng(9)
         words = ["a", "b", "c", "d"]
         texts = [" ".join(rng.choice(words, size=5)) for _ in range(4)]
-        for unit_maps in tfidf_weights([make_cluster(texts[:2], "s"), make_cluster(texts[2:], "s")]):
-            for m in unit_maps:
-                assert all(w >= 0 for w in m.values())
+        clusters = [make_cluster(texts[:2], "s"), make_cluster(texts[2:], "s")]
+        stats = TfidfStats(clusters)
+        for unit in (u for c in clusters for u in c.units):
+            assert all(w >= 0 for w in stats.unit_weights(unit).values())
 
     def test_tf_scales(self):
         clusters = [make_cluster(["cat cat dog", "dog"], "s")]
