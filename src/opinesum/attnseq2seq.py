@@ -424,10 +424,7 @@ def _decode_ids(model, y_prev_index):
         return None
     if np.ndim(y_prev_index) == 0:
         return model.features.decode_ids(model.vocab.word_of(y_prev_index))
-    return np.array(
-        [model.features.decode_ids(model.vocab.word_of(i)) for i in y_prev_index],
-        dtype=np.int64,
-    ).reshape(len(y_prev_index), len(CHANNELS))
+    return np.array([model.features.decode_ids(model.vocab.word_of(i)) for i in y_prev_index])
 
 
 def _decode_core(model, y_prev_index, state_prev, contexts, keys):
@@ -467,9 +464,9 @@ def decode_rows(model, y_prev, state_prev, contexts, keys):
     rows) and the B x |V| word distributions.
     """
     y_prev = np.asarray(y_prev, dtype=np.int64)
-    if y_prev.ndim != 1 or state_prev.h.shape != (len(y_prev), model.d_h):
+    if y_prev.ndim != 1 or not y_prev.size or state_prev.h.shape != (len(y_prev), model.d_h):
         raise ValueError("decode_rows needs one token and one state row per sequence")
-    if y_prev.size and (y_prev.min() < 0 or y_prev.max() >= len(model.vocab)):
+    if y_prev.min() < 0 or y_prev.max() >= len(model.vocab):
         raise ValueError("decode_rows: token index out of vocabulary")
     state, _, cache = _decode_core(model, y_prev, state_prev, contexts, keys)
     return state, cache.probs
