@@ -17,14 +17,6 @@ from .textcorpus import EmbeddingTable
 
 CHANNELS = ("pos", "ner", "cap", "lex", "sent")
 
-LSTM_FIELDS = (
-    "W_iu", "W_ih", "W_ic", "b_i",
-    "W_fu", "W_fh", "W_fc", "b_f",
-    "W_cu", "W_ch", "b_c",
-    "W_ou", "W_oh", "W_oc", "b_o",
-)
-
-
 class StaleTraceError(RuntimeError):
     """The model was mutated after the trace was recorded."""
 
@@ -41,46 +33,48 @@ class LstmState:
 
 @dataclass
 class LstmCellParams:
-    """All projection matrices and biases of one LSTM cell.
+    """The projection matrices and biases of one LSTM cell, as four arrays.
 
-    The cell-feedback matrices (W_ic, W_fc on the previous cell, W_oc on
-    the new cell) are full d_h x d_h matrices.
+    Wu (4 d_h x d_u) and Wh (4 d_h x d_h) stack the row blocks of the gates
+    i, f, g, o; b (4 d_h) stacks their biases. Wc (3 d_h x d_h) stacks the
+    full-matrix cell feedback of i and f on the previous cell and of o on
+    the new cell.
     """
 
-    W_iu: np.ndarray; W_ih: np.ndarray; W_ic: np.ndarray; b_i: np.ndarray
-    W_fu: np.ndarray; W_fh: np.ndarray; W_fc: np.ndarray; b_f: np.ndarray
-    W_cu: np.ndarray; W_ch: np.ndarray; b_c: np.ndarray
-    W_ou: np.ndarray; W_oh: np.ndarray; W_oc: np.ndarray; b_o: np.ndarray
+    Wu: np.ndarray
+    Wh: np.ndarray
+    Wc: np.ndarray
+    b: np.ndarray
 
     @staticmethod
     def zeros(d_u, d_h):
-        def uu():
-            return np.zeros((d_h, d_u))
-
-        def hh():
-            return np.zeros((d_h, d_h))
-
-        def b():
-            return np.zeros(d_h)
-
         return LstmCellParams(
-            W_iu=uu(), W_ih=hh(), W_ic=hh(), b_i=b(),
-            W_fu=uu(), W_fh=hh(), W_fc=hh(), b_f=b(),
-            W_cu=uu(), W_ch=hh(), b_c=b(),
-            W_ou=uu(), W_oh=hh(), W_oc=hh(), b_o=b(),
+            Wu=np.zeros((4 * d_h, d_u)),
+            Wh=np.zeros((4 * d_h, d_h)),
+            Wc=np.zeros((3 * d_h, d_h)),
+            b=np.zeros(4 * d_h),
         )
 
     @property
     def d_u(self):
-        return self.W_iu.shape[1]
+        return self.Wu.shape[1]
 
     @property
     def d_h(self):
-        return self.W_iu.shape[0]
+        return self.Wh.shape[1]
 
     def named(self, prefix):
-        for f in LSTM_FIELDS:
-            yield f"{prefix}.{f}", getattr(self, f)
+        """The 15 per-gate tensors a checkpoint names (W_iu, W_ih, W_ic,
+        b_i, ..., W_oc, b_o), as contiguous row-block views."""
+        d = self.d_h
+        for k, gate in enumerate("ifco"):
+            rows = slice(k * d, (k + 1) * d)
+            yield f"{prefix}.W_{gate}u", self.Wu[rows]
+            yield f"{prefix}.W_{gate}h", self.Wh[rows]
+            if gate != "c":
+                j = min(k, 2) * d  # Wc has no block for g
+                yield f"{prefix}.W_{gate}c", self.Wc[j : j + d]
+            yield f"{prefix}.b_{gate}", self.b[rows]
 
 
 @dataclass
@@ -222,14 +216,13 @@ class ModelParams:
         yield "W_out", self.W_out
         yield "b_out", self.b_out
 
-    def zero_grads(self):
-        return {name: np.zeros_like(arr) for name, arr in self.named_tensors()}
+    def zeros_like(self):
+        """A zero model of the same dimensions, sharing vocab and features."""
+        return new_model(self.vocab, self.features, self.d_emb, self.d_h, self.d_a)
 
     def snapshot(self):
         """Deep copy of all tensors (vocab/features are immutable, shared)."""
-        copy = new_model(
-            self.vocab, self.features, self.d_emb, self.d_h, self.d_a
-        )
+        copy = self.zeros_like()
         for (_, dst), (_, src) in zip(copy.named_tensors(), self.named_tensors()):
             dst[...] = src
         copy.embeddings.trainable[...] = self.embeddings.trainable
@@ -288,12 +281,15 @@ def _rows(W, x):
 def _lstm_forward(p, u, prev):
     """One LSTM update. u and the state are vectors, or matrices with one
     row per sequence (the live rows of a beam)."""
-    i = sigmoid_elem(_rows(p.W_iu, u) + _rows(p.W_ih, prev.h) + _rows(p.W_ic, prev.c) + p.b_i)
-    f = sigmoid_elem(_rows(p.W_fu, u) + _rows(p.W_fh, prev.h) + _rows(p.W_fc, prev.c) + p.b_f)
-    g = np.tanh(_rows(p.W_cu, u) + _rows(p.W_ch, prev.h) + p.b_c)
+    d = p.d_h
+    a = _rows(p.Wu, u) + _rows(p.Wh, prev.h) + p.b  # gate pre-activations
+    a[..., : 2 * d] += _rows(p.Wc[: 2 * d], prev.c)
+    i = sigmoid_elem(a[..., :d])
+    f = sigmoid_elem(a[..., d : 2 * d])
+    g = np.tanh(a[..., 2 * d : 3 * d])
     c = f * prev.c + i * g
     # the output gate sees the NEW cell
-    o = sigmoid_elem(_rows(p.W_ou, u) + _rows(p.W_oh, prev.h) + _rows(p.W_oc, c) + p.b_o)
+    o = sigmoid_elem(a[..., 3 * d :] + _rows(p.Wc[2 * d :], c))
     h = o * np.tanh(c)
     cache = _StepCache(u=u, h_prev=prev.h, c_prev=prev.c, i=i, f=f, g=g, o=o, c=c, h=h)
     return LstmState(h=h, c=c), cache
@@ -522,74 +518,59 @@ def sequence_log_prob(model, z, y):
 # backward
 
 
-def _lstm_backward(params, prefix, cache, dh, dc_in, grads):
-    """One step of LSTM BPTT; returns (du, dh_prev, dc_prev)."""
+def _lstm_backward(p, cache, dh, dc_in, grad):
+    """One step of LSTM BPTT, accumulated into the gradient cell grad;
+    returns (du, dh_prev, dc_prev)."""
+    d = p.d_h
     tanh_c = np.tanh(cache.c)
-    do = dh * tanh_c
-    da_o = do * cache.o * (1.0 - cache.o)
-    dc = dh * cache.o * (1.0 - tanh_c * tanh_c) + dc_in + params.W_oc.T @ da_o
-    di = dc * cache.g
-    da_i = di * cache.i * (1.0 - cache.i)
-    df = dc * cache.c_prev
-    da_f = df * cache.f * (1.0 - cache.f)
-    dg = dc * cache.i
-    da_g = dg * (1.0 - cache.g * cache.g)
-
-    grads[f"{prefix}.W_iu"] += np.outer(da_i, cache.u)
-    grads[f"{prefix}.W_ih"] += np.outer(da_i, cache.h_prev)
-    grads[f"{prefix}.W_ic"] += np.outer(da_i, cache.c_prev)
-    grads[f"{prefix}.b_i"] += da_i
-    grads[f"{prefix}.W_fu"] += np.outer(da_f, cache.u)
-    grads[f"{prefix}.W_fh"] += np.outer(da_f, cache.h_prev)
-    grads[f"{prefix}.W_fc"] += np.outer(da_f, cache.c_prev)
-    grads[f"{prefix}.b_f"] += da_f
-    grads[f"{prefix}.W_cu"] += np.outer(da_g, cache.u)
-    grads[f"{prefix}.W_ch"] += np.outer(da_g, cache.h_prev)
-    grads[f"{prefix}.b_c"] += da_g
-    grads[f"{prefix}.W_ou"] += np.outer(da_o, cache.u)
-    grads[f"{prefix}.W_oh"] += np.outer(da_o, cache.h_prev)
-    grads[f"{prefix}.W_oc"] += np.outer(da_o, cache.c)
-    grads[f"{prefix}.b_o"] += da_o
-
-    du = (
-        params.W_iu.T @ da_i
-        + params.W_fu.T @ da_f
-        + params.W_cu.T @ da_g
-        + params.W_ou.T @ da_o
+    da_o = dh * tanh_c * cache.o * (1.0 - cache.o)
+    dc = dh * cache.o * (1.0 - tanh_c * tanh_c) + dc_in + p.Wc[2 * d :].T @ da_o
+    # pre-activation deltas of the gates i, f, g, o
+    da = np.concatenate(
+        [
+            dc * cache.g * cache.i * (1.0 - cache.i),
+            dc * cache.c_prev * cache.f * (1.0 - cache.f),
+            dc * cache.i * (1.0 - cache.g * cache.g),
+            da_o,
+        ]
     )
-    dh_prev = (
-        params.W_ih.T @ da_i
-        + params.W_fh.T @ da_f
-        + params.W_ch.T @ da_g
-        + params.W_oh.T @ da_o
-    )
-    dc_prev = dc * cache.f + params.W_ic.T @ da_i + params.W_fc.T @ da_f
-    return du, dh_prev, dc_prev
+
+    # one gate block at a time keeps the rank-1 temporaries small
+    for k in range(4):
+        rows = slice(k * d, (k + 1) * d)
+        grad.Wu[rows] += np.outer(da[rows], cache.u)
+        grad.Wh[rows] += np.outer(da[rows], cache.h_prev)
+    grad.Wc[: 2 * d] += np.outer(da[: 2 * d], cache.c_prev)
+    grad.Wc[2 * d :] += np.outer(da_o, cache.c)
+    grad.b += da
+
+    dc_prev = dc * cache.f + p.Wc[: 2 * d].T @ da[: 2 * d]
+    return p.Wu.T @ da, p.Wh.T @ da, dc_prev
 
 
-def _attend_backward(model, grads, contexts, cache, ds, db, h_prev):
+def _attend_backward(model, grad, contexts, cache, ds, db, h_prev):
     """Backward through one attention application; accumulates into db."""
     da = contexts @ ds
     db += np.outer(cache.a, ds)
     de = cache.a * (da - float(cache.a @ da))
-    grads["attn.W_s"] += cache.t.T @ de
+    grad.W_s += cache.t.T @ de
     dt = np.outer(de, model.attn.W_s)
     dq = dt * (1.0 - cache.t * cache.t)
-    grads["attn.W_cg"] += dq.T @ contexts
+    grad.W_cg += dq.T @ contexts
     dq_sum = dq.sum(axis=0)
-    grads["attn.W_hg"] += np.outer(dq_sum, h_prev)
+    grad.W_hg += np.outer(dq_sum, h_prev)
     db += dq @ model.attn.W_cg
     return model.attn.W_hg.T @ dq_sum
 
 
 def _repr_backward(model, grads, index, feat_ids, d_rep):
     d_emb = model.d_emb
-    grads["emb"][index] += d_rep[:d_emb]
+    grads.embeddings.matrix[index] += d_rep[:d_emb]
     if model.features:
         off = d_emb
         dim = model.features.dim
         for ch, fid in zip(CHANNELS, feat_ids):
-            grads[f"feat.{ch}"][fid] += d_rep[off : off + dim]
+            grads.feat_tables[ch][fid] += d_rep[off : off + dim]
             off += dim
         # the trailing continuous slot is an input, not a parameter
 
@@ -597,12 +578,13 @@ def _repr_backward(model, grads, index, feat_ids, d_rep):
 def backward_pass(model, trace, scale=1.0):
     """Exact gradients of scale * (-loglik) w.r.t. every parameter tensor.
 
+    Returns {name: gradient} under the names of model.named_tensors().
     Rows of the embedding/feature tables not touched by the example keep an
     exactly zero gradient.
     """
     if trace.model_id != id(model) or trace.version != model.version:
         raise StaleTraceError("trace is stale: model parameters changed since the forward pass")
-    grads = model.zero_grads()
+    grads = model.zeros_like()
     d_h = model.d_h
     token_dim = model.token_dim
     contexts = trace.enc.contexts
@@ -614,13 +596,13 @@ def backward_pass(model, trace, scale=1.0):
     for step in reversed(trace.steps):
         dlogits = step.probs * scale
         dlogits[step.target] -= scale
-        grads["W_out"] += np.outer(dlogits, step.lstm.h)
-        grads["b_out"] += dlogits
+        grads.W_out += np.outer(dlogits, step.lstm.h)
+        grads.b_out += dlogits
         dh = model.W_out.T @ dlogits + dh_next
-        du, dh_prev_l, dc_next = _lstm_backward(model.dec, "dec", step.lstm, dh, dc_next, grads)
+        du, dh_prev_l, dc_next = _lstm_backward(model.dec, step.lstm, dh, dc_next, grads.dec)
         _repr_backward(model, grads, step.input_index, step.input_ids, du[:token_dim])
         dh_prev_a = _attend_backward(
-            model, grads, contexts, step.attn, du[token_dim:], db, h_prev=step.lstm.h_prev
+            model, grads.attn, contexts, step.attn, du[token_dim:], db, h_prev=step.lstm.h_prev
         )
         dh_next = dh_prev_l + dh_prev_a
 
@@ -630,7 +612,7 @@ def backward_pass(model, trace, scale=1.0):
     dc_next = np.zeros(d_h)
     for t in range(n - 1, -1, -1):
         du, dh_next, dc_next = _lstm_backward(
-            model.enc_f, "enc_f", trace.enc.fwd[t], dh_f[t] + dh_next, dc_next, grads
+            model.enc_f, trace.enc.fwd[t], dh_f[t] + dh_next, dc_next, grads.enc_f
         )
         _repr_backward(model, grads, trace.enc.z.indices[t], trace.enc.ids[t], du)
     dh_next = np.zeros(d_h)
@@ -638,10 +620,10 @@ def backward_pass(model, trace, scale=1.0):
     for j in range(n - 1, -1, -1):
         pos = n - 1 - j  # backward-chain step j consumed position n-1-j
         du, dh_next, dc_next = _lstm_backward(
-            model.enc_b, "enc_b", trace.enc.bwd[j], dh_b[pos] + dh_next, dc_next, grads
+            model.enc_b, trace.enc.bwd[j], dh_b[pos] + dh_next, dc_next, grads.enc_b
         )
         _repr_backward(model, grads, trace.enc.z.indices[pos], trace.enc.ids[pos], du)
-    return grads
+    return dict(grads.named_tensors())
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +633,7 @@ def backward_pass(model, trace, scale=1.0):
 def _write_tensor(fh, name, arr):
     arr = np.atleast_2d(arr)
     fh.write(f"tensor {name} {arr.shape[0]} {arr.shape[1]}\n")
-    for row in arr:
-        fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
+    np.savetxt(fh, arr, fmt="%.17g")
 
 
 def save_model(model, path):

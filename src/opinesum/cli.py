@@ -306,12 +306,18 @@ def _train_config(cfg):
 def cmd_train(cfg):
     lexicons = _load_lexicons(cfg)
     sal_model, registry = _load_salience(cfg)
-    train_clusters, _, train_features = _prepare_split(
-        load_clusters(cfg.require("corpus.train")), lexicons, registry
-    )
-    dev_clusters, _, dev_features = _prepare_split(
-        load_clusters(cfg.require("corpus.dev")), lexicons, registry
-    )
+    train_raw = load_clusters(cfg.require("corpus.train"))
+    dev_raw = load_clusters(cfg.require("corpus.dev"))
+    # salience scores are keyed by cluster id, so a shared id must name
+    # the same cluster in both splits (as when one file serves as both)
+    train_by_id = {c.id: c for c in train_raw}
+    for c in dev_raw:
+        if c.id in train_by_id and train_by_id[c.id] != c:
+            raise UsageError(
+                f"cluster id {c.id!r} names different clusters in corpus.train and corpus.dev"
+            )
+    train_clusters, _, train_features = _prepare_split(train_raw, lexicons, registry)
+    dev_clusters, _, dev_features = _prepare_split(dev_raw, lexicons, registry)
     scores = _scores_by_id(sal_model, train_clusters, train_features)
     scores.update(_scores_by_id(sal_model, dev_clusters, dev_features))
     config = _train_config(cfg)

@@ -118,8 +118,10 @@ def text_unit(text, pos=None, ner=None):
 
 
 def load_clusters(path):
-    """Read a JSON-lines corpus file into Cluster objects."""
+    """Read a JSON-lines corpus file into Cluster objects; cluster ids
+    must be unique within the file."""
     clusters = []
+    first_line = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -149,6 +151,11 @@ def load_clusters(path):
             for u in cluster.units:
                 if not u.tokens:
                     raise CorpusFormatError(path, line_no, "cluster has an empty unit")
+            first = first_line.setdefault(cluster.id, line_no)
+            if first != line_no:
+                raise CorpusFormatError(
+                    path, line_no, f"duplicate cluster id {cluster.id!r} (first on line {first})"
+                )
             clusters.append(cluster)
     return clusters
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,13 +24,19 @@ from opinesum.sampler import build_input
 from opinesum.textcorpus import build_vocab
 
 
+def gate_tensors(p):
+    """The cell's per-gate tensors by checkpoint field name (W_iu, b_o, ...)."""
+    return {name.split(".")[1]: arr for name, arr in p.named("cell")}
+
+
 def lstm_oracle(p, u, h_prev, c_prev):
     """Second implementation of the update rules, written independently."""
     sig = lambda x: 1.0 / (1.0 + np.exp(-x))
-    i = sig(p.W_iu @ u + p.W_ih @ h_prev + p.W_ic @ c_prev + p.b_i)
-    f = sig(p.W_fu @ u + p.W_fh @ h_prev + p.W_fc @ c_prev + p.b_f)
-    c = f * c_prev + i * np.tanh(p.W_cu @ u + p.W_ch @ h_prev + p.b_c)
-    o = sig(p.W_ou @ u + p.W_oh @ h_prev + p.W_oc @ c + p.b_o)
+    w = gate_tensors(p)
+    i = sig(w["W_iu"] @ u + w["W_ih"] @ h_prev + w["W_ic"] @ c_prev + w["b_i"])
+    f = sig(w["W_fu"] @ u + w["W_fh"] @ h_prev + w["W_fc"] @ c_prev + w["b_f"])
+    c = f * c_prev + i * np.tanh(w["W_cu"] @ u + w["W_ch"] @ h_prev + w["b_c"])
+    o = sig(w["W_ou"] @ u + w["W_oh"] @ h_prev + w["W_oc"] @ c + w["b_o"])
     return o * np.tanh(c), c
 
 
@@ -54,8 +62,9 @@ class TestLstmStep:
 
     def test_saturated_gates_carry_memory(self):
         p = LstmCellParams.zeros(2, 3)
-        p.b_f += 100.0  # forget gate ~1
-        p.b_i -= 100.0  # input gate ~0
+        w = gate_tensors(p)
+        w["b_f"] += 100.0  # forget gate ~1
+        w["b_i"] -= 100.0  # input gate ~0
         prev = LstmState(h=np.zeros(3), c=np.array([0.3, -0.7, 1.2]))
         state = lstm_step(p, np.ones(2), prev)
         np.testing.assert_allclose(state.c, prev.c, atol=1e-8)
@@ -89,6 +98,46 @@ class TestLstmStep:
             for gate in (cache.i, cache.f, cache.o):
                 assert np.all(gate > 0) and np.all(gate < 1)
             assert np.all(np.abs(state.h) < 1)
+
+
+class TestCellLayout:
+    FIELDS = (
+        "W_iu", "W_ih", "W_ic", "b_i",
+        "W_fu", "W_fh", "W_fc", "b_f",
+        "W_cu", "W_ch", "b_c",
+        "W_ou", "W_oh", "W_oc", "b_o",
+    )
+
+    def test_named_yields_contiguous_views_in_checkpoint_order(self, tiny_feat):
+        model = tiny_feat[0]
+        d_h = model.d_h
+        for prefix in ("enc_f", "enc_b", "dec"):
+            cell = getattr(model, prefix)
+            named = list(cell.named(prefix))
+            assert [n for n, _ in named] == [f"{prefix}.{f}" for f in self.FIELDS]
+            owners = {"u": cell.Wu, "h": cell.Wh, "c": cell.Wc}
+            for name, view in named:
+                field = name.split(".")[1]
+                owner = cell.b if field.startswith("b_") else owners[field[-1]]
+                assert view.flags.c_contiguous, name
+                assert np.shares_memory(view, owner), name
+                cols = cell.d_u if field.endswith("u") else d_h
+                assert view.shape == ((d_h,) if field.startswith("b_") else (d_h, cols)), name
+            # the 15 views tile the four arrays exactly once
+            assert sum(v.size for _, v in named) == sum(
+                a.size for a in (cell.Wu, cell.Wh, cell.Wc, cell.b)
+            )
+
+    def test_views_write_through_without_overlap(self):
+        p = LstmCellParams.zeros(2, 3)
+        for k, (_, arr) in enumerate(p.named("cell")):
+            arr.reshape(-1)[...] = k + 1
+        for k, (name, arr) in enumerate(p.named("cell")):
+            assert np.all(arr == k + 1), name
+        # gate blocks are stacked i, f, g, o; the feedback blocks i, f, o
+        assert np.all(p.Wu[6:9] == self.FIELDS.index("W_cu") + 1)
+        assert np.all(p.Wc[6:9] == self.FIELDS.index("W_oc") + 1)
+        assert np.all(p.b[9:] == self.FIELDS.index("b_o") + 1)
 
 
 class TestEncode:
@@ -422,6 +471,21 @@ class TestSerialization:
         ll_a, _ = sequence_log_prob(model, z, y)
         ll_b, _ = sequence_log_prob(loaded, z, y)
         assert ll_a == ll_b
+
+    def test_reads_and_rewrites_committed_v1_checkpoint(self, tmp_path):
+        # tests/data/model_v1.txt: a 4/3/2 model with token features, saved
+        # by the per-gate layout that predates the four-array LSTM cells
+        path = Path(__file__).parent / "data" / "model_v1.txt"
+        model = load_model(path)
+        assert model.features is not None
+        cluster = make_cluster(["aa bb cc", "dd ee"], summary="bb dd")
+        z = build_input(cluster, [0, 1], model.vocab)
+        y = list(model.vocab.encode(cluster.summary.norms())) + [model.vocab.eos]
+        loglik, _ = sequence_log_prob(model, z, y)
+        assert loglik == pytest.approx(-6.966382877818599, rel=1e-12)
+        again = tmp_path / "model.txt"
+        save_model(model, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -74,13 +74,12 @@ def fitted_salience(tmp_path, corpus_file):
     return str(out / "salience.model"), str(out / "salience.registry")
 
 
-def train_once(tmp_path, corpus_file, fitted_salience, out_name, extra=()):
+def train_args(corpus_file, fitted_salience, out, dev_file=None):
     model_path, registry_path = fitted_salience
-    out = tmp_path / out_name
-    args = [
+    return [
         "train",
         "--set", f"corpus.train={corpus_file}",
-        "--set", f"corpus.dev={corpus_file}",
+        "--set", f"corpus.dev={dev_file or corpus_file}",
         "--set", f"salience_model={model_path}",
         "--set", f"salience_registry={registry_path}",
         "--set", f"out_dir={out}",
@@ -88,6 +87,11 @@ def train_once(tmp_path, corpus_file, fitted_salience, out_name, extra=()):
         "--set", "K=2", "--set", "max_epochs=3", "--set", "patience=3",
         "--set", "max_len=8",
     ]
+
+
+def train_once(tmp_path, corpus_file, fitted_salience, out_name, extra=()):
+    out = tmp_path / out_name
+    args = train_args(corpus_file, fitted_salience, out)
     for item in extra:
         args += ["--set", item]
     assert main(args) == 0
@@ -222,6 +226,22 @@ class TestTrainCommand:
         model = load_model(out / "model.txt")
         assert model.features is not None
         assert "Positiv" in model.features.lex_categories
+
+    def test_dev_id_naming_another_cluster_rejected(self, tmp_path, corpus_file, fitted_salience):
+        dev = toy_corpus()[:1]
+        dev[0]["summary"] = "a different summary"
+        dev_file = tmp_path / "dev.jsonl"
+        write_corpus(dev_file, dev)
+        out = tmp_path / "clash"
+        assert main(train_args(corpus_file, fitted_salience, out, dev_file)) == 2
+        assert not (out / "model.txt").exists()
+
+    def test_dev_id_naming_the_same_cluster_accepted(self, tmp_path, corpus_file, fitted_salience):
+        dev_file = tmp_path / "dev.jsonl"
+        write_corpus(dev_file, toy_corpus()[1:])
+        out = tmp_path / "shared"
+        assert main(train_args(corpus_file, fitted_salience, out, dev_file)) == 0
+        assert (out / "model.txt").exists()
 
 
 class TestDecodeEvaluate:

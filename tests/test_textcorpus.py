@@ -152,6 +152,18 @@ class TestCorpusFile:
         with pytest.raises(CorpusFormatError):
             load_clusters(path)
 
+    def test_duplicate_id_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        rows = [
+            {"id": "x", "summary": "s", "units": [{"text": "a b"}]},
+            {"id": "y", "summary": "s", "units": [{"text": "c"}]},
+            {"id": "x", "summary": "t", "units": [{"text": "d"}]},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows))
+        with pytest.raises(CorpusFormatError, match="duplicate cluster id 'x'.*line 1") as excinfo:
+            load_clusters(path)
+        assert excinfo.value.line_no == 3
+
 
 class TestEmbeddings:
     def test_full_coverage(self, tmp_path):
