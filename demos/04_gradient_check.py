@@ -9,17 +9,16 @@ whose true gradient is near zero are not drowned in float64 rounding).
 
 import time
 
-from opinesum.trainer import gradient_check, tiny_check_config
+from opinesum.trainer import CHECK_EPSILON, CHECK_MAX_COORDS, gradient_check
 
-config = tiny_check_config()
 print("tiny configuration: d_emb=8, d_h=6, d_a=5, |V|=15,")
 print("input 2 units x 4 tokens (+SEG), 3 output steps, features on")
-print(f"epsilon {config.check_epsilon:g}, max {config.check_max_coords} coordinates per tensor\n")
+print(f"epsilon {CHECK_EPSILON:g}, max {CHECK_MAX_COORDS} coordinates per tensor\n")
 
 worst = 0.0
 for seed in range(3):
     start = time.perf_counter()
-    rel = gradient_check(config, seed=seed)
+    rel = gradient_check(seed=seed)
     worst = max(worst, rel)
     print(f"seed {seed}: max relative error {rel:.3e}  ({time.perf_counter()-start:.1f}s)")
 

@@ -295,17 +295,6 @@ def _lstm_forward(p, u, prev):
     return LstmState(h=h, c=c), cache
 
 
-def lstm_step(params, u, prev):
-    """One LSTM update; returns the new (h, c) state."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (params.d_u,):
-        raise ValueError(f"lstm_step input shape {u.shape}, expected ({params.d_u},)")
-    if prev.h.shape != (params.d_h,) or prev.c.shape != (params.d_h,):
-        raise ValueError("lstm_step state shape mismatch")
-    state, _ = _lstm_forward(params, u, prev)
-    return state
-
-
 def _token_repr(model, index, feat_ids, tfidf_val):
     """Input vector of one token, or one row per token for an index array
     (feat_ids then has one row of channel ids per token)."""
@@ -394,14 +383,6 @@ def _attend(model, contexts, keys, h_prev):
     a = softmax(e)
     s = a @ contexts
     return _AttnCache(t=t, a=a, s=s)
-
-
-def attend(model, contexts, h_prev):
-    """Attention coefficients and the weighted context sum."""
-    if len(contexts) == 0:
-        raise ValueError("attend needs at least one context vector")
-    cache = _attend(model, contexts, attention_keys(model, contexts), h_prev)
-    return cache.a, cache.s
 
 
 @dataclass

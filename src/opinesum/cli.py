@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 quality-gate failure, 2 usage or I/O error.
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -19,7 +20,6 @@ from .attnseq2seq import load_model as load_seq2seq, save_model as save_seq2seq
 from .numkit import derive_seed
 from .salience import LexiconSet
 from .textcorpus import (
-    CorpusFormatError,
     TfidfStats,
     build_vocab,
     default_stopwords,
@@ -50,11 +50,8 @@ COMMAND_KEYS = {
     "fit-importance": {"corpus.train", "corpus.dev", "top_unigrams", "lam_grid", "beta_grid"},
     "rank-eval": {"corpus", "salience_model", "salience_registry"},
     "train": {
-        "corpus.train", "corpus.dev", "salience_model", "salience_registry",
-        "embeddings", "d_emb", "d_h", "d_a", "d_feat", "use_features", "K",
-        "mode", "replace", "eta", "eps", "init_scale", "max_epochs",
-        "patience", "min_count", "max_len",
-    },
+        "corpus.train", "corpus.dev", "salience_model", "salience_registry", "embeddings",
+    } | {f.name for f in dataclasses.fields(trainer.TrainConfig)},
     "gradcheck": {"seeds"},
     "decode": {
         "corpus", "model", "salience_model", "salience_registry",
@@ -209,14 +206,12 @@ def cmd_preprocess(cfg):
 
 def cmd_fit_importance(cfg):
     lexicons = _load_lexicons(cfg)
-    train_clusters = [substitute_entity(c) for c in load_clusters(cfg.require("corpus.train"))]
+    train_raw = load_clusters(cfg.require("corpus.train"))
     registry = salience.build_registry(
-        train_clusters, lexicons, top_u=cfg.get_int("top_unigrams", 500)
+        [substitute_entity(c) for c in train_raw], lexicons,
+        top_u=cfg.get_int("top_unigrams", 500),
     )
-    train_tfidf = TfidfStats(train_clusters)
-    train_features = [
-        salience.cluster_features(c, registry, lexicons, train_tfidf) for c in train_clusters
-    ]
+    train_clusters, _, train_features = _prepare_split(train_raw, lexicons, registry)
     train_labels = [salience.gold_scores(c, lexicons.stopwords) for c in train_clusters]
     dev_clusters, _, dev_features = _prepare_split(
         load_clusters(cfg.require("corpus.dev")), lexicons, registry
@@ -245,17 +240,14 @@ def cmd_rank_eval(cfg):
     clusters, tfidf, features = _prepare_split(
         load_clusters(cfg.require("corpus")), lexicons, registry
     )
+    unit_scores = [salience.score_units(model, feats) for feats in features]
     systems = {
-        "salience": [
-            salience.rank_descending(salience.score_units(model, feats))
-            for feats in features
-        ],
+        "salience": [salience.rank_descending(scores) for scores in unit_scores],
         "length": [salience.baseline_rank("length", c) for c in clusters],
         "centroid": [salience.baseline_rank("centroid", c, tfidf) for c in clusters],
     }
     ranking_rows = []
-    for cluster, feats, order in zip(clusters, features, systems["salience"]):
-        scores = salience.score_units(model, feats)
+    for cluster, scores, order in zip(clusters, unit_scores, systems["salience"]):
         for rank, unit_index in enumerate(order, start=1):
             ranking_rows.append(
                 (cluster.id, unit_index, f"{scores[unit_index]:.6f}", rank)
@@ -283,23 +275,14 @@ def cmd_rank_eval(cfg):
 
 
 def _train_config(cfg):
+    """TrainConfig from the config keys named after its fields; an absent
+    key takes the field's default."""
+    getters = {int: cfg.get_int, float: cfg.get_float, bool: cfg.get_bool, str: cfg.get}
     return trainer.TrainConfig(
-        d_emb=cfg.get_int("d_emb", 300),
-        d_h=cfg.get_int("d_h", 150),
-        d_a=cfg.get_int("d_a", 100),
-        d_feat=cfg.get_int("d_feat", 10),
-        use_features=cfg.get_bool("use_features", False),
-        K=cfg.get_int("K", 5),
-        mode=cfg.get("mode", "importance"),
-        replace=cfg.get_bool("replace", False),
-        eta=cfg.get_float("eta", 0.1),
-        eps=cfg.get_float("eps", 1e-6),
-        init_scale=cfg.get_float("init_scale", 0.08),
-        max_epochs=cfg.get_int("max_epochs", 500),
-        patience=cfg.get_int("patience", 3),
-        seed=cfg.get_int("seed", 0),
-        min_count=cfg.get_int("min_count", 1),
-        max_len=cfg.get_int("max_len", 40),
+        **{
+            f.name: getters[f.type](f.name, f.default)
+            for f in dataclasses.fields(trainer.TrainConfig)
+        }
     )
 
 
@@ -318,8 +301,9 @@ def cmd_train(cfg):
             )
     train_clusters, _, train_features = _prepare_split(train_raw, lexicons, registry)
     dev_clusters, _, dev_features = _prepare_split(dev_raw, lexicons, registry)
-    scores = _scores_by_id(sal_model, train_clusters, train_features)
-    scores.update(_scores_by_id(sal_model, dev_clusters, dev_features))
+    # a cluster in both splits keeps the scores of the split it trains on
+    scores = _scores_by_id(sal_model, dev_clusters, dev_features)
+    scores.update(_scores_by_id(sal_model, train_clusters, train_features))
     config = _train_config(cfg)
     pretrained = None
     if cfg.get("embeddings"):
@@ -355,6 +339,15 @@ def cmd_gradcheck(cfg):
     return 0
 
 
+def _decode_records(model, clusters_raw, sal_model, features, k, width, max_len, tfidf, lexicons):
+    """decode_cluster's record for each cluster, in corpus order."""
+    for raw, feats in zip(clusters_raw, features):
+        scores = salience.score_units(sal_model, feats)
+        yield beamdecode.decode_cluster(
+            model, raw, scores, k, width, max_len, tfidf, lexicons.stopwords
+        )
+
+
 def cmd_decode(cfg):
     lexicons = _load_lexicons(cfg)
     sal_model, registry = _load_salience(cfg)
@@ -366,11 +359,9 @@ def cmd_decode(cfg):
     max_len = cfg.get_int("max_len", 40)
     out = cfg.out_path("decode.jsonl")
     with open(out, "w", encoding="utf-8") as fh:
-        for raw, feats in zip(clusters_raw, features):
-            scores = salience.score_units(sal_model, feats)
-            record = beamdecode.decode_cluster(
-                model, raw, scores, k, width, max_len, tfidf, lexicons.stopwords
-            )
+        for record in _decode_records(
+            model, clusters_raw, sal_model, features, k, width, max_len, tfidf, lexicons
+        ):
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     print(f"wrote {out}")
     return 0
@@ -428,14 +419,11 @@ def cmd_sampling_report(cfg):
             if not os.path.isfile(path):
                 cells[(mode, k)] = None
                 continue
-            model = load_seq2seq(path)
-            hyps = []
-            for raw, feats in zip(clusters_raw, features):
-                scores = salience.score_units(sal_model, feats)
-                record = beamdecode.decode_cluster(
-                    model, raw, scores, k, width, max_len, tfidf, lexicons.stopwords
-                )
-                hyps.append([t.norm for t in tokenize(record["summary"])])
+            records = _decode_records(
+                load_seq2seq(path), clusters_raw, sal_model, features, k, width, max_len,
+                tfidf, lexicons,
+            )
+            hyps = [[t.norm for t in tokenize(r["summary"])] for r in records]
             cells[(mode, k)] = (hyps, refs)
     rows = evalmetrics.sampling_report(cells)
     out = cfg.out_path("sampling.csv")
@@ -482,13 +470,8 @@ def main(argv=None):
         cfg = RunConfig.load(args.command, args.config, args.overrides)
         cfg.validate_paths()
         return COMMANDS[args.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CorpusFormatError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    # a bad corpus file raises CorpusFormatError, a ValueError
+    except (UsageError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -111,14 +111,11 @@ def mean_ndcg_at(k, relevance_lists):
 
 @dataclass
 class EvalReport:
-    """Per-system summary metrics; ranking metrics are optional."""
+    """Per-system summary metrics."""
 
     bleu: float
     rouge_su4: float
     mean_length: float
-    mrr: float | None = None
-    ndcg3: float | None = None
-    ndcg5: float | None = None
 
 
 def summarize_system(hypotheses, references):

@@ -7,7 +7,7 @@ an independent forward-pass transcription evaluated in extended precision
 drowned by float64 quantization of the loss.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .attnseq2seq import (
 )
 from .evalmetrics import bleu
 from .numkit import SeededRng, derive_seed
+from .salience import LexiconSet
 from .textcorpus import (
     RESERVED,
     TfidfStats,
@@ -53,8 +54,6 @@ class TrainConfig:
     seed: int = 0
     min_count: int = 1
     max_len: int = 40
-    check_epsilon: float = 1e-5
-    check_max_coords: int = 2000
 
     def __post_init__(self):
         if min(self.d_emb, self.d_h, self.d_a) < 1:
@@ -220,16 +219,13 @@ def _dev_bleu(model, dev_subs, config, scores, tfidf):
 # ---------------------------------------------------------------------------
 # gradient check
 
-
-def tiny_check_config(seed=0):
-    """The tiny configuration used by the finite-difference gradient check."""
-    return TrainConfig(
-        d_emb=8, d_h=6, d_a=5, d_feat=10, use_features=True, K=2, seed=seed
-    )
+CHECK_EPSILON = 1e-5  # central-difference step
+CHECK_MAX_COORDS = 2000  # larger tensors are subsampled to this many coordinates
 
 
-def _tiny_instance(config, seed):
-    """Deterministic tiny model + (z, y) example exercising every tensor."""
+def _tiny_instance(seed):
+    """Deterministic tiny model (features on) + (z, y) example exercising
+    every tensor."""
     words = [f"w{i}" for i in range(10)]
     unit_specs = [words[0:4], words[4:8]]
     units = []
@@ -246,26 +242,16 @@ def _tiny_instance(config, seed):
     )
     vocab = build_vocab([cluster])
     assert len(vocab) == 15
-    features = None
-    if config.use_features:
-        from .salience import LexiconSet
-
-        lex = LexiconSet(
-            general={"w0": ("strong",), "w5": ("weak",)},
-            sentiment={"w1": "positive", "w4": "negative", "w8": "neutral"},
-        )
-        features = build_features([cluster], lex, config.d_feat)
+    lex = LexiconSet(
+        general={"w0": ("strong",), "w5": ("weak",)},
+        sentiment={"w1": "positive", "w4": "negative", "w8": "neutral"},
+    )
+    features = build_features([cluster], lex, dim=10)
     tfidf = TfidfStats([cluster])
-    model = init_params(replace(config, seed=seed), vocab, features)
+    model = init_params(TrainConfig(d_emb=8, d_h=6, d_a=5, seed=seed), vocab, features)
     z = sampler.build_input(cluster, [0, 1], vocab, tfidf)
     y = list(vocab.encode(cluster.summary.norms())) + [vocab.eos]
     return model, z, y
-
-
-# fused-projection layout inside _ExtendedForward: gate row blocks are
-# (i, f, g, o); columns are the concatenation (u, h_prev, c_prev)
-_GATE_BLOCK = {"i": 0, "f": 1, "c": 2, "o": 3}
-_COL_SECTION = {"u": 0, "h": 1, "c": 2}
 
 
 class _ExtendedForward:
@@ -275,51 +261,47 @@ class _ExtendedForward:
     update equations, sharing no code with the production forward, and
     evaluated in 80-bit precision so central differences resolve even
     near-zero gradients. Each cell's gate projections are fused into one
-    matrix over concat(u, h_prev, c_prev); set_coord addresses the fused
-    layout through per-field index maps. Naive sigmoid/softmax forms are
-    safe here: longdouble exp overflows only beyond |x| ~ 1.1e4.
+    matrix M over concat(u, h_prev, c_prev) with gate row blocks (i, f, g,
+    o); `tensors` maps every checkpoint name to a view into these arrays,
+    so perturbing `tensors[name].flat[i]` perturbs the oracle's parameters.
+    Naive sigmoid/softmax forms are safe here: longdouble exp overflows
+    only beyond |x| ~ 1.1e4.
     """
 
     _GROUPS = {"emb": "all", "feat": "all", "enc_f": "enc_f", "enc_b": "enc_b"}
 
     def __init__(self, model, z, y):
         ld = np.longdouble
-        tensors = {name: arr.astype(ld) for name, arr in model.named_tensors()}
-        self.plain = {
-            n: a
-            for n, a in tensors.items()
-            if "." not in n or n.split(".")[0] in ("feat", "attn")
-        }
-        self.packs = {}
-        self.dims = {}
+        self.tensors = {}
+        self.cells = {}
         for p in ("enc_f", "enc_b", "dec"):
-            d_u = tensors[f"{p}.W_iu"].shape[1]
-            d_h = tensors[f"{p}.W_iu"].shape[0]
-            self.dims[p] = (d_u, d_h)
-            zero = np.zeros((d_h, d_h), dtype=ld)
-            fused = np.vstack(
-                [
-                    np.hstack([tensors[f"{p}.W_iu"], tensors[f"{p}.W_ih"], tensors[f"{p}.W_ic"]]),
-                    np.hstack([tensors[f"{p}.W_fu"], tensors[f"{p}.W_fh"], tensors[f"{p}.W_fc"]]),
-                    np.hstack([tensors[f"{p}.W_cu"], tensors[f"{p}.W_ch"], zero]),
-                    np.hstack([tensors[f"{p}.W_ou"], tensors[f"{p}.W_oh"], zero]),
-                ]
-            )
-            bias = np.concatenate([tensors[f"{p}.b_{g}"] for g in ("i", "f", "c", "o")])
-            self.packs[p] = {"M": fused, "b": bias, "oc": tensors[f"{p}.W_oc"]}
+            d_u, d = getattr(model, p).d_u, model.d_h
+            M = np.zeros((4 * d, d_u + 2 * d), dtype=ld)
+            b = np.zeros(4 * d, dtype=ld)
+            oc = np.zeros((d, d), dtype=ld)  # the output gate reads the new cell
+            self.cells[p] = (M, b, oc)
+            for k, gate in enumerate("ifco"):
+                rows = slice(k * d, (k + 1) * d)
+                self.tensors[f"{p}.W_{gate}u"] = M[rows, :d_u]
+                self.tensors[f"{p}.W_{gate}h"] = M[rows, d_u : d_u + d]
+                if gate in "if":
+                    self.tensors[f"{p}.W_{gate}c"] = M[rows, d_u + d :]
+                self.tensors[f"{p}.b_{gate}"] = b[rows]
+            self.tensors[f"{p}.W_oc"] = oc
+        for name, arr in model.named_tensors():
+            if name in self.tensors:
+                self.tensors[name][...] = arr
+            else:
+                self.tensors[name] = arr.astype(ld)
         self.indices = [int(i) for i in z.indices]
         self.tfidf = z.tfidf.astype(ld)
-        self.has_features = model.features is not None
-        if self.has_features:
-            self.enc_ids = [model.features.encode_ids(tok) for tok in z.tokens]
+        self.enc_ids = [model.features.encode_ids(tok) for tok in z.tokens]
         self.d_h = model.d_h
         self.y = list(y)
         self.inputs = [model.vocab.bos] + self.y[:-1]
-        if self.has_features:
-            self.dec_ids = {
-                i: model.features.decode_ids(model.vocab.word_of(i))
-                for i in set(self.inputs)
-            }
+        self.dec_ids = {
+            i: model.features.decode_ids(model.vocab.word_of(i)) for i in set(self.inputs)
+        }
         self._reprs = None
         self._dec_reprs = None
         self._hf = None
@@ -328,52 +310,22 @@ class _ExtendedForward:
     def group_of(self, name):
         return self._GROUPS.get(name.split(".", 1)[0], "dec")
 
-    def _slot(self, name):
-        """(flat array, index map) addressing one logical tensor."""
-        if name in self.plain:
-            return self.plain[name].reshape(-1), None
-        prefix, field = name.split(".")
-        pack = self.packs[prefix]
-        d_u, d_h = self.dims[prefix]
-        if field == "W_oc":
-            return pack["oc"].reshape(-1), None
-        gate = field[-1] if field.startswith("b_") else field[2]
-        block = _GATE_BLOCK[gate]
-        if field.startswith("b_"):
-            return pack["b"], lambda i: block * d_h + i
-        total = d_u + 2 * d_h
-        col_off = (0, d_u, d_u + d_h)[_COL_SECTION[field[-1]]]
-        cols = d_u if field.endswith("u") else d_h
-        return (
-            pack["M"].reshape(-1),
-            lambda i: (block * d_h + i // cols) * total + col_off + i % cols,
-        )
-
-    def set_coord(self, name, i, value):
-        flat, index_map = self._slot(name)
-        flat[index_map(i) if index_map else i] = value
-
-    def get_coord(self, name, i):
-        flat, index_map = self._slot(name)
-        return flat[index_map(i) if index_map else i]
-
     def _token_repr(self, index, enc_pos=None):
-        parts = [self.plain["emb"][index]]
-        if self.has_features:
-            ids = self.enc_ids[enc_pos] if enc_pos is not None else self.dec_ids[index]
-            for ch, fid in zip(CHANNELS, ids):
-                parts.append(self.plain[f"feat.{ch}"][fid])
-            cont = self.tfidf[enc_pos] if enc_pos is not None else np.longdouble(0.0)
-            parts.append(np.array([cont], dtype=np.longdouble))
+        parts = [self.tensors["emb"][index]]
+        ids = self.enc_ids[enc_pos] if enc_pos is not None else self.dec_ids[index]
+        for ch, fid in zip(CHANNELS, ids):
+            parts.append(self.tensors[f"feat.{ch}"][fid])
+        cont = self.tfidf[enc_pos] if enc_pos is not None else np.longdouble(0.0)
+        parts.append(np.array([cont], dtype=np.longdouble))
         return np.concatenate(parts)
 
     def _cell(self, p, u, h, c):
-        k = self.packs[p]
+        M, b, oc = self.cells[p]
         d = self.d_h
-        pre = k["M"] @ np.concatenate([u, h, c]) + k["b"]
+        pre = M @ np.concatenate([u, h, c]) + b
         gif = 1.0 / (1.0 + np.exp(-pre[: 2 * d]))
         c_new = gif[d:] * c + gif[:d] * np.tanh(pre[2 * d : 3 * d])
-        o = 1.0 / (1.0 + np.exp(-(pre[3 * d :] + k["oc"] @ c_new)))
+        o = 1.0 / (1.0 + np.exp(-(pre[3 * d :] + oc @ c_new)))
         return o * np.tanh(c_new), c_new
 
     def loss(self, group="all"):
@@ -401,7 +353,7 @@ class _ExtendedForward:
                 hb[n - 1 - j] = h
             self._hb = hb
         contexts = np.concatenate([self._hf, self._hb], axis=1)
-        t = self.plain
+        t = self.tensors
         cq = contexts @ t["attn.W_cg"].T
         h = np.zeros(self.d_h, dtype=ld)
         c = np.zeros(self.d_h, dtype=ld)
@@ -420,36 +372,37 @@ class _ExtendedForward:
         return -loglik
 
 
-def gradient_check(config=None, seed=0):
+def gradient_check(seed=0):
     """Max relative error between backward_pass and central differences.
 
-    relerr = |ga - gn| / max(1e-8, |ga| + |gn|) per coordinate, with
-    tensors larger than check_max_coords subsampled (seeded).
+    relerr = |ga - gn| / max(1e-8, |ga| + |gn|) per coordinate of the tiny
+    model of `_tiny_instance(seed)`, with step CHECK_EPSILON and tensors
+    larger than CHECK_MAX_COORDS subsampled (seeded).
     """
-    config = config or tiny_check_config()
-    model, z, y = _tiny_instance(config, seed)
+    model, z, y = _tiny_instance(seed)
     _, trace = sequence_log_prob(model, z, y)
     grads = backward_pass(model, trace)
     fwd = _ExtendedForward(model, z, y)
-    eps = np.longdouble(config.check_epsilon)
+    eps = np.longdouble(CHECK_EPSILON)
     max_rel = 0.0
     for name, arr in model.named_tensors():
         fwd.loss("all")  # refresh caches before switching tensors
         group = fwd.group_of(name)
         size = arr.size
-        if size > config.check_max_coords:
+        if size > CHECK_MAX_COORDS:
             coord_rng = SeededRng(derive_seed(seed, "coords", name))
-            coords = coord_rng.permutation(size)[: config.check_max_coords]
+            coords = coord_rng.permutation(size)[:CHECK_MAX_COORDS]
         else:
             coords = range(size)
         gflat = grads[name].reshape(-1)
+        flat = fwd.tensors[name].flat
         for i in coords:
-            base = fwd.get_coord(name, i)
-            fwd.set_coord(name, i, base + eps)
+            base = flat[i]
+            flat[i] = base + eps
             lp = fwd.loss(group)
-            fwd.set_coord(name, i, base - eps)
+            flat[i] = base - eps
             lm = fwd.loss(group)
-            fwd.set_coord(name, i, base)
+            flat[i] = base
             gn = float((lp - lm) / (2 * eps))
             ga = float(gflat[i])
             rel = abs(ga - gn) / max(1e-8, abs(ga) + abs(gn))

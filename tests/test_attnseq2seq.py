@@ -8,14 +8,14 @@ from opinesum.attnseq2seq import (
     LstmCellParams,
     LstmState,
     StaleTraceError,
-    attend,
+    _attend,
+    _lstm_forward,
     attention_keys,
     backward_pass,
     decode_rows,
     decode_step,
     encode,
     load_model,
-    lstm_step,
     new_model,
     save_model,
     sequence_log_prob,
@@ -50,12 +50,9 @@ def random_cell(rng, d_u, d_h, scale=0.5):
 class TestLstmStep:
     def test_zero_params(self):
         p = LstmCellParams.zeros(2, 3)
-        state = lstm_step(p, np.zeros(2), LstmState.zeros(3))
+        state, cache = _lstm_forward(p, np.zeros(2), LstmState.zeros(3))
         np.testing.assert_array_equal(state.c, np.zeros(3))
         np.testing.assert_array_equal(state.h, np.zeros(3))
-        from opinesum.attnseq2seq import _lstm_forward
-
-        _, cache = _lstm_forward(p, np.zeros(2), LstmState.zeros(3))
         np.testing.assert_allclose(cache.i, 0.5)
         np.testing.assert_allclose(cache.f, 0.5)
         np.testing.assert_allclose(cache.o, 0.5)
@@ -66,7 +63,7 @@ class TestLstmStep:
         w["b_f"] += 100.0  # forget gate ~1
         w["b_i"] -= 100.0  # input gate ~0
         prev = LstmState(h=np.zeros(3), c=np.array([0.3, -0.7, 1.2]))
-        state = lstm_step(p, np.ones(2), prev)
+        state = _lstm_forward(p, np.ones(2), prev)[0]
         np.testing.assert_allclose(state.c, prev.c, atol=1e-8)
 
     def test_matches_independent_transcription(self):
@@ -76,20 +73,13 @@ class TestLstmStep:
             u = rng.normal(size=3)
             h_prev = rng.normal(size=3) * 0.5
             c_prev = rng.normal(size=3)
-            state = lstm_step(p, u, LstmState(h=h_prev, c=c_prev))
+            state = _lstm_forward(p, u, LstmState(h=h_prev, c=c_prev))[0]
             h_exp, c_exp = lstm_oracle(p, u, h_prev, c_prev)
             np.testing.assert_allclose(state.h, h_exp, atol=1e-14)
             np.testing.assert_allclose(state.c, c_exp, atol=1e-14)
 
-    def test_dimension_mismatch(self):
-        p = LstmCellParams.zeros(2, 3)
-        with pytest.raises(ValueError):
-            lstm_step(p, np.zeros(5), LstmState.zeros(3))
-
     def test_gate_ranges(self):
         rng = np.random.default_rng(1)
-        from opinesum.attnseq2seq import _lstm_forward
-
         for _ in range(50):
             p = random_cell(rng, 4, 4, scale=2.0)
             state, cache = _lstm_forward(
@@ -150,8 +140,8 @@ class TestEncode:
         contexts = encode(model, z_one)
         assert contexts.shape == (1, 2 * model.d_h)
         rep = model.embeddings.matrix[model.vocab.index_of("dd")]
-        fwd = lstm_step(model.enc_f, rep, LstmState.zeros(model.d_h))
-        bwd = lstm_step(model.enc_b, rep, LstmState.zeros(model.d_h))
+        fwd = _lstm_forward(model.enc_f, rep, LstmState.zeros(model.d_h))[0]
+        bwd = _lstm_forward(model.enc_b, rep, LstmState.zeros(model.d_h))[0]
         np.testing.assert_allclose(contexts[0], np.concatenate([fwd.h, bwd.h]), atol=1e-14)
 
     def test_palindrome_symmetry(self):
@@ -175,11 +165,11 @@ class TestEncode:
         reps = [model.embeddings.matrix[i] for i in z.indices]
         state = LstmState.zeros(model.d_h)
         for t in range(3):
-            state = lstm_step(model.enc_f, reps[t], state)
+            state = _lstm_forward(model.enc_f, reps[t], state)[0]
             np.testing.assert_allclose(contexts[t, : model.d_h], state.h, atol=1e-14)
         state = LstmState.zeros(model.d_h)
         for t in (2, 1, 0):
-            state = lstm_step(model.enc_b, reps[t], state)
+            state = _lstm_forward(model.enc_b, reps[t], state)[0]
             np.testing.assert_allclose(contexts[t, model.d_h :], state.h, atol=1e-14)
 
     def test_invalid_index(self, tiny):
@@ -194,23 +184,23 @@ class TestAttend:
     def test_singleton(self, tiny):
         model, _, z, _ = tiny
         contexts = encode(model, z)[:1]
-        a, s = attend(model, contexts, np.zeros(model.d_h))
-        np.testing.assert_allclose(a, [1.0])
-        np.testing.assert_allclose(s, contexts[0])
+        cache = _attend(model, contexts, attention_keys(model, contexts), np.zeros(model.d_h))
+        np.testing.assert_allclose(cache.a, [1.0])
+        np.testing.assert_allclose(cache.s, contexts[0])
 
     def test_identical_contexts_uniform(self, tiny):
         model, _, z, _ = tiny
         b = np.tile(encode(model, z)[0], (4, 1))
-        a, s = attend(model, b, np.ones(model.d_h) * 0.1)
-        np.testing.assert_allclose(a, 0.25)
-        np.testing.assert_allclose(s, b[0], atol=1e-14)
+        cache = _attend(model, b, attention_keys(model, b), np.ones(model.d_h) * 0.1)
+        np.testing.assert_allclose(cache.a, 0.25)
+        np.testing.assert_allclose(cache.s, b[0], atol=1e-14)
 
     def test_matches_formula_oracle(self, tiny):
         model, _, z, _ = tiny
         rng = np.random.default_rng(4)
         contexts = rng.normal(size=(4, 2 * model.d_h))
         h_prev = rng.normal(size=model.d_h)
-        a, s = attend(model, contexts, h_prev)
+        cache = _attend(model, contexts, attention_keys(model, contexts), h_prev)
         affinities = np.array(
             [
                 model.attn.W_s @ np.tanh(model.attn.W_cg @ b + model.attn.W_hg @ h_prev)
@@ -218,22 +208,24 @@ class TestAttend:
             ]
         )
         expected_a = np.exp(affinities) / np.exp(affinities).sum()
-        np.testing.assert_allclose(a, expected_a, atol=1e-12)
-        np.testing.assert_allclose(s, expected_a @ contexts, atol=1e-12)
+        np.testing.assert_allclose(cache.a, expected_a, atol=1e-12)
+        np.testing.assert_allclose(cache.s, expected_a @ contexts, atol=1e-12)
 
     def test_sums_to_one(self, tiny):
         model, _, z, _ = tiny
         contexts = encode(model, z)
+        keys = attention_keys(model, contexts)
         rng = np.random.default_rng(5)
         for _ in range(100):
-            a, _ = attend(model, contexts, rng.normal(size=model.d_h))
+            a = _attend(model, contexts, keys, rng.normal(size=model.d_h)).a
             assert abs(a.sum() - 1.0) <= 1e-12
             assert np.all(a >= 0)
 
     def test_empty_contexts(self, tiny):
         model, _, _, _ = tiny
+        empty = np.zeros((0, 2 * model.d_h))
         with pytest.raises(ValueError):
-            attend(model, np.zeros((0, 2 * model.d_h)), np.zeros(model.d_h))
+            _attend(model, empty, attention_keys(model, empty), np.zeros(model.d_h))
 
 
 class TestDecodeStep:
@@ -261,7 +253,8 @@ class TestDecodeStep:
         )
         idx = model.vocab.index_of("bb")
         state, p, a = decode_step(model, idx, state_prev, contexts)
-        a_exp, s_exp = attend(model, contexts, state_prev.h)
+        expected = _attend(model, contexts, attention_keys(model, contexts), state_prev.h)
+        a_exp, s_exp = expected.a, expected.s
         u = np.concatenate([model.embeddings.matrix[idx], s_exp])
         h_exp, c_exp = lstm_oracle(model.dec, u, state_prev.h, state_prev.c)
         logits = model.W_out @ h_exp + model.b_out

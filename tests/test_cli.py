@@ -1,12 +1,15 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from opinesum.cli import main
+from opinesum import trainer
+from opinesum.cli import RunConfig, _train_config, main
 
 
 def write_corpus(path, clusters):
@@ -133,6 +136,15 @@ class TestConfig:
     def test_missing_required_key(self, tmp_path):
         assert main(["preprocess", "--set", f"out_dir={tmp_path/'x'}"]) == 2
 
+    def test_train_keys_are_the_train_config_fields(self):
+        # seed is a key of every command; every other field is a train key
+        defaults = {
+            f.name: str(f.default)
+            for f in dataclasses.fields(trainer.TrainConfig)
+            if f.name != "seed"
+        }
+        assert _train_config(RunConfig("train", defaults)) == trainer.TrainConfig()
+
 
 class TestPreprocess:
     def test_substitutes_entities(self, tmp_path, corpus_file):
@@ -242,6 +254,28 @@ class TestTrainCommand:
         out = tmp_path / "shared"
         assert main(train_args(corpus_file, fitted_salience, out, dev_file)) == 0
         assert (out / "model.txt").exists()
+
+    def test_shared_id_keeps_train_split_scores(
+        self, tmp_path, corpus_file, fitted_salience, monkeypatch
+    ):
+        # each split has its own TF-IDF, so m1 and m2 score differently in
+        # a dev file holding only them; training must use the train split's
+        seen = []
+        real_train = trainer.train
+
+        def spy(train_clusters, dev_clusters, config, scores, *rest):
+            seen.append(scores)
+            return real_train(train_clusters, dev_clusters, config, scores, *rest)
+
+        monkeypatch.setattr(trainer, "train", spy)
+        dev_file = tmp_path / "dev.jsonl"
+        write_corpus(dev_file, toy_corpus()[1:])
+        assert main(train_args(corpus_file, fitted_salience, tmp_path / "a", dev_file)) == 0
+        assert main(train_args(corpus_file, fitted_salience, tmp_path / "b")) == 0
+        split_dev, train_only = seen
+        assert split_dev.keys() == train_only.keys() == {"m0", "m1", "m2"}
+        for cid, expected in train_only.items():
+            np.testing.assert_array_equal(split_dev[cid], expected, err_msg=cid)
 
 
 class TestDecodeEvaluate:
