@@ -7,8 +7,10 @@ scoring, baseline rankers, and grid search over the two hyperparameters.
 
 import csv
 import hashlib
+import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +51,7 @@ class FeatureRegistry:
     lexicon_categories: tuple
     top_unigrams: tuple
 
-    @property
+    @cached_property
     def names(self):
         return (
             DENSE_NAMES
@@ -61,6 +63,18 @@ class FeatureRegistry:
     @property
     def d(self):
         return len(self.names)
+
+    @cached_property
+    def columns(self):
+        """Feature column of each lexicon category, sentiment polarity and
+        top unigram, as three dicts."""
+        off = len(DENSE_NAMES)
+        cats = {c: off + i for i, c in enumerate(self.lexicon_categories)}
+        off += len(self.lexicon_categories)
+        sents = {c: off + i for i, c in enumerate(SENTIMENT_CATEGORIES)}
+        off += len(SENTIMENT_CATEGORIES)
+        unis = {w: off + i for i, w in enumerate(self.top_unigrams)}
+        return cats, sents, unis
 
     def digest(self):
         text = "\x1f".join(self.names)
@@ -79,53 +93,57 @@ def build_registry(train_clusters, lexicons, top_u=500):
     return FeatureRegistry(lexicon_categories=tuple(cats), top_unigrams=tuple(top))
 
 
-def centroidness(unit, cluster, tfidf):
-    """Cosine of the unit's TF-IDF vector with the cluster's mean TF-IDF vector."""
-    uw = tfidf.unit_weights(unit)
+def centroidness(weight_maps):
+    """Cosine of each unit's TF-IDF map with its cluster's mean map.
+
+    The mean and its norm are computed once per cluster; the mean is
+    accumulated in unit order."""
     mean = Counter()
-    for other in cluster.units:
-        for term, w in tfidf.unit_weights(other).items():
-            mean[term] += w / len(cluster.units)
-    return cosine_weight_maps(uw, mean)
+    for weights in weight_maps:
+        for term, w in weights.items():
+            mean[term] += w / len(weight_maps)
+    mean_norm = math.sqrt(sum(w * w for w in mean.values()))
+    return [cosine_weight_maps(weights, mean, mean_norm) for weights in weight_maps]
 
 
-def extract_features(unit, cluster, registry, lexicons, tfidf):
-    """Table-style feature vector for one unit within its cluster."""
+def extract_features(unit, weights, centrality, registry, lexicons):
+    """Table-style feature vector for one unit, given its TF-IDF map and
+    its centroidness within its cluster."""
     vec = np.zeros(registry.d)
-    weights = tfidf.unit_weights(unit)
     vec[0] = len(unit.tokens)
     vec[1] = len({t.pos for t in unit.tokens if t.pos})
     vec[2] = sum(1 for t in unit.tokens if t.ner)
-    vec[3] = centroidness(unit, cluster, tfidf)
+    vec[3] = centrality
     if weights:
         vals = list(weights.values())
         vec[4] = sum(vals) / len(vals)
         vec[5] = max(vals)
-    off = len(DENSE_NAMES)
-    cat_index = {c: i for i, c in enumerate(registry.lexicon_categories)}
+    cat_col, sent_col, uni_col = registry.columns
     for t in unit.tokens:
         for c in lexicons.general.get(t.norm, ()):
-            if c in cat_index:
-                vec[off + cat_index[c]] += 1
-    off += len(registry.lexicon_categories)
-    sent_index = {c: i for i, c in enumerate(SENTIMENT_CATEGORIES)}
+            if c in cat_col:
+                vec[cat_col[c]] += 1
     for t in unit.tokens:
         pol = lexicons.sentiment.get(t.norm)
-        if pol in sent_index:
-            vec[off + sent_index[pol]] += 1
-    off += len(SENTIMENT_CATEGORIES)
-    uni_index = {w: i for i, w in enumerate(registry.top_unigrams)}
+        if pol in sent_col:
+            vec[sent_col[pol]] += 1
     for norm in content_norms(unit, lexicons.stopwords):
-        i = uni_index.get(norm)
-        if i is not None:
-            vec[off + i] += 1
+        j = uni_col.get(norm)
+        if j is not None:
+            vec[j] += 1
     return vec
 
 
 def cluster_features(cluster, registry, lexicons, tfidf):
     """M x d matrix of features for all units of one cluster."""
+    weight_maps = [tfidf.unit_weights(u) for u in cluster.units]
     return np.stack(
-        [extract_features(u, cluster, registry, lexicons, tfidf) for u in cluster.units]
+        [
+            extract_features(u, weights, centrality, registry, lexicons)
+            for u, weights, centrality in zip(
+                cluster.units, weight_maps, centroidness(weight_maps)
+            )
+        ]
     )
 
 
@@ -146,25 +164,69 @@ def gold_scores(cluster, stopwords):
 
 @dataclass
 class PreferenceDesign:
-    """Stacked regression design: R w ~ L plus preference rows R' w ~ 1."""
+    """Regression design R w ~ L with within-cluster preference pairs.
+
+    `cluster_rows[c]` is the slice of R and L holding cluster c. The
+    preference rows R' w ~ 1 are every r_p - r_q with l_p > 0 and l_q = 0
+    in one cluster; the fit needs only their sums (`normal_equations`).
+    """
 
     R: np.ndarray
     L: np.ndarray
-    Rprime: np.ndarray
-    Lprime: np.ndarray
+    cluster_rows: tuple
+
+    def _pair_groups(self):
+        """(positive rows, zero-label rows) of each cluster."""
+        for rows in self.cluster_rows:
+            feats, labs = self.R[rows], self.L[rows]
+            yield feats[labs > 0], feats[labs == 0]
+
+    @cached_property
+    def normal_equations(self):
+        """(R^T R, R^T L, R'^T R', R'^T 1) from per-cluster sums.
+
+        For a cluster with positive rows P and zero-label rows Z,
+        sum_{p,q} (r_p - r_q)(r_p - r_q)^T = |Z| P^T P + |P| Z^T Z
+        - s_P s_Z^T - s_Z s_P^T and sum_{p,q} (r_p - r_q) = |Z| s_P - |P| s_Z,
+        where s_P, s_Z are the row sums: O(M d^2) time and O(d^2) memory
+        per cluster instead of O(|P| |Z| d^2) through R'.
+        """
+        d = self.R.shape[1]
+        pair_gram = np.zeros((d, d))
+        pair_sum = np.zeros(d)
+        for pos, zero in self._pair_groups():
+            n_pos, n_zero = pos.shape[0], zero.shape[0]
+            if n_pos == 0 or n_zero == 0:
+                continue
+            s_pos, s_zero = pos.sum(axis=0), zero.sum(axis=0)
+            cross = np.outer(s_pos, s_zero)
+            pair_gram += n_zero * (pos.T @ pos) + n_pos * (zero.T @ zero) - cross - cross.T
+            pair_sum += n_zero * s_pos - n_pos * s_zero
+        return self.R.T @ self.R, self.R.T @ self.L, pair_gram, pair_sum
+
+    @cached_property
+    def Rprime(self):
+        """The explicit preference rows, cluster by cluster, p-major."""
+        d = self.R.shape[1]
+        blocks = [
+            (pos[:, None, :] - zero[None, :, :]).reshape(-1, d)
+            for pos, zero in self._pair_groups()
+        ]
+        return np.concatenate(blocks) if blocks else np.zeros((0, d))
+
+    @cached_property
+    def Lprime(self):
+        return np.ones(self.Rprime.shape[0])
 
 
 def build_design(features_per_cluster, labels_per_cluster):
-    """Assemble the design from per-cluster feature matrices and labels.
-
-    Preference rows are all within-cluster (p, q) differences r_p - r_q
-    with l_p > 0 and l_q = 0.
-    """
+    """Stack per-cluster feature matrices and labels into one design."""
     if len(features_per_cluster) != len(labels_per_cluster):
         raise ValueError("features and labels are misaligned")
     blocks = []
     labels = []
-    pair_rows = []
+    cluster_rows = []
+    start = 0
     for feats, labs in zip(features_per_cluster, labels_per_cluster):
         feats = np.atleast_2d(np.asarray(feats, dtype=np.float64))
         labs = np.asarray(labs, dtype=np.float64)
@@ -172,19 +234,10 @@ def build_design(features_per_cluster, labels_per_cluster):
             raise ValueError("cluster features and labels are misaligned")
         blocks.append(feats)
         labels.append(labs)
-        pos = np.nonzero(labs > 0)[0]
-        zero = np.nonzero(labs == 0)[0]
-        for p in pos:
-            for q in zero:
-                pair_rows.append(feats[p] - feats[q])
-    R = np.vstack(blocks)
-    d = R.shape[1]
-    Rprime = np.vstack(pair_rows) if pair_rows else np.zeros((0, d))
+        cluster_rows.append(slice(start, start + feats.shape[0]))
+        start += feats.shape[0]
     return PreferenceDesign(
-        R=R,
-        L=np.concatenate(labels),
-        Rprime=Rprime,
-        Lprime=np.ones(Rprime.shape[0]),
+        R=np.vstack(blocks), L=np.concatenate(labels), cluster_rows=tuple(cluster_rows)
     )
 
 
@@ -196,37 +249,21 @@ class SalienceModel:
     registry: FeatureRegistry | None = None
 
 
-def objective(design, w, lam, beta):
-    """J(w) = ||Rw - L||^2 + lam ||R'w - 1||^2 + beta ||w||^2."""
-    w = np.asarray(w, dtype=np.float64)
-    r = design.R @ w - design.L
-    rp = design.Rprime @ w - design.Lprime
-    return float(r @ r + lam * (rp @ rp) + beta * (w @ w))
-
-
-def objective_gradient(design, w, lam, beta):
-    """Analytic gradient of the objective at w."""
-    w = np.asarray(w, dtype=np.float64)
-    return (
-        2.0 * design.R.T @ (design.R @ w - design.L)
-        + 2.0 * lam * design.Rprime.T @ (design.Rprime @ w - design.Lprime)
-        + 2.0 * beta * w
-    )
-
-
 def fit_closed_form(design, lam, beta, registry=None):
-    """Minimize the objective exactly.
+    """Minimize J(w) = ||Rw - L||^2 + lam ||R'w - 1||^2 + beta ||w||^2 exactly.
 
     Solves (R^T R + lam R'^T R' + beta I) w = R^T L + lam R'^T 1 through
-    the SPD solver; beta > 0 makes the system positive-definite.
+    the SPD solver; beta > 0 makes the system positive-definite. The
+    normal-equation terms are computed on the design's first fit and
+    reused by every later one.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     if lam < 0:
         raise ValueError("lambda must be non-negative")
-    d = design.R.shape[1]
-    A = design.R.T @ design.R + lam * (design.Rprime.T @ design.Rprime) + beta * np.eye(d)
-    rhs = design.R.T @ design.L + lam * (design.Rprime.T @ design.Lprime)
+    gram, moment, pair_gram, pair_sum = design.normal_equations
+    A = gram + lam * pair_gram + beta * np.eye(gram.shape[0])
+    rhs = moment + lam * pair_sum
     w = numkit.solve_spd(A, rhs)
     return SalienceModel(w=w, lam=float(lam), beta=float(beta), registry=registry)
 
@@ -253,7 +290,7 @@ def baseline_rank(kind, cluster, tfidf=None):
         return rank_descending([len(u.tokens) for u in cluster.units])
     if kind == "centroid":
         stats = tfidf if tfidf is not None else TfidfStats([cluster])
-        return rank_descending([centroidness(u, cluster, stats) for u in cluster.units])
+        return rank_descending(centroidness([stats.unit_weights(u) for u in cluster.units]))
     raise ValueError(f"unknown baseline kind: {kind!r}")
 
 
@@ -269,25 +306,50 @@ def save_model(model, path):
             fh.write(format(v, ".17g") + "\n")
 
 
-def load_model(path, registry=None):
-    """Read a model file; verifies the registry hash when one is supplied."""
+def _read_lines(path):
+    """The file's lines without newlines; a last line without one (a file
+    cut mid-line) raises ValueError."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+        lines = fh.read().split("\n")
+    if lines.pop() != "":
+        raise ValueError(f"{path}: truncated: the last line has no newline")
+    return lines
+
+
+def _keyed_value(path, lines, index, key):
+    """The value on line `index` (from 0), which must read '<key> <value>'."""
+    name, _, val = lines[index].partition(" ") if index < len(lines) else ("", "", "")
+    if name != key or not val:
+        raise ValueError(f"{path}: line {index + 1}: expected '{key} <value>'")
+    return val
+
+
+def load_model(path, registry=None):
+    """Read a file written by save_model; verifies the registry hash when
+    one is supplied. Raises ValueError naming the path unless the file has
+    the four header lines and exactly d finite weights, nothing after them."""
+    lines = _read_lines(path)
     if not lines or lines[0] != "salience-model v1":
         raise ValueError(f"{path}: not a salience model file")
-    header = {}
-    for ln in lines[1:5]:
-        key, _, val = ln.partition(" ")
-        header[key] = val
-    d = int(header["d"])
-    w = np.array([float(x) for x in lines[5 : 5 + d]])
+    header = {
+        key: _keyed_value(path, lines, i, key)
+        for i, key in enumerate(("d", "lambda", "beta", "registry"), start=1)
+    }
+    try:
+        d = int(header["d"])
+        lam, beta = float(header["lambda"]), float(header["beta"])
+        w = np.array([float(x) for x in lines[5 : 5 + d]])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if w.shape[0] != d:
         raise ValueError(f"{path}: expected {d} weights, found {w.shape[0]}")
+    if len(lines) > 5 + d:
+        raise ValueError(f"{path}: {len(lines) - 5 - d} unexpected lines after the weights")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{path}: non-finite weight")
     if registry is not None and header["registry"] not in ("none", registry.digest()):
         raise ValueError(f"{path}: registry hash mismatch")
-    return SalienceModel(
-        w=w, lam=float(header["lambda"]), beta=float(header["beta"]), registry=registry
-    )
+    return SalienceModel(w=w, lam=lam, beta=beta, registry=registry)
 
 
 def save_registry(registry, path):
@@ -302,17 +364,26 @@ def save_registry(registry, path):
 
 
 def load_registry(path):
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    """Read a file written by save_registry. Raises ValueError naming the
+    path unless each block holds exactly its declared count of lines and
+    nothing follows the last block."""
+    lines = _read_lines(path)
     if not lines or lines[0] != "salience-registry v1":
         raise ValueError(f"{path}: not a registry file")
+    blocks = []
     pos = 1
-    n_cats = int(lines[pos].split()[1])
-    cats = tuple(lines[pos + 1 : pos + 1 + n_cats])
-    pos += 1 + n_cats
-    n_uni = int(lines[pos].split()[1])
-    unis = tuple(lines[pos + 1 : pos + 1 + n_uni])
-    return FeatureRegistry(lexicon_categories=cats, top_unigrams=unis)
+    for key in ("lexicon_categories", "top_unigrams"):
+        count = _keyed_value(path, lines, pos, key)
+        if not count.isdecimal():
+            raise ValueError(f"{path}: line {pos + 1}: '{key}' needs a count, not {count!r}")
+        items = tuple(lines[pos + 1 : pos + 1 + int(count)])
+        if len(items) != int(count):
+            raise ValueError(f"{path}: {key} declares {count} lines, found {len(items)}")
+        blocks.append(items)
+        pos += 1 + len(items)
+    if pos != len(lines):
+        raise ValueError(f"{path}: {len(lines) - pos} unexpected lines after the registry")
+    return FeatureRegistry(lexicon_categories=blocks[0], top_unigrams=blocks[1])
 
 
 def write_ranking_csv(rows, path):

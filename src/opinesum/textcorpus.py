@@ -452,11 +452,14 @@ class TfidfStats:
         return {term: tf * self.idf(term) for term, tf in counts.items()}
 
 
-def cosine_weight_maps(a, b):
-    """Cosine similarity of two sparse term->weight maps; 0 if either is zero."""
+def cosine_weight_maps(a, b, norm_b=None):
+    """Cosine similarity of two sparse term->weight maps; 0 if either is zero.
+
+    `norm_b` is b's Euclidean norm, for a caller that compares many maps
+    with one b."""
     dot = sum(w * b.get(t, 0.0) for t, w in a.items())
     na = math.sqrt(sum(w * w for w in a.values()))
-    nb = math.sqrt(sum(w * w for w in b.values()))
+    nb = math.sqrt(sum(w * w for w in b.values())) if norm_b is None else norm_b
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)

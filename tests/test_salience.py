@@ -1,29 +1,31 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from opinesum.salience import (
+    FeatureRegistry,
     LexiconSet,
     PreferenceDesign,
+    SalienceModel,
     baseline_rank,
     build_design,
     build_registry,
     centroidness,
     cluster_features,
-    extract_features,
     fit_closed_form,
+    fit_with_grid_search,
     gold_scores,
     load_model,
     load_registry,
-    objective,
-    objective_gradient,
     rank_descending,
     save_model,
     save_registry,
     score_units,
 )
-from opinesum.textcorpus import Cluster, TfidfStats, text_unit
+from opinesum.textcorpus import Cluster, TfidfStats, content_norms, cosine_weight_maps, text_unit
 
 
 def make_cluster(texts, summary, cid="c0"):
@@ -42,6 +44,39 @@ def random_design(rng, d=5, n=20, n_clusters=3):
         labels.append(lab)
         feats.append(f)
     return feats, labels
+
+
+def objective(design, w, lam, beta):
+    """J(w) = ||Rw - L||^2 + lam ||R'w - 1||^2 + beta ||w||^2 over the
+    explicit preference rows."""
+    w = np.asarray(w, dtype=np.float64)
+    r = design.R @ w - design.L
+    rp = design.Rprime @ w - design.Lprime
+    return float(r @ r + lam * (rp @ rp) + beta * (w @ w))
+
+
+def objective_gradient(design, w, lam, beta):
+    """Analytic gradient of the objective at w."""
+    w = np.asarray(w, dtype=np.float64)
+    return (
+        2.0 * design.R.T @ (design.R @ w - design.L)
+        + 2.0 * lam * design.Rprime.T @ (design.Rprime @ w - design.Lprime)
+        + 2.0 * beta * w
+    )
+
+
+def brute_force_centroidness(unit, cluster, tfidf):
+    """Cosine of a unit's TF-IDF map with the cluster mean, the mean
+    recomputed from every unit of the cluster for each call."""
+    mean = {}
+    for other in cluster.units:
+        for term, w in tfidf.unit_weights(other).items():
+            mean[term] = mean.get(term, 0) + w / len(cluster.units)
+    return cosine_weight_maps(tfidf.unit_weights(unit), mean)
+
+
+def unit_centroidness(cluster, tfidf):
+    return centroidness([tfidf.unit_weights(u) for u in cluster.units])
 
 
 def descent_minimizer(design, lam, beta, tol=1e-12, max_iter=2_000_000):
@@ -107,13 +142,13 @@ class TestCentroidness:
         cluster = make_cluster(["alpha beta"], "s")
         other = make_cluster(["gamma delta", "gamma"], "s", cid="c1")
         stats = TfidfStats([cluster, other])  # corpus-level idf > 0
-        assert centroidness(cluster.units[0], cluster, stats) == pytest.approx(1.0)
+        assert unit_centroidness(cluster, stats)[0] == pytest.approx(1.0)
 
     def test_zero_when_no_shared_weight(self):
         # "aa" appears in every unit -> idf 0 -> unit 0's vector is zero
         cluster = make_cluster(["aa", "aa bb", "aa bb cc"], "s")
         stats = TfidfStats([cluster])
-        assert centroidness(cluster.units[0], cluster, stats) == 0.0
+        assert unit_centroidness(cluster, stats)[0] == 0.0
 
     def test_three_unit_hand_cosine(self):
         cluster = make_cluster(["cat dog", "cat bird", "fish"], "s")
@@ -135,7 +170,7 @@ class TestCentroidness:
             math.sqrt(sum(w * w for w in u.values()))
             * math.sqrt(sum(w * w for w in centroid.values()))
         )
-        assert centroidness(cluster.units[0], cluster, stats) == pytest.approx(expected)
+        assert unit_centroidness(cluster, stats)[0] == pytest.approx(expected)
 
 
 class TestExtractFeatures:
@@ -150,7 +185,7 @@ class TestExtractFeatures:
         cluster = make_cluster(["aa bb cc"], "s")
         registry = build_registry([cluster], self.lexicons, top_u=10)
         stats = TfidfStats([cluster])
-        vec = extract_features(cluster.units[0], cluster, registry, self.lexicons, stats)
+        vec = cluster_features(cluster, registry, self.lexicons, stats)[0]
         names = registry.names
         assert vec[names.index("num_words")] == 3
         assert vec[names.index("num_pos_tags")] == 0
@@ -160,7 +195,7 @@ class TestExtractFeatures:
         cluster = make_cluster(["great great dull fine"], "s")
         registry = build_registry([cluster], self.lexicons, top_u=10)
         stats = TfidfStats([cluster])
-        vec = extract_features(cluster.units[0], cluster, registry, self.lexicons, stats)
+        vec = cluster_features(cluster, registry, self.lexicons, stats)[0]
         names = registry.names
         assert vec[names.index("lex:Positiv")] == 2
         assert vec[names.index("lex:Negativ")] == 1
@@ -175,8 +210,8 @@ class TestExtractFeatures:
         cluster = make_cluster(texts, "w0 w1")
         registry = build_registry([cluster], self.lexicons, top_u=5)
         stats = TfidfStats([cluster])
-        for unit in cluster.units:
-            vec = extract_features(unit, cluster, registry, self.lexicons, stats)
+        feats = cluster_features(cluster, registry, self.lexicons, stats)
+        for unit, vec in zip(cluster.units, feats):
             for j, word in enumerate(registry.top_unigrams):
                 expected = unit.norms().count(word)
                 assert vec[len(registry.names) - len(registry.top_unigrams) + j] == expected
@@ -191,7 +226,7 @@ class TestExtractFeatures:
         cluster = Cluster(id="x", units=(unit,), summary=text_unit("s"))
         registry = build_registry([cluster], self.lexicons, top_u=5)
         stats = TfidfStats([cluster])
-        vec = extract_features(unit, cluster, registry, self.lexicons, stats)
+        vec = cluster_features(cluster, registry, self.lexicons, stats)[0]
         names = registry.names
         assert vec[names.index("num_pos_tags")] == 3  # {NNP, VBZ, RB}
         assert vec[names.index("num_ner_tokens")] == 2
@@ -200,13 +235,71 @@ class TestExtractFeatures:
         cluster = make_cluster(["cat dog", "cat"], "s")
         registry = build_registry([cluster], self.lexicons, top_u=5)
         stats = TfidfStats([cluster])
-        vec = extract_features(cluster.units[0], cluster, registry, self.lexicons, stats)
+        vec = cluster_features(cluster, registry, self.lexicons, stats)[0]
         names = registry.names
         weights = stats.unit_weights(cluster.units[0])
         assert vec[names.index("avg_tfidf")] == pytest.approx(
             sum(weights.values()) / len(weights)
         )
         assert vec[names.index("max_tfidf")] == pytest.approx(max(weights.values()))
+
+
+def brute_force_features(unit, cluster, registry, lexicons, tfidf):
+    """One unit's feature row, every column looked up by name and the
+    cluster mean recomputed for the unit."""
+    names = registry.names
+    vec = np.zeros(len(names))
+    weights = tfidf.unit_weights(unit)
+    vec[names.index("num_words")] = len(unit.tokens)
+    vec[names.index("num_pos_tags")] = len({t.pos for t in unit.tokens if t.pos})
+    vec[names.index("num_ner_tokens")] = sum(1 for t in unit.tokens if t.ner)
+    vec[names.index("centroidness")] = brute_force_centroidness(unit, cluster, tfidf)
+    if weights:
+        vals = list(weights.values())
+        vec[names.index("avg_tfidf")] = sum(vals) / len(vals)
+        vec[names.index("max_tfidf")] = max(vals)
+    for t in unit.tokens:
+        for c in lexicons.general.get(t.norm, ()):
+            if f"lex:{c}" in names:
+                vec[names.index(f"lex:{c}")] += 1
+        if t.norm in lexicons.sentiment:
+            vec[names.index(f"sent:{lexicons.sentiment[t.norm]}")] += 1
+    for norm in content_norms(unit, lexicons.stopwords):
+        if f"unigram:{norm}" in names:
+            vec[names.index(f"unigram:{norm}")] += 1
+    return vec
+
+
+class TestClusterFeaturesOracle:
+    def test_bit_identical_to_per_unit_oracle(self):
+        rng = np.random.default_rng(12)
+        vocab = [f"w{i}" for i in range(30)]
+
+        def unit():
+            words = list(rng.choice(vocab, size=int(rng.integers(1, 15))))
+            tags = list(rng.choice(["NN", "VB", ""], size=len(words)))
+            ner = ["PER" if t == "NN" else "" for t in tags]
+            return text_unit(" ".join(words), pos=tags, ner=ner)
+
+        clusters = [
+            Cluster(id=f"c{m}", units=tuple(unit() for _ in range(m)), summary=text_unit("w0"))
+            for m in (1, 2, 7, 40)
+        ]
+        lex = LexiconSet(
+            general={"w1": ("Positiv",), "w2": ("Negativ", "Strong")},
+            sentiment={"w1": "positive", "w2": "negative", "w4": "neutral"},
+            stopwords=frozenset({"w3"}),
+        )
+        registry = build_registry(clusters, lex, top_u=12)
+        stats = TfidfStats(clusters)
+        for cluster in clusters:
+            feats = cluster_features(cluster, registry, lex, stats)
+            oracle = np.stack(
+                [brute_force_features(u, cluster, registry, lex, stats) for u in cluster.units]
+            )
+            assert feats.tobytes() == oracle.tobytes()
+            col = registry.names.index("centroidness")
+            assert baseline_rank("centroid", cluster, stats) == rank_descending(oracle[:, col])
 
 
 class TestBuildDesign:
@@ -239,6 +332,68 @@ class TestBuildDesign:
         assert design.Rprime.shape == (0, 2)
 
 
+class TestNormalEquations:
+    def test_pair_sums_match_explicit_rows(self):
+        rng = np.random.default_rng(11)
+        for trial in range(10):
+            d = int(rng.integers(2, 9))
+            feats, labels = random_design(rng, d=d, n=30, n_clusters=4)
+            # a cluster without positive units, one without zero labels, one unit
+            feats += [rng.normal(size=(3, d)), rng.normal(size=(4, d)), rng.normal(size=(1, d))]
+            labels += [np.zeros(3), 0.1 + rng.random(4), np.array([0.7])]
+            # count-like columns far from zero, as the table features are
+            feats = [f + np.arange(d) * 5.0 for f in feats]
+            design = build_design(feats, labels)
+            gram, moment, pair_gram, pair_sum = design.normal_equations
+            np.testing.assert_array_equal(gram, design.R.T @ design.R)
+            np.testing.assert_array_equal(moment, design.R.T @ design.L)
+            explicit = design.Rprime.T @ design.Rprime
+            assert np.abs(pair_gram - explicit).max() <= 1e-12 * np.abs(explicit).max()
+            explicit_sum = design.Rprime.T @ np.ones(design.Rprime.shape[0])
+            assert np.abs(pair_sum - explicit_sum).max() <= 1e-12 * np.abs(explicit_sum).max()
+
+    def test_no_pairs_gives_zero_terms(self):
+        design = build_design([np.eye(3), np.ones((2, 3))], [np.ones(3), np.zeros(2)])
+        _, _, pair_gram, pair_sum = design.normal_equations
+        assert not pair_gram.any() and not pair_sum.any()
+        assert design.Rprime.shape == (0, 3)
+
+    def test_grid_search_never_builds_preference_rows(self, monkeypatch):
+        calls = []
+        computed = PreferenceDesign.normal_equations.func
+
+        def counted(design):
+            calls.append(design)
+            return computed(design)
+
+        def forbidden(design):
+            raise AssertionError("the fit read the explicit preference rows")
+
+        normal_equations = functools.cached_property(counted)
+        normal_equations.__set_name__(PreferenceDesign, "normal_equations")
+        monkeypatch.setattr(PreferenceDesign, "normal_equations", normal_equations)
+        monkeypatch.setattr(PreferenceDesign, "Rprime", property(forbidden))
+        rng = np.random.default_rng(13)
+        vocab = [f"w{i}" for i in range(10)]
+        clusters = [
+            make_cluster([" ".join(rng.choice(vocab, size=5)) for _ in range(6)], "w0 w1", f"c{i}")
+            for i in range(4)
+        ]
+        lex = LexiconSet(stopwords=frozenset())
+        registry = build_registry(clusters[:2], lex, top_u=6)
+        stats = TfidfStats(clusters)
+        feats = [cluster_features(c, registry, lex, stats) for c in clusters]
+        labels = [gold_scores(c, lex.stopwords) for c in clusters[:2]]
+        model, rows = fit_with_grid_search(
+            feats[:2], labels, clusters[2:], feats[2:], lex, registry,
+            lam_grid=(0.0, 0.5, 10.0), beta_grid=(0.1, 1.0),
+        )
+        assert len(rows) == 6 and len(calls) == 1
+        assert (model.lam, model.beta, model.w.shape) in {
+            (lam, beta, (registry.d,)) for lam, beta, _ in rows
+        }
+
+
 class TestObjective:
     def test_zero_weight(self):
         rng = np.random.default_rng(1)
@@ -252,7 +407,7 @@ class TestObjective:
         rng = np.random.default_rng(2)
         r = rng.normal(size=(4, 4)) + 4 * np.eye(4)
         labels = rng.random(4)
-        design = PreferenceDesign(R=r, L=labels, Rprime=np.zeros((0, 4)), Lprime=np.zeros(0))
+        design = build_design([r], [labels])
         w = np.linalg.solve(r, labels)
         assert objective(design, w, 0.0, 0.0) == pytest.approx(0.0, abs=1e-18)
 
@@ -343,8 +498,6 @@ class TestScoringAndBaselines:
         feats = cluster_features(cluster, registry, lex, stats)
         w = np.zeros(registry.d)
         w[registry.names.index("num_words")] = 1.0
-        from opinesum.salience import SalienceModel
-
         model = SalienceModel(w=w, lam=0.0, beta=1.0)
         order = rank_descending(score_units(model, feats))
         assert order == baseline_rank("length", cluster)
@@ -353,15 +506,11 @@ class TestScoringAndBaselines:
         rng = np.random.default_rng(9)
         feats = rng.normal(size=(6, 3))
         w = rng.normal(size=3)
-        from opinesum.salience import SalienceModel
-
         scores = score_units(SalienceModel(w=w, lam=0.0, beta=1.0), feats)
         for k in range(6):
             assert scores[k] == pytest.approx(float(feats[k] @ w))
 
     def test_dimension_mismatch(self):
-        from opinesum.salience import SalienceModel
-
         with pytest.raises(ValueError):
             score_units(SalienceModel(w=np.ones(3), lam=0.0, beta=1.0), np.ones((2, 4)))
 
@@ -376,7 +525,7 @@ class TestScoringAndBaselines:
     def test_centroid_baseline_matches_cosines(self):
         cluster = make_cluster(["cat dog", "cat bird", "fish"], "s")
         stats = TfidfStats([cluster])
-        cos = [centroidness(u, cluster, stats) for u in cluster.units]
+        cos = [brute_force_centroidness(u, cluster, stats) for u in cluster.units]
         assert baseline_rank("centroid", cluster, stats) == rank_descending(cos)
 
     def test_unknown_kind(self):
@@ -387,8 +536,6 @@ class TestScoringAndBaselines:
         rng = np.random.default_rng(10)
         feats = rng.normal(size=(7, 4))
         w = rng.normal(size=4)
-        from opinesum.salience import SalienceModel
-
         base = rank_descending(score_units(SalienceModel(w=w, lam=0, beta=1), feats))
         for scale in (0.01, 3.0, 1000.0):
             scaled = rank_descending(
@@ -420,9 +567,69 @@ class TestSerialization:
         assert model2.w.tolist() == model.w.tolist()
         assert model2.lam == model.lam and model2.beta == model.beta
 
-    def test_hash_mismatch_rejected(self, tmp_path):
-        from opinesum.salience import FeatureRegistry, SalienceModel
+    @staticmethod
+    def saved(tmp_path):
+        registry = FeatureRegistry(
+            lexicon_categories=("Negativ", "Positiv", "Strong"),
+            top_unigrams=tuple(f"w{i}" for i in range(10)),
+        )
+        w = np.linspace(-1.0, 1.0, registry.d)
+        model = SalienceModel(w=w, lam=0.5, beta=0.1, registry=registry)
+        mpath, rpath = tmp_path / "sal.model", tmp_path / "sal.registry"
+        save_model(model, mpath)
+        save_registry(registry, rpath)
+        return registry, mpath, rpath
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda t: "".join(t.splitlines(True)[:8]), "top_unigrams declares 10 lines, found 2"),
+            (lambda t: "".join(t.splitlines(True)[:3]), "lexicon_categories declares 3 lines"),
+            (lambda t: t.replace("top_unigrams 10", "top_unigrams ten"), "needs a count"),
+            (lambda t: t.replace("top_unigrams 10\n", ""), "expected 'top_unigrams <value>'"),
+            (lambda t: t + "w10\n", "1 unexpected lines"),
+            (lambda t: t[:-2], "truncated"),
+        ],
+        ids=[
+            "cut_in_half", "cut_in_categories", "bad_count", "missing_count", "trailing_line",
+            "cut_mid_line",
+        ],
+    )
+    def test_damaged_registry_rejected(self, tmp_path, damage, message):
+        _, _, rpath = self.saved(tmp_path)
+        rpath.write_text(damage(rpath.read_text()))
+        with pytest.raises(ValueError, match=re.escape(str(rpath)) + ".*" + re.escape(message)):
+            load_registry(rpath)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda t: re.sub(r"beta [^\n]*\n", "", t), "expected 'beta <value>'"),
+            (lambda t: re.sub(r"registry [^\n]*\n", "", t), "expected 'registry <value>'"),
+            (lambda t: "".join(t.splitlines(True)[:-1]), "expected 22 weights, found 21"),
+            (lambda t: t + "0.5\n", "1 unexpected lines"),
+            (lambda t: t.replace("\n1\n", "\nnan\n"), "non-finite"),
+            (lambda t: t.replace("\n1\n", "\none\n"), "could not convert"),
+            (lambda t: t[:-3], "truncated"),
+        ],
+        ids=[
+            "missing_beta", "missing_registry", "short", "trailing_line", "nan_weight",
+            "bad_number", "cut_mid_line",
+        ],
+    )
+    def test_damaged_model_rejected(self, tmp_path, damage, message):
+        registry, mpath, _ = self.saved(tmp_path)
+        mpath.write_text(damage(mpath.read_text()))
+        with pytest.raises(ValueError, match=re.escape(str(mpath)) + ".*" + re.escape(message)):
+            load_model(mpath, registry)
+
+    def test_saved_files_load(self, tmp_path):
+        registry, mpath, rpath = self.saved(tmp_path)
+        assert load_registry(rpath) == registry
+        model = load_model(mpath, registry)
+        assert model.w.tolist() == np.linspace(-1.0, 1.0, registry.d).tolist()
+
+    def test_hash_mismatch_rejected(self, tmp_path):
         reg_a = FeatureRegistry(lexicon_categories=("X",), top_unigrams=("a",))
         reg_b = FeatureRegistry(lexicon_categories=("Y",), top_unigrams=("b",))
         model = SalienceModel(w=np.zeros(reg_a.d), lam=0.0, beta=1.0, registry=reg_a)
