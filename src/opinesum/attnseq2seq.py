@@ -7,13 +7,12 @@ log-likelihood. backward_pass differentiates the whole composite by hand
 sweep is kept on a ForwardTrace.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numkit import log_softmax, sigmoid_elem, softmax
-from .textcorpus import EmbeddingTable
+from .textcorpus import RESERVED, EmbeddingTable, Vocabulary, read_artifact, write_block
 
 CHANNELS = ("pos", "ner", "cap", "lex", "sent")
 
@@ -611,139 +610,111 @@ def backward_pass(model, trace, scale=1.0):
 # serialization
 
 
-def _write_tensor(fh, name, arr):
-    arr = np.atleast_2d(arr)
-    fh.write(f"tensor {name} {arr.shape[0]} {arr.shape[1]}\n")
-    np.savetxt(fh, arr, fmt="%.17g")
-
-
 def save_model(model, path):
     """Versioned text container; round-trips values exactly (17 sig digits)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("opinesum-model v1\n")
         fh.write(f"dims {model.d_emb} {model.d_h} {model.d_a}\n")
-        fh.write(f"vocab {len(model.vocab)}\n")
-        for w in model.vocab.words:
-            fh.write(w + "\n")
+        write_block(fh, "vocab", model.vocab.words)
         if model.features is None:
             fh.write("features none\n")
         else:
             fs = model.features
             fh.write("features v1\n")
             fh.write(f"dim {fs.dim}\n")
-            fh.write(f"pos_tags {len(fs.pos_tags)}\n")
-            for t in fs.pos_tags:
-                fh.write(t + "\n")
-            fh.write(f"lex_categories {len(fs.lex_categories)}\n")
-            for c in fs.lex_categories:
-                fh.write(c + "\n")
-            fh.write(f"word_lex {len(fs.word_lex)}\n")
-            for w in sorted(fs.word_lex):
-                fh.write(f"{w}\t{fs.word_lex[w]}\n")
-            fh.write(f"word_sent {len(fs.word_sent)}\n")
-            for w in sorted(fs.word_sent):
-                fh.write(f"{w}\t{fs.word_sent[w]}\n")
+            write_block(fh, "pos_tags", fs.pos_tags)
+            write_block(fh, "lex_categories", fs.lex_categories)
+            write_block(fh, "word_lex", [f"{w}\t{fs.word_lex[w]}" for w in sorted(fs.word_lex)])
+            write_block(fh, "word_sent", [f"{w}\t{fs.word_sent[w]}" for w in sorted(fs.word_sent)])
         fh.write("trainable " + "".join("1" if x else "0" for x in model.embeddings.trainable) + "\n")
         fh.write("covered " + "".join("1" if x else "0" for x in model.embeddings.covered) + "\n")
         for name, arr in model.named_tensors():
-            _write_tensor(fh, name, arr)
+            arr = np.atleast_2d(arr)
+            fh.write(f"tensor {name} {arr.shape[0]} {arr.shape[1]}\n")
+            np.savetxt(fh, arr, fmt="%.17g")
 
 
-def _take(path, lines, n, what):
-    """The next n lines of a model file; a file that ends first raises."""
-    block = list(itertools.islice(lines, n))
-    if len(block) < n:
-        raise ValueError(f"{path}: file ends inside {what}")
-    return block
+def _word_map(reader, key):
+    """The 'word<TAB>value' lines of a counted block, as a dict."""
+    pairs = [line.split("\t") for line in reader.block(key)]
+    if any(len(pair) != 2 for pair in pairs):
+        raise reader.error(f"{key}: expected 'word<TAB>value' lines")
+    return dict(pairs)
 
 
-def _counted(path, lines, key):
-    """The lines announced by a '<key> <n>' line."""
-    return _take(path, lines, int(_take(path, lines, 1, key)[0].split()[1]), key)
+def _flags(reader, key, n):
+    """One 0/1 flag per vocabulary row, from a '<key> <flags>' line."""
+    bits = reader.value(key)
+    if len(bits) != n or bits.strip("01"):
+        raise reader.error(f"line {reader.line_no}: '{key}' needs {n} flags of 0 or 1")
+    return np.array([ch == "1" for ch in bits], dtype=bool)
 
 
-def _read_tensors(path, lines, tensors):
+def _read_tensors(reader, tensors):
     """Fill every tensor from its block; each must appear exactly once,
     with the model's shape and the declared number of values per row.
     Blocks are read one at a time, so only one tensor's text is held."""
     seen = set()
-    for header in lines:
-        if not header:
-            break
-        fields = header.split()
-        if len(fields) != 4 or fields[0] != "tensor":
-            raise ValueError(f"{path}: expected a tensor header, got {header[:40]!r}")
+    for header in reader:
+        fields = header.split(" ")
+        if len(fields) != 4 or fields[0] != "tensor" or not all(f.isdecimal() for f in fields[2:]):
+            raise reader.error(f"line {reader.line_no}: expected a tensor header, got {header[:40]!r}")
         _, name, rows, cols = fields
         if name not in tensors:
-            raise ValueError(f"{path}: unknown tensor {name}")
+            raise reader.error(f"unknown tensor {name}")
         if name in seen:
-            raise ValueError(f"{path}: tensor {name} appears twice")
+            raise reader.error(f"tensor {name} appears twice")
         target = tensors[name]
-        shape = (int(rows), int(cols))
-        if shape != np.atleast_2d(target).shape:
-            raise ValueError(
-                f"{path}: tensor {name} is {shape[0]} x {shape[1]}, "
-                f"the model needs {np.atleast_2d(target).shape}"
-            )
-        block = _take(path, lines, shape[0], f"tensor {name}")
+        shape, needs = (int(rows), int(cols)), np.atleast_2d(target).shape
+        if shape != needs:
+            raise reader.error(f"tensor {name} is {shape[0]} x {shape[1]}, the model needs {needs}")
+        block = reader.lines(shape[0], f"rows of tensor {name}")
         try:
             values = np.loadtxt(block, comments=None, ndmin=2)
         except ValueError as exc:
-            raise ValueError(f"{path}: tensor {name}: {exc}") from None
+            raise reader.error(f"tensor {name}: {exc}") from None
         if values.shape != shape:
-            raise ValueError(
-                f"{path}: tensor {name} declares {shape[0]} x {shape[1]} values, "
+            raise reader.error(
+                f"tensor {name} declares {shape[0]} x {shape[1]} values, "
                 f"its rows hold {values.shape[0]} x {values.shape[1]}"
             )
         target[...] = values.reshape(target.shape)
         seen.add(name)
-    if any(lines):
-        raise ValueError(f"{path}: unexpected content after the tensors")
     missing = [name for name in tensors if name not in seen]
     if missing:
-        raise ValueError(f"{path}: missing tensor(s) {', '.join(missing)}")
+        raise reader.error(f"missing tensor(s) {', '.join(missing)}")
 
 
 def load_model(path):
     """Rebuild a model (vocabulary, feature registry, tensors) from disk.
 
-    Raises ValueError unless every tensor is present exactly once and
-    complete, so a truncated or edited file never loads as zeros.
+    Raises ValueError naming the path unless every header line has its key,
+    count or flags, and every tensor is present exactly once and complete,
+    so a truncated or edited file never loads.
     """
-    from .textcorpus import RESERVED, Vocabulary
-
-    with open(path, encoding="utf-8") as fh:
-        lines = (ln.rstrip("\n") for ln in fh)
-        if next(lines, None) != "opinesum-model v1":
-            raise ValueError(f"{path}: not a model file")
-        _, d_emb, d_h, d_a = _take(path, lines, 1, "dims")[0].split()
-        words = _counted(path, lines, "vocab")
-        if tuple(words[: len(RESERVED)]) != RESERVED:
-            raise ValueError(f"{path}: reserved token block is corrupt")
+    with read_artifact(path, "opinesum-model v1") as reader:
+        dims = reader.value("dims").split(" ")
+        if len(dims) != 3 or not all(d.isdecimal() for d in dims):
+            raise reader.error("line 2: expected 'dims <d_emb> <d_h> <d_a>'")
+        words = reader.block("vocab")
         vocab = Vocabulary(words[len(RESERVED) :])
+        if vocab.words != tuple(words):
+            raise reader.error("vocab must open with the reserved tokens and repeat no word")
         features = None
-        block = _take(path, lines, 1, "features")[0]
-        if block == "features v1":
-            dim = int(_take(path, lines, 1, "features")[0].split()[1])
-            tags = _counted(path, lines, "pos_tags")
-            cats = _counted(path, lines, "lex_categories")
-            word_lex = {}
-            for ln in _counted(path, lines, "word_lex"):
-                w, _, c = ln.partition("\t")
-                word_lex[w] = c
-            word_sent = {}
-            for ln in _counted(path, lines, "word_sent"):
-                w, _, s = ln.partition("\t")
-                word_sent[w] = s
+        kind = reader.value("features")
+        if kind == "v1":
+            dim = reader.count("dim")
+            tags = reader.block("pos_tags")
+            cats = reader.block("lex_categories")
+            word_lex = _word_map(reader, "word_lex")
+            word_sent = _word_map(reader, "word_sent")
             features = TokenFeatureSet.from_resolved(tags, cats, word_lex, word_sent, dim)
-        elif block != "features none":
-            raise ValueError(f"{path}: expected a features block")
-        trainable, covered = (
-            np.array([ch == "1" for ch in ln.split()[1]], dtype=bool)
-            for ln in _take(path, lines, 2, "embedding flags")
-        )
-        model = new_model(vocab, features, int(d_emb), int(d_h), int(d_a))
+        elif kind != "none":
+            raise reader.error(f"line {reader.line_no}: expected 'features v1' or 'features none'")
+        trainable = _flags(reader, "trainable", len(vocab))
+        covered = _flags(reader, "covered", len(vocab))
+        model = new_model(vocab, features, *(int(d) for d in dims))
         model.embeddings.trainable[...] = trainable
         model.embeddings.covered[...] = covered
-        _read_tensors(path, lines, dict(model.named_tensors()))
+        _read_tensors(reader, dict(model.named_tensors()))
     return model

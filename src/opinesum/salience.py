@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numkit
 from .evalmetrics import mrr
-from .textcorpus import TfidfStats, content_norms, cosine_weight_maps
+from .textcorpus import TfidfStats, content_norms, cosine_weight_maps, read_artifact, write_block
 
 SENTIMENT_CATEGORIES = ("positive", "negative", "neutral")
 
@@ -306,48 +306,23 @@ def save_model(model, path):
             fh.write(format(v, ".17g") + "\n")
 
 
-def _read_lines(path):
-    """The file's lines without newlines; a last line without one (a file
-    cut mid-line) raises ValueError."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines.pop() != "":
-        raise ValueError(f"{path}: truncated: the last line has no newline")
-    return lines
-
-
-def _keyed_value(path, lines, index, key):
-    """The value on line `index` (from 0), which must read '<key> <value>'."""
-    name, _, val = lines[index].partition(" ") if index < len(lines) else ("", "", "")
-    if name != key or not val:
-        raise ValueError(f"{path}: line {index + 1}: expected '{key} <value>'")
-    return val
-
-
 def load_model(path, registry=None):
     """Read a file written by save_model; verifies the registry hash when
     one is supplied. Raises ValueError naming the path unless the file has
     the four header lines and exactly d finite weights, nothing after them."""
-    lines = _read_lines(path)
-    if not lines or lines[0] != "salience-model v1":
-        raise ValueError(f"{path}: not a salience model file")
-    header = {
-        key: _keyed_value(path, lines, i, key)
-        for i, key in enumerate(("d", "lambda", "beta", "registry"), start=1)
-    }
+    with read_artifact(path, "salience-model v1") as reader:
+        d = reader.count("d")
+        lam, beta = reader.value("lambda"), reader.value("beta")
+        digest = reader.value("registry")
+        weights = reader.lines(d, "weights")
     try:
-        d = int(header["d"])
-        lam, beta = float(header["lambda"]), float(header["beta"])
-        w = np.array([float(x) for x in lines[5 : 5 + d]])
+        lam, beta = float(lam), float(beta)
+        w = np.array([float(x) for x in weights])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if w.shape[0] != d:
-        raise ValueError(f"{path}: expected {d} weights, found {w.shape[0]}")
-    if len(lines) > 5 + d:
-        raise ValueError(f"{path}: {len(lines) - 5 - d} unexpected lines after the weights")
     if not np.all(np.isfinite(w)):
         raise ValueError(f"{path}: non-finite weight")
-    if registry is not None and header["registry"] not in ("none", registry.digest()):
+    if registry is not None and digest not in ("none", registry.digest()):
         raise ValueError(f"{path}: registry hash mismatch")
     return SalienceModel(w=w, lam=lam, beta=beta, registry=registry)
 
@@ -355,35 +330,18 @@ def load_model(path, registry=None):
 def save_registry(registry, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("salience-registry v1\n")
-        fh.write(f"lexicon_categories {len(registry.lexicon_categories)}\n")
-        for c in registry.lexicon_categories:
-            fh.write(c + "\n")
-        fh.write(f"top_unigrams {len(registry.top_unigrams)}\n")
-        for w in registry.top_unigrams:
-            fh.write(w + "\n")
+        write_block(fh, "lexicon_categories", registry.lexicon_categories)
+        write_block(fh, "top_unigrams", registry.top_unigrams)
 
 
 def load_registry(path):
     """Read a file written by save_registry. Raises ValueError naming the
     path unless each block holds exactly its declared count of lines and
     nothing follows the last block."""
-    lines = _read_lines(path)
-    if not lines or lines[0] != "salience-registry v1":
-        raise ValueError(f"{path}: not a registry file")
-    blocks = []
-    pos = 1
-    for key in ("lexicon_categories", "top_unigrams"):
-        count = _keyed_value(path, lines, pos, key)
-        if not count.isdecimal():
-            raise ValueError(f"{path}: line {pos + 1}: '{key}' needs a count, not {count!r}")
-        items = tuple(lines[pos + 1 : pos + 1 + int(count)])
-        if len(items) != int(count):
-            raise ValueError(f"{path}: {key} declares {count} lines, found {len(items)}")
-        blocks.append(items)
-        pos += 1 + len(items)
-    if pos != len(lines):
-        raise ValueError(f"{path}: {len(lines) - pos} unexpected lines after the registry")
-    return FeatureRegistry(lexicon_categories=blocks[0], top_unigrams=blocks[1])
+    with read_artifact(path, "salience-registry v1") as reader:
+        categories = reader.block("lexicon_categories")
+        unigrams = reader.block("top_unigrams")
+    return FeatureRegistry(lexicon_categories=tuple(categories), top_unigrams=tuple(unigrams))
 
 
 def write_ranking_csv(rows, path):
@@ -395,14 +353,9 @@ def write_ranking_csv(rows, path):
 
 
 def relevance_for_ranking(cluster, order, stopwords):
-    """Binary gains in ranked order: a unit is relevant if it shares at
-    least one content word with the gold summary."""
-    summary_words = set(content_norms(cluster.summary, stopwords))
-    rel = [
-        1 if set(content_norms(cluster.units[i], stopwords)) & summary_words else 0
-        for i in order
-    ]
-    return rel
+    """Binary gains in ranked order: a unit is relevant if its gold score
+    is positive, that is if it shares a content word with the summary."""
+    return (gold_scores(cluster, stopwords) > 0)[order].astype(int).tolist()
 
 
 def fit_with_grid_search(
@@ -418,16 +371,18 @@ def fit_with_grid_search(
     """Fit on the training design for every (lambda, beta) pair and keep the
     model with the best dev MRR. Returns (model, grid rows for the CSV)."""
     design = build_design(train_features, train_labels)
+    relevant = [gold_scores(c, lexicons.stopwords) > 0 for c in dev_clusters]
     best = None
     rows = []
     for lam in lam_grid:
         for beta in beta_grid:
             model = fit_closed_form(design, lam, beta, registry=registry)
-            rel_lists = []
-            for cluster, feats in zip(dev_clusters, dev_features):
-                order = rank_descending(score_units(model, feats))
-                rel_lists.append(relevance_for_ranking(cluster, order, lexicons.stopwords))
-            dev_mrr = mrr(rel_lists)
+            dev_mrr = mrr(
+                [
+                    rel[rank_descending(score_units(model, feats))]
+                    for rel, feats in zip(relevant, dev_features)
+                ]
+            )
             rows.append((lam, beta, dev_mrr))
             if best is None or dev_mrr > best[0]:
                 best = (dev_mrr, model)

@@ -62,12 +62,12 @@ def build_input(cluster, unit_order, vocab, tfidf=None):
     )
 
 
-def sample_training_input(cluster, scores, K, rng, vocab, tfidf=None, replace=False):
+def sample_training_input(cluster, scores, K, rng, vocab, tfidf=None):
     """Draw min(K, M) units from the normalized importance distribution.
 
     Scores are clamped at 1e-6 from below so every unit keeps support.
-    Without replacement (default) the draws are sequential with
-    renormalization; the drawn units are ordered by descending score.
+    The draws are sequential, without replacement, with renormalization;
+    the drawn units are ordered by descending score.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape[0] != len(cluster.units):
@@ -75,24 +75,14 @@ def sample_training_input(cluster, scores, K, rng, vocab, tfidf=None, replace=Fa
     if K < 1:
         raise ValueError("K must be >= 1")
     weights = np.maximum(scores, SCORE_FLOOR)
-    k = min(int(K), len(cluster.units))
-    if replace:
-        probs = weights / weights.sum()
-        cum = np.cumsum(probs)
-        chosen = []
-        for _ in range(k):
-            r = rng.random()
-            chosen.append(min(int(np.searchsorted(cum, r, side="right")), len(probs) - 1))
-        chosen = sorted(set(chosen))
-    else:
-        chosen = multinomial_draw(weights, k, rng)
+    chosen = multinomial_draw(weights, min(int(K), len(cluster.units)), rng)
     return build_input(cluster, _order_by_score(chosen, scores), vocab, tfidf)
 
 
-def uniform_training_input(cluster, K, rng, vocab, tfidf=None, replace=False):
+def uniform_training_input(cluster, K, rng, vocab, tfidf=None):
     """Ablation sampler: equal weight on every unit."""
     ones = np.ones(len(cluster.units))
-    return sample_training_input(cluster, ones, K, rng, vocab, tfidf, replace)
+    return sample_training_input(cluster, ones, K, rng, vocab, tfidf)
 
 
 def select_test_input(cluster, scores, K, vocab, tfidf=None):

@@ -1,5 +1,7 @@
 """Corpus data model: tokens, text units, clusters, vocabulary, embeddings,
-lexicons, TF-IDF statistics, and generic-label substitution for entities.
+lexicons, TF-IDF statistics, and generic-label substitution for entities;
+plus the strict line reader and block writer of the package's text
+artifacts.
 
 The corpus file format is UTF-8 JSON-lines, one object per cluster:
     {"id": str, "entity": str|null, "summary": str,
@@ -7,10 +9,12 @@ The corpus file format is UTF-8 JSON-lines, one object per cluster:
 pos/ner arrays, when present, must match the tokenizer's token count.
 """
 
+import itertools
 import json
 import math
 import string
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 
@@ -463,3 +467,82 @@ def cosine_weight_maps(a, b, norm_b=None):
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
+
+
+class ArtifactReader:
+    """Strict line reader for the text artifacts (seq2seq checkpoint,
+    salience model and registry). Every line must end in a newline, so a
+    file cut mid-line never parses, and every error is a ValueError naming
+    the path. Lines are read one at a time, so a large file streams."""
+
+    def __init__(self, fh, path):
+        self.path, self._fh = path, fh
+        self.line_no = 0  # of the line last asked for
+
+    def error(self, message):
+        return ValueError(f"{self.path}: {message}")
+
+    def next(self):
+        """The next line without its newline, or None at the end of the file."""
+        self.line_no += 1
+        try:
+            line = self._fh.readline()
+        except UnicodeDecodeError:
+            raise self.error("not UTF-8 text") from None
+        if line and not line.endswith("\n"):
+            raise self.error(f"truncated: line {self.line_no} has no newline")
+        return line[:-1] if line else None
+
+    def __iter__(self):
+        while (line := self.next()) is not None:
+            yield line
+
+    def lines(self, n, what):
+        """The next n lines, which must all be there."""
+        block = list(itertools.islice(self, n))
+        if len(block) < n:
+            raise self.error(f"expected {n} {what}, found {len(block)}")
+        return block
+
+    def value(self, key):
+        """The value of the next line, which must read '<key> <value>'."""
+        name, _, val = (self.next() or "").partition(" ")
+        if name != key or not val:
+            raise self.error(f"line {self.line_no}: expected '{key} <value>'")
+        return val
+
+    def count(self, key):
+        """The count of the next line, which must read '<key> <count>'."""
+        val = self.value(key)
+        if not val.isdecimal():
+            raise self.error(f"line {self.line_no}: '{key}' needs a count, not {val!r}")
+        return int(val)
+
+    def block(self, key):
+        """The lines of a '<key> <count>' block (see write_block)."""
+        n = self.count(key)
+        block = list(itertools.islice(self, n))
+        if len(block) < n:
+            raise self.error(f"{key} declares {n} lines, found {len(block)}")
+        return block
+
+
+@contextmanager
+def read_artifact(path, magic):
+    """Yield an ArtifactReader over a text artifact whose first line must be
+    `magic`; when the body is done, no line may be left."""
+    with open(path, encoding="utf-8") as fh:
+        reader = ArtifactReader(fh, path)
+        if reader.next() != magic:
+            raise reader.error(f"line 1: expected {magic!r}")
+        yield reader
+        extra = sum(1 for _ in reader)
+        if extra:
+            raise reader.error(f"{extra} unexpected lines after the end")
+
+
+def write_block(fh, key, lines):
+    """Write a '<key> <count>' line, then the lines."""
+    fh.write(f"{key} {len(lines)}\n")
+    for line in lines:
+        fh.write(line + "\n")

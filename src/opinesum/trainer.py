@@ -45,7 +45,6 @@ class TrainConfig:
     use_features: bool = False
     K: int = 5
     mode: str = "importance"  # importance | uniform | topk
-    replace: bool = False
     eta: float = 0.1
     eps: float = 1e-6
     init_scale: float = 0.08
@@ -129,13 +128,9 @@ def build_features(clusters, lexicons, dim):
 
 def _draw_input(cluster, scores, config, rng, vocab, tfidf):
     if config.mode == "importance":
-        return sampler.sample_training_input(
-            cluster, scores, config.K, rng, vocab, tfidf, config.replace
-        )
+        return sampler.sample_training_input(cluster, scores, config.K, rng, vocab, tfidf)
     if config.mode == "uniform":
-        return sampler.uniform_training_input(
-            cluster, config.K, rng, vocab, tfidf, config.replace
-        )
+        return sampler.uniform_training_input(cluster, config.K, rng, vocab, tfidf)
     return sampler.select_test_input(cluster, scores, config.K, vocab, tfidf)
 
 

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -534,4 +535,39 @@ class TestSerialization:
         lines[start + 1] += " 0.5"
         path.write_text("\n".join(lines))
         with pytest.raises(ValueError, match="W_out"):
+            load_model(path)
+
+    def test_rejects_non_utf8(self, tiny, tmp_path):
+        path, _ = self._saved_lines(tiny, tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"\nUNK\n", b"\n\xffNK\n"))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*not UTF-8"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda t: t[:-3], "truncated"),
+            (lambda t: re.sub(r"\nvocab \d+\n", "\nvocab\n", t), "expected 'vocab <value>'"),
+            (lambda t: re.sub(r"\ncovered [01]+\n", "\ncovered 1\n", t), "'covered' needs"),
+            (lambda t: re.sub(r"\ntrainable 1", "\ntrainable 2", t), "'trainable' needs"),
+            (lambda t: t.replace("\ndims ", "\nsize "), "expected 'dims <value>'"),
+            (lambda t: t.replace("\nbb\ndd\n", "\nbb\nbb\n", 1), "repeat no word"),
+            (lambda t: t.replace("\naa\tPositiv\n", "\naa Positiv\n"), "word_lex: expected"),
+        ],
+        ids=[
+            "cut_mid_number", "vocab_without_count", "covered_of_length_one",
+            "trainable_not_binary", "dims_under_other_key", "vocab_repeats_a_word",
+            "word_lex_without_tab",
+        ],
+    )
+    def test_damaged_checkpoint_rejected(self, tiny_feat, tmp_path, damage, message):
+        model, _, _, _ = tiny_feat
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        # the undamaged file loads, so each failure below is the damage's
+        assert load_model(path).b_out.tolist() == model.b_out.tolist()
+        text = path.read_text()
+        assert damage(text) != text
+        path.write_text(damage(text))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + re.escape(message)):
             load_model(path)

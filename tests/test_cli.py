@@ -2,12 +2,15 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opinesum
 from opinesum import trainer
 from opinesum.cli import RunConfig, _train_config, main
 
@@ -350,6 +353,22 @@ class TestDecodeEvaluate:
             blobs.append((dec / "decode.jsonl").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_decode_rejects_vocab_without_count(self, tmp_path, corpus_file, fitted_salience, capsys):
+        out = train_once(tmp_path, corpus_file, fitted_salience, "t9")
+        model_path, registry_path = fitted_salience
+        damaged = tmp_path / "damaged.txt"
+        text = (out / "model.txt").read_text()
+        damaged.write_text(re.sub(r"\nvocab \d+\n", "\nvocab\n", text, count=1))
+        assert main(
+            ["decode",
+             "--set", f"corpus={corpus_file}",
+             "--set", f"model={damaged}",
+             "--set", f"salience_model={model_path}",
+             "--set", f"salience_registry={registry_path}",
+             "--set", f"out_dir={tmp_path / 'dec'}"]
+        ) == 2
+        assert f"{damaged}: line 3: expected 'vocab <value>'" in capsys.readouterr().err
+
     def test_evaluate_identity_is_one(self, tmp_path, corpus_file):
         dec = tmp_path / "decode.jsonl"
         with open(dec, "w") as fh:
@@ -408,9 +427,13 @@ class TestSamplingReport:
 
 class TestEntryPoint:
     def test_console_script(self):
+        # the child imports opinesum from the same checkout as this process
+        src = str(Path(opinesum.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "opinesum.cli", "gradcheck", "--set", "seeds=1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "max relative error" in proc.stdout

@@ -97,13 +97,6 @@ class TestTrainingSampling:
         with pytest.raises(ValueError):
             sample_training_input(cluster4, [1.0], 1, SeededRng(0), vocab4)
 
-    def test_with_replacement_flag(self, cluster4, vocab4):
-        z = sample_training_input(
-            cluster4, [1, 1, 1, 1], 4, SeededRng(5), vocab4, replace=True
-        )
-        assert set(z.source_units) <= {0, 1, 2, 3}
-        assert len(set(z.source_units)) == len(z.source_units)
-
 
 class TestUniformSampling:
     def test_two_units_half(self):
