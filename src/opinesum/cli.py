@@ -157,6 +157,13 @@ class RunConfig:
         return os.path.join(self.out_dir(), name)
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _load_lexicons(cfg):
     stopwords = (
         load_stopwords(cfg.get("stopwords")) if cfg.get("stopwords") else default_stopwords()
@@ -224,11 +231,11 @@ def cmd_fit_importance(cfg):
     )
     salience.save_model(model, cfg.out_path("salience.model"))
     salience.save_registry(registry, cfg.out_path("salience.registry"))
-    with open(cfg.out_path("grid.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "beta", "dev_mrr"])
-        for lam, beta, dev_mrr in rows:
-            writer.writerow([lam, beta, f"{dev_mrr:.6f}"])
+    _write_csv(
+        cfg.out_path("grid.csv"),
+        ["lambda", "beta", "dev_mrr"],
+        [[lam, beta, f"{dev_mrr:.6f}"] for lam, beta, dev_mrr in rows],
+    )
     print(f"fitted d={model.w.shape[0]} lambda={model.lam} beta={model.beta}")
     print(f"wrote {cfg.out_path('salience.model')}")
     return 0
@@ -252,24 +259,25 @@ def cmd_rank_eval(cfg):
             ranking_rows.append(
                 (cluster.id, unit_index, f"{scores[unit_index]:.6f}", rank)
             )
-    salience.write_ranking_csv(ranking_rows, cfg.out_path("rankings.csv"))
-    out = cfg.out_path("rank_eval.csv")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["system", "mrr", "ndcg3", "ndcg5"])
-        for name, orders in systems.items():
-            rels = [
-                salience.relevance_for_ranking(c, order, lexicons.stopwords)
-                for c, order in zip(clusters, orders)
+    _write_csv(
+        cfg.out_path("rankings.csv"), ["cluster_id", "unit_index", "score", "rank"], ranking_rows
+    )
+    eval_rows = []
+    for name, orders in systems.items():
+        rels = [
+            salience.relevance_for_ranking(c, order, lexicons.stopwords)
+            for c, order in zip(clusters, orders)
+        ]
+        eval_rows.append(
+            [
+                name,
+                f"{evalmetrics.mrr(rels):.6f}",
+                f"{evalmetrics.mean_ndcg_at(3, rels):.6f}",
+                f"{evalmetrics.mean_ndcg_at(5, rels):.6f}",
             ]
-            writer.writerow(
-                [
-                    name,
-                    f"{evalmetrics.mrr(rels):.6f}",
-                    f"{evalmetrics.mean_ndcg_at(3, rels):.6f}",
-                    f"{evalmetrics.mean_ndcg_at(5, rels):.6f}",
-                ]
-            )
+        )
+    out = cfg.out_path("rank_eval.csv")
+    _write_csv(out, ["system", "mrr", "ndcg3", "ndcg5"], eval_rows)
     print(f"wrote {out}")
     return 0
 
@@ -314,11 +322,11 @@ def cmd_train(cfg):
         train_clusters, dev_clusters, config, scores, lexicons, pretrained
     )
     save_seq2seq(model, cfg.out_path("model.txt"))
-    with open(cfg.out_path("history.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_nll", "dev_bleu"])
-        for epoch, nll, dev_bleu in history:
-            writer.writerow([epoch, f"{nll:.6f}", f"{dev_bleu:.6f}"])
+    _write_csv(
+        cfg.out_path("history.csv"),
+        ["epoch", "train_nll", "dev_bleu"],
+        [[epoch, f"{nll:.6f}", f"{dev_bleu:.6f}"] for epoch, nll, dev_bleu in history],
+    )
     best = max(h[2] for h in history)
     print(f"trained {len(history)} epochs; best dev BLEU {best:.4f}")
     print(f"wrote {cfg.out_path('model.txt')}")
@@ -381,11 +389,11 @@ def cmd_evaluate(cfg):
     if not hyps:
         raise UsageError("decode file is empty")
     report = evalmetrics.summarize_system(hyps, refs)
-    out_csv = cfg.out_path("eval.csv")
-    with open(out_csv, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bleu", "rouge_su4", "mean_length"])
-        writer.writerow([f"{report.bleu:.6f}", f"{report.rouge_su4:.6f}", f"{report.mean_length:.3f}"])
+    _write_csv(
+        cfg.out_path("eval.csv"),
+        ["bleu", "rouge_su4", "mean_length"],
+        [[f"{report.bleu:.6f}", f"{report.rouge_su4:.6f}", f"{report.mean_length:.3f}"]],
+    )
     with open(cfg.out_path("eval.json"), "w", encoding="utf-8") as fh:
         json.dump(
             {
@@ -427,11 +435,11 @@ def cmd_sampling_report(cfg):
             cells[(mode, k)] = (hyps, refs)
     rows = evalmetrics.sampling_report(cells)
     out = cfg.out_path("sampling.csv")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "K", "bleu"])
-        for mode, k, score in rows:
-            writer.writerow([mode, k, "" if score is None else f"{score:.6f}"])
+    _write_csv(
+        out,
+        ["mode", "K", "bleu"],
+        [[mode, k, "" if score is None else f"{score:.6f}"] for mode, k, score in rows],
+    )
     print(f"wrote {out}")
     return 0
 

@@ -5,7 +5,6 @@ preference-regularized ridge regression with its closed-form solve,
 scoring, baseline rankers, and grid search over the two hyperparameters.
 """
 
-import csv
 import hashlib
 import math
 from collections import Counter
@@ -214,10 +213,6 @@ class PreferenceDesign:
         ]
         return np.concatenate(blocks) if blocks else np.zeros((0, d))
 
-    @cached_property
-    def Lprime(self):
-        return np.ones(self.Rprime.shape[0])
-
 
 def build_design(features_per_cluster, labels_per_cluster):
     """Stack per-cluster feature matrices and labels into one design."""
@@ -342,14 +337,6 @@ def load_registry(path):
         categories = reader.block("lexicon_categories")
         unigrams = reader.block("top_unigrams")
     return FeatureRegistry(lexicon_categories=tuple(categories), top_unigrams=tuple(unigrams))
-
-
-def write_ranking_csv(rows, path):
-    """Ranking report: (cluster_id, unit_index, score, rank) rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster_id", "unit_index", "score", "rank"])
-        writer.writerows(rows)
 
 
 def relevance_for_ranking(cluster, order, stopwords):

@@ -286,6 +286,9 @@ def load_embeddings(path, vocab, dim=None):
     file_dim = dim
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if not line.endswith("\n"):
+                # a file cut mid-number would otherwise load a wrong value
+                raise CorpusFormatError(path, line_no, "truncated: line has no newline")
             line = line.rstrip("\n")
             if not line.strip():
                 continue

@@ -215,7 +215,6 @@ def _dev_bleu(model, dev_subs, config, scores, tfidf):
 # gradient check
 
 CHECK_EPSILON = 1e-5  # central-difference step
-CHECK_MAX_COORDS = 2000  # larger tensors are subsampled to this many coordinates
 
 
 def _tiny_instance(seed):
@@ -249,45 +248,38 @@ def _tiny_instance(seed):
     return model, z, y
 
 
+def _mv(W, x):
+    """W @ x over the last two axes of W and the last axis of x, broadcasting
+    every leading axis (one per perturbed copy)."""
+    return np.einsum("...ij,...j->...i", W, x)
+
+
+def _cat(*parts):
+    """Concatenate along the last axis, broadcasting the leading axes."""
+    lead = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
+    return np.concatenate([np.broadcast_to(p, lead + p.shape[-1:]) for p in parts], axis=-1)
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 class _ExtendedForward:
     """Independent longdouble transcription of the forward pass.
 
     The numeric side of the gradient check: written directly from the
-    update equations, sharing no code with the production forward, and
-    evaluated in 80-bit precision so central differences resolve even
-    near-zero gradients. Each cell's gate projections are fused into one
-    matrix M over concat(u, h_prev, c_prev) with gate row blocks (i, f, g,
-    o); `tensors` maps every checkpoint name to a view into these arrays,
-    so perturbing `tensors[name].flat[i]` perturbs the oracle's parameters.
-    Naive sigmoid/softmax forms are safe here: longdouble exp overflows
-    only beyond |x| ~ 1.1e4.
+    per-gate update equations, sharing no code with the production forward,
+    and evaluated in 80-bit precision so central differences resolve even
+    near-zero gradients. `tensors` holds one array per checkpoint name.
+    Every op broadcasts over leading axes, so a tensor given a leading copy
+    axis (see `losses`) carries it only into the activations that depend
+    on that tensor. Naive sigmoid/softmax forms are safe here: longdouble
+    exp overflows only beyond |x| ~ 1.1e4.
     """
-
-    _GROUPS = {"emb": "all", "feat": "all", "enc_f": "enc_f", "enc_b": "enc_b"}
 
     def __init__(self, model, z, y):
         ld = np.longdouble
-        self.tensors = {}
-        self.cells = {}
-        for p in ("enc_f", "enc_b", "dec"):
-            d_u, d = getattr(model, p).d_u, model.d_h
-            M = np.zeros((4 * d, d_u + 2 * d), dtype=ld)
-            b = np.zeros(4 * d, dtype=ld)
-            oc = np.zeros((d, d), dtype=ld)  # the output gate reads the new cell
-            self.cells[p] = (M, b, oc)
-            for k, gate in enumerate("ifco"):
-                rows = slice(k * d, (k + 1) * d)
-                self.tensors[f"{p}.W_{gate}u"] = M[rows, :d_u]
-                self.tensors[f"{p}.W_{gate}h"] = M[rows, d_u : d_u + d]
-                if gate in "if":
-                    self.tensors[f"{p}.W_{gate}c"] = M[rows, d_u + d :]
-                self.tensors[f"{p}.b_{gate}"] = b[rows]
-            self.tensors[f"{p}.W_oc"] = oc
-        for name, arr in model.named_tensors():
-            if name in self.tensors:
-                self.tensors[name][...] = arr
-            else:
-                self.tensors[name] = arr.astype(ld)
+        self.tensors = {name: arr.astype(ld) for name, arr in model.named_tensors()}
         self.indices = [int(i) for i in z.indices]
         self.tfidf = z.tfidf.astype(ld)
         self.enc_ids = [model.features.encode_ids(tok) for tok in z.tokens]
@@ -297,82 +289,76 @@ class _ExtendedForward:
         self.dec_ids = {
             i: model.features.decode_ids(model.vocab.word_of(i)) for i in set(self.inputs)
         }
-        self._reprs = None
-        self._dec_reprs = None
-        self._hf = None
-        self._hb = None
 
-    def group_of(self, name):
-        return self._GROUPS.get(name.split(".", 1)[0], "dec")
+    def loss(self):
+        """-loglik at the current `tensors`."""
+        return self._loss(self.tensors)
 
-    def _token_repr(self, index, enc_pos=None):
-        parts = [self.tensors["emb"][index]]
+    def losses(self, name, coords, delta):
+        """-loglik with `tensors[name].flat[coords[k]]` shifted by delta, for
+        every k, from one pass over k stacked copies of that tensor."""
+        copies = np.repeat(self.tensors[name][None], len(coords), axis=0)
+        copies.reshape(len(coords), -1)[np.arange(len(coords)), coords] += delta
+        return self._loss({**self.tensors, name: copies})
+
+    def _token_repr(self, t, index, enc_pos=None):
+        parts = [t["emb"][..., index, :]]
         ids = self.enc_ids[enc_pos] if enc_pos is not None else self.dec_ids[index]
         for ch, fid in zip(CHANNELS, ids):
-            parts.append(self.tensors[f"feat.{ch}"][fid])
+            parts.append(t[f"feat.{ch}"][..., fid, :])
         cont = self.tfidf[enc_pos] if enc_pos is not None else np.longdouble(0.0)
         parts.append(np.array([cont], dtype=np.longdouble))
-        return np.concatenate(parts)
+        return _cat(*parts)
 
-    def _cell(self, p, u, h, c):
-        M, b, oc = self.cells[p]
-        d = self.d_h
-        pre = M @ np.concatenate([u, h, c]) + b
-        gif = 1.0 / (1.0 + np.exp(-pre[: 2 * d]))
-        c_new = gif[d:] * c + gif[:d] * np.tanh(pre[2 * d : 3 * d])
-        o = 1.0 / (1.0 + np.exp(-(pre[3 * d :] + oc @ c_new)))
+    def _cell(self, t, p, u, h, c):
+        def W(gate, x):
+            return _mv(t[f"{p}.W_{gate}"], x)
+
+        i = _sigmoid(W("iu", u) + W("ih", h) + W("ic", c) + t[f"{p}.b_i"])
+        f = _sigmoid(W("fu", u) + W("fh", h) + W("fc", c) + t[f"{p}.b_f"])
+        c_new = f * c + i * np.tanh(W("cu", u) + W("ch", h) + t[f"{p}.b_c"])
+        # the output gate reads the new cell
+        o = _sigmoid(W("ou", u) + W("oh", h) + t[f"{p}.b_o"] + W("oc", c_new))
         return o * np.tanh(c_new), c_new
 
-    def loss(self, group="all"):
-        """-loglik, recomputing only the stages `group` depends on."""
-        n = len(self.indices)
+    def _loss(self, t):
         ld = np.longdouble
-        if group == "all" or self._reprs is None:
-            self._reprs = [self._token_repr(self.indices[t], t) for t in range(n)]
-            self._dec_reprs = [self._token_repr(inp) for inp in self.inputs]
-            group = "all"
-        if group in ("all", "enc_f"):
-            h = np.zeros(self.d_h, dtype=ld)
-            c = np.zeros(self.d_h, dtype=ld)
-            hf = np.empty((n, self.d_h), dtype=ld)
-            for t in range(n):
-                h, c = self._cell("enc_f", self._reprs[t], h, c)
-                hf[t] = h
-            self._hf = hf
-        if group in ("all", "enc_b"):
-            h = np.zeros(self.d_h, dtype=ld)
-            c = np.zeros(self.d_h, dtype=ld)
-            hb = np.empty((n, self.d_h), dtype=ld)
-            for j in range(n):
-                h, c = self._cell("enc_b", self._reprs[n - 1 - j], h, c)
-                hb[n - 1 - j] = h
-            self._hb = hb
-        contexts = np.concatenate([self._hf, self._hb], axis=1)
-        t = self.tensors
-        cq = contexts @ t["attn.W_cg"].T
-        h = np.zeros(self.d_h, dtype=ld)
-        c = np.zeros(self.d_h, dtype=ld)
+        reprs = [self._token_repr(t, index, k) for k, index in enumerate(self.indices)]
+        zero = np.zeros(self.d_h, dtype=ld)
+        h, c = zero, zero
+        hf = []
+        for rep in reprs:
+            h, c = self._cell(t, "enc_f", rep, h, c)
+            hf.append(h)
+        h, c = zero, zero
+        hb = []
+        for rep in reversed(reprs):
+            h, c = self._cell(t, "enc_b", rep, h, c)
+            hb.append(h)
+        contexts = _cat(np.stack(hf, axis=-2), np.stack(hb[::-1], axis=-2))
+        cq = _mv(t["attn.W_cg"][..., None, :, :], contexts)  # one row per context
+        h, c = zero, zero
         loglik = ld(0.0)
-        for rep, target in zip(self._dec_reprs, self.y):
-            q = cq + t["attn.W_hg"] @ h
-            e = np.tanh(q) @ t["attn.W_s"]
-            a = np.exp(e - e.max())
-            a /= a.sum()
-            s = a @ contexts
-            u = np.concatenate([rep, s])
-            h, c = self._cell("dec", u, h, c)
-            logits = t["W_out"] @ h + t["b_out"]
-            m = logits.max()
-            loglik += logits[target] - m - np.log(np.exp(logits - m).sum())
+        for inp, target in zip(self.inputs, self.y):
+            q = cq + _mv(t["attn.W_hg"], h)[..., None, :]
+            e = _mv(np.tanh(q), t["attn.W_s"])
+            a = np.exp(e - e.max(axis=-1, keepdims=True))
+            a /= a.sum(axis=-1, keepdims=True)
+            s = _mv(np.swapaxes(contexts, -1, -2), a)
+            h, c = self._cell(t, "dec", _cat(self._token_repr(t, inp), s), h, c)
+            logits = _mv(t["W_out"], h) + t["b_out"]
+            m = logits.max(axis=-1, keepdims=True)
+            norm = np.log(np.exp(logits - m).sum(axis=-1))
+            loglik += logits[..., target] - m[..., 0] - norm
         return -loglik
 
 
 def gradient_check(seed=0):
     """Max relative error between backward_pass and central differences.
 
-    relerr = |ga - gn| / max(1e-8, |ga| + |gn|) per coordinate of the tiny
-    model of `_tiny_instance(seed)`, with step CHECK_EPSILON and tensors
-    larger than CHECK_MAX_COORDS subsampled (seeded).
+    relerr = |ga - gn| / max(1e-8, |ga| + |gn|) over every coordinate of
+    the tiny model of `_tiny_instance(seed)`, with step CHECK_EPSILON. Each
+    tensor's +step and -step losses come from one batched pass each.
     """
     model, z, y = _tiny_instance(seed)
     _, trace = sequence_log_prob(model, z, y)
@@ -381,25 +367,11 @@ def gradient_check(seed=0):
     eps = np.longdouble(CHECK_EPSILON)
     max_rel = 0.0
     for name, arr in model.named_tensors():
-        fwd.loss("all")  # refresh caches before switching tensors
-        group = fwd.group_of(name)
-        size = arr.size
-        if size > CHECK_MAX_COORDS:
-            coord_rng = SeededRng(derive_seed(seed, "coords", name))
-            coords = coord_rng.permutation(size)[:CHECK_MAX_COORDS]
-        else:
-            coords = range(size)
-        gflat = grads[name].reshape(-1)
-        flat = fwd.tensors[name].flat
-        for i in coords:
-            base = flat[i]
-            flat[i] = base + eps
-            lp = fwd.loss(group)
-            flat[i] = base - eps
-            lm = fwd.loss(group)
-            flat[i] = base
-            gn = float((lp - lm) / (2 * eps))
-            ga = float(gflat[i])
-            rel = abs(ga - gn) / max(1e-8, abs(ga) + abs(gn))
-            max_rel = max(max_rel, rel)
+        coords = np.arange(arr.size)
+        lp = fwd.losses(name, coords, eps)
+        lm = fwd.losses(name, coords, -eps)
+        gn = ((lp - lm) / (2 * eps)).astype(np.float64)
+        ga = grads[name].reshape(-1)
+        rel = np.abs(ga - gn) / np.maximum(1e-8, np.abs(ga) + np.abs(gn))
+        max_rel = max(max_rel, float(rel.max()))
     return max_rel

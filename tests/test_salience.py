@@ -51,7 +51,7 @@ def objective(design, w, lam, beta):
     explicit preference rows."""
     w = np.asarray(w, dtype=np.float64)
     r = design.R @ w - design.L
-    rp = design.Rprime @ w - design.Lprime
+    rp = design.Rprime @ w - 1.0
     return float(r @ r + lam * (rp @ rp) + beta * (w @ w))
 
 
@@ -60,7 +60,7 @@ def objective_gradient(design, w, lam, beta):
     w = np.asarray(w, dtype=np.float64)
     return (
         2.0 * design.R.T @ (design.R @ w - design.L)
-        + 2.0 * lam * design.Rprime.T @ (design.Rprime @ w - design.Lprime)
+        + 2.0 * lam * design.Rprime.T @ (design.Rprime @ w - 1.0)
         + 2.0 * beta * w
     )
 
@@ -90,7 +90,7 @@ def descent_minimizer(design, lam, beta, tol=1e-12, max_iter=2_000_000):
     for _ in range(max_iter):
         g = (
             2.0 * design.R.T @ (design.R @ w - design.L)
-            + 2.0 * lam * design.Rprime.T @ (design.Rprime @ w - design.Lprime)
+            + 2.0 * lam * design.Rprime.T @ (design.Rprime @ w - 1.0)
             + 2.0 * beta * w
         )
         gnorm = np.abs(g).max()
@@ -308,7 +308,6 @@ class TestBuildDesign:
         design = build_design(feats, [np.array([1.0, 0.0])])
         assert design.Rprime.shape == (1, 2)
         np.testing.assert_allclose(design.Rprime[0], [1.0, -1.0])
-        np.testing.assert_array_equal(design.Lprime, [1.0])
 
     def test_all_positive_no_pairs(self):
         feats = [np.eye(3)]

@@ -206,6 +206,15 @@ class TestEmbeddings:
             load_embeddings(path, vocab)
         assert excinfo.value.line_no == 2
 
+    def test_last_line_without_newline_rejected(self, tmp_path):
+        # "aa 0.125 0.37525" cut by one digit still parses as two floats
+        vocab = build_vocab([make_cluster(["aa bb"], "aa")])
+        path = tmp_path / "vec.txt"
+        path.write_text("bb 1 2\naa 0.125 0.3752")
+        with pytest.raises(CorpusFormatError, match="truncated") as excinfo:
+            load_embeddings(path, vocab)
+        assert excinfo.value.line_no == 2
+
     def test_dim_mismatch(self, tmp_path):
         vocab = build_vocab([make_cluster(["aa bb"], "aa")])
         path = tmp_path / "vec.txt"

@@ -218,11 +218,12 @@ class TestGradientCheck:
         model, z, y = _tiny_instance(seed=3)
         loglik, _ = sequence_log_prob(model, z, y)
         fwd = _ExtendedForward(model, z, y)
-        assert float(fwd.loss("all")) == pytest.approx(-loglik, rel=1e-12)
+        assert float(fwd.loss()) == pytest.approx(-loglik, rel=1e-12)
 
     def test_extended_forward_coordinate_addressing(self):
-        # perturbing a view coordinate must equal perturbing the model itself,
-        # at both edges of every tensor and at one coordinate inside it
+        # perturbing an oracle coordinate, in place or through the batched
+        # path, must equal perturbing the model itself, at both edges of
+        # every tensor and at one coordinate inside it
         rng = np.random.default_rng(0)
         model, z, y = _tiny_instance(seed=5)
         fwd = _ExtendedForward(model, z, y)
@@ -232,12 +233,14 @@ class TestGradientCheck:
             flat = fwd.tensors[name].flat
             for i in sorted({0, int(rng.integers(arr.size)), arr.size - 1}):
                 flat[i] += delta
-                perturbed = float(fwd.loss("all"))
+                perturbed = float(fwd.loss())
                 flat[i] -= delta
+                batched = float(fwd.losses(name, [i], delta)[0])
                 arr.reshape(-1)[i] += delta
                 expected, _ = sequence_log_prob(model, z, y)
                 arr.reshape(-1)[i] -= delta
                 assert perturbed == pytest.approx(-expected, rel=1e-12), (name, i)
+                assert batched == pytest.approx(-expected, rel=1e-12), (name, i)
 
     def test_off_path_parameter_has_zero_both_sides(self):
         model, z, y = _tiny_instance(seed=1)
@@ -247,6 +250,6 @@ class TestGradientCheck:
         untouched = next(i for i in range(len(model.vocab)) if i not in touched)
         assert np.all(grads["emb"][untouched] == 0.0)
         fwd = _ExtendedForward(model, z, y)
-        base = float(fwd.loss("all"))
+        base = float(fwd.loss())
         fwd.tensors["emb"][untouched, 0] += 1e-5
-        assert float(fwd.loss("all")) == base
+        assert float(fwd.loss()) == base
