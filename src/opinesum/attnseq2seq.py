@@ -7,14 +7,27 @@ log-likelihood. backward_pass differentiates the whole composite by hand
 sweep is kept on a ForwardTrace.
 """
 
+import binascii
+import hashlib
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numkit import log_softmax, sigmoid_elem, softmax
-from .textcorpus import RESERVED, EmbeddingTable, Vocabulary, read_artifact, write_block
+from .textcorpus import (
+    RESERVED,
+    EmbeddingTable,
+    Vocabulary,
+    atomic_write,
+    read_artifact,
+    write_block,
+)
 
 CHANNELS = ("pos", "ner", "cap", "lex", "sent")
+# checkpoint magic lines: v2 is written, v1 (decimal text rows) only read
+MAGIC_V2 = "opinesum-model v2"
+MAGIC_V1 = "opinesum-model v1"
 
 class StaleTraceError(RuntimeError):
     """The model was mutated after the trace was recorded."""
@@ -611,27 +624,41 @@ def backward_pass(model, trace, scale=1.0):
 
 
 def save_model(model, path):
-    """Versioned text container; round-trips values exactly (17 sig digits)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("opinesum-model v1\n")
-        fh.write(f"dims {model.d_emb} {model.d_h} {model.d_a}\n")
-        write_block(fh, "vocab", model.vocab.words)
-        if model.features is None:
-            fh.write("features none\n")
-        else:
-            fs = model.features
-            fh.write("features v1\n")
-            fh.write(f"dim {fs.dim}\n")
-            write_block(fh, "pos_tags", fs.pos_tags)
-            write_block(fh, "lex_categories", fs.lex_categories)
-            write_block(fh, "word_lex", [f"{w}\t{fs.word_lex[w]}" for w in sorted(fs.word_lex)])
-            write_block(fh, "word_sent", [f"{w}\t{fs.word_sent[w]}" for w in sorted(fs.word_sent)])
-        fh.write("trainable " + "".join("1" if x else "0" for x in model.embeddings.trainable) + "\n")
-        fh.write("covered " + "".join("1" if x else "0" for x in model.embeddings.covered) + "\n")
+    """Write checkpoint v2: the text header (dims, vocabulary, feature
+    registry, flags), then each tensor's rows as base64 of their
+    little-endian float64 bytes, one line per row, and last 'sha256 <hex>'
+    of every byte before it. Values round-trip bit for bit. The file goes
+    to a temporary file first, one tensor at a time, and replaces `path`
+    only when complete."""
+    head = io.StringIO()
+    head.write(f"{MAGIC_V2}\n")
+    head.write(f"dims {model.d_emb} {model.d_h} {model.d_a}\n")
+    write_block(head, "vocab", model.vocab.words)
+    if model.features is None:
+        head.write("features none\n")
+    else:
+        fs = model.features
+        head.write("features v1\n")
+        head.write(f"dim {fs.dim}\n")
+        write_block(head, "pos_tags", fs.pos_tags)
+        write_block(head, "lex_categories", fs.lex_categories)
+        write_block(head, "word_lex", [f"{w}\t{fs.word_lex[w]}" for w in sorted(fs.word_lex)])
+        write_block(head, "word_sent", [f"{w}\t{fs.word_sent[w]}" for w in sorted(fs.word_sent)])
+    head.write("trainable " + "".join("1" if x else "0" for x in model.embeddings.trainable) + "\n")
+    head.write("covered " + "".join("1" if x else "0" for x in model.embeddings.covered) + "\n")
+    digest = hashlib.sha256()
+    with atomic_write(path, binary=True) as fh:
+
+        def emit(data):
+            digest.update(data)
+            fh.write(data)
+
+        emit(head.getvalue().encode("utf-8"))
         for name, arr in model.named_tensors():
-            arr = np.atleast_2d(arr)
-            fh.write(f"tensor {name} {arr.shape[0]} {arr.shape[1]}\n")
-            np.savetxt(fh, arr, fmt="%.17g")
+            rows = np.ascontiguousarray(np.atleast_2d(arr), dtype="<f8")
+            emit(f"tensor {name} {rows.shape[0]} {rows.shape[1]}\n".encode("ascii"))
+            emit(b"".join(map(binascii.b2a_base64, rows)))
+        fh.write(f"sha256 {digest.hexdigest()}\n".encode("ascii"))
 
 
 def _word_map(reader, key):
@@ -650,12 +677,52 @@ def _flags(reader, key, n):
     return np.array([ch == "1" for ch in bits], dtype=bool)
 
 
+def _text_rows(reader, name, block, shape):
+    """v1: the rows of a tensor as decimal text."""
+    try:
+        values = np.loadtxt(block, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise reader.error(f"tensor {name}: {exc}") from None
+    if values.shape != shape:
+        raise reader.error(
+            f"tensor {name} declares {shape[0]} x {shape[1]} values, "
+            f"its rows hold {values.shape[0]} x {values.shape[1]}"
+        )
+    return values
+
+
+def _base64_rows(reader, name, block, shape):
+    """v2: the rows of a tensor as base64 of little-endian float64."""
+    width = 8 * shape[1]
+    first = reader.line_no - len(block) + 1
+    rows = []
+    for line_no, line in enumerate(block, start=first):
+        try:
+            row = binascii.a2b_base64(line, strict_mode=True)
+        except ValueError as exc:
+            raise reader.error(f"line {line_no}: tensor {name}: bad base64 row ({exc})") from None
+        if len(row) != width:
+            raise reader.error(
+                f"line {line_no}: tensor {name} row holds {len(row)} bytes, not {width}"
+            )
+        rows.append(row)
+    return np.frombuffer(b"".join(rows), dtype="<f8").reshape(shape)
+
+
 def _read_tensors(reader, tensors):
     """Fill every tensor from its block; each must appear exactly once,
     with the model's shape and the declared number of values per row.
-    Blocks are read one at a time, so only one tensor's text is held."""
+    Blocks are read one at a time, so only one tensor's text is held.
+    In v2 the 'sha256' line ends the tensors and must be the digest of
+    every line before it."""
+    v2 = reader.magic == MAGIC_V2
+    decode_rows = _base64_rows if v2 else _text_rows
     seen = set()
+    digest_line = None
     for header in reader:
+        if v2 and header.startswith("sha256 "):
+            digest_line = header
+            break
         fields = header.split(" ")
         if len(fields) != 4 or fields[0] != "tensor" or not all(f.isdecimal() for f in fields[2:]):
             raise reader.error(f"line {reader.line_no}: expected a tensor header, got {header[:40]!r}")
@@ -669,30 +736,27 @@ def _read_tensors(reader, tensors):
         if shape != needs:
             raise reader.error(f"tensor {name} is {shape[0]} x {shape[1]}, the model needs {needs}")
         block = reader.lines(shape[0], f"rows of tensor {name}")
-        try:
-            values = np.loadtxt(block, comments=None, ndmin=2)
-        except ValueError as exc:
-            raise reader.error(f"tensor {name}: {exc}") from None
-        if values.shape != shape:
-            raise reader.error(
-                f"tensor {name} declares {shape[0]} x {shape[1]} values, "
-                f"its rows hold {values.shape[0]} x {values.shape[1]}"
-            )
-        target[...] = values.reshape(target.shape)
+        target[...] = decode_rows(reader, name, block, shape).reshape(target.shape)
         seen.add(name)
     missing = [name for name in tensors if name not in seen]
     if missing:
         raise reader.error(f"missing tensor(s) {', '.join(missing)}")
+    if v2 and digest_line is None:
+        raise reader.error("no 'sha256 <hex>' line after the last tensor")
+    if v2 and digest_line != f"sha256 {reader.digest_before_last()}":
+        raise reader.error(f"line {reader.line_no}: sha256 digest mismatch, the file was altered")
 
 
 def load_model(path):
     """Rebuild a model (vocabulary, feature registry, tensors) from disk.
 
-    Raises ValueError naming the path unless every header line has its key,
-    count or flags, and every tensor is present exactly once and complete,
-    so a truncated or edited file never loads.
+    Reads checkpoint v2 (see save_model) and the older v1, whose rows are
+    decimal text and which has no digest. Raises ValueError naming the path
+    unless every header line has its key, count or flags, every tensor is
+    present exactly once and complete, and a v2 file's digest matches, so
+    a truncated or edited file never loads.
     """
-    with read_artifact(path, "opinesum-model v1") as reader:
+    with read_artifact(path, MAGIC_V2, MAGIC_V1) as reader:
         dims = reader.value("dims").split(" ")
         if len(dims) != 3 or not all(d.isdecimal() for d in dims):
             raise reader.error("line 2: expected 'dims <d_emb> <d_h> <d_a>'")

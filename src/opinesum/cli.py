@@ -21,6 +21,7 @@ from .numkit import derive_seed
 from .salience import LexiconSet
 from .textcorpus import (
     TfidfStats,
+    atomic_write,
     build_vocab,
     default_stopwords,
     load_clusters,
@@ -158,7 +159,7 @@ class RunConfig:
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -366,7 +367,7 @@ def cmd_decode(cfg):
     width = cfg.get_int("beam_width", 20)
     max_len = cfg.get_int("max_len", 40)
     out = cfg.out_path("decode.jsonl")
-    with open(out, "w", encoding="utf-8") as fh:
+    with atomic_write(out) as fh:
         for record in _decode_records(
             model, clusters_raw, sal_model, features, k, width, max_len, tfidf, lexicons
         ):
@@ -375,26 +376,54 @@ def cmd_decode(cfg):
     return 0
 
 
+def _read_decode_summaries(path, gold):
+    """id -> summary of a decode file's records, in file order. Each line
+    must be a JSON object with string id and summary, and the file must
+    hold exactly one record per corpus cluster."""
+    summaries, first_line = {}, {}
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"{path}:{line_no}: invalid JSON: {exc}") from None
+            if not isinstance(record, dict) or not all(
+                isinstance(record.get(key), str) for key in ("id", "summary")
+            ):
+                raise UsageError(f"{path}:{line_no}: expected an object with string id and summary")
+            cid = record["id"]
+            if cid not in gold:
+                raise UsageError(f"{path}:{line_no}: decode record {cid!r} not in corpus")
+            if cid in first_line:
+                raise UsageError(
+                    f"{path}:{line_no}: repeats id {cid!r} (first on line {first_line[cid]})"
+                )
+            first_line[cid] = line_no
+            summaries[cid] = record["summary"]
+    missing = [cid for cid in gold if cid not in summaries]
+    if missing:
+        raise UsageError(
+            f"{path}: no record for {len(missing)} of {len(gold)} corpus clusters, "
+            f"first {missing[0]!r}"
+        )
+    return summaries
+
+
 def cmd_evaluate(cfg):
     clusters = load_clusters(cfg.require("corpus"))
     gold = {c.id: c.summary.norms() for c in clusters}
-    hyps, refs = [], []
-    with open(cfg.require("decode"), encoding="utf-8") as fh:
-        for line in fh:
-            record = json.loads(line)
-            if record["id"] not in gold:
-                raise UsageError(f"decode record {record['id']!r} not in corpus")
-            hyps.append([t.norm for t in tokenize(record["summary"])])
-            refs.append(gold[record["id"]])
-    if not hyps:
+    summaries = _read_decode_summaries(cfg.require("decode"), gold)
+    if not summaries:
         raise UsageError("decode file is empty")
+    hyps = [[t.norm for t in tokenize(summary)] for summary in summaries.values()]
+    refs = [gold[cid] for cid in summaries]
     report = evalmetrics.summarize_system(hyps, refs)
     _write_csv(
         cfg.out_path("eval.csv"),
         ["bleu", "rouge_su4", "mean_length"],
         [[f"{report.bleu:.6f}", f"{report.rouge_su4:.6f}", f"{report.mean_length:.3f}"]],
     )
-    with open(cfg.out_path("eval.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(cfg.out_path("eval.json")) as fh:
         json.dump(
             {
                 "bleu": report.bleu,

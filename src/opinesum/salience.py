@@ -15,7 +15,14 @@ import numpy as np
 
 from . import numkit
 from .evalmetrics import mrr
-from .textcorpus import TfidfStats, content_norms, cosine_weight_maps, read_artifact, write_block
+from .textcorpus import (
+    TfidfStats,
+    atomic_write,
+    content_norms,
+    cosine_weight_maps,
+    read_artifact,
+    write_block,
+)
 
 SENTIMENT_CATEGORIES = ("positive", "negative", "neutral")
 
@@ -291,7 +298,7 @@ def baseline_rank(kind, cluster, tfidf=None):
 
 def save_model(model, path):
     """Text format: header (d, lambda, beta, registry hash), then weights."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("salience-model v1\n")
         fh.write(f"d {model.w.shape[0]}\n")
         fh.write(f"lambda {format(model.lam, '.17g')}\n")
@@ -323,7 +330,7 @@ def load_model(path, registry=None):
 
 
 def save_registry(registry, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("salience-registry v1\n")
         write_block(fh, "lexicon_categories", registry.lexicon_categories)
         write_block(fh, "top_unigrams", registry.top_unigrams)

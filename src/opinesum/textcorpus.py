@@ -9,9 +9,11 @@ The corpus file format is UTF-8 JSON-lines, one object per cluster:
 pos/ner arrays, when present, must match the tokenizer's token count.
 """
 
+import hashlib
 import itertools
 import json
 import math
+import os
 import string
 from collections import Counter
 from contextlib import contextmanager
@@ -166,7 +168,7 @@ def load_clusters(path):
 
 def save_clusters(clusters, path):
     """Write clusters back out in the JSON-lines corpus format."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for c in clusters:
             obj = {
                 "id": c.id,
@@ -476,11 +478,15 @@ class ArtifactReader:
     """Strict line reader for the text artifacts (seq2seq checkpoint,
     salience model and registry). Every line must end in a newline, so a
     file cut mid-line never parses, and every error is a ValueError naming
-    the path. Lines are read one at a time, so a large file streams."""
+    the path. Lines are read one at a time, so a large file streams, and
+    each is hashed as it is read (see digest_before_last)."""
 
     def __init__(self, fh, path):
         self.path, self._fh = path, fh
         self.line_no = 0  # of the line last asked for
+        self.magic = None  # the first line, set by read_artifact
+        self._sha256 = hashlib.sha256()
+        self._last = b""  # the line last read, not yet hashed
 
     def error(self, message):
         return ValueError(f"{self.path}: {message}")
@@ -494,7 +500,13 @@ class ArtifactReader:
             raise self.error("not UTF-8 text") from None
         if line and not line.endswith("\n"):
             raise self.error(f"truncated: line {self.line_no} has no newline")
+        self._sha256.update(self._last)
+        self._last = line.encode("utf-8")
         return line[:-1] if line else None
+
+    def digest_before_last(self):
+        """The sha256 hex digest of every line before the one last read."""
+        return self._sha256.hexdigest()
 
     def __iter__(self):
         while (line := self.next()) is not None:
@@ -531,13 +543,15 @@ class ArtifactReader:
 
 
 @contextmanager
-def read_artifact(path, magic):
+def read_artifact(path, *magics):
     """Yield an ArtifactReader over a text artifact whose first line must be
-    `magic`; when the body is done, no line may be left."""
+    one of `magics` (kept as reader.magic); when the body is done, no line
+    may be left."""
     with open(path, encoding="utf-8") as fh:
         reader = ArtifactReader(fh, path)
-        if reader.next() != magic:
-            raise reader.error(f"line 1: expected {magic!r}")
+        reader.magic = reader.next()
+        if reader.magic not in magics:
+            raise reader.error("line 1: expected " + " or ".join(map(repr, magics)))
         yield reader
         extra = sum(1 for _ in reader)
         if extra:
@@ -549,3 +563,21 @@ def write_block(fh, key, lines):
     fh.write(f"{key} {len(lines)}\n")
     for line in lines:
         fh.write(line + "\n")
+
+
+@contextmanager
+def atomic_write(path, binary=False, newline=None):
+    """Yield a file to write `path`'s new contents to. It is a temporary
+    file in the same directory, moved onto `path` by os.replace when the
+    block ends; if the block raises, it is removed and `path` keeps its old
+    contents. Text files are UTF-8."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

@@ -477,9 +477,45 @@ class TestSerialization:
         y = list(model.vocab.encode(cluster.summary.norms())) + [model.vocab.eos]
         loglik, _ = sequence_log_prob(model, z, y)
         assert loglik == pytest.approx(-6.966382877818599, rel=1e-12)
+        # v1 is read-only: saving writes v2, which loads back bit for bit
         again = tmp_path / "model.txt"
         save_model(model, again)
-        assert again.read_bytes() == path.read_bytes()
+        assert again.read_text().startswith("opinesum-model v2\n")
+        loaded = load_model(again)
+        for (name, a), (_, b) in zip(model.named_tensors(), loaded.named_tensors()):
+            assert a.tobytes() == b.tobytes(), name
+        assert sequence_log_prob(loaded, z, y)[0] == loglik
+
+    def test_saved_checkpoint_is_ascii_with_vocab_on_line_3_and_reproducible(self, tiny, tmp_path):
+        # tools read the vocabulary size from line 3 of a text-mode file
+        # and compare the bytes of two saves of one model
+        model, _, _, _ = tiny
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_model(model, first)
+        save_model(model, second)
+        with open(first, encoding="ascii") as fh:
+            lines = fh.read().split("\n")
+        assert lines[2] == f"vocab {len(model.vocab)}"
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_failed_save_keeps_the_old_checkpoint(self, tiny, tmp_path, monkeypatch):
+        model, _, _, _ = tiny
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        before = path.read_bytes()
+        other = model.snapshot()
+        other.b_out += 1.0
+        first_three = list(other.named_tensors())[:3]
+
+        def tensors_then_fail():
+            yield from first_three
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(other, "named_tensors", tensors_then_fail)
+        with pytest.raises(RuntimeError, match="disk full"):
+            save_model(other, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.txt"]
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -506,15 +542,17 @@ class TestSerialization:
         path.write_text("\n".join(lines[: start + 2]) + "\n")
         with pytest.raises(ValueError, match="W_out"):
             load_model(path)
-        # a row cut short inside the last tensor
-        path.write_text("\n".join(lines[:-2] + [lines[-2].rsplit(" ", 1)[0]]) + "\n")
-        with pytest.raises(ValueError, match="b_out"):
+        # a row cut short inside the last tensor, the digest line kept
+        assert lines[-2].startswith("sha256 ") and lines[-1] == ""
+        path.write_text("\n".join(lines[:-3] + [lines[-3][:-4]] + lines[-2:]))
+        with pytest.raises(ValueError, match="b_out row holds"):
             load_model(path)
 
     def test_rejects_duplicated_tensor(self, tiny, tmp_path):
         path, lines = self._saved_lines(tiny, tmp_path)
         start = lines.index(next(ln for ln in lines if ln.startswith("tensor b_out ")))
-        path.write_text("\n".join(lines[:-1] + lines[start:-1]) + "\n")
+        # the b_out block again, between the first one and the digest line
+        path.write_text("\n".join(lines[:-2] + lines[start:-2] + lines[-2:]))
         with pytest.raises(ValueError, match="b_out appears twice"):
             load_model(path)
 
@@ -535,6 +573,21 @@ class TestSerialization:
         lines[start + 1] += " 0.5"
         path.write_text("\n".join(lines))
         with pytest.raises(ValueError, match="W_out"):
+            load_model(path)
+
+    def test_rejects_flipped_payload_byte(self, tiny, tmp_path):
+        path, lines = self._saved_lines(tiny, tmp_path)
+        row = lines.index(next(ln for ln in lines if ln.startswith("tensor W_out "))) + 1
+        # another base64 letter: the row still decodes to its full width
+        lines[row] = ("B" if lines[row][0] != "B" else "C") + lines[row][1:]
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*digest mismatch"):
+            load_model(path)
+
+    def test_rejects_missing_digest(self, tiny, tmp_path):
+        path, lines = self._saved_lines(tiny, tmp_path)
+        path.write_text("\n".join(lines[:-2]) + "\n")
+        with pytest.raises(ValueError, match="no 'sha256 <hex>' line"):
             load_model(path)
 
     def test_rejects_non_utf8(self, tiny, tmp_path):

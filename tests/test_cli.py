@@ -385,6 +385,31 @@ class TestDecodeEvaluate:
         rows = list(csv.reader(open(out / "eval.csv")))
         assert rows[0] == ["bleu", "rouge_su4", "mean_length"]
 
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ([{"id": "m0", "summary": "a smart thrilling ride"}],
+             ": no record for 2 of 3 corpus clusters, first 'm1'"),
+            ([{"id": cid, "summary": "x"} for cid in ("m0", "m1", "m2", "m1")],
+             ":4: repeats id 'm1' (first on line 2)"),
+            ([{"id": "m0", "summary": "x"}, {"id": "m1"}, {"id": "m2", "summary": "x"}],
+             ":2: expected an object with string id and summary"),
+            ([{"id": "m0", "summary": "x"}, [1, 2], {"id": "m2", "summary": "x"}],
+             ":2: expected an object with string id and summary"),
+        ],
+        ids=["one_of_three_clusters", "repeated_id", "record_without_summary", "record_not_an_object"],
+    )
+    def test_evaluate_rejects_bad_decode_file(self, tmp_path, corpus_file, capsys, records, message):
+        dec = tmp_path / "decode.jsonl"
+        dec.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "ev"
+        assert main(
+            ["evaluate", "--set", f"corpus={corpus_file}",
+             "--set", f"decode={dec}", "--set", f"out_dir={out}"]
+        ) == 2
+        assert f"error: {dec}{message}" in capsys.readouterr().err
+        assert not (out / "eval.json").exists()
+
     def test_evaluate_unknown_id(self, tmp_path, corpus_file):
         dec = tmp_path / "decode.jsonl"
         dec.write_text(json.dumps({"id": "zz", "summary": "x", "nbest": []}) + "\n")

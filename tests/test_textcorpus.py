@@ -10,6 +10,7 @@ from opinesum.textcorpus import (
     Cluster,
     CorpusFormatError,
     TfidfStats,
+    atomic_write,
     build_vocab,
     content_norms,
     cosine_weight_maps,
@@ -163,6 +164,38 @@ class TestCorpusFile:
         with pytest.raises(CorpusFormatError, match="duplicate cluster id 'x'.*line 1") as excinfo:
             load_clusters(path)
         assert excinfo.value.line_no == 3
+
+
+class TestAtomicWrite:
+    def test_complete_write_replaces_the_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        with atomic_write(path, binary=True) as fh:
+            fh.write(b"\x00\xff")
+        assert path.read_bytes() == b"\x00\xff"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_raising_writer_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old contents\n")
+        with pytest.raises(RuntimeError, match="mid-way"):
+            with atomic_write(path) as fh:
+                fh.write("new contents that never land\n" * 1000)
+                fh.flush()
+                raise RuntimeError("mid-way")
+        assert path.read_bytes() == b"old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_raising_writer_creates_no_file(self, tmp_path):
+        path = tmp_path / "fresh.txt"
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("mid-way")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEmbeddings:
