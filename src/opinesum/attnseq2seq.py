@@ -271,12 +271,7 @@ def new_model(vocab, features, d_emb, d_h, d_a):
 @dataclass
 class _StepCache:
     u: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
+    gates: np.ndarray  # activations of i, f, g, o on the last axis
     c: np.ndarray
     h: np.ndarray
 
@@ -284,47 +279,83 @@ class _StepCache:
 def _rows(W, x):
     """W @ x for a vector x, or W @ x_r for every row x_r of a matrix x.
 
-    A vector takes the same matrix-vector product as a single sequence
-    always has, so the training path keeps its exact arithmetic.
+    A vector takes a matrix-vector product, as the single-sequence decoder
+    step always has.
     """
     return (W @ x.T).T
+
+
+def _lstm_gates(p, a, prev):
+    """Finish one LSTM update from the input projection a = Wu u (a vector,
+    or one row per sequence). a is overwritten, in place, with the
+    activations of the gates i, f, g, o; returns the new state."""
+    d = p.d_h
+    # summed as (Wu u + Wh h) + b, the order of the per-step cell: which
+    # snapshot training keeps moves with last-bit changes
+    a += _rows(p.Wh, prev.h)
+    a += p.b
+    a[..., : 2 * d] += _rows(p.Wc[: 2 * d], prev.c)
+    a[..., : 2 * d] = sigmoid_elem(a[..., : 2 * d])
+    np.tanh(a[..., 2 * d : 3 * d], out=a[..., 2 * d : 3 * d])
+    c = a[..., d : 2 * d] * prev.c + a[..., :d] * a[..., 2 * d : 3 * d]
+    # the output gate sees the NEW cell
+    a[..., 3 * d :] = sigmoid_elem(a[..., 3 * d :] + _rows(p.Wc[2 * d :], c))
+    return LstmState(h=a[..., 3 * d :] * np.tanh(c), c=c)
 
 
 def _lstm_forward(p, u, prev):
     """One LSTM update. u and the state are vectors, or matrices with one
     row per sequence (the live rows of a beam)."""
-    d = p.d_h
-    a = _rows(p.Wu, u) + _rows(p.Wh, prev.h) + p.b  # gate pre-activations
-    a[..., : 2 * d] += _rows(p.Wc[: 2 * d], prev.c)
-    i = sigmoid_elem(a[..., :d])
-    f = sigmoid_elem(a[..., d : 2 * d])
-    g = np.tanh(a[..., 2 * d : 3 * d])
-    c = f * prev.c + i * g
-    # the output gate sees the NEW cell
-    o = sigmoid_elem(a[..., 3 * d :] + _rows(p.Wc[2 * d :], c))
-    h = o * np.tanh(c)
-    cache = _StepCache(u=u, h_prev=prev.h, c_prev=prev.c, i=i, f=f, g=g, o=o, c=c, h=h)
-    return LstmState(h=h, c=c), cache
+    gates = _rows(p.Wu, u)
+    state = _lstm_gates(p, gates, prev)
+    return state, _StepCache(u=u, gates=gates, c=state.c, h=state.h)
+
+
+@dataclass
+class _Chain:
+    """One LSTM chain's activations, one row per step in the order the
+    chain ran: inputs U, gate activations, and the states H and C with the
+    zero initial state as row 0 (so step t reads row t, writes row t+1)."""
+
+    U: np.ndarray
+    gates: np.ndarray
+    H: np.ndarray
+    C: np.ndarray
+
+
+def _run_chain(p, U):
+    """Run an LSTM chain from zero states over the rows of U. The input
+    projections of every step come from one GEMM before the recurrence."""
+    n = U.shape[0]
+    gates = U @ p.Wu.T
+    H = np.zeros((n + 1, p.d_h))
+    C = np.zeros((n + 1, p.d_h))
+    for t in range(n):
+        state = _lstm_gates(p, gates[t], LstmState(h=H[t], c=C[t]))
+        H[t + 1] = state.h
+        C[t + 1] = state.c
+    return _Chain(U=U, gates=gates, H=H, C=C)
 
 
 def _token_repr(model, index, feat_ids, tfidf_val):
     """Input vector of one token, or one row per token for an index array
-    (feat_ids then has one row of channel ids per token)."""
+    (feat_ids then has one row of channel ids per token, and tfidf_val is
+    one value or one per token)."""
     parts = [model.embeddings.matrix[index]]
     if model.features:
         for k, ch in enumerate(CHANNELS):
             parts.append(model.feat_tables[ch][feat_ids[..., k]])
-        parts.append(np.full(np.shape(index) + (1,), tfidf_val, dtype=np.float64))
+        cont = np.asarray(tfidf_val, dtype=np.float64)[..., None]
+        parts.append(np.broadcast_to(cont, np.shape(index) + (1,)))
     return np.concatenate(parts, axis=-1)
 
 
 @dataclass
 class _EncTrace:
     z: object
-    ids: list
-    reprs: list
-    fwd: list
-    bwd: list
+    ids: np.ndarray | None  # feature channel ids, one row per position
+    fwd: _Chain  # rows in position order
+    bwd: _Chain  # rows in reverse position order
     contexts: np.ndarray
     keys: np.ndarray
 
@@ -336,31 +367,15 @@ def _encode_trace(model, z):
     indices = z.indices
     if indices.min() < 0 or indices.max() >= len(model.vocab):
         raise ValueError("encoder input contains an invalid token index")
-    ids = []
-    reprs = []
-    for t in range(n):
-        feat_ids = model.features.encode_ids(z.tokens[t]) if model.features else None
-        ids.append(feat_ids)
-        reprs.append(_token_repr(model, indices[t], feat_ids, z.tfidf[t]))
-    d_h = model.d_h
-    fwd = []
-    state = LstmState.zeros(d_h)
-    h_f = np.empty((n, d_h))
-    for t in range(n):
-        state, cache = _lstm_forward(model.enc_f, reprs[t], state)
-        fwd.append(cache)
-        h_f[t] = state.h
-    bwd = []
-    state = LstmState.zeros(d_h)
-    h_b = np.empty((n, d_h))
-    for j in range(n):
-        pos = n - 1 - j  # feed the input in reverse order
-        state, cache = _lstm_forward(model.enc_b, reprs[pos], state)
-        bwd.append(cache)
-        h_b[pos] = state.h
-    contexts = np.concatenate([h_f, h_b], axis=1)
+    ids = None
+    if model.features:
+        ids = np.array([model.features.encode_ids(tok) for tok in z.tokens])
+    reprs = _token_repr(model, indices, ids, z.tfidf)
+    fwd = _run_chain(model.enc_f, reprs)
+    bwd = _run_chain(model.enc_b, reprs[::-1])  # feed the input in reverse order
+    contexts = np.concatenate([fwd.H[1:], bwd.H[:0:-1]], axis=1)
     return _EncTrace(
-        z=z, ids=ids, reprs=reprs, fwd=fwd, bwd=bwd, contexts=contexts,
+        z=z, ids=ids, fwd=fwd, bwd=bwd, contexts=contexts,
         keys=attention_keys(model, contexts),
     )
 
@@ -404,7 +419,6 @@ class _DecStepCache:
     attn: _AttnCache
     lstm: _StepCache
     probs: np.ndarray
-    target: int | None = None
 
 
 def _decode_ids(model, y_prev_index):
@@ -494,7 +508,6 @@ def sequence_log_prob(model, z, y):
     steps = []
     for inp, target in zip(inputs, y):
         state, logits, cache = _decode_core(model, inp, state, enc.contexts, enc.keys)
-        cache.target = target
         loglik += float(log_softmax(logits)[target])
         steps.append(cache)
     return loglik, ForwardTrace(
@@ -511,60 +524,70 @@ def sequence_log_prob(model, z, y):
 # backward
 
 
-def _lstm_backward(p, cache, dh, dc_in, grad):
-    """One step of LSTM BPTT, accumulated into the gradient cell grad;
-    returns (du, dh_prev, dc_prev)."""
+def _lstm_backward(p, gates, c_prev, c, dh, dc_in):
+    """One step of LSTM BPTT through the step that read the cell c_prev and
+    produced the gate activations `gates` and the cell c. Returns the gate
+    pre-activation deltas da, dh_prev and dc_prev; the weight gradients
+    come from the deltas of the whole chain at once (_cell_gradients)."""
     d = p.d_h
-    tanh_c = np.tanh(cache.c)
-    da_o = dh * tanh_c * cache.o * (1.0 - cache.o)
-    dc = dh * cache.o * (1.0 - tanh_c * tanh_c) + dc_in + p.Wc[2 * d :].T @ da_o
+    i, f, g, o = (gates[k * d : (k + 1) * d] for k in range(4))
+    tanh_c = np.tanh(c)
+    da_o = dh * tanh_c * o * (1.0 - o)
+    dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_in + p.Wc[2 * d :].T @ da_o
     # pre-activation deltas of the gates i, f, g, o
     da = np.concatenate(
-        [
-            dc * cache.g * cache.i * (1.0 - cache.i),
-            dc * cache.c_prev * cache.f * (1.0 - cache.f),
-            dc * cache.i * (1.0 - cache.g * cache.g),
-            da_o,
-        ]
+        [dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f), dc * i * (1.0 - g * g), da_o]
     )
-
-    # one gate block at a time keeps the rank-1 temporaries small
-    for k in range(4):
-        rows = slice(k * d, (k + 1) * d)
-        grad.Wu[rows] += np.outer(da[rows], cache.u)
-        grad.Wh[rows] += np.outer(da[rows], cache.h_prev)
-    grad.Wc[: 2 * d] += np.outer(da[: 2 * d], cache.c_prev)
-    grad.Wc[2 * d :] += np.outer(da_o, cache.c)
-    grad.b += da
-
-    dc_prev = dc * cache.f + p.Wc[: 2 * d].T @ da[: 2 * d]
-    return p.Wu.T @ da, p.Wh.T @ da, dc_prev
+    dc_prev = dc * f + p.Wc[: 2 * d].T @ da[: 2 * d]
+    return da, p.Wh.T @ da, dc_prev
 
 
-def _attend_backward(model, grad, contexts, cache, ds, db, h_prev):
-    """Backward through one attention application; accumulates into db."""
-    da = contexts @ ds
-    db += np.outer(cache.a, ds)
-    de = cache.a * (da - float(cache.a @ da))
+def _cell_gradients(grad, chain, DA):
+    """Write a chain's weight gradients into the zero gradient cell grad,
+    from the gate deltas DA of all its steps (one row per step): one GEMM
+    per weight against the stacked inputs and states."""
+    d = grad.d_h
+    np.matmul(DA.T, chain.U, out=grad.Wu)
+    np.matmul(DA.T, chain.H[:-1], out=grad.Wh)
+    np.matmul(DA[:, : 2 * d].T, chain.C[:-1], out=grad.Wc[: 2 * d])
+    np.matmul(DA[:, 3 * d :].T, chain.C[1:], out=grad.Wc[2 * d :])
+    DA.sum(axis=0, out=grad.b)
+
+
+def _chain_backward(p, chain, dH, grad):
+    """BPTT through an encoder chain whose states receive dH (one row per
+    step) from the attention; returns the input gradients, one row per
+    step."""
+    DA = np.empty_like(chain.gates)
+    dh = np.zeros(p.d_h)
+    dc = np.zeros(p.d_h)
+    for t in range(len(DA) - 1, -1, -1):
+        DA[t], dh, dc = _lstm_backward(p, chain.gates[t], chain.C[t], chain.C[t + 1], dH[t] + dh, dc)
+    _cell_gradients(grad, chain, DA)
+    return DA @ p.Wu
+
+
+def _attend_backward(model, grad, contexts, cache, ds):
+    """Backward through one attention step, from the gradient ds of its
+    summary down to the pre-activations q: accumulates W_s and returns dq
+    (n x d_a). The W_cg, W_hg and context terms are formed from the dq of
+    all steps after the decoder loop."""
+    de_ctx = contexts @ ds
+    de = cache.a * (de_ctx - float(cache.a @ de_ctx))
     grad.W_s += cache.t.T @ de
-    dt = np.outer(de, model.attn.W_s)
-    dq = dt * (1.0 - cache.t * cache.t)
-    grad.W_cg += dq.T @ contexts
-    dq_sum = dq.sum(axis=0)
-    grad.W_hg += np.outer(dq_sum, h_prev)
-    db += dq @ model.attn.W_cg
-    return model.attn.W_hg.T @ dq_sum
+    return np.outer(de, model.attn.W_s) * (1.0 - cache.t * cache.t)
 
 
-def _repr_backward(model, grads, index, feat_ids, d_rep):
+def _repr_backward(model, grads, indices, feat_ids, d_rep):
+    """Scatter-add d_rep (one row per token) into the embedding and
+    feature-table rows the tokens' input vectors read."""
     d_emb = model.d_emb
-    grads.embeddings.matrix[index] += d_rep[:d_emb]
+    np.add.at(grads.embeddings.matrix, indices, d_rep[:, :d_emb])
     if model.features:
-        off = d_emb
         dim = model.features.dim
-        for ch, fid in zip(CHANNELS, feat_ids):
-            grads.feat_tables[ch][fid] += d_rep[off : off + dim]
-            off += dim
+        for k, ch in enumerate(CHANNELS):
+            off = d_emb + k * dim
+            np.add.at(grads.feat_tables[ch], feat_ids[:, k], d_rep[:, off : off + dim])
         # the trailing continuous slot is an input, not a parameter
 
 
@@ -573,7 +596,9 @@ def backward_pass(model, trace, scale=1.0):
 
     Returns {name: gradient} under the names of model.named_tensors().
     Rows of the embedding/feature tables not touched by the example keep an
-    exactly zero gradient.
+    exactly zero gradient. The recurrences run one step at a time; every
+    weight gradient is then one GEMM over the stacked steps of its chain,
+    written straight into the zero gradient model.
     """
     if trace.model_id != id(model) or trace.version != model.version:
         raise StaleTraceError("trace is stale: model parameters changed since the forward pass")
@@ -581,41 +606,51 @@ def backward_pass(model, trace, scale=1.0):
     d_h = model.d_h
     token_dim = model.token_dim
     contexts = trace.enc.contexts
-    n = contexts.shape[0]
-    db = np.zeros((n, 2 * d_h))
+    steps = trace.steps
+    T = len(steps)
+    zero = np.zeros(d_h)
+    dec = _Chain(
+        U=np.array([s.lstm.u for s in steps]),
+        gates=np.array([s.lstm.gates for s in steps]),
+        H=np.array([zero] + [s.lstm.h for s in steps]),
+        C=np.array([zero] + [s.lstm.c for s in steps]),
+    )
 
-    dh_next = np.zeros(d_h)
-    dc_next = np.zeros(d_h)
-    for step in reversed(trace.steps):
-        dlogits = step.probs * scale
-        dlogits[step.target] -= scale
-        grads.W_out += np.outer(dlogits, step.lstm.h)
-        grads.b_out += dlogits
-        dh = model.W_out.T @ dlogits + dh_next
-        du, dh_prev_l, dc_next = _lstm_backward(model.dec, step.lstm, dh, dc_next, grads.dec)
-        _repr_backward(model, grads, step.input_index, step.input_ids, du[:token_dim])
-        dh_prev_a = _attend_backward(
-            model, grads.attn, contexts, step.attn, du[token_dim:], db, h_prev=step.lstm.h_prev
-        )
-        dh_next = dh_prev_l + dh_prev_a
+    dlogits = np.array([s.probs for s in steps]) * scale
+    dlogits[np.arange(T), trace.targets] -= scale
+    np.matmul(dlogits.T, dec.H[1:], out=grads.W_out)
+    dlogits.sum(axis=0, out=grads.b_out)
+    dH = dlogits @ model.W_out
 
-    dh_f = db[:, :d_h]
-    dh_b = db[:, d_h:]
-    dh_next = np.zeros(d_h)
-    dc_next = np.zeros(d_h)
-    for t in range(n - 1, -1, -1):
-        du, dh_next, dc_next = _lstm_backward(
-            model.enc_f, trace.enc.fwd[t], dh_f[t] + dh_next, dc_next, grads.enc_f
-        )
-        _repr_backward(model, grads, trace.enc.z.indices[t], trace.enc.ids[t], du)
-    dh_next = np.zeros(d_h)
-    dc_next = np.zeros(d_h)
-    for j in range(n - 1, -1, -1):
-        pos = n - 1 - j  # backward-chain step j consumed position n-1-j
-        du, dh_next, dc_next = _lstm_backward(
-            model.enc_b, trace.enc.bwd[j], dh_b[pos] + dh_next, dc_next, grads.enc_b
-        )
-        _repr_backward(model, grads, trace.enc.z.indices[pos], trace.enc.ids[pos], du)
+    p = model.dec
+    DA = np.empty_like(dec.gates)
+    DS = np.empty((T, 2 * d_h))  # gradients of the attention summaries
+    dq_steps = np.empty((T, model.d_a))  # dq summed over contexts, per step
+    dq_ctx = np.zeros((contexts.shape[0], model.d_a))  # dq summed over steps
+    dh = zero
+    dc = zero
+    for t in range(T - 1, -1, -1):
+        DA[t], dh_l, dc = _lstm_backward(p, dec.gates[t], dec.C[t], dec.C[t + 1], dH[t] + dh, dc)
+        DS[t] = p.Wu[:, token_dim:].T @ DA[t]
+        dq = _attend_backward(model, grads.attn, contexts, steps[t].attn, DS[t])
+        dq_ctx += dq
+        dq_steps[t] = dq.sum(axis=0)
+        dh = dh_l + model.attn.W_hg.T @ dq_steps[t]
+    _cell_gradients(grads.dec, dec, DA)
+    np.matmul(dq_steps.T, dec.H[:-1], out=grads.attn.W_hg)
+    np.matmul(dq_ctx.T, contexts, out=grads.attn.W_cg)
+    inputs = np.array([s.input_index for s in steps])
+    dec_ids = np.array([s.input_ids for s in steps]) if model.features else None
+    _repr_backward(model, grads, inputs, dec_ids, DA @ p.Wu[:, :token_dim])
+
+    # contexts feed the attention summaries and, through W_cg, the keys
+    attn_a = np.array([s.attn.a for s in steps])
+    db = attn_a.T @ DS + dq_ctx @ model.attn.W_cg
+    enc = trace.enc
+    d_rep = _chain_backward(model.enc_f, enc.fwd, db[:, :d_h], grads.enc_f)
+    # the backward chain's step j read position n-1-j
+    d_rep += _chain_backward(model.enc_b, enc.bwd, db[::-1, d_h:], grads.enc_b)[::-1]
+    _repr_backward(model, grads, enc.z.indices, enc.ids, d_rep)
     return dict(grads.named_tensors())
 
 

@@ -71,14 +71,11 @@ def log_softmax(v):
 
 
 def sigmoid_elem(v):
-    """Elementwise logistic sigmoid, stable on both tails."""
+    """Elementwise logistic sigmoid, stable on both tails: exp is only ever
+    taken of -|x|."""
     arr = as_rows(v)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ez = np.exp(arr[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(arr))
+    return np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def cholesky_lower(a):
@@ -98,26 +95,38 @@ def cholesky_lower(a):
     return lower
 
 
+SOLVE_BLOCK = 64  # rows per block of the triangular solves
+
+
 def solve_spd(a, b):
     """Solve A x = b for symmetric positive-definite A via Cholesky.
 
-    Never forms an inverse: factor, then forward/back substitution.
+    Never forms an inverse: factor with LAPACK, then forward and back
+    substitution in blocks of SOLVE_BLOCK rows (one matrix-vector product
+    and one small dense solve per block). A matrix LAPACK rejects is
+    refactored by cholesky_lower, so the error names the failing pivot.
     """
     mat = as_matrix(a, "A")
     rhs = as_vector(b, "b")
     n = mat.shape[0]
     if mat.shape[1] != n or rhs.shape[0] != n:
         raise ValueError(f"solve_spd shape mismatch: A {mat.shape}, b {rhs.shape}")
+    blocks = [(s, min(s + SOLVE_BLOCK, n)) for s in range(0, n, SOLVE_BLOCK)]
     tol = 1e-10 * max(1.0, float(np.abs(mat).max()) if n else 1.0)
-    if n and float(np.abs(mat - mat.T).max()) > tol:
+    # row block against column block, so the transposed reads stay in cache
+    if any(float(np.abs(mat[s:e, s:] - mat[s:, s:e].T).max()) > tol for s, e in blocks):
         raise ValueError("solve_spd: matrix is not symmetric within 1e-10")
-    lower = cholesky_lower(mat)
+    try:
+        lower = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
+        cholesky_lower(mat)  # raises NotPositiveDefiniteError naming the pivot
+        raise ValueError(f"solve_spd: matrix is not positive-definite ({exc})") from exc
     y = np.empty(n)
-    for i in range(n):
-        y[i] = (rhs[i] - lower[i, :i] @ y[:i]) / lower[i, i]
+    for s, e in blocks:
+        y[s:e] = np.linalg.solve(lower[s:e, s:e], rhs[s:e] - lower[s:e, :s] @ y[:s])
     x = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
+    for s, e in reversed(blocks):
+        x[s:e] = np.linalg.solve(lower[s:e, s:e].T, y[s:e] - lower[e:, s:e].T @ x[e:])
     return x
 
 

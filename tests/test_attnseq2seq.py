@@ -54,9 +54,8 @@ class TestLstmStep:
         state, cache = _lstm_forward(p, np.zeros(2), LstmState.zeros(3))
         np.testing.assert_array_equal(state.c, np.zeros(3))
         np.testing.assert_array_equal(state.h, np.zeros(3))
-        np.testing.assert_allclose(cache.i, 0.5)
-        np.testing.assert_allclose(cache.f, 0.5)
-        np.testing.assert_allclose(cache.o, 0.5)
+        # gate activations i, f, g, o: sigmoid(0) and tanh(0)
+        np.testing.assert_allclose(cache.gates, np.repeat([0.5, 0.5, 0.0, 0.5], 3))
 
     def test_saturated_gates_carry_memory(self):
         p = LstmCellParams.zeros(2, 3)
@@ -86,8 +85,10 @@ class TestLstmStep:
             state, cache = _lstm_forward(
                 p, rng.normal(size=4), LstmState(h=np.tanh(rng.normal(size=4)), c=rng.normal(size=4))
             )
-            for gate in (cache.i, cache.f, cache.o):
+            i, f, g, o = np.split(cache.gates, 4)
+            for gate in (i, f, o):
                 assert np.all(gate > 0) and np.all(gate < 1)
+            assert np.all(np.abs(g) < 1)
             assert np.all(np.abs(state.h) < 1)
 
 

@@ -1,0 +1,36 @@
+"""The benchmark's traced run still sees the layers it times.
+
+perfbench/tracing.py wraps library functions by module and name; a rename
+or an inlined layer would leave its span empty and its metric at zero
+without any error. Each test runs one tiny traced benchmark (about two
+seconds) and checks that the spans of the training path were recorded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+POSITIVE = (
+    "attnseq2seq.backward_pass.calls",
+    "trainer.adagrad_update.calls",
+    "attnseq2seq.encode.s",
+    "attnseq2seq.sequence_log_prob.s",
+)
+
+
+@pytest.mark.parametrize("workload", ["decode-beam", "salience-wide"])
+def test_traced_smoke_run_records_the_training_layers(workload):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--smoke", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    for name in POSITIVE:
+        assert result["metrics"][name]["value"] > 0, name

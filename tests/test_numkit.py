@@ -56,7 +56,32 @@ class TestSoftmax:
         np.testing.assert_allclose(log_softmax(v), np.log(softmax(v)), atol=1e-12)
 
 
+def masked_sigmoid(v):
+    """The masked-assignment sigmoid sigmoid_elem replaced, as an oracle."""
+    arr = np.asarray(v, dtype=np.float64)
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    ez = np.exp(arr[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 class TestElementwise:
+    def test_sigmoid_bit_identical_to_masked_form(self):
+        rng = np.random.default_rng(29)
+        inputs = [
+            np.array([0.0, -0.0, 1.0, -1.0, 1000.0, -1000.0]),
+            rng.normal(scale=4.0, size=150),
+            rng.normal(scale=20.0, size=(7, 33)),
+        ]
+        for v in inputs:
+            np.testing.assert_array_equal(sigmoid_elem(v), masked_sigmoid(v))
+
+    def test_sigmoid_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            sigmoid_elem([0.0, float("inf")])
+
     def test_sigmoid_zero(self):
         np.testing.assert_allclose(sigmoid_elem([0.0]), [0.5])
 
@@ -93,6 +118,40 @@ class TestSolveSpd:
             b = rng.normal(size=n)
             x = solve_spd(a, b)
             assert np.abs(a @ x - b).max() <= 1e-9 * (1 + np.abs(b).max())
+
+    @pytest.mark.parametrize("n", [65, 130, 509])
+    def test_residual_bound_across_blocks(self, n):
+        # sizes past one, two and eight 64-row blocks of the substitutions
+        rng = np.random.default_rng(n)
+        g = rng.normal(size=(n, n))
+        a = g.T @ g + np.eye(n)
+        b = rng.normal(size=n)
+        x = solve_spd(a, b)
+        assert np.abs(a @ x - b).max() <= 1e-9 * (1 + np.abs(b).max())
+
+    def test_dense_non_spd_names_pivot_past_first_block(self):
+        # A = L D L^T with unit lower-triangular L: the first 100 pivots are
+        # D's positive ones, pivot 100 is -1
+        n = 130
+        rng = np.random.default_rng(31)
+        lower = np.tril(rng.normal(scale=0.1, size=(n, n)), -1) + np.eye(n)
+        d = np.ones(n)
+        d[100] = -1.0
+        a = (lower * d) @ lower.T
+        a = (a + a.T) / 2
+        with pytest.raises(NotPositiveDefiniteError) as excinfo:
+            solve_spd(a, np.ones(n))
+        assert excinfo.value.pivot == 100
+        assert "pivot 100" in str(excinfo.value)
+
+    def test_no_solution_for_a_matrix_lapack_rejects(self, monkeypatch):
+        # even where the column-loop factor accepts the matrix
+        def reject(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", reject)
+        with pytest.raises(ValueError, match="not positive-definite"):
+            solve_spd(np.eye(3), np.ones(3))
 
     def test_not_positive_definite_names_pivot(self):
         a = np.diag([1.0, -1.0, 2.0])

@@ -4,7 +4,9 @@ import pytest
 from conftest import make_cluster
 from opinesum import trainer
 from opinesum.attnseq2seq import backward_pass, sequence_log_prob
-from opinesum.textcorpus import build_vocab, load_embeddings
+from opinesum.salience import LexiconSet
+from opinesum.sampler import build_input
+from opinesum.textcorpus import Cluster, TfidfStats, build_vocab, load_embeddings, text_unit
 from opinesum.trainer import (
     AdagradState,
     TrainConfig,
@@ -12,6 +14,7 @@ from opinesum.trainer import (
     _ExtendedForward,
     _tiny_instance,
     adagrad_update,
+    build_features,
     gradient_check,
     init_params,
     train,
@@ -206,7 +209,55 @@ class TestTrain:
             train(memorize_corpus, memorize_corpus, config, scores, pretrained=poisoned)
 
 
+def long_instance(seed):
+    """A features-on model and an example of 43 encoder tokens (four
+    10-token units, three SEG) and 9 targets, so the stacked per-chain
+    gradient products run over many steps."""
+    rng = np.random.default_rng(seed)
+    words = [f"v{i}" for i in range(24)]
+    units = []
+    for k in range(4):
+        ws = [words[i] for i in rng.integers(0, 20, size=10)]
+        units.append(
+            text_unit(
+                " ".join(w.capitalize() if j % 4 == 0 else w for j, w in enumerate(ws)),
+                pos=[("nn", "vb", "jj")[(j + k) % 3] for j in range(10)],
+                ner=["PER" if j % 5 == 0 else "O" for j in range(10)],
+            )
+        )
+    cluster = Cluster(
+        id="long", units=tuple(units), summary=text_unit(" ".join(words[16:24])), entity=None
+    )
+    vocab = build_vocab([cluster])
+    lex = LexiconSet(
+        general={"v0": ("strong",), "v3": ("weak",)},
+        sentiment={"v1": "positive", "v2": "negative", "v17": "neutral"},
+    )
+    features = build_features([cluster], lex, dim=10)
+    model = init_params(TrainConfig(d_emb=8, d_h=6, d_a=5, seed=seed), vocab, features)
+    z = build_input(cluster, [0, 1, 2, 3], vocab, TfidfStats([cluster]))
+    y = list(vocab.encode(cluster.summary.norms())) + [vocab.eos]
+    return model, z, y
+
+
 class TestGradientCheck:
+    def test_long_sequence_matches_central_differences(self):
+        # the first, the last and three seeded random coordinates of every
+        # tensor, against the longdouble oracle's batched central differences
+        model, z, y = long_instance(seed=7)
+        assert len(z) >= 40 and len(y) >= 8
+        _, trace = sequence_log_prob(model, z, y)
+        grads = backward_pass(model, trace)
+        fwd = _ExtendedForward(model, z, y)
+        eps = np.longdouble(trainer.CHECK_EPSILON)
+        rng = np.random.default_rng(11)
+        for name, arr in model.named_tensors():
+            coords = np.unique(np.r_[0, arr.size - 1, rng.integers(arr.size, size=3)])
+            gn = (fwd.losses(name, coords, eps) - fwd.losses(name, coords, -eps)) / (2 * eps)
+            ga = grads[name].reshape(-1)[coords]
+            rel = np.abs(ga - gn.astype(np.float64)) / np.maximum(1e-8, np.abs(ga) + np.abs(gn))
+            assert rel.max() < 1e-4, (name, float(rel.max()))
+
     def test_default_tiny_config_passes(self):
         assert gradient_check(seed=0) < 1e-4
 
