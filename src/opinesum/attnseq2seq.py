@@ -10,7 +10,7 @@ sweep is kept on a ForwardTrace.
 import binascii
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -268,14 +268,6 @@ def new_model(vocab, features, d_emb, d_h, d_a):
 # forward
 
 
-@dataclass
-class _StepCache:
-    u: np.ndarray
-    gates: np.ndarray  # activations of i, f, g, o on the last axis
-    c: np.ndarray
-    h: np.ndarray
-
-
 def _rows(W, x):
     """W @ x for a vector x, or W @ x_r for every row x_r of a matrix x.
 
@@ -285,30 +277,40 @@ def _rows(W, x):
     return (W @ x.T).T
 
 
-def _lstm_gates(p, a, prev):
-    """Finish one LSTM update from the input projection a = Wu u (a vector,
-    or one row per sequence). a is overwritten, in place, with the
-    activations of the gates i, f, g, o; returns the new state."""
-    d = p.d_h
-    # summed as (Wu u + Wh h) + b, the order of the per-step cell: which
-    # snapshot training keeps moves with last-bit changes
-    a += _rows(p.Wh, prev.h)
-    a += p.b
-    a[..., : 2 * d] += _rows(p.Wc[: 2 * d], prev.c)
-    a[..., : 2 * d] = sigmoid_elem(a[..., : 2 * d])
-    np.tanh(a[..., 2 * d : 3 * d], out=a[..., 2 * d : 3 * d])
-    c = a[..., d : 2 * d] * prev.c + a[..., :d] * a[..., 2 * d : 3 * d]
-    # the output gate sees the NEW cell
-    a[..., 3 * d :] = sigmoid_elem(a[..., 3 * d :] + _rows(p.Wc[2 * d :], c))
-    return LstmState(h=a[..., 3 * d :] * np.tanh(c), c=c)
+def _lstm_stepper(p):
+    """The in-place update of LSTM cell p, as step(a, h, c, h_out, c_out).
 
+    a holds the input projection Wu u of one sequence (a vector) or of one
+    row per sequence (the live rows of a beam); h and c are the previous
+    state. The step overwrites a with the activations of the gates i, f,
+    g, o and writes the new state to h_out and c_out. The weight views are
+    taken once per stepper, not on every step; a vector takes np.dot, the
+    same BLAS product as @ with less call overhead.
+    """
+    d, d2, d3 = p.d_h, 2 * p.d_h, 3 * p.d_h
+    Wh, b, Wc_if, Wc_o = p.Wh, p.b, p.Wc[:d2], p.Wc[d2:]
 
-def _lstm_forward(p, u, prev):
-    """One LSTM update. u and the state are vectors, or matrices with one
-    row per sequence (the live rows of a beam)."""
-    gates = _rows(p.Wu, u)
-    state = _lstm_gates(p, gates, prev)
-    return state, _StepCache(u=u, gates=gates, c=state.c, h=state.h)
+    def step(a, h, c, h_out, c_out):
+        mv = np.dot if h.ndim == 1 else _rows
+        # summed as (Wu u + Wh h) + b, and in no other order: which snapshot
+        # training keeps moves with last-bit changes
+        a += mv(Wh, h)
+        a += b
+        i_f = a[..., :d2]
+        i_f += mv(Wc_if, c)
+        sigmoid_elem(i_f, out=i_f)
+        g = a[..., d2:d3]
+        np.tanh(g, out=g)
+        np.multiply(a[..., d:d2], c, out=c_out)
+        c_out += a[..., :d] * g
+        # the output gate sees the NEW cell
+        o = a[..., d3:]
+        o += mv(Wc_o, c_out)
+        sigmoid_elem(o, out=o)
+        np.tanh(c_out, out=h_out)
+        h_out *= o
+
+    return step
 
 
 @dataclass
@@ -325,15 +327,15 @@ class _Chain:
 
 def _run_chain(p, U):
     """Run an LSTM chain from zero states over the rows of U. The input
-    projections of every step come from one GEMM before the recurrence."""
+    projections of every step come from one GEMM before the recurrence;
+    each step then writes straight into its rows."""
     n = U.shape[0]
     gates = U @ p.Wu.T
     H = np.zeros((n + 1, p.d_h))
     C = np.zeros((n + 1, p.d_h))
-    for t in range(n):
-        state = _lstm_gates(p, gates[t], LstmState(h=H[t], c=C[t]))
-        H[t + 1] = state.h
-        C[t + 1] = state.c
+    step = _lstm_stepper(p)
+    for a, h, c, h_out, c_out in zip(gates, H, C, H[1:], C[1:]):
+        step(a, h, c, h_out, c_out)
     return _Chain(U=U, gates=gates, H=H, C=C)
 
 
@@ -412,15 +414,6 @@ def _attend(model, contexts, keys, h_prev):
     return _AttnCache(t=t, a=a, s=s)
 
 
-@dataclass
-class _DecStepCache:
-    input_index: int | np.ndarray
-    input_ids: np.ndarray | None
-    attn: _AttnCache
-    lstm: _StepCache
-    probs: np.ndarray
-
-
 def _decode_ids(model, y_prev_index):
     """Feature channel ids of the previous output word(s), or None."""
     if not model.features:
@@ -430,23 +423,34 @@ def _decode_ids(model, y_prev_index):
     return np.array([model.features.decode_ids(model.vocab.word_of(i)) for i in y_prev_index])
 
 
-def _decode_core(model, y_prev_index, state_prev, contexts, keys):
-    """One decoder step for one sequence (an int token, vector states) or
-    for a batch of sequences sharing one input (a token array, one state
-    row per sequence)."""
-    attn_cache = _attend(model, contexts, keys, state_prev.h)
-    feat_ids = _decode_ids(model, y_prev_index)
-    rep = _token_repr(model, y_prev_index, feat_ids, 0.0)
-    u = np.concatenate([rep, attn_cache.s], axis=-1)
-    state, lstm_cache = _lstm_forward(model.dec, u, state_prev)
-    logits = _rows(model.W_out, state.h) + model.b_out
-    return state, logits, _DecStepCache(
-        input_index=y_prev_index,
-        input_ids=feat_ids,
-        attn=attn_cache,
-        lstm=lstm_cache,
-        probs=softmax(logits),
+def _decode_core(model, step, y_prev, h, c, contexts, keys, out):
+    """One decoder step from the state h, c, for one sequence (an int
+    token, vector states) or for a batch of sequences sharing one input (a
+    token array, one state row per sequence). step is the decoder cell's
+    _lstm_stepper. The step's input [token; attention summary], its gate
+    activations and its new state are written to the rows out = (u, a,
+    h_out, c_out). Returns the logits and the attention cache."""
+    u, a, h_out, c_out = out
+    attn = _attend(model, contexts, keys, h)
+    d = model.token_dim
+    u[..., :d] = _token_repr(model, y_prev, _decode_ids(model, y_prev), 0.0)
+    u[..., d:] = attn.s
+    a[...] = _rows(model.dec.Wu, u)
+    step(a, h, c, h_out, c_out)
+    return _rows(model.W_out, h_out) + model.b_out, attn
+
+
+def _decode_new_state(model, y_prev, state_prev, contexts, keys):
+    """_decode_core into new arrays: (new state, word distribution(s),
+    attention)."""
+    lead = np.shape(state_prev.h)[:-1]
+    u, a = np.empty(lead + (model.dec.d_u,)), np.empty(lead + (4 * model.d_h,))
+    state = LstmState(h=np.empty(lead + (model.d_h,)), c=np.empty(lead + (model.d_h,)))
+    logits, attn = _decode_core(
+        model, _lstm_stepper(model.dec), y_prev, state_prev.h, state_prev.c, contexts, keys,
+        (u, a, state.h, state.c),
     )
+    return state, softmax(logits), attn.a
 
 
 def decode_step(model, y_prev_index, state_prev, contexts):
@@ -455,8 +459,7 @@ def decode_step(model, y_prev_index, state_prev, contexts):
     if not 0 <= y_prev_index < len(model.vocab):
         raise ValueError(f"token index {y_prev_index} out of vocabulary")
     keys = attention_keys(model, contexts)
-    state, _, cache = _decode_core(model, y_prev_index, state_prev, contexts, keys)
-    return state, cache.probs, cache.attn.a
+    return _decode_new_state(model, y_prev_index, state_prev, contexts, keys)
 
 
 def decode_rows(model, y_prev, state_prev, contexts, keys):
@@ -471,20 +474,24 @@ def decode_rows(model, y_prev, state_prev, contexts, keys):
         raise ValueError("decode_rows needs one token and one state row per sequence")
     if y_prev.min() < 0 or y_prev.max() >= len(model.vocab):
         raise ValueError("decode_rows: token index out of vocabulary")
-    state, _, cache = _decode_core(model, y_prev, state_prev, contexts, keys)
-    return state, cache.probs
+    state, probs, _ = _decode_new_state(model, y_prev, state_prev, contexts, keys)
+    return state, probs
 
 
 @dataclass
 class ForwardTrace:
-    """Everything backward_pass needs to replay one (z, y) example."""
+    """Everything backward_pass needs to replay one (z, y) example: the
+    encoder trace, the decoder chain (one row per target), the attention
+    cache and word distribution of every decoder step, and the targets."""
 
     model_id: int
     version: int
     enc: _EncTrace
-    steps: list
-    loglik: float = 0.0
-    targets: list = field(default_factory=list)
+    dec: _Chain
+    attn: list
+    probs: np.ndarray
+    targets: list
+    loglik: float
 
 
 def sequence_log_prob(model, z, y):
@@ -502,21 +509,34 @@ def sequence_log_prob(model, z, y):
         if not 0 <= t < len(model.vocab):
             raise ValueError(f"token index {t} out of vocabulary")
     enc = _encode_trace(model, z)
-    state = LstmState.zeros(model.d_h)
-    inputs = [model.vocab.bos] + y[:-1]
+    T, d_h = len(y), model.d_h
+    dec = _Chain(
+        U=np.empty((T, model.dec.d_u)),
+        gates=np.empty((T, 4 * d_h)),
+        H=np.zeros((T + 1, d_h)),
+        C=np.zeros((T + 1, d_h)),
+    )
+    probs = np.empty((T, len(model.vocab)))
+    step = _lstm_stepper(model.dec)
     loglik = 0.0
-    steps = []
-    for inp, target in zip(inputs, y):
-        state, logits, cache = _decode_core(model, inp, state, enc.contexts, enc.keys)
+    attn = []
+    for t, (inp, target) in enumerate(zip([model.vocab.bos] + y[:-1], y)):
+        out = (dec.U[t], dec.gates[t], dec.H[t + 1], dec.C[t + 1])
+        logits, cache = _decode_core(
+            model, step, inp, dec.H[t], dec.C[t], enc.contexts, enc.keys, out
+        )
+        probs[t] = softmax(logits)
         loglik += float(log_softmax(logits)[target])
-        steps.append(cache)
+        attn.append(cache)
     return loglik, ForwardTrace(
         model_id=id(model),
         version=model.version,
         enc=enc,
-        steps=steps,
-        loglik=loglik,
+        dec=dec,
+        attn=attn,
+        probs=probs,
         targets=y,
+        loglik=loglik,
     )
 
 
@@ -524,22 +544,44 @@ def sequence_log_prob(model, z, y):
 # backward
 
 
-def _lstm_backward(p, gates, c_prev, c, dh, dc_in):
-    """One step of LSTM BPTT through the step that read the cell c_prev and
-    produced the gate activations `gates` and the cell c. Returns the gate
-    pre-activation deltas da, dh_prev and dc_prev; the weight gradients
-    come from the deltas of the whole chain at once (_cell_gradients)."""
-    d = p.d_h
-    i, f, g, o = (gates[k * d : (k + 1) * d] for k in range(4))
-    tanh_c = np.tanh(c)
-    da_o = dh * tanh_c * o * (1.0 - o)
-    dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_in + p.Wc[2 * d :].T @ da_o
-    # pre-activation deltas of the gates i, f, g, o
-    da = np.concatenate(
-        [dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f), dc * i * (1.0 - g * g), da_o]
-    )
-    dc_prev = dc * f + p.Wc[: 2 * d].T @ da[: 2 * d]
-    return da, p.Wh.T @ da, dc_prev
+def _lstm_backstepper(p):
+    """The BPTT step of LSTM cell p, as back(gates, c_prev, c, dh, dc, da).
+
+    It goes back through the step that read the cell c_prev and produced
+    the gate activations `gates` and the cell c, given the gradients dh and
+    dc of that step's state. It writes the gate pre-activation deltas to
+    da (the step's row of the chain's deltas) and returns dh_prev and
+    dc_prev; the weight gradients come from the deltas of the whole chain
+    at once (_cell_gradients). Every product keeps the order of the
+    textbook formulas, e.g. da_o = ((dh tanh c) o)(1 - o).
+    """
+    d, d2, d3 = p.d_h, 2 * p.d_h, 3 * p.d_h
+    Wh, Wc_if, Wc_o = p.Wh, p.Wc[:d2], p.Wc[d2:]
+
+    def back(gates, c_prev, c, dh, dc_in, da):
+        i, f, g, o = gates[:d], gates[d:d2], gates[d2:d3], gates[d3:]
+        da_i, da_f, da_g, da_o = da[:d], da[d:d2], da[d2:d3], da[d3:]
+        tanh_c = np.tanh(c)
+        np.multiply(dh, tanh_c, da_o)
+        da_o *= o
+        da_o *= 1.0 - o
+        dc = dh * o
+        dc *= 1.0 - tanh_c * tanh_c
+        dc += dc_in
+        dc += da_o.dot(Wc_o)  # Wc_o^T da_o, the same BLAS product as Wc_o.T @ da_o
+        np.multiply(dc, g, da_i)
+        da_i *= i
+        da_i *= 1.0 - i
+        np.multiply(dc, c_prev, da_f)
+        da_f *= f
+        da_f *= 1.0 - f
+        np.multiply(dc, i, da_g)
+        da_g *= 1.0 - g * g
+        dc_prev = dc * f
+        dc_prev += da[:d2].dot(Wc_if)
+        return da.dot(Wh), dc_prev
+
+    return back
 
 
 def _cell_gradients(grad, chain, DA):
@@ -561,8 +603,9 @@ def _chain_backward(p, chain, dH, grad):
     DA = np.empty_like(chain.gates)
     dh = np.zeros(p.d_h)
     dc = np.zeros(p.d_h)
+    back = _lstm_backstepper(p)
     for t in range(len(DA) - 1, -1, -1):
-        DA[t], dh, dc = _lstm_backward(p, chain.gates[t], chain.C[t], chain.C[t + 1], dH[t] + dh, dc)
+        dh, dc = back(chain.gates[t], chain.C[t], chain.C[t + 1], dH[t] + dh, dc, DA[t])
     _cell_gradients(grad, chain, DA)
     return DA @ p.Wu
 
@@ -606,45 +649,38 @@ def backward_pass(model, trace, scale=1.0):
     d_h = model.d_h
     token_dim = model.token_dim
     contexts = trace.enc.contexts
-    steps = trace.steps
-    T = len(steps)
-    zero = np.zeros(d_h)
-    dec = _Chain(
-        U=np.array([s.lstm.u for s in steps]),
-        gates=np.array([s.lstm.gates for s in steps]),
-        H=np.array([zero] + [s.lstm.h for s in steps]),
-        C=np.array([zero] + [s.lstm.c for s in steps]),
-    )
+    dec = trace.dec
+    T = len(trace.targets)
 
-    dlogits = np.array([s.probs for s in steps]) * scale
+    dlogits = trace.probs * scale
     dlogits[np.arange(T), trace.targets] -= scale
     np.matmul(dlogits.T, dec.H[1:], out=grads.W_out)
     dlogits.sum(axis=0, out=grads.b_out)
     dH = dlogits @ model.W_out
 
     p = model.dec
+    back = _lstm_backstepper(p)
     DA = np.empty_like(dec.gates)
     DS = np.empty((T, 2 * d_h))  # gradients of the attention summaries
     dq_steps = np.empty((T, model.d_a))  # dq summed over contexts, per step
     dq_ctx = np.zeros((contexts.shape[0], model.d_a))  # dq summed over steps
-    dh = zero
-    dc = zero
+    dh = np.zeros(d_h)
+    dc = np.zeros(d_h)
     for t in range(T - 1, -1, -1):
-        DA[t], dh_l, dc = _lstm_backward(p, dec.gates[t], dec.C[t], dec.C[t + 1], dH[t] + dh, dc)
+        dh_l, dc = back(dec.gates[t], dec.C[t], dec.C[t + 1], dH[t] + dh, dc, DA[t])
         DS[t] = p.Wu[:, token_dim:].T @ DA[t]
-        dq = _attend_backward(model, grads.attn, contexts, steps[t].attn, DS[t])
+        dq = _attend_backward(model, grads.attn, contexts, trace.attn[t], DS[t])
         dq_ctx += dq
         dq_steps[t] = dq.sum(axis=0)
         dh = dh_l + model.attn.W_hg.T @ dq_steps[t]
     _cell_gradients(grads.dec, dec, DA)
     np.matmul(dq_steps.T, dec.H[:-1], out=grads.attn.W_hg)
     np.matmul(dq_ctx.T, contexts, out=grads.attn.W_cg)
-    inputs = np.array([s.input_index for s in steps])
-    dec_ids = np.array([s.input_ids for s in steps]) if model.features else None
-    _repr_backward(model, grads, inputs, dec_ids, DA @ p.Wu[:, :token_dim])
+    inputs = np.array([model.vocab.bos] + trace.targets[:-1])
+    _repr_backward(model, grads, inputs, _decode_ids(model, inputs), DA @ p.Wu[:, :token_dim])
 
     # contexts feed the attention summaries and, through W_cg, the keys
-    attn_a = np.array([s.attn.a for s in steps])
+    attn_a = np.array([cache.a for cache in trace.attn])
     db = attn_a.T @ DS + dq_ctx @ model.attn.W_cg
     enc = trace.enc
     d_rep = _chain_backward(model.enc_f, enc.fwd, db[:, :d_h], grads.enc_f)

@@ -263,12 +263,12 @@ def cmd_rank_eval(cfg):
     _write_csv(
         cfg.out_path("rankings.csv"), ["cluster_id", "unit_index", "score", "rank"], ranking_rows
     )
+    # a unit is relevant if it shares a content word with the summary;
+    # each system's gains are the same flags in its order
+    relevant = [salience.gold_scores(c, lexicons.stopwords) > 0 for c in clusters]
     eval_rows = []
     for name, orders in systems.items():
-        rels = [
-            salience.relevance_for_ranking(c, order, lexicons.stopwords)
-            for c, order in zip(clusters, orders)
-        ]
+        rels = [rel[order].astype(int).tolist() for rel, order in zip(relevant, orders)]
         eval_rows.append(
             [
                 name,

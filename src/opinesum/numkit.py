@@ -26,7 +26,7 @@ def as_vector(v, name="vector"):
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf")
     return arr
 
@@ -36,7 +36,7 @@ def as_matrix(m, name="matrix"):
     arr = np.asarray(m, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf")
     return arr
 
@@ -46,7 +46,7 @@ def as_rows(v, name="array"):
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim not in (1, 2):
         raise ValueError(f"{name} must be 1-D or 2-D, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf")
     return arr
 
@@ -70,12 +70,17 @@ def log_softmax(v):
     return shifted - np.log(np.exp(shifted).sum())
 
 
-def sigmoid_elem(v):
+def sigmoid_elem(v, out=None):
     """Elementwise logistic sigmoid, stable on both tails: exp is only ever
-    taken of -|x|."""
+    taken of -|x|, and the result is 1 / (1 + e) where x >= 0 and
+    e / (1 + e) elsewhere, with e = exp(-|x|). Written to `out` when given,
+    which may be v itself."""
     arr = as_rows(v)
+    positive = arr >= 0.0  # taken before out, which may be arr, is written
     e = np.exp(-np.abs(arr))
-    return np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    den = 1.0 + e
+    np.putmask(e, positive, 1.0)  # the numerator
+    return np.divide(e, den, out=out)
 
 
 def cholesky_lower(a):

@@ -19,6 +19,7 @@ from .textcorpus import (
     TfidfStats,
     atomic_write,
     content_norms,
+    content_words,
     cosine_weight_maps,
     read_artifact,
     write_block,
@@ -104,53 +105,65 @@ def centroidness(weight_maps):
 
     The mean and its norm are computed once per cluster; the mean is
     accumulated in unit order."""
-    mean = Counter()
+    n = len(weight_maps)
+    mean = {}
     for weights in weight_maps:
         for term, w in weights.items():
-            mean[term] += w / len(weight_maps)
+            mean[term] = mean.get(term, 0.0) + w / n
     mean_norm = math.sqrt(sum(w * w for w in mean.values()))
     return [cosine_weight_maps(weights, mean, mean_norm) for weights in weight_maps]
 
 
-def extract_features(unit, weights, centrality, registry, lexicons):
-    """Table-style feature vector for one unit, given its TF-IDF map and
-    its centroidness within its cluster."""
-    vec = np.zeros(registry.d)
-    vec[0] = len(unit.tokens)
-    vec[1] = len({t.pos for t in unit.tokens if t.pos})
-    vec[2] = sum(1 for t in unit.tokens if t.ner)
-    vec[3] = centrality
-    if weights:
-        vals = list(weights.values())
-        vec[4] = sum(vals) / len(vals)
-        vec[5] = max(vals)
-    cat_col, sent_col, uni_col = registry.columns
-    for t in unit.tokens:
-        for c in lexicons.general.get(t.norm, ()):
-            if c in cat_col:
-                vec[cat_col[c]] += 1
-    for t in unit.tokens:
-        pol = lexicons.sentiment.get(t.norm)
-        if pol in sent_col:
-            vec[sent_col[pol]] += 1
-    for norm in content_norms(unit, lexicons.stopwords):
-        j = uni_col.get(norm)
-        if j is not None:
-            vec[j] += 1
-    return vec
+def _norm_columns(norm, columns, lexicons):
+    """The lexicon-category, sentiment and top-unigram feature columns that
+    one token with this norm counts in."""
+    cat_col, sent_col, uni_col = columns
+    cols = [cat_col[c] for c in lexicons.general.get(norm, ()) if c in cat_col]
+    pol = lexicons.sentiment.get(norm)
+    if pol in sent_col:
+        cols.append(sent_col[pol])
+    if norm in uni_col and content_words((norm,), lexicons.stopwords):
+        cols.append(uni_col[norm])
+    return cols
 
 
 def cluster_features(cluster, registry, lexicons, tfidf):
-    """M x d matrix of features for all units of one cluster."""
-    weight_maps = [tfidf.unit_weights(u) for u in cluster.units]
-    return np.stack(
-        [
-            extract_features(u, weights, centrality, registry, lexicons)
-            for u, weights, centrality in zip(
-                cluster.units, weight_maps, centroidness(weight_maps)
-            )
-        ]
-    )
+    """M x d matrix of table-style features for all units of one cluster.
+
+    Per unit: token count, distinct pos tags, entity tokens, centroidness,
+    mean and max TF-IDF weight, then the number of its tokens in each
+    lexicon category, sentiment polarity and top unigram. One pass over
+    the tokens collects the column of every count; each norm's columns
+    are looked up once per cluster.
+    """
+    units = cluster.units
+    weight_maps = [tfidf.unit_weights(u) for u in units]
+    columns = registry.columns
+    columns_of = {}
+    dense = []
+    counted = []  # the column of every counted token, unit by unit
+    row_ends = []
+    for unit, weights, centrality in zip(units, weight_maps, centroidness(weight_maps)):
+        tags = set()
+        n_ner = 0
+        for _, norm, pos, ner in unit.tokens:
+            if pos:
+                tags.add(pos)
+            if ner:
+                n_ner += 1
+            cols = columns_of.get(norm)
+            if cols is None:
+                cols = columns_of[norm] = _norm_columns(norm, columns, lexicons)
+            counted.extend(cols)
+        row_ends.append(len(counted))
+        vals = list(weights.values())
+        avg, top = (sum(vals) / len(vals), max(vals)) if vals else (0.0, 0.0)
+        dense.append((len(unit.tokens), len(tags), n_ner, centrality, avg, top))
+    X = np.zeros((len(units), registry.d))
+    X[:, : len(DENSE_NAMES)] = dense
+    rows = np.repeat(np.arange(len(units)), np.diff(row_ends, prepend=0))
+    np.add.at(X, (rows, np.array(counted, dtype=np.int64)), 1.0)
+    return X
 
 
 def gold_scores(cluster, stopwords):
@@ -264,7 +277,11 @@ def fit_closed_form(design, lam, beta, registry=None):
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     gram, moment, pair_gram, pair_sum = design.normal_equations
-    A = gram + lam * pair_gram + beta * np.eye(gram.shape[0])
+    # gram + lam pair_gram + beta I, built in place: the same sums, in the
+    # same order, as the formula
+    A = lam * pair_gram
+    A += gram
+    A.flat[:: A.shape[0] + 1] += beta
     rhs = moment + lam * pair_sum
     w = numkit.solve_spd(A, rhs)
     return SalienceModel(w=w, lam=float(lam), beta=float(beta), registry=registry)

@@ -19,6 +19,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,7 @@ EOS = "EOS"
 ENTITY_LABEL = "ENTITY"
 RESERVED = (UNK, SEG, BOS, EOS, ENTITY_LABEL)
 
-_PUNCT = frozenset(string.punctuation)
+_PUNCT = string.punctuation  # the ASCII punctuation characters
 
 
 class CorpusFormatError(ValueError):
@@ -43,8 +44,9 @@ class CorpusFormatError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token: an immutable, hashable record (a tuple underneath)."""
+
     surface: str
     norm: str
     pos: str | None = None
@@ -73,21 +75,18 @@ class Cluster:
 def tokenize(text):
     """Whitespace split, detaching leading/trailing ASCII punctuation."""
     tokens = []
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without the NamedTuple argument handling
     for chunk in text.split():
-        lead = []
-        while chunk and chunk[0] in _PUNCT:
-            lead.append(chunk[0])
-            chunk = chunk[1:]
-        trail = []
-        while chunk and chunk[-1] in _PUNCT:
-            trail.append(chunk[-1])
-            chunk = chunk[:-1]
-        for ch in lead:
-            tokens.append(Token(ch, ch))
-        if chunk:
-            tokens.append(Token(chunk, chunk.lower()))
-        for ch in reversed(trail):
-            tokens.append(Token(ch, ch))
+        if chunk[0] not in _PUNCT and chunk[-1] not in _PUNCT:
+            append(new(Token, (chunk, chunk.lower(), None, None)))
+            continue
+        core = chunk.lstrip(_PUNCT)
+        word = core.rstrip(_PUNCT)
+        tokens.extend(Token(ch, ch) for ch in chunk[: len(chunk) - len(core)])
+        if word:
+            append(Token(word, word.lower()))
+        tokens.extend(Token(ch, ch) for ch in core[len(word) :])
     return tokens
 
 
@@ -95,7 +94,7 @@ def detokenize(norms):
     """Space-join norms, attaching punctuation-only tokens to the left."""
     parts = []
     for norm in norms:
-        if parts and norm and all(c in _PUNCT for c in norm):
+        if parts and norm and not norm.strip(_PUNCT):
             parts[-1] = parts[-1] + norm
         else:
             parts.append(norm)
@@ -105,22 +104,35 @@ def detokenize(norms):
 def text_unit(text, pos=None, ner=None):
     """Tokenize `text` into a TextUnit, attaching optional tag arrays."""
     tokens = tokenize(text)
-    if pos is not None:
-        if len(pos) != len(tokens):
-            raise ValueError(f"pos tags ({len(pos)}) do not match {len(tokens)} tokens")
-        tokens = [
-            Token(t.surface, t.norm, pos=p if p else None, ner=t.ner)
-            for t, p in zip(tokens, pos)
-        ]
-    if ner is not None:
-        if len(ner) != len(tokens):
-            raise ValueError(f"ner tags ({len(ner)}) do not match {len(tokens)} tokens")
+    for name, tags in (("pos", pos), ("ner", ner)):
+        if tags is not None and len(tags) != len(tokens):
+            raise ValueError(f"{name} tags ({len(tags)}) do not match {len(tokens)} tokens")
+    if pos is not None or ner is not None:
+        none = itertools.repeat(None)
         # "O" is the CoreNLP-style non-entity tag
         tokens = [
-            Token(t.surface, t.norm, pos=t.pos, ner=n if n and n != "O" else None)
-            for t, n in zip(tokens, ner)
+            Token(t.surface, t.norm, p if p else None, n if n and n != "O" else None)
+            for t, p, n in zip(
+                tokens, none if pos is None else pos, none if ner is None else ner
+            )
         ]
     return TextUnit(tokens=tuple(tokens), raw=text)
+
+
+def _string(value, what):
+    """`value`, which a corpus record must hold as a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, not {type(value).__name__}")
+    return value
+
+
+def _tags(value, what):
+    """`value`, which a corpus record must hold as a list of strings or null."""
+    if value is not None and not (
+        isinstance(value, list) and all(isinstance(tag, str) for tag in value)
+    ):
+        raise ValueError(f"{what} must be a list of strings or null")
+    return value
 
 
 def load_clusters(path):
@@ -138,15 +150,20 @@ def load_clusters(path):
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(path, line_no, f"invalid JSON: {exc}") from exc
             try:
-                units = []
-                for u in obj["units"]:
-                    units.append(text_unit(u["text"], u.get("pos"), u.get("ner")))
-                summary = text_unit(obj["summary"])
+                units = tuple(
+                    text_unit(
+                        _string(u["text"], "unit text"),
+                        _tags(u.get("pos"), "unit pos"),
+                        _tags(u.get("ner"), "unit ner"),
+                    )
+                    for u in obj["units"]
+                )
+                entity = obj.get("entity")
                 cluster = Cluster(
                     id=str(obj["id"]),
-                    units=tuple(units),
-                    summary=summary,
-                    entity=obj.get("entity") or None,
+                    units=units,
+                    summary=text_unit(_string(obj["summary"], "summary")),
+                    entity=None if entity is None else _string(entity, "entity") or None,
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(path, line_no, str(exc)) from exc
@@ -378,9 +395,7 @@ def load_lexicon(path):
 def content_words(norms, stopwords):
     """Filter plain norm strings down to content words (no stopwords or
     punctuation-only tokens)."""
-    return [
-        n for n in norms if n not in stopwords and not all(ch in _PUNCT for ch in n)
-    ]
+    return [n for n in norms if n not in stopwords and n.strip(_PUNCT)]
 
 
 def content_norms(unit, stopwords):
@@ -401,9 +416,11 @@ def substitute_entity(cluster):
         return cluster
 
     def sub_unit(unit):
+        norms = unit.norms()
+        if pattern[0] not in norms:
+            return TextUnit(tokens=unit.tokens, raw=detokenize(norms))
         out = []
         i = 0
-        norms = unit.norms()
         n = len(pattern)
         while i < len(unit.tokens):
             if norms[i : i + n] == pattern:
@@ -436,11 +453,30 @@ def restore_entity(norms, cluster):
     return out
 
 
+class _IdfTable(dict):
+    """term -> idf, each computed on its first lookup and then kept, so a
+    repeated lookup is one dict access."""
+
+    def __init__(self, n_units, df):
+        super().__init__()
+        self.n_units, self.df = n_units, df
+
+    def __missing__(self, term):
+        if self.n_units == 0:
+            value = 0.0
+        else:
+            value = math.log(self.n_units / max(self.df.get(term, 0), 1))
+        self[term] = value
+        return value
+
+
 class TfidfStats:
     """Document-frequency statistics over a collection of clusters.
 
     A "document" is a text unit. tf = term count in the unit,
-    idf = ln(N_units / df). Terms never seen get df treated as 1.
+    idf = ln(N_units / df). Terms never seen get df treated as 1. Each
+    term's idf is computed once and kept, so the statistics are fixed
+    once built.
     """
 
     def __init__(self, clusters):
@@ -449,16 +485,18 @@ class TfidfStats:
         for c in clusters:
             for u in c.units:
                 self.df.update(set(u.norms()))
+        self._idf = _IdfTable(self.n_units, self.df)
 
     def idf(self, term):
-        if self.n_units == 0:
-            return 0.0
-        return math.log(self.n_units / max(self.df.get(term, 0), 1))
+        return self._idf[term]
 
     def unit_weights(self, unit):
-        """term -> tf*idf map for one unit."""
-        counts = Counter(unit.norms())
-        return {term: tf * self.idf(term) for term, tf in counts.items()}
+        """term -> tf*idf map for one unit, in first-occurrence order."""
+        counts = {}
+        for t in unit.tokens:
+            counts[t.norm] = counts.get(t.norm, 0) + 1
+        idf = self._idf
+        return {term: tf * idf[term] for term, tf in counts.items()}
 
 
 def cosine_weight_maps(a, b, norm_b=None):

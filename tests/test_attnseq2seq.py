@@ -10,7 +10,10 @@ from opinesum.attnseq2seq import (
     LstmState,
     StaleTraceError,
     _attend,
-    _lstm_forward,
+    _cell_gradients,
+    _chain_backward,
+    _lstm_stepper,
+    _run_chain,
     attention_keys,
     backward_pass,
     decode_rows,
@@ -48,23 +51,68 @@ def random_cell(rng, d_u, d_h, scale=0.5):
     return p
 
 
+def lstm_step(p, u, h_prev, c_prev):
+    """One update through the in-place stepper: (h, c, gate activations)."""
+    a = p.Wu @ u
+    h, c = np.empty_like(h_prev), np.empty_like(c_prev)
+    _lstm_stepper(p)(a, h_prev, c_prev, h, c)
+    return h, c, a
+
+
+def where_sigmoid(x):
+    """The np.where sigmoid that sigmoid_elem(v, out) replaced."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def per_step_cell(p, a, h, c):
+    """The per-step cell that the in-place stepper replaced, as an oracle.
+    a = Wu u (a vector, or one row per sequence) is overwritten with the
+    gate activations; returns the new (h, c)."""
+    d = p.d_h
+    rows = lambda W, x: (W @ x.T).T
+    a += rows(p.Wh, h)
+    a += p.b
+    a[..., : 2 * d] += rows(p.Wc[: 2 * d], c)
+    a[..., : 2 * d] = where_sigmoid(a[..., : 2 * d])
+    np.tanh(a[..., 2 * d : 3 * d], out=a[..., 2 * d : 3 * d])
+    c_new = a[..., d : 2 * d] * c + a[..., :d] * a[..., 2 * d : 3 * d]
+    a[..., 3 * d :] = where_sigmoid(a[..., 3 * d :] + rows(p.Wc[2 * d :], c_new))
+    return a[..., 3 * d :] * np.tanh(c_new), c_new
+
+
+def per_step_backward(p, gates, c_prev, c, dh, dc_in):
+    """The allocating BPTT step that the in-place one replaced, as an
+    oracle: (gate deltas, dh_prev, dc_prev)."""
+    d = p.d_h
+    i, f, g, o = (gates[k * d : (k + 1) * d] for k in range(4))
+    tanh_c = np.tanh(c)
+    da_o = dh * tanh_c * o * (1.0 - o)
+    dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_in + p.Wc[2 * d :].T @ da_o
+    da = np.concatenate(
+        [dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f), dc * i * (1.0 - g * g), da_o]
+    )
+    dc_prev = dc * f + p.Wc[: 2 * d].T @ da[: 2 * d]
+    return da, p.Wh.T @ da, dc_prev
+
+
 class TestLstmStep:
     def test_zero_params(self):
         p = LstmCellParams.zeros(2, 3)
-        state, cache = _lstm_forward(p, np.zeros(2), LstmState.zeros(3))
-        np.testing.assert_array_equal(state.c, np.zeros(3))
-        np.testing.assert_array_equal(state.h, np.zeros(3))
+        h, c, gates = lstm_step(p, np.zeros(2), np.zeros(3), np.zeros(3))
+        np.testing.assert_array_equal(c, np.zeros(3))
+        np.testing.assert_array_equal(h, np.zeros(3))
         # gate activations i, f, g, o: sigmoid(0) and tanh(0)
-        np.testing.assert_allclose(cache.gates, np.repeat([0.5, 0.5, 0.0, 0.5], 3))
+        np.testing.assert_allclose(gates, np.repeat([0.5, 0.5, 0.0, 0.5], 3))
 
     def test_saturated_gates_carry_memory(self):
         p = LstmCellParams.zeros(2, 3)
         w = gate_tensors(p)
         w["b_f"] += 100.0  # forget gate ~1
         w["b_i"] -= 100.0  # input gate ~0
-        prev = LstmState(h=np.zeros(3), c=np.array([0.3, -0.7, 1.2]))
-        state = _lstm_forward(p, np.ones(2), prev)[0]
-        np.testing.assert_allclose(state.c, prev.c, atol=1e-8)
+        c_prev = np.array([0.3, -0.7, 1.2])
+        _, c, _ = lstm_step(p, np.ones(2), np.zeros(3), c_prev)
+        np.testing.assert_allclose(c, c_prev, atol=1e-8)
 
     def test_matches_independent_transcription(self):
         rng = np.random.default_rng(0)
@@ -73,23 +121,77 @@ class TestLstmStep:
             u = rng.normal(size=3)
             h_prev = rng.normal(size=3) * 0.5
             c_prev = rng.normal(size=3)
-            state = _lstm_forward(p, u, LstmState(h=h_prev, c=c_prev))[0]
+            h, c, _ = lstm_step(p, u, h_prev, c_prev)
             h_exp, c_exp = lstm_oracle(p, u, h_prev, c_prev)
-            np.testing.assert_allclose(state.h, h_exp, atol=1e-14)
-            np.testing.assert_allclose(state.c, c_exp, atol=1e-14)
+            np.testing.assert_allclose(h, h_exp, atol=1e-14)
+            np.testing.assert_allclose(c, c_exp, atol=1e-14)
 
     def test_gate_ranges(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             p = random_cell(rng, 4, 4, scale=2.0)
-            state, cache = _lstm_forward(
-                p, rng.normal(size=4), LstmState(h=np.tanh(rng.normal(size=4)), c=rng.normal(size=4))
+            h, _, gates = lstm_step(
+                p, rng.normal(size=4), np.tanh(rng.normal(size=4)), rng.normal(size=4)
             )
-            i, f, g, o = np.split(cache.gates, 4)
+            i, f, g, o = np.split(gates, 4)
             for gate in (i, f, o):
                 assert np.all(gate > 0) and np.all(gate < 1)
             assert np.all(np.abs(g) < 1)
-            assert np.all(np.abs(state.h) < 1)
+            assert np.all(np.abs(h) < 1)
+
+    def test_bit_identical_to_per_step_cell(self):
+        rng = np.random.default_rng(2)
+        for d_u, d_h, rows in ((3, 2, ()), (8, 6, ()), (40, 32, ()), (12, 5, (4,)), (50, 32, (3,))):
+            p = random_cell(rng, d_u, d_h, scale=1.5)
+            u = rng.normal(size=rows + (d_u,))
+            h_prev = np.tanh(rng.normal(size=rows + (d_h,)))
+            c_prev = rng.normal(size=rows + (d_h,)) * 2
+            a = (p.Wu @ u.T).T
+            h, c = np.empty_like(h_prev), np.empty_like(c_prev)
+            _lstm_stepper(p)(a, h_prev, c_prev, h, c)
+            a_old = (p.Wu @ u.T).T
+            h_old, c_old = per_step_cell(p, a_old, h_prev, c_prev)
+            for new, old in ((a, a_old), (h, h_old), (c, c_old)):
+                assert np.array_equal(new, old)
+
+    @pytest.mark.parametrize("where", ["input", "h", "c"])
+    def test_non_finite_gate_input_raises(self, where):
+        p = random_cell(np.random.default_rng(3), 3, 2)
+        a, h, c = p.Wu @ np.ones(3), np.zeros(2), np.zeros(2)
+        {"input": a, "h": h, "c": c}[where][0] = np.nan if where != "c" else np.inf
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            _lstm_stepper(p)(a, h, c, np.empty(2), np.empty(2))
+
+
+class TestChains:
+    """_run_chain and _chain_backward against the per-step oracles, bit
+    for bit, on random chains."""
+
+    @pytest.mark.parametrize("d_u, d_h, n", [(3, 2, 1), (8, 6, 9), (32, 32, 25), (21, 7, 40)])
+    def test_forward_and_backward_match_per_step_oracles(self, d_u, d_h, n):
+        rng = np.random.default_rng(d_u * 100 + n)
+        p = random_cell(rng, d_u, d_h, scale=1.0)
+        U = rng.normal(size=(n, d_u))
+        chain = _run_chain(p, U)
+        gates = U @ p.Wu.T
+        H, C = np.zeros((n + 1, d_h)), np.zeros((n + 1, d_h))
+        for t in range(n):
+            H[t + 1], C[t + 1] = per_step_cell(p, gates[t], H[t], C[t])
+        for new, old in ((chain.gates, gates), (chain.H, H), (chain.C, C)):
+            assert np.array_equal(new, old)
+
+        dH = rng.normal(size=(n, d_h))
+        grad = LstmCellParams.zeros(d_u, d_h)
+        du = _chain_backward(p, chain, dH, grad)
+        DA = np.empty_like(gates)
+        dh, dc = np.zeros(d_h), np.zeros(d_h)
+        for t in range(n - 1, -1, -1):
+            DA[t], dh, dc = per_step_backward(p, gates[t], C[t], C[t + 1], dH[t] + dh, dc)
+        old = LstmCellParams.zeros(d_u, d_h)
+        _cell_gradients(old, chain, DA)
+        assert np.array_equal(du, DA @ p.Wu)
+        for name in ("Wu", "Wh", "Wc", "b"):
+            assert np.array_equal(getattr(grad, name), getattr(old, name)), name
 
 
 class TestCellLayout:
@@ -142,9 +244,10 @@ class TestEncode:
         contexts = encode(model, z_one)
         assert contexts.shape == (1, 2 * model.d_h)
         rep = model.embeddings.matrix[model.vocab.index_of("dd")]
-        fwd = _lstm_forward(model.enc_f, rep, LstmState.zeros(model.d_h))[0]
-        bwd = _lstm_forward(model.enc_b, rep, LstmState.zeros(model.d_h))[0]
-        np.testing.assert_allclose(contexts[0], np.concatenate([fwd.h, bwd.h]), atol=1e-14)
+        zero = np.zeros(model.d_h)
+        fwd = lstm_step(model.enc_f, rep, zero, zero)[0]
+        bwd = lstm_step(model.enc_b, rep, zero, zero)[0]
+        np.testing.assert_allclose(contexts[0], np.concatenate([fwd, bwd]), atol=1e-14)
 
     def test_palindrome_symmetry(self):
         cluster = make_cluster(["aa bb aa"])
@@ -165,14 +268,14 @@ class TestEncode:
         z = build_input(make_cluster(["aa bb cc"], cid="c2"), [0], model.vocab)
         contexts = encode(model, z)
         reps = [model.embeddings.matrix[i] for i in z.indices]
-        state = LstmState.zeros(model.d_h)
+        h = c = np.zeros(model.d_h)
         for t in range(3):
-            state = _lstm_forward(model.enc_f, reps[t], state)[0]
-            np.testing.assert_allclose(contexts[t, : model.d_h], state.h, atol=1e-14)
-        state = LstmState.zeros(model.d_h)
+            h, c, _ = lstm_step(model.enc_f, reps[t], h, c)
+            np.testing.assert_allclose(contexts[t, : model.d_h], h, atol=1e-14)
+        h = c = np.zeros(model.d_h)
         for t in (2, 1, 0):
-            state = _lstm_forward(model.enc_b, reps[t], state)[0]
-            np.testing.assert_allclose(contexts[t, model.d_h :], state.h, atol=1e-14)
+            h, c, _ = lstm_step(model.enc_b, reps[t], h, c)
+            np.testing.assert_allclose(contexts[t, model.d_h :], h, atol=1e-14)
 
     def test_invalid_index(self, tiny):
         model, cluster, z, _ = tiny

@@ -3,7 +3,8 @@
 perfbench/tracing.py wraps library functions by module and name; a rename
 or an inlined layer would leave its span empty and its metric at zero
 without any error. Each test runs one tiny traced benchmark (about two
-seconds) and checks that the spans of the training path were recorded.
+seconds) and checks that the spans of the text front-end and of the
+training path were recorded.
 """
 
 import json
@@ -19,6 +20,9 @@ POSITIVE = (
     "trainer.adagrad_update.calls",
     "attnseq2seq.encode.s",
     "attnseq2seq.sequence_log_prob.s",
+    "textcorpus.load_clusters.s",
+    "salience.cluster_features.s",
+    "salience.cluster_features.units",
 )
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import opinesum
-from opinesum import trainer
+from opinesum import salience, trainer
 from opinesum.cli import RunConfig, _train_config, main
 
 
@@ -206,6 +206,26 @@ class TestRankEval:
         for cid in ("m0", "m1", "m2"):
             ranks = [int(r[3]) for r in ranking[1:] if r[0] == cid]
             assert sorted(ranks) == [1, 2, 3]
+
+
+    def test_relevance_computed_once_per_cluster(
+        self, tmp_path, corpus_file, fitted_salience, monkeypatch
+    ):
+        model_path, registry_path = fitted_salience
+        argv = ["rank-eval",
+                "--set", f"corpus={corpus_file}",
+                "--set", f"salience_model={model_path}",
+                "--set", f"salience_registry={registry_path}"]
+        assert main(argv + ["--set", f"out_dir={tmp_path / 'a'}"]) == 0
+        calls = []
+        gold_scores = salience.gold_scores
+        monkeypatch.setattr(
+            salience, "gold_scores", lambda c, stop: calls.append(c.id) or gold_scores(c, stop)
+        )
+        assert main(argv + ["--set", f"out_dir={tmp_path / 'b'}"]) == 0
+        assert sorted(calls) == ["m0", "m1", "m2"]
+        for name in ("rank_eval.csv", "rankings.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestTrainCommand:

@@ -78,6 +78,22 @@ class TestElementwise:
         for v in inputs:
             np.testing.assert_array_equal(sigmoid_elem(v), masked_sigmoid(v))
 
+    def test_sigmoid_out_in_place_matches_where_form(self):
+        rng = np.random.default_rng(30)
+        for v in (
+            np.array([0.0, -0.0, 5e-324, -5e-324, 745.0, -745.0, 1000.0, -1000.0]),
+            rng.normal(scale=6.0, size=128),
+            rng.normal(scale=6.0, size=(5, 24)),
+        ):
+            e = np.exp(-np.abs(v))
+            expected = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+            out = np.empty_like(v)
+            assert sigmoid_elem(v, out=out) is out
+            in_place = v.copy()
+            sigmoid_elem(in_place, out=in_place)
+            for got in (sigmoid_elem(v), out, in_place):
+                assert got.tobytes() == expected.tobytes()
+
     def test_sigmoid_rejects_non_finite(self):
         with pytest.raises(ValueError, match="NaN or Inf"):
             sigmoid_elem([0.0, float("inf")])

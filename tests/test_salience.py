@@ -1,10 +1,12 @@
 import functools
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from opinesum import numkit
 from opinesum.salience import (
     FeatureRegistry,
     LexiconSet,
@@ -302,6 +304,89 @@ class TestClusterFeaturesOracle:
             assert baseline_rank("centroid", cluster, stats) == rank_descending(oracle[:, col])
 
 
+def per_unit_extract_features(unit, weights, centrality, registry, lexicons):
+    """The per-unit featurizer that the one-pass cluster_features replaced:
+    one feature vector, four passes over the tokens."""
+    vec = np.zeros(registry.d)
+    vec[0] = len(unit.tokens)
+    vec[1] = len({t.pos for t in unit.tokens if t.pos})
+    vec[2] = sum(1 for t in unit.tokens if t.ner)
+    vec[3] = centrality
+    if weights:
+        vals = list(weights.values())
+        vec[4] = sum(vals) / len(vals)
+        vec[5] = max(vals)
+    cat_col, sent_col, uni_col = registry.columns
+    for t in unit.tokens:
+        for c in lexicons.general.get(t.norm, ()):
+            if c in cat_col:
+                vec[cat_col[c]] += 1
+    for t in unit.tokens:
+        pol = lexicons.sentiment.get(t.norm)
+        if pol in sent_col:
+            vec[sent_col[pol]] += 1
+    for norm in content_norms(unit, lexicons.stopwords):
+        j = uni_col.get(norm)
+        if j is not None:
+            vec[j] += 1
+    return vec
+
+
+def per_unit_cluster_features(cluster, registry, lexicons, tfidf):
+    """The cluster_features that stacked per-unit vectors, with its
+    Counter-based centroidness, as an oracle."""
+    weight_maps = [tfidf.unit_weights(u) for u in cluster.units]
+    mean = Counter()
+    for weights in weight_maps:
+        for term, w in weights.items():
+            mean[term] += w / len(weight_maps)
+    mean_norm = math.sqrt(sum(w * w for w in mean.values()))
+    cents = [cosine_weight_maps(weights, mean, mean_norm) for weights in weight_maps]
+    return np.stack(
+        [
+            per_unit_extract_features(u, weights, c, registry, lexicons)
+            for u, weights, c in zip(cluster.units, weight_maps, cents)
+        ]
+    )
+
+
+class TestOnePassFeatures:
+    def test_bit_identical_to_per_unit_featurizer(self):
+        rng = np.random.default_rng(31)
+        words = ["great", "dull", "fine", "the", "plot", "Plot", "acting", "w1", "w2", "e.g."]
+        punct = ["", "!", "...", "(", ")", ",", '"', "?!", "--"]
+        tags = ["NN", "VB", "JJ", "", "O", "PER", "ORG"]
+
+        def unit():
+            chunks = [
+                rng.choice(punct) + rng.choice(words) + rng.choice(punct)
+                for _ in range(int(rng.integers(1, 14)))
+            ]
+            text = " ".join(chunks + ([str(rng.choice(punct[1:]))] if rng.random() < 0.3 else []))
+            n = len(text_unit(text).tokens)
+            pos = list(rng.choice(tags[:4], size=n)) if rng.random() < 0.5 else None
+            ner = list(rng.choice(tags[3:], size=n)) if rng.random() < 0.5 else None
+            return text_unit(text, pos=pos, ner=ner)
+
+        clusters = [
+            Cluster(id=f"c{m}", units=tuple(unit() for _ in range(m)), summary=text_unit("plot"))
+            for m in (1, 3, 12, 60)
+        ]
+        lex = LexiconSet(
+            general={"great": ("Positiv", "Strong"), "dull": ("Negativ",), "plot": ("Noun",)},
+            sentiment={"great": "positive", "dull": "negative", "fine": "neutral", "w1": "odd"},
+            stopwords=frozenset({"the", "w2"}),
+        )
+        stats = TfidfStats(clusters)
+        for top_u in (6, 3):
+            registry = build_registry(clusters, lex, top_u=top_u)
+            for cluster in clusters:
+                feats = cluster_features(cluster, registry, lex, stats)
+                oracle = per_unit_cluster_features(cluster, registry, lex, stats)
+                assert feats.shape == oracle.shape and np.array_equal(feats, oracle)
+                assert feats.tobytes() == oracle.tobytes()
+
+
 class TestBuildDesign:
     def test_single_pair(self):
         feats = [np.array([[1.0, 0.0], [0.0, 1.0]])]
@@ -476,6 +561,25 @@ class TestFitClosedForm:
             delta = rng.normal(size=4)
             delta *= rng.random() / max(np.linalg.norm(delta), 1e-12)
             assert objective(design, model.w + delta, lam, beta) >= j_min - 1e-12
+
+    def test_system_built_in_place_matches_formula(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        feats, labels = random_design(rng, d=12, n=60, n_clusters=5)
+        design = build_design(feats, labels)
+        gram, moment, pair_gram, pair_sum = design.normal_equations
+        solved = []
+        monkeypatch.setattr(
+            numkit, "solve_spd", lambda A, b: solved.append(A.copy()) or np.linalg.solve(A, b)
+        )
+        for lam, beta in ((0.0, 0.01), (0.5, 0.1), (10.0, 3.0)):
+            fit_closed_form(design, lam, beta)
+            formula = gram + lam * pair_gram + beta * np.eye(gram.shape[0])
+            assert np.array_equal(solved[-1], formula)
+        monkeypatch.undo()
+        for lam, beta in ((0.0, 0.01), (0.5, 0.1), (10.0, 3.0)):
+            formula = gram + lam * pair_gram + beta * np.eye(gram.shape[0])
+            w = numkit.solve_spd(formula, moment + lam * pair_sum)
+            assert np.array_equal(fit_closed_form(design, lam, beta).w, w)
 
     def test_beta_must_be_positive(self):
         design = build_design([np.eye(2)], [np.array([1.0, 0.0])])

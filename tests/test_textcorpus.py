@@ -1,5 +1,6 @@
 import json
 import math
+import string
 from collections import Counter
 
 import numpy as np
@@ -10,9 +11,11 @@ from opinesum.textcorpus import (
     Cluster,
     CorpusFormatError,
     TfidfStats,
+    Token,
     atomic_write,
     build_vocab,
     content_norms,
+    content_words,
     cosine_weight_maps,
     default_stopwords,
     detokenize,
@@ -60,6 +63,68 @@ class TestTokenize:
             norms = [t.norm for t in tokenize(text)]
             again = [t.norm for t in tokenize(" ".join(norms))]
             assert norms == again
+
+
+def loop_tokenize(text):
+    """The per-character tokenizer tokenize replaced, as an oracle."""
+    punct = frozenset(string.punctuation)
+    tokens = []
+    for chunk in text.split():
+        lead = []
+        while chunk and chunk[0] in punct:
+            lead.append(chunk[0])
+            chunk = chunk[1:]
+        trail = []
+        while chunk and chunk[-1] in punct:
+            trail.append(chunk[-1])
+            chunk = chunk[:-1]
+        for ch in lead:
+            tokens.append(Token(ch, ch))
+        if chunk:
+            tokens.append(Token(chunk, chunk.lower()))
+        for ch in reversed(trail):
+            tokens.append(Token(ch, ch))
+    return tokens
+
+
+class TestTokenFastPath:
+    EDGE_TEXTS = [
+        "",
+        "   ",
+        "plain words Only",
+        "Hello, world!",
+        "...",
+        "(quoted)",
+        '"Wow!!!" she said...',
+        "--dash-- it's ok?!",
+        "a.b.c .leading trailing. ?mid?dle?",
+        "!!! ??? ,,, .",
+        "x (y) [z]{w} <v> 'u' \"t\"",
+        "émigré café, naïve!  Tabs\tand\nnewlines",
+        "«guillemets» are not ASCII punctuation…",
+        "$5.00 100% #tag @user ~tilde^ a_b`c|d",
+    ]
+
+    def test_matches_loop_tokenizer(self):
+        rng = np.random.default_rng(7)
+        pool = list(string.punctuation) + list("abcXYZ é") + ["  "]
+        texts = self.EDGE_TEXTS + [
+            "".join(rng.choice(pool, size=rng.integers(0, 30))) for _ in range(300)
+        ]
+        for text in texts:
+            assert tokenize(text) == loop_tokenize(text), text
+
+    def test_token_is_immutable_and_hashable(self):
+        t = Token("Great", "great", pos="JJ")
+        with pytest.raises(AttributeError):
+            t.norm = "good"
+        assert hash(t) == hash(Token("Great", "great", "JJ", None))
+        assert t == Token("Great", "great", pos="JJ") and t != Token("Great", "great")
+        assert len({t, Token("Great", "great", pos="JJ"), Token("great", "great")}) == 2
+
+    def test_content_words_drop_punctuation_only_norms(self):
+        norms = ["good", "!", "...", "", "a", "e.g.", "--x", "the", "?!"]
+        assert content_words(norms, frozenset({"the"})) == ["good", "a", "e.g.", "--x"]
 
 
 class TestDetokenize:
@@ -164,6 +229,29 @@ class TestCorpusFile:
         with pytest.raises(CorpusFormatError, match="duplicate cluster id 'x'.*line 1") as excinfo:
             load_clusters(path)
         assert excinfo.value.line_no == 3
+
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"id": "x", "summary": None, "units": [{"text": "a"}]}, "summary must be a string"),
+            ({"id": "x", "summary": "s", "units": [{"text": 7}]}, "unit text must be a string"),
+            ({"id": "x", "entity": 5, "summary": "s", "units": [{"text": "a"}]}, "entity must be a string"),
+            ({"id": "x", "summary": "s", "units": [{"text": "a b", "pos": "DT NN"}]}, "unit pos must be a list"),
+            ({"id": "x", "summary": "s", "units": [{"text": "a b", "pos": ["DT", 3]}]}, "unit pos must be a list"),
+            ({"id": "x", "summary": "s", "units": [{"text": "a", "ner": {"O": 1}}]}, "unit ner must be a list"),
+            ({"id": "x", "summary": "s", "units": [{"text": "a", "ner": [None]}]}, "unit ner must be a list"),
+        ],
+        ids=["summary_null", "text_int", "entity_int", "pos_string", "pos_int_tag", "ner_dict",
+             "ner_null_tag"],
+    )
+    def test_non_string_field_rejected_with_line_number(self, tmp_path, record, message):
+        path = tmp_path / "bad.jsonl"
+        good = {"id": "ok", "summary": "s", "units": [{"text": "a", "pos": None, "ner": None}]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(CorpusFormatError, match=message) as excinfo:
+            load_clusters(path)
+        assert excinfo.value.line_no == 2
 
 
 class TestAtomicWrite:
