@@ -177,27 +177,24 @@ def _load_lexicons(cfg):
     return LexiconSet(general=general, sentiment=sentiment, stopwords=stopwords)
 
 
-def _prepare_split(clusters_raw, lexicons, registry):
-    """Substitute entities and featurize one loaded corpus split."""
+def _score_split(clusters_raw, lexicons, registry, model):
+    """Substitute entities in one loaded corpus split, count its TF-IDF,
+    and score each cluster's units as soon as they are featurized, so only
+    one feature matrix is alive at a time. Returns (substituted clusters,
+    tfidf, one score vector per cluster)."""
     clusters = [substitute_entity(c) for c in clusters_raw]
     tfidf = TfidfStats(clusters)
-    features = [
-        salience.cluster_features(c, registry, lexicons, tfidf) for c in clusters
+    scores = [
+        salience.score_units(model, salience.cluster_features(c, registry, lexicons, tfidf))
+        for c in clusters
     ]
-    return clusters, tfidf, features
+    return clusters, tfidf, scores
 
 
 def _load_salience(cfg):
     registry = salience.load_registry(cfg.require("salience_registry"))
     model = salience.load_model(cfg.require("salience_model"), registry)
     return model, registry
-
-
-def _scores_by_id(model, clusters, features):
-    return {
-        c.id: salience.score_units(model, feats)
-        for c, feats in zip(clusters, features)
-    }
 
 
 def cmd_preprocess(cfg):
@@ -213,21 +210,27 @@ def cmd_preprocess(cfg):
 
 
 def cmd_fit_importance(cfg):
-    lexicons = _load_lexicons(cfg)
-    train_raw = load_clusters(cfg.require("corpus.train"))
-    registry = salience.build_registry(
-        [substitute_entity(c) for c in train_raw], lexicons,
-        top_u=cfg.get_int("top_unigrams", 500),
-    )
-    train_clusters, _, train_features = _prepare_split(train_raw, lexicons, registry)
-    train_labels = [salience.gold_scores(c, lexicons.stopwords) for c in train_clusters]
-    dev_clusters, _, dev_features = _prepare_split(
-        load_clusters(cfg.require("corpus.dev")), lexicons, registry
-    )
+    top_u = cfg.get_int("top_unigrams", 500)
+    if top_u < 0:
+        raise UsageError("config key top_unigrams must be >= 0")
     lam_grid = [float(x) for x in cfg.get_list("lam_grid", ("0", "0.01", "0.1", "0.5", "1", "10"))]
     beta_grid = [float(x) for x in cfg.get_list("beta_grid", ("0.01", "0.1", "1", "10"))]
+    for key, grid in (("lam_grid", lam_grid), ("beta_grid", beta_grid)):
+        if not grid:
+            raise UsageError(f"config key {key} must list at least one value")
+    lexicons = _load_lexicons(cfg)
+    train_clusters = [substitute_entity(c) for c in load_clusters(cfg.require("corpus.train"))]
+    registry = salience.build_registry(train_clusters, lexicons, top_u=top_u)
+    train_labels = [salience.gold_scores(c, lexicons.stopwords) for c in train_clusters]
+    dev_clusters = [substitute_entity(c) for c in load_clusters(cfg.require("corpus.dev"))]
+
+    # the design and the dev grid need every cluster's features at once
+    def featurize(clusters):
+        tfidf = TfidfStats(clusters)
+        return [salience.cluster_features(c, registry, lexicons, tfidf) for c in clusters]
+
     model, rows = salience.fit_with_grid_search(
-        train_features, train_labels, dev_clusters, dev_features,
+        featurize(train_clusters), train_labels, dev_clusters, featurize(dev_clusters),
         lexicons, registry, lam_grid, beta_grid,
     )
     salience.save_model(model, cfg.out_path("salience.model"))
@@ -245,10 +248,9 @@ def cmd_fit_importance(cfg):
 def cmd_rank_eval(cfg):
     lexicons = _load_lexicons(cfg)
     model, registry = _load_salience(cfg)
-    clusters, tfidf, features = _prepare_split(
-        load_clusters(cfg.require("corpus")), lexicons, registry
+    clusters, tfidf, unit_scores = _score_split(
+        load_clusters(cfg.require("corpus")), lexicons, registry, model
     )
-    unit_scores = [salience.score_units(model, feats) for feats in features]
     systems = {
         "salience": [salience.rank_descending(scores) for scores in unit_scores],
         "length": [salience.baseline_rank("length", c) for c in clusters],
@@ -308,11 +310,11 @@ def cmd_train(cfg):
             raise UsageError(
                 f"cluster id {c.id!r} names different clusters in corpus.train and corpus.dev"
             )
-    train_clusters, _, train_features = _prepare_split(train_raw, lexicons, registry)
-    dev_clusters, _, dev_features = _prepare_split(dev_raw, lexicons, registry)
+    train_clusters, _, train_scores = _score_split(train_raw, lexicons, registry, sal_model)
+    dev_clusters, _, dev_scores = _score_split(dev_raw, lexicons, registry, sal_model)
     # a cluster in both splits keeps the scores of the split it trains on
-    scores = _scores_by_id(sal_model, dev_clusters, dev_features)
-    scores.update(_scores_by_id(sal_model, train_clusters, train_features))
+    scores = {c.id: s for c, s in zip(dev_clusters, dev_scores)}
+    scores.update((c.id, s) for c, s in zip(train_clusters, train_scores))
     config = _train_config(cfg)
     pretrained = None
     if cfg.get("embeddings"):
@@ -336,6 +338,8 @@ def cmd_train(cfg):
 
 def cmd_gradcheck(cfg):
     seeds = cfg.get_int("seeds", 1)
+    if seeds < 1:
+        raise UsageError("config key seeds must be >= 1")
     worst = 0.0
     for seed in range(seeds):
         rel = trainer.gradient_check(seed=derive_seed(cfg.get_int("seed", 0), "gradcheck", seed))
@@ -348,10 +352,9 @@ def cmd_gradcheck(cfg):
     return 0
 
 
-def _decode_records(model, clusters_raw, sal_model, features, k, width, max_len, tfidf, lexicons):
+def _decode_records(model, clusters_raw, unit_scores, k, width, max_len, tfidf, lexicons):
     """decode_cluster's record for each cluster, in corpus order."""
-    for raw, feats in zip(clusters_raw, features):
-        scores = salience.score_units(sal_model, feats)
+    for raw, scores in zip(clusters_raw, unit_scores):
         yield beamdecode.decode_cluster(
             model, raw, scores, k, width, max_len, tfidf, lexicons.stopwords
         )
@@ -362,14 +365,14 @@ def cmd_decode(cfg):
     sal_model, registry = _load_salience(cfg)
     model = load_seq2seq(cfg.require("model"))
     clusters_raw = load_clusters(cfg.require("corpus"))
-    _, tfidf, features = _prepare_split(clusters_raw, lexicons, registry)
+    _, tfidf, unit_scores = _score_split(clusters_raw, lexicons, registry, sal_model)
     k = cfg.get_int("K", 5)
     width = cfg.get_int("beam_width", 20)
     max_len = cfg.get_int("max_len", 40)
     out = cfg.out_path("decode.jsonl")
     with atomic_write(out) as fh:
         for record in _decode_records(
-            model, clusters_raw, sal_model, features, k, width, max_len, tfidf, lexicons
+            model, clusters_raw, unit_scores, k, width, max_len, tfidf, lexicons
         ):
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     print(f"wrote {out}")
@@ -442,7 +445,7 @@ def cmd_sampling_report(cfg):
     lexicons = _load_lexicons(cfg)
     sal_model, registry = _load_salience(cfg)
     clusters_raw = load_clusters(cfg.require("corpus"))
-    clusters, tfidf, features = _prepare_split(clusters_raw, lexicons, registry)
+    clusters, tfidf, unit_scores = _score_split(clusters_raw, lexicons, registry, sal_model)
     modes = cfg.get_list("modes", ("importance", "uniform", "topk"))
     ks = [int(x) for x in cfg.get_list("Ks", ("1", "2", "5", "10"))]
     model_dir = cfg.require("model_dir")
@@ -457,7 +460,7 @@ def cmd_sampling_report(cfg):
                 cells[(mode, k)] = None
                 continue
             records = _decode_records(
-                load_seq2seq(path), clusters_raw, sal_model, features, k, width, max_len,
+                load_seq2seq(path), clusters_raw, unit_scores, k, width, max_len,
                 tfidf, lexicons,
             )
             hyps = [[t.norm for t in tokenize(r["summary"])] for r in records]

@@ -160,7 +160,7 @@ def load_clusters(path):
                 )
                 entity = obj.get("entity")
                 cluster = Cluster(
-                    id=str(obj["id"]),
+                    id=_string(obj["id"], "id"),
                     units=units,
                     summary=text_unit(_string(obj["summary"], "summary")),
                     entity=None if entity is None else _string(entity, "entity") or None,

@@ -23,6 +23,7 @@ POSITIVE = (
     "textcorpus.load_clusters.s",
     "salience.cluster_features.s",
     "salience.cluster_features.units",
+    "salience.score_units.s",
 )
 
 

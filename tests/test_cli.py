@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,28 @@ class TestFitImportance:
             ) == 0
             outs.append((out / "salience.model").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("lam_grid=,", "lam_grid must list at least one value"),
+            ("beta_grid=", "beta_grid must list at least one value"),
+            ("top_unigrams=-1", "top_unigrams must be >= 0"),
+        ],
+    )
+    def test_bad_setting_exits_2_without_output(
+        self, tmp_path, corpus_file, capsys, setting, message
+    ):
+        out = tmp_path / "fit"
+        assert main(
+            ["fit-importance",
+             "--set", f"corpus.train={corpus_file}",
+             "--set", f"corpus.dev={corpus_file}",
+             "--set", f"out_dir={out}",
+             "--set", setting]
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRankEval:
@@ -443,6 +466,13 @@ class TestGradcheckCommand:
     def test_exit_zero(self, tmp_path):
         assert main(["gradcheck", "--set", "seeds=1"]) == 0
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_no_seed_is_a_usage_error(self, capsys, seeds):
+        assert main(["gradcheck", "--set", f"seeds={seeds}"]) == 2
+        captured = capsys.readouterr()
+        assert "seeds must be >= 1" in captured.err
+        assert "OK" not in captured.out
+
 
 class TestSamplingReport:
     def test_absent_cells(self, tmp_path, corpus_file, fitted_salience):
@@ -468,6 +498,59 @@ class TestSamplingReport:
         by_key = {(r[0], r[1]): r[2] for r in rows[1:]}
         assert by_key[("topk", "2")] != ""
         assert by_key[("uniform", "1")] == ""
+
+
+class TestFeatureLifetime:
+    def test_scoring_stages_keep_one_feature_matrix_at_a_time(
+        self, tmp_path, corpus_file, fitted_salience, monkeypatch
+    ):
+        model_path, registry_path = fitted_salience
+        model_file = train_once(tmp_path, corpus_file, fitted_salience, "t8") / "model.txt"
+        model_dir = tmp_path / "models"
+        model_dir.mkdir()
+        for k in (1, 2):
+            (model_dir / f"topk_K{k}.model").write_bytes(model_file.read_bytes())
+        salience_args = [
+            "--set", f"corpus={corpus_file}",
+            "--set", f"salience_model={model_path}",
+            "--set", f"salience_registry={registry_path}",
+        ]
+        decode_args = ["--set", "K=2", "--set", "beam_width=2", "--set", "max_len=6"]
+        stages = {
+            "rank-eval": ["rank-eval"] + salience_args,
+            "train": train_args(corpus_file, fitted_salience, tmp_path / "train"),
+            "decode": ["decode", "--set", f"model={model_file}"] + salience_args + decode_args,
+            "sampling-report": [
+                "sampling-report", "--set", f"model_dir={model_dir}",
+                "--set", "modes=topk", "--set", "Ks=1,2",
+            ] + salience_args + decode_args,
+        }
+        built = []  # a weak reference to each matrix cluster_features returned
+        alive_before = []  # how many of the earlier matrices were alive at each call
+        scored = []
+        cluster_features, score_units = salience.cluster_features, salience.score_units
+
+        def tracked_features(*args):
+            alive_before.append(sum(ref() is not None for ref in built))
+            feats = cluster_features(*args)
+            built.append(weakref.ref(feats))
+            return feats
+
+        def counted_scores(model, feats):
+            scored.append(feats.shape[0])
+            return score_units(model, feats)
+
+        monkeypatch.setattr(salience, "cluster_features", tracked_features)
+        monkeypatch.setattr(salience, "score_units", counted_scores)
+        for stage, argv in stages.items():
+            for record in (built, alive_before, scored):
+                record.clear()
+            assert main(argv + ["--set", f"out_dir={tmp_path / stage}"]) == 0, stage
+            # train featurizes the train and the dev split: the toy corpus twice
+            n_clusters = 6 if stage == "train" else 3
+            assert alive_before == [0] * n_clusters, stage
+            # sampling-report reads two model files but scores each cluster once
+            assert scored == [3] * n_clusters, stage
 
 
 class TestEntryPoint:

@@ -241,9 +241,12 @@ class TestCorpusFile:
             ({"id": "x", "summary": "s", "units": [{"text": "a b", "pos": ["DT", 3]}]}, "unit pos must be a list"),
             ({"id": "x", "summary": "s", "units": [{"text": "a", "ner": {"O": 1}}]}, "unit ner must be a list"),
             ({"id": "x", "summary": "s", "units": [{"text": "a", "ner": [None]}]}, "unit ner must be a list"),
+            ({"id": None, "summary": "s", "units": [{"text": "a"}]}, "id must be a string"),
+            ({"id": 7, "summary": "s", "units": [{"text": "a"}]}, "id must be a string"),
+            ({"id": [1], "summary": "s", "units": [{"text": "a"}]}, "id must be a string"),
         ],
         ids=["summary_null", "text_int", "entity_int", "pos_string", "pos_int_tag", "ner_dict",
-             "ner_null_tag"],
+             "ner_null_tag", "id_null", "id_int", "id_list"],
     )
     def test_non_string_field_rejected_with_line_number(self, tmp_path, record, message):
         path = tmp_path / "bad.jsonl"
