@@ -215,18 +215,9 @@ class ModelParams:
 
     def named_tensors(self):
         """Stable (name, array) iteration over every trainable tensor."""
-        yield "emb", self.embeddings.matrix
-        if self.features:
-            for ch in CHANNELS:
-                yield f"feat.{ch}", self.feat_tables[ch]
-        yield from self.enc_f.named("enc_f")
-        yield from self.enc_b.named("enc_b")
-        yield from self.dec.named("dec")
-        yield "attn.W_cg", self.attn.W_cg
-        yield "attn.W_hg", self.attn.W_hg
-        yield "attn.W_s", self.attn.W_s
-        yield "W_out", self.W_out
-        yield "b_out", self.b_out
+        tables = {"emb": self.embeddings.matrix}
+        tables.update((f"feat.{ch}", table) for ch, table in self.feat_tables.items())
+        return _named(tables, self.enc_f, self.enc_b, self.dec, self.attn, self.W_out, self.b_out)
 
     def zeros_like(self):
         """A zero model of the same dimensions, sharing vocab and features."""
@@ -240,6 +231,21 @@ class ModelParams:
         copy.embeddings.trainable[...] = self.embeddings.trainable
         copy.embeddings.covered[...] = self.embeddings.covered
         return copy
+
+
+def _named(tables, enc_f, enc_b, dec, attn, W_out, b_out):
+    """(name, tensor) pairs in checkpoint order: the lookup tables ("emb",
+    then "feat.<channel>" in CHANNELS order), the three cells, the
+    attention, the output layer."""
+    yield from tables.items()
+    yield from enc_f.named("enc_f")
+    yield from enc_b.named("enc_b")
+    yield from dec.named("dec")
+    yield "attn.W_cg", attn.W_cg
+    yield "attn.W_hg", attn.W_hg
+    yield "attn.W_s", attn.W_s
+    yield "W_out", W_out
+    yield "b_out", b_out
 
 
 def new_model(vocab, features, d_emb, d_h, d_a):
@@ -406,8 +412,10 @@ class _AttnCache:
 def _attend(model, contexts, keys, h_prev):
     """Attention for a decoder state h_prev, or for each row of a matrix of
     states; a row axis on h_prev leads every output."""
-    q = keys + _rows(model.attn.W_hg, h_prev)[..., None, :]  # ([B x] n x d_a)
-    t = np.tanh(q)
+    # C-ordered state projections lay t out row by row, B x n x d_a
+    hq = np.ascontiguousarray(_rows(model.attn.W_hg, h_prev))
+    t = keys + hq[..., None, :]  # ([B x] n x d_a)
+    np.tanh(t, out=t)
     e = t @ model.attn.W_s
     a = softmax(e)
     s = a @ contexts
@@ -621,41 +629,78 @@ def _attend_backward(model, grad, contexts, cache, ds):
     return np.outer(de, model.attn.W_s) * (1.0 - cache.t * cache.t)
 
 
-def _repr_backward(model, grads, indices, feat_ids, d_rep):
-    """Scatter-add d_rep (one row per token) into the embedding and
-    feature-table rows the tokens' input vectors read."""
+@dataclass
+class RowGradient:
+    """The gradient of a lookup table as the rows one example touched:
+    `rows` holds their indices, sorted and unique, and `values` one
+    gradient row per index. Every other row of the n_rows x d gradient is
+    exactly zero."""
+
+    rows: np.ndarray
+    values: np.ndarray
+    n_rows: int
+
+    @staticmethod
+    def scatter(indices, d_rep, n_rows):
+        """Sum the rows of d_rep into the table rows `indices` names, each
+        row in the order of `indices`, as a scatter-add into a zero table
+        would."""
+        rows, slot = np.unique(indices, return_inverse=True)
+        values = np.zeros((len(rows), d_rep.shape[1]))
+        np.add.at(values, slot, d_rep)
+        return RowGradient(rows=rows, values=values, n_rows=n_rows)
+
+
+def dense(grad):
+    """A gradient from backward_pass as a full array of its tensor's shape."""
+    if not isinstance(grad, RowGradient):
+        return grad
+    out = np.zeros((grad.n_rows, grad.values.shape[1]))
+    out[grad.rows] = grad.values
+    return out
+
+
+def _table_gradients(model, indices, feat_ids, d_rep):
+    """The embedding and feature-table gradients, as RowGradients, of the
+    token input vectors whose gradients are the rows of d_rep (the
+    trailing continuous slot is an input, not a parameter)."""
     d_emb = model.d_emb
-    np.add.at(grads.embeddings.matrix, indices, d_rep[:, :d_emb])
+    grads = {"emb": RowGradient.scatter(indices, d_rep[:, :d_emb], len(model.vocab))}
     if model.features:
         dim = model.features.dim
         for k, ch in enumerate(CHANNELS):
             off = d_emb + k * dim
-            np.add.at(grads.feat_tables[ch], feat_ids[:, k], d_rep[:, off : off + dim])
-        # the trailing continuous slot is an input, not a parameter
+            grads[f"feat.{ch}"] = RowGradient.scatter(
+                feat_ids[:, k], d_rep[:, off : off + dim], model.feat_tables[ch].shape[0]
+            )
+    return grads
 
 
 def backward_pass(model, trace, scale=1.0):
     """Exact gradients of scale * (-loglik) w.r.t. every parameter tensor.
 
-    Returns {name: gradient} under the names of model.named_tensors().
-    Rows of the embedding/feature tables not touched by the example keep an
-    exactly zero gradient. The recurrences run one step at a time; every
-    weight gradient is then one GEMM over the stacked steps of its chain,
-    written straight into the zero gradient model.
+    Returns {name: gradient} under the names of model.named_tensors(). The
+    embedding and feature tables get a RowGradient holding only the rows
+    the example read; every other tensor gets a dense array (see `dense`).
+    The recurrences run one step at a time; every weight gradient is then
+    one GEMM over the stacked steps of its chain.
     """
     if trace.model_id != id(model) or trace.version != model.version:
         raise StaleTraceError("trace is stale: model parameters changed since the forward pass")
-    grads = model.zeros_like()
     d_h = model.d_h
     token_dim = model.token_dim
     contexts = trace.enc.contexts
     dec = trace.dec
     T = len(trace.targets)
+    g_enc_f, g_enc_b, g_dec = (
+        LstmCellParams.zeros(p.d_u, d_h) for p in (model.enc_f, model.enc_b, model.dec)
+    )
+    g_attn = AttentionParams.zeros(model.d_a, d_h)
 
     dlogits = trace.probs * scale
     dlogits[np.arange(T), trace.targets] -= scale
-    np.matmul(dlogits.T, dec.H[1:], out=grads.W_out)
-    dlogits.sum(axis=0, out=grads.b_out)
+    g_W_out = dlogits.T @ dec.H[1:]
+    g_b_out = dlogits.sum(axis=0)
     dH = dlogits @ model.W_out
 
     p = model.dec
@@ -669,25 +714,32 @@ def backward_pass(model, trace, scale=1.0):
     for t in range(T - 1, -1, -1):
         dh_l, dc = back(dec.gates[t], dec.C[t], dec.C[t + 1], dH[t] + dh, dc, DA[t])
         DS[t] = p.Wu[:, token_dim:].T @ DA[t]
-        dq = _attend_backward(model, grads.attn, contexts, trace.attn[t], DS[t])
+        dq = _attend_backward(model, g_attn, contexts, trace.attn[t], DS[t])
         dq_ctx += dq
         dq_steps[t] = dq.sum(axis=0)
         dh = dh_l + model.attn.W_hg.T @ dq_steps[t]
-    _cell_gradients(grads.dec, dec, DA)
-    np.matmul(dq_steps.T, dec.H[:-1], out=grads.attn.W_hg)
-    np.matmul(dq_ctx.T, contexts, out=grads.attn.W_cg)
+    _cell_gradients(g_dec, dec, DA)
+    np.matmul(dq_steps.T, dec.H[:-1], out=g_attn.W_hg)
+    np.matmul(dq_ctx.T, contexts, out=g_attn.W_cg)
     inputs = np.array([model.vocab.bos] + trace.targets[:-1])
-    _repr_backward(model, grads, inputs, _decode_ids(model, inputs), DA @ p.Wu[:, :token_dim])
+    d_in = DA @ p.Wu[:, :token_dim]
 
     # contexts feed the attention summaries and, through W_cg, the keys
     attn_a = np.array([cache.a for cache in trace.attn])
     db = attn_a.T @ DS + dq_ctx @ model.attn.W_cg
     enc = trace.enc
-    d_rep = _chain_backward(model.enc_f, enc.fwd, db[:, :d_h], grads.enc_f)
+    d_rep = _chain_backward(model.enc_f, enc.fwd, db[:, :d_h], g_enc_f)
     # the backward chain's step j read position n-1-j
-    d_rep += _chain_backward(model.enc_b, enc.bwd, db[::-1, d_h:], grads.enc_b)[::-1]
-    _repr_backward(model, grads, enc.z.indices, enc.ids, d_rep)
-    return dict(grads.named_tensors())
+    d_rep += _chain_backward(model.enc_b, enc.bwd, db[::-1, d_h:], g_enc_b)[::-1]
+    # decoder inputs first, then encoder positions: the order in which each
+    # table row sums its terms, which the trained bits depend on
+    tables = _table_gradients(
+        model,
+        np.concatenate([inputs, enc.z.indices]),
+        None if enc.ids is None else np.concatenate([_decode_ids(model, inputs), enc.ids]),
+        np.concatenate([d_in, d_rep]),
+    )
+    return dict(_named(tables, g_enc_f, g_enc_b, g_dec, g_attn, g_W_out, g_b_out))
 
 
 # ---------------------------------------------------------------------------

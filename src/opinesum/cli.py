@@ -133,11 +133,16 @@ class RunConfig:
             return False
         raise UsageError(f"config key {key} must be a boolean")
 
-    def get_list(self, key, default):
+    def get_list(self, key, default, kind=str):
+        """The comma-separated values of a key as `kind`; never empty."""
         raw = self.values.get(key)
-        if raw is None:
-            return list(default)
-        return [item.strip() for item in raw.split(",") if item.strip()]
+        items = list(default) if raw is None else [x.strip() for x in raw.split(",") if x.strip()]
+        if not items:
+            raise UsageError(f"config key {key} must list at least one value")
+        try:
+            return [kind(item) for item in items]
+        except ValueError:
+            raise UsageError(f"config key {key} must list {kind.__name__} values") from None
 
     def validate_paths(self):
         """Every configured input path must exist before work begins."""
@@ -213,11 +218,8 @@ def cmd_fit_importance(cfg):
     top_u = cfg.get_int("top_unigrams", 500)
     if top_u < 0:
         raise UsageError("config key top_unigrams must be >= 0")
-    lam_grid = [float(x) for x in cfg.get_list("lam_grid", ("0", "0.01", "0.1", "0.5", "1", "10"))]
-    beta_grid = [float(x) for x in cfg.get_list("beta_grid", ("0.01", "0.1", "1", "10"))]
-    for key, grid in (("lam_grid", lam_grid), ("beta_grid", beta_grid)):
-        if not grid:
-            raise UsageError(f"config key {key} must list at least one value")
+    lam_grid = cfg.get_list("lam_grid", ("0", "0.01", "0.1", "0.5", "1", "10"), float)
+    beta_grid = cfg.get_list("beta_grid", ("0.01", "0.1", "1", "10"), float)
     lexicons = _load_lexicons(cfg)
     train_clusters = [substitute_entity(c) for c in load_clusters(cfg.require("corpus.train"))]
     registry = salience.build_registry(train_clusters, lexicons, top_u=top_u)
@@ -298,6 +300,7 @@ def _train_config(cfg):
 
 
 def cmd_train(cfg):
+    config = _train_config(cfg)
     lexicons = _load_lexicons(cfg)
     sal_model, registry = _load_salience(cfg)
     train_raw = load_clusters(cfg.require("corpus.train"))
@@ -315,7 +318,6 @@ def cmd_train(cfg):
     # a cluster in both splits keeps the scores of the split it trains on
     scores = {c.id: s for c, s in zip(dev_clusters, dev_scores)}
     scores.update((c.id, s) for c, s in zip(train_clusters, train_scores))
-    config = _train_config(cfg)
     pretrained = None
     if cfg.get("embeddings"):
         vocab = build_vocab(train_clusters, config.min_count)
@@ -442,12 +444,16 @@ def cmd_evaluate(cfg):
 
 
 def cmd_sampling_report(cfg):
+    modes = cfg.get_list("modes", trainer.SAMPLING_MODES)
+    if not set(modes) <= set(trainer.SAMPLING_MODES):
+        raise UsageError(f"config key modes must list modes of {','.join(trainer.SAMPLING_MODES)}")
+    ks = cfg.get_list("Ks", ("1", "2", "5", "10"), int)
+    if min(ks) < 1:
+        raise UsageError("config key Ks must list values >= 1")
     lexicons = _load_lexicons(cfg)
     sal_model, registry = _load_salience(cfg)
     clusters_raw = load_clusters(cfg.require("corpus"))
     clusters, tfidf, unit_scores = _score_split(clusters_raw, lexicons, registry, sal_model)
-    modes = cfg.get_list("modes", ("importance", "uniform", "topk"))
-    ks = [int(x) for x in cfg.get_list("Ks", ("1", "2", "5", "10"))]
     model_dir = cfg.require("model_dir")
     width = cfg.get_int("beam_width", 20)
     max_len = cfg.get_int("max_len", 40)

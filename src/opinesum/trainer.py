@@ -14,8 +14,10 @@ import numpy as np
 from . import beamdecode, sampler
 from .attnseq2seq import (
     CHANNELS,
+    RowGradient,
     TokenFeatureSet,
     backward_pass,
+    dense,
     new_model,
     sequence_log_prob,
 )
@@ -32,6 +34,10 @@ from .textcorpus import (
 )
 
 
+# how train draws an example's K input units
+SAMPLING_MODES = ("importance", "uniform", "topk")
+
+
 class TrainingDivergedError(RuntimeError):
     """Per-example loss became non-finite; try a lower learning rate."""
 
@@ -44,7 +50,7 @@ class TrainConfig:
     d_feat: int = 10
     use_features: bool = False
     K: int = 5
-    mode: str = "importance"  # importance | uniform | topk
+    mode: str = "importance"  # one of SAMPLING_MODES
     eta: float = 0.1
     eps: float = 1e-6
     init_scale: float = 0.08
@@ -59,8 +65,14 @@ class TrainConfig:
             raise ValueError("model dimensions must be positive")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.mode not in ("importance", "uniform", "topk"):
+        if self.mode not in SAMPLING_MODES:
             raise ValueError(f"unknown sampling mode: {self.mode!r}")
+        # not (x > 0) also rejects NaN
+        for key in ("eta", "eps"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be > 0")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
 
 
 def init_params(config, vocab, features=None, pretrained=None):
@@ -101,18 +113,42 @@ class AdagradState:
 
 
 def adagrad_update(model, grads, state):
-    """theta -= eta * g / (sqrt(G) + eps) with G += g^2, per coordinate."""
+    """theta -= eta * g / (sqrt(G) + eps) with G += g^2, per coordinate.
+
+    A coordinate with g == 0 takes no step, and untrainable embedding rows
+    accumulate G but never move. A RowGradient updates only its rows: on
+    every other row g is zero, so G and theta would keep their bits anyway.
+    """
+    trainable = model.embeddings.trainable
     for name, tensor in model.named_tensors():
         g = grads[name]
         acc = state.accum[name]
-        acc += g * g
-        step = np.zeros_like(g)
-        np.divide(g, np.sqrt(acc) + state.eps, out=step, where=g != 0)
-        step *= state.eta
-        if name == "emb":
-            step[~model.embeddings.trainable] = 0.0
-        tensor -= step
+        if isinstance(g, RowGradient):
+            rows = g.rows
+            frozen = ~trainable[rows] if name == "emb" else None
+            theta_rows, acc_rows = tensor[rows], acc[rows]
+            _adagrad_step(theta_rows, acc_rows, g.values, state, frozen)
+            tensor[rows], acc[rows] = theta_rows, acc_rows
+        else:
+            _adagrad_step(tensor, acc, g, state, ~trainable if name == "emb" else None)
     model.version += 1
+
+
+def _adagrad_step(theta, acc, g, state, frozen):
+    """The Adagrad update of theta and its accumulator acc, in place; the
+    rows `frozen` flags take no step. G, its root and the step share one
+    scratch array of g's size."""
+    work = g * g
+    acc += work
+    np.sqrt(acc, out=work)
+    work += state.eps
+    moves = g != 0
+    np.divide(g, work, out=work, where=moves)
+    np.copyto(work, 0.0, where=~moves)
+    work *= state.eta
+    if frozen is not None:
+        work[frozen] = 0.0
+    theta -= work
 
 
 def build_features(clusters, lexicons, dim):
@@ -168,20 +204,7 @@ def train(train_clusters, dev_clusters, config, scores, lexicons=None, pretraine
             rng = SeededRng(derive_seed(config.seed, "sample", cluster.id, epoch))
             z = _draw_input(cluster, scores[cluster.id], config, rng, vocab, tfidf)
             y = list(vocab.encode(cluster.summary.norms())) + [vocab.eos]
-            try:
-                loglik, trace = sequence_log_prob(model, z, y)
-            except ValueError as exc:  # NaN/Inf tripped a kernel guard
-                raise TrainingDivergedError(
-                    f"cluster {cluster.id!r}, epoch {epoch}: {exc}; lower eta"
-                ) from exc
-            if not np.isfinite(loglik):
-                raise TrainingDivergedError(
-                    f"non-finite loss on cluster {cluster.id!r} at epoch {epoch}; "
-                    "lower eta or check the corpus"
-                )
-            nll -= loglik
-            grads = backward_pass(model, trace)
-            adagrad_update(model, grads, state)
+            nll += _train_example(model, state, z, y, f"cluster {cluster.id!r}, epoch {epoch}")
         dev_bleu = _dev_bleu(model, dev_subs, config, scores, tfidf)
         history.append((epoch, nll / len(train_subs), dev_bleu))
         if dev_bleu > best_bleu:
@@ -193,6 +216,20 @@ def train(train_clusters, dev_clusters, config, scores, lexicons=None, pretraine
             if stale >= config.patience:
                 break
     return best_model, history
+
+
+def _train_example(model, state, z, y, where):
+    """One Adagrad step on the example (z, y); returns its NLL. The trace
+    and the gradient are locals, so both are freed before the next example
+    runs its forward pass."""
+    try:
+        loglik, trace = sequence_log_prob(model, z, y)
+    except ValueError as exc:  # NaN/Inf tripped a kernel guard
+        raise TrainingDivergedError(f"{where}: {exc}; lower eta") from exc
+    if not np.isfinite(loglik):
+        raise TrainingDivergedError(f"{where}: non-finite loss; lower eta or check the corpus")
+    adagrad_update(model, backward_pass(model, trace), state)
+    return -loglik
 
 
 def _dev_bleu(model, dev_subs, config, scores, tfidf):
@@ -371,7 +408,7 @@ def gradient_check(seed=0):
         lp = fwd.losses(name, coords, eps)
         lm = fwd.losses(name, coords, -eps)
         gn = ((lp - lm) / (2 * eps)).astype(np.float64)
-        ga = grads[name].reshape(-1)
+        ga = dense(grads[name]).reshape(-1)
         rel = np.abs(ga - gn) / np.maximum(1e-8, np.abs(ga) + np.abs(gn))
         max_rel = max(max_rel, float(rel.max()))
     return max_rel

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import opinesum
-from opinesum import salience, trainer
+from opinesum import cli, salience, trainer
 from opinesum.cli import RunConfig, _train_config, main
 
 
@@ -285,6 +285,25 @@ class TestTrainCommand:
         assert model.features is not None
         assert "Positiv" in model.features.lex_categories
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("max_epochs=0", "max_epochs must be >= 1"),
+            ("eta=-1", "eta must be > 0"),
+            ("eta=0", "eta must be > 0"),
+            ("eta=nan", "eta must be > 0"),
+            ("eps=0", "eps must be > 0"),
+        ],
+    )
+    def test_bad_setting_exits_2_without_output(
+        self, tmp_path, corpus_file, fitted_salience, capsys, setting, message
+    ):
+        out = tmp_path / "bad"
+        args = train_args(corpus_file, fitted_salience, out) + ["--set", setting]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "model.txt").exists()
+
     def test_dev_id_naming_another_cluster_rejected(self, tmp_path, corpus_file, fitted_salience):
         dev = toy_corpus()[:1]
         dev[0]["summary"] = "a different summary"
@@ -498,6 +517,41 @@ class TestSamplingReport:
         by_key = {(r[0], r[1]): r[2] for r in rows[1:]}
         assert by_key[("topk", "2")] != ""
         assert by_key[("uniform", "1")] == ""
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("Ks=", "Ks must list at least one value"),
+            ("Ks=,", "Ks must list at least one value"),
+            ("modes=", "modes must list at least one value"),
+            ("modes=topk,tokp", "modes must list modes of importance,uniform,topk"),
+            ("Ks=0", "Ks must list values >= 1"),
+            ("Ks=2,-1", "Ks must list values >= 1"),
+            ("Ks=two", "Ks must list int values"),
+        ],
+    )
+    def test_unusable_grid_exits_2_before_reading_models(
+        self, tmp_path, corpus_file, fitted_salience, monkeypatch, capsys, setting, message
+    ):
+        model_dir = tmp_path / "models"
+        model_dir.mkdir()
+        model_path, registry_path = fitted_salience
+        read = []
+        monkeypatch.setattr(cli, "load_seq2seq", lambda path: read.append(path))
+        monkeypatch.setattr(cli, "_load_salience", lambda cfg: read.append(cfg))
+        rep = tmp_path / "rep"
+        assert main(
+            ["sampling-report",
+             "--set", f"corpus={corpus_file}",
+             "--set", f"salience_model={model_path}",
+             "--set", f"salience_registry={registry_path}",
+             "--set", f"model_dir={model_dir}",
+             "--set", f"out_dir={rep}",
+             "--set", setting]
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert read == []
+        assert not (rep / "sampling.csv").exists()
 
 
 class TestFeatureLifetime:

@@ -1,9 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import make_cluster
 from opinesum import trainer
-from opinesum.attnseq2seq import backward_pass, sequence_log_prob
+from opinesum.attnseq2seq import RowGradient, backward_pass, dense, sequence_log_prob
 from opinesum.salience import LexiconSet
 from opinesum.sampler import build_input
 from opinesum.textcorpus import Cluster, TfidfStats, build_vocab, load_embeddings, text_unit
@@ -23,6 +25,21 @@ from opinesum.trainer import (
 
 def zero_grads(model):
     return dict(model.zeros_like().named_tensors())
+
+
+def dense_adagrad_update(model, grads, state):
+    """Oracle: the update over every coordinate of dense gradients."""
+    for name, tensor in model.named_tensors():
+        g = grads[name]
+        acc = state.accum[name]
+        acc += g * g
+        step = np.zeros_like(g)
+        np.divide(g, np.sqrt(acc) + state.eps, out=step, where=g != 0)
+        step *= state.eta
+        if name == "emb":
+            step[~model.embeddings.trainable] = 0.0
+        tensor -= step
+    model.version += 1
 
 
 @pytest.fixture
@@ -152,6 +169,64 @@ class TestAdagrad:
         np.testing.assert_array_equal(self.model.embeddings.matrix[1], row)
         assert not np.array_equal(self.model.embeddings.matrix[0], row)
 
+    def test_row_gradients_match_dense_oracle(self):
+        # several steps of random sparse table gradients, with zero
+        # coordinates in touched rows and untrainable rows among them
+        vocab = build_vocab([make_cluster([" ".join(f"t{i}" for i in range(30))], "cc")])
+        lex = LexiconSet(general={"t1": ("strong",)}, sentiment={"t2": "positive"})
+        features = build_features([make_cluster(["t1 t2"], "cc")], lex, dim=4)
+        config = TrainConfig(d_emb=5, d_h=3, d_a=2, seed=4)
+        models = [init_params(config, vocab, features) for _ in range(2)]
+        for model in models:
+            model.embeddings.trainable[[3, 7, 11]] = False
+        states = [AdagradState.for_model(m, eta=0.1, eps=1e-6) for m in models]
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            grads = {}
+            for name, arr in models[0].named_tensors():
+                g = rng.normal(size=arr.shape) * (rng.random(arr.shape) < 0.7)
+                if name == "emb" or name.startswith("feat."):
+                    rows = np.unique(rng.integers(arr.shape[0], size=arr.shape[0] // 3 + 1))
+                    if name == "emb":  # two untrainable rows every step
+                        rows = np.union1d(rows, [3, 7])
+                    g = RowGradient(rows=rows, values=g[rows], n_rows=arr.shape[0])
+                grads[name] = g
+            adagrad_update(models[0], grads, states[0])
+            dense_adagrad_update(models[1], {n: dense(g) for n, g in grads.items()}, states[1])
+        for (name, got), (_, want) in zip(models[0].named_tensors(), models[1].named_tensors()):
+            assert got.tobytes() == want.tobytes(), name
+            assert states[0].accum[name].tobytes() == states[1].accum[name].tobytes(), name
+        assert models[0].version == models[1].version == 6
+
+
+class TestExampleLifetime:
+    def test_train_keeps_one_example_trace_and_gradient(self, memorize_corpus, monkeypatch):
+        earlier = []  # weak references to the traces and gradients of finished examples
+        current = []  # those of the example being run
+        alive_before = []  # how many earlier ones were alive at each call
+        log_prob, backward = trainer.sequence_log_prob, trainer.backward_pass
+
+        def tracked_log_prob(model, z, y):
+            earlier.extend(current)
+            current.clear()
+            alive_before.append(sum(ref() is not None for ref in earlier))
+            loglik, trace = log_prob(model, z, y)
+            current.append(weakref.ref(trace))
+            return loglik, trace
+
+        def tracked_backward(model, trace):
+            alive_before.append(sum(ref() is not None for ref in earlier))
+            grads = backward(model, trace)
+            current.extend(weakref.ref(g) for g in grads.values())
+            return grads
+
+        monkeypatch.setattr(trainer, "sequence_log_prob", tracked_log_prob)
+        monkeypatch.setattr(trainer, "backward_pass", tracked_backward)
+        scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
+        train(memorize_corpus, memorize_corpus, quick_config(max_epochs=2, patience=2), scores)
+        # two examples per epoch, one forward and one backward pass each
+        assert alive_before == [0] * 8
+
 
 class TestTrain:
     def test_history_deterministic(self, memorize_corpus):
@@ -189,10 +264,11 @@ class TestTrain:
             train(memorize_corpus, memorize_corpus, config, scores)
 
     def test_patience_stops_early(self, memorize_corpus):
-        config = quick_config(max_epochs=50, patience=2, eta=0.0)
+        # steps of ~1e-300 leave every activation's bits as they are, so dev
+        # BLEU never improves after epoch 1; training stops at patience
+        config = quick_config(max_epochs=50, patience=2, eta=1e-300)
         scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
         _, history = train(memorize_corpus, memorize_corpus, config, scores)
-        # eta 0 never improves after epoch 1; stops at patience
         assert len(history) == 3
 
     def test_divergence_detected(self, memorize_corpus):
@@ -254,7 +330,7 @@ class TestGradientCheck:
         for name, arr in model.named_tensors():
             coords = np.unique(np.r_[0, arr.size - 1, rng.integers(arr.size, size=3)])
             gn = (fwd.losses(name, coords, eps) - fwd.losses(name, coords, -eps)) / (2 * eps)
-            ga = grads[name].reshape(-1)[coords]
+            ga = dense(grads[name]).reshape(-1)[coords]
             rel = np.abs(ga - gn.astype(np.float64)) / np.maximum(1e-8, np.abs(ga) + np.abs(gn))
             assert rel.max() < 1e-4, (name, float(rel.max()))
 
@@ -299,7 +375,7 @@ class TestGradientCheck:
         grads = backward_pass(model, trace)
         touched = set(int(i) for i in z.indices) | set(y) | {model.vocab.bos}
         untouched = next(i for i in range(len(model.vocab)) if i not in touched)
-        assert np.all(grads["emb"][untouched] == 0.0)
+        assert np.all(dense(grads["emb"])[untouched] == 0.0)
         fwd = _ExtendedForward(model, z, y)
         base = float(fwd.loss())
         fwd.tensors["emb"][untouched, 0] += 1e-5
