@@ -214,10 +214,20 @@ class ModelParams:
         return self.d_emb + extra
 
     def named_tensors(self):
-        """Stable (name, array) iteration over every trainable tensor."""
-        tables = {"emb": self.embeddings.matrix}
-        tables.update((f"feat.{ch}", table) for ch, table in self.feat_tables.items())
-        return _named(tables, self.enc_f, self.enc_b, self.dec, self.attn, self.W_out, self.b_out)
+        """(name, tensor) pairs in checkpoint order: the lookup tables ("emb",
+        then "feat.<channel>" in CHANNELS order), the three cells, the
+        attention, the output layer."""
+        yield "emb", self.embeddings.matrix
+        for ch, table in self.feat_tables.items():
+            yield f"feat.{ch}", table
+        yield from self.enc_f.named("enc_f")
+        yield from self.enc_b.named("enc_b")
+        yield from self.dec.named("dec")
+        yield "attn.W_cg", self.attn.W_cg
+        yield "attn.W_hg", self.attn.W_hg
+        yield "attn.W_s", self.attn.W_s
+        yield "W_out", self.W_out
+        yield "b_out", self.b_out
 
     def zeros_like(self):
         """A zero model of the same dimensions, sharing vocab and features."""
@@ -231,21 +241,6 @@ class ModelParams:
         copy.embeddings.trainable[...] = self.embeddings.trainable
         copy.embeddings.covered[...] = self.embeddings.covered
         return copy
-
-
-def _named(tables, enc_f, enc_b, dec, attn, W_out, b_out):
-    """(name, tensor) pairs in checkpoint order: the lookup tables ("emb",
-    then "feat.<channel>" in CHANNELS order), the three cells, the
-    attention, the output layer."""
-    yield from tables.items()
-    yield from enc_f.named("enc_f")
-    yield from enc_b.named("enc_b")
-    yield from dec.named("dec")
-    yield "attn.W_cg", attn.W_cg
-    yield "attn.W_hg", attn.W_hg
-    yield "attn.W_s", attn.W_s
-    yield "W_out", W_out
-    yield "b_out", b_out
 
 
 def new_model(vocab, features, d_emb, d_h, d_a):
@@ -651,8 +646,29 @@ class RowGradient:
         return RowGradient(rows=rows, values=values, n_rows=n_rows)
 
 
+@dataclass
+class ProductGradient:
+    """The gradient left^T @ right of a weight, kept as its two factors:
+    `left` holds one row of output deltas per step (T x n_rows) and
+    `right` one row of inputs per step (T x d). The n_rows x d product is
+    formed a block of rows at a time (`rows`) or whole by `dense`."""
+
+    left: np.ndarray
+    right: np.ndarray
+
+    @property
+    def n_rows(self):
+        return self.left.shape[1]
+
+    def rows(self, start, stop):
+        """Rows start:stop of the gradient."""
+        return self.left[:, start:stop].T @ self.right
+
+
 def dense(grad):
     """A gradient from backward_pass as a full array of its tensor's shape."""
+    if isinstance(grad, ProductGradient):
+        return grad.left.T @ grad.right
     if not isinstance(grad, RowGradient):
         return grad
     out = np.zeros((grad.n_rows, grad.values.shape[1]))
@@ -676,35 +692,44 @@ def _table_gradients(model, indices, feat_ids, d_rep):
     return grads
 
 
-def backward_pass(model, trace, scale=1.0):
+def backward_pass(model, trace, scale=1.0, emit=None):
     """Exact gradients of scale * (-loglik) w.r.t. every parameter tensor.
 
-    Returns {name: gradient} under the names of model.named_tensors(). The
-    embedding and feature tables get a RowGradient holding only the rows
-    the example read; every other tensor gets a dense array (see `dense`).
-    The recurrences run one step at a time; every weight gradient is then
-    one GEMM over the stacked steps of its chain.
+    The gradients come in groups of {name: gradient} under the names of
+    model.named_tensors(): the output layer, the decoder cell, the
+    attention, the forward and the backward encoder cell, and last the
+    lookup tables. Each group goes to emit(group) as soon as the sweep has
+    made its last read of those parameters, so emit may update them in
+    place; the sweep keeps no reference to a group once emitted. With no
+    emit, the groups are collected into one dict, which is returned.
+
+    W_out gets a ProductGradient; the embedding and feature tables get a
+    RowGradient holding only the rows the example read; every other
+    tensor gets a dense array (see `dense`). The recurrences run one step
+    at a time; every weight gradient is then one GEMM over the stacked
+    steps of its chain.
     """
     if trace.model_id != id(model) or trace.version != model.version:
         raise StaleTraceError("trace is stale: model parameters changed since the forward pass")
+    grads = None
+    if emit is None:
+        grads = {}
+        emit = grads.update
     d_h = model.d_h
     token_dim = model.token_dim
     contexts = trace.enc.contexts
     dec = trace.dec
     T = len(trace.targets)
-    g_enc_f, g_enc_b, g_dec = (
-        LstmCellParams.zeros(p.d_u, d_h) for p in (model.enc_f, model.enc_b, model.dec)
-    )
-    g_attn = AttentionParams.zeros(model.d_a, d_h)
 
     dlogits = trace.probs * scale
     dlogits[np.arange(T), trace.targets] -= scale
-    g_W_out = dlogits.T @ dec.H[1:]
-    g_b_out = dlogits.sum(axis=0)
     dH = dlogits @ model.W_out
+    emit({"W_out": ProductGradient(dlogits, dec.H[1:]), "b_out": dlogits.sum(axis=0)})
+    del dlogits
 
     p = model.dec
     back = _lstm_backstepper(p)
+    g_attn = AttentionParams.zeros(model.d_a, d_h)
     DA = np.empty_like(dec.gates)
     DS = np.empty((T, 2 * d_h))  # gradients of the attention summaries
     dq_steps = np.empty((T, model.d_a))  # dq summed over contexts, per step
@@ -718,28 +743,43 @@ def backward_pass(model, trace, scale=1.0):
         dq_ctx += dq
         dq_steps[t] = dq.sum(axis=0)
         dh = dh_l + model.attn.W_hg.T @ dq_steps[t]
-    _cell_gradients(g_dec, dec, DA)
-    np.matmul(dq_steps.T, dec.H[:-1], out=g_attn.W_hg)
-    np.matmul(dq_ctx.T, contexts, out=g_attn.W_cg)
     inputs = np.array([model.vocab.bos] + trace.targets[:-1])
     d_in = DA @ p.Wu[:, :token_dim]
+    g_dec = LstmCellParams.zeros(p.d_u, d_h)
+    _cell_gradients(g_dec, dec, DA)
+    emit(dict(g_dec.named("dec")))
+    del g_dec
 
+    np.matmul(dq_steps.T, dec.H[:-1], out=g_attn.W_hg)
+    np.matmul(dq_ctx.T, contexts, out=g_attn.W_cg)
     # contexts feed the attention summaries and, through W_cg, the keys
     attn_a = np.array([cache.a for cache in trace.attn])
     db = attn_a.T @ DS + dq_ctx @ model.attn.W_cg
+    emit({"attn.W_cg": g_attn.W_cg, "attn.W_hg": g_attn.W_hg, "attn.W_s": g_attn.W_s})
+    del g_attn
+
+    def encoder_backward(prefix, chain, dH):
+        p = getattr(model, prefix)
+        grad = LstmCellParams.zeros(p.d_u, d_h)
+        dU = _chain_backward(p, chain, dH, grad)
+        emit(dict(grad.named(prefix)))
+        return dU
+
     enc = trace.enc
-    d_rep = _chain_backward(model.enc_f, enc.fwd, db[:, :d_h], g_enc_f)
+    d_rep = encoder_backward("enc_f", enc.fwd, db[:, :d_h])
     # the backward chain's step j read position n-1-j
-    d_rep += _chain_backward(model.enc_b, enc.bwd, db[::-1, d_h:], g_enc_b)[::-1]
+    d_rep += encoder_backward("enc_b", enc.bwd, db[::-1, d_h:])[::-1]
     # decoder inputs first, then encoder positions: the order in which each
     # table row sums its terms, which the trained bits depend on
-    tables = _table_gradients(
-        model,
-        np.concatenate([inputs, enc.z.indices]),
-        None if enc.ids is None else np.concatenate([_decode_ids(model, inputs), enc.ids]),
-        np.concatenate([d_in, d_rep]),
+    emit(
+        _table_gradients(
+            model,
+            np.concatenate([inputs, enc.z.indices]),
+            None if enc.ids is None else np.concatenate([_decode_ids(model, inputs), enc.ids]),
+            np.concatenate([d_in, d_rep]),
+        )
     )
-    return dict(_named(tables, g_enc_f, g_enc_b, g_dec, g_attn, g_W_out, g_b_out))
+    return grads
 
 
 # ---------------------------------------------------------------------------

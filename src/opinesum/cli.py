@@ -119,6 +119,13 @@ class RunConfig:
         except ValueError as exc:
             raise UsageError(f"config key {key} must be an integer") from exc
 
+    def get_count(self, key, default):
+        """An integer key that must be >= 1."""
+        value = self.get_int(key, default)
+        if value < 1:
+            raise UsageError(f"config key {key} must be >= 1")
+        return value
+
     def get_float(self, key, default):
         try:
             return float(self.values.get(key, default))
@@ -339,9 +346,7 @@ def cmd_train(cfg):
 
 
 def cmd_gradcheck(cfg):
-    seeds = cfg.get_int("seeds", 1)
-    if seeds < 1:
-        raise UsageError("config key seeds must be >= 1")
+    seeds = cfg.get_count("seeds", 1)
     worst = 0.0
     for seed in range(seeds):
         rel = trainer.gradient_check(seed=derive_seed(cfg.get_int("seed", 0), "gradcheck", seed))
@@ -363,14 +368,14 @@ def _decode_records(model, clusters_raw, unit_scores, k, width, max_len, tfidf, 
 
 
 def cmd_decode(cfg):
+    k = cfg.get_count("K", 5)
+    width = cfg.get_count("beam_width", 20)
+    max_len = cfg.get_count("max_len", 40)
     lexicons = _load_lexicons(cfg)
     sal_model, registry = _load_salience(cfg)
     model = load_seq2seq(cfg.require("model"))
     clusters_raw = load_clusters(cfg.require("corpus"))
     _, tfidf, unit_scores = _score_split(clusters_raw, lexicons, registry, sal_model)
-    k = cfg.get_int("K", 5)
-    width = cfg.get_int("beam_width", 20)
-    max_len = cfg.get_int("max_len", 40)
     out = cfg.out_path("decode.jsonl")
     with atomic_write(out) as fh:
         for record in _decode_records(
@@ -450,13 +455,13 @@ def cmd_sampling_report(cfg):
     ks = cfg.get_list("Ks", ("1", "2", "5", "10"), int)
     if min(ks) < 1:
         raise UsageError("config key Ks must list values >= 1")
+    width = cfg.get_count("beam_width", 20)
+    max_len = cfg.get_count("max_len", 40)
     lexicons = _load_lexicons(cfg)
     sal_model, registry = _load_salience(cfg)
     clusters_raw = load_clusters(cfg.require("corpus"))
     clusters, tfidf, unit_scores = _score_split(clusters_raw, lexicons, registry, sal_model)
     model_dir = cfg.require("model_dir")
-    width = cfg.get_int("beam_width", 20)
-    max_len = cfg.get_int("max_len", 40)
     refs = [c.summary.norms() for c in clusters]
     cells = {}
     for mode in modes:

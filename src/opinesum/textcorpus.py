@@ -332,6 +332,8 @@ def load_embeddings(path, vocab, dim=None):
                 values = np.array([float(x) for x in parts[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise CorpusFormatError(path, line_no, f"bad float: {exc}") from exc
+            if not np.isfinite(values).all():
+                raise CorpusFormatError(path, line_no, f"non-finite value in the vector of {word!r}")
             if file_dim is None:
                 file_dim = values.shape[0]
             elif values.shape[0] != file_dim:

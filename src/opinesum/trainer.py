@@ -14,6 +14,7 @@ import numpy as np
 from . import beamdecode, sampler
 from .attnseq2seq import (
     CHANNELS,
+    ProductGradient,
     RowGradient,
     TokenFeatureSet,
     backward_pass,
@@ -63,16 +64,15 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.d_emb, self.d_h, self.d_a) < 1:
             raise ValueError("model dimensions must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
         if self.mode not in SAMPLING_MODES:
             raise ValueError(f"unknown sampling mode: {self.mode!r}")
         # not (x > 0) also rejects NaN
         for key in ("eta", "eps"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+        for key in ("K", "patience", "max_epochs", "max_len"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
 
 
 def init_params(config, vocab, features=None, pretrained=None):
@@ -112,16 +112,23 @@ class AdagradState:
         )
 
 
+# rows of W_out per Adagrad block: its |V| x d_h gradient is never whole
+ROW_BLOCK = 1024
+
+
 def adagrad_update(model, grads, state):
-    """theta -= eta * g / (sqrt(G) + eps) with G += g^2, per coordinate.
+    """theta -= eta * g / (sqrt(G) + eps) with G += g^2, per coordinate,
+    for exactly the tensors `grads` names.
 
     A coordinate with g == 0 takes no step, and untrainable embedding rows
     accumulate G but never move. A RowGradient updates only its rows: on
     every other row g is zero, so G and theta would keep their bits anyway.
+    A ProductGradient is formed and stepped ROW_BLOCK rows at a time.
     """
+    tensors = dict(model.named_tensors())
     trainable = model.embeddings.trainable
-    for name, tensor in model.named_tensors():
-        g = grads[name]
+    for name, g in grads.items():
+        tensor = tensors[name]
         acc = state.accum[name]
         if isinstance(g, RowGradient):
             rows = g.rows
@@ -129,6 +136,10 @@ def adagrad_update(model, grads, state):
             theta_rows, acc_rows = tensor[rows], acc[rows]
             _adagrad_step(theta_rows, acc_rows, g.values, state, frozen)
             tensor[rows], acc[rows] = theta_rows, acc_rows
+        elif isinstance(g, ProductGradient):
+            for start in range(0, g.n_rows, ROW_BLOCK):
+                block = slice(start, start + ROW_BLOCK)
+                _adagrad_step(tensor[block], acc[block], g.rows(start, block.stop), state, None)
         else:
             _adagrad_step(tensor, acc, g, state, ~trainable if name == "emb" else None)
     model.version += 1
@@ -209,7 +220,8 @@ def train(train_clusters, dev_clusters, config, scores, lexicons=None, pretraine
         history.append((epoch, nll / len(train_subs), dev_bleu))
         if dev_bleu > best_bleu:
             best_bleu = dev_bleu
-            best_model = model.snapshot()
+            # no epoch follows the last one, so it needs no copy
+            best_model = model if epoch == config.max_epochs else model.snapshot()
             stale = 0
         else:
             stale += 1
@@ -219,16 +231,19 @@ def train(train_clusters, dev_clusters, config, scores, lexicons=None, pretraine
 
 
 def _train_example(model, state, z, y, where):
-    """One Adagrad step on the example (z, y); returns its NLL. The trace
-    and the gradient are locals, so both are freed before the next example
-    runs its forward pass."""
+    """Adagrad on the example (z, y); returns its NLL. Each group of
+    gradients takes its step as soon as backward_pass emits it, so only
+    one group is held at a time; the trace is a local, freed before the
+    next example runs its forward pass."""
     try:
         loglik, trace = sequence_log_prob(model, z, y)
     except ValueError as exc:  # NaN/Inf tripped a kernel guard
         raise TrainingDivergedError(f"{where}: {exc}; lower eta") from exc
     if not np.isfinite(loglik):
         raise TrainingDivergedError(f"{where}: non-finite loss; lower eta or check the corpus")
-    adagrad_update(model, backward_pass(model, trace), state)
+    # adagrad_update is looked up at each call, so a wrapper bound to the
+    # module's name sees every group's step
+    backward_pass(model, trace, emit=lambda group: adagrad_update(model, group, state))
     return -loglik
 
 

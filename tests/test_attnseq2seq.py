@@ -495,7 +495,7 @@ class TestBackwardPass:
         grads = backward_pass(model, trace)
         eps = 1e-6
         flat = model.W_out.reshape(-1)
-        gflat = grads["W_out"].reshape(-1)
+        gflat = dense(grads["W_out"]).reshape(-1)
         rng = np.random.default_rng(0)
         for i in rng.choice(flat.size, size=10, replace=False):
             orig = flat[i]

@@ -304,6 +304,27 @@ class TestTrainCommand:
         assert message in capsys.readouterr().err
         assert not (out / "model.txt").exists()
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("max_len=0", "max_len must be >= 1"),
+            ("max_len=-3", "max_len must be >= 1"),
+            ("K=0", "K must be >= 1"),
+        ],
+    )
+    def test_bad_count_exits_2_before_reading_input(
+        self, tmp_path, corpus_file, fitted_salience, monkeypatch, capsys, setting, message
+    ):
+        read = []
+        for name in ("_load_lexicons", "_load_salience", "load_clusters"):
+            monkeypatch.setattr(cli, name, lambda arg, name=name: read.append(name))
+        out = tmp_path / "bad"
+        args = train_args(corpus_file, fitted_salience, out) + ["--set", setting]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert read == []
+        assert not (out / "model.txt").exists()
+
     def test_dev_id_naming_another_cluster_rejected(self, tmp_path, corpus_file, fitted_salience):
         dev = toy_corpus()[:1]
         dev[0]["summary"] = "a different summary"
@@ -431,6 +452,37 @@ class TestDecodeEvaluate:
         ) == 2
         assert f"{damaged}: line 3: expected 'vocab <value>'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("K=0", "config key K must be >= 1"),
+            ("beam_width=0", "config key beam_width must be >= 1"),
+            ("max_len=-1", "config key max_len must be >= 1"),
+        ],
+    )
+    def test_decode_bad_count_exits_2_before_reading_files(
+        self, tmp_path, corpus_file, fitted_salience, monkeypatch, capsys, setting, message
+    ):
+        read = []
+        for name in ("_load_lexicons", "_load_salience", "load_seq2seq", "load_clusters"):
+            monkeypatch.setattr(cli, name, lambda arg, name=name: read.append(name))
+        model_file = tmp_path / "model.txt"
+        model_file.write_text("")
+        model_path, registry_path = fitted_salience
+        dec = tmp_path / "dec"
+        assert main(
+            ["decode",
+             "--set", f"corpus={corpus_file}",
+             "--set", f"model={model_file}",
+             "--set", f"salience_model={model_path}",
+             "--set", f"salience_registry={registry_path}",
+             "--set", f"out_dir={dec}",
+             "--set", setting]
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert read == []
+        assert not dec.exists()
+
     def test_evaluate_identity_is_one(self, tmp_path, corpus_file):
         dec = tmp_path / "decode.jsonl"
         with open(dec, "w") as fh:
@@ -528,6 +580,8 @@ class TestSamplingReport:
             ("Ks=0", "Ks must list values >= 1"),
             ("Ks=2,-1", "Ks must list values >= 1"),
             ("Ks=two", "Ks must list int values"),
+            ("beam_width=0", "beam_width must be >= 1"),
+            ("max_len=-1", "max_len must be >= 1"),
         ],
     )
     def test_unusable_grid_exits_2_before_reading_models(

@@ -339,6 +339,16 @@ class TestEmbeddings:
             load_embeddings(path, vocab)
         assert excinfo.value.line_no == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        # a NaN row would otherwise surface only as a training divergence
+        vocab = build_vocab([make_cluster(["aa bb"], "aa")])
+        path = tmp_path / "vec.txt"
+        path.write_text(f"aa 1 2\nbb 0.5 {value}\n")
+        with pytest.raises(CorpusFormatError, match="non-finite") as excinfo:
+            load_embeddings(path, vocab)
+        assert excinfo.value.line_no == 2
+
     def test_dim_mismatch(self, tmp_path):
         vocab = build_vocab([make_cluster(["aa bb"], "aa")])
         path = tmp_path / "vec.txt"

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -5,10 +6,24 @@ import pytest
 
 from conftest import make_cluster
 from opinesum import trainer
-from opinesum.attnseq2seq import RowGradient, backward_pass, dense, sequence_log_prob
+from opinesum.attnseq2seq import (
+    ModelParams,
+    ProductGradient,
+    RowGradient,
+    backward_pass,
+    dense,
+    sequence_log_prob,
+)
 from opinesum.salience import LexiconSet
 from opinesum.sampler import build_input
-from opinesum.textcorpus import Cluster, TfidfStats, build_vocab, load_embeddings, text_unit
+from opinesum.textcorpus import (
+    Cluster,
+    TfidfStats,
+    Vocabulary,
+    build_vocab,
+    load_embeddings,
+    text_unit,
+)
 from opinesum.trainer import (
     AdagradState,
     TrainConfig,
@@ -25,6 +40,17 @@ from opinesum.trainer import (
 
 def zero_grads(model):
     return dict(model.zeros_like().named_tensors())
+
+
+def owned_arrays(grad):
+    """The arrays a gradient from backward_pass owns: a view's base, a
+    RowGradient's rows and values, a ProductGradient's output deltas (its
+    other factor is the trace's decoder states)."""
+    if isinstance(grad, RowGradient):
+        return [grad.rows, grad.values]
+    if isinstance(grad, ProductGradient):
+        return [grad.left]
+    return [grad if grad.base is None else grad.base]
 
 
 def dense_adagrad_update(model, grads, state):
@@ -199,6 +225,34 @@ class TestAdagrad:
         assert models[0].version == models[1].version == 6
 
 
+    def test_steps_only_the_named_tensors(self):
+        state = AdagradState.for_model(self.model, eta=0.1, eps=1e-6)
+        before = {n: a.copy() for n, a in self.model.named_tensors()}
+        adagrad_update(self.model, {"b_out": np.ones_like(self.model.b_out)}, state)
+        for name, arr in self.model.named_tensors():
+            assert (arr.tobytes() == before[name].tobytes()) == (name != "b_out"), name
+            assert np.any(state.accum[name] != 0.0) == (name == "b_out"), name
+
+    def test_product_gradient_matches_dense_oracle(self):
+        # W_out stepped ROW_BLOCK rows at a time, with |V| spanning four
+        # blocks (the last one partial), against the whole product
+        n_rows = 3 * trainer.ROW_BLOCK + 17
+        vocab = Vocabulary(f"t{i}" for i in range(n_rows - 5))
+        config = TrainConfig(d_emb=3, d_h=7, d_a=2, seed=6)
+        models = [init_params(config, vocab) for _ in range(2)]
+        states = [AdagradState.for_model(m, eta=0.1, eps=1e-6) for m in models]
+        rng = np.random.default_rng(6)
+        for T in (1, 5, 13, 40):
+            left = rng.normal(size=(T, n_rows))
+            left[:, rng.integers(n_rows, size=50)] = 0.0  # rows that take no step
+            g = ProductGradient(left, rng.normal(size=(T, config.d_h)))
+            adagrad_update(models[0], {"W_out": g}, states[0])
+            dense_adagrad_update(models[1], {**zero_grads(models[1]), "W_out": dense(g)}, states[1])
+        assert models[0].W_out.shape[0] == n_rows
+        assert models[0].W_out.tobytes() == models[1].W_out.tobytes()
+        assert states[0].accum["W_out"].tobytes() == states[1].accum["W_out"].tobytes()
+
+
 class TestExampleLifetime:
     def test_train_keeps_one_example_trace_and_gradient(self, memorize_corpus, monkeypatch):
         earlier = []  # weak references to the traces and gradients of finished examples
@@ -214,11 +268,14 @@ class TestExampleLifetime:
             current.append(weakref.ref(trace))
             return loglik, trace
 
-        def tracked_backward(model, trace):
+        def tracked_backward(model, trace, emit):
             alive_before.append(sum(ref() is not None for ref in earlier))
-            grads = backward(model, trace)
-            current.extend(weakref.ref(g) for g in grads.values())
-            return grads
+
+            def tracked_emit(group):
+                current.extend(weakref.ref(a) for g in group.values() for a in owned_arrays(g))
+                emit(group)
+
+            return backward(model, trace, emit=tracked_emit)
 
         monkeypatch.setattr(trainer, "sequence_log_prob", tracked_log_prob)
         monkeypatch.setattr(trainer, "backward_pass", tracked_backward)
@@ -226,6 +283,75 @@ class TestExampleLifetime:
         train(memorize_corpus, memorize_corpus, quick_config(max_epochs=2, patience=2), scores)
         # two examples per epoch, one forward and one backward pass each
         assert alive_before == [0] * 8
+
+    def test_each_group_steps_alone(self, memorize_corpus, monkeypatch):
+        # Adagrad steps one group at a time, in the order backward_pass
+        # finishes them, and each group is freed before the next one steps
+        earlier = []  # weak references to the arrays of earlier groups
+        alive_before = []  # how many were alive at each adagrad_update call
+        stepped = []  # the names of each call
+        update = trainer.adagrad_update
+
+        def tracked_update(model, grads, state):
+            alive_before.append(sum(ref() is not None for ref in earlier))
+            stepped.append(sorted(grads))
+            update(model, grads, state)
+            earlier.extend(weakref.ref(a) for g in grads.values() for a in owned_arrays(g))
+
+        monkeypatch.setattr(trainer, "adagrad_update", tracked_update)
+        scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
+        model, _ = train(
+            memorize_corpus, memorize_corpus, quick_config(max_epochs=2, patience=2), scores
+        )
+        names = [name for name, _ in model.named_tensors()]
+        groups = [
+            ["W_out", "b_out"],
+            *(sorted(n for n in names if n.startswith(p)) for p in ("dec.", "attn.", "enc_f.", "enc_b.")),
+            ["emb"],
+        ]
+        assert stepped == groups * 4  # two examples per epoch
+        assert alive_before == [0] * len(stepped)
+
+    def test_streamed_steps_match_two_phase_update(self):
+        # each group stepped as backward_pass emits it, against the whole
+        # gradient first and one update after, over several examples
+        models = [long_instance(seed=5)[0] for _ in range(2)]
+        states = [AdagradState.for_model(m, eta=0.1, eps=1e-6) for m in models]
+        for order in ([0, 1, 2, 3], [2, 0], [3], [1, 3, 0]):
+            _, z, y = long_instance(seed=5, order=order)
+            trainer._train_example(models[0], states[0], z, y, "streamed")
+            _, trace = sequence_log_prob(models[1], z, y)
+            adagrad_update(models[1], backward_pass(models[1], trace), states[1])
+        for (name, got), (_, want) in zip(models[0].named_tensors(), models[1].named_tensors()):
+            assert got.tobytes() == want.tobytes(), name
+            assert states[0].accum[name].tobytes() == states[1].accum[name].tobytes(), name
+
+
+class TestExampleMemory:
+    def test_per_example_peak_is_bounded(self):
+        # one paper-size example (d 300/150/100, 129 encoder tokens, 13
+        # targets) at |V| = 5,000: holding the whole gradient at once, the
+        # example's traced peak was 27.8 MB; a group at a time it is 10.0 MB
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(4995)]
+        vocab = Vocabulary(words)
+        units = tuple(text_unit(" ".join(rng.choice(words, 25))) for _ in range(5))
+        cluster = Cluster(
+            id="c", units=units, summary=text_unit(" ".join(rng.choice(words, 12))), entity=None
+        )
+        model = init_params(TrainConfig(d_emb=300, d_h=150, d_a=100), vocab)
+        state = AdagradState.for_model(model, eta=0.01, eps=1e-6)
+        z = build_input(cluster, range(5), vocab)
+        y = list(vocab.encode(cluster.summary.norms())) + [vocab.eos]
+        assert (len(vocab), len(z), len(y)) == (5000, 129, 13)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trainer._train_example(model, state, z, y, "memory")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak / 2**20
 
 
 class TestTrain:
@@ -252,6 +378,34 @@ class TestTrain:
         scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
         model, history = train(memorize_corpus, memorize_corpus, config, scores)
         assert max(h[2] for h in history) == pytest.approx(1.0)
+
+    def test_best_last_epoch_is_returned_without_a_copy(self, memorize_corpus, monkeypatch):
+        built = []
+        init = trainer.init_params
+        monkeypatch.setattr(trainer, "init_params", lambda *a: built.append(init(*a)) or built[-1])
+        scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
+        model, history = train(
+            memorize_corpus, memorize_corpus, quick_config(max_epochs=1, patience=1), scores
+        )
+        assert len(history) == 1 and model is built[0]
+        # the best epoch (1) is followed by two more, so it is a copy
+        config = quick_config(max_epochs=50, patience=2, eta=1e-300)
+        model, history = train(memorize_corpus, memorize_corpus, config, scores)
+        assert len(history) == 3 and model is not built[1]
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"max_len": 0}, "max_len must be >= 1"),
+            ({"max_len": -3}, "max_len must be >= 1"),
+            ({"K": 0}, "K must be >= 1"),
+            ({"patience": 0}, "patience must be >= 1"),
+            ({"max_epochs": 0}, "max_epochs must be >= 1"),
+        ],
+    )
+    def test_config_rejects_counts_below_one(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            quick_config(**setting)
 
     def test_empty_split_rejected(self, memorize_corpus):
         with pytest.raises(ValueError):
@@ -285,10 +439,11 @@ class TestTrain:
             train(memorize_corpus, memorize_corpus, config, scores, pretrained=poisoned)
 
 
-def long_instance(seed):
+def long_instance(seed, order=(0, 1, 2, 3)):
     """A features-on model and an example of 43 encoder tokens (four
     10-token units, three SEG) and 9 targets, so the stacked per-chain
-    gradient products run over many steps."""
+    gradient products run over many steps. `order` picks the units of the
+    encoder input."""
     rng = np.random.default_rng(seed)
     words = [f"v{i}" for i in range(24)]
     units = []
@@ -311,7 +466,7 @@ def long_instance(seed):
     )
     features = build_features([cluster], lex, dim=10)
     model = init_params(TrainConfig(d_emb=8, d_h=6, d_a=5, seed=seed), vocab, features)
-    z = build_input(cluster, [0, 1, 2, 3], vocab, TfidfStats([cluster]))
+    z = build_input(cluster, list(order), vocab, TfidfStats([cluster]))
     y = list(vocab.encode(cluster.summary.norms())) + [vocab.eos]
     return model, z, y
 
