@@ -18,7 +18,7 @@ from opinesum.salience import (
     fit_closed_form,
     gold_scores,
     rank_descending,
-    relevance_for_ranking,
+    relevant_units,
     score_units,
 )
 from opinesum.textcorpus import Cluster, TfidfStats, default_stopwords, text_unit
@@ -85,7 +85,7 @@ for system in ("salience", "length", "centroid"):
             order = rank_descending(score_units(model, feats))
         else:
             order = baseline_rank(system, c, eval_tfidf)
-        rels.append(relevance_for_ranking(c, order, stopwords))
+        rels.append(relevant_units(c, stopwords)[order].astype(int).tolist())
     print(f"   {system:<9} MRR {mrr(rels):.3f}   "
           f"NDCG@3 {mean_ndcg_at(3, rels):.3f}   NDCG@5 {mean_ndcg_at(5, rels):.3f}")
 

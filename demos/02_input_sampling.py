@@ -16,7 +16,7 @@ from opinesum.sampler import (
     select_test_input,
     uniform_training_input,
 )
-from opinesum.textcorpus import Cluster, build_vocab, text_unit
+from opinesum.textcorpus import Cluster, TfidfStats, build_vocab, text_unit
 
 cluster = Cluster(
     id="demo",
@@ -32,26 +32,27 @@ cluster = Cluster(
     summary=text_unit("smart and gorgeous"),
 )
 vocab = build_vocab([cluster])
+tfidf = TfidfStats([cluster])
 scores = np.array([4.0, 2.0, 1.0, 1.0])
 
 print("cluster units and importance scores:")
 for k, unit in enumerate(cluster.units):
     print(f"   [{k}] score {scores[k]:.0f}  {unit.raw!r}")
 
-z = select_test_input(cluster, scores, K=2, vocab=vocab)
+z = select_test_input(cluster, scores, K=2, vocab=vocab, tfidf=tfidf)
 print("\ntest-time top-2 input (descending score, SEG-joined):")
 print("   " + " ".join(vocab.word_of(i) for i in z.indices))
 
 print("\nthree training draws (importance-based, without replacement):")
 for seed in range(3):
-    z = sample_training_input(cluster, scores, 2, SeededRng(seed), vocab)
+    z = sample_training_input(cluster, scores, 2, SeededRng(seed), vocab, tfidf)
     print(f"   seed {seed}: units {z.source_units}")
 
 # empirical inclusion frequencies against the exact enumeration
 n = 20000
 counts = np.zeros(4)
 for seed in range(n):
-    z = sample_training_input(cluster, scores, 2, SeededRng(seed), vocab)
+    z = sample_training_input(cluster, scores, 2, SeededRng(seed), vocab, tfidf)
     for k in z.source_units:
         counts[k] += 1
 probs = scores / scores.sum()
@@ -65,7 +66,7 @@ for k in range(4):
     print(f"   unit {k}: empirical {counts[k]/n:.3f}   exact {exact[k]:.3f}")
 
 hits = sum(
-    uniform_training_input(cluster, 1, SeededRng(s), vocab).source_units == (0,)
+    uniform_training_input(cluster, 1, SeededRng(s), vocab, tfidf).source_units == (0,)
     for s in range(10000)
 )
 print(f"\nuniform ablation sanity: unit 0 drawn {hits/10000:.3f} of the time (expect 0.25)")

@@ -110,29 +110,18 @@ class TokenFeatureSet:
     therefore also apply to decoder-side (previous output word) lookups.
     """
 
-    def __init__(self, pos_tags=(), lexicon=None, sentiment=None, dim=10):
+    def __init__(self, pos_tags, lex_categories, word_lex, word_sent, dim):
+        """`lex_categories` lists the lex channel's categories in row order
+        (it may hold categories no word resolves to); `word_lex` maps a norm
+        to its one category and `word_sent` to its sentiment polarity."""
         self.dim = int(dim)
         self.pos_tags = tuple(sorted(set(pos_tags)))
         self._pos_index = {t: i + 1 for i, t in enumerate(self.pos_tags)}
-        lexicon = lexicon or {}
-        self.lex_categories = tuple(sorted({c for cs in lexicon.values() for c in cs}))
+        self.lex_categories = tuple(lex_categories)
         self._lex_index = {c: i + 1 for i, c in enumerate(self.lex_categories)}
-        # a multi-category word uses its alphabetically first category
-        self.word_lex = {w: sorted(cs)[0] for w, cs in lexicon.items() if cs}
-        self.word_sent = dict(sentiment or {})
+        self.word_lex = dict(word_lex)
+        self.word_sent = dict(word_sent)
         self._sent_index = {"positive": 1, "negative": 2, "neutral": 3}
-
-    @classmethod
-    def from_resolved(cls, pos_tags, lex_categories, word_lex, word_sent, dim):
-        """Rebuild from serialized form, where word->category is already
-        resolved and the category list is explicit (it may contain
-        categories no word resolves to)."""
-        fs = cls(pos_tags=pos_tags, dim=dim)
-        fs.lex_categories = tuple(lex_categories)
-        fs._lex_index = {c: i + 1 for i, c in enumerate(fs.lex_categories)}
-        fs.word_lex = dict(word_lex)
-        fs.word_sent = dict(word_sent)
-        return fs
 
     @property
     def continuous_slots(self):
@@ -494,7 +483,6 @@ class ForwardTrace:
     attn: list
     probs: np.ndarray
     targets: list
-    loglik: float
 
 
 def sequence_log_prob(model, z, y):
@@ -539,7 +527,6 @@ def sequence_log_prob(model, z, y):
         attn=attn,
         probs=probs,
         targets=y,
-        loglik=loglik,
     )
 
 
@@ -692,8 +679,8 @@ def _table_gradients(model, indices, feat_ids, d_rep):
     return grads
 
 
-def backward_pass(model, trace, scale=1.0, emit=None):
-    """Exact gradients of scale * (-loglik) w.r.t. every parameter tensor.
+def backward_pass(model, trace, emit=None):
+    """Exact gradients of -loglik w.r.t. every parameter tensor.
 
     The gradients come in groups of {name: gradient} under the names of
     model.named_tensors(): the output layer, the decoder cell, the
@@ -721,8 +708,8 @@ def backward_pass(model, trace, scale=1.0, emit=None):
     dec = trace.dec
     T = len(trace.targets)
 
-    dlogits = trace.probs * scale
-    dlogits[np.arange(T), trace.targets] -= scale
+    dlogits = trace.probs.copy()
+    dlogits[np.arange(T), trace.targets] -= 1.0
     dH = dlogits @ model.W_out
     emit({"W_out": ProductGradient(dlogits, dec.H[1:]), "b_out": dlogits.sum(axis=0)})
     del dlogits
@@ -935,7 +922,7 @@ def load_model(path):
             cats = reader.block("lex_categories")
             word_lex = _word_map(reader, "word_lex")
             word_sent = _word_map(reader, "word_sent")
-            features = TokenFeatureSet.from_resolved(tags, cats, word_lex, word_sent, dim)
+            features = TokenFeatureSet(tags, cats, word_lex, word_sent, dim)
         elif kind != "none":
             raise reader.error(f"line {reader.line_no}: expected 'features v1' or 'features none'")
         trainable = _flags(reader, "trainable", len(vocab))

@@ -9,10 +9,8 @@ import numpy as np
 from .attnseq2seq import LstmState, attention_keys, decode_rows, encode
 from .sampler import select_test_input
 from .textcorpus import (
-    TfidfStats,
     content_words,
     cosine_weight_maps,
-    default_stopwords,
     detokenize,
     restore_entity,
     substitute_entity,
@@ -27,11 +25,11 @@ class BeamHypothesis:
     logp: float
 
 
-def banned_indices(vocab, cluster=None):
+def banned_indices(vocab, cluster):
     """Vocabulary ids never expanded: SEG, BOS, and the generic entity
     label when the cluster has no entity to restore it to."""
     banned = {vocab.seg, vocab.bos}
-    if cluster is None or not cluster.entity:
+    if not cluster.entity:
         banned.add(vocab.entity)
     return banned
 
@@ -45,7 +43,7 @@ def _backtrack(tokens, parents, row):
     return tuple(reversed(out))
 
 
-def beam_search(model, z, width, max_len, banned=None):
+def beam_search(model, z, width, max_len, banned):
     """Top-`width` beam search; returns completed hypotheses, best first.
 
     Each step expands every live hypothesis over the allowed vocabulary
@@ -53,7 +51,7 @@ def beam_search(model, z, width, max_len, banned=None):
     completed ones among those retire to the result pool. Stops when
     nothing is live or at max_len, where the survivors are force-completed
     with EOS (at its actual log-prob). The pool is ordered by (-logp,
-    length, tokens).
+    length, tokens). The ids in `banned` are never expanded; EOS always is.
 
     The live beam is held as arrays: one B x d_h state matrix advanced by
     one batched decoder step per time step, the running log-probs, and per
@@ -64,7 +62,7 @@ def beam_search(model, z, width, max_len, banned=None):
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     vocab = model.vocab
-    banned_set = set(banned) if banned is not None else {vocab.seg, vocab.bos}
+    banned_set = set(banned)
     banned_set.discard(vocab.eos)
     allowed = np.array([i for i in range(len(vocab)) if i not in banned_set])
     contexts = encode(model, z)
@@ -112,7 +110,7 @@ def beam_search(model, z, width, max_len, banned=None):
     return pool
 
 
-def greedy_decode(model, z, max_len, banned=None):
+def greedy_decode(model, z, max_len, banned):
     """Step-wise argmax chain (beam of width 1)."""
     return beam_search(model, z, width=1, max_len=max_len, banned=banned)[0]
 
@@ -146,9 +144,7 @@ def cosine_rerank(nbest, sims):
     return max(range(len(nbest)), key=lambda i: (sims[i], nbest[i].logp, -i))
 
 
-def decode_cluster(
-    model, cluster, scores, K, width, max_len, tfidf=None, stopwords=None
-):
+def decode_cluster(model, cluster, scores, K, width, max_len, tfidf, stopwords):
     """Full decode of one cluster; returns the record written by the CLI.
 
     select_test_input -> beam_search -> cosine_rerank -> restore_entity;
@@ -156,10 +152,6 @@ def decode_cluster(
     """
     vocab = model.vocab
     sub = substitute_entity(cluster)
-    if tfidf is None:
-        tfidf = TfidfStats([sub])
-    if stopwords is None:
-        stopwords = default_stopwords()
     z = select_test_input(sub, scores, K, vocab, tfidf)
     nbest = beam_search(model, z, width, max_len, banned_indices(vocab, sub))
     sims = rerank_similarities(nbest, sub, tfidf, stopwords, vocab)

@@ -61,7 +61,7 @@ COMMAND_KEYS = {
     "evaluate": {"corpus", "decode"},
     "sampling-report": {
         "corpus", "salience_model", "salience_registry", "model_dir",
-        "modes", "Ks", "K", "beam_width", "max_len",
+        "modes", "Ks", "beam_width", "max_len",
     },
 }
 
@@ -229,9 +229,10 @@ def cmd_fit_importance(cfg):
     beta_grid = cfg.get_list("beta_grid", ("0.01", "0.1", "1", "10"), float)
     lexicons = _load_lexicons(cfg)
     train_clusters = [substitute_entity(c) for c in load_clusters(cfg.require("corpus.train"))]
-    registry = salience.build_registry(train_clusters, lexicons, top_u=top_u)
+    registry = salience.build_registry(train_clusters, lexicons, top_u)
     train_labels = [salience.gold_scores(c, lexicons.stopwords) for c in train_clusters]
     dev_clusters = [substitute_entity(c) for c in load_clusters(cfg.require("corpus.dev"))]
+    dev_relevant = [salience.relevant_units(c, lexicons.stopwords) for c in dev_clusters]
 
     # the design and the dev grid need every cluster's features at once
     def featurize(clusters):
@@ -239,8 +240,8 @@ def cmd_fit_importance(cfg):
         return [salience.cluster_features(c, registry, lexicons, tfidf) for c in clusters]
 
     model, rows = salience.fit_with_grid_search(
-        featurize(train_clusters), train_labels, dev_clusters, featurize(dev_clusters),
-        lexicons, registry, lam_grid, beta_grid,
+        featurize(train_clusters), train_labels, dev_relevant, featurize(dev_clusters),
+        registry, lam_grid, beta_grid,
     )
     salience.save_model(model, cfg.out_path("salience.model"))
     salience.save_registry(registry, cfg.out_path("salience.registry"))
@@ -262,7 +263,7 @@ def cmd_rank_eval(cfg):
     )
     systems = {
         "salience": [salience.rank_descending(scores) for scores in unit_scores],
-        "length": [salience.baseline_rank("length", c) for c in clusters],
+        "length": [salience.baseline_rank("length", c, tfidf) for c in clusters],
         "centroid": [salience.baseline_rank("centroid", c, tfidf) for c in clusters],
     }
     ranking_rows = []
@@ -274,9 +275,8 @@ def cmd_rank_eval(cfg):
     _write_csv(
         cfg.out_path("rankings.csv"), ["cluster_id", "unit_index", "score", "rank"], ranking_rows
     )
-    # a unit is relevant if it shares a content word with the summary;
-    # each system's gains are the same flags in its order
-    relevant = [salience.gold_scores(c, lexicons.stopwords) > 0 for c in clusters]
+    # each system's gains are the same relevance flags in its order
+    relevant = [salience.relevant_units(c, lexicons.stopwords) for c in clusters]
     eval_rows = []
     for name, orders in systems.items():
         rels = [rel[order].astype(int).tolist() for rel, order in zip(relevant, orders)]

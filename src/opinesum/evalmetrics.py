@@ -5,12 +5,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+BLEU_N = 4  # BLEU pools 1- to BLEU_N-grams
+MAX_GAP = 4  # ROUGE-SU4: skip-bigrams with at most MAX_GAP tokens between
+
 
 def ngram_counts(tokens, n):
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(hypotheses, references, max_n=4):
+def bleu(hypotheses, references):
     """Corpus-level BLEU with one reference per hypothesis.
 
     Clipped n-gram counts are pooled over the corpus; precisions for
@@ -28,7 +31,7 @@ def bleu(hypotheses, references, max_n=4):
     if c == 0:
         return 0.0
     log_sum = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_N + 1):
         matched = 0
         total = 0
         for hyp, ref in zip(hypotheses, references):
@@ -44,38 +47,36 @@ def bleu(hypotheses, references, max_n=4):
             p = (matched + 1) / (total + 1)
         log_sum += math.log(p)
     bp = 1.0 if c >= r else math.exp(1.0 - r / c)
-    return bp * math.exp(log_sum / max_n)
+    return bp * math.exp(log_sum / BLEU_N)
 
 
-def skip_bigram_units(tokens, max_gap=4):
-    """Unigrams plus ordered skip-bigrams with <= max_gap intervening tokens."""
+def skip_bigram_units(tokens):
+    """Unigrams plus ordered skip-bigrams with <= MAX_GAP intervening tokens."""
     units = Counter()
     for i, tok in enumerate(tokens):
         units[(tok,)] += 1
-        for j in range(i + 1, min(i + max_gap + 2, len(tokens))):
+        for j in range(i + 1, min(i + MAX_GAP + 2, len(tokens))):
             units[(tok, tokens[j])] += 1
     return units
 
 
-def rouge_su4(hypothesis, reference, max_gap=4):
+def rouge_su4(hypothesis, reference):
     """Recall of the reference's unigram+skip-bigram multiset (clipped)."""
-    ref_units = skip_bigram_units(reference, max_gap)
+    ref_units = skip_bigram_units(reference)
     total = sum(ref_units.values())
     if total == 0:
         return 0.0
-    hyp_units = skip_bigram_units(hypothesis, max_gap)
+    hyp_units = skip_bigram_units(hypothesis)
     matched = sum(min(k, hyp_units[u]) for u, k in ref_units.items())
     return matched / total
 
 
-def rouge_su4_corpus(hypotheses, references, max_gap=4):
+def rouge_su4_corpus(hypotheses, references):
     if len(hypotheses) != len(references):
         raise ValueError("hypothesis/reference length mismatch")
     if not hypotheses:
         raise ValueError("empty corpus")
-    return sum(rouge_su4(h, r, max_gap) for h, r in zip(hypotheses, references)) / len(
-        hypotheses
-    )
+    return sum(rouge_su4(h, r) for h, r in zip(hypotheses, references)) / len(hypotheses)
 
 
 def mrr(relevance_lists):

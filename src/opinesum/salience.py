@@ -16,7 +16,6 @@ import numpy as np
 from . import numkit
 from .evalmetrics import mrr
 from .textcorpus import (
-    TfidfStats,
     atomic_write,
     content_norms,
     content_words,
@@ -88,7 +87,7 @@ class FeatureRegistry:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def build_registry(train_clusters, lexicons, top_u=500):
+def build_registry(train_clusters, lexicons, top_u):
     """Registry from the training corpus: lexicon categories plus the
     top-U most frequent content unigrams (ties broken lexicographically)."""
     cats = sorted({c for cs in lexicons.general.values() for c in cs})
@@ -261,10 +260,10 @@ class SalienceModel:
     w: np.ndarray
     lam: float
     beta: float
-    registry: FeatureRegistry | None = None
+    registry: FeatureRegistry
 
 
-def fit_closed_form(design, lam, beta, registry=None):
+def fit_closed_form(design, lam, beta, registry):
     """Minimize J(w) = ||Rw - L||^2 + lam ||R'w - 1||^2 + beta ||w||^2 exactly.
 
     Solves (R^T R + lam R'^T R' + beta I) w = R^T L + lam R'^T 1 through
@@ -303,13 +302,13 @@ def rank_descending(values):
     return list(np.argsort(-vals, kind="stable"))
 
 
-def baseline_rank(kind, cluster, tfidf=None):
-    """Rank unit indices by a baseline: 'length' or 'centroid'."""
+def baseline_rank(kind, cluster, tfidf):
+    """Rank unit indices by a baseline: 'length' or 'centroid' (the
+    cosine of each unit's `tfidf` map with the cluster's mean map)."""
     if kind == "length":
         return rank_descending([len(u.tokens) for u in cluster.units])
     if kind == "centroid":
-        stats = tfidf if tfidf is not None else TfidfStats([cluster])
-        return rank_descending(centroidness([stats.unit_weights(u) for u in cluster.units]))
+        return rank_descending(centroidness([tfidf.unit_weights(u) for u in cluster.units]))
     raise ValueError(f"unknown baseline kind: {kind!r}")
 
 
@@ -320,15 +319,16 @@ def save_model(model, path):
         fh.write(f"d {model.w.shape[0]}\n")
         fh.write(f"lambda {format(model.lam, '.17g')}\n")
         fh.write(f"beta {format(model.beta, '.17g')}\n")
-        fh.write(f"registry {model.registry.digest() if model.registry else 'none'}\n")
+        fh.write(f"registry {model.registry.digest()}\n")
         for v in model.w:
             fh.write(format(v, ".17g") + "\n")
 
 
-def load_model(path, registry=None):
-    """Read a file written by save_model; verifies the registry hash when
-    one is supplied. Raises ValueError naming the path unless the file has
-    the four header lines and exactly d finite weights, nothing after them."""
+def load_model(path, registry):
+    """Read a file written by save_model for `registry`. Raises ValueError
+    naming the path unless the file has the four header lines, its registry
+    hash is `registry`'s, and exactly d finite weights follow, nothing
+    after them."""
     with read_artifact(path, "salience-model v1") as reader:
         d = reader.count("d")
         lam, beta = reader.value("lambda"), reader.value("beta")
@@ -341,7 +341,7 @@ def load_model(path, registry=None):
         raise ValueError(f"{path}: {exc}") from None
     if not np.all(np.isfinite(w)):
         raise ValueError(f"{path}: non-finite weight")
-    if registry is not None and digest not in ("none", registry.digest()):
+    if digest != registry.digest():
         raise ValueError(f"{path}: registry hash mismatch")
     return SalienceModel(w=w, lam=lam, beta=beta, registry=registry)
 
@@ -363,35 +363,28 @@ def load_registry(path):
     return FeatureRegistry(lexicon_categories=tuple(categories), top_unigrams=tuple(unigrams))
 
 
-def relevance_for_ranking(cluster, order, stopwords):
-    """Binary gains in ranked order: a unit is relevant if its gold score
-    is positive, that is if it shares a content word with the summary."""
-    return (gold_scores(cluster, stopwords) > 0)[order].astype(int).tolist()
+def relevant_units(cluster, stopwords):
+    """Boolean flag per unit: a unit is relevant if its gold score is
+    positive, that is if it shares a content word with the summary."""
+    return gold_scores(cluster, stopwords) > 0
 
 
 def fit_with_grid_search(
-    train_features,
-    train_labels,
-    dev_clusters,
-    dev_features,
-    lexicons,
-    registry,
-    lam_grid=(0.0, 0.01, 0.1, 0.5, 1.0, 10.0),
-    beta_grid=(0.01, 0.1, 1.0, 10.0),
+    train_features, train_labels, dev_relevant, dev_features, registry, lam_grid, beta_grid
 ):
     """Fit on the training design for every (lambda, beta) pair and keep the
-    model with the best dev MRR. Returns (model, grid rows for the CSV)."""
+    model with the best dev MRR, where `dev_relevant` holds each dev
+    cluster's `relevant_units` flags. Returns (model, grid rows for the CSV)."""
     design = build_design(train_features, train_labels)
-    relevant = [gold_scores(c, lexicons.stopwords) > 0 for c in dev_clusters]
     best = None
     rows = []
     for lam in lam_grid:
         for beta in beta_grid:
-            model = fit_closed_form(design, lam, beta, registry=registry)
+            model = fit_closed_form(design, lam, beta, registry)
             dev_mrr = mrr(
                 [
                     rel[rank_descending(score_units(model, feats))]
-                    for rel, feats in zip(relevant, dev_features)
+                    for rel, feats in zip(dev_relevant, dev_features)
                 ]
             )
             rows.append((lam, beta, dev_mrr))

@@ -34,7 +34,7 @@ def _order_by_score(chosen, scores):
     return sorted(chosen, key=lambda k: (-scores[k], k))
 
 
-def build_input(cluster, unit_order, vocab, tfidf=None):
+def build_input(cluster, unit_order, vocab, tfidf):
     """Concatenate the given units (already ordered) with SEG between them."""
     indices = []
     tokens = []
@@ -47,7 +47,7 @@ def build_input(cluster, unit_order, vocab, tfidf=None):
             tokens.append(None)
             weights.append(0.0)
         start = len(indices)
-        unit_w = tfidf.unit_weights(unit) if tfidf is not None else {}
+        unit_w = tfidf.unit_weights(unit)
         for t in unit.tokens:
             indices.append(vocab.index_of(t.norm))
             tokens.append(t)
@@ -62,7 +62,7 @@ def build_input(cluster, unit_order, vocab, tfidf=None):
     )
 
 
-def sample_training_input(cluster, scores, K, rng, vocab, tfidf=None):
+def sample_training_input(cluster, scores, K, rng, vocab, tfidf):
     """Draw min(K, M) units from the normalized importance distribution.
 
     Scores are clamped at 1e-6 from below so every unit keeps support.
@@ -79,13 +79,13 @@ def sample_training_input(cluster, scores, K, rng, vocab, tfidf=None):
     return build_input(cluster, _order_by_score(chosen, scores), vocab, tfidf)
 
 
-def uniform_training_input(cluster, K, rng, vocab, tfidf=None):
+def uniform_training_input(cluster, K, rng, vocab, tfidf):
     """Ablation sampler: equal weight on every unit."""
     ones = np.ones(len(cluster.units))
     return sample_training_input(cluster, ones, K, rng, vocab, tfidf)
 
 
-def select_test_input(cluster, scores, K, vocab, tfidf=None):
+def select_test_input(cluster, scores, K, vocab, tfidf):
     """Deterministic top-min(K, M) units by score, descending, stable ties."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape[0] != len(cluster.units):

@@ -294,15 +294,16 @@ class EmbeddingTable:
         )
 
 
-def load_embeddings(path, vocab, dim=None):
-    """Load a text word-vector file into an EmbeddingTable.
+def load_embeddings(path, vocab, dim):
+    """Load a text word-vector file of `dim`-value vectors into an
+    EmbeddingTable.
 
-    Format: optional "count dim" header, then "word v1 ... v_d" lines.
-    Rows for covered words are copied; uncovered rows are left for the
-    model initializer. Returns (table, coverage over non-reserved words).
+    Format: optional "count dim" header, then "word v1 ... v_d" lines; the
+    header and every row must match `dim`. Rows for covered words are
+    copied; uncovered rows are left for the model initializer. Returns
+    (table, coverage over non-reserved words).
     """
     vectors = {}
-    file_dim = dim
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.endswith("\n"):
@@ -319,11 +320,10 @@ def load_embeddings(path, vocab, dim=None):
                 except ValueError:
                     pass
                 else:
-                    if file_dim is not None and header_dim != file_dim:
+                    if header_dim != dim:
                         raise ValueError(
-                            f"embedding dim mismatch: file declares {header_dim}, expected {file_dim}"
+                            f"embedding dim mismatch: file declares {header_dim}, expected {dim}"
                         )
-                    file_dim = header_dim
                     continue
             if len(parts) < 2:
                 raise CorpusFormatError(path, line_no, "expected 'word v1 ... v_d'")
@@ -334,19 +334,13 @@ def load_embeddings(path, vocab, dim=None):
                 raise CorpusFormatError(path, line_no, f"bad float: {exc}") from exc
             if not np.isfinite(values).all():
                 raise CorpusFormatError(path, line_no, f"non-finite value in the vector of {word!r}")
-            if file_dim is None:
-                file_dim = values.shape[0]
-            elif values.shape[0] != file_dim:
+            if values.shape[0] != dim:
                 raise ValueError(
-                    f"embedding dim mismatch at line {line_no}: got {values.shape[0]}, expected {file_dim}"
+                    f"embedding dim mismatch at line {line_no}: got {values.shape[0]}, expected {dim}"
                 )
             if word in vocab:
                 vectors[word] = values
-    if file_dim is None:
-        if dim is None:
-            raise ValueError("empty embedding file and no dim given")
-        file_dim = dim
-    table = EmbeddingTable.zeros(len(vocab), file_dim)
+    table = EmbeddingTable.zeros(len(vocab), dim)
     for word, vec in vectors.items():
         idx = vocab.index_of(word)
         table.matrix[idx] = vec

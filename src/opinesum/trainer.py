@@ -7,6 +7,7 @@ an independent forward-pass transcription evaluated in extended precision
 drowned by float64 quantization of the loss.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +71,9 @@ class TrainConfig:
         for key in ("eta", "eps"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0")
-        for key in ("K", "patience", "max_epochs", "max_len"):
+        if not 0 < self.init_scale < math.inf:
+            raise ValueError("init_scale must be finite and > 0")
+        for key in ("d_feat", "K", "patience", "max_epochs", "min_count", "max_len"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
 
@@ -163,12 +166,16 @@ def _adagrad_step(theta, acc, g, state, frozen):
 
 
 def build_features(clusters, lexicons, dim):
-    """Token feature registry from an (already substituted) training corpus."""
-    tags = sorted({t.pos for c in clusters for u in c.units for t in u.tokens if t.pos})
+    """Token feature registry from an (already substituted) training corpus:
+    its pos tags, the sorted lexicon categories, and for each lexicon word
+    its alphabetically first category."""
+    tags = {t.pos for c in clusters for u in c.units for t in u.tokens if t.pos}
+    general = lexicons.general if lexicons else {}
     return TokenFeatureSet(
         pos_tags=tags,
-        lexicon=lexicons.general if lexicons else {},
-        sentiment=lexicons.sentiment if lexicons else {},
+        lex_categories=sorted({c for cs in general.values() for c in cs}),
+        word_lex={w: sorted(cs)[0] for w, cs in general.items() if cs},
+        word_sent=lexicons.sentiment if lexicons else {},
         dim=dim,
     )
 

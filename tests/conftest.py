@@ -3,7 +3,7 @@ import pytest
 from opinesum.attnseq2seq import TokenFeatureSet, new_model
 from opinesum.numkit import SeededRng
 from opinesum.sampler import build_input
-from opinesum.textcorpus import Cluster, build_vocab, text_unit
+from opinesum.textcorpus import Cluster, TfidfStats, build_vocab, text_unit
 
 
 def make_cluster(texts, summary="great stuff", cid="c0", entity=None):
@@ -30,12 +30,13 @@ def tiny_setup(seed=0, with_features=False, d_emb=4, d_h=3, d_a=2, scale=0.3):
     if with_features:
         features = TokenFeatureSet(
             pos_tags=["nn", "vb"],
-            lexicon={"aa": ("Positiv",), "dd": ("Negativ",)},
-            sentiment={"bb": "positive", "ee": "negative"},
+            lex_categories=("Negativ", "Positiv"),
+            word_lex={"aa": "Positiv", "dd": "Negativ"},
+            word_sent={"bb": "positive", "ee": "negative"},
             dim=3,
         )
     model = randomize(new_model(vocab, features, d_emb, d_h, d_a), seed, scale)
-    z = build_input(cluster, [0, 1], vocab)
+    z = build_input(cluster, [0, 1], vocab, TfidfStats([cluster]))
     y = list(vocab.encode(cluster.summary.norms())) + [vocab.eos]
     return model, cluster, z, y
 

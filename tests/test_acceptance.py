@@ -21,7 +21,7 @@ from opinesum.salience import (
     fit_closed_form,
     gold_scores,
     rank_descending,
-    relevance_for_ranking,
+    relevant_units,
     score_units,
 )
 from opinesum.sampler import build_input, sample_training_input, select_test_input
@@ -55,7 +55,7 @@ def test_criterion_2_closed_form_regression():
         design = build_design(feats, labels)
         lam = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
         beta = float(rng.choice([0.05, 0.1, 1.0]))
-        fitted = fit_closed_form(design, lam, beta)
+        fitted = fit_closed_form(design, lam, beta, registry=None)
         oracle = descent_minimizer(design, lam, beta, tol=1e-12)
         assert np.abs(fitted.w - oracle).max() <= 1e-5, f"trial {trial}"
         if lam == 0.0:
@@ -66,7 +66,7 @@ def test_criterion_2_closed_form_regression():
     # explicit lambda = 0 spot check on top of the random draw above
     feats, labels = random_design(np.random.default_rng(77), d=6)
     design = build_design(feats, labels)
-    fitted = fit_closed_form(design, 0.0, 0.25)
+    fitted = fit_closed_form(design, 0.0, 0.25, registry=None)
     ridge = np.linalg.solve(design.R.T @ design.R + 0.25 * np.eye(6), design.R.T @ design.L)
     assert np.abs(fitted.w - ridge).max() <= 1e-10
     report(2, "closed-form regression matches descent oracle and ridge")
@@ -77,13 +77,13 @@ def _six_word_model(seed):
     vocab = build_vocab([cluster])
     assert len(vocab) == 6
     model = randomize(new_model(vocab, None, 4, 3, 2), seed=seed, scale=0.8)
-    return model, vocab, build_input(cluster, [0, 1], vocab)
+    z = build_input(cluster, [0, 1], vocab, TfidfStats([cluster]))
+    return model, vocab, z, beamdecode.banned_indices(vocab, cluster)
 
 
 def test_criterion_3_beam_optimality():
     for seed in range(5):
-        model, vocab, z = _six_word_model(seed)
-        banned = beamdecode.banned_indices(vocab)
+        model, vocab, z, banned = _six_word_model(seed)
         pool = beamdecode.beam_search(model, z, width=1296, max_len=4, banned=banned)
         inner = [i for i in range(len(vocab)) if i not in banned and i != vocab.eos]
         best = -np.inf
@@ -191,11 +191,12 @@ def test_criterion_5_metric_oracles():
 def test_criterion_6_sampling_distribution():
     cluster = make_cluster(["aa bb", "cc dd", "ee ff", "gg hh"], cid="s0")
     vocab = build_vocab([cluster])
+    tfidf = TfidfStats([cluster])
     scores = [4.0, 2.0, 1.0, 1.0]
     n = 20000
     counts = np.zeros(4)
     for seed in range(n):
-        z = sample_training_input(cluster, scores, 2, SeededRng(seed), vocab)
+        z = sample_training_input(cluster, scores, 2, SeededRng(seed), vocab, tfidf)
         for k in z.source_units:
             counts[k] += 1
     probs = np.array(scores) / sum(scores)
@@ -262,7 +263,7 @@ def test_criterion_7_ranking_beats_baselines():
                     )
                 else:
                     order = baseline_rank(system, c, eval_tfidf)
-                rels.append(relevance_for_ranking(c, order, RANK_STOPWORDS))
+                rels.append(relevant_units(c, RANK_STOPWORDS)[order].astype(int).tolist())
             metrics[system] = (mrr(rels), mean_ndcg_at(3, rels), mean_ndcg_at(5, rels))
         for i, name in enumerate(("MRR", "NDCG@3", "NDCG@5")):
             assert metrics["salience"][i] > metrics["length"][i], f"seed {seed} {name} vs length"
@@ -273,8 +274,8 @@ def test_criterion_7_ranking_beats_baselines():
 def test_criterion_8_consistency(tmp_path):
     # beam incremental log-probs equal batch scores
     for seed in range(3):
-        model, vocab, z = _six_word_model(seed)
-        pool = beamdecode.beam_search(model, z, width=6, max_len=5)
+        model, vocab, z, banned = _six_word_model(seed)
+        pool = beamdecode.beam_search(model, z, width=6, max_len=5, banned=banned)
         assert pool
         for h in pool:
             ll, _ = sequence_log_prob(model, z, list(h.tokens))

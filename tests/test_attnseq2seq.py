@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,10 @@ from opinesum.attnseq2seq import (
     save_model,
     sequence_log_prob,
 )
+from opinesum.salience import LexiconSet
 from opinesum.sampler import build_input
-from opinesum.textcorpus import build_vocab
+from opinesum.textcorpus import TfidfStats, build_vocab
+from opinesum.trainer import build_features
 
 
 def gate_tensors(p):
@@ -238,10 +241,8 @@ class TestCellLayout:
 class TestEncode:
     def test_single_token(self, tiny):
         model, cluster, _, _ = tiny
-        z = build_input(cluster, [1], model.vocab)
-        z_one = build_input(
-            make_cluster(["dd"], cid="c1"), [0], model.vocab
-        )
+        one = make_cluster(["dd"], cid="c1")
+        z_one = build_input(one, [0], model.vocab, TfidfStats([one]))
         contexts = encode(model, z_one)
         assert contexts.shape == (1, 2 * model.d_h)
         rep = model.embeddings.matrix[model.vocab.index_of("dd")]
@@ -257,7 +258,7 @@ class TestEncode:
         # same parameters on both chains
         for (_, dst), (_, src) in zip(model.enc_b.named("b"), model.enc_f.named("f")):
             dst[...] = src
-        contexts = encode(model, build_input(cluster, [0], vocab))
+        contexts = encode(model, build_input(cluster, [0], vocab, TfidfStats([cluster])))
         n, d_h = 3, model.d_h
         for i in range(n):
             np.testing.assert_allclose(
@@ -266,7 +267,8 @@ class TestEncode:
 
     def test_three_token_manual_chain(self, tiny):
         model, cluster, _, _ = tiny
-        z = build_input(make_cluster(["aa bb cc"], cid="c2"), [0], model.vocab)
+        three = make_cluster(["aa bb cc"], cid="c2")
+        z = build_input(three, [0], model.vocab, TfidfStats([three]))
         contexts = encode(model, z)
         reps = [model.embeddings.matrix[i] for i in z.indices]
         h = c = np.zeros(model.d_h)
@@ -280,7 +282,7 @@ class TestEncode:
 
     def test_invalid_index(self, tiny):
         model, cluster, z, _ = tiny
-        bad = build_input(cluster, [0], model.vocab)
+        bad = build_input(cluster, [0], model.vocab, TfidfStats([cluster]))
         bad.indices[0] = len(model.vocab) + 5
         with pytest.raises(ValueError):
             encode(model, bad)
@@ -480,14 +482,6 @@ class TestBackwardPass:
         # and at least one touched row is nonzero
         assert np.abs(emb[int(z.indices[0])]).max() > 0
 
-    def test_loss_scaling_linearity(self, tiny):
-        model, _, z, y = tiny
-        _, trace = sequence_log_prob(model, z, y)
-        g1 = backward_pass(model, trace)
-        g2 = backward_pass(model, trace, scale=2.0)
-        for name in g1:
-            np.testing.assert_allclose(dense(g2[name]), 2.0 * dense(g1[name]), atol=1e-15)
-
     def test_output_projection_finite_differences(self, tiny):
         # W_out gradients are large-magnitude; float64 differences suffice
         model, _, z, y = tiny
@@ -552,18 +546,12 @@ class TestSerialization:
 
     def test_round_trip_multicategory_lexicon(self, tmp_path):
         # a category that is never any word's first choice must survive
-        from opinesum.attnseq2seq import TokenFeatureSet
-        from opinesum.sampler import build_input
-        from opinesum.textcorpus import build_vocab
-
         cluster = make_cluster(["aa bb cc", "dd ee"], summary="bb dd")
         vocab = build_vocab([cluster])
-        features = TokenFeatureSet(
-            pos_tags=["nn"],
-            lexicon={"aa": ("Alpha", "Zeta"), "dd": ("Alpha",)},
-            sentiment={"bb": "neutral"},
-            dim=3,
+        lexicons = LexiconSet(
+            general={"aa": ("Alpha", "Zeta"), "dd": ("Alpha",)}, sentiment={"bb": "neutral"}
         )
+        features = build_features([cluster], lexicons, dim=3)
         assert features.lex_categories == ("Alpha", "Zeta")
         assert features.word_lex == {"aa": "Alpha", "dd": "Alpha"}
         model = randomize(new_model(vocab, features, 4, 3, 2), seed=21)
@@ -572,7 +560,7 @@ class TestSerialization:
         loaded = load_model(path)
         assert loaded.features.lex_categories == ("Alpha", "Zeta")
         assert loaded.feat_tables["lex"].shape == model.feat_tables["lex"].shape
-        z = build_input(cluster, [0, 1], vocab)
+        z = build_input(cluster, [0, 1], vocab, TfidfStats([cluster]))
         y = list(vocab.encode(cluster.summary.norms())) + [vocab.eos]
         ll_a, _ = sequence_log_prob(model, z, y)
         ll_b, _ = sequence_log_prob(loaded, z, y)
@@ -595,7 +583,9 @@ class TestSerialization:
         model = load_model(path)
         assert model.features is not None
         cluster = make_cluster(["aa bb cc", "dd ee"], summary="bb dd")
-        z = build_input(cluster, [0, 1], model.vocab)
+        # the loglik below was taken with zero tf-idf slots
+        z = build_input(cluster, [0, 1], model.vocab, TfidfStats([cluster]))
+        z = replace(z, tfidf=np.zeros_like(z.tfidf))
         y = list(model.vocab.encode(cluster.summary.norms())) + [model.vocab.eos]
         loglik, _ = sequence_log_prob(model, z, y)
         assert loglik == pytest.approx(-6.966382877818599, rel=1e-12)

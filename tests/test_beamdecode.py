@@ -23,7 +23,7 @@ from opinesum.beamdecode import (
     rerank_similarities,
 )
 from opinesum.sampler import build_input
-from opinesum.textcorpus import TfidfStats, build_vocab, substitute_entity
+from opinesum.textcorpus import TfidfStats, build_vocab, default_stopwords, substitute_entity
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,11 @@ class RefHypothesis:
     completed: bool
 
 
-def reference_beam_search(model, z, width, max_len, banned=None):
+def reference_beam_search(model, z, width, max_len, banned):
     """Object-per-hypothesis beam search: one decode_step per live
     hypothesis, and a full sort of every expansion at each step."""
     vocab = model.vocab
-    banned_set = set(banned) if banned is not None else {vocab.seg, vocab.bos}
+    banned_set = set(banned)
     banned_set.discard(vocab.eos)
     allowed = [i for i in range(len(vocab)) if i not in banned_set]
     contexts = encode(model, z)
@@ -66,7 +66,7 @@ def reference_beam_search(model, z, width, max_len, banned=None):
     return pool
 
 
-def assert_matches_reference(model, z, width, max_len, banned=None):
+def assert_matches_reference(model, z, width, max_len, banned):
     got = beam_search(model, z, width, max_len, banned)
     want = reference_beam_search(model, z, width, max_len, banned)
     assert [h.tokens for h in got] == [h.tokens for h in want]
@@ -76,29 +76,34 @@ def assert_matches_reference(model, z, width, max_len, banned=None):
 
 
 def wide_vocab_setup(seed, with_features=False):
-    """Random model over 25 words (|V| = 30), optionally with token features."""
+    """Random model over 25 words (|V| = 30), optionally with token
+    features, its input and its banned ids."""
     words = [f"w{i:02d}" for i in range(25)]
     cluster = make_cluster([" ".join(words[:13]), " ".join(words[13:])], summary="w01 w02")
     vocab = build_vocab([cluster])
     features = None
     if with_features:
         features = TokenFeatureSet(
-            lexicon={"w01": ("Positiv",), "w05": ("Negativ",)},
-            sentiment={"w02": "positive", "w07": "negative"},
+            pos_tags=(),
+            lex_categories=("Negativ", "Positiv"),
+            word_lex={"w01": "Positiv", "w05": "Negativ"},
+            word_sent={"w02": "positive", "w07": "negative"},
             dim=2,
         )
     model = randomize(new_model(vocab, features, 5, 4, 3), seed=seed, scale=0.9)
-    return model, vocab, build_input(cluster, [0, 1], vocab)
+    z = build_input(cluster, [0, 1], vocab, TfidfStats([cluster]))
+    return model, vocab, z, banned_indices(vocab, cluster)
 
 
 def six_word_setup(seed):
-    """|V| = 6: the five reserved tokens plus one word."""
+    """|V| = 6: the five reserved tokens plus one word. The cluster has an
+    entity, so only SEG and BOS are banned."""
     cluster = make_cluster(["ww ww", "ww"], summary="ww", cid="six", entity="boo")
     vocab = build_vocab([cluster])
     assert len(vocab) == 6
     model = randomize(new_model(vocab, None, 4, 3, 2), seed=seed, scale=0.8)
-    z = build_input(cluster, [0, 1], vocab)
-    return model, vocab, z
+    z = build_input(cluster, [0, 1], vocab, TfidfStats([cluster]))
+    return model, vocab, z, banned_indices(vocab, cluster)
 
 
 def greedy_oracle(model, z, max_len, banned):
@@ -141,8 +146,7 @@ def exhaustive_best(model, z, max_len, banned):
 class TestBeamSearch:
     def test_width_one_equals_greedy_oracle(self):
         for seed in range(5):
-            model, vocab, z = six_word_setup(seed)
-            banned = banned_indices(vocab)
+            model, vocab, z, banned = six_word_setup(seed)
             pool = beam_search(model, z, width=1, max_len=6, banned=banned)
             tokens, logp = greedy_oracle(model, z, 6, banned)
             assert pool[0].tokens == tokens
@@ -150,66 +154,65 @@ class TestBeamSearch:
 
     def test_recovers_exhaustive_optimum(self):
         for seed in range(2):
-            model, vocab, z = six_word_setup(seed)
-            banned = banned_indices(vocab)  # entity present: SEG/BOS only
+            model, vocab, z, banned = six_word_setup(seed)
             pool = beam_search(model, z, width=1296, max_len=4, banned=banned)
             best_ll, best_tokens = exhaustive_best(model, z, 4, banned)
             assert pool[0].logp == pytest.approx(best_ll, abs=1e-10)
             assert pool[0].tokens == best_tokens
 
     def test_deterministic(self):
-        model, vocab, z = six_word_setup(3)
-        a = beam_search(model, z, width=4, max_len=5)
-        b = beam_search(model, z, width=4, max_len=5)
+        model, vocab, z, banned = six_word_setup(3)
+        a = beam_search(model, z, width=4, max_len=5, banned=banned)
+        b = beam_search(model, z, width=4, max_len=5, banned=banned)
         assert [(h.tokens, h.logp) for h in a] == [(h.tokens, h.logp) for h in b]
 
     def test_every_hypothesis_ends_with_single_eos(self):
-        model, vocab, z = six_word_setup(1)
-        for h in beam_search(model, z, width=5, max_len=6):
+        model, vocab, z, banned = six_word_setup(1)
+        for h in beam_search(model, z, width=5, max_len=6, banned=banned):
             assert h.tokens[-1] == vocab.eos
             assert h.tokens.count(vocab.eos) == 1
 
     def test_pool_size_bound(self):
         for width, max_len in ((1, 4), (3, 5), (8, 3)):
-            model, vocab, z = six_word_setup(2)
-            pool = beam_search(model, z, width=width, max_len=max_len)
+            model, vocab, z, banned = six_word_setup(2)
+            pool = beam_search(model, z, width=width, max_len=max_len, banned=banned)
             assert len(pool) <= width * max_len + width
 
     def test_banned_tokens_absent(self):
-        model, vocab, z = six_word_setup(4)
-        for h in beam_search(model, z, width=6, max_len=5):
+        model, vocab, z, banned = six_word_setup(4)
+        for h in beam_search(model, z, width=6, max_len=5, banned=banned):
             assert vocab.seg not in h.tokens
             assert vocab.bos not in h.tokens
 
     def test_incremental_matches_batch_scores(self):
-        model, vocab, z = six_word_setup(5)
-        pool = beam_search(model, z, width=6, max_len=5)
+        model, vocab, z, banned = six_word_setup(5)
+        pool = beam_search(model, z, width=6, max_len=5, banned=banned)
         assert pool
         for h in pool:
             ll, _ = sequence_log_prob(model, z, list(h.tokens))
             assert abs(h.logp - ll) <= 1e-10
 
     def test_sorted_by_logp_then_length(self):
-        model, vocab, z = six_word_setup(6)
-        pool = beam_search(model, z, width=6, max_len=5)
+        model, vocab, z, banned = six_word_setup(6)
+        pool = beam_search(model, z, width=6, max_len=5, banned=banned)
         keys = [(-h.logp, len(h.tokens), h.tokens) for h in pool]
         assert keys == sorted(keys)
 
     def test_width_validation(self):
-        model, vocab, z = six_word_setup(0)
+        model, vocab, z, banned = six_word_setup(0)
         with pytest.raises(ValueError):
-            beam_search(model, z, width=0, max_len=3)
+            beam_search(model, z, width=0, max_len=3, banned=banned)
         with pytest.raises(ValueError):
-            beam_search(model, z, width=1, max_len=0)
+            beam_search(model, z, width=1, max_len=0, banned=banned)
 
     def test_greedy_decode_helper(self):
-        model, vocab, z = six_word_setup(7)
-        best = greedy_decode(model, z, max_len=5)
-        assert best.tokens == beam_search(model, z, width=1, max_len=5)[0].tokens
+        model, vocab, z, banned = six_word_setup(7)
+        best = greedy_decode(model, z, max_len=5, banned=banned)
+        assert best.tokens == beam_search(model, z, width=1, max_len=5, banned=banned)[0].tokens
 
     def test_max_len_one_forces_eos(self):
-        model, vocab, z = six_word_setup(8)
-        pool = beam_search(model, z, width=4, max_len=1)
+        model, vocab, z, banned = six_word_setup(8)
+        pool = beam_search(model, z, width=4, max_len=1, banned=banned)
         assert [h.tokens for h in pool] == [(vocab.eos,)]
 
 
@@ -220,37 +223,37 @@ class TestMatchesReferenceBeam:
     def test_random_models(self):
         for seed in range(3):
             for width in (1, 3, 20):
-                model, vocab, z = wide_vocab_setup(seed, with_features=seed == 1)
-                assert_matches_reference(model, z, width, 6, banned_indices(vocab))
+                model, vocab, z, banned = wide_vocab_setup(seed, with_features=seed == 1)
+                assert_matches_reference(model, z, width, 6, banned)
 
     def test_zero_model_all_candidates_tied(self):
-        model, vocab, z = wide_vocab_setup(0)
+        model, vocab, z, banned = wide_vocab_setup(0)
         model = new_model(vocab, None, model.d_emb, model.d_h, model.d_a)
         for width in (1, 3, 20):
-            pool = assert_matches_reference(model, z, width, 4, banned_indices(vocab))
+            pool = assert_matches_reference(model, z, width, 4, banned)
             assert len({h.logp for h in pool if len(h.tokens) == 4}) == 1
 
     def test_exact_ties_across_parents_break_by_tokens(self):
         # W_out = 0: every step has the same distribution, so (hi, lo) and
         # (lo, hi) tie exactly; the better parent (hi) has the larger id
-        model, vocab, z = wide_vocab_setup(4)
+        model, vocab, z, banned = wide_vocab_setup(4)
         lo, hi = sorted(vocab.index_of(w) for w in ("w03", "w10"))
         model.W_out[...] = 0.0
         model.b_out[...] = 0.0
         model.b_out[hi], model.b_out[lo] = 2.0, 1.0
-        pool = assert_matches_reference(model, z, 2, 3, banned_indices(vocab))
+        pool = assert_matches_reference(model, z, 2, 3, banned)
         assert (lo, hi, vocab.eos) in [h.tokens for h in pool]
 
     def test_six_words_width_above_candidates(self):
         for seed in range(3):
-            model, vocab, z = six_word_setup(seed)
-            assert_matches_reference(model, z, 20, 5, banned_indices(vocab))
+            model, vocab, z, banned = six_word_setup(seed)
+            assert_matches_reference(model, z, 20, 5, banned)
 
     def test_underflowed_word_kept_like_reference(self):
-        model, vocab, z = six_word_setup(2)
+        model, vocab, z, banned = six_word_setup(2)
         word = vocab.index_of("ww")
         model.b_out[word] = -1e4  # exp underflows: probability exactly 0
-        pool = assert_matches_reference(model, z, 20, 4, banned_indices(vocab))
+        pool = assert_matches_reference(model, z, 20, 4, banned)
         assert any(h.logp == -np.inf and word in h.tokens for h in pool)
 
 
@@ -321,7 +324,10 @@ class TestCosineRerank:
 class TestGenerateSummary:
     def test_no_seg_bos_or_entity_label_in_text(self):
         model, cluster, z, y = tiny_setup(seed=11)
-        record = decode_cluster(model, cluster, np.ones(len(cluster.units)), K=2, width=3, max_len=5)
+        record = decode_cluster(
+            model, cluster, np.ones(len(cluster.units)), K=2, width=3, max_len=5,
+            tfidf=TfidfStats([cluster]), stopwords=default_stopwords(),
+        )
         text = record["summary"]
         for forbidden in ("SEG", "BOS"):
             assert forbidden not in text.split()
@@ -339,13 +345,19 @@ class TestGenerateSummary:
         # constant logits: generic label then forced EOS
         model.b_out[vocab.entity] = 2.0
         model.b_out[vocab.eos] = 1.0
-        text = decode_cluster(model, cluster, np.ones(2), K=2, width=2, max_len=3)["summary"]
+        text = decode_cluster(
+            model, cluster, np.ones(2), K=2, width=2, max_len=3,
+            tfidf=TfidfStats([sub]), stopwords=default_stopwords(),
+        )["summary"]
         assert "ENTITY" not in text
         assert "the martian" in text
 
     def test_record_shape(self):
         model, cluster, z, y = tiny_setup(seed=12)
-        record = decode_cluster(model, cluster, np.ones(len(cluster.units)), 2, 3, 5)
+        record = decode_cluster(
+            model, cluster, np.ones(len(cluster.units)), 2, 3, 5,
+            TfidfStats([cluster]), default_stopwords(),
+        )
         assert record["id"] == cluster.id
         assert isinstance(record["summary"], str)
         assert record["nbest"]

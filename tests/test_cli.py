@@ -16,6 +16,38 @@ from opinesum import cli, salience, trainer
 from opinesum.cli import RunConfig, _train_config, main
 
 
+class RecordingConfig(RunConfig):
+    """A RunConfig that records every key a command reads."""
+
+    def __init__(self, command, pairs):
+        super().__init__(command, pairs)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def require(self, key):
+        self.read.add(key)
+        return super().require(key)
+
+    def get_int(self, key, default):
+        self.read.add(key)
+        return super().get_int(key, default)
+
+    def get_float(self, key, default):
+        self.read.add(key)
+        return super().get_float(key, default)
+
+    def get_bool(self, key, default):
+        self.read.add(key)
+        return super().get_bool(key, default)
+
+    def get_list(self, key, default, kind=str):
+        self.read.add(key)
+        return super().get_list(key, default, kind)
+
+
 def write_corpus(path, clusters):
     with open(path, "w", encoding="utf-8") as fh:
         for c in clusters:
@@ -139,6 +171,43 @@ class TestConfig:
 
     def test_missing_required_key(self, tmp_path):
         assert main(["preprocess", "--set", f"out_dir={tmp_path/'x'}"]) == 2
+
+    def test_every_command_reads_each_of_its_keys(self, tmp_path, corpus_file, fitted_salience):
+        # a key a command never reads would be accepted and silently ignored
+        model_path, registry_path = fitted_salience
+        salience_keys = {"salience_model": model_path, "salience_registry": registry_path}
+        model_dir = tmp_path / "models"
+        runs = {
+            "preprocess": {"corpus": corpus_file},
+            "fit-importance": {"corpus.train": corpus_file, "corpus.dev": corpus_file},
+            "rank-eval": {"corpus": corpus_file, **salience_keys},
+            "train": {
+                "corpus.train": corpus_file, "corpus.dev": corpus_file, **salience_keys,
+                "d_emb": "12", "d_h": "10", "d_a": "6", "K": "2", "max_epochs": "2",
+                "max_len": "8",
+            },
+            "gradcheck": {},
+            "decode": {
+                "corpus": corpus_file, "model": str(model_dir / "topk_K2.model"), **salience_keys,
+                "K": "2", "beam_width": "2", "max_len": "6",
+            },
+            "evaluate": {"corpus": corpus_file, "decode": str(tmp_path / "decode" / "decode.jsonl")},
+            "sampling-report": {
+                "corpus": corpus_file, **salience_keys, "model_dir": str(model_dir),
+                "modes": "topk", "Ks": "2", "beam_width": "2", "max_len": "6",
+            },
+        }
+        assert list(runs) == list(cli.COMMANDS)
+        unread = {}
+        for command, pairs in runs.items():
+            cfg = RecordingConfig(command, {**pairs, "out_dir": str(tmp_path / command)})
+            assert cli.COMMANDS[command](cfg) == 0, command
+            if command == "train":
+                model_dir.mkdir()
+                trained = (tmp_path / "train" / "model.txt").read_bytes()
+                (model_dir / "topk_K2.model").write_bytes(trained)
+            unread[command] = cli.COMMAND_KEYS[command] - cfg.read
+        assert unread == {command: set() for command in runs}
 
     def test_train_keys_are_the_train_config_fields(self):
         # seed is a key of every command; every other field is a train key
@@ -293,6 +362,12 @@ class TestTrainCommand:
             ("eta=0", "eta must be > 0"),
             ("eta=nan", "eta must be > 0"),
             ("eps=0", "eps must be > 0"),
+            ("init_scale=nan", "init_scale must be finite and > 0"),
+            ("init_scale=inf", "init_scale must be finite and > 0"),
+            ("init_scale=-1", "init_scale must be finite and > 0"),
+            ("init_scale=0", "init_scale must be finite and > 0"),
+            ("d_feat=0", "d_feat must be >= 1"),
+            ("min_count=0", "min_count must be >= 1"),
         ],
     )
     def test_bad_setting_exits_2_without_output(
@@ -310,6 +385,9 @@ class TestTrainCommand:
             ("max_len=0", "max_len must be >= 1"),
             ("max_len=-3", "max_len must be >= 1"),
             ("K=0", "K must be >= 1"),
+            ("d_feat=0", "d_feat must be >= 1"),
+            ("min_count=0", "min_count must be >= 1"),
+            ("init_scale=nan", "init_scale must be finite and > 0"),
         ],
     )
     def test_bad_count_exits_2_before_reading_input(
@@ -623,15 +701,16 @@ class TestFeatureLifetime:
             "--set", f"salience_model={model_path}",
             "--set", f"salience_registry={registry_path}",
         ]
-        decode_args = ["--set", "K=2", "--set", "beam_width=2", "--set", "max_len=6"]
+        beam_args = ["--set", "beam_width=2", "--set", "max_len=6"]
         stages = {
             "rank-eval": ["rank-eval"] + salience_args,
             "train": train_args(corpus_file, fitted_salience, tmp_path / "train"),
-            "decode": ["decode", "--set", f"model={model_file}"] + salience_args + decode_args,
+            "decode": ["decode", "--set", f"model={model_file}", "--set", "K=2"]
+            + salience_args + beam_args,
             "sampling-report": [
                 "sampling-report", "--set", f"model_dir={model_dir}",
                 "--set", "modes=topk", "--set", "Ks=1,2",
-            ] + salience_args + decode_args,
+            ] + salience_args + beam_args,
         }
         built = []  # a weak reference to each matrix cluster_features returned
         alive_before = []  # how many of the earlier matrices were alive at each call

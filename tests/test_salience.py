@@ -23,6 +23,7 @@ from opinesum.salience import (
     load_model,
     load_registry,
     rank_descending,
+    relevant_units,
     save_model,
     save_registry,
     score_units,
@@ -468,8 +469,9 @@ class TestNormalEquations:
         stats = TfidfStats(clusters)
         feats = [cluster_features(c, registry, lex, stats) for c in clusters]
         labels = [gold_scores(c, lex.stopwords) for c in clusters[:2]]
+        dev_relevant = [relevant_units(c, lex.stopwords) for c in clusters[2:]]
         model, rows = fit_with_grid_search(
-            feats[:2], labels, clusters[2:], feats[2:], lex, registry,
+            feats[:2], labels, dev_relevant, feats[2:], registry,
             lam_grid=(0.0, 0.5, 10.0), beta_grid=(0.1, 1.0),
         )
         assert len(rows) == 6 and len(calls) == 1
@@ -517,7 +519,7 @@ class TestFitClosedForm:
         feats, labels = random_design(rng, d=6, n=25)
         design = build_design(feats, labels)
         beta = 0.3
-        model = fit_closed_form(design, 0.0, beta)
+        model = fit_closed_form(design, 0.0, beta, registry=None)
         ridge = np.linalg.solve(
             design.R.T @ design.R + beta * np.eye(6), design.R.T @ design.L
         )
@@ -527,14 +529,14 @@ class TestFitClosedForm:
         rng = np.random.default_rng(5)
         feats, labels = random_design(rng, d=4, n=10, n_clusters=2)
         design = build_design(feats, labels)
-        model = fit_closed_form(design, 0.5, 1e9)
+        model = fit_closed_form(design, 0.5, 1e9, registry=None)
         assert np.abs(model.w).max() <= 1e-6
 
     def test_matches_descent_oracle(self):
         rng = np.random.default_rng(6)
         feats, labels = random_design(rng, d=5, n=20, n_clusters=3)
         design = build_design(feats, labels)
-        model = fit_closed_form(design, 0.5, 0.1)
+        model = fit_closed_form(design, 0.5, 0.1, registry=None)
         oracle = descent_minimizer(design, 0.5, 0.1)
         assert np.abs(model.w - oracle).max() <= 1e-5
 
@@ -545,7 +547,7 @@ class TestFitClosedForm:
             design = build_design(feats, labels)
             lam = float(rng.random())
             beta = 0.05 + float(rng.random())
-            model = fit_closed_form(design, lam, beta)
+            model = fit_closed_form(design, lam, beta, registry=None)
             g = objective_gradient(design, model.w, lam, beta)
             bound = 1e-8 * (1 + np.abs(design.R.T @ design.L).max())
             assert np.abs(g).max() <= bound
@@ -555,7 +557,7 @@ class TestFitClosedForm:
         feats, labels = random_design(rng, d=4)
         design = build_design(feats, labels)
         lam, beta = 0.3, 0.2
-        model = fit_closed_form(design, lam, beta)
+        model = fit_closed_form(design, lam, beta, registry=None)
         j_min = objective(design, model.w, lam, beta)
         for _ in range(1000):
             delta = rng.normal(size=4)
@@ -572,24 +574,25 @@ class TestFitClosedForm:
             numkit, "solve_spd", lambda A, b: solved.append(A.copy()) or np.linalg.solve(A, b)
         )
         for lam, beta in ((0.0, 0.01), (0.5, 0.1), (10.0, 3.0)):
-            fit_closed_form(design, lam, beta)
+            fit_closed_form(design, lam, beta, registry=None)
             formula = gram + lam * pair_gram + beta * np.eye(gram.shape[0])
             assert np.array_equal(solved[-1], formula)
         monkeypatch.undo()
         for lam, beta in ((0.0, 0.01), (0.5, 0.1), (10.0, 3.0)):
             formula = gram + lam * pair_gram + beta * np.eye(gram.shape[0])
             w = numkit.solve_spd(formula, moment + lam * pair_sum)
-            assert np.array_equal(fit_closed_form(design, lam, beta).w, w)
+            assert np.array_equal(fit_closed_form(design, lam, beta, registry=None).w, w)
 
     def test_beta_must_be_positive(self):
         design = build_design([np.eye(2)], [np.array([1.0, 0.0])])
         with pytest.raises(ValueError):
-            fit_closed_form(design, 0.1, 0.0)
+            fit_closed_form(design, 0.1, 0.0, registry=None)
 
 
 class TestScoringAndBaselines:
     def test_zero_weights(self):
-        model = fit_closed_form(build_design([np.eye(2)], [np.array([1.0, 0.0])]), 0.0, 1e9)
+        design = build_design([np.eye(2)], [np.array([1.0, 0.0])])
+        model = fit_closed_form(design, 0.0, 1e9, registry=None)
         scores = score_units(model, np.random.default_rng(0).normal(size=(5, 2)))
         assert np.abs(scores).max() <= 1e-6
 
@@ -601,29 +604,29 @@ class TestScoringAndBaselines:
         feats = cluster_features(cluster, registry, lex, stats)
         w = np.zeros(registry.d)
         w[registry.names.index("num_words")] = 1.0
-        model = SalienceModel(w=w, lam=0.0, beta=1.0)
+        model = SalienceModel(w=w, lam=0.0, beta=1.0, registry=registry)
         order = rank_descending(score_units(model, feats))
-        assert order == baseline_rank("length", cluster)
+        assert order == baseline_rank("length", cluster, stats)
 
     def test_dot_product_oracle(self):
         rng = np.random.default_rng(9)
         feats = rng.normal(size=(6, 3))
         w = rng.normal(size=3)
-        scores = score_units(SalienceModel(w=w, lam=0.0, beta=1.0), feats)
+        scores = score_units(SalienceModel(w=w, lam=0.0, beta=1.0, registry=None), feats)
         for k in range(6):
             assert scores[k] == pytest.approx(float(feats[k] @ w))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            score_units(SalienceModel(w=np.ones(3), lam=0.0, beta=1.0), np.ones((2, 4)))
+            score_units(SalienceModel(np.ones(3), lam=0.0, beta=1.0, registry=None), np.ones((2, 4)))
 
     def test_length_baseline_sort(self):
         cluster = make_cluster(["a b c d e", "a b c d e f g h i", "a b"], "s")
-        assert baseline_rank("length", cluster) == [1, 0, 2]
+        assert baseline_rank("length", cluster, TfidfStats([cluster])) == [1, 0, 2]
 
     def test_stable_ties(self):
         cluster = make_cluster(["a b", "c d", "e f"], "s")
-        assert baseline_rank("length", cluster) == [0, 1, 2]
+        assert baseline_rank("length", cluster, TfidfStats([cluster])) == [0, 1, 2]
 
     def test_centroid_baseline_matches_cosines(self):
         cluster = make_cluster(["cat dog", "cat bird", "fish"], "s")
@@ -633,16 +636,17 @@ class TestScoringAndBaselines:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            baseline_rank("pagerank", make_cluster(["a"], "s"))
+            cluster = make_cluster(["a"], "s")
+            baseline_rank("pagerank", cluster, TfidfStats([cluster]))
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(10)
         feats = rng.normal(size=(7, 4))
         w = rng.normal(size=4)
-        base = rank_descending(score_units(SalienceModel(w=w, lam=0, beta=1), feats))
+        base = rank_descending(score_units(SalienceModel(w=w, lam=0, beta=1, registry=None), feats))
         for scale in (0.01, 3.0, 1000.0):
             scaled = rank_descending(
-                score_units(SalienceModel(w=scale * w, lam=0, beta=1), feats)
+                score_units(SalienceModel(w=scale * w, lam=0, beta=1, registry=None), feats)
             )
             assert scaled == base
 
@@ -659,7 +663,7 @@ class TestSerialization:
         stats = TfidfStats([cluster])
         feats = [cluster_features(cluster, registry, lex, stats)]
         labels = [gold_scores(cluster, lex.stopwords)]
-        model = fit_closed_form(build_design(feats, labels), 0.5, 0.1, registry=registry)
+        model = fit_closed_form(build_design(feats, labels), 0.5, 0.1, registry)
         mpath = tmp_path / "sal.model"
         rpath = tmp_path / "sal.registry"
         save_model(model, mpath)
@@ -712,6 +716,7 @@ class TestSerialization:
         [
             (lambda t: re.sub(r"beta [^\n]*\n", "", t), "expected 'beta <value>'"),
             (lambda t: re.sub(r"registry [^\n]*\n", "", t), "expected 'registry <value>'"),
+            (lambda t: re.sub(r"registry [^\n]*\n", "registry none\n", t), "registry hash mismatch"),
             (lambda t: "".join(t.splitlines(True)[:-1]), "expected 22 weights, found 21"),
             (lambda t: t + "0.5\n", "1 unexpected lines"),
             (lambda t: t.replace("\n1\n", "\nnan\n"), "non-finite"),
@@ -719,7 +724,7 @@ class TestSerialization:
             (lambda t: t[:-3], "truncated"),
         ],
         ids=[
-            "missing_beta", "missing_registry", "short", "trailing_line", "nan_weight",
+            "missing_beta", "missing_registry", "no_registry", "short", "trailing_line", "nan_weight",
             "bad_number", "cut_mid_line",
         ],
     )

@@ -294,7 +294,7 @@ class TestEmbeddings:
         vocab = build_vocab([make_cluster(["aa bb"], "aa")])
         path = tmp_path / "vec.txt"
         path.write_text("aa 1 2\nbb 3 4\n")
-        table, coverage = load_embeddings(path, vocab)
+        table, coverage = load_embeddings(path, vocab, dim=2)
         assert coverage == 1.0
         np.testing.assert_array_equal(table.matrix[vocab.index_of("aa")], [1.0, 2.0])
 
@@ -310,7 +310,7 @@ class TestEmbeddings:
         vocab = build_vocab([make_cluster(["aa bb"], "aa")])
         path = tmp_path / "vec.txt"
         path.write_text("aa 0.125 -7.5\nzz 1 1\nbb 0.0625 3.25\n")
-        table, coverage = load_embeddings(path, vocab)
+        table, coverage = load_embeddings(path, vocab, dim=2)
         assert coverage == 1.0  # both non-reserved words covered
         assert table.matrix[vocab.index_of("aa")].tolist() == [0.125, -7.5]
         assert table.matrix[vocab.index_of("bb")].tolist() == [0.0625, 3.25]
@@ -319,15 +319,22 @@ class TestEmbeddings:
         vocab = build_vocab([make_cluster(["aa"], "aa")])
         path = tmp_path / "vec.txt"
         path.write_text("2 3\naa 1 2 3\nbb 4 5 6\n")
-        table, _ = load_embeddings(path, vocab)
+        table, _ = load_embeddings(path, vocab, dim=3)
         assert table.matrix.shape[1] == 3
+
+    def test_header_must_match_dim(self, tmp_path):
+        vocab = build_vocab([make_cluster(["aa"], "aa")])
+        path = tmp_path / "vec.txt"
+        path.write_text("2 3\naa 1 2 3\nbb 4 5 6\n")
+        with pytest.raises(ValueError, match="file declares 3, expected 2"):
+            load_embeddings(path, vocab, dim=2)
 
     def test_malformed_line_reports_number(self, tmp_path):
         vocab = build_vocab([make_cluster(["aa"], "aa")])
         path = tmp_path / "vec.txt"
         path.write_text("aa 1 2\nbb nope 4\n")
         with pytest.raises(CorpusFormatError) as excinfo:
-            load_embeddings(path, vocab)
+            load_embeddings(path, vocab, dim=2)
         assert excinfo.value.line_no == 2
 
     def test_last_line_without_newline_rejected(self, tmp_path):
@@ -336,7 +343,7 @@ class TestEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("bb 1 2\naa 0.125 0.3752")
         with pytest.raises(CorpusFormatError, match="truncated") as excinfo:
-            load_embeddings(path, vocab)
+            load_embeddings(path, vocab, dim=2)
         assert excinfo.value.line_no == 2
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN"])
@@ -346,7 +353,7 @@ class TestEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text(f"aa 1 2\nbb 0.5 {value}\n")
         with pytest.raises(CorpusFormatError, match="non-finite") as excinfo:
-            load_embeddings(path, vocab)
+            load_embeddings(path, vocab, dim=2)
         assert excinfo.value.line_no == 2
 
     def test_dim_mismatch(self, tmp_path):
@@ -354,7 +361,7 @@ class TestEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("aa 1 2\nbb 1 2 3\n")
         with pytest.raises(ValueError, match="dim mismatch"):
-            load_embeddings(path, vocab)
+            load_embeddings(path, vocab, dim=2)
 
 
 class TestEntitySubstitution:

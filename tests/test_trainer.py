@@ -341,7 +341,7 @@ class TestExampleMemory:
         )
         model = init_params(TrainConfig(d_emb=300, d_h=150, d_a=100), vocab)
         state = AdagradState.for_model(model, eta=0.01, eps=1e-6)
-        z = build_input(cluster, range(5), vocab)
+        z = build_input(cluster, range(5), vocab, TfidfStats([cluster]))
         y = list(vocab.encode(cluster.summary.norms())) + [vocab.eos]
         assert (len(vocab), len(z), len(y)) == (5000, 129, 13)
         tracemalloc.start()
