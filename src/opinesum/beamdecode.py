@@ -13,7 +13,6 @@ from .textcorpus import (
     cosine_weight_maps,
     detokenize,
     restore_entity,
-    substitute_entity,
 )
 
 
@@ -145,16 +144,16 @@ def cosine_rerank(nbest, sims):
 
 
 def decode_cluster(model, cluster, scores, K, width, max_len, tfidf, stopwords):
-    """Full decode of one cluster; returns the record written by the CLI.
+    """Full decode of one entity-substituted cluster; returns the record
+    written by the CLI.
 
     select_test_input -> beam_search -> cosine_rerank -> restore_entity;
     record["summary"] is the one-sentence abstract.
     """
     vocab = model.vocab
-    sub = substitute_entity(cluster)
-    z = select_test_input(sub, scores, K, vocab, tfidf)
-    nbest = beam_search(model, z, width, max_len, banned_indices(vocab, sub))
-    sims = rerank_similarities(nbest, sub, tfidf, stopwords, vocab)
+    z = select_test_input(cluster, scores, K, vocab, tfidf)
+    nbest = beam_search(model, z, width, max_len, banned_indices(vocab, cluster))
+    sims = rerank_similarities(nbest, cluster, tfidf, stopwords, vocab)
     best = cosine_rerank(nbest, sims)
 
     def text_of(hyp):

@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -38,31 +39,33 @@ class UsageError(Exception):
     """Bad arguments, bad config, or missing inputs (exit code 2)."""
 
 
-COMMON_KEYS = {
-    "seed": "global random seed (int)",
-    "out_dir": "directory all outputs are written under",
-    "stopwords": "stopword file path (default: bundled list)",
-    "lexicon": "general lexicon path (word<TAB>category)",
-    "sentiment_lexicon": "sentiment lexicon path (categories positive/negative/neutral)",
-}
+# the keys _load_lexicons reads: the stopword file (default: the bundled
+# list), the general lexicon (word<TAB>category) and the sentiment lexicon
+# (categories positive/negative/neutral)
+LEXICON_KEYS = {"stopwords", "lexicon", "sentiment_lexicon"}
 
+# exactly the keys each command reads; out_dir is the directory all of a
+# command's outputs are written under
 COMMAND_KEYS = {
-    "preprocess": {"corpus"},
-    "fit-importance": {"corpus.train", "corpus.dev", "top_unigrams", "lam_grid", "beta_grid"},
-    "rank-eval": {"corpus", "salience_model", "salience_registry"},
+    "preprocess": {"corpus", "out_dir"},
+    "fit-importance": {
+        "corpus.train", "corpus.dev", "top_unigrams", "lam_grid", "beta_grid", "out_dir",
+    } | LEXICON_KEYS,
+    "rank-eval": {"corpus", "salience_model", "salience_registry", "out_dir"} | LEXICON_KEYS,
     "train": {
         "corpus.train", "corpus.dev", "salience_model", "salience_registry", "embeddings",
-    } | {f.name for f in dataclasses.fields(trainer.TrainConfig)},
-    "gradcheck": {"seeds"},
+        "out_dir",
+    } | {f.name for f in dataclasses.fields(trainer.TrainConfig)} | LEXICON_KEYS,
+    "gradcheck": {"seeds", "seed"},
     "decode": {
         "corpus", "model", "salience_model", "salience_registry",
-        "K", "beam_width", "max_len",
-    },
-    "evaluate": {"corpus", "decode"},
+        "K", "beam_width", "max_len", "out_dir",
+    } | LEXICON_KEYS,
+    "evaluate": {"corpus", "decode", "out_dir"},
     "sampling-report": {
         "corpus", "salience_model", "salience_registry", "model_dir",
-        "modes", "Ks", "beam_width", "max_len",
-    },
+        "modes", "Ks", "beam_width", "max_len", "out_dir",
+    } | LEXICON_KEYS,
 }
 
 PATH_KEYS = {
@@ -76,9 +79,8 @@ class RunConfig:
     """Merged key=value config file plus flag overrides."""
 
     def __init__(self, command, pairs):
-        known = COMMON_KEYS.keys() | COMMAND_KEYS[command]
         for key in pairs:
-            if key not in known:
+            if key not in COMMAND_KEYS[command]:
                 raise UsageError(f"unknown config key for {command}: {key!r}")
         self.command = command
         self.values = dict(pairs)
@@ -189,18 +191,21 @@ def _load_lexicons(cfg):
     return LexiconSet(general=general, sentiment=sentiment, stopwords=stopwords)
 
 
-def _score_split(clusters_raw, lexicons, registry, model):
-    """Substitute entities in one loaded corpus split, count its TF-IDF,
-    and score each cluster's units as soon as they are featurized, so only
-    one feature matrix is alive at a time. Returns (substituted clusters,
-    tfidf, one score vector per cluster)."""
+def _prepare(clusters_raw):
+    """One loaded corpus split as every library stage takes it: its
+    clusters with entities substituted, and their TfidfStats."""
     clusters = [substitute_entity(c) for c in clusters_raw]
-    tfidf = TfidfStats(clusters)
-    scores = [
+    return clusters, TfidfStats(clusters)
+
+
+def _score_split(clusters, tfidf, lexicons, registry, model):
+    """One score vector per prepared cluster. Each cluster is scored as
+    soon as it is featurized, so only one feature matrix is alive at a
+    time."""
+    return [
         salience.score_units(model, salience.cluster_features(c, registry, lexicons, tfidf))
         for c in clusters
     ]
-    return clusters, tfidf, scores
 
 
 def _load_salience(cfg):
@@ -226,22 +231,26 @@ def cmd_fit_importance(cfg):
     if top_u < 0:
         raise UsageError("config key top_unigrams must be >= 0")
     lam_grid = cfg.get_list("lam_grid", ("0", "0.01", "0.1", "0.5", "1", "10"), float)
+    # every comparison with NaN is false, so NaN fails these checks too
+    if not all(0 <= lam < math.inf for lam in lam_grid):
+        raise UsageError("config key lam_grid must list finite values >= 0")
     beta_grid = cfg.get_list("beta_grid", ("0.01", "0.1", "1", "10"), float)
+    if not all(0 < beta < math.inf for beta in beta_grid):
+        raise UsageError("config key beta_grid must list finite values > 0")
     lexicons = _load_lexicons(cfg)
-    train_clusters = [substitute_entity(c) for c in load_clusters(cfg.require("corpus.train"))]
+    train_clusters, train_tfidf = _prepare(load_clusters(cfg.require("corpus.train")))
     registry = salience.build_registry(train_clusters, lexicons, top_u)
     train_labels = [salience.gold_scores(c, lexicons.stopwords) for c in train_clusters]
-    dev_clusters = [substitute_entity(c) for c in load_clusters(cfg.require("corpus.dev"))]
+    dev_clusters, dev_tfidf = _prepare(load_clusters(cfg.require("corpus.dev")))
     dev_relevant = [salience.relevant_units(c, lexicons.stopwords) for c in dev_clusters]
 
     # the design and the dev grid need every cluster's features at once
-    def featurize(clusters):
-        tfidf = TfidfStats(clusters)
+    def featurize(clusters, tfidf):
         return [salience.cluster_features(c, registry, lexicons, tfidf) for c in clusters]
 
     model, rows = salience.fit_with_grid_search(
-        featurize(train_clusters), train_labels, dev_relevant, featurize(dev_clusters),
-        registry, lam_grid, beta_grid,
+        featurize(train_clusters, train_tfidf), train_labels, dev_relevant,
+        featurize(dev_clusters, dev_tfidf), registry, lam_grid, beta_grid,
     )
     salience.save_model(model, cfg.out_path("salience.model"))
     salience.save_registry(registry, cfg.out_path("salience.registry"))
@@ -258,9 +267,8 @@ def cmd_fit_importance(cfg):
 def cmd_rank_eval(cfg):
     lexicons = _load_lexicons(cfg)
     model, registry = _load_salience(cfg)
-    clusters, tfidf, unit_scores = _score_split(
-        load_clusters(cfg.require("corpus")), lexicons, registry, model
-    )
+    clusters, tfidf = _prepare(load_clusters(cfg.require("corpus")))
+    unit_scores = _score_split(clusters, tfidf, lexicons, registry, model)
     systems = {
         "salience": [salience.rank_descending(scores) for scores in unit_scores],
         "length": [salience.baseline_rank("length", c, tfidf) for c in clusters],
@@ -320,8 +328,10 @@ def cmd_train(cfg):
             raise UsageError(
                 f"cluster id {c.id!r} names different clusters in corpus.train and corpus.dev"
             )
-    train_clusters, _, train_scores = _score_split(train_raw, lexicons, registry, sal_model)
-    dev_clusters, _, dev_scores = _score_split(dev_raw, lexicons, registry, sal_model)
+    train_clusters, tfidf = _prepare(train_raw)
+    dev_clusters, dev_tfidf = _prepare(dev_raw)
+    train_scores = _score_split(train_clusters, tfidf, lexicons, registry, sal_model)
+    dev_scores = _score_split(dev_clusters, dev_tfidf, lexicons, registry, sal_model)
     # a cluster in both splits keeps the scores of the split it trains on
     scores = {c.id: s for c, s in zip(dev_clusters, dev_scores)}
     scores.update((c.id, s) for c, s in zip(train_clusters, train_scores))
@@ -331,7 +341,7 @@ def cmd_train(cfg):
         pretrained, coverage = load_embeddings(cfg.get("embeddings"), vocab, config.d_emb)
         print(f"pretrained embedding coverage: {coverage:.3f}")
     model, history = trainer.train(
-        train_clusters, dev_clusters, config, scores, lexicons, pretrained
+        train_clusters, dev_clusters, config, scores, tfidf, lexicons, pretrained
     )
     save_seq2seq(model, cfg.out_path("model.txt"))
     _write_csv(
@@ -359,14 +369,6 @@ def cmd_gradcheck(cfg):
     return 0
 
 
-def _decode_records(model, clusters_raw, unit_scores, k, width, max_len, tfidf, lexicons):
-    """decode_cluster's record for each cluster, in corpus order."""
-    for raw, scores in zip(clusters_raw, unit_scores):
-        yield beamdecode.decode_cluster(
-            model, raw, scores, k, width, max_len, tfidf, lexicons.stopwords
-        )
-
-
 def cmd_decode(cfg):
     k = cfg.get_count("K", 5)
     width = cfg.get_count("beam_width", 20)
@@ -374,13 +376,14 @@ def cmd_decode(cfg):
     lexicons = _load_lexicons(cfg)
     sal_model, registry = _load_salience(cfg)
     model = load_seq2seq(cfg.require("model"))
-    clusters_raw = load_clusters(cfg.require("corpus"))
-    _, tfidf, unit_scores = _score_split(clusters_raw, lexicons, registry, sal_model)
+    clusters, tfidf = _prepare(load_clusters(cfg.require("corpus")))
+    unit_scores = _score_split(clusters, tfidf, lexicons, registry, sal_model)
     out = cfg.out_path("decode.jsonl")
     with atomic_write(out) as fh:
-        for record in _decode_records(
-            model, clusters_raw, unit_scores, k, width, max_len, tfidf, lexicons
-        ):
+        for cluster, scores in zip(clusters, unit_scores):
+            record = beamdecode.decode_cluster(
+                model, cluster, scores, k, width, max_len, tfidf, lexicons.stopwords
+            )
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     print(f"wrote {out}")
     return 0
@@ -459,8 +462,8 @@ def cmd_sampling_report(cfg):
     max_len = cfg.get_count("max_len", 40)
     lexicons = _load_lexicons(cfg)
     sal_model, registry = _load_salience(cfg)
-    clusters_raw = load_clusters(cfg.require("corpus"))
-    clusters, tfidf, unit_scores = _score_split(clusters_raw, lexicons, registry, sal_model)
+    clusters, tfidf = _prepare(load_clusters(cfg.require("corpus")))
+    unit_scores = _score_split(clusters, tfidf, lexicons, registry, sal_model)
     model_dir = cfg.require("model_dir")
     refs = [c.summary.norms() for c in clusters]
     cells = {}
@@ -470,11 +473,14 @@ def cmd_sampling_report(cfg):
             if not os.path.isfile(path):
                 cells[(mode, k)] = None
                 continue
-            records = _decode_records(
-                load_seq2seq(path), clusters_raw, unit_scores, k, width, max_len,
-                tfidf, lexicons,
+            model = load_seq2seq(path)
+            summaries = (
+                beamdecode.decode_cluster(
+                    model, c, scores, k, width, max_len, tfidf, lexicons.stopwords
+                )["summary"]
+                for c, scores in zip(clusters, unit_scores)
             )
-            hyps = [[t.norm for t in tokenize(r["summary"])] for r in records]
+            hyps = [[t.norm for t in tokenize(summary)] for summary in summaries]
             cells[(mode, k)] = (hyps, refs)
     rows = evalmetrics.sampling_report(cells)
     out = cfg.out_path("sampling.csv")

@@ -271,10 +271,11 @@ def fit_closed_form(design, lam, beta, registry):
     normal-equation terms are computed on the design's first fit and
     reused by every later one.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    # every comparison with NaN is false, so NaN fails these checks too
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be finite and positive")
+    if not 0 <= lam < math.inf:
+        raise ValueError("lambda must be finite and non-negative")
     gram, moment, pair_gram, pair_sum = design.normal_equations
     # gram + lam pair_gram + beta I, built in place: the same sums, in the
     # same order, as the formula

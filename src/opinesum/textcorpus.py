@@ -363,10 +363,8 @@ def load_stopwords(path):
 
 def default_stopwords():
     """The bundled stopword list (defines "content words")."""
-    text = resources.files("opinesum").joinpath("data/stopwords.txt").read_text("utf-8")
-    return frozenset(
-        w.strip().lower() for w in text.splitlines() if w.strip() and not w.startswith("#")
-    )
+    with resources.as_file(resources.files("opinesum").joinpath("data/stopwords.txt")) as path:
+        return load_stopwords(path)
 
 
 def load_lexicon(path):
@@ -449,30 +447,12 @@ def restore_entity(norms, cluster):
     return out
 
 
-class _IdfTable(dict):
-    """term -> idf, each computed on its first lookup and then kept, so a
-    repeated lookup is one dict access."""
-
-    def __init__(self, n_units, df):
-        super().__init__()
-        self.n_units, self.df = n_units, df
-
-    def __missing__(self, term):
-        if self.n_units == 0:
-            value = 0.0
-        else:
-            value = math.log(self.n_units / max(self.df.get(term, 0), 1))
-        self[term] = value
-        return value
-
-
 class TfidfStats:
     """Document-frequency statistics over a collection of clusters.
 
     A "document" is a text unit. tf = term count in the unit,
-    idf = ln(N_units / df). Terms never seen get df treated as 1. Each
-    term's idf is computed once and kept, so the statistics are fixed
-    once built.
+    idf = ln(N_units / df). Terms never seen get df treated as 1. Every
+    seen term's idf is computed once, when the statistics are built.
     """
 
     def __init__(self, clusters):
@@ -481,18 +461,21 @@ class TfidfStats:
         for c in clusters:
             for u in c.units:
                 self.df.update(set(u.norms()))
-        self._idf = _IdfTable(self.n_units, self.df)
+        n = self.n_units
+        self._idf = {term: math.log(n / max(df, 1)) for term, df in self.df.items()}
+        # with no units there are no terms, and every idf is 0
+        self._unseen = math.log(n) if n else 0.0
 
     def idf(self, term):
-        return self._idf[term]
+        return self._idf.get(term, self._unseen)
 
     def unit_weights(self, unit):
         """term -> tf*idf map for one unit, in first-occurrence order."""
         counts = {}
         for t in unit.tokens:
             counts[t.norm] = counts.get(t.norm, 0) + 1
-        idf = self._idf
-        return {term: tf * idf[term] for term, tf in counts.items()}
+        idf, unseen = self._idf, self._unseen
+        return {term: tf * idf.get(term, unseen) for term, tf in counts.items()}
 
 
 def cosine_weight_maps(a, b, norm_b=None):

@@ -30,7 +30,6 @@ from .textcorpus import (
     RESERVED,
     TfidfStats,
     build_vocab,
-    substitute_entity,
     text_unit,
     Cluster,
 )
@@ -166,16 +165,16 @@ def _adagrad_step(theta, acc, g, state, frozen):
 
 
 def build_features(clusters, lexicons, dim):
-    """Token feature registry from an (already substituted) training corpus:
+    """Token feature registry from a substituted training corpus:
     its pos tags, the sorted lexicon categories, and for each lexicon word
     its alphabetically first category."""
     tags = {t.pos for c in clusters for u in c.units for t in u.tokens if t.pos}
-    general = lexicons.general if lexicons else {}
+    general = lexicons.general
     return TokenFeatureSet(
         pos_tags=tags,
         lex_categories=sorted({c for cs in general.values() for c in cs}),
         word_lex={w: sorted(cs)[0] for w, cs in general.items() if cs},
-        word_sent=lexicons.sentiment if lexicons else {},
+        word_sent=lexicons.sentiment,
         dim=dim,
     )
 
@@ -188,22 +187,28 @@ def _draw_input(cluster, scores, config, rng, vocab, tfidf):
     return sampler.select_test_input(cluster, scores, config.K, vocab, tfidf)
 
 
-def train(train_clusters, dev_clusters, config, scores, lexicons=None, pretrained=None):
+def train(train_clusters, dev_clusters, config, scores, tfidf, lexicons, pretrained):
     """Per-example Adagrad training with dev-BLEU early stopping.
 
-    `scores` maps cluster id to its per-unit importance array (training
-    sampling and dev-time top-K selection both use it). Returns the best
-    dev-BLEU snapshot and the per-epoch (epoch, train_nll, dev_bleu) history.
+    Both splits are entity-substituted and `tfidf` holds the training
+    split's statistics. `scores` maps cluster id to its per-unit importance
+    array (training sampling and dev-time top-K selection both use it), and
+    must cover every cluster of both splits. `lexicons` is read only when
+    config.use_features is set; `pretrained` is an EmbeddingTable or None.
+    Returns the best dev-BLEU snapshot and the per-epoch (epoch, train_nll,
+    dev_bleu) history.
     """
     if not train_clusters or not dev_clusters:
         raise ValueError("train and dev splits must be non-empty")
-    train_subs = [substitute_entity(c) for c in train_clusters]
-    dev_subs = [substitute_entity(c) for c in dev_clusters]
-    vocab = build_vocab(train_subs, config.min_count)
+    for cluster in (*train_clusters, *dev_clusters):
+        if cluster.id not in scores:
+            raise ValueError(f"no importance scores for cluster {cluster.id!r}")
+    vocab = build_vocab(train_clusters, config.min_count)
     if len(vocab) <= len(RESERVED):
         raise ValueError("corpus yields an empty vocabulary")
-    features = build_features(train_subs, lexicons, config.d_feat) if config.use_features else None
-    tfidf = TfidfStats(train_subs)
+    features = (
+        build_features(train_clusters, lexicons, config.d_feat) if config.use_features else None
+    )
     model = init_params(config, vocab, features, pretrained)
     state = AdagradState.for_model(model, config.eta, config.eps)
     shuffle_rng = SeededRng(derive_seed(config.seed, "shuffle"))
@@ -213,18 +218,16 @@ def train(train_clusters, dev_clusters, config, scores, lexicons=None, pretraine
     best_model = None
     stale = 0
     for epoch in range(1, config.max_epochs + 1):
-        order = shuffle_rng.permutation(len(train_subs))
+        order = shuffle_rng.permutation(len(train_clusters))
         nll = 0.0
         for idx in order:
-            cluster = train_subs[int(idx)]
-            if cluster.id not in scores:
-                raise ValueError(f"no importance scores for cluster {cluster.id!r}")
+            cluster = train_clusters[int(idx)]
             rng = SeededRng(derive_seed(config.seed, "sample", cluster.id, epoch))
             z = _draw_input(cluster, scores[cluster.id], config, rng, vocab, tfidf)
             y = list(vocab.encode(cluster.summary.norms())) + [vocab.eos]
             nll += _train_example(model, state, z, y, f"cluster {cluster.id!r}, epoch {epoch}")
-        dev_bleu = _dev_bleu(model, dev_subs, config, scores, tfidf)
-        history.append((epoch, nll / len(train_subs), dev_bleu))
+        dev_bleu = _dev_bleu(model, dev_clusters, config, scores, tfidf)
+        history.append((epoch, nll / len(train_clusters), dev_bleu))
         if dev_bleu > best_bleu:
             best_bleu = dev_bleu
             # no epoch follows the last one, so it needs no copy
@@ -254,11 +257,11 @@ def _train_example(model, state, z, y, where):
     return -loglik
 
 
-def _dev_bleu(model, dev_subs, config, scores, tfidf):
+def _dev_bleu(model, dev_clusters, config, scores, tfidf):
     """Greedy-decoded corpus BLEU on the dev split (beam of width 1)."""
     hyps = []
     refs = []
-    for cluster in dev_subs:
+    for cluster in dev_clusters:
         z = sampler.select_test_input(
             cluster, scores[cluster.id], config.K, model.vocab, tfidf
         )

@@ -140,9 +140,10 @@ def test_criterion_4_memorization():
         assert 5 <= len(c.summary.tokens) <= 8
     config = memorization_config()
     scores = {c.id: np.ones(len(c.units)) for c in corpus}
-    model, history = train(corpus, corpus, config, scores)
-    assert len(history) <= 500
+    # the corpus names no entity, so it is its own substituted form
     tfidf = TfidfStats(corpus)
+    model, history = train(corpus, corpus, config, scores, tfidf, None, None)
+    assert len(history) <= 500
     stopwords = default_stopwords()
     hyps, refs = [], []
     for c in corpus:
@@ -303,7 +304,7 @@ def test_criterion_8_consistency(tmp_path):
     )
     histories = []
     for _ in range(2):
-        _, history = train(corpus, corpus, config, scores)
+        _, history = train(corpus, corpus, config, scores, TfidfStats(corpus), None, None)
         rows = "\n".join(f"{e},{repr(nll)},{repr(b)}" for e, nll, b in history)
         histories.append(rows.encode())
     assert histories[0] == histories[1]

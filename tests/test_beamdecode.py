@@ -346,7 +346,7 @@ class TestGenerateSummary:
         model.b_out[vocab.entity] = 2.0
         model.b_out[vocab.eos] = 1.0
         text = decode_cluster(
-            model, cluster, np.ones(2), K=2, width=2, max_len=3,
+            model, sub, np.ones(2), K=2, width=2, max_len=3,
             tfidf=TfidfStats([sub]), stopwords=default_stopwords(),
         )["summary"]
         assert "ENTITY" not in text

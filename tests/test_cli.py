@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import opinesum
-from opinesum import cli, salience, trainer
+from opinesum import cli, salience, textcorpus, trainer
 from opinesum.cli import RunConfig, _train_config, main
 
 
@@ -173,7 +173,7 @@ class TestConfig:
         assert main(["preprocess", "--set", f"out_dir={tmp_path/'x'}"]) == 2
 
     def test_every_command_reads_each_of_its_keys(self, tmp_path, corpus_file, fitted_salience):
-        # a key a command never reads would be accepted and silently ignored
+        # a key a command accepts but never reads would be silently ignored
         model_path, registry_path = fitted_salience
         salience_keys = {"salience_model": model_path, "salience_registry": registry_path}
         model_dir = tmp_path / "models"
@@ -198,24 +198,31 @@ class TestConfig:
             },
         }
         assert list(runs) == list(cli.COMMANDS)
+        every_key = set().union(*cli.COMMAND_KEYS.values())
+
+        def accepts(command, key):
+            try:
+                RunConfig(command, {key: ""})
+            except cli.UsageError:
+                return False
+            return True
+
         unread = {}
         for command, pairs in runs.items():
-            cfg = RecordingConfig(command, {**pairs, "out_dir": str(tmp_path / command)})
+            accepted = {key for key in every_key if accepts(command, key)}
+            if accepts(command, "out_dir"):
+                pairs = {**pairs, "out_dir": str(tmp_path / command)}
+            cfg = RecordingConfig(command, pairs)
             assert cli.COMMANDS[command](cfg) == 0, command
             if command == "train":
                 model_dir.mkdir()
                 trained = (tmp_path / "train" / "model.txt").read_bytes()
                 (model_dir / "topk_K2.model").write_bytes(trained)
-            unread[command] = cli.COMMAND_KEYS[command] - cfg.read
+            unread[command] = accepted - cfg.read
         assert unread == {command: set() for command in runs}
 
     def test_train_keys_are_the_train_config_fields(self):
-        # seed is a key of every command; every other field is a train key
-        defaults = {
-            f.name: str(f.default)
-            for f in dataclasses.fields(trainer.TrainConfig)
-            if f.name != "seed"
-        }
+        defaults = {f.name: str(f.default) for f in dataclasses.fields(trainer.TrainConfig)}
         assert _train_config(RunConfig("train", defaults)) == trainer.TrainConfig()
 
 
@@ -259,11 +266,19 @@ class TestFitImportance:
             ("lam_grid=,", "lam_grid must list at least one value"),
             ("beta_grid=", "beta_grid must list at least one value"),
             ("top_unigrams=-1", "top_unigrams must be >= 0"),
+            ("lam_grid=0,-1", "lam_grid must list finite values >= 0"),
+            ("lam_grid=nan", "lam_grid must list finite values >= 0"),
+            ("lam_grid=inf", "lam_grid must list finite values >= 0"),
+            ("beta_grid=0", "beta_grid must list finite values > 0"),
+            ("beta_grid=1,nan", "beta_grid must list finite values > 0"),
+            ("beta_grid=inf", "beta_grid must list finite values > 0"),
         ],
     )
     def test_bad_setting_exits_2_without_output(
-        self, tmp_path, corpus_file, capsys, setting, message
+        self, tmp_path, corpus_file, capsys, monkeypatch, setting, message
     ):
+        read = []
+        monkeypatch.setattr(cli, "load_clusters", read.append)
         out = tmp_path / "fit"
         assert main(
             ["fit-importance",
@@ -273,6 +288,7 @@ class TestFitImportance:
              "--set", setting]
         ) == 2
         assert message in capsys.readouterr().err
+        assert read == []
         assert not out.exists()
 
 
@@ -485,16 +501,15 @@ class TestDecodeEvaluate:
         registry = salience.load_registry(registry_path)
         sal = salience.load_model(model_path, registry)
         lexicons = salience.LexiconSet(stopwords=default_stopwords())
-        raw = load_clusters(corpus_file)
-        subs = [substitute_entity(c) for c in raw]
-        tfidf = TfidfStats(subs)
-        for raw_c, sub_c in zip(raw, subs):
-            feats = salience.cluster_features(sub_c, registry, lexicons, tfidf)
+        clusters = [substitute_entity(c) for c in load_clusters(corpus_file)]
+        tfidf = TfidfStats(clusters)
+        for cluster in clusters:
+            feats = salience.cluster_features(cluster, registry, lexicons, tfidf)
             scores = salience.score_units(sal, feats)
             expected = beamdecode.decode_cluster(
-                model, raw_c, scores, 2, 3, 8, tfidf, lexicons.stopwords
+                model, cluster, scores, 2, 3, 8, tfidf, lexicons.stopwords
             )["summary"]
-            assert records[raw_c.id]["summary"] == expected
+            assert records[cluster.id]["summary"] == expected
 
     def test_decode_rerun_byte_identical(self, tmp_path, corpus_file, fitted_salience):
         out = train_once(tmp_path, corpus_file, fitted_salience, "t8")
@@ -686,32 +701,38 @@ class TestSamplingReport:
         assert not (rep / "sampling.csv").exists()
 
 
+@pytest.fixture
+def scoring_stages(tmp_path, corpus_file, fitted_salience):
+    """argv (without out_dir) of each command that scores a corpus split
+    with the salience model, on the toy corpus."""
+    model_path, registry_path = fitted_salience
+    model_file = train_once(tmp_path, corpus_file, fitted_salience, "t8") / "model.txt"
+    model_dir = tmp_path / "models"
+    model_dir.mkdir()
+    for k in (1, 2):
+        (model_dir / f"topk_K{k}.model").write_bytes(model_file.read_bytes())
+    salience_args = [
+        "--set", f"corpus={corpus_file}",
+        "--set", f"salience_model={model_path}",
+        "--set", f"salience_registry={registry_path}",
+    ]
+    beam_args = ["--set", "beam_width=2", "--set", "max_len=6"]
+    return {
+        "rank-eval": ["rank-eval"] + salience_args,
+        "train": train_args(corpus_file, fitted_salience, tmp_path / "train"),
+        "decode": ["decode", "--set", f"model={model_file}", "--set", "K=2"]
+        + salience_args + beam_args,
+        "sampling-report": [
+            "sampling-report", "--set", f"model_dir={model_dir}",
+            "--set", "modes=topk", "--set", "Ks=1,2",
+        ] + salience_args + beam_args,
+    }
+
+
 class TestFeatureLifetime:
     def test_scoring_stages_keep_one_feature_matrix_at_a_time(
-        self, tmp_path, corpus_file, fitted_salience, monkeypatch
+        self, tmp_path, scoring_stages, monkeypatch
     ):
-        model_path, registry_path = fitted_salience
-        model_file = train_once(tmp_path, corpus_file, fitted_salience, "t8") / "model.txt"
-        model_dir = tmp_path / "models"
-        model_dir.mkdir()
-        for k in (1, 2):
-            (model_dir / f"topk_K{k}.model").write_bytes(model_file.read_bytes())
-        salience_args = [
-            "--set", f"corpus={corpus_file}",
-            "--set", f"salience_model={model_path}",
-            "--set", f"salience_registry={registry_path}",
-        ]
-        beam_args = ["--set", "beam_width=2", "--set", "max_len=6"]
-        stages = {
-            "rank-eval": ["rank-eval"] + salience_args,
-            "train": train_args(corpus_file, fitted_salience, tmp_path / "train"),
-            "decode": ["decode", "--set", f"model={model_file}", "--set", "K=2"]
-            + salience_args + beam_args,
-            "sampling-report": [
-                "sampling-report", "--set", f"model_dir={model_dir}",
-                "--set", "modes=topk", "--set", "Ks=1,2",
-            ] + salience_args + beam_args,
-        }
         built = []  # a weak reference to each matrix cluster_features returned
         alive_before = []  # how many of the earlier matrices were alive at each call
         scored = []
@@ -729,7 +750,7 @@ class TestFeatureLifetime:
 
         monkeypatch.setattr(salience, "cluster_features", tracked_features)
         monkeypatch.setattr(salience, "score_units", counted_scores)
-        for stage, argv in stages.items():
+        for stage, argv in scoring_stages.items():
             for record in (built, alive_before, scored):
                 record.clear()
             assert main(argv + ["--set", f"out_dir={tmp_path / stage}"]) == 0, stage
@@ -738,6 +759,31 @@ class TestFeatureLifetime:
             assert alive_before == [0] * n_clusters, stage
             # sampling-report reads two model files but scores each cluster once
             assert scored == [3] * n_clusters, stage
+
+
+class TestSplitPreparation:
+    def test_each_loaded_cluster_is_substituted_once(
+        self, tmp_path, scoring_stages, monkeypatch
+    ):
+        calls = []
+        original = textcorpus.substitute_entity
+
+        def counted(cluster):
+            calls.append(cluster.id)
+            return original(cluster)
+
+        # every binding of the function in the package, not only the CLI's
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "opinesum" and (
+                getattr(module, "substitute_entity", None) is original
+            ):
+                monkeypatch.setattr(module, "substitute_entity", counted)
+        for stage, argv in scoring_stages.items():
+            calls.clear()
+            assert main(argv + ["--set", f"out_dir={tmp_path / stage}"]) == 0, stage
+            # train loads the toy corpus as both splits
+            loaded = ["m0", "m1", "m2"] * (2 if stage == "train" else 1)
+            assert sorted(calls) == sorted(loaded), stage
 
 
 class TestEntryPoint:

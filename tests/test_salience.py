@@ -588,6 +588,15 @@ class TestFitClosedForm:
         with pytest.raises(ValueError):
             fit_closed_form(design, 0.1, 0.0, registry=None)
 
+    @pytest.mark.parametrize(
+        "lam, beta",
+        [(-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan), (0.1, math.inf)],
+    )
+    def test_settings_must_be_finite(self, lam, beta):
+        design = build_design([np.eye(2)], [np.array([1.0, 0.0])])
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_closed_form(design, lam, beta, registry=None)
+
 
 class TestScoringAndBaselines:
     def test_zero_weights(self):

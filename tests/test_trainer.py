@@ -84,6 +84,12 @@ def memorize_corpus():
     return [c0, c1]
 
 
+def train_on(corpus, config, scores, pretrained=None):
+    """train with `corpus` as both splits; the memorize corpus names no
+    entity, so it is its own substituted form."""
+    return train(corpus, corpus, config, scores, TfidfStats(corpus), None, pretrained)
+
+
 def quick_config(**kw):
     base = dict(
         d_emb=16, d_h=16, d_a=8, use_features=False, K=2, mode="uniform",
@@ -280,7 +286,7 @@ class TestExampleLifetime:
         monkeypatch.setattr(trainer, "sequence_log_prob", tracked_log_prob)
         monkeypatch.setattr(trainer, "backward_pass", tracked_backward)
         scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
-        train(memorize_corpus, memorize_corpus, quick_config(max_epochs=2, patience=2), scores)
+        train_on(memorize_corpus, quick_config(max_epochs=2, patience=2), scores)
         # two examples per epoch, one forward and one backward pass each
         assert alive_before == [0] * 8
 
@@ -300,9 +306,7 @@ class TestExampleLifetime:
 
         monkeypatch.setattr(trainer, "adagrad_update", tracked_update)
         scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
-        model, _ = train(
-            memorize_corpus, memorize_corpus, quick_config(max_epochs=2, patience=2), scores
-        )
+        model, _ = train_on(memorize_corpus, quick_config(max_epochs=2, patience=2), scores)
         names = [name for name, _ in model.named_tensors()]
         groups = [
             ["W_out", "b_out"],
@@ -358,14 +362,14 @@ class TestTrain:
     def test_history_deterministic(self, memorize_corpus):
         config = quick_config(max_epochs=4, patience=4)
         scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
-        _, hist_a = train(memorize_corpus, memorize_corpus, config, scores)
-        _, hist_b = train(memorize_corpus, memorize_corpus, config, scores)
+        _, hist_a = train_on(memorize_corpus, config, scores)
+        _, hist_b = train_on(memorize_corpus, config, scores)
         assert hist_a == hist_b
 
     def test_returned_model_matches_best_epoch(self, memorize_corpus):
         config = quick_config(max_epochs=12, patience=12)
         scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
-        model, history = train(memorize_corpus, memorize_corpus, config, scores)
+        model, history = train_on(memorize_corpus, config, scores)
         from opinesum.textcorpus import TfidfStats, substitute_entity
         from opinesum.trainer import _dev_bleu
 
@@ -376,7 +380,7 @@ class TestTrain:
     def test_memorizes_small_corpus(self, memorize_corpus):
         config = quick_config(max_epochs=80, patience=80)
         scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
-        model, history = train(memorize_corpus, memorize_corpus, config, scores)
+        model, history = train_on(memorize_corpus, config, scores)
         assert max(h[2] for h in history) == pytest.approx(1.0)
 
     def test_best_last_epoch_is_returned_without_a_copy(self, memorize_corpus, monkeypatch):
@@ -384,13 +388,11 @@ class TestTrain:
         init = trainer.init_params
         monkeypatch.setattr(trainer, "init_params", lambda *a: built.append(init(*a)) or built[-1])
         scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
-        model, history = train(
-            memorize_corpus, memorize_corpus, quick_config(max_epochs=1, patience=1), scores
-        )
+        model, history = train_on(memorize_corpus, quick_config(max_epochs=1, patience=1), scores)
         assert len(history) == 1 and model is built[0]
         # the best epoch (1) is followed by two more, so it is a copy
         config = quick_config(max_epochs=50, patience=2, eta=1e-300)
-        model, history = train(memorize_corpus, memorize_corpus, config, scores)
+        model, history = train_on(memorize_corpus, config, scores)
         assert len(history) == 3 and model is not built[1]
 
     @pytest.mark.parametrize(
@@ -409,20 +411,36 @@ class TestTrain:
 
     def test_empty_split_rejected(self, memorize_corpus):
         with pytest.raises(ValueError):
-            train([], memorize_corpus, quick_config(), {})
+            train([], memorize_corpus, quick_config(), {}, TfidfStats([]), None, None)
+
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    def test_missing_scores_rejected_before_training(self, memorize_corpus, monkeypatch, split):
+        ran = []
+        log_prob = trainer.sequence_log_prob
+        monkeypatch.setattr(trainer, "sequence_log_prob", lambda *a: ran.append(1) or log_prob(*a))
+        extra = make_cluster(["venus probe lands"], summary="venus wins", cid="x9")
+        splits = {"train": memorize_corpus, "dev": memorize_corpus}
+        splits[split] = memorize_corpus + [extra]
+        scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
+        with pytest.raises(ValueError, match="no importance scores for cluster 'x9'"):
+            train(
+                splits["train"], splits["dev"], quick_config(max_epochs=2, patience=2), scores,
+                TfidfStats(splits["train"]), None, None,
+            )
+        assert ran == []
 
     def test_empty_vocabulary_rejected(self, memorize_corpus):
         config = quick_config(min_count=99)  # no word reaches the threshold
         scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
         with pytest.raises(ValueError, match="vocabulary"):
-            train(memorize_corpus, memorize_corpus, config, scores)
+            train_on(memorize_corpus, config, scores)
 
     def test_patience_stops_early(self, memorize_corpus):
         # steps of ~1e-300 leave every activation's bits as they are, so dev
         # BLEU never improves after epoch 1; training stops at patience
         config = quick_config(max_epochs=50, patience=2, eta=1e-300)
         scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
-        _, history = train(memorize_corpus, memorize_corpus, config, scores)
+        _, history = train_on(memorize_corpus, config, scores)
         assert len(history) == 3
 
     def test_divergence_detected(self, memorize_corpus):
@@ -436,7 +454,7 @@ class TestTrain:
         poisoned.covered[vocab.index_of("mars")] = True
         scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
-            train(memorize_corpus, memorize_corpus, config, scores, pretrained=poisoned)
+            train_on(memorize_corpus, config, scores, poisoned)
 
 
 def long_instance(seed, order=(0, 1, 2, 3)):
