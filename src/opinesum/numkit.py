@@ -57,8 +57,11 @@ def softmax(v):
     arr = as_rows(v)
     if arr.shape[-1] == 0:
         raise ValueError("softmax of empty vector")
-    e = np.exp(arr - arr.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # one allocation: the shifted copy is exponentiated and divided in place
+    e = arr - arr.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def log_softmax(v):

@@ -370,13 +370,11 @@ def relevant_units(cluster, stopwords):
     return gold_scores(cluster, stopwords) > 0
 
 
-def fit_with_grid_search(
-    train_features, train_labels, dev_relevant, dev_features, registry, lam_grid, beta_grid
-):
-    """Fit on the training design for every (lambda, beta) pair and keep the
-    model with the best dev MRR, where `dev_relevant` holds each dev
-    cluster's `relevant_units` flags. Returns (model, grid rows for the CSV)."""
-    design = build_design(train_features, train_labels)
+def fit_with_grid_search(design, dev_relevant, dev_features, registry, lam_grid, beta_grid):
+    """Fit the training `design` (see build_design) for every (lambda, beta)
+    pair and keep the model with the best dev MRR, where `dev_relevant`
+    holds each dev cluster's `relevant_units` flags. Returns (model, grid
+    rows for the CSV)."""
     best = None
     rows = []
     for lam in lam_grid:

@@ -53,6 +53,10 @@ class Token(NamedTuple):
     ner: str | None = None
 
 
+# The one token substitute_entity puts in place of every entity mention.
+ENTITY_TOKEN = Token(ENTITY_LABEL, ENTITY_LABEL)
+
+
 @dataclass(frozen=True)
 class TextUnit:
     tokens: tuple
@@ -74,19 +78,36 @@ class Cluster:
 
 def tokenize(text):
     """Whitespace split, detaching leading/trailing ASCII punctuation."""
+    return _tokenize(text, {})
+
+
+def _tokenize(text, shared):
+    """tokenize(text), taking every untagged token from `shared`, a dict
+    from surface to Token that this call extends: equal tokens of every
+    text tokenized with one table are one object. A surface fixes its
+    norm, so the surface alone is the key."""
     tokens = []
     append = tokens.append
+    get = shared.get
     new = tuple.__new__  # Token(...) without the NamedTuple argument handling
     for chunk in text.split():
         if chunk[0] not in _PUNCT and chunk[-1] not in _PUNCT:
-            append(new(Token, (chunk, chunk.lower(), None, None)))
+            token = get(chunk)
+            if token is None:
+                token = shared[chunk] = new(Token, (chunk, chunk.lower(), None, None))
+            append(token)
             continue
         core = chunk.lstrip(_PUNCT)
         word = core.rstrip(_PUNCT)
-        tokens.extend(Token(ch, ch) for ch in chunk[: len(chunk) - len(core)])
+        pieces = list(chunk[: len(chunk) - len(core)])
         if word:
-            append(Token(word, word.lower()))
-        tokens.extend(Token(ch, ch) for ch in core[len(word) :])
+            pieces.append(word)
+        pieces.extend(core[len(word) :])
+        for piece in pieces:
+            token = get(piece)
+            if token is None:
+                token = shared[piece] = new(Token, (piece, piece.lower(), None, None))
+            append(token)
     return tokens
 
 
@@ -103,19 +124,29 @@ def detokenize(norms):
 
 def text_unit(text, pos=None, ner=None):
     """Tokenize `text` into a TextUnit, attaching optional tag arrays."""
-    tokens = tokenize(text)
+    return _text_unit(text, pos, ner, {})
+
+
+def _text_unit(text, pos, ner, shared):
+    """text_unit(text, pos, ner), taking every token from `shared` (see
+    _tokenize). A tagged token is keyed by (surface, pos, ner) after the
+    tags are mapped; one whose tags both map to None is the untagged
+    token."""
+    tokens = _tokenize(text, shared)
     for name, tags in (("pos", pos), ("ner", ner)):
         if tags is not None and len(tags) != len(tokens):
             raise ValueError(f"{name} tags ({len(tags)}) do not match {len(tokens)} tokens")
     if pos is not None or ner is not None:
         none = itertools.repeat(None)
-        # "O" is the CoreNLP-style non-entity tag
-        tokens = [
-            Token(t.surface, t.norm, p if p else None, n if n and n != "O" else None)
-            for t, p, n in zip(
-                tokens, none if pos is None else pos, none if ner is None else ner
-            )
-        ]
+        tagged = []
+        for t, p, n in zip(tokens, none if pos is None else pos, none if ner is None else ner):
+            p = p or None
+            n = n if n and n != "O" else None  # "O" is the CoreNLP-style non-entity tag
+            if p is not None or n is not None:
+                key = (t.surface, p, n)
+                t = shared.get(key) or shared.setdefault(key, Token(t.surface, t.norm, p, n))
+            tagged.append(t)
+        tokens = tagged
     return TextUnit(tokens=tuple(tokens), raw=text)
 
 
@@ -137,8 +168,11 @@ def _tags(value, what):
 
 def load_clusters(path):
     """Read a JSON-lines corpus file into Cluster objects; cluster ids
-    must be unique within the file."""
+    must be unique within the file. Equal tokens of one file are one
+    Token object (see _text_unit); the table that shares them lives only
+    for this call."""
     clusters = []
+    shared = {}
     first_line = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -151,10 +185,11 @@ def load_clusters(path):
                 raise CorpusFormatError(path, line_no, f"invalid JSON: {exc}") from exc
             try:
                 units = tuple(
-                    text_unit(
+                    _text_unit(
                         _string(u["text"], "unit text"),
                         _tags(u.get("pos"), "unit pos"),
                         _tags(u.get("ner"), "unit ner"),
+                        shared,
                     )
                     for u in obj["units"]
                 )
@@ -162,7 +197,7 @@ def load_clusters(path):
                 cluster = Cluster(
                     id=_string(obj["id"], "id"),
                     units=units,
-                    summary=text_unit(_string(obj["summary"], "summary")),
+                    summary=_text_unit(_string(obj["summary"], "summary"), None, None, shared),
                     entity=None if entity is None else _string(entity, "entity") or None,
                 )
             except (KeyError, TypeError, ValueError) as exc:
@@ -418,7 +453,7 @@ def substitute_entity(cluster):
         n = len(pattern)
         while i < len(unit.tokens):
             if norms[i : i + n] == pattern:
-                out.append(Token(ENTITY_LABEL, ENTITY_LABEL))
+                out.append(ENTITY_TOKEN)
                 i += n
             else:
                 out.append(unit.tokens[i])

@@ -3,8 +3,8 @@
 perfbench/tracing.py wraps library functions by module and name; a rename
 or an inlined layer would leave its span empty and its metric at zero
 without any error. Each test runs one tiny traced benchmark (about two
-seconds) and checks that the spans of the text front-end and of the
-training path were recorded.
+seconds) and checks that the spans of the text front-end, of the salience
+fit and of the training path were recorded.
 """
 
 import json
@@ -24,6 +24,8 @@ POSITIVE = (
     "salience.cluster_features.s",
     "salience.cluster_features.units",
     "salience.score_units.s",
+    "salience.build_design.pair_rows",
+    "salience.fit_closed_form.calls",
 )
 
 

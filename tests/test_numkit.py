@@ -43,6 +43,22 @@ class TestSoftmax:
             c = rng.normal(scale=100)
             np.testing.assert_allclose(softmax(v + c), softmax(v), atol=1e-12)
 
+    def test_bit_identical_to_two_allocation_form(self):
+        def two_allocations(v):
+            e = np.exp(v - v.max(axis=-1, keepdims=True))
+            return e / e.sum(axis=-1, keepdims=True)
+
+        rng = np.random.default_rng(17)
+        for scale in (1e-300, 1e-12, 1.0, 30.0, 1e4, 1e150, 1e300):
+            rows = rng.normal(scale=scale, size=(8, int(rng.integers(1, 40))))
+            rows[0, 0] = 1.5e308  # one huge logit: every other entry underflows
+            rows[1, :] = -scale  # constant row
+            for v in (rows, rows[2], rows[:, :1]):
+                before = v.copy()
+                got = softmax(v)
+                assert got.tobytes() == two_allocations(v).tobytes(), scale
+                assert v.tobytes() == before.tobytes()  # the input is not written
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             softmax([])

@@ -471,7 +471,7 @@ class TestNormalEquations:
         labels = [gold_scores(c, lex.stopwords) for c in clusters[:2]]
         dev_relevant = [relevant_units(c, lex.stopwords) for c in clusters[2:]]
         model, rows = fit_with_grid_search(
-            feats[:2], labels, dev_relevant, feats[2:], registry,
+            build_design(feats[:2], labels), dev_relevant, feats[2:], registry,
             lam_grid=(0.0, 0.5, 10.0), beta_grid=(0.1, 1.0),
         )
         assert len(rows) == 6 and len(calls) == 1

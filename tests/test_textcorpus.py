@@ -1,12 +1,14 @@
 import json
 import math
 import string
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from opinesum.textcorpus import (
+    ENTITY_LABEL,
     RESERVED,
     Cluster,
     CorpusFormatError,
@@ -24,6 +26,7 @@ from opinesum.textcorpus import (
     load_lexicon,
     load_stopwords,
     restore_entity,
+    save_clusters,
     substitute_entity,
     text_unit,
     tokenize,
@@ -255,6 +258,111 @@ class TestCorpusFile:
         with pytest.raises(CorpusFormatError, match=message) as excinfo:
             load_clusters(path)
         assert excinfo.value.line_no == 2
+
+
+class TestSharedTokens:
+    ROWS = [
+        {"id": "a", "entity": "The Martian", "summary": "Smart, funny film!",
+         "units": [
+             {"text": "The Martian is smart, smart!", "pos": ["DT", "NNP", "VBZ", "JJ", ",", "", "."],
+              "ner": ["O", "TITLE", "O", "O", "O", "O", "O"]},
+             {"text": "smart film, (funny) film", "pos": None, "ner": None},
+         ]},
+        {"id": "b", "entity": "the martian", "summary": "the martian: a smart film.",
+         "units": [
+             {"text": "Smart?! The Martian is smart.", "pos": ["JJ", ".", ".", "DT", "NNP", "VBZ", "JJ", "."],
+              "ner": ["O", "O", "O", "O", "TITLE", "O", "O", "O"]},
+             {"text": "funny , film", "ner": ["O", "O", "MISC"]},
+         ]},
+    ]
+    # save_clusters of the loaded clusters, and of them after substitute_entity
+    SAVED = (
+        '{"id": "a", "entity": "The Martian", "summary": "Smart, funny film!", "units": [{"text": "The Martian is smart, smart!", "pos": ["DT", "NNP", "VBZ", "JJ", ",", "", "."], "ner": ["O", "TITLE", "O", "O", "O", "O", "O"]}, {"text": "smart film, (funny) film", "pos": null, "ner": null}]}\n'
+        '{"id": "b", "entity": "the martian", "summary": "the martian: a smart film.", "units": [{"text": "Smart?! The Martian is smart.", "pos": ["JJ", ".", ".", "DT", "NNP", "VBZ", "JJ", "."], "ner": ["O", "O", "O", "O", "TITLE", "O", "O", "O"]}, {"text": "funny , film", "pos": null, "ner": ["O", "O", "MISC"]}]}\n'
+    )
+    PREPROCESSED = (
+        '{"id": "a", "entity": "The Martian", "summary": "smart, funny film!", "units": [{"text": "ENTITY is smart, smart!", "pos": ["", "VBZ", "JJ", ",", "", "."], "ner": null}, {"text": "smart film,( funny) film", "pos": null, "ner": null}]}\n'
+        '{"id": "b", "entity": "the martian", "summary": "ENTITY: a smart film.", "units": [{"text": "smart?! ENTITY is smart.", "pos": ["JJ", ".", ".", "", "VBZ", "JJ", "."], "ner": null}, {"text": "funny, film", "pos": null, "ner": ["O", "O", "MISC"]}]}\n'
+    )
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in self.ROWS))
+        return path
+
+    @staticmethod
+    def tokens_of(clusters):
+        return [t for c in clusters for u in c.units + (c.summary,) for t in u.tokens]
+
+    def test_equal_tokens_of_one_load_are_one_object(self, corpus):
+        clusters = load_clusters(corpus)
+        tokens = self.tokens_of(clusters)
+        assert len({id(t) for t in tokens}) == len(set(tokens))
+        (a0, a1), (b0, b1) = (c.units for c in clusters)
+        summary_a, summary_b = (c.summary for c in clusters)
+        smart = a1.tokens[0]
+        assert smart == Token("smart", "smart")
+        # plain words, across units, summaries and clusters
+        assert summary_b.tokens[4] is smart
+        assert b1.tokens[0] is a1.tokens[4] is summary_a.tokens[2] == Token("funny", "funny")
+        # tags that both map to None (pos "", ner "O") give the untagged token
+        assert a0.tokens[5] is smart
+        # punctuation pieces, split off a chunk or standing alone
+        assert a1.tokens[2] is b1.tokens[1] is summary_a.tokens[1] == Token(",", ",")
+        # tagged tokens, keyed by (surface, pos, ner) after the "O" mapping
+        assert a0.tokens[3] is b0.tokens[6] == Token("smart", "smart", "JJ", None)
+        assert a0.tokens[1] is b0.tokens[4] == Token("Martian", "martian", "NNP", "TITLE")
+        assert a0.tokens[6] is b0.tokens[2] == Token("!", "!", ".", None)
+        assert b1.tokens[2] == Token("film", "film", None, "MISC") != a1.tokens[1]
+
+    def test_entity_label_is_one_object_after_substitution(self, corpus):
+        clusters = [substitute_entity(c) for c in load_clusters(corpus)]
+        labels = [t for t in self.tokens_of(clusters) if t.norm == ENTITY_LABEL]
+        assert len(labels) == 3 and all(t is labels[0] for t in labels)
+
+    def test_two_loads_share_no_token(self, corpus):
+        first, second = load_clusters(corpus), load_clusters(corpus)
+        assert self.tokens_of(first) == self.tokens_of(second)
+        assert not {id(t) for t in self.tokens_of(first)} & {id(t) for t in self.tokens_of(second)}
+
+    def test_saved_corpus_bytes_unchanged(self, corpus, tmp_path):
+        clusters = load_clusters(corpus)
+        save_clusters(clusters, tmp_path / "saved.jsonl")
+        save_clusters([substitute_entity(c) for c in clusters], tmp_path / "preprocessed.jsonl")
+        assert (tmp_path / "saved.jsonl").read_bytes() == self.SAVED.encode("utf-8")
+        assert (tmp_path / "preprocessed.jsonl").read_bytes() == self.PREPROCESSED.encode("utf-8")
+
+    def test_bytes_per_loaded_token_bounded(self, tmp_path):
+        # a Zipf(1) draw over 4000 types, with some capitalized words and
+        # attached punctuation, as review text has
+        rng = np.random.default_rng(5)
+        n_types = 4000
+        p = 1.0 / np.arange(1, n_types + 1)
+        words = np.array([f"w{r}" for r in range(n_types)])
+        path = tmp_path / "corpus.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for c in range(60):
+                units = []
+                for _ in range(50):
+                    toks = list(rng.choice(words, size=20, p=p / p.sum()))
+                    toks[0] = toks[0].capitalize()
+                    toks[-1] += "."
+                    units.append({"text": " ".join(toks)})
+                fh.write(json.dumps({"id": f"c{c}", "summary": "a summary.", "units": units}) + "\n")
+        tracemalloc.start()
+        try:
+            clusters = load_clusters(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        tokens = self.tokens_of(clusters)
+        ratio = len(set(tokens)) / len(tokens)
+        assert len(tokens) >= 50_000
+        assert held / len(tokens) <= 48, (
+            f"{held / len(tokens):.1f} B per token over {len(tokens)} tokens, "
+            f"types/tokens {ratio:.4f}"
+        )
 
 
 class TestAtomicWrite:
