@@ -34,16 +34,6 @@ class StaleTraceError(RuntimeError):
 
 
 @dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
-
-    @staticmethod
-    def zeros(d_h):
-        return LstmState(h=np.zeros(d_h), c=np.zeros(d_h))
-
-
-@dataclass
 class LstmCellParams:
     """The projection matrices and biases of one LSTM cell, as four arrays.
 
@@ -261,8 +251,8 @@ def new_model(vocab, features, d_emb, d_h, d_a):
 def _rows(W, x):
     """W @ x for a vector x, or W @ x_r for every row x_r of a matrix x.
 
-    A vector takes a matrix-vector product, as the single-sequence decoder
-    step always has.
+    A vector takes a matrix-vector product, as each decoder step of
+    sequence_log_prob has.
     """
     return (W @ x.T).T
 
@@ -349,7 +339,6 @@ class _EncTrace:
     fwd: _Chain  # rows in position order
     bwd: _Chain  # rows in reverse position order
     contexts: np.ndarray
-    keys: np.ndarray
 
 
 def _encode_trace(model, z):
@@ -366,10 +355,7 @@ def _encode_trace(model, z):
     fwd = _run_chain(model.enc_f, reprs)
     bwd = _run_chain(model.enc_b, reprs[::-1])  # feed the input in reverse order
     contexts = np.concatenate([fwd.H[1:], bwd.H[:0:-1]], axis=1)
-    return _EncTrace(
-        z=z, ids=ids, fwd=fwd, bwd=bwd, contexts=contexts,
-        keys=attention_keys(model, contexts),
-    )
+    return _EncTrace(z=z, ids=ids, fwd=fwd, bwd=bwd, contexts=contexts)
 
 
 def encode(model, z):
@@ -432,42 +418,25 @@ def _decode_core(model, step, y_prev, h, c, contexts, keys, out):
     return _rows(model.W_out, h_out) + model.b_out, attn
 
 
-def _decode_new_state(model, y_prev, state_prev, contexts, keys):
-    """_decode_core into new arrays: (new state, word distribution(s),
-    attention)."""
-    lead = np.shape(state_prev.h)[:-1]
-    u, a = np.empty(lead + (model.dec.d_u,)), np.empty(lead + (4 * model.d_h,))
-    state = LstmState(h=np.empty(lead + (model.d_h,)), c=np.empty(lead + (model.d_h,)))
-    logits, attn = _decode_core(
-        model, _lstm_stepper(model.dec), y_prev, state_prev.h, state_prev.c, contexts, keys,
-        (u, a, state.h, state.c),
-    )
-    return state, softmax(logits), attn.a
+def decode_step(model, y_prev, h, c, contexts, keys):
+    """One decoder step for B sequences that share one encoded input.
 
-
-def decode_step(model, y_prev_index, state_prev, contexts):
-    """One conditional decoder step: (new state, word distribution, attention)."""
-    y_prev_index = int(y_prev_index)
-    if not 0 <= y_prev_index < len(model.vocab):
-        raise ValueError(f"token index {y_prev_index} out of vocabulary")
-    keys = attention_keys(model, contexts)
-    return _decode_new_state(model, y_prev_index, state_prev, contexts, keys)
-
-
-def decode_rows(model, y_prev, state_prev, contexts, keys):
-    """decode_step for B sequences that share one encoded input.
-
-    y_prev holds B previous tokens, state_prev.h and .c are B x d_h, and
-    keys is attention_keys(model, contexts). Returns the new state (B x d_h
-    rows) and the B x |V| word distributions.
+    y_prev holds the B previous tokens, h and c the B x d_h previous
+    states, and keys is attention_keys(model, contexts). Returns the new
+    states h and c (B x d_h) and the B x |V| word distributions.
     """
     y_prev = np.asarray(y_prev, dtype=np.int64)
-    if y_prev.ndim != 1 or not y_prev.size or state_prev.h.shape != (len(y_prev), model.d_h):
-        raise ValueError("decode_rows needs one token and one state row per sequence")
+    shape = (y_prev.size, model.d_h)
+    if y_prev.ndim != 1 or not y_prev.size or np.shape(h) != shape or np.shape(c) != shape:
+        raise ValueError("decode_step needs one token and one state row per sequence")
     if y_prev.min() < 0 or y_prev.max() >= len(model.vocab):
-        raise ValueError("decode_rows: token index out of vocabulary")
-    state, probs, _ = _decode_new_state(model, y_prev, state_prev, contexts, keys)
-    return state, probs
+        raise ValueError("decode_step: token index out of vocabulary")
+    u, a = np.empty((y_prev.size, model.dec.d_u)), np.empty((y_prev.size, 4 * model.d_h))
+    h_out, c_out = np.empty(shape), np.empty(shape)
+    logits, _ = _decode_core(
+        model, _lstm_stepper(model.dec), y_prev, h, c, contexts, keys, (u, a, h_out, c_out)
+    )
+    return h_out, c_out, softmax(logits)
 
 
 @dataclass
@@ -500,6 +469,7 @@ def sequence_log_prob(model, z, y):
         if not 0 <= t < len(model.vocab):
             raise ValueError(f"token index {t} out of vocabulary")
     enc = _encode_trace(model, z)
+    keys = attention_keys(model, enc.contexts)
     T, d_h = len(y), model.d_h
     dec = _Chain(
         U=np.empty((T, model.dec.d_u)),
@@ -514,7 +484,7 @@ def sequence_log_prob(model, z, y):
     for t, (inp, target) in enumerate(zip([model.vocab.bos] + y[:-1], y)):
         out = (dec.U[t], dec.gates[t], dec.H[t + 1], dec.C[t + 1])
         logits, cache = _decode_core(
-            model, step, inp, dec.H[t], dec.C[t], enc.contexts, enc.keys, out
+            model, step, inp, dec.H[t], dec.C[t], enc.contexts, keys, out
         )
         probs[t] = softmax(logits)
         loglik += float(log_softmax(logits)[target])
@@ -679,7 +649,7 @@ def _table_gradients(model, indices, feat_ids, d_rep):
     return grads
 
 
-def backward_pass(model, trace, emit=None):
+def backward_pass(model, trace, emit):
     """Exact gradients of -loglik w.r.t. every parameter tensor.
 
     The gradients come in groups of {name: gradient} under the names of
@@ -687,8 +657,7 @@ def backward_pass(model, trace, emit=None):
     attention, the forward and the backward encoder cell, and last the
     lookup tables. Each group goes to emit(group) as soon as the sweep has
     made its last read of those parameters, so emit may update them in
-    place; the sweep keeps no reference to a group once emitted. With no
-    emit, the groups are collected into one dict, which is returned.
+    place; the sweep keeps no reference to a group once emitted.
 
     W_out gets a ProductGradient; the embedding and feature tables get a
     RowGradient holding only the rows the example read; every other
@@ -698,10 +667,6 @@ def backward_pass(model, trace, emit=None):
     """
     if trace.model_id != id(model) or trace.version != model.version:
         raise StaleTraceError("trace is stale: model parameters changed since the forward pass")
-    grads = None
-    if emit is None:
-        grads = {}
-        emit = grads.update
     d_h = model.d_h
     token_dim = model.token_dim
     contexts = trace.enc.contexts
@@ -766,7 +731,6 @@ def backward_pass(model, trace, emit=None):
             np.concatenate([d_in, d_rep]),
         )
     )
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +830,7 @@ def _read_tensors(reader, tensors):
     In v2 the 'sha256' line ends the tensors and must be the digest of
     every line before it."""
     v2 = reader.magic == MAGIC_V2
-    decode_rows = _base64_rows if v2 else _text_rows
+    read_rows = _base64_rows if v2 else _text_rows
     seen = set()
     digest_line = None
     for header in reader:
@@ -886,7 +850,7 @@ def _read_tensors(reader, tensors):
         if shape != needs:
             raise reader.error(f"tensor {name} is {shape[0]} x {shape[1]}, the model needs {needs}")
         block = reader.lines(shape[0], f"rows of tensor {name}")
-        target[...] = decode_rows(reader, name, block, shape).reshape(target.shape)
+        target[...] = read_rows(reader, name, block, shape).reshape(target.shape)
         seen.add(name)
     missing = [name for name in tensors if name not in seen]
     if missing:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attnseq2seq import LstmState, attention_keys, decode_rows, encode
+from .attnseq2seq import attention_keys, decode_step, encode
 from .sampler import select_test_input
 from .textcorpus import (
     content_words,
@@ -52,8 +52,8 @@ def beam_search(model, z, width, max_len, banned):
     with EOS (at its actual log-prob). The pool is ordered by (-logp,
     length, tokens). The ids in `banned` are never expanded; EOS always is.
 
-    The live beam is held as arrays: one B x d_h state matrix advanced by
-    one batched decoder step per time step, the running log-probs, and per
+    The live beam is held as arrays: the B x d_h states h and c, advanced
+    by one decode_step per time step, the running log-probs, and per
     step the last token and parent row of every live hypothesis.
     """
     if width < 1:
@@ -66,7 +66,7 @@ def beam_search(model, z, width, max_len, banned):
     allowed = np.array([i for i in range(len(vocab)) if i not in banned_set])
     contexts = encode(model, z)
     keys = attention_keys(model, contexts)
-    state = LstmState(h=np.zeros((1, model.d_h)), c=np.zeros((1, model.d_h)))
+    h, c = np.zeros((1, model.d_h)), np.zeros((1, model.d_h))
     prev = np.array([vocab.bos])
     live_logp = np.zeros(1)
     # rank of each live hypothesis's token tuple in lexicographic order; all
@@ -76,7 +76,7 @@ def beam_search(model, z, width, max_len, banned):
     tokens, parents = [], []  # per step, for every live row
     pool = []
     for step in range(1, max_len + 1):
-        state, probs = decode_rows(model, prev, state, contexts, keys)
+        h, c, probs = decode_step(model, prev, h, c, contexts, keys)
         expansion = np.array([vocab.eos]) if step == max_len else allowed
         with np.errstate(divide="ignore"):  # underflowed probs rank last
             logp = (live_logp[:, None] + np.log(probs[:, expansion])).ravel()
@@ -102,7 +102,7 @@ def beam_search(model, z, width, max_len, banned):
         lex_rank[np.lexsort((word, parent_rank))] = np.arange(len(row))
         tokens.append(word)
         parents.append(row)
-        state = LstmState(h=state.h[row], c=state.c[row])
+        h, c = h[row], c[row]
         prev = word
         live_logp = logp[cand]
     pool.sort(key=lambda h: (-h.logp, len(h.tokens), h.tokens))

@@ -21,31 +21,12 @@ class NotPositiveDefiniteError(ValueError):
         )
 
 
-def as_vector(v, name="vector"):
-    """Coerce to a finite 1-D float64 array."""
+def as_finite(v, ndims, name):
+    """Coerce to a finite float64 array whose ndim is one of `ndims`."""
     arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains NaN or Inf")
-    return arr
-
-
-def as_matrix(m, name="matrix"):
-    """Coerce to a finite 2-D float64 array."""
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains NaN or Inf")
-    return arr
-
-
-def as_rows(v, name="array"):
-    """Coerce to a finite float64 vector, or a matrix of row vectors."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim not in (1, 2):
-        raise ValueError(f"{name} must be 1-D or 2-D, got shape {arr.shape}")
+    if arr.ndim not in ndims:
+        dims = " or ".join(f"{n}-D" for n in ndims)
+        raise ValueError(f"{name} must be {dims}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf")
     return arr
@@ -54,7 +35,7 @@ def as_rows(v, name="array"):
 def softmax(v):
     """Max-subtracted exp-normalize over the last axis; entries positive,
     each row sums to 1."""
-    arr = as_rows(v)
+    arr = as_finite(v, (1, 2), "softmax input")
     if arr.shape[-1] == 0:
         raise ValueError("softmax of empty vector")
     # one allocation: the shifted copy is exponentiated and divided in place
@@ -66,7 +47,7 @@ def softmax(v):
 
 def log_softmax(v):
     """log(softmax(v)) without the intermediate ratio."""
-    arr = as_vector(v)
+    arr = as_finite(v, (1,), "log_softmax input")
     if arr.size == 0:
         raise ValueError("log_softmax of empty vector")
     shifted = arr - arr.max()
@@ -78,7 +59,7 @@ def sigmoid_elem(v, out=None):
     taken of -|x|, and the result is 1 / (1 + e) where x >= 0 and
     e / (1 + e) elsewhere, with e = exp(-|x|). Written to `out` when given,
     which may be v itself."""
-    arr = as_rows(v)
+    arr = as_finite(v, (1, 2), "sigmoid input")
     positive = arr >= 0.0  # taken before out, which may be arr, is written
     e = np.exp(-np.abs(arr))
     den = 1.0 + e
@@ -88,7 +69,7 @@ def sigmoid_elem(v, out=None):
 
 def cholesky_lower(a):
     """Lower-triangular Cholesky factor; raises on non-positive pivots."""
-    mat = as_matrix(a)
+    mat = as_finite(a, (2,), "matrix")
     n = mat.shape[0]
     if mat.shape[1] != n:
         raise ValueError(f"cholesky needs a square matrix, got {mat.shape}")
@@ -114,8 +95,8 @@ def solve_spd(a, b):
     and one small dense solve per block). A matrix LAPACK rejects is
     refactored by cholesky_lower, so the error names the failing pivot.
     """
-    mat = as_matrix(a, "A")
-    rhs = as_vector(b, "b")
+    mat = as_finite(a, (2,), "A")
+    rhs = as_finite(b, (1,), "b")
     n = mat.shape[0]
     if mat.shape[1] != n or rhs.shape[0] != n:
         raise ValueError(f"solve_spd shape mismatch: A {mat.shape}, b {rhs.shape}")
@@ -169,7 +150,7 @@ def multinomial_draw(weights, count, rng):
     Weights must be non-negative with positive sum; `count` may not exceed
     the number of positive-weight entries.
     """
-    w = as_vector(weights, "weights").copy()
+    w = as_finite(weights, (1,), "weights").copy()
     if np.any(w < 0):
         raise ValueError("multinomial_draw: negative weight")
     if w.sum() <= 0:

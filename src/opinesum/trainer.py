@@ -424,7 +424,8 @@ def gradient_check(seed=0):
     """
     model, z, y = _tiny_instance(seed)
     _, trace = sequence_log_prob(model, z, y)
-    grads = backward_pass(model, trace)
+    grads = {}
+    backward_pass(model, trace, grads.update)
     fwd = _ExtendedForward(model, z, y)
     eps = np.longdouble(CHECK_EPSILON)
     max_rel = 0.0

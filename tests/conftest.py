@@ -1,6 +1,6 @@
 import pytest
 
-from opinesum.attnseq2seq import TokenFeatureSet, new_model
+from opinesum.attnseq2seq import TokenFeatureSet, backward_pass, decode_step, new_model
 from opinesum.numkit import SeededRng
 from opinesum.sampler import build_input
 from opinesum.textcorpus import Cluster, TfidfStats, build_vocab, text_unit
@@ -13,6 +13,20 @@ def make_cluster(texts, summary="great stuff", cid="c0", entity=None):
         summary=text_unit(summary),
         entity=entity,
     )
+
+
+def all_gradients(model, trace):
+    """Every gradient group backward_pass emits, collected into one dict."""
+    grads = {}
+    backward_pass(model, trace, grads.update)
+    return grads
+
+
+def decode_one(model, y_prev, h, c, contexts, keys):
+    """decode_step for one sequence, called with one row: one previous
+    token and d_h states in, (h, c, word distribution) out."""
+    h, c, probs = decode_step(model, [y_prev], h[None], c[None], contexts, keys)
+    return h[0], c[0], probs[0]
 
 
 def randomize(model, seed=0, scale=0.3):

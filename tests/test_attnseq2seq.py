@@ -5,10 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_cluster, randomize, tiny_setup
+from conftest import all_gradients, decode_one, make_cluster, randomize, tiny_setup
 from opinesum.attnseq2seq import (
     LstmCellParams,
-    LstmState,
     StaleTraceError,
     _attend,
     _cell_gradients,
@@ -16,8 +15,6 @@ from opinesum.attnseq2seq import (
     _lstm_stepper,
     _run_chain,
     attention_keys,
-    backward_pass,
-    decode_rows,
     decode_step,
     dense,
     encode,
@@ -336,66 +333,62 @@ class TestAttend:
             _attend(model, empty, attention_keys(model, empty), np.zeros(model.d_h))
 
 
-class TestDecodeStep:
+class TestDecodeRows:
     def test_zero_logits_uniform(self, tiny):
         model, _, z, _ = tiny
         model.W_out[...] = 0.0
         model.b_out[...] = 0.0
         contexts = encode(model, z)
-        _, p, _ = decode_step(model, model.vocab.bos, LstmState.zeros(model.d_h), contexts)
+        zeros = np.zeros(model.d_h)
+        _, _, p = decode_one(
+            model, model.vocab.bos, zeros, zeros, contexts, attention_keys(model, contexts)
+        )
         np.testing.assert_allclose(p, 1.0 / len(model.vocab), atol=1e-15)
 
     def test_probabilities_normalized_many_draws(self):
         for seed in range(1000):
             model, _, z, _ = tiny_setup(seed=seed, d_emb=3, d_h=2, d_a=2)
             contexts = encode(model, z)
-            _, p, a = decode_step(model, model.vocab.bos, LstmState.zeros(2), contexts)
+            zeros = np.zeros(2)
+            _, _, p = decode_one(
+                model, model.vocab.bos, zeros, zeros, contexts, attention_keys(model, contexts)
+            )
             assert abs(p.sum() - 1.0) <= 1e-12
             assert np.all(p > 0)
 
     def test_composed_oracle(self, tiny):
         model, _, z, _ = tiny
         contexts = encode(model, z)
-        state_prev = LstmState(
-            h=np.tanh(np.linspace(-1, 1, model.d_h)), c=np.linspace(-1, 1, model.d_h)
-        )
+        keys = attention_keys(model, contexts)
+        h_prev, c_prev = np.tanh(np.linspace(-1, 1, model.d_h)), np.linspace(-1, 1, model.d_h)
         idx = model.vocab.index_of("bb")
-        state, p, a = decode_step(model, idx, state_prev, contexts)
-        expected = _attend(model, contexts, attention_keys(model, contexts), state_prev.h)
-        a_exp, s_exp = expected.a, expected.s
+        h, _, p = decode_one(model, idx, h_prev, c_prev, contexts, keys)
+        s_exp = _attend(model, contexts, keys, h_prev).s
         u = np.concatenate([model.embeddings.matrix[idx], s_exp])
-        h_exp, c_exp = lstm_oracle(model.dec, u, state_prev.h, state_prev.c)
+        h_exp, c_exp = lstm_oracle(model.dec, u, h_prev, c_prev)
         logits = model.W_out @ h_exp + model.b_out
         p_exp = np.exp(logits - logits.max())
         p_exp /= p_exp.sum()
-        np.testing.assert_allclose(a, a_exp, atol=1e-14)
-        np.testing.assert_allclose(state.h, h_exp, atol=1e-13)
+        np.testing.assert_allclose(h, h_exp, atol=1e-13)
         np.testing.assert_allclose(p, p_exp, atol=1e-13)
 
-    def test_invalid_index(self, tiny):
-        model, _, z, _ = tiny
-        with pytest.raises(ValueError):
-            decode_step(model, -1, LstmState.zeros(model.d_h), encode(model, z))
-
-
-class TestDecodeRows:
     def test_each_row_matches_decode_step(self):
+        # each row of a B-row call against a one-row call
         for with_features in (False, True):
             model, _, z, y = tiny_setup(seed=5, with_features=with_features, scale=0.8)
             contexts = encode(model, z)
+            keys = attention_keys(model, contexts)
             rng = np.random.default_rng(4)
             rows = 4
             h = np.tanh(rng.normal(size=(rows, model.d_h)))
             c = rng.normal(size=(rows, model.d_h))
             prev = np.array([model.vocab.bos] + y[: rows - 1])
-            state, probs = decode_rows(
-                model, prev, LstmState(h=h, c=c), contexts, attention_keys(model, contexts)
-            )
+            h_new, c_new, probs = decode_step(model, prev, h, c, contexts, keys)
             assert probs.shape == (rows, len(model.vocab))
             for r in range(rows):
-                one, p, _ = decode_step(model, prev[r], LstmState(h=h[r], c=c[r]), contexts)
-                np.testing.assert_allclose(state.h[r], one.h, rtol=0, atol=1e-14)
-                np.testing.assert_allclose(state.c[r], one.c, rtol=0, atol=1e-14)
+                h_one, c_one, p = decode_one(model, prev[r], h[r], c[r], contexts, keys)
+                np.testing.assert_allclose(h_new[r], h_one, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(c_new[r], c_one, rtol=0, atol=1e-14)
                 np.testing.assert_allclose(probs[r], p, rtol=1e-12, atol=1e-15)
 
     def test_identical_rows_give_identical_bits(self):
@@ -408,20 +401,30 @@ class TestDecodeRows:
         h0, c0 = np.tanh(rng.normal(size=model.d_h)), rng.normal(size=model.d_h)
         for rows in range(1, 41):
             prev = np.full(rows, model.vocab.index_of("bb"))
-            state = LstmState(h=np.tile(h0, (rows, 1)), c=np.tile(c0, (rows, 1)))
-            new, probs = decode_rows(model, prev, state, contexts, keys)
-            for got in (probs, new.h, new.c):
+            h, c = np.tile(h0, (rows, 1)), np.tile(c0, (rows, 1))
+            for got in decode_step(model, prev, h, c, contexts, keys):
                 assert (got.view(np.int64) == got[0].view(np.int64)).all(), rows
+
+    def test_invalid_index(self, tiny):
+        model, _, z, _ = tiny
+        contexts = encode(model, z)
+        zeros = np.zeros((1, model.d_h))
+        with pytest.raises(ValueError):
+            decode_step(model, [-1], zeros, zeros, contexts, attention_keys(model, contexts))
 
     def test_rejects_bad_rows(self, tiny):
         model, _, z, _ = tiny
         contexts = encode(model, z)
         keys = attention_keys(model, contexts)
-        state = LstmState(h=np.zeros((2, model.d_h)), c=np.zeros((2, model.d_h)))
+        zeros = np.zeros((2, model.d_h))
         with pytest.raises(ValueError):
-            decode_rows(model, [model.vocab.bos], state, contexts, keys)
+            decode_step(model, [model.vocab.bos], zeros, zeros, contexts, keys)
         with pytest.raises(ValueError):
-            decode_rows(model, [0, len(model.vocab)], state, contexts, keys)
+            decode_step(model, [0, len(model.vocab)], zeros, zeros, contexts, keys)
+        with pytest.raises(ValueError):  # one token, not a row of tokens
+            decode_step(model, model.vocab.bos, zeros[:1], zeros[:1], contexts, keys)
+        with pytest.raises(ValueError):
+            decode_step(model, [0, 1], zeros, zeros[:1], contexts, keys)
 
 
 class TestSequenceLogProb:
@@ -442,11 +445,12 @@ class TestSequenceLogProb:
         model, _, z, y = tiny
         loglik, _ = sequence_log_prob(model, z, y)
         contexts = encode(model, z)
-        state = LstmState.zeros(model.d_h)
+        keys = attention_keys(model, contexts)
+        h = c = np.zeros(model.d_h)
         total = 0.0
         prev = model.vocab.bos
         for target in y:
-            state, p, _ = decode_step(model, prev, state, contexts)
+            h, c, p = decode_one(model, prev, h, c, contexts, keys)
             total += np.log(p[target])
             prev = target
         assert loglik == pytest.approx(total, abs=1e-12)
@@ -472,7 +476,7 @@ class TestBackwardPass:
     def test_untouched_embedding_row_zero(self, tiny_feat):
         model, cluster, z, y = tiny_feat
         _, trace = sequence_log_prob(model, z, y)
-        grads = backward_pass(model, trace)
+        grads = all_gradients(model, trace)
         touched = set(int(i) for i in z.indices) | set(y) | {model.vocab.bos}
         emb = dense(grads["emb"])
         for idx in range(len(model.vocab)):
@@ -486,7 +490,7 @@ class TestBackwardPass:
         # W_out gradients are large-magnitude; float64 differences suffice
         model, _, z, y = tiny
         _, trace = sequence_log_prob(model, z, y)
-        grads = backward_pass(model, trace)
+        grads = all_gradients(model, trace)
         eps = 1e-6
         flat = model.W_out.reshape(-1)
         gflat = dense(grads["W_out"]).reshape(-1)
@@ -506,12 +510,12 @@ class TestBackwardPass:
         _, trace = sequence_log_prob(model, z, y)
         model.version += 1  # simulates an optimizer update
         with pytest.raises(StaleTraceError):
-            backward_pass(model, trace)
+            all_gradients(model, trace)
 
     def test_feature_table_rows_touched_only(self, tiny_feat):
         model, _, z, y = tiny_feat
         _, trace = sequence_log_prob(model, z, y)
-        grads = backward_pass(model, trace)
+        grads = all_gradients(model, trace)
         used_pos_rows = {0}  # SEG and decoder-side lookups use the absent row
         for tok in z.tokens:
             if tok is not None:

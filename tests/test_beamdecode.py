@@ -4,11 +4,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import make_cluster, randomize, tiny_setup
+from conftest import decode_one, make_cluster, randomize, tiny_setup
 from opinesum.attnseq2seq import (
-    LstmState,
     TokenFeatureSet,
-    decode_step,
+    attention_keys,
     encode,
     new_model,
     sequence_log_prob,
@@ -30,32 +29,34 @@ from opinesum.textcorpus import TfidfStats, build_vocab, default_stopwords, subs
 class RefHypothesis:
     tokens: tuple
     logp: float
-    state: LstmState
+    state: tuple  # (h, c)
     completed: bool
 
 
 def reference_beam_search(model, z, width, max_len, banned):
-    """Object-per-hypothesis beam search: one decode_step per live
+    """Object-per-hypothesis beam search: one one-row decode_step per live
     hypothesis, and a full sort of every expansion at each step."""
     vocab = model.vocab
     banned_set = set(banned)
     banned_set.discard(vocab.eos)
     allowed = [i for i in range(len(vocab)) if i not in banned_set]
     contexts = encode(model, z)
-    live = [RefHypothesis((), 0.0, LstmState.zeros(model.d_h), False)]
+    keys = attention_keys(model, contexts)
+    zeros = np.zeros(model.d_h)
+    live = [RefHypothesis((), 0.0, (zeros, zeros), False)]
     pool = []
     for step in range(1, max_len + 1):
         candidates = []
         for hyp in live:
             prev = hyp.tokens[-1] if hyp.tokens else vocab.bos
-            state, probs, _ = decode_step(model, prev, hyp.state, contexts)
+            h_new, c_new, probs = decode_one(model, prev, *hyp.state, contexts, keys)
             with np.errstate(divide="ignore"):
                 logp = np.log(probs)
             expansion = (vocab.eos,) if step == max_len else allowed
             for w in expansion:
-                candidates.append(
-                    RefHypothesis(hyp.tokens + (w,), hyp.logp + float(logp[w]), state, w == vocab.eos)
-                )
+                candidates.append(RefHypothesis(
+                    hyp.tokens + (w,), hyp.logp + float(logp[w]), (h_new, c_new), w == vocab.eos
+                ))
         candidates.sort(key=lambda h: (-h.logp, h.tokens))
         live = []
         for h in candidates[:width]:
@@ -111,12 +112,13 @@ def greedy_oracle(model, z, max_len, banned):
     vocab = model.vocab
     allowed = [i for i in range(len(vocab)) if i not in banned]
     contexts = encode(model, z)
-    state = LstmState.zeros(model.d_h)
+    keys = attention_keys(model, contexts)
+    h = c = np.zeros(model.d_h)
     prev = vocab.bos
     tokens = []
     logp = 0.0
     for step in range(1, max_len + 1):
-        state, p, _ = decode_step(model, prev, state, contexts)
+        h, c, p = decode_one(model, prev, h, c, contexts, keys)
         if step == max_len:
             choice = vocab.eos
         else:

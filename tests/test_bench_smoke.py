@@ -4,7 +4,7 @@ perfbench/tracing.py wraps library functions by module and name; a rename
 or an inlined layer would leave its span empty and its metric at zero
 without any error. Each test runs one tiny traced benchmark (about two
 seconds) and checks that the spans of the text front-end, of the salience
-fit and of the training path were recorded.
+fit, of the training path and of the beam's decoder steps were recorded.
 """
 
 import json
@@ -26,6 +26,8 @@ POSITIVE = (
     "salience.score_units.s",
     "salience.build_design.pair_rows",
     "salience.fit_closed_form.calls",
+    "attnseq2seq.decode_step.calls",
+    "beamdecode.candidates",
 )
 
 

@@ -123,6 +123,29 @@ class TestElementwise:
         assert out[0] < 1e-300 and out[1] == 1.0
 
 
+class TestFiniteInputs:
+    # each caller of the one finiteness check, with a bad-rank and a
+    # non-finite input
+    CALLERS = {
+        "softmax": (softmax, np.zeros((1, 1, 2)), [0.0, float("nan")]),
+        "log_softmax": (log_softmax, np.zeros((2, 2)), [0.0, float("inf")]),
+        "sigmoid_elem": (sigmoid_elem, np.zeros((1, 1, 2)), [[0.0, -float("inf")]]),
+        "cholesky_lower": (cholesky_lower, np.ones(3), [[1.0, float("nan")], [0.0, 1.0]]),
+        "solve_spd": (lambda a: solve_spd(a, [1.0, 1.0]), np.ones(2), [[float("inf"), 0], [0, 1]]),
+        "multinomial_draw": (
+            lambda w: multinomial_draw(w, 1, SeededRng(0)), np.ones((2, 2)), [1.0, float("nan")]
+        ),
+    }
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_rejects_bad_rank_and_non_finite(self, caller):
+        fn, bad_rank, non_finite = self.CALLERS[caller]
+        with pytest.raises(ValueError, match=r"must be .*-D, got shape \("):
+            fn(bad_rank)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            fn(non_finite)
+
+
 class TestSolveSpd:
     def test_identity(self):
         b = np.array([4.0, -1.0, 2.5, 0.0])

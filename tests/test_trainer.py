@@ -4,13 +4,12 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import make_cluster
+from conftest import all_gradients, make_cluster
 from opinesum import trainer
 from opinesum.attnseq2seq import (
     ModelParams,
     ProductGradient,
     RowGradient,
-    backward_pass,
     dense,
     sequence_log_prob,
 )
@@ -325,7 +324,7 @@ class TestExampleLifetime:
             _, z, y = long_instance(seed=5, order=order)
             trainer._train_example(models[0], states[0], z, y, "streamed")
             _, trace = sequence_log_prob(models[1], z, y)
-            adagrad_update(models[1], backward_pass(models[1], trace), states[1])
+            adagrad_update(models[1], all_gradients(models[1], trace), states[1])
         for (name, got), (_, want) in zip(models[0].named_tensors(), models[1].named_tensors()):
             assert got.tobytes() == want.tobytes(), name
             assert states[0].accum[name].tobytes() == states[1].accum[name].tobytes(), name
@@ -496,7 +495,7 @@ class TestGradientCheck:
         model, z, y = long_instance(seed=7)
         assert len(z) >= 40 and len(y) >= 8
         _, trace = sequence_log_prob(model, z, y)
-        grads = backward_pass(model, trace)
+        grads = all_gradients(model, trace)
         fwd = _ExtendedForward(model, z, y)
         eps = np.longdouble(trainer.CHECK_EPSILON)
         rng = np.random.default_rng(11)
@@ -545,7 +544,7 @@ class TestGradientCheck:
     def test_off_path_parameter_has_zero_both_sides(self):
         model, z, y = _tiny_instance(seed=1)
         _, trace = sequence_log_prob(model, z, y)
-        grads = backward_pass(model, trace)
+        grads = all_gradients(model, trace)
         touched = set(int(i) for i in z.indices) | set(y) | {model.vocab.bos}
         untouched = next(i for i in range(len(model.vocab)) if i not in touched)
         assert np.all(dense(grads["emb"])[untouched] == 0.0)
