@@ -68,7 +68,9 @@ n_pairs = sum(
 print(f"training design: {sum(len(f) for f in features)} units, "
       f"{n_pairs} preference pairs")
 
-model = fit_closed_form(build_design(features, labels), lam=0.5, beta=0.1, registry=registry)
+model = fit_closed_form(
+    build_design(features, labels).normal_equations, lam=0.5, beta=0.1, registry=registry
+)
 names = registry.names
 top = np.argsort(-np.abs(model.w))[:5]
 print("largest learned weights:")

@@ -512,7 +512,7 @@ def _lstm_backstepper(p):
     dc of that step's state. It writes the gate pre-activation deltas to
     da (the step's row of the chain's deltas) and returns dh_prev and
     dc_prev; the weight gradients come from the deltas of the whole chain
-    at once (_cell_gradients). Every product keeps the order of the
+    at once (_emit_cell_gradients). Every product keeps the order of the
     textbook formulas, e.g. da_o = ((dh tanh c) o)(1 - o).
     """
     d, d2, d3 = p.d_h, 2 * p.d_h, 3 * p.d_h
@@ -544,30 +544,40 @@ def _lstm_backstepper(p):
     return back
 
 
-def _cell_gradients(grad, chain, DA):
-    """Write a chain's weight gradients into the zero gradient cell grad,
-    from the gate deltas DA of all its steps (one row per step): one GEMM
-    per weight against the stacked inputs and states."""
-    d = grad.d_h
-    np.matmul(DA.T, chain.U, out=grad.Wu)
-    np.matmul(DA.T, chain.H[:-1], out=grad.Wh)
-    np.matmul(DA[:, : 2 * d].T, chain.C[:-1], out=grad.Wc[: 2 * d])
-    np.matmul(DA[:, 3 * d :].T, chain.C[1:], out=grad.Wc[2 * d :])
-    DA.sum(axis=0, out=grad.b)
+def _emit_cell_gradients(emit, prefix, chain, DA):
+    """Emit the weight gradients of a chain's cell one weight at a time
+    (Wu, Wh, Wc, then b), each as its per-gate tensors under the names
+    `prefix`.W_iu, ..., `prefix`.b_o. Each weight's gradient is one GEMM
+    of the gate deltas DA of all its steps (one row per step) against the
+    stacked inputs or states."""
+    d = chain.H.shape[1]
+
+    def gates(field, grad, letters="ifco"):
+        emit({
+            f"{prefix}.{field.format(g)}": grad[k * d : (k + 1) * d]
+            for k, g in enumerate(letters)
+        })
+
+    gates("W_{}u", DA.T @ chain.U)
+    gates("W_{}h", DA.T @ chain.H[:-1])
+    Wc = np.empty((3 * d, d))
+    np.matmul(DA[:, : 2 * d].T, chain.C[:-1], out=Wc[: 2 * d])
+    np.matmul(DA[:, 3 * d :].T, chain.C[1:], out=Wc[2 * d :])
+    gates("W_{}c", Wc, "ifo")
+    del Wc  # each weight's gradient is freed before the next is emitted
+    gates("b_{}", DA.sum(axis=0))
 
 
-def _chain_backward(p, chain, dH, grad):
+def _chain_backward(p, chain, dH):
     """BPTT through an encoder chain whose states receive dH (one row per
-    step) from the attention; returns the input gradients, one row per
-    step."""
+    step) from the attention; returns its gate deltas, one row per step."""
     DA = np.empty_like(chain.gates)
     dh = np.zeros(p.d_h)
     dc = np.zeros(p.d_h)
     back = _lstm_backstepper(p)
     for t in range(len(DA) - 1, -1, -1):
         dh, dc = back(chain.gates[t], chain.C[t], chain.C[t + 1], dH[t] + dh, dc, DA[t])
-    _cell_gradients(grad, chain, DA)
-    return DA @ p.Wu
+    return DA
 
 
 def _attend_backward(model, grad, contexts, cache, ds):
@@ -653,11 +663,13 @@ def backward_pass(model, trace, emit):
     """Exact gradients of -loglik w.r.t. every parameter tensor.
 
     The gradients come in groups of {name: gradient} under the names of
-    model.named_tensors(): the output layer, the decoder cell, the
-    attention, the forward and the backward encoder cell, and last the
-    lookup tables. Each group goes to emit(group) as soon as the sweep has
-    made its last read of those parameters, so emit may update them in
-    place; the sweep keeps no reference to a group once emitted.
+    model.named_tensors(): the output layer, the decoder cell one weight
+    at a time (Wu, Wh, Wc, b, each as its per-gate tensors), the
+    attention, the forward and the backward encoder cell in the same way,
+    and last the lookup tables. Each group goes to emit(group) as soon as
+    the sweep has made its last read of those parameters, so emit may
+    update them in place; the sweep keeps no reference to a group once
+    emitted.
 
     W_out gets a ProductGradient; the embedding and feature tables get a
     RowGradient holding only the rows the example read; every other
@@ -696,11 +708,8 @@ def backward_pass(model, trace, emit):
         dq_steps[t] = dq.sum(axis=0)
         dh = dh_l + model.attn.W_hg.T @ dq_steps[t]
     inputs = np.array([model.vocab.bos] + trace.targets[:-1])
-    d_in = DA @ p.Wu[:, :token_dim]
-    g_dec = LstmCellParams.zeros(p.d_u, d_h)
-    _cell_gradients(g_dec, dec, DA)
-    emit(dict(g_dec.named("dec")))
-    del g_dec
+    d_in = DA @ p.Wu[:, :token_dim]  # read before emit may step p.Wu
+    _emit_cell_gradients(emit, "dec", dec, DA)
 
     np.matmul(dq_steps.T, dec.H[:-1], out=g_attn.W_hg)
     np.matmul(dq_ctx.T, contexts, out=g_attn.W_cg)
@@ -712,9 +721,9 @@ def backward_pass(model, trace, emit):
 
     def encoder_backward(prefix, chain, dH):
         p = getattr(model, prefix)
-        grad = LstmCellParams.zeros(p.d_u, d_h)
-        dU = _chain_backward(p, chain, dH, grad)
-        emit(dict(grad.named(prefix)))
+        DA = _chain_backward(p, chain, dH)
+        dU = DA @ p.Wu  # read before emit may step p.Wu
+        _emit_cell_gradients(emit, prefix, chain, DA)
         return dU
 
     enc = trace.enc

@@ -248,10 +248,14 @@ def cmd_fit_importance(cfg):
     def featurize(clusters, tfidf):
         return [salience.cluster_features(c, registry, lexicons, tfidf) for c in clusters]
 
-    # the per-cluster training features are freed once the design has stacked them
-    design = salience.build_design(featurize(train_clusters, train_tfidf), train_labels)
+    # only the normal equations outlive the design: the training features
+    # and the stacked R are freed before the dev split is featurized
+    normal_equations = salience.build_design(
+        featurize(train_clusters, train_tfidf), train_labels
+    ).normal_equations
     model, rows = salience.fit_with_grid_search(
-        design, dev_relevant, featurize(dev_clusters, dev_tfidf), registry, lam_grid, beta_grid
+        normal_equations, dev_relevant, featurize(dev_clusters, dev_tfidf), registry,
+        lam_grid, beta_grid,
     )
     salience.save_model(model, cfg.out_path("salience.model"))
     salience.save_registry(registry, cfg.out_path("salience.registry"))

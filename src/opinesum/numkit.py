@@ -101,7 +101,8 @@ def solve_spd(a, b):
     if mat.shape[1] != n or rhs.shape[0] != n:
         raise ValueError(f"solve_spd shape mismatch: A {mat.shape}, b {rhs.shape}")
     blocks = [(s, min(s + SOLVE_BLOCK, n)) for s in range(0, n, SOLVE_BLOCK)]
-    tol = 1e-10 * max(1.0, float(np.abs(mat).max()) if n else 1.0)
+    # max|A| without an |A| temporary
+    tol = 1e-10 * max(1.0, float(max(mat.max(), -mat.min())) if n else 1.0)
     # row block against column block, so the transposed reads stay in cache
     if any(float(np.abs(mat[s:e, s:] - mat[s:, s:e].T).max()) > tol for s, e in blocks):
         raise ValueError("solve_spd: matrix is not symmetric within 1e-10")

@@ -180,6 +180,9 @@ def gold_scores(cluster, stopwords):
     return raw / top if top > 0 else raw
 
 
+PAIR_BLOCK = 64  # rows per block of the outer products in the pair sums
+
+
 @dataclass
 class PreferenceDesign:
     """Regression design R w ~ L with within-cluster preference pairs.
@@ -208,18 +211,35 @@ class PreferenceDesign:
         - s_P s_Z^T - s_Z s_P^T and sum_{p,q} (r_p - r_q) = |Z| s_P - |P| s_Z,
         where s_P, s_Z are the row sums: O(M d^2) time and O(d^2) memory
         per cluster instead of O(|P| |Z| d^2) through R'.
+
+        Each cluster's term is built in two d x d scratch arrays the loop
+        reuses, with the operations of the formula in its order; the outer
+        products are subtracted PAIR_BLOCK rows at a time, so no d x d
+        outer product is ever formed. The scratch is freed before R^T R.
         """
         d = self.R.shape[1]
         pair_gram = np.zeros((d, d))
         pair_sum = np.zeros(d)
+        term, zero_term = np.empty((d, d)), np.empty((d, d))
+        outer = np.empty((min(PAIR_BLOCK, d), d))
         for pos, zero in self._pair_groups():
             n_pos, n_zero = pos.shape[0], zero.shape[0]
             if n_pos == 0 or n_zero == 0:
                 continue
             s_pos, s_zero = pos.sum(axis=0), zero.sum(axis=0)
-            cross = np.outer(s_pos, s_zero)
-            pair_gram += n_zero * (pos.T @ pos) + n_pos * (zero.T @ zero) - cross - cross.T
+            np.matmul(pos.T, pos, out=term)
+            term *= n_zero
+            np.matmul(zero.T, zero, out=zero_term)
+            zero_term *= n_pos
+            term += zero_term
+            for s in range(0, d, PAIR_BLOCK):
+                rows = term[s : s + PAIR_BLOCK]
+                block = outer[: rows.shape[0]]
+                rows -= np.multiply.outer(s_pos[s : s + PAIR_BLOCK], s_zero, out=block)
+                rows -= np.multiply.outer(s_zero[s : s + PAIR_BLOCK], s_pos, out=block)
+            pair_gram += term
             pair_sum += n_zero * s_pos - n_pos * s_zero
+        del term, zero_term, outer
         return self.R.T @ self.R, self.R.T @ self.L, pair_gram, pair_sum
 
     @cached_property
@@ -263,20 +283,19 @@ class SalienceModel:
     registry: FeatureRegistry
 
 
-def fit_closed_form(design, lam, beta, registry):
+def fit_closed_form(normal_equations, lam, beta, registry):
     """Minimize J(w) = ||Rw - L||^2 + lam ||R'w - 1||^2 + beta ||w||^2 exactly.
 
     Solves (R^T R + lam R'^T R' + beta I) w = R^T L + lam R'^T 1 through
-    the SPD solver; beta > 0 makes the system positive-definite. The
-    normal-equation terms are computed on the design's first fit and
-    reused by every later one.
+    the SPD solver, from a design's `normal_equations` (the four terms
+    in that order); beta > 0 makes the system positive-definite.
     """
     # every comparison with NaN is false, so NaN fails these checks too
     if not 0 < beta < math.inf:
         raise ValueError("beta must be finite and positive")
     if not 0 <= lam < math.inf:
         raise ValueError("lambda must be finite and non-negative")
-    gram, moment, pair_gram, pair_sum = design.normal_equations
+    gram, moment, pair_gram, pair_sum = normal_equations
     # gram + lam pair_gram + beta I, built in place: the same sums, in the
     # same order, as the formula
     A = lam * pair_gram
@@ -370,16 +389,18 @@ def relevant_units(cluster, stopwords):
     return gold_scores(cluster, stopwords) > 0
 
 
-def fit_with_grid_search(design, dev_relevant, dev_features, registry, lam_grid, beta_grid):
-    """Fit the training `design` (see build_design) for every (lambda, beta)
-    pair and keep the model with the best dev MRR, where `dev_relevant`
-    holds each dev cluster's `relevant_units` flags. Returns (model, grid
-    rows for the CSV)."""
+def fit_with_grid_search(
+    normal_equations, dev_relevant, dev_features, registry, lam_grid, beta_grid
+):
+    """Fit the training design's `normal_equations` (see build_design) for
+    every (lambda, beta) pair and keep the model with the best dev MRR,
+    where `dev_relevant` holds each dev cluster's `relevant_units` flags.
+    Returns (model, grid rows for the CSV)."""
     best = None
     rows = []
     for lam in lam_grid:
         for beta in beta_grid:
-            model = fit_closed_form(design, lam, beta, registry)
+            model = fit_closed_form(normal_equations, lam, beta, registry)
             dev_mrr = mrr(
                 [
                     rel[rank_descending(score_units(model, feats))]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from opinesum.attnseq2seq import TokenFeatureSet, backward_pass, decode_step, new_model
@@ -20,6 +22,20 @@ def all_gradients(model, trace):
     grads = {}
     backward_pass(model, trace, grads.update)
     return grads
+
+
+def traced_call(fn, *args):
+    """Run fn(*args) under tracemalloc: (its result, the bytes still held
+    when it returns, the peak while it ran), both counted from the
+    traced memory before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - base, peak - base
 
 
 def decode_one(model, y_prev, h, c, contexts, keys):

@@ -55,7 +55,7 @@ def test_criterion_2_closed_form_regression():
         design = build_design(feats, labels)
         lam = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
         beta = float(rng.choice([0.05, 0.1, 1.0]))
-        fitted = fit_closed_form(design, lam, beta, registry=None)
+        fitted = fit_closed_form(design.normal_equations, lam, beta, registry=None)
         oracle = descent_minimizer(design, lam, beta, tol=1e-12)
         assert np.abs(fitted.w - oracle).max() <= 1e-5, f"trial {trial}"
         if lam == 0.0:
@@ -66,7 +66,7 @@ def test_criterion_2_closed_form_regression():
     # explicit lambda = 0 spot check on top of the random draw above
     feats, labels = random_design(np.random.default_rng(77), d=6)
     design = build_design(feats, labels)
-    fitted = fit_closed_form(design, 0.0, 0.25, registry=None)
+    fitted = fit_closed_form(design.normal_equations, 0.0, 0.25, registry=None)
     ridge = np.linalg.solve(design.R.T @ design.R + 0.25 * np.eye(6), design.R.T @ design.L)
     assert np.abs(fitted.w - ridge).max() <= 1e-10
     report(2, "closed-form regression matches descent oracle and ridge")
@@ -252,7 +252,7 @@ def test_criterion_7_ranking_beats_baselines():
         train_tfidf = TfidfStats(train_clusters)
         feats = [cluster_features(c, registry, lex, train_tfidf) for c in train_clusters]
         labels = [gold_scores(c, RANK_STOPWORDS) for c in train_clusters]
-        model = fit_closed_form(build_design(feats, labels), 0.5, 0.1, registry)
+        model = fit_closed_form(build_design(feats, labels).normal_equations, 0.5, 0.1, registry)
         eval_tfidf = TfidfStats(eval_clusters)
         metrics = {}
         for system in ("salience", "length", "centroid"):

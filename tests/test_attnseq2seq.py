@@ -10,8 +10,8 @@ from opinesum.attnseq2seq import (
     LstmCellParams,
     StaleTraceError,
     _attend,
-    _cell_gradients,
     _chain_backward,
+    _emit_cell_gradients,
     _lstm_stepper,
     _run_chain,
     attention_keys,
@@ -165,8 +165,16 @@ class TestLstmStep:
 
 
 class TestChains:
-    """_run_chain and _chain_backward against the per-step oracles, bit
-    for bit, on random chains."""
+    """_run_chain and _chain_backward against the per-step oracles, and
+    the emitted weight gradients against explicit products, bit for bit,
+    on random chains."""
+
+    GROUPS = (
+        ("W_iu", "W_fu", "W_cu", "W_ou"),
+        ("W_ih", "W_fh", "W_ch", "W_oh"),
+        ("W_ic", "W_fc", "W_oc"),
+        ("b_i", "b_f", "b_c", "b_o"),
+    )
 
     @pytest.mark.parametrize("d_u, d_h, n", [(3, 2, 1), (8, 6, 9), (32, 32, 25), (21, 7, 40)])
     def test_forward_and_backward_match_per_step_oracles(self, d_u, d_h, n):
@@ -182,17 +190,28 @@ class TestChains:
             assert np.array_equal(new, old)
 
         dH = rng.normal(size=(n, d_h))
-        grad = LstmCellParams.zeros(d_u, d_h)
-        du = _chain_backward(p, chain, dH, grad)
+        deltas = _chain_backward(p, chain, dH)
         DA = np.empty_like(gates)
         dh, dc = np.zeros(d_h), np.zeros(d_h)
         for t in range(n - 1, -1, -1):
             DA[t], dh, dc = per_step_backward(p, gates[t], C[t], C[t + 1], dH[t] + dh, dc)
-        old = LstmCellParams.zeros(d_u, d_h)
-        _cell_gradients(old, chain, DA)
-        assert np.array_equal(du, DA @ p.Wu)
-        for name in ("Wu", "Wh", "Wc", "b"):
-            assert np.array_equal(getattr(grad, name), getattr(old, name)), name
+        assert np.array_equal(deltas, DA)
+
+        groups = []
+        _emit_cell_gradients(groups.append, "cell", chain, DA)
+        oracle = LstmCellParams(
+            Wu=DA.T @ U,
+            Wh=DA.T @ H[:-1],
+            Wc=np.concatenate([DA[:, : 2 * d_h].T @ C[:-1], DA[:, 3 * d_h :].T @ C[1:]]),
+            b=DA.sum(axis=0),
+        )
+        # one group per weight, in the order Wu, Wh, Wc, b
+        assert [sorted(g) for g in groups] == [
+            sorted(f"cell.{f}" for f in fields) for fields in self.GROUPS
+        ]
+        emitted = {name: grad for g in groups for name, grad in g.items()}
+        for name, want in oracle.named("cell"):
+            assert np.array_equal(emitted[name], want), name
 
 
 class TestCellLayout:

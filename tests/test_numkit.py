@@ -219,6 +219,19 @@ class TestSolveSpd:
         with pytest.raises(ValueError, match="symmetric"):
             solve_spd([[1.0, 2.0], [0.0, 1.0]], [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "factor, error, message",
+        [(0.9, NotPositiveDefiniteError, "pivot 1"), (1.1, ValueError, "symmetric")],
+    )
+    def test_symmetry_tolerance_is_relative_to_largest_magnitude(self, factor, error, message):
+        # the largest-magnitude entry, -2e6, is negative: the tolerance is
+        # 1e-10 * 2e6, twice what the largest entry would give. Within it the
+        # check passes and the factorization meets the negative pivot.
+        a = np.array([[1e6, -2e6, 0.0], [-2e6, 1e6, 0.0], [0.0, 0.0, 1.0]])
+        a[0, 1] += factor * 1e-10 * 2e6
+        with pytest.raises(error, match=message):
+            solve_spd(a, np.ones(3))
+
     def test_cholesky_factor(self):
         rng = np.random.default_rng(2)
         g = rng.normal(size=(6, 6))

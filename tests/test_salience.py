@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import traced_call
 from opinesum import numkit
 from opinesum.salience import (
     FeatureRegistry,
@@ -437,6 +438,54 @@ class TestNormalEquations:
             explicit_sum = design.Rprime.T @ np.ones(design.Rprime.shape[0])
             assert np.abs(pair_sum - explicit_sum).max() <= 1e-12 * np.abs(explicit_sum).max()
 
+    @staticmethod
+    def textbook_pair_terms(design):
+        """Oracle: each cluster's pair sums as the textbook expression in
+        its positive rows P and zero-label rows Z."""
+        d = design.R.shape[1]
+        pair_gram, pair_sum = np.zeros((d, d)), np.zeros(d)
+        for rows in design.cluster_rows:
+            feats, labs = design.R[rows], design.L[rows]
+            P, Z = feats[labs > 0], feats[labs == 0]
+            n_pos, n_zero = P.shape[0], Z.shape[0]
+            if n_pos == 0 or n_zero == 0:
+                continue
+            cross = np.outer(P.sum(axis=0), Z.sum(axis=0))
+            pair_gram += n_zero * (P.T @ P) + n_pos * (Z.T @ Z) - cross - cross.T
+            pair_sum += n_zero * P.sum(axis=0) - n_pos * Z.sum(axis=0)
+        return pair_gram, pair_sum
+
+    def test_pair_sums_equal_textbook_expression_bitwise(self):
+        rng = np.random.default_rng(17)
+        # three and four row blocks of the outer products, the last partial
+        for d in (130, 200):
+            feats, labels = random_design(rng, d=d, n=90, n_clusters=5)
+            # a cluster without positive units and one without zero labels
+            feats += [rng.normal(size=(6, d)), rng.normal(size=(5, d))]
+            labels += [np.zeros(6), 0.1 + rng.random(5)]
+            feats = [f + np.arange(d) % 7 * 5.0 for f in feats]
+            design = build_design(feats, labels)
+            gram, moment, pair_gram, pair_sum = design.normal_equations
+            want_gram, want_sum = self.textbook_pair_terms(design)
+            assert np.array_equal(pair_gram, want_gram)
+            assert np.array_equal(pair_sum, want_sum)
+            assert np.array_equal(gram, design.R.T @ design.R)
+            assert np.array_equal(moment, design.R.T @ design.L)
+
+    def test_transient_memory_is_two_square_arrays(self):
+        # while the clusters are summed, the only d x d arrays alive are the
+        # pair Gram matrix it returns and two scratch arrays; R^T R is formed
+        # after the scratch is freed. The slack covers a block of outer
+        # product rows, numpy's ufunc buffers and one cluster's row copies.
+        # The textbook expression peaks at four d x d arrays here.
+        d = 600
+        feats, labels = random_design(np.random.default_rng(19), d=d, n=40, n_clusters=4)
+        design = build_design(feats, labels)
+        _, held, peak = traced_call(lambda: design.normal_equations)
+        square = d * d * 8
+        assert held >= 2 * square  # R^T R and the pair Gram matrix
+        assert peak <= (1 + 2 + 0.5) * square, peak / square
+
     def test_no_pairs_gives_zero_terms(self):
         design = build_design([np.eye(3), np.ones((2, 3))], [np.ones(3), np.zeros(2)])
         _, _, pair_gram, pair_sum = design.normal_equations
@@ -471,7 +520,7 @@ class TestNormalEquations:
         labels = [gold_scores(c, lex.stopwords) for c in clusters[:2]]
         dev_relevant = [relevant_units(c, lex.stopwords) for c in clusters[2:]]
         model, rows = fit_with_grid_search(
-            build_design(feats[:2], labels), dev_relevant, feats[2:], registry,
+            build_design(feats[:2], labels).normal_equations, dev_relevant, feats[2:], registry,
             lam_grid=(0.0, 0.5, 10.0), beta_grid=(0.1, 1.0),
         )
         assert len(rows) == 6 and len(calls) == 1
@@ -519,7 +568,7 @@ class TestFitClosedForm:
         feats, labels = random_design(rng, d=6, n=25)
         design = build_design(feats, labels)
         beta = 0.3
-        model = fit_closed_form(design, 0.0, beta, registry=None)
+        model = fit_closed_form(design.normal_equations, 0.0, beta, registry=None)
         ridge = np.linalg.solve(
             design.R.T @ design.R + beta * np.eye(6), design.R.T @ design.L
         )
@@ -529,14 +578,14 @@ class TestFitClosedForm:
         rng = np.random.default_rng(5)
         feats, labels = random_design(rng, d=4, n=10, n_clusters=2)
         design = build_design(feats, labels)
-        model = fit_closed_form(design, 0.5, 1e9, registry=None)
+        model = fit_closed_form(design.normal_equations, 0.5, 1e9, registry=None)
         assert np.abs(model.w).max() <= 1e-6
 
     def test_matches_descent_oracle(self):
         rng = np.random.default_rng(6)
         feats, labels = random_design(rng, d=5, n=20, n_clusters=3)
         design = build_design(feats, labels)
-        model = fit_closed_form(design, 0.5, 0.1, registry=None)
+        model = fit_closed_form(design.normal_equations, 0.5, 0.1, registry=None)
         oracle = descent_minimizer(design, 0.5, 0.1)
         assert np.abs(model.w - oracle).max() <= 1e-5
 
@@ -547,7 +596,7 @@ class TestFitClosedForm:
             design = build_design(feats, labels)
             lam = float(rng.random())
             beta = 0.05 + float(rng.random())
-            model = fit_closed_form(design, lam, beta, registry=None)
+            model = fit_closed_form(design.normal_equations, lam, beta, registry=None)
             g = objective_gradient(design, model.w, lam, beta)
             bound = 1e-8 * (1 + np.abs(design.R.T @ design.L).max())
             assert np.abs(g).max() <= bound
@@ -557,7 +606,7 @@ class TestFitClosedForm:
         feats, labels = random_design(rng, d=4)
         design = build_design(feats, labels)
         lam, beta = 0.3, 0.2
-        model = fit_closed_form(design, lam, beta, registry=None)
+        model = fit_closed_form(design.normal_equations, lam, beta, registry=None)
         j_min = objective(design, model.w, lam, beta)
         for _ in range(1000):
             delta = rng.normal(size=4)
@@ -567,26 +616,26 @@ class TestFitClosedForm:
     def test_system_built_in_place_matches_formula(self, monkeypatch):
         rng = np.random.default_rng(9)
         feats, labels = random_design(rng, d=12, n=60, n_clusters=5)
-        design = build_design(feats, labels)
-        gram, moment, pair_gram, pair_sum = design.normal_equations
+        terms = build_design(feats, labels).normal_equations
+        gram, moment, pair_gram, pair_sum = terms
         solved = []
         monkeypatch.setattr(
             numkit, "solve_spd", lambda A, b: solved.append(A.copy()) or np.linalg.solve(A, b)
         )
         for lam, beta in ((0.0, 0.01), (0.5, 0.1), (10.0, 3.0)):
-            fit_closed_form(design, lam, beta, registry=None)
+            fit_closed_form(terms, lam, beta, registry=None)
             formula = gram + lam * pair_gram + beta * np.eye(gram.shape[0])
             assert np.array_equal(solved[-1], formula)
         monkeypatch.undo()
         for lam, beta in ((0.0, 0.01), (0.5, 0.1), (10.0, 3.0)):
             formula = gram + lam * pair_gram + beta * np.eye(gram.shape[0])
             w = numkit.solve_spd(formula, moment + lam * pair_sum)
-            assert np.array_equal(fit_closed_form(design, lam, beta, registry=None).w, w)
+            assert np.array_equal(fit_closed_form(terms, lam, beta, registry=None).w, w)
 
     def test_beta_must_be_positive(self):
         design = build_design([np.eye(2)], [np.array([1.0, 0.0])])
         with pytest.raises(ValueError):
-            fit_closed_form(design, 0.1, 0.0, registry=None)
+            fit_closed_form(design.normal_equations, 0.1, 0.0, registry=None)
 
     @pytest.mark.parametrize(
         "lam, beta",
@@ -595,13 +644,13 @@ class TestFitClosedForm:
     def test_settings_must_be_finite(self, lam, beta):
         design = build_design([np.eye(2)], [np.array([1.0, 0.0])])
         with pytest.raises(ValueError, match="must be finite"):
-            fit_closed_form(design, lam, beta, registry=None)
+            fit_closed_form(design.normal_equations, lam, beta, registry=None)
 
 
 class TestScoringAndBaselines:
     def test_zero_weights(self):
         design = build_design([np.eye(2)], [np.array([1.0, 0.0])])
-        model = fit_closed_form(design, 0.0, 1e9, registry=None)
+        model = fit_closed_form(design.normal_equations, 0.0, 1e9, registry=None)
         scores = score_units(model, np.random.default_rng(0).normal(size=(5, 2)))
         assert np.abs(scores).max() <= 1e-6
 
@@ -672,7 +721,7 @@ class TestSerialization:
         stats = TfidfStats([cluster])
         feats = [cluster_features(cluster, registry, lex, stats)]
         labels = [gold_scores(cluster, lex.stopwords)]
-        model = fit_closed_form(build_design(feats, labels), 0.5, 0.1, registry)
+        model = fit_closed_form(build_design(feats, labels).normal_equations, 0.5, 0.1, registry)
         mpath = tmp_path / "sal.model"
         rpath = tmp_path / "sal.registry"
         save_model(model, mpath)

@@ -1,12 +1,12 @@
 import json
 import math
 import string
-import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import traced_call
 from opinesum.textcorpus import (
     ENTITY_LABEL,
     RESERVED,
@@ -350,12 +350,7 @@ class TestSharedTokens:
                     toks[-1] += "."
                     units.append({"text": " ".join(toks)})
                 fh.write(json.dumps({"id": f"c{c}", "summary": "a summary.", "units": units}) + "\n")
-        tracemalloc.start()
-        try:
-            clusters = load_clusters(path)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        clusters, held, _ = traced_call(load_clusters, path)
         tokens = self.tokens_of(clusters)
         ratio = len(set(tokens)) / len(tokens)
         assert len(tokens) >= 50_000
