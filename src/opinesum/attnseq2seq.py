@@ -8,6 +8,7 @@ sweep is kept on a ForwardTrace.
 """
 
 import binascii
+import functools
 import hashlib
 import io
 from dataclasses import dataclass
@@ -25,12 +26,10 @@ from .textcorpus import (
 )
 
 CHANNELS = ("pos", "ner", "cap", "lex", "sent")
-# checkpoint magic lines: v2 is written, v1 (decimal text rows) only read
-MAGIC_V2 = "opinesum-model v2"
-MAGIC_V1 = "opinesum-model v1"
+MAGIC_V2 = "opinesum-model v2"  # the checkpoint's first line
 
 class StaleTraceError(RuntimeError):
-    """The model was mutated after the trace was recorded."""
+    """The model changed since the trace was recorded, or a backward_pass consumed it."""
 
 
 @dataclass
@@ -207,6 +206,12 @@ class ModelParams:
         yield "attn.W_s", self.attn.W_s
         yield "W_out", self.W_out
         yield "b_out", self.b_out
+
+    @functools.cached_property
+    def tensors(self):
+        """named_tensors() as a dict, built once: the arrays are this model's
+        own, which training updates in place and never rebinds."""
+        return dict(self.named_tensors())
 
     def zeros_like(self):
         """A zero model of the same dimensions, sharing vocab and features."""
@@ -443,7 +448,8 @@ def decode_step(model, y_prev, h, c, contexts, keys):
 class ForwardTrace:
     """Everything backward_pass needs to replay one (z, y) example: the
     encoder trace, the decoder chain (one row per target), the attention
-    cache and word distribution of every decoder step, and the targets."""
+    cache and word distribution of every decoder step, and the targets.
+    backward_pass consumes probs (as its output deltas) and attn."""
 
     model_id: int
     version: int
@@ -675,17 +681,20 @@ def backward_pass(model, trace, emit):
     RowGradient holding only the rows the example read; every other
     tensor gets a dense array (see `dense`). The recurrences run one step
     at a time; every weight gradient is then one GEMM over the stacked
-    steps of its chain.
+    steps of its chain. The pass consumes the trace (see ForwardTrace), so
+    a second pass over it raises StaleTraceError.
     """
     if trace.model_id != id(model) or trace.version != model.version:
         raise StaleTraceError("trace is stale: model parameters changed since the forward pass")
+    if trace.probs is None:
+        raise StaleTraceError("trace was consumed by an earlier backward_pass")
     d_h = model.d_h
     token_dim = model.token_dim
     contexts = trace.enc.contexts
     dec = trace.dec
     T = len(trace.targets)
 
-    dlogits = trace.probs.copy()
+    dlogits, trace.probs = trace.probs, None  # the distributions, in place
     dlogits[np.arange(T), trace.targets] -= 1.0
     dH = dlogits @ model.W_out
     emit({"W_out": ProductGradient(dlogits, dec.H[1:]), "b_out": dlogits.sum(axis=0)})
@@ -715,6 +724,7 @@ def backward_pass(model, trace, emit):
     np.matmul(dq_ctx.T, contexts, out=g_attn.W_cg)
     # contexts feed the attention summaries and, through W_cg, the keys
     attn_a = np.array([cache.a for cache in trace.attn])
+    trace.attn = None  # the caches' last read
     db = attn_a.T @ DS + dq_ctx @ model.attn.W_cg
     emit({"attn.W_cg": g_attn.W_cg, "attn.W_hg": g_attn.W_hg, "attn.W_s": g_attn.W_s})
     del g_attn
@@ -800,22 +810,8 @@ def _flags(reader, key, n):
     return np.array([ch == "1" for ch in bits], dtype=bool)
 
 
-def _text_rows(reader, name, block, shape):
-    """v1: the rows of a tensor as decimal text."""
-    try:
-        values = np.loadtxt(block, comments=None, ndmin=2)
-    except ValueError as exc:
-        raise reader.error(f"tensor {name}: {exc}") from None
-    if values.shape != shape:
-        raise reader.error(
-            f"tensor {name} declares {shape[0]} x {shape[1]} values, "
-            f"its rows hold {values.shape[0]} x {values.shape[1]}"
-        )
-    return values
-
-
 def _base64_rows(reader, name, block, shape):
-    """v2: the rows of a tensor as base64 of little-endian float64."""
+    """The rows of a tensor as base64 of little-endian float64."""
     width = 8 * shape[1]
     first = reader.line_no - len(block) + 1
     rows = []
@@ -836,14 +832,12 @@ def _read_tensors(reader, tensors):
     """Fill every tensor from its block; each must appear exactly once,
     with the model's shape and the declared number of values per row.
     Blocks are read one at a time, so only one tensor's text is held.
-    In v2 the 'sha256' line ends the tensors and must be the digest of
-    every line before it."""
-    v2 = reader.magic == MAGIC_V2
-    read_rows = _base64_rows if v2 else _text_rows
+    The 'sha256' line ends the tensors and must be the digest of every
+    line before it."""
     seen = set()
     digest_line = None
     for header in reader:
-        if v2 and header.startswith("sha256 "):
+        if header.startswith("sha256 "):
             digest_line = header
             break
         fields = header.split(" ")
@@ -859,27 +853,26 @@ def _read_tensors(reader, tensors):
         if shape != needs:
             raise reader.error(f"tensor {name} is {shape[0]} x {shape[1]}, the model needs {needs}")
         block = reader.lines(shape[0], f"rows of tensor {name}")
-        target[...] = read_rows(reader, name, block, shape).reshape(target.shape)
+        target[...] = _base64_rows(reader, name, block, shape).reshape(target.shape)
         seen.add(name)
     missing = [name for name in tensors if name not in seen]
     if missing:
         raise reader.error(f"missing tensor(s) {', '.join(missing)}")
-    if v2 and digest_line is None:
+    if digest_line is None:
         raise reader.error("no 'sha256 <hex>' line after the last tensor")
-    if v2 and digest_line != f"sha256 {reader.digest_before_last()}":
+    if digest_line != f"sha256 {reader.digest_before_last()}":
         raise reader.error(f"line {reader.line_no}: sha256 digest mismatch, the file was altered")
 
 
 def load_model(path):
     """Rebuild a model (vocabulary, feature registry, tensors) from disk.
 
-    Reads checkpoint v2 (see save_model) and the older v1, whose rows are
-    decimal text and which has no digest. Raises ValueError naming the path
+    Reads checkpoint v2 (see save_model). Raises ValueError naming the path
     unless every header line has its key, count or flags, every tensor is
-    present exactly once and complete, and a v2 file's digest matches, so
-    a truncated or edited file never loads.
+    present exactly once and complete, and the digest matches, so a
+    truncated or edited file never loads.
     """
-    with read_artifact(path, MAGIC_V2, MAGIC_V1) as reader:
+    with read_artifact(path, MAGIC_V2) as reader:
         dims = reader.value("dims").split(" ")
         if len(dims) != 3 or not all(d.isdecimal() for d in dims):
             raise reader.error("line 2: expected 'dims <d_emb> <d_h> <d_a>'")
@@ -903,5 +896,5 @@ def load_model(path):
         model = new_model(vocab, features, *(int(d) for d in dims))
         model.embeddings.trainable[...] = trainable
         model.embeddings.covered[...] = covered
-        _read_tensors(reader, dict(model.named_tensors()))
+        _read_tensors(reader, model.tensors)
     return model

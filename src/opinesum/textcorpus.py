@@ -380,6 +380,8 @@ def load_embeddings(path, vocab, dim):
         idx = vocab.index_of(word)
         table.matrix[idx] = vec
         table.covered[idx] = True
+    # -0.0 becomes +0.0: no parameter may hold -0.0 (see trainer._adagrad_step)
+    table.matrix += 0.0
     non_reserved = len(vocab) - len(RESERVED)
     coverage = (len(vectors) / non_reserved) if non_reserved > 0 else 1.0
     return table, coverage
@@ -536,7 +538,6 @@ class ArtifactReader:
     def __init__(self, fh, path):
         self.path, self._fh = path, fh
         self.line_no = 0  # of the line last asked for
-        self.magic = None  # the first line, set by read_artifact
         self._sha256 = hashlib.sha256()
         self._last = b""  # the line last read, not yet hashed
 
@@ -595,15 +596,13 @@ class ArtifactReader:
 
 
 @contextmanager
-def read_artifact(path, *magics):
+def read_artifact(path, magic):
     """Yield an ArtifactReader over a text artifact whose first line must be
-    one of `magics` (kept as reader.magic); when the body is done, no line
-    may be left."""
+    `magic`; when the body is done, no line may be left."""
     with open(path, encoding="utf-8") as fh:
         reader = ArtifactReader(fh, path)
-        reader.magic = reader.next()
-        if reader.magic not in magics:
-            raise reader.error("line 1: expected " + " or ".join(map(repr, magics)))
+        if reader.next() != magic:
+            raise reader.error(f"line 1: expected {magic!r}")
         yield reader
         extra = sum(1 for _ in reader)
         if extra:

@@ -109,6 +109,8 @@ class AdagradState:
 
     @staticmethod
     def for_model(model, eta, eps):
+        if not eps > 0:  # a zero gradient then steps by +-0 (_adagrad_step)
+            raise ValueError("eps must be > 0")
         return AdagradState(
             eta=eta, eps=eps, accum={n: np.zeros_like(a) for n, a in model.named_tensors()}
         )
@@ -127,10 +129,9 @@ def adagrad_update(model, grads, state):
     every other row g is zero, so G and theta would keep their bits anyway.
     A ProductGradient is formed and stepped ROW_BLOCK rows at a time.
     """
-    tensors = dict(model.named_tensors())
     trainable = model.embeddings.trainable
     for name, g in grads.items():
-        tensor = tensors[name]
+        tensor = model.tensors[name]
         acc = state.accum[name]
         if isinstance(g, RowGradient):
             rows = g.rows
@@ -150,14 +151,14 @@ def adagrad_update(model, grads, state):
 def _adagrad_step(theta, acc, g, state, frozen):
     """The Adagrad update of theta and its accumulator acc, in place; the
     rows `frozen` flags take no step. G, its root and the step share one
-    scratch array of g's size."""
+    scratch array of g's size. As eps > 0, a zero g steps by +-0 and keeps
+    theta's bits: no parameter is -0.0 (initialization and updates never
+    make it, load_embeddings maps it to +0.0)."""
     work = g * g
     acc += work
     np.sqrt(acc, out=work)
     work += state.eps
-    moves = g != 0
-    np.divide(g, work, out=work, where=moves)
-    np.copyto(work, 0.0, where=~moves)
+    np.divide(g, work, out=work)
     work *= state.eta
     if frozen is not None:
         work[frozen] = 0.0

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -531,6 +532,16 @@ class TestBackwardPass:
         with pytest.raises(StaleTraceError):
             all_gradients(model, trace)
 
+    def test_consumed_trace_rejected(self, tiny):
+        # backward_pass turns the trace's word distributions into its
+        # output deltas in place, so a trace is differentiated once
+        model, _, z, y = tiny
+        _, trace = sequence_log_prob(model, z, y)
+        all_gradients(model, trace)
+        assert trace.probs is None and trace.attn is None
+        with pytest.raises(StaleTraceError, match="consumed"):
+            all_gradients(model, trace)
+
     def test_feature_table_rows_touched_only(self, tiny_feat):
         model, _, z, y = tiny_feat
         _, trace = sequence_log_prob(model, z, y)
@@ -599,12 +610,22 @@ class TestSerialization:
         ll_b, _ = sequence_log_prob(loaded, z, y)
         assert ll_a == ll_b
 
-    def test_reads_and_rewrites_committed_v1_checkpoint(self, tmp_path):
-        # tests/data/model_v1.txt: a 4/3/2 model with token features, saved
-        # by the per-gate layout that predates the four-array LSTM cells
-        path = Path(__file__).parent / "data" / "model_v1.txt"
+    def test_reads_and_rewrites_committed_v2_checkpoint(self, tmp_path):
+        # tests/data/model_v2.txt: a 4/3/2 model with token features, first
+        # saved as a v1 checkpoint (decimal text rows) by the per-gate
+        # layout that predates the four-array LSTM cells, then loaded and
+        # saved as v2 by the last reader of both formats
+        path = Path(__file__).parent / "data" / "model_v2.txt"
         model = load_model(path)
         assert model.features is not None
+        digest = hashlib.sha256()
+        for name, arr in model.named_tensors():
+            digest.update(name.encode("ascii"))
+            digest.update(arr.tobytes())
+        # the tensors as that reader loaded them from the v1 file
+        assert digest.hexdigest() == (
+            "dfcae0f7c17aea57f2f324c7d275ba7f842be62dddc7beb16eb95a5109cfc567"
+        )
         cluster = make_cluster(["aa bb cc", "dd ee"], summary="bb dd")
         # the loglik below was taken with zero tf-idf slots
         z = build_input(cluster, [0, 1], model.vocab, TfidfStats([cluster]))
@@ -612,14 +633,19 @@ class TestSerialization:
         y = list(model.vocab.encode(cluster.summary.norms())) + [model.vocab.eos]
         loglik, _ = sequence_log_prob(model, z, y)
         assert loglik == pytest.approx(-6.966382877818599, rel=1e-12)
-        # v1 is read-only: saving writes v2, which loads back bit for bit
+        # saving it again writes the committed bytes
         again = tmp_path / "model.txt"
         save_model(model, again)
-        assert again.read_text().startswith("opinesum-model v2\n")
-        loaded = load_model(again)
-        for (name, a), (_, b) in zip(model.named_tensors(), loaded.named_tensors()):
-            assert a.tobytes() == b.tobytes(), name
-        assert sequence_log_prob(loaded, z, y)[0] == loglik
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_rejects_checkpoint_v1(self, tmp_path):
+        # v1 is no longer read: a file with its magic line fails on line 1
+        v2 = (Path(__file__).parent / "data" / "model_v2.txt").read_text()
+        path = tmp_path / "model.txt"
+        path.write_text(v2.replace("opinesum-model v2\n", "opinesum-model v1\n", 1))
+        message = f"{path}: line 1: expected 'opinesum-model v2'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(path)
 
     def test_saved_checkpoint_is_ascii_with_vocab_on_line_3_and_reproducible(self, tiny, tmp_path):
         # tools read the vocabulary size from line 3 of a text-mode file

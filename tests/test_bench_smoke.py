@@ -4,7 +4,8 @@ perfbench/tracing.py wraps library functions by module and name; a rename
 or an inlined layer would leave its span empty and its metric at zero
 without any error. Each test runs one tiny traced benchmark (about two
 seconds) and checks that the spans of the text front-end, of the salience
-fit, of the training path and of the beam's decoder steps were recorded.
+fit, of the training path and its dev pass, of the checkpoint's save and
+load and of the beam's decoder steps were recorded.
 """
 
 import json
@@ -20,6 +21,9 @@ POSITIVE = (
     "trainer.adagrad_update.calls",
     "attnseq2seq.encode.s",
     "attnseq2seq.sequence_log_prob.s",
+    "trainer.dev_pass.s",
+    "attnseq2seq.save_model.s",
+    "attnseq2seq.load_model.s",
     "textcorpus.load_clusters.s",
     "salience.cluster_features.s",
     "salience.cluster_features.units",

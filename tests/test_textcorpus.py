@@ -418,6 +418,17 @@ class TestEmbeddings:
         assert table.matrix[vocab.index_of("aa")].tolist() == [0.125, -7.5]
         assert table.matrix[vocab.index_of("bb")].tolist() == [0.0625, 3.25]
 
+    def test_negative_zero_loads_as_positive_zero(self, tmp_path):
+        # a zero-gradient Adagrad step keeps a parameter's bits unless it
+        # is -0.0, so no loaded row may hold one
+        vocab = build_vocab([make_cluster(["aa bb"], "aa")])
+        path = tmp_path / "vec.txt"
+        path.write_text("aa -0.0 -0\nbb 0.5 -0.25\n")
+        table, _ = load_embeddings(path, vocab, dim=2)
+        row = table.matrix[vocab.index_of("aa")]
+        assert row.tolist() == [0.0, 0.0] and not np.signbit(row).any()
+        assert table.matrix[vocab.index_of("bb")].tolist() == [0.5, -0.25]
+
     def test_header_line(self, tmp_path):
         vocab = build_vocab([make_cluster(["aa"], "aa")])
         path = tmp_path / "vec.txt"
