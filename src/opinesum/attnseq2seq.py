@@ -18,7 +18,6 @@ import numpy as np
 from .numkit import log_softmax, sigmoid_elem, softmax
 from .textcorpus import (
     RESERVED,
-    EmbeddingTable,
     Vocabulary,
     atomic_write,
     read_artifact,
@@ -26,7 +25,7 @@ from .textcorpus import (
 )
 
 CHANNELS = ("pos", "ner", "cap", "lex", "sent")
-MAGIC_V2 = "opinesum-model v2"  # the checkpoint's first line
+MAGIC = "opinesum-model v3"  # the checkpoint's first line
 
 class StaleTraceError(RuntimeError):
     """The model changed since the trace was recorded, or a backward_pass consumed it."""
@@ -160,11 +159,11 @@ class TokenFeatureSet:
 
 @dataclass
 class ModelParams:
-    """Every trainable tensor plus the vocabulary and feature registry."""
+    """Every parameter tensor plus the vocabulary and feature registry."""
 
     vocab: object
     features: TokenFeatureSet | None
-    embeddings: EmbeddingTable
+    emb: np.ndarray  # |V| x d_emb
     feat_tables: dict
     enc_f: LstmCellParams
     enc_b: LstmCellParams
@@ -176,7 +175,7 @@ class ModelParams:
 
     @property
     def d_emb(self):
-        return self.embeddings.matrix.shape[1]
+        return self.emb.shape[1]
 
     @property
     def d_h(self):
@@ -195,7 +194,7 @@ class ModelParams:
         """(name, tensor) pairs in checkpoint order: the lookup tables ("emb",
         then "feat.<channel>" in CHANNELS order), the three cells, the
         attention, the output layer."""
-        yield "emb", self.embeddings.matrix
+        yield "emb", self.emb
         for ch, table in self.feat_tables.items():
             yield f"feat.{ch}", table
         yield from self.enc_f.named("enc_f")
@@ -222,8 +221,6 @@ class ModelParams:
         copy = self.zeros_like()
         for (_, dst), (_, src) in zip(copy.named_tensors(), self.named_tensors()):
             dst[...] = src
-        copy.embeddings.trainable[...] = self.embeddings.trainable
-        copy.embeddings.covered[...] = self.embeddings.covered
         return copy
 
 
@@ -238,7 +235,7 @@ def new_model(vocab, features, d_emb, d_h, d_a):
     return ModelParams(
         vocab=vocab,
         features=features,
-        embeddings=EmbeddingTable.zeros(len(vocab), d_emb),
+        emb=np.zeros((len(vocab), d_emb)),
         feat_tables=feat_tables,
         enc_f=LstmCellParams.zeros(d_x, d_h),
         enc_b=LstmCellParams.zeros(d_x, d_h),
@@ -328,7 +325,7 @@ def _token_repr(model, index, feat_ids, tfidf_val):
     """Input vector of one token, or one row per token for an index array
     (feat_ids then has one row of channel ids per token, and tfidf_val is
     one value or one per token)."""
-    parts = [model.embeddings.matrix[index]]
+    parts = [model.emb[index]]
     if model.features:
         for k, ch in enumerate(CHANNELS):
             parts.append(model.feat_tables[ch][feat_ids[..., k]])
@@ -757,14 +754,14 @@ def backward_pass(model, trace, emit):
 
 
 def save_model(model, path):
-    """Write checkpoint v2: the text header (dims, vocabulary, feature
-    registry, flags), then each tensor's rows as base64 of their
+    """Write checkpoint v3: the text header (dims, vocabulary, feature
+    registry), then each tensor's rows as base64 of their
     little-endian float64 bytes, one line per row, and last 'sha256 <hex>'
     of every byte before it. Values round-trip bit for bit. The file goes
     to a temporary file first, one tensor at a time, and replaces `path`
     only when complete."""
     head = io.StringIO()
-    head.write(f"{MAGIC_V2}\n")
+    head.write(f"{MAGIC}\n")
     head.write(f"dims {model.d_emb} {model.d_h} {model.d_a}\n")
     write_block(head, "vocab", model.vocab.words)
     if model.features is None:
@@ -777,8 +774,6 @@ def save_model(model, path):
         write_block(head, "lex_categories", fs.lex_categories)
         write_block(head, "word_lex", [f"{w}\t{fs.word_lex[w]}" for w in sorted(fs.word_lex)])
         write_block(head, "word_sent", [f"{w}\t{fs.word_sent[w]}" for w in sorted(fs.word_sent)])
-    head.write("trainable " + "".join("1" if x else "0" for x in model.embeddings.trainable) + "\n")
-    head.write("covered " + "".join("1" if x else "0" for x in model.embeddings.covered) + "\n")
     digest = hashlib.sha256()
     with atomic_write(path, binary=True) as fh:
 
@@ -800,14 +795,6 @@ def _word_map(reader, key):
     if any(len(pair) != 2 for pair in pairs):
         raise reader.error(f"{key}: expected 'word<TAB>value' lines")
     return dict(pairs)
-
-
-def _flags(reader, key, n):
-    """One 0/1 flag per vocabulary row, from a '<key> <flags>' line."""
-    bits = reader.value(key)
-    if len(bits) != n or bits.strip("01"):
-        raise reader.error(f"line {reader.line_no}: '{key}' needs {n} flags of 0 or 1")
-    return np.array([ch == "1" for ch in bits], dtype=bool)
 
 
 def _base64_rows(reader, name, block, shape):
@@ -867,12 +854,12 @@ def _read_tensors(reader, tensors):
 def load_model(path):
     """Rebuild a model (vocabulary, feature registry, tensors) from disk.
 
-    Reads checkpoint v2 (see save_model). Raises ValueError naming the path
-    unless every header line has its key, count or flags, every tensor is
+    Reads checkpoint v3 (see save_model). Raises ValueError naming the path
+    unless every header line has its key and count, every tensor is
     present exactly once and complete, and the digest matches, so a
     truncated or edited file never loads.
     """
-    with read_artifact(path, MAGIC_V2) as reader:
+    with read_artifact(path, MAGIC) as reader:
         dims = reader.value("dims").split(" ")
         if len(dims) != 3 or not all(d.isdecimal() for d in dims):
             raise reader.error("line 2: expected 'dims <d_emb> <d_h> <d_a>'")
@@ -891,10 +878,6 @@ def load_model(path):
             features = TokenFeatureSet(tags, cats, word_lex, word_sent, dim)
         elif kind != "none":
             raise reader.error(f"line {reader.line_no}: expected 'features v1' or 'features none'")
-        trainable = _flags(reader, "trainable", len(vocab))
-        covered = _flags(reader, "covered", len(vocab))
         model = new_model(vocab, features, *(int(d) for d in dims))
-        model.embeddings.trainable[...] = trainable
-        model.embeddings.covered[...] = covered
         _read_tensors(reader, model.tensors)
     return model

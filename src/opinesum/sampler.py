@@ -22,7 +22,6 @@ class ConcatenatedInput:
     indices: np.ndarray      # vocab ids, SEG between units
     tokens: tuple            # Token per position, None at SEG positions
     tfidf: np.ndarray        # per-position token tf-idf (0 at SEG)
-    boundaries: tuple        # (start, end) index pairs, one per unit
     source_units: tuple      # original unit indices in concatenation order
 
     def __len__(self):
@@ -34,30 +33,37 @@ def _order_by_score(chosen, scores):
     return sorted(chosen, key=lambda k: (-scores[k], k))
 
 
+def _checked_scores(cluster, scores, K):
+    """`scores` as a float array, which must hold one score per unit, and
+    the number of units to pick, min(K, M) with K >= 1."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape[0] != len(cluster.units):
+        raise ValueError("scores are not aligned with cluster units")
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    return scores, min(int(K), len(cluster.units))
+
+
 def build_input(cluster, unit_order, vocab, tfidf):
     """Concatenate the given units (already ordered) with SEG between them."""
     indices = []
     tokens = []
     weights = []
-    boundaries = []
     for pos, k in enumerate(unit_order):
         unit = cluster.units[k]
         if pos > 0:
             indices.append(vocab.seg)
             tokens.append(None)
             weights.append(0.0)
-        start = len(indices)
         unit_w = tfidf.unit_weights(unit)
         for t in unit.tokens:
             indices.append(vocab.index_of(t.norm))
             tokens.append(t)
             weights.append(unit_w.get(t.norm, 0.0))
-        boundaries.append((start, len(indices)))
     return ConcatenatedInput(
         indices=np.array(indices, dtype=np.int64),
         tokens=tuple(tokens),
         tfidf=np.array(weights, dtype=np.float64),
-        boundaries=tuple(boundaries),
         source_units=tuple(unit_order),
     )
 
@@ -69,13 +75,8 @@ def sample_training_input(cluster, scores, K, rng, vocab, tfidf):
     The draws are sequential, without replacement, with renormalization;
     the drawn units are ordered by descending score.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape[0] != len(cluster.units):
-        raise ValueError("scores are not aligned with cluster units")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    weights = np.maximum(scores, SCORE_FLOOR)
-    chosen = multinomial_draw(weights, min(int(K), len(cluster.units)), rng)
+    scores, k = _checked_scores(cluster, scores, K)
+    chosen = multinomial_draw(np.maximum(scores, SCORE_FLOOR), k, rng)
     return build_input(cluster, _order_by_score(chosen, scores), vocab, tfidf)
 
 
@@ -87,12 +88,6 @@ def uniform_training_input(cluster, K, rng, vocab, tfidf):
 
 def select_test_input(cluster, scores, K, vocab, tfidf):
     """Deterministic top-min(K, M) units by score, descending, stable ties."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape[0] != len(cluster.units):
-        raise ValueError("scores are not aligned with cluster units")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    k = min(int(K), len(cluster.units))
-    order = sorted(range(len(cluster.units)), key=lambda i: (-scores[i], i))[:k]
-    return build_input(cluster, order, vocab, tfidf)
+    scores, k = _checked_scores(cluster, scores, K)
+    return build_input(cluster, _order_by_score(range(len(scores)), scores)[:k], vocab, tfidf)
 

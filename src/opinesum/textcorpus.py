@@ -24,7 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 # Reserved vocabulary items. Uppercase on purpose: tokenizer norms are
-# always lowercased, so these can never collide with corpus words.
+# lowercased, so these never collide with corpus words. The one exception
+# is a literal ENTITY chunk, which reads as the label (ENTITY_TOKEN), so a
+# substituted corpus that was saved loads back to the same tokens.
 UNK = "UNK"
 SEG = "SEG"
 BOS = "BOS"
@@ -78,14 +80,15 @@ class Cluster:
 
 def tokenize(text):
     """Whitespace split, detaching leading/trailing ASCII punctuation."""
-    return _tokenize(text, {})
+    return _tokenize(text, {ENTITY_LABEL: ENTITY_TOKEN})
 
 
 def _tokenize(text, shared):
     """tokenize(text), taking every untagged token from `shared`, a dict
     from surface to Token that this call extends: equal tokens of every
     text tokenized with one table are one object. A surface fixes its
-    norm, so the surface alone is the key."""
+    norm, so the surface alone is the key. Every table starts as
+    {ENTITY_LABEL: ENTITY_TOKEN}."""
     tokens = []
     append = tokens.append
     get = shared.get
@@ -111,20 +114,21 @@ def _tokenize(text, shared):
     return tokens
 
 
-def detokenize(norms):
-    """Space-join norms, attaching punctuation-only tokens to the left."""
+def detokenize(words):
+    """Space-join words (norms or surfaces), attaching punctuation-only
+    ones to the left."""
     parts = []
-    for norm in norms:
-        if parts and norm and not norm.strip(_PUNCT):
-            parts[-1] = parts[-1] + norm
+    for word in words:
+        if parts and word and not word.strip(_PUNCT):
+            parts[-1] = parts[-1] + word
         else:
-            parts.append(norm)
+            parts.append(word)
     return " ".join(parts)
 
 
 def text_unit(text, pos=None, ner=None):
     """Tokenize `text` into a TextUnit, attaching optional tag arrays."""
-    return _text_unit(text, pos, ner, {})
+    return _text_unit(text, pos, ner, {ENTITY_LABEL: ENTITY_TOKEN})
 
 
 def _text_unit(text, pos, ner, shared):
@@ -172,7 +176,7 @@ def load_clusters(path):
     Token object (see _text_unit); the table that shares them lives only
     for this call."""
     clusters = []
-    shared = {}
+    shared = {ENTITY_LABEL: ENTITY_TOKEN}
     first_line = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -312,31 +316,13 @@ def build_vocab(clusters, min_count=1):
     return Vocabulary(kept)
 
 
-@dataclass
-class EmbeddingTable:
-    """|V| x d_emb embedding matrix with per-row trainable/covered flags."""
-
-    matrix: np.ndarray
-    trainable: np.ndarray
-    covered: np.ndarray
-
-    @staticmethod
-    def zeros(vocab_size, dim):
-        return EmbeddingTable(
-            matrix=np.zeros((vocab_size, dim)),
-            trainable=np.ones(vocab_size, dtype=bool),
-            covered=np.zeros(vocab_size, dtype=bool),
-        )
-
-
 def load_embeddings(path, vocab, dim):
-    """Load a text word-vector file of `dim`-value vectors into an
-    EmbeddingTable.
+    """Load the vectors of `vocab`'s words from a text word-vector file of
+    `dim`-value vectors.
 
     Format: optional "count dim" header, then "word v1 ... v_d" lines; the
-    header and every row must match `dim`. Rows for covered words are
-    copied; uncovered rows are left for the model initializer. Returns
-    (table, coverage over non-reserved words).
+    header and every row must match `dim`. Returns ({word: vector} for the
+    words of `vocab` the file covers, coverage over non-reserved words).
     """
     vectors = {}
     with open(path, encoding="utf-8") as fh:
@@ -374,17 +360,12 @@ def load_embeddings(path, vocab, dim):
                     f"embedding dim mismatch at line {line_no}: got {values.shape[0]}, expected {dim}"
                 )
             if word in vocab:
+                # -0.0 becomes +0.0: no parameter may hold -0.0 (see trainer._adagrad_step)
+                values += 0.0
                 vectors[word] = values
-    table = EmbeddingTable.zeros(len(vocab), dim)
-    for word, vec in vectors.items():
-        idx = vocab.index_of(word)
-        table.matrix[idx] = vec
-        table.covered[idx] = True
-    # -0.0 becomes +0.0: no parameter may hold -0.0 (see trainer._adagrad_step)
-    table.matrix += 0.0
     non_reserved = len(vocab) - len(RESERVED)
     coverage = (len(vectors) / non_reserved) if non_reserved > 0 else 1.0
-    return table, coverage
+    return vectors, coverage
 
 
 def load_stopwords(path):
@@ -438,7 +419,9 @@ def substitute_entity(cluster):
     """Replace every occurrence of the cluster entity with the generic label.
 
     Case-insensitive, longest-match over the entity's token sequence; applies
-    to all units and the summary. No-op when the cluster has no entity.
+    to all units and the summary. No-op when the cluster has no entity, and
+    a unit with no mention is kept as it is. A substituted unit's raw text
+    is its tokens' surfaces (see detokenize), which tokenize back to them.
     """
     if not cluster.entity:
         return cluster
@@ -449,7 +432,7 @@ def substitute_entity(cluster):
     def sub_unit(unit):
         norms = unit.norms()
         if pattern[0] not in norms:
-            return TextUnit(tokens=unit.tokens, raw=detokenize(norms))
+            return unit
         out = []
         i = 0
         n = len(pattern)
@@ -460,7 +443,10 @@ def substitute_entity(cluster):
             else:
                 out.append(unit.tokens[i])
                 i += 1
-        return TextUnit(tokens=tuple(out), raw=detokenize([t.norm for t in out]))
+        out = tuple(out)
+        if out == unit.tokens:
+            return unit
+        return TextUnit(tokens=out, raw=detokenize([t.surface for t in out]))
 
     return Cluster(
         id=cluster.id,
@@ -493,13 +479,12 @@ class TfidfStats:
     """
 
     def __init__(self, clusters):
-        self.n_units = sum(len(c.units) for c in clusters)
-        self.df = Counter()
+        n = sum(len(c.units) for c in clusters)
+        df = Counter()
         for c in clusters:
             for u in c.units:
-                self.df.update(set(u.norms()))
-        n = self.n_units
-        self._idf = {term: math.log(n / max(df, 1)) for term, df in self.df.items()}
+                df.update(set(u.norms()))
+        self._idf = {term: math.log(n / max(count, 1)) for term, count in df.items()}
         # with no units there are no terms, and every idf is 0
         self._unseen = math.log(n) if n else 0.0
 

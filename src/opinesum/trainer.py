@@ -80,7 +80,9 @@ class TrainConfig:
 def init_params(config, vocab, features=None, pretrained=None):
     """Uniform(-init_scale, init_scale) weights, zero biases, seeded.
 
-    Rows covered by a pretrained EmbeddingTable overwrite the random init.
+    Each vector of `pretrained` ({word: vector}, see load_embeddings)
+    overwrites its word's embedding row; a word outside `vocab` or a
+    vector without d_emb values is an error.
     """
     model = new_model(vocab, features, config.d_emb, config.d_h, config.d_a)
     rng = SeededRng(derive_seed(config.seed, "init"))
@@ -90,12 +92,12 @@ def init_params(config, vocab, features=None, pretrained=None):
             arr[...] = 0.0
         else:
             arr[...] = rng.uniform(-s, s, arr.shape)
-    if pretrained is not None:
-        if pretrained.matrix.shape != model.embeddings.matrix.shape:
-            raise ValueError("pretrained embedding shape mismatch")
-        rows = pretrained.covered
-        model.embeddings.matrix[rows] = pretrained.matrix[rows]
-        model.embeddings.covered[...] = rows
+    for word, vector in (pretrained or {}).items():
+        if word not in vocab:
+            raise ValueError(f"pretrained word {word!r} is not in the vocabulary")
+        if np.shape(vector) != (config.d_emb,):
+            raise ValueError(f"pretrained vector of {word!r} needs {config.d_emb} values")
+        model.emb[vocab.index_of(word)] = vector
     return model
 
 
@@ -124,44 +126,39 @@ def adagrad_update(model, grads, state):
     """theta -= eta * g / (sqrt(G) + eps) with G += g^2, per coordinate,
     for exactly the tensors `grads` names.
 
-    A coordinate with g == 0 takes no step, and untrainable embedding rows
-    accumulate G but never move. A RowGradient updates only its rows: on
-    every other row g is zero, so G and theta would keep their bits anyway.
-    A ProductGradient is formed and stepped ROW_BLOCK rows at a time.
+    A coordinate with g == 0 takes no step. A RowGradient updates only its
+    rows: on every other row g is zero, so G and theta would keep their bits
+    anyway. A ProductGradient is formed and stepped ROW_BLOCK rows at a time.
     """
-    trainable = model.embeddings.trainable
     for name, g in grads.items():
         tensor = model.tensors[name]
         acc = state.accum[name]
         if isinstance(g, RowGradient):
             rows = g.rows
-            frozen = ~trainable[rows] if name == "emb" else None
             theta_rows, acc_rows = tensor[rows], acc[rows]
-            _adagrad_step(theta_rows, acc_rows, g.values, state, frozen)
+            _adagrad_step(theta_rows, acc_rows, g.values, state)
             tensor[rows], acc[rows] = theta_rows, acc_rows
         elif isinstance(g, ProductGradient):
             for start in range(0, g.n_rows, ROW_BLOCK):
                 block = slice(start, start + ROW_BLOCK)
-                _adagrad_step(tensor[block], acc[block], g.rows(start, block.stop), state, None)
+                _adagrad_step(tensor[block], acc[block], g.rows(start, block.stop), state)
         else:
-            _adagrad_step(tensor, acc, g, state, ~trainable if name == "emb" else None)
+            _adagrad_step(tensor, acc, g, state)
     model.version += 1
 
 
-def _adagrad_step(theta, acc, g, state, frozen):
-    """The Adagrad update of theta and its accumulator acc, in place; the
-    rows `frozen` flags take no step. G, its root and the step share one
-    scratch array of g's size. As eps > 0, a zero g steps by +-0 and keeps
-    theta's bits: no parameter is -0.0 (initialization and updates never
-    make it, load_embeddings maps it to +0.0)."""
+def _adagrad_step(theta, acc, g, state):
+    """The Adagrad update of theta and its accumulator acc, in place. G,
+    its root and the step share one scratch array of g's size. As eps > 0,
+    a zero g steps by +-0 and keeps theta's bits: no parameter is -0.0
+    (initialization and updates never make it, load_embeddings maps it to
+    +0.0)."""
     work = g * g
     acc += work
     np.sqrt(acc, out=work)
     work += state.eps
     np.divide(g, work, out=work)
     work *= state.eta
-    if frozen is not None:
-        work[frozen] = 0.0
     theta -= work
 
 
@@ -195,7 +192,7 @@ def train(train_clusters, dev_clusters, config, scores, tfidf, lexicons, pretrai
     split's statistics. `scores` maps cluster id to its per-unit importance
     array (training sampling and dev-time top-K selection both use it), and
     must cover every cluster of both splits. `lexicons` is read only when
-    config.use_features is set; `pretrained` is an EmbeddingTable or None.
+    config.use_features is set; `pretrained` is a {word: vector} dict or None.
     Returns the best dev-BLEU snapshot and the per-epoch (epoch, train_nll,
     dev_bleu) history.
     """

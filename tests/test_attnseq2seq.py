@@ -262,7 +262,7 @@ class TestEncode:
         z_one = build_input(one, [0], model.vocab, TfidfStats([one]))
         contexts = encode(model, z_one)
         assert contexts.shape == (1, 2 * model.d_h)
-        rep = model.embeddings.matrix[model.vocab.index_of("dd")]
+        rep = model.emb[model.vocab.index_of("dd")]
         zero = np.zeros(model.d_h)
         fwd = lstm_step(model.enc_f, rep, zero, zero)[0]
         bwd = lstm_step(model.enc_b, rep, zero, zero)[0]
@@ -287,7 +287,7 @@ class TestEncode:
         three = make_cluster(["aa bb cc"], cid="c2")
         z = build_input(three, [0], model.vocab, TfidfStats([three]))
         contexts = encode(model, z)
-        reps = [model.embeddings.matrix[i] for i in z.indices]
+        reps = [model.emb[i] for i in z.indices]
         h = c = np.zeros(model.d_h)
         for t in range(3):
             h, c, _ = lstm_step(model.enc_f, reps[t], h, c)
@@ -384,7 +384,7 @@ class TestDecodeRows:
         idx = model.vocab.index_of("bb")
         h, _, p = decode_one(model, idx, h_prev, c_prev, contexts, keys)
         s_exp = _attend(model, contexts, keys, h_prev).s
-        u = np.concatenate([model.embeddings.matrix[idx], s_exp])
+        u = np.concatenate([model.emb[idx], s_exp])
         h_exp, c_exp = lstm_oracle(model.dec, u, h_prev, c_prev)
         logits = model.W_out @ h_exp + model.b_out
         p_exp = np.exp(logits - logits.max())
@@ -559,8 +559,6 @@ class TestBackwardPass:
 class TestSerialization:
     def test_round_trip_value_exact(self, tiny_feat, tmp_path):
         model, _, z, y = tiny_feat
-        model.embeddings.trainable[2] = False
-        model.embeddings.covered[3] = True
         path = tmp_path / "model.txt"
         save_model(model, path)
         loaded = load_model(path)
@@ -571,8 +569,6 @@ class TestSerialization:
         for (name_a, a), (name_b, b) in zip(model.named_tensors(), loaded.named_tensors()):
             assert name_a == name_b
             assert a.tolist() == b.tolist(), name_a
-        np.testing.assert_array_equal(loaded.embeddings.trainable, model.embeddings.trainable)
-        np.testing.assert_array_equal(loaded.embeddings.covered, model.embeddings.covered)
         # behavioral equality
         ll_a, _ = sequence_log_prob(model, z, y)
         ll_b, _ = sequence_log_prob(loaded, z, y)
@@ -610,12 +606,13 @@ class TestSerialization:
         ll_b, _ = sequence_log_prob(loaded, z, y)
         assert ll_a == ll_b
 
-    def test_reads_and_rewrites_committed_v2_checkpoint(self, tmp_path):
-        # tests/data/model_v2.txt: a 4/3/2 model with token features, first
+    def test_reads_and_rewrites_committed_v3_checkpoint(self, tmp_path):
+        # tests/data/model_v3.txt: a 4/3/2 model with token features, first
         # saved as a v1 checkpoint (decimal text rows) by the per-gate
         # layout that predates the four-array LSTM cells, then loaded and
-        # saved as v2 by the last reader of both formats
-        path = Path(__file__).parent / "data" / "model_v2.txt"
+        # saved as v2 by the last reader of both formats, then converted to
+        # v3 by dropping its all-1 'trainable' and all-0 'covered' lines
+        path = Path(__file__).parent / "data" / "model_v3.txt"
         model = load_model(path)
         assert model.features is not None
         digest = hashlib.sha256()
@@ -638,12 +635,16 @@ class TestSerialization:
         save_model(model, again)
         assert again.read_bytes() == path.read_bytes()
 
-    def test_rejects_checkpoint_v1(self, tmp_path):
-        # v1 is no longer read: a file with its magic line fails on line 1
-        v2 = (Path(__file__).parent / "data" / "model_v2.txt").read_text()
+    def test_rejects_checkpoint_v2(self, tmp_path):
+        # v2 is no longer read: the v3 fixture with v2's magic line and
+        # per-row flag lines fails on line 1
+        v3 = (Path(__file__).parent / "data" / "model_v3.txt").read_text()
+        head, sep, tensors = v3.partition("\ntensor ")
+        flags = "trainable 1111111111\ncovered 0000000000"
+        v2 = head.replace("opinesum-model v3", "opinesum-model v2", 1) + "\n" + flags + sep + tensors
         path = tmp_path / "model.txt"
-        path.write_text(v2.replace("opinesum-model v2\n", "opinesum-model v1\n", 1))
-        message = f"{path}: line 1: expected 'opinesum-model v2'"
+        path.write_text(v2)
+        message = f"{path}: line 1: expected 'opinesum-model v3'"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_model(path)
 
@@ -762,16 +763,13 @@ class TestSerialization:
         [
             (lambda t: t[:-3], "truncated"),
             (lambda t: re.sub(r"\nvocab \d+\n", "\nvocab\n", t), "expected 'vocab <value>'"),
-            (lambda t: re.sub(r"\ncovered [01]+\n", "\ncovered 1\n", t), "'covered' needs"),
-            (lambda t: re.sub(r"\ntrainable 1", "\ntrainable 2", t), "'trainable' needs"),
             (lambda t: t.replace("\ndims ", "\nsize "), "expected 'dims <value>'"),
             (lambda t: t.replace("\nbb\ndd\n", "\nbb\nbb\n", 1), "repeat no word"),
             (lambda t: t.replace("\naa\tPositiv\n", "\naa Positiv\n"), "word_lex: expected"),
         ],
         ids=[
-            "cut_mid_number", "vocab_without_count", "covered_of_length_one",
-            "trainable_not_binary", "dims_under_other_key", "vocab_repeats_a_word",
-            "word_lex_without_tab",
+            "cut_mid_number", "vocab_without_count", "dims_under_other_key",
+            "vocab_repeats_a_word", "word_lex_without_tab",
         ],
     )
     def test_damaged_checkpoint_rejected(self, tiny_feat, tmp_path, damage, message):

@@ -165,7 +165,6 @@ class TestBuildInput:
         z = build_input(cluster4, [2, 0], vocab4, tfidf4)
         norms = [vocab4.word_of(i) for i in z.indices]
         assert norms == ["ee", "ff", "SEG", "aa", "bb"]
-        assert z.boundaries == ((0, 2), (3, 5))
         assert z.tokens[2] is None
 
     def test_tfidf_values(self, cluster4, vocab4, tfidf4):

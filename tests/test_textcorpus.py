@@ -9,6 +9,7 @@ import pytest
 from conftest import traced_call
 from opinesum.textcorpus import (
     ENTITY_LABEL,
+    ENTITY_TOKEN,
     RESERVED,
     Cluster,
     CorpusFormatError,
@@ -280,9 +281,11 @@ class TestSharedTokens:
         '{"id": "a", "entity": "The Martian", "summary": "Smart, funny film!", "units": [{"text": "The Martian is smart, smart!", "pos": ["DT", "NNP", "VBZ", "JJ", ",", "", "."], "ner": ["O", "TITLE", "O", "O", "O", "O", "O"]}, {"text": "smart film, (funny) film", "pos": null, "ner": null}]}\n'
         '{"id": "b", "entity": "the martian", "summary": "the martian: a smart film.", "units": [{"text": "Smart?! The Martian is smart.", "pos": ["JJ", ".", ".", "DT", "NNP", "VBZ", "JJ", "."], "ner": ["O", "O", "O", "O", "TITLE", "O", "O", "O"]}, {"text": "funny , film", "pos": null, "ner": ["O", "O", "MISC"]}]}\n'
     )
+    # a unit with no mention keeps its text; a substituted one is rebuilt
+    # from its tokens' surfaces
     PREPROCESSED = (
-        '{"id": "a", "entity": "The Martian", "summary": "smart, funny film!", "units": [{"text": "ENTITY is smart, smart!", "pos": ["", "VBZ", "JJ", ",", "", "."], "ner": null}, {"text": "smart film,( funny) film", "pos": null, "ner": null}]}\n'
-        '{"id": "b", "entity": "the martian", "summary": "ENTITY: a smart film.", "units": [{"text": "smart?! ENTITY is smart.", "pos": ["JJ", ".", ".", "", "VBZ", "JJ", "."], "ner": null}, {"text": "funny, film", "pos": null, "ner": ["O", "O", "MISC"]}]}\n'
+        '{"id": "a", "entity": "The Martian", "summary": "Smart, funny film!", "units": [{"text": "ENTITY is smart, smart!", "pos": ["", "VBZ", "JJ", ",", "", "."], "ner": null}, {"text": "smart film, (funny) film", "pos": null, "ner": null}]}\n'
+        '{"id": "b", "entity": "the martian", "summary": "ENTITY: a smart film.", "units": [{"text": "Smart?! ENTITY is smart.", "pos": ["JJ", ".", ".", "", "VBZ", "JJ", "."], "ner": null}, {"text": "funny , film", "pos": null, "ner": ["O", "O", "MISC"]}]}\n'
     )
 
     @pytest.fixture
@@ -332,6 +335,16 @@ class TestSharedTokens:
         save_clusters([substitute_entity(c) for c in clusters], tmp_path / "preprocessed.jsonl")
         assert (tmp_path / "saved.jsonl").read_bytes() == self.SAVED.encode("utf-8")
         assert (tmp_path / "preprocessed.jsonl").read_bytes() == self.PREPROCESSED.encode("utf-8")
+
+    def test_preprocessed_corpus_loads_back_to_the_substituted_tokens(self, corpus, tmp_path):
+        substituted = [substitute_entity(c) for c in load_clusters(corpus)]
+        path = tmp_path / "preprocessed.jsonl"
+        save_clusters(substituted, path)
+        reloaded = load_clusters(path)
+        assert self.tokens_of(reloaded) == self.tokens_of(substituted)
+        # the label reads back as the one label token, not the word "entity"
+        labels = [t for t in self.tokens_of(reloaded) if t.surface == ENTITY_LABEL]
+        assert len(labels) == 3 and all(t is ENTITY_TOKEN for t in labels)
 
     def test_bytes_per_loaded_token_bounded(self, tmp_path):
         # a Zipf(1) draw over 4000 types, with some capitalized words and
@@ -397,26 +410,28 @@ class TestEmbeddings:
         vocab = build_vocab([make_cluster(["aa bb"], "aa")])
         path = tmp_path / "vec.txt"
         path.write_text("aa 1 2\nbb 3 4\n")
-        table, coverage = load_embeddings(path, vocab, dim=2)
+        vectors, coverage = load_embeddings(path, vocab, dim=2)
         assert coverage == 1.0
-        np.testing.assert_array_equal(table.matrix[vocab.index_of("aa")], [1.0, 2.0])
+        assert list(vectors) == ["aa", "bb"]
+        np.testing.assert_array_equal(vectors["aa"], [1.0, 2.0])
 
     def test_empty_file(self, tmp_path):
         vocab = build_vocab([make_cluster(["aa bb"], "aa")])
         path = tmp_path / "vec.txt"
         path.write_text("")
-        table, coverage = load_embeddings(path, vocab, dim=4)
+        vectors, coverage = load_embeddings(path, vocab, dim=4)
         assert coverage == 0.0
-        assert not table.covered.any()
+        assert vectors == {}
 
     def test_partial_rows_bitwise_equal(self, tmp_path):
         vocab = build_vocab([make_cluster(["aa bb"], "aa")])
         path = tmp_path / "vec.txt"
         path.write_text("aa 0.125 -7.5\nzz 1 1\nbb 0.0625 3.25\n")
-        table, coverage = load_embeddings(path, vocab, dim=2)
+        vectors, coverage = load_embeddings(path, vocab, dim=2)
         assert coverage == 1.0  # both non-reserved words covered
-        assert table.matrix[vocab.index_of("aa")].tolist() == [0.125, -7.5]
-        assert table.matrix[vocab.index_of("bb")].tolist() == [0.0625, 3.25]
+        assert "zz" not in vectors  # not a vocabulary word
+        assert vectors["aa"].tolist() == [0.125, -7.5]
+        assert vectors["bb"].tolist() == [0.0625, 3.25]
 
     def test_negative_zero_loads_as_positive_zero(self, tmp_path):
         # a zero-gradient Adagrad step keeps a parameter's bits unless it
@@ -424,17 +439,18 @@ class TestEmbeddings:
         vocab = build_vocab([make_cluster(["aa bb"], "aa")])
         path = tmp_path / "vec.txt"
         path.write_text("aa -0.0 -0\nbb 0.5 -0.25\n")
-        table, _ = load_embeddings(path, vocab, dim=2)
-        row = table.matrix[vocab.index_of("aa")]
+        vectors, _ = load_embeddings(path, vocab, dim=2)
+        row = vectors["aa"]
         assert row.tolist() == [0.0, 0.0] and not np.signbit(row).any()
-        assert table.matrix[vocab.index_of("bb")].tolist() == [0.5, -0.25]
+        assert vectors["bb"].tolist() == [0.5, -0.25]
 
     def test_header_line(self, tmp_path):
         vocab = build_vocab([make_cluster(["aa"], "aa")])
         path = tmp_path / "vec.txt"
         path.write_text("2 3\naa 1 2 3\nbb 4 5 6\n")
-        table, _ = load_embeddings(path, vocab, dim=3)
-        assert table.matrix.shape[1] == 3
+        vectors, _ = load_embeddings(path, vocab, dim=3)
+        assert list(vectors) == ["aa"]
+        assert vectors["aa"].tolist() == [1.0, 2.0, 3.0]
 
     def test_header_must_match_dim(self, tmp_path):
         vocab = build_vocab([make_cluster(["aa"], "aa")])
@@ -500,6 +516,18 @@ class TestEntitySubstitution:
         cluster = make_cluster(["a b"], "c")
         assert substitute_entity(cluster) is cluster
         assert restore_entity(["a"], cluster) == ["a"]
+
+    def test_unit_without_mention_kept(self):
+        cluster = make_cluster(["Great film , truly", "The Martian wins"], "s", entity="the martian")
+        sub = substitute_entity(cluster)
+        assert sub.units[0] is cluster.units[0]
+        assert sub.units[1].raw == "ENTITY wins"
+
+    def test_literal_label_reads_as_the_label(self):
+        # tokenize, text_unit and load_clusters read saved substituted text
+        assert tokenize("ENTITY: entity")[0] is ENTITY_TOKEN
+        assert tokenize("ENTITY: entity")[2].norm == "entity"
+        assert text_unit("so ENTITY").tokens[1] is ENTITY_TOKEN
 
     def test_round_trip_random_insertions(self):
         rng = np.random.default_rng(4)

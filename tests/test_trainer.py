@@ -60,8 +60,6 @@ def dense_adagrad_update(model, grads, state):
         step = np.zeros_like(g)
         np.divide(g, np.sqrt(acc) + state.eps, out=step, where=g != 0)
         step *= state.eta
-        if name == "emb":
-            step[~model.embeddings.trainable] = 0.0
         tensor -= step
     model.version += 1
 
@@ -126,10 +124,23 @@ class TestInitParams:
         config = TrainConfig(d_emb=6, d_h=4, d_a=3, seed=0)
         model = init_params(config, vocab, pretrained=pretrained)
         np.testing.assert_array_equal(
-            model.embeddings.matrix[vocab.index_of("aa")], [1, 2, 3, 4, 5, 6]
+            model.emb[vocab.index_of("aa")], [1, 2, 3, 4, 5, 6]
         )
         # uncovered reserved rows keep their random init
-        assert np.abs(model.embeddings.matrix[vocab.unk]).max() <= config.init_scale
+        assert np.abs(model.emb[vocab.unk]).max() <= config.init_scale
+
+    def test_pretrained_word_outside_vocab_rejected(self):
+        vocab = build_vocab([make_cluster(["aa bb"], "cc")])
+        config = TrainConfig(d_emb=2, d_h=4, d_a=3, seed=0)
+        with pytest.raises(ValueError, match="'zz' is not in the vocabulary"):
+            init_params(config, vocab, pretrained={"aa": np.ones(2), "zz": np.ones(2)})
+
+    def test_pretrained_vector_of_other_length_rejected(self):
+        # a one-value vector would otherwise broadcast over the whole row
+        vocab = build_vocab([make_cluster(["aa bb"], "cc")])
+        config = TrainConfig(d_emb=2, d_h=4, d_a=3, seed=0)
+        with pytest.raises(ValueError, match="'aa' needs 2 values"):
+            init_params(config, vocab, pretrained={"aa": np.ones(1)})
 
 
 class TestAdagrad:
@@ -209,26 +220,14 @@ class TestAdagrad:
         adagrad_update(self.model, zero_grads(self.model), state)
         assert self.model.version == v + 1
 
-    def test_frozen_rows_not_updated(self):
-        self.model.embeddings.trainable[1] = False
-        state = AdagradState.for_model(self.model, eta=0.1, eps=1e-6)
-        grads = zero_grads(self.model)
-        grads["emb"][...] = 1.0
-        row = self.model.embeddings.matrix[1].copy()
-        adagrad_update(self.model, grads, state)
-        np.testing.assert_array_equal(self.model.embeddings.matrix[1], row)
-        assert not np.array_equal(self.model.embeddings.matrix[0], row)
-
     def test_row_gradients_match_dense_oracle(self):
         # several steps of random sparse table gradients, with zero
-        # coordinates in touched rows and untrainable rows among them
+        # coordinates in touched rows
         vocab = build_vocab([make_cluster([" ".join(f"t{i}" for i in range(30))], "cc")])
         lex = LexiconSet(general={"t1": ("strong",)}, sentiment={"t2": "positive"})
         features = build_features([make_cluster(["t1 t2"], "cc")], lex, dim=4)
         config = TrainConfig(d_emb=5, d_h=3, d_a=2, seed=4)
         models = [init_params(config, vocab, features) for _ in range(2)]
-        for model in models:
-            model.embeddings.trainable[[3, 7, 11]] = False
         states = [AdagradState.for_model(m, eta=0.1, eps=1e-6) for m in models]
         rng = np.random.default_rng(3)
         for _ in range(6):
@@ -237,8 +236,6 @@ class TestAdagrad:
                 g = rng.normal(size=arr.shape) * (rng.random(arr.shape) < 0.7)
                 if name == "emb" or name.startswith("feat."):
                     rows = np.unique(rng.integers(arr.shape[0], size=arr.shape[0] // 3 + 1))
-                    if name == "emb":  # two untrainable rows every step
-                        rows = np.union1d(rows, [3, 7])
                     g = RowGradient(rows=rows, values=g[rows], n_rows=arr.shape[0])
                 grads[name] = g
             adagrad_update(models[0], grads, states[0])
@@ -474,13 +471,8 @@ class TestTrain:
 
     def test_divergence_detected(self, memorize_corpus):
         # a NaN-poisoned pretrained row aborts with cluster diagnostics
-        from opinesum.textcorpus import EmbeddingTable, substitute_entity
-
         config = quick_config(max_epochs=5, patience=5)
-        vocab = build_vocab([substitute_entity(c) for c in memorize_corpus])
-        poisoned = EmbeddingTable.zeros(len(vocab), config.d_emb)
-        poisoned.matrix[vocab.index_of("mars")] = np.nan
-        poisoned.covered[vocab.index_of("mars")] = True
+        poisoned = {"mars": np.full(config.d_emb, np.nan)}
         scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
             train_on(memorize_corpus, config, scores, poisoned)
