@@ -2,8 +2,10 @@
 
 Subcommands: preprocess, fit-importance, rank-eval, train, gradcheck,
 decode, evaluate, sampling-report. Configuration is a key=value text file
-merged with --set overrides (flags win); unknown keys are rejected and
-every input path is validated before any output is written.
+merged with --set overrides (flags win). Each command declares its keys in
+one table (KEY_TABLES); unknown keys are rejected, and every key is parsed
+and checked, every input path validated and out_dir made before any input
+is read.
 
 Exit codes: 0 success, 1 quality-gate failure, 2 usage or I/O error.
 """
@@ -39,54 +41,150 @@ class UsageError(Exception):
     """Bad arguments, bad config, or missing inputs (exit code 2)."""
 
 
-# the keys _load_lexicons reads: the stopword file (default: the bundled
-# list), the general lexicon (word<TAB>category) and the sentiment lexicon
-# (categories positive/negative/neutral)
-LEXICON_KEYS = {"stopwords", "lexicon", "sentiment_lexicon"}
+# Each parser turns a key's raw string into its value or raises UsageError.
+def _text(key, raw):
+    return raw
 
-# exactly the keys each command reads; out_dir is the directory all of a
-# command's outputs are written under
-COMMAND_KEYS = {
-    "preprocess": {"corpus", "out_dir"},
+
+def _number(kind, low):
+    """A `kind` value >= low."""
+    noun = {int: "an integer", float: "a number"}[kind]
+
+    def parse(key, raw):
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise UsageError(f"config key {key} must be {noun}") from None
+        if value < low:
+            raise UsageError(f"config key {key} must be >= {low}")
+        return value
+
+    return parse
+
+
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _bool(key, raw):
+    if raw.lower() not in _BOOLS:
+        raise UsageError(f"config key {key} must be a boolean")
+    return _BOOLS[raw.lower()]
+
+
+def _list(kind, ok, values):
+    """Comma-separated `kind` values, at least one, each passing `ok`;
+    `values` says which values pass."""
+
+    def parse(key, raw):
+        items = [x.strip() for x in raw.split(",") if x.strip()]
+        if not items:
+            raise UsageError(f"config key {key} must list at least one value")
+        try:
+            parsed = [kind(item) for item in items]
+        except ValueError:
+            raise UsageError(f"config key {key} must list {kind.__name__} values") from None
+        if not all(ok(item) for item in parsed):
+            raise UsageError(f"config key {key} must list {values}")
+        return parsed
+
+    return parse
+
+
+def _path(exists, what):
+    def parse(key, raw):
+        if not exists(raw):
+            raise UsageError(f"{key}: {what} not found: {raw}")
+        return raw
+
+    return parse
+
+
+_INT, _FLOAT, _COUNT = _number(int, -math.inf), _number(float, -math.inf), _number(int, 1)
+_FILE = _path(os.path.isfile, "file")
+
+
+def _train_entry(field):
+    """The entry of a TrainConfig field: its default, and its type's parser
+    followed by TrainConfig's own check. That check tests each field on its
+    own, so a value checked with every other field at its default is
+    checked fully."""
+    by_type = {int: _INT, float: _FLOAT, bool: _bool, str: _text}[field.type]
+
+    def parse(key, raw):
+        value = by_type(key, raw)
+        try:
+            trainer.TrainConfig(**{key: value})
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        return value
+
+    return parse, str(field.default)
+
+
+# The default of a key that must be set. Any other default is a raw value,
+# or None for a key that may be absent (it then resolves to None).
+REQUIRED = object()
+
+_INPUT = (_FILE, REQUIRED)
+# the stopword file (default: the bundled list), the general lexicon
+# (word<TAB>category) and the sentiment lexicon (categories
+# positive/negative/neutral)
+_LEXICONS = {key: (_FILE, None) for key in ("stopwords", "lexicon", "sentiment_lexicon")}
+_SALIENCE = {"salience_model": _INPUT, "salience_registry": _INPUT}
+# the directory all of a command's outputs are written under
+_OUT = {"out_dir": (_text, REQUIRED)}
+# decode and sampling-report: a test split decoded by a beam that stops at
+# training's max_len
+_DECODING = {
+    "corpus": _INPUT, **_SALIENCE,
+    "beam_width": (_COUNT, "20"),
+    "max_len": (_COUNT, str(trainer.TrainConfig.max_len)),
+    **_LEXICONS, **_OUT,
+}
+
+_MODES = ",".join(trainer.SAMPLING_MODES)
+# {command: {key: (parse, default)}}: exactly the keys each command reads
+KEY_TABLES = {
+    "preprocess": {"corpus": _INPUT, **_OUT},
     "fit-importance": {
-        "corpus.train", "corpus.dev", "top_unigrams", "lam_grid", "beta_grid", "out_dir",
-    } | LEXICON_KEYS,
-    "rank-eval": {"corpus", "salience_model", "salience_registry", "out_dir"} | LEXICON_KEYS,
+        "corpus.train": _INPUT, "corpus.dev": _INPUT,
+        "top_unigrams": (_number(int, 0), "500"),
+        # every comparison with NaN is false, so NaN fails these checks too
+        "lam_grid": (_list(float, lambda lam: 0 <= lam < math.inf, "finite values >= 0"),
+                     "0,0.01,0.1,0.5,1,10"),
+        "beta_grid": (_list(float, lambda beta: 0 < beta < math.inf, "finite values > 0"),
+                      "0.01,0.1,1,10"),
+        **_LEXICONS, **_OUT,
+    },
+    "rank-eval": {"corpus": _INPUT, **_SALIENCE, **_LEXICONS, **_OUT},
     "train": {
-        "corpus.train", "corpus.dev", "salience_model", "salience_registry", "embeddings",
-        "out_dir",
-    } | {f.name for f in dataclasses.fields(trainer.TrainConfig)} | LEXICON_KEYS,
-    "gradcheck": {"seeds", "seed"},
-    "decode": {
-        "corpus", "model", "salience_model", "salience_registry",
-        "K", "beam_width", "max_len", "out_dir",
-    } | LEXICON_KEYS,
-    "evaluate": {"corpus", "decode", "out_dir"},
+        "corpus.train": _INPUT, "corpus.dev": _INPUT, **_SALIENCE,
+        "embeddings": (_FILE, None),
+        **{f.name: _train_entry(f) for f in dataclasses.fields(trainer.TrainConfig)},
+        **_LEXICONS, **_OUT,
+    },
+    "gradcheck": {"seeds": (_COUNT, "1"), "seed": (_INT, "0")},
+    "decode": {"model": _INPUT, "K": (_COUNT, str(trainer.TrainConfig.K)), **_DECODING},
+    "evaluate": {"corpus": _INPUT, "decode": _INPUT, **_OUT},
     "sampling-report": {
-        "corpus", "salience_model", "salience_registry", "model_dir",
-        "modes", "Ks", "beam_width", "max_len", "out_dir",
-    } | LEXICON_KEYS,
-}
-
-PATH_KEYS = {
-    "corpus", "corpus.train", "corpus.dev", "stopwords", "lexicon",
-    "sentiment_lexicon", "salience_model", "salience_registry", "embeddings",
-    "model", "decode", "model_dir",
+        "model_dir": (_path(os.path.isdir, "directory"), REQUIRED),
+        "modes": (_list(str, trainer.SAMPLING_MODES.__contains__, "modes of " + _MODES), _MODES),
+        "Ks": (_list(int, lambda k: k >= 1, "values >= 1"), "1,2,5,10"),
+        **_DECODING,
+    },
 }
 
 
-class RunConfig:
-    """Merged key=value config file plus flag overrides."""
-
-    def __init__(self, command, pairs):
-        for key in pairs:
-            if key not in COMMAND_KEYS[command]:
-                raise UsageError(f"unknown config key for {command}: {key!r}")
-        self.command = command
-        self.values = dict(pairs)
+class RunConfig(dict):
+    """A command's resolved config: every key of its table, parsed and
+    checked."""
 
     @staticmethod
     def load(command, config_path, overrides):
+        """Merge the key=value config file with the --set overrides (flags
+        win), reject unknown keys, resolve and check every key of the
+        command's table (so every input path exists), then make out_dir.
+        All of this happens before any input is read."""
         pairs = {}
         if config_path:
             if not os.path.isfile(config_path):
@@ -105,71 +203,22 @@ class RunConfig:
                 raise UsageError(f"--set expects key=value, got {item!r}")
             key, _, value = item.partition("=")
             pairs[key.strip()] = value.strip()
-        return RunConfig(command, pairs)
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
-    def require(self, key):
-        if key not in self.values:
-            raise UsageError(f"missing required config key: {key}")
-        return self.values[key]
-
-    def get_int(self, key, default):
-        try:
-            return int(self.values.get(key, default))
-        except ValueError as exc:
-            raise UsageError(f"config key {key} must be an integer") from exc
-
-    def get_count(self, key, default):
-        """An integer key that must be >= 1."""
-        value = self.get_int(key, default)
-        if value < 1:
-            raise UsageError(f"config key {key} must be >= 1")
-        return value
-
-    def get_float(self, key, default):
-        try:
-            return float(self.values.get(key, default))
-        except ValueError as exc:
-            raise UsageError(f"config key {key} must be a number") from exc
-
-    def get_bool(self, key, default):
-        raw = str(self.values.get(key, default)).lower()
-        if raw in ("1", "true", "yes"):
-            return True
-        if raw in ("0", "false", "no"):
-            return False
-        raise UsageError(f"config key {key} must be a boolean")
-
-    def get_list(self, key, default, kind=str):
-        """The comma-separated values of a key as `kind`; never empty."""
-        raw = self.values.get(key)
-        items = list(default) if raw is None else [x.strip() for x in raw.split(",") if x.strip()]
-        if not items:
-            raise UsageError(f"config key {key} must list at least one value")
-        try:
-            return [kind(item) for item in items]
-        except ValueError:
-            raise UsageError(f"config key {key} must list {kind.__name__} values") from None
-
-    def validate_paths(self):
-        """Every configured input path must exist before work begins."""
-        for key in sorted(self.values.keys() & PATH_KEYS):
-            path = self.values[key]
-            if key == "model_dir":
-                if not os.path.isdir(path):
-                    raise UsageError(f"{key}: directory not found: {path}")
-            elif not os.path.isfile(path):
-                raise UsageError(f"{key}: file not found: {path}")
-
-    def out_dir(self):
-        out = self.require("out_dir")
-        os.makedirs(out, exist_ok=True)
-        return out
+        table = KEY_TABLES[command]
+        for key in pairs:
+            if key not in table:
+                raise UsageError(f"unknown config key for {command}: {key!r}")
+        cfg = RunConfig()
+        for key, (parse, default) in table.items():
+            raw = pairs.get(key, default)
+            if raw is REQUIRED:
+                raise UsageError(f"missing required config key: {key}")
+            cfg[key] = None if raw is None else parse(key, raw)
+        if "out_dir" in cfg:
+            os.makedirs(cfg["out_dir"], exist_ok=True)
+        return cfg
 
     def out_path(self, name):
-        return os.path.join(self.out_dir(), name)
+        return os.path.join(self["out_dir"], name)
 
 
 def _write_csv(path, header, rows):
@@ -180,13 +229,11 @@ def _write_csv(path, header, rows):
 
 
 def _load_lexicons(cfg):
-    stopwords = (
-        load_stopwords(cfg.get("stopwords")) if cfg.get("stopwords") else default_stopwords()
-    )
-    general = load_lexicon(cfg.get("lexicon")) if cfg.get("lexicon") else {}
+    stopwords = load_stopwords(cfg["stopwords"]) if cfg["stopwords"] else default_stopwords()
+    general = load_lexicon(cfg["lexicon"]) if cfg["lexicon"] else {}
     sentiment = {}
-    if cfg.get("sentiment_lexicon"):
-        for word, cats in load_lexicon(cfg.get("sentiment_lexicon")).items():
+    if cfg["sentiment_lexicon"]:
+        for word, cats in load_lexicon(cfg["sentiment_lexicon"]).items():
             sentiment[word] = cats[0]
     return LexiconSet(general=general, sentiment=sentiment, stopwords=stopwords)
 
@@ -209,13 +256,13 @@ def _score_split(clusters, tfidf, lexicons, registry, model):
 
 
 def _load_salience(cfg):
-    registry = salience.load_registry(cfg.require("salience_registry"))
-    model = salience.load_model(cfg.require("salience_model"), registry)
+    registry = salience.load_registry(cfg["salience_registry"])
+    model = salience.load_model(cfg["salience_model"], registry)
     return model, registry
 
 
 def cmd_preprocess(cfg):
-    clusters = load_clusters(cfg.require("corpus"))
+    clusters = load_clusters(cfg["corpus"])
     out = cfg.out_path("preprocessed.jsonl")
     substituted = [substitute_entity(c) for c in clusters]
     save_clusters(substituted, out)
@@ -227,21 +274,11 @@ def cmd_preprocess(cfg):
 
 
 def cmd_fit_importance(cfg):
-    top_u = cfg.get_int("top_unigrams", 500)
-    if top_u < 0:
-        raise UsageError("config key top_unigrams must be >= 0")
-    lam_grid = cfg.get_list("lam_grid", ("0", "0.01", "0.1", "0.5", "1", "10"), float)
-    # every comparison with NaN is false, so NaN fails these checks too
-    if not all(0 <= lam < math.inf for lam in lam_grid):
-        raise UsageError("config key lam_grid must list finite values >= 0")
-    beta_grid = cfg.get_list("beta_grid", ("0.01", "0.1", "1", "10"), float)
-    if not all(0 < beta < math.inf for beta in beta_grid):
-        raise UsageError("config key beta_grid must list finite values > 0")
     lexicons = _load_lexicons(cfg)
-    train_clusters, train_tfidf = _prepare(load_clusters(cfg.require("corpus.train")))
-    registry = salience.build_registry(train_clusters, lexicons, top_u)
+    train_clusters, train_tfidf = _prepare(load_clusters(cfg["corpus.train"]))
+    registry = salience.build_registry(train_clusters, lexicons, cfg["top_unigrams"])
     train_labels = [salience.gold_scores(c, lexicons.stopwords) for c in train_clusters]
-    dev_clusters, dev_tfidf = _prepare(load_clusters(cfg.require("corpus.dev")))
+    dev_clusters, dev_tfidf = _prepare(load_clusters(cfg["corpus.dev"]))
     dev_relevant = [salience.relevant_units(c, lexicons.stopwords) for c in dev_clusters]
 
     # the design and the dev grid need every cluster's features at once
@@ -255,7 +292,7 @@ def cmd_fit_importance(cfg):
     ).normal_equations
     model, rows = salience.fit_with_grid_search(
         normal_equations, dev_relevant, featurize(dev_clusters, dev_tfidf), registry,
-        lam_grid, beta_grid,
+        cfg["lam_grid"], cfg["beta_grid"],
     )
     salience.save_model(model, cfg.out_path("salience.model"))
     salience.save_registry(registry, cfg.out_path("salience.registry"))
@@ -272,7 +309,7 @@ def cmd_fit_importance(cfg):
 def cmd_rank_eval(cfg):
     lexicons = _load_lexicons(cfg)
     model, registry = _load_salience(cfg)
-    clusters, tfidf = _prepare(load_clusters(cfg.require("corpus")))
+    clusters, tfidf = _prepare(load_clusters(cfg["corpus"]))
     unit_scores = _score_split(clusters, tfidf, lexicons, registry, model)
     systems = {
         "salience": [salience.rank_descending(scores) for scores in unit_scores],
@@ -308,23 +345,17 @@ def cmd_rank_eval(cfg):
 
 
 def _train_config(cfg):
-    """TrainConfig from the config keys named after its fields; an absent
-    key takes the field's default."""
-    getters = {int: cfg.get_int, float: cfg.get_float, bool: cfg.get_bool, str: cfg.get}
-    return trainer.TrainConfig(
-        **{
-            f.name: getters[f.type](f.name, f.default)
-            for f in dataclasses.fields(trainer.TrainConfig)
-        }
-    )
+    """TrainConfig from the config keys named after its fields."""
+    fields = dataclasses.fields(trainer.TrainConfig)
+    return trainer.TrainConfig(**{f.name: cfg[f.name] for f in fields})
 
 
 def cmd_train(cfg):
     config = _train_config(cfg)
     lexicons = _load_lexicons(cfg)
     sal_model, registry = _load_salience(cfg)
-    train_raw = load_clusters(cfg.require("corpus.train"))
-    dev_raw = load_clusters(cfg.require("corpus.dev"))
+    train_raw = load_clusters(cfg["corpus.train"])
+    dev_raw = load_clusters(cfg["corpus.dev"])
     # salience scores are keyed by cluster id, so a shared id must name
     # the same cluster in both splits (as when one file serves as both)
     train_by_id = {c.id: c for c in train_raw}
@@ -341,9 +372,9 @@ def cmd_train(cfg):
     scores = {c.id: s for c, s in zip(dev_clusters, dev_scores)}
     scores.update((c.id, s) for c, s in zip(train_clusters, train_scores))
     pretrained = None
-    if cfg.get("embeddings"):
+    if cfg["embeddings"]:
         vocab = build_vocab(train_clusters, config.min_count)
-        pretrained, coverage = load_embeddings(cfg.get("embeddings"), vocab, config.d_emb)
+        pretrained, coverage = load_embeddings(cfg["embeddings"], vocab, config.d_emb)
         print(f"pretrained embedding coverage: {coverage:.3f}")
     model, history = trainer.train(
         train_clusters, dev_clusters, config, scores, tfidf, lexicons, pretrained
@@ -361,10 +392,9 @@ def cmd_train(cfg):
 
 
 def cmd_gradcheck(cfg):
-    seeds = cfg.get_count("seeds", 1)
     worst = 0.0
-    for seed in range(seeds):
-        rel = trainer.gradient_check(seed=derive_seed(cfg.get_int("seed", 0), "gradcheck", seed))
+    for seed in range(cfg["seeds"]):
+        rel = trainer.gradient_check(seed=derive_seed(cfg["seed"], "gradcheck", seed))
         worst = max(worst, rel)
         print(f"seed {seed}: max relative error {rel:.3e}")
     if worst >= 1e-4:
@@ -375,19 +405,17 @@ def cmd_gradcheck(cfg):
 
 
 def cmd_decode(cfg):
-    k = cfg.get_count("K", 5)
-    width = cfg.get_count("beam_width", 20)
-    max_len = cfg.get_count("max_len", 40)
     lexicons = _load_lexicons(cfg)
     sal_model, registry = _load_salience(cfg)
-    model = load_seq2seq(cfg.require("model"))
-    clusters, tfidf = _prepare(load_clusters(cfg.require("corpus")))
+    model = load_seq2seq(cfg["model"])
+    clusters, tfidf = _prepare(load_clusters(cfg["corpus"]))
     unit_scores = _score_split(clusters, tfidf, lexicons, registry, sal_model)
     out = cfg.out_path("decode.jsonl")
     with atomic_write(out) as fh:
         for cluster, scores in zip(clusters, unit_scores):
             record = beamdecode.decode_cluster(
-                model, cluster, scores, k, width, max_len, tfidf, lexicons.stopwords
+                model, cluster, scores, cfg["K"], cfg["beam_width"], cfg["max_len"], tfidf,
+                lexicons.stopwords,
             )
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     print(f"wrote {out}")
@@ -428,9 +456,9 @@ def _read_decode_summaries(path, gold):
 
 
 def cmd_evaluate(cfg):
-    clusters = load_clusters(cfg.require("corpus"))
+    clusters = load_clusters(cfg["corpus"])
     gold = {c.id: c.summary.norms() for c in clusters}
-    summaries = _read_decode_summaries(cfg.require("decode"), gold)
+    summaries = _read_decode_summaries(cfg["decode"], gold)
     if not summaries:
         raise UsageError("decode file is empty")
     hyps = [[t.norm for t in tokenize(summary)] for summary in summaries.values()]
@@ -457,31 +485,23 @@ def cmd_evaluate(cfg):
 
 
 def cmd_sampling_report(cfg):
-    modes = cfg.get_list("modes", trainer.SAMPLING_MODES)
-    if not set(modes) <= set(trainer.SAMPLING_MODES):
-        raise UsageError(f"config key modes must list modes of {','.join(trainer.SAMPLING_MODES)}")
-    ks = cfg.get_list("Ks", ("1", "2", "5", "10"), int)
-    if min(ks) < 1:
-        raise UsageError("config key Ks must list values >= 1")
-    width = cfg.get_count("beam_width", 20)
-    max_len = cfg.get_count("max_len", 40)
     lexicons = _load_lexicons(cfg)
     sal_model, registry = _load_salience(cfg)
-    clusters, tfidf = _prepare(load_clusters(cfg.require("corpus")))
+    clusters, tfidf = _prepare(load_clusters(cfg["corpus"]))
     unit_scores = _score_split(clusters, tfidf, lexicons, registry, sal_model)
-    model_dir = cfg.require("model_dir")
     refs = [c.summary.norms() for c in clusters]
     cells = {}
-    for mode in modes:
-        for k in ks:
-            path = os.path.join(model_dir, f"{mode}_K{k}.model")
+    for mode in cfg["modes"]:
+        for k in cfg["Ks"]:
+            path = os.path.join(cfg["model_dir"], f"{mode}_K{k}.model")
             if not os.path.isfile(path):
                 cells[(mode, k)] = None
                 continue
             model = load_seq2seq(path)
             summaries = (
                 beamdecode.decode_cluster(
-                    model, c, scores, k, width, max_len, tfidf, lexicons.stopwords
+                    model, c, scores, k, cfg["beam_width"], cfg["max_len"], tfidf,
+                    lexicons.stopwords,
                 )["summary"]
                 for c, scores in zip(clusters, unit_scores)
             )
@@ -530,10 +550,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args.command, args.config, args.overrides)
-        cfg.validate_paths()
         return COMMANDS[args.command](cfg)
-    # a bad corpus file raises CorpusFormatError, a ValueError
-    except (UsageError, ValueError, FileNotFoundError) as exc:
+    # a bad corpus file raises CorpusFormatError, a ValueError; an out_dir
+    # that cannot be made or written raises an OSError
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

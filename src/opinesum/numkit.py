@@ -10,17 +10,6 @@ import hashlib
 import numpy as np
 
 
-class NotPositiveDefiniteError(ValueError):
-    """Cholesky hit a non-positive pivot; carries the pivot index."""
-
-    def __init__(self, pivot, value):
-        self.pivot = pivot
-        self.value = value
-        super().__init__(
-            "matrix is not positive-definite: pivot %d = %.6g" % (pivot, value)
-        )
-
-
 def as_finite(v, ndims, name):
     """Coerce to a finite float64 array whose ndim is one of `ndims`."""
     arr = np.asarray(v, dtype=np.float64)
@@ -67,23 +56,6 @@ def sigmoid_elem(v, out=None):
     return np.divide(e, den, out=out)
 
 
-def cholesky_lower(a):
-    """Lower-triangular Cholesky factor; raises on non-positive pivots."""
-    mat = as_finite(a, (2,), "matrix")
-    n = mat.shape[0]
-    if mat.shape[1] != n:
-        raise ValueError(f"cholesky needs a square matrix, got {mat.shape}")
-    lower = np.zeros((n, n))
-    for j in range(n):
-        d = mat[j, j] - lower[j, :j] @ lower[j, :j]
-        if not np.isfinite(d) or d <= 0.0:
-            raise NotPositiveDefiniteError(j, d)
-        lower[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (mat[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
-    return lower
-
-
 SOLVE_BLOCK = 64  # rows per block of the triangular solves
 
 
@@ -92,8 +64,8 @@ def solve_spd(a, b):
 
     Never forms an inverse: factor with LAPACK, then forward and back
     substitution in blocks of SOLVE_BLOCK rows (one matrix-vector product
-    and one small dense solve per block). A matrix LAPACK rejects is
-    refactored by cholesky_lower, so the error names the failing pivot.
+    and one small dense solve per block). A matrix LAPACK cannot factor
+    is a ValueError.
     """
     mat = as_finite(a, (2,), "A")
     rhs = as_finite(b, (1,), "b")
@@ -109,7 +81,6 @@ def solve_spd(a, b):
     try:
         lower = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
-        cholesky_lower(mat)  # raises NotPositiveDefiniteError naming the pivot
         raise ValueError(f"solve_spd: matrix is not positive-definite ({exc})") from exc
     y = np.empty(n)
     for s, e in blocks:

@@ -16,38 +16,6 @@ from opinesum import cli, salience, textcorpus, trainer
 from opinesum.cli import RunConfig, _train_config, main
 
 
-class RecordingConfig(RunConfig):
-    """A RunConfig that records every key a command reads."""
-
-    def __init__(self, command, pairs):
-        super().__init__(command, pairs)
-        self.read = set()
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-    def require(self, key):
-        self.read.add(key)
-        return super().require(key)
-
-    def get_int(self, key, default):
-        self.read.add(key)
-        return super().get_int(key, default)
-
-    def get_float(self, key, default):
-        self.read.add(key)
-        return super().get_float(key, default)
-
-    def get_bool(self, key, default):
-        self.read.add(key)
-        return super().get_bool(key, default)
-
-    def get_list(self, key, default, kind=str):
-        self.read.add(key)
-        return super().get_list(key, default, kind)
-
-
 def write_corpus(path, clusters):
     with open(path, "w", encoding="utf-8") as fh:
         for c in clusters:
@@ -177,6 +145,7 @@ class TestConfig:
         model_path, registry_path = fitted_salience
         salience_keys = {"salience_model": model_path, "salience_registry": registry_path}
         model_dir = tmp_path / "models"
+        model_dir.mkdir()
         runs = {
             "preprocess": {"corpus": corpus_file},
             "fit-importance": {"corpus.train": corpus_file, "corpus.dev": corpus_file},
@@ -198,32 +167,161 @@ class TestConfig:
             },
         }
         assert list(runs) == list(cli.COMMANDS)
-        every_key = set().union(*cli.COMMAND_KEYS.values())
 
-        def accepts(command, key):
-            try:
-                RunConfig(command, {key: ""})
-            except cli.UsageError:
-                return False
-            return True
+        class ReadLog(RunConfig):
+            """A resolved config that records every key a command reads."""
+
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
 
         unread = {}
         for command, pairs in runs.items():
-            accepted = {key for key in every_key if accepts(command, key)}
-            if accepts(command, "out_dir"):
+            if "out_dir" in cli.KEY_TABLES[command]:
                 pairs = {**pairs, "out_dir": str(tmp_path / command)}
-            cfg = RecordingConfig(command, pairs)
+            cfg = ReadLog(RunConfig.load(command, None, [f"{k}={v}" for k, v in pairs.items()]))
+            cfg.read = set()
             assert cli.COMMANDS[command](cfg) == 0, command
             if command == "train":
-                model_dir.mkdir()
                 trained = (tmp_path / "train" / "model.txt").read_bytes()
                 (model_dir / "topk_K2.model").write_bytes(trained)
-            unread[command] = accepted - cfg.read
+            unread[command] = cfg.keys() - cfg.read
         assert unread == {command: set() for command in runs}
 
     def test_train_keys_are_the_train_config_fields(self):
-        defaults = {f.name: str(f.default) for f in dataclasses.fields(trainer.TrainConfig)}
-        assert _train_config(RunConfig("train", defaults)) == trainer.TrainConfig()
+        table = cli.KEY_TABLES["train"]
+        fields = [f.name for f in dataclasses.fields(trainer.TrainConfig)]
+        defaults = {key: table[key][0](key, table[key][1]) for key in fields}
+        assert _train_config(defaults) == trainer.TrainConfig()
+
+    def test_accepted_keys(self):
+        lexicons = ["lexicon", "sentiment_lexicon", "stopwords"]
+        accepted = {
+            "preprocess": ["corpus", "out_dir"],
+            "fit-importance": [
+                "beta_grid", "corpus.dev", "corpus.train", "lam_grid", "out_dir", "top_unigrams",
+            ] + lexicons,
+            "rank-eval": ["corpus", "out_dir", "salience_model", "salience_registry"] + lexicons,
+            "train": [
+                "K", "corpus.dev", "corpus.train", "d_a", "d_emb", "d_feat", "d_h", "embeddings",
+                "eps", "eta", "init_scale", "max_epochs", "max_len", "min_count", "mode",
+                "out_dir", "patience", "salience_model", "salience_registry", "seed",
+                "use_features",
+            ] + lexicons,
+            "gradcheck": ["seed", "seeds"],
+            "decode": [
+                "K", "beam_width", "corpus", "max_len", "model", "out_dir", "salience_model",
+                "salience_registry",
+            ] + lexicons,
+            "evaluate": ["corpus", "decode", "out_dir"],
+            "sampling-report": [
+                "Ks", "beam_width", "corpus", "max_len", "model_dir", "modes", "out_dir",
+                "salience_model", "salience_registry",
+            ] + lexicons,
+        }
+        tables = {command: sorted(table) for command, table in cli.KEY_TABLES.items()}
+        assert tables == {command: sorted(keys) for command, keys in accepted.items()}
+        assert sum(map(len, tables.values())) == 70
+
+    @pytest.mark.parametrize(
+        "command, setting, message",
+        [
+            ("preprocess", "corpus=missing.jsonl", "corpus: file not found: missing.jsonl"),
+            ("fit-importance", "corpus.train=missing", "corpus.train: file not found: missing"),
+            ("fit-importance", "corpus.dev=missing", "corpus.dev: file not found: missing"),
+            ("fit-importance", "top_unigrams=many", "config key top_unigrams must be an integer"),
+            ("fit-importance", "lam_grid=0,x", "config key lam_grid must list float values"),
+            ("fit-importance", "beta_grid=-1", "config key beta_grid must list finite values > 0"),
+            ("fit-importance", "sentiment_lexicon=", "sentiment_lexicon: file not found: "),
+            ("rank-eval", "corpus=missing", "corpus: file not found: missing"),
+            ("rank-eval", "salience_model=missing", "salience_model: file not found: missing"),
+            ("rank-eval", "salience_registry=missing",
+             "salience_registry: file not found: missing"),
+            ("train", "corpus.train=missing", "corpus.train: file not found: missing"),
+            ("train", "corpus.dev=missing", "corpus.dev: file not found: missing"),
+            ("train", "salience_model=missing", "salience_model: file not found: missing"),
+            ("train", "salience_registry=missing", "salience_registry: file not found: missing"),
+            ("train", "embeddings=missing", "embeddings: file not found: missing"),
+            ("train", "d_emb=0", "model dimensions must be positive"),
+            ("train", "d_h=-2", "model dimensions must be positive"),
+            ("train", "d_a=1.5", "config key d_a must be an integer"),
+            ("train", "d_feat=0", "d_feat must be >= 1"),
+            ("train", "use_features=maybe", "config key use_features must be a boolean"),
+            ("train", "K=0", "K must be >= 1"),
+            ("train", "mode=greedy", "unknown sampling mode: 'greedy'"),
+            ("train", "eta=fast", "config key eta must be a number"),
+            ("train", "eps=0", "eps must be > 0"),
+            ("train", "init_scale=inf", "init_scale must be finite and > 0"),
+            ("train", "max_epochs=0", "max_epochs must be >= 1"),
+            ("train", "patience=0", "patience must be >= 1"),
+            ("train", "seed=x", "config key seed must be an integer"),
+            ("train", "min_count=0", "min_count must be >= 1"),
+            ("train", "max_len=0", "max_len must be >= 1"),
+            ("gradcheck", "seeds=0", "config key seeds must be >= 1"),
+            ("gradcheck", "seed=1.5", "config key seed must be an integer"),
+            ("decode", "corpus=missing", "corpus: file not found: missing"),
+            ("decode", "model=missing", "model: file not found: missing"),
+            ("decode", "salience_model=missing", "salience_model: file not found: missing"),
+            ("decode", "salience_registry=missing", "salience_registry: file not found: missing"),
+            ("decode", "K=0", "config key K must be >= 1"),
+            ("decode", "beam_width=wide", "config key beam_width must be an integer"),
+            ("decode", "max_len=0", "config key max_len must be >= 1"),
+            ("evaluate", "corpus=missing", "corpus: file not found: missing"),
+            ("evaluate", "decode=missing", "decode: file not found: missing"),
+            ("sampling-report", "corpus=missing", "corpus: file not found: missing"),
+            ("sampling-report", "salience_model=missing",
+             "salience_model: file not found: missing"),
+            ("sampling-report", "salience_registry=missing",
+             "salience_registry: file not found: missing"),
+            ("sampling-report", "model_dir=missing", "model_dir: directory not found: missing"),
+            ("sampling-report", "modes=beam", "config key modes must list modes of "),
+            ("sampling-report", "Ks=0", "config key Ks must list values >= 1"),
+            ("sampling-report", "beam_width=0", "config key beam_width must be >= 1"),
+            ("sampling-report", "max_len=x", "config key max_len must be an integer"),
+        ] + [
+            (command, f"{key}=missing", f"{key}: file not found: missing")
+            for command in ("fit-importance", "rank-eval", "train", "decode", "sampling-report")
+            for key in ("stopwords", "lexicon", "sentiment_lexicon")
+        ],
+    )
+    def test_bad_value_exits_2_before_any_input(
+        self, tmp_path, corpus_file, monkeypatch, capsys, command, setting, message
+    ):
+        read = []
+        monkeypatch.setattr(cli, "load_clusters", read.append)
+        monkeypatch.chdir(tmp_path)
+        # every other required key set to a value that passes
+        pairs = {
+            key: {"out_dir": str(tmp_path / "out"), "model_dir": str(tmp_path)}.get(key, corpus_file)
+            for key, (_, default) in cli.KEY_TABLES[command].items()
+            if default is cli.REQUIRED
+        }
+        args = [command] + [arg for k, v in pairs.items() for arg in ("--set", f"{k}={v}")]
+        assert main(args + ["--set", setting]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert read == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["preprocess", "fit-importance", "train"])
+    @pytest.mark.parametrize("under", [False, True], ids=["is_a_file", "under_a_file"])
+    def test_out_dir_that_cannot_be_made_exits_2_before_any_input(
+        self, tmp_path, corpus_file, monkeypatch, capsys, command, under
+    ):
+        read = []
+        monkeypatch.setattr(cli, "load_clusters", read.append)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out" if under else blocker
+        pairs = {
+            key: str(out) if key == "out_dir" else corpus_file
+            for key, (_, default) in cli.KEY_TABLES[command].items()
+            if default is cli.REQUIRED
+        }
+        args = [command] + [arg for k, v in pairs.items() for arg in ("--set", f"{k}={v}")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert read == []
 
 
 class TestPreprocess:

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from opinesum.numkit import (
-    NotPositiveDefiniteError,
     SeededRng,
-    cholesky_lower,
     derive_seed,
     log_softmax,
     multinomial_draw,
@@ -130,7 +128,6 @@ class TestFiniteInputs:
         "softmax": (softmax, np.zeros((1, 1, 2)), [0.0, float("nan")]),
         "log_softmax": (log_softmax, np.zeros((2, 2)), [0.0, float("inf")]),
         "sigmoid_elem": (sigmoid_elem, np.zeros((1, 1, 2)), [[0.0, -float("inf")]]),
-        "cholesky_lower": (cholesky_lower, np.ones(3), [[1.0, float("nan")], [0.0, 1.0]]),
         "solve_spd": (lambda a: solve_spd(a, [1.0, 1.0]), np.ones(2), [[float("inf"), 0], [0, 1]]),
         "multinomial_draw": (
             lambda w: multinomial_draw(w, 1, SeededRng(0)), np.ones((2, 2)), [1.0, float("nan")]
@@ -194,13 +191,10 @@ class TestSolveSpd:
         d[100] = -1.0
         a = (lower * d) @ lower.T
         a = (a + a.T) / 2
-        with pytest.raises(NotPositiveDefiniteError) as excinfo:
+        with pytest.raises(ValueError, match="positive-definite"):
             solve_spd(a, np.ones(n))
-        assert excinfo.value.pivot == 100
-        assert "pivot 100" in str(excinfo.value)
 
     def test_no_solution_for_a_matrix_lapack_rejects(self, monkeypatch):
-        # even where the column-loop factor accepts the matrix
         def reject(a):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
@@ -210,10 +204,8 @@ class TestSolveSpd:
 
     def test_not_positive_definite_names_pivot(self):
         a = np.diag([1.0, -1.0, 2.0])
-        with pytest.raises(NotPositiveDefiniteError) as excinfo:
+        with pytest.raises(ValueError, match="positive-definite"):
             solve_spd(a, [1.0, 1.0, 1.0])
-        assert excinfo.value.pivot == 1
-        assert "pivot 1" in str(excinfo.value)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -221,7 +213,7 @@ class TestSolveSpd:
 
     @pytest.mark.parametrize(
         "factor, error, message",
-        [(0.9, NotPositiveDefiniteError, "pivot 1"), (1.1, ValueError, "symmetric")],
+        [(0.9, ValueError, "positive-definite"), (1.1, ValueError, "symmetric")],
     )
     def test_symmetry_tolerance_is_relative_to_largest_magnitude(self, factor, error, message):
         # the largest-magnitude entry, -2e6, is negative: the tolerance is
@@ -231,14 +223,6 @@ class TestSolveSpd:
         a[0, 1] += factor * 1e-10 * 2e6
         with pytest.raises(error, match=message):
             solve_spd(a, np.ones(3))
-
-    def test_cholesky_factor(self):
-        rng = np.random.default_rng(2)
-        g = rng.normal(size=(6, 6))
-        a = g.T @ g + np.eye(6)
-        lower = cholesky_lower(a)
-        np.testing.assert_allclose(lower @ lower.T, a, atol=1e-12)
-        assert np.allclose(lower, np.tril(lower))
 
 
 class TestSeededRng:
