@@ -2,9 +2,12 @@
 
 Vectors and matrices are plain numpy arrays; every public operation
 validates shapes, keeps NaN/Inf from escaping, and is deterministic
-given its inputs (and seed, for the random source).
+given its inputs (and seed, for the random source). The SPD solve calls
+LAPACK's dposv from the library numpy itself links, through ctypes.
 """
 
+import ctypes
+import functools
 import hashlib
 
 import numpy as np
@@ -56,32 +59,84 @@ def sigmoid_elem(v, out=None):
     return np.divide(e, den, out=out)
 
 
-SOLVE_BLOCK = 64  # rows per block of the triangular solves
+SOLVE_BLOCK = 64  # rows per block of the symmetry check and the fallback's solves
+
+_INT_P = ctypes.POINTER(ctypes.c_int64)
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+# dposv(uplo, n, nrhs, a, lda, b, ldb, info, len(uplo)) with 64-bit integers
+DPOSV_TYPE = ctypes.CFUNCTYPE(
+    None, ctypes.c_char_p, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P,
+    ctypes.c_size_t,
+)
+# the 64-bit-integer dposv of numpy >= 2's bundled OpenBLAS (scipy-openblas);
+# other builds (numpy 1.2x wheels, MKL, Accelerate) take the fallback
+DPOSV_SYMBOL = "scipy_dposv_64_"
+
+
+@functools.cache
+def lapack_dposv():
+    """LAPACK's dposv from the library numpy's own linalg links, or None.
+
+    dlsym on numpy's linalg extension also searches the libraries it links,
+    so numpy's bundled OpenBLAS answers there. Resolved once, on the first
+    solve, so importing this module costs nothing.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+    return DPOSV_TYPE((DPOSV_SYMBOL, lib)) if hasattr(lib, DPOSV_SYMBOL) else None
 
 
 def solve_spd(a, b):
     """Solve A x = b for symmetric positive-definite A via Cholesky.
 
-    Never forms an inverse: factor with LAPACK, then forward and back
-    substitution in blocks of SOLVE_BLOCK rows (one matrix-vector product
-    and one small dense solve per block). A matrix LAPACK cannot factor
-    is a ValueError.
+    Never forms an inverse. Factors and solves with one call of LAPACK's
+    dposv on a Fortran-ordered copy of A's lower triangle (the routine
+    overwrites the copy with the factor and a copy of b with x). Where
+    numpy's LAPACK exports no dposv, factors with `np.linalg.cholesky`
+    and substitutes forward and back in blocks of SOLVE_BLOCK rows (one
+    matrix-vector product and one small dense solve per block). A matrix
+    LAPACK cannot factor is a ValueError.
     """
     mat = as_finite(a, (2,), "A")
     rhs = as_finite(b, (1,), "b")
     n = mat.shape[0]
     if mat.shape[1] != n or rhs.shape[0] != n:
         raise ValueError(f"solve_spd shape mismatch: A {mat.shape}, b {rhs.shape}")
+    if n == 0:  # LAPACK needs lda >= 1
+        return np.empty(0)
     blocks = [(s, min(s + SOLVE_BLOCK, n)) for s in range(0, n, SOLVE_BLOCK)]
     # max|A| without an |A| temporary
-    tol = 1e-10 * max(1.0, float(max(mat.max(), -mat.min())) if n else 1.0)
+    tol = 1e-10 * max(1.0, float(max(mat.max(), -mat.min())))
     # row block against column block, so the transposed reads stay in cache
     if any(float(np.abs(mat[s:e, s:] - mat[s:, s:e].T).max()) > tol for s, e in blocks):
         raise ValueError("solve_spd: matrix is not symmetric within 1e-10")
+    dposv = lapack_dposv()
+    if dposv is None:
+        return _solve_blocked(mat, rhs, blocks)
+    factor = np.array(mat, order="F")
+    x = np.array(rhs)
+    dim, one, info = ctypes.c_int64(n), ctypes.c_int64(1), ctypes.c_int64(0)
+    a_p, x_p = factor.ctypes.data_as(_DOUBLE_P), x.ctypes.data_as(_DOUBLE_P)
+    dposv(b"L", dim, one, a_p, dim, x_p, dim, info, 1)
+    if info.value > 0:
+        raise ValueError(
+            "solve_spd: matrix is not positive-definite "
+            f"(the leading minor of order {info.value} is not positive)"
+        )
+    if info.value < 0:
+        raise RuntimeError(f"solve_spd: dposv rejected argument {-info.value}")
+    return x
+
+
+def _solve_blocked(mat, rhs, blocks):
+    """Cholesky by numpy, then blocked forward and back substitution."""
     try:
         lower = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"solve_spd: matrix is not positive-definite ({exc})") from exc
+    n = mat.shape[0]
     y = np.empty(n)
     for s, e in blocks:
         y[s:e] = np.linalg.solve(lower[s:e, s:e], rhs[s:e] - lower[s:e, :s] @ y[:s])

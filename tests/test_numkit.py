@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from opinesum import numkit
 from opinesum.numkit import (
     SeededRng,
     derive_seed,
@@ -195,12 +200,17 @@ class TestSolveSpd:
             solve_spd(a, np.ones(n))
 
     def test_no_solution_for_a_matrix_lapack_rejects(self, monkeypatch):
-        def reject(a):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        # a dposv that reports the leading minor of order 2 as not positive
+        def reject(uplo, n, nrhs, a, lda, b, ldb, info, uplo_len):
+            info[0] = 2
 
-        monkeypatch.setattr(np.linalg, "cholesky", reject)
-        with pytest.raises(ValueError, match="not positive-definite"):
+        monkeypatch.setattr(numkit, "lapack_dposv", lambda: numkit.DPOSV_TYPE(reject))
+        with pytest.raises(ValueError, match="not positive-definite.*order 2"):
             solve_spd(np.eye(3), np.ones(3))
+
+    def test_empty_system(self):
+        x = solve_spd(np.zeros((0, 0)), np.zeros(0))
+        assert x.shape == (0,) and x.dtype == np.float64
 
     def test_not_positive_definite_names_pivot(self):
         a = np.diag([1.0, -1.0, 2.0])
@@ -223,6 +233,47 @@ class TestSolveSpd:
         a[0, 1] += factor * 1e-10 * 2e6
         with pytest.raises(error, match=message):
             solve_spd(a, np.ones(3))
+
+
+class TestSolveSpdFallback(TestSolveSpd):
+    """Every solve case again on the path taken where numpy's LAPACK
+    exports no dposv: np.linalg.cholesky and blocked substitution."""
+
+    @pytest.fixture(autouse=True)
+    def without_dposv(self, monkeypatch):
+        monkeypatch.setattr(numkit, "lapack_dposv", lambda: None)
+
+    def test_no_solution_for_a_matrix_lapack_rejects(self, monkeypatch):
+        def reject(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", reject)
+        with pytest.raises(ValueError, match="not positive-definite"):
+            solve_spd(np.eye(3), np.ones(3))
+
+
+class TestLapackDposv:
+    def test_resolved_on_numpys_openblas(self):
+        # a missed symbol would fall back silently and lose the fast path
+        try:
+            config = np.show_config(mode="dicts")
+        except TypeError:  # an older numpy has no `mode` argument
+            pytest.skip("numpy reports no build config as data")
+        lapack = config["Build Dependencies"].get("lapack", {})
+        if lapack.get("name") != "scipy-openblas":
+            pytest.skip(f"numpy links {lapack.get('name')!r}, not scipy-openblas")
+        assert numkit.lapack_dposv() is not None
+
+    def test_not_resolved_at_import(self):
+        # the child imports opinesum from the same checkout as this process
+        src = str(Path(numkit.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        code = "import opinesum.numkit as k; print(k.lapack_dposv.cache_info().misses)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "0"
 
 
 class TestSeededRng:
