@@ -3,7 +3,9 @@
 Vectors and matrices are plain numpy arrays; every public operation
 validates shapes, keeps NaN/Inf from escaping, and is deterministic
 given its inputs (and seed, for the random source). The SPD solve calls
-LAPACK's dposv from the library numpy itself links, through ctypes.
+LAPACK's dposv from the library numpy itself links, through ctypes, and
+uses the caller's matrix as its workspace: `solve_spd` takes A only as a
+writeable Fortran-ordered float64 array and overwrites it with the factor.
 """
 
 import ctypes
@@ -91,16 +93,26 @@ def lapack_dposv():
 def solve_spd(a, b):
     """Solve A x = b for symmetric positive-definite A via Cholesky.
 
-    Never forms an inverse. Factors and solves with one call of LAPACK's
-    dposv on a Fortran-ordered copy of A's lower triangle (the routine
-    overwrites the copy with the factor and a copy of b with x). Where
-    numpy's LAPACK exports no dposv, factors with `np.linalg.cholesky`
-    and substitutes forward and back in blocks of SOLVE_BLOCK rows (one
-    matrix-vector product and one small dense solve per block). A matrix
-    LAPACK cannot factor is a ValueError.
+    `a` is the workspace, so no copy of A is made: it must be a writeable,
+    Fortran-ordered float64 array, and any other `a` is a ValueError
+    (raised after the rank and finiteness checks). One call of LAPACK's
+    dposv factors A's lower triangle in place and solves; afterwards that
+    triangle of `a` holds the Cholesky factor (or, when the factorization
+    fails, part of it). `b` is copied and left as it was. Never forms an
+    inverse. Where numpy's LAPACK exports no dposv, factors with
+    `np.linalg.cholesky`, which leaves `a` as it was, and substitutes
+    forward and back in blocks of SOLVE_BLOCK rows (one matrix-vector
+    product and one small dense solve per block). A matrix LAPACK cannot
+    factor is a ValueError.
     """
     mat = as_finite(a, (2,), "A")
     rhs = as_finite(b, (1,), "b")
+    # as_finite returns `a` itself only for a float64 ndarray
+    if mat is not a or not (a.flags.f_contiguous and a.flags.writeable):
+        raise ValueError(
+            "solve_spd: A must be a writeable Fortran-ordered float64 array "
+            "(it is overwritten with the factor)"
+        )
     n = mat.shape[0]
     if mat.shape[1] != n or rhs.shape[0] != n:
         raise ValueError(f"solve_spd shape mismatch: A {mat.shape}, b {rhs.shape}")
@@ -115,10 +127,9 @@ def solve_spd(a, b):
     dposv = lapack_dposv()
     if dposv is None:
         return _solve_blocked(mat, rhs, blocks)
-    factor = np.array(mat, order="F")
     x = np.array(rhs)
     dim, one, info = ctypes.c_int64(n), ctypes.c_int64(1), ctypes.c_int64(0)
-    a_p, x_p = factor.ctypes.data_as(_DOUBLE_P), x.ctypes.data_as(_DOUBLE_P)
+    a_p, x_p = mat.ctypes.data_as(_DOUBLE_P), x.ctypes.data_as(_DOUBLE_P)
     dposv(b"L", dim, one, a_p, dim, x_p, dim, info, 1)
     if info.value > 0:
         raise ValueError(

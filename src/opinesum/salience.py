@@ -183,6 +183,16 @@ def gold_scores(cluster, stopwords):
 PAIR_BLOCK = 64  # rows per block of the outer products in the pair sums
 
 
+def _subtract_cross(term, u, v, outer):
+    """term -= u v^T, then term -= v u^T, PAIR_BLOCK rows at a time, each
+    block of the outer product written into the scratch rows `outer`."""
+    for s in range(0, term.shape[0], PAIR_BLOCK):
+        rows = term[s : s + PAIR_BLOCK]
+        block = outer[: rows.shape[0]]
+        rows -= np.multiply.outer(u[s : s + PAIR_BLOCK], v, out=block)
+        rows -= np.multiply.outer(v[s : s + PAIR_BLOCK], u, out=block)
+
+
 @dataclass
 class PreferenceDesign:
     """Regression design R w ~ L with within-cluster preference pairs.
@@ -216,6 +226,8 @@ class PreferenceDesign:
         reuses, with the operations of the formula in its order; the outer
         products are subtracted PAIR_BLOCK rows at a time, so no d x d
         outer product is ever formed. The scratch is freed before R^T R.
+        R^T R and R'^T R' come back Fortran-ordered, each converted once
+        with its values unchanged: the layout `fit_closed_form` builds in.
         """
         d = self.R.shape[1]
         pair_gram = np.zeros((d, d))
@@ -232,15 +244,13 @@ class PreferenceDesign:
             np.matmul(zero.T, zero, out=zero_term)
             zero_term *= n_pos
             term += zero_term
-            for s in range(0, d, PAIR_BLOCK):
-                rows = term[s : s + PAIR_BLOCK]
-                block = outer[: rows.shape[0]]
-                rows -= np.multiply.outer(s_pos[s : s + PAIR_BLOCK], s_zero, out=block)
-                rows -= np.multiply.outer(s_zero[s : s + PAIR_BLOCK], s_pos, out=block)
+            _subtract_cross(term, s_pos, s_zero, outer)
             pair_gram += term
             pair_sum += n_zero * s_pos - n_pos * s_zero
-        del term, zero_term, outer
-        return self.R.T @ self.R, self.R.T @ self.L, pair_gram, pair_sum
+        del term, zero_term, outer  # no view into them outlives the helper
+        pair_gram = np.asfortranarray(pair_gram)
+        gram = np.asfortranarray(self.R.T @ self.R)
+        return gram, self.R.T @ self.L, pair_gram, pair_sum
 
     @cached_property
     def Rprime(self):
@@ -288,7 +298,9 @@ def fit_closed_form(normal_equations, lam, beta, registry):
 
     Solves (R^T R + lam R'^T R' + beta I) w = R^T L + lam R'^T 1 through
     the SPD solver, from a design's `normal_equations` (the four terms
-    in that order); beta > 0 makes the system positive-definite.
+    in that order); beta > 0 makes the system positive-definite. A is
+    built in one new Fortran-ordered array, which the solver factors in
+    place.
     """
     # every comparison with NaN is false, so NaN fails these checks too
     if not 0 < beta < math.inf:
@@ -298,7 +310,7 @@ def fit_closed_form(normal_equations, lam, beta, registry):
     gram, moment, pair_gram, pair_sum = normal_equations
     # gram + lam pair_gram + beta I, built in place: the same sums, in the
     # same order, as the formula
-    A = lam * pair_gram
+    A = np.multiply(lam, pair_gram, order="F")
     A += gram
     A.flat[:: A.shape[0] + 1] += beta
     rhs = moment + lam * pair_sum
@@ -394,8 +406,21 @@ def fit_with_grid_search(
 ):
     """Fit the training design's `normal_equations` (see build_design) for
     every (lambda, beta) pair and keep the model with the best dev MRR,
-    where `dev_relevant` holds each dev cluster's `relevant_units` flags.
-    Returns (model, grid rows for the CSV)."""
+    where `dev_relevant` holds each dev cluster's `relevant_units` flags
+    and `dev_features` its feature matrix, one flag per row. Returns
+    (model, grid rows for the CSV). An empty grid, or dev flags that do
+    not pair up with the dev clusters and their rows, is a ValueError."""
+    if not len(lam_grid) or not len(beta_grid):
+        raise ValueError("lam_grid and beta_grid must each hold at least one value")
+    if len(dev_relevant) != len(dev_features):
+        raise ValueError(
+            f"{len(dev_relevant)} dev relevance lists for {len(dev_features)} dev clusters"
+        )
+    for c, (rel, feats) in enumerate(zip(dev_relevant, dev_features)):
+        if len(rel) != len(feats):
+            raise ValueError(
+                f"dev cluster {c} has {len(rel)} relevance flags for {len(feats)} feature rows"
+            )
     best = None
     rows = []
     for lam in lam_grid:

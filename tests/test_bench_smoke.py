@@ -4,8 +4,8 @@ perfbench/tracing.py wraps library functions by module and name; a rename
 or an inlined layer would leave its span empty and its metric at zero
 without any error. Each test runs one tiny traced benchmark (about two
 seconds) and checks that the spans of the text front-end, of the salience
-fit, of the training path and its dev pass, of the checkpoint's save and
-load and of the beam's decoder steps were recorded.
+fit and its SPD solve, of the training path and its dev pass, of the
+checkpoint's save and load and of the beam's decoder steps were recorded.
 """
 
 import json
@@ -30,6 +30,7 @@ POSITIVE = (
     "salience.score_units.s",
     "salience.build_design.pair_rows",
     "salience.fit_closed_form.calls",
+    "numkit.solve_spd.calls",
     "attnseq2seq.decode_step.calls",
     "beamdecode.candidates",
 )

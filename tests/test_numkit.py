@@ -148,14 +148,20 @@ class TestFiniteInputs:
             fn(non_finite)
 
 
+def workspace(a):
+    """A Fortran-ordered float64 copy of `a` for solve_spd to overwrite,
+    so a residual check can still read `a`."""
+    return np.array(a, dtype=float, order="F")
+
+
 class TestSolveSpd:
     def test_identity(self):
         b = np.array([4.0, -1.0, 2.5, 0.0])
-        np.testing.assert_allclose(solve_spd(np.eye(4), b), b)
+        np.testing.assert_allclose(solve_spd(workspace(np.eye(4)), b), b)
 
     def test_hand_2x2(self):
         # substitute back: [[2,1],[1,2]] @ [1,1] = [3,3]
-        x = solve_spd([[2.0, 1.0], [1.0, 2.0]], [3.0, 3.0])
+        x = solve_spd(workspace([[2.0, 1.0], [1.0, 2.0]]), [3.0, 3.0])
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
 
     def test_residual_8x8(self):
@@ -163,7 +169,7 @@ class TestSolveSpd:
         g = rng.normal(size=(8, 8))
         a = g.T @ g + np.eye(8)
         b = rng.normal(size=8)
-        x = solve_spd(a, b)
+        x = solve_spd(workspace(a), b)
         assert np.abs(a @ x - b).max() <= 1e-10
 
     def test_residual_bound_random_sizes(self):
@@ -173,7 +179,7 @@ class TestSolveSpd:
             g = rng.normal(size=(n, n))
             a = g.T @ g + np.eye(n)
             b = rng.normal(size=n)
-            x = solve_spd(a, b)
+            x = solve_spd(workspace(a), b)
             assert np.abs(a @ x - b).max() <= 1e-9 * (1 + np.abs(b).max())
 
     @pytest.mark.parametrize("n", [65, 130, 509])
@@ -183,7 +189,7 @@ class TestSolveSpd:
         g = rng.normal(size=(n, n))
         a = g.T @ g + np.eye(n)
         b = rng.normal(size=n)
-        x = solve_spd(a, b)
+        x = solve_spd(workspace(a), b)
         assert np.abs(a @ x - b).max() <= 1e-9 * (1 + np.abs(b).max())
 
     def test_dense_non_spd_names_pivot_past_first_block(self):
@@ -197,7 +203,7 @@ class TestSolveSpd:
         a = (lower * d) @ lower.T
         a = (a + a.T) / 2
         with pytest.raises(ValueError, match="positive-definite"):
-            solve_spd(a, np.ones(n))
+            solve_spd(workspace(a), np.ones(n))
 
     def test_no_solution_for_a_matrix_lapack_rejects(self, monkeypatch):
         # a dposv that reports the leading minor of order 2 as not positive
@@ -206,7 +212,7 @@ class TestSolveSpd:
 
         monkeypatch.setattr(numkit, "lapack_dposv", lambda: numkit.DPOSV_TYPE(reject))
         with pytest.raises(ValueError, match="not positive-definite.*order 2"):
-            solve_spd(np.eye(3), np.ones(3))
+            solve_spd(workspace(np.eye(3)), np.ones(3))
 
     def test_empty_system(self):
         x = solve_spd(np.zeros((0, 0)), np.zeros(0))
@@ -215,11 +221,11 @@ class TestSolveSpd:
     def test_not_positive_definite_names_pivot(self):
         a = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(ValueError, match="positive-definite"):
-            solve_spd(a, [1.0, 1.0, 1.0])
+            solve_spd(workspace(a), [1.0, 1.0, 1.0])
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            solve_spd([[1.0, 2.0], [0.0, 1.0]], [1.0, 1.0])
+            solve_spd(workspace([[1.0, 2.0], [0.0, 1.0]]), [1.0, 1.0])
 
     @pytest.mark.parametrize(
         "factor, error, message",
@@ -232,7 +238,22 @@ class TestSolveSpd:
         a = np.array([[1e6, -2e6, 0.0], [-2e6, 1e6, 0.0], [0.0, 0.0, 1.0]])
         a[0, 1] += factor * 1e-10 * 2e6
         with pytest.raises(error, match=message):
-            solve_spd(a, np.ones(3))
+            solve_spd(workspace(a), np.ones(3))
+
+    @pytest.mark.parametrize("kind", ["C-ordered", "read-only", "float32"])
+    def test_rejects_a_matrix_it_cannot_use_as_workspace(self, kind):
+        spd = [[2.0, 1.0], [1.0, 2.0]]
+        a = {
+            "C-ordered": np.array(spd),
+            "read-only": workspace(spd),
+            "float32": np.array(spd, dtype=np.float32, order="F"),
+        }[kind]
+        if kind == "read-only":
+            a.flags.writeable = False
+        before = a.copy()
+        with pytest.raises(ValueError, match="writeable Fortran-ordered float64"):
+            solve_spd(a, [3.0, 3.0])
+        assert np.array_equal(a, before)
 
 
 class TestSolveSpdFallback(TestSolveSpd):
@@ -249,7 +270,7 @@ class TestSolveSpdFallback(TestSolveSpd):
 
         monkeypatch.setattr(np.linalg, "cholesky", reject)
         with pytest.raises(ValueError, match="not positive-definite"):
-            solve_spd(np.eye(3), np.ones(3))
+            solve_spd(workspace(np.eye(3)), np.ones(3))
 
 
 class TestLapackDposv:
@@ -263,6 +284,19 @@ class TestLapackDposv:
         if lapack.get("name") != "scipy-openblas":
             pytest.skip(f"numpy links {lapack.get('name')!r}, not scipy-openblas")
         assert numkit.lapack_dposv() is not None
+
+    def test_factors_the_workspace_in_place(self):
+        if numkit.lapack_dposv() is None:
+            pytest.skip("numpy's LAPACK exports no dposv")
+        rng = np.random.default_rng(37)
+        g = rng.normal(size=(70, 70))
+        a = g.T @ g + np.eye(70)
+        b = rng.normal(size=70)
+        work, b_before = workspace(a), b.copy()
+        x = solve_spd(work, b)
+        assert np.array_equal(b, b_before)
+        np.testing.assert_allclose(np.tril(work), np.linalg.cholesky(a), rtol=0, atol=1e-12)
+        assert np.abs(a @ x - b).max() <= 1e-9 * (1 + np.abs(b).max())
 
     def test_not_resolved_at_import(self):
         # the child imports opinesum from the same checkout as this process

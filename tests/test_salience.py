@@ -471,6 +471,7 @@ class TestNormalEquations:
             assert np.array_equal(pair_sum, want_sum)
             assert np.array_equal(gram, design.R.T @ design.R)
             assert np.array_equal(moment, design.R.T @ design.L)
+            assert gram.flags.f_contiguous and pair_gram.flags.f_contiguous
 
     def test_transient_memory_is_two_square_arrays(self):
         # while the clusters are summed, the only d x d arrays alive are the
@@ -527,6 +528,35 @@ class TestNormalEquations:
         assert (model.lam, model.beta, model.w.shape) in {
             (lam, beta, (registry.d,)) for lam, beta, _ in rows
         }
+
+
+class TestGridSearch:
+    REJECTED = {
+        "empty lam_grid": "at least one value",
+        "empty beta_grid": "at least one value",
+        "a dev cluster without flags": "1 dev relevance lists for 2 dev clusters",
+        "a flag past the last row": "has 3 relevance flags for 2 feature rows",
+    }
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_rejects_inputs_it_cannot_score(self, case):
+        feats, labels = random_design(np.random.default_rng(31), d=4, n=24, n_clusters=4)
+        normal_equations = build_design(feats[:2], labels[:2]).normal_equations
+        dev_relevant, dev_features = [labs > 0 for labs in labels[2:]], feats[2:]
+        lam_grid, beta_grid = (0.5,), (0.1,)
+        if case == "empty lam_grid":
+            lam_grid = ()
+        elif case == "empty beta_grid":
+            beta_grid = ()
+        elif case == "a dev cluster without flags":
+            dev_relevant = dev_relevant[:1]
+        else:
+            dev_relevant = [np.array([True, False, False])] + dev_relevant[1:]
+            dev_features = [dev_features[0][:2]] + dev_features[1:]
+        with pytest.raises(ValueError, match=self.REJECTED[case]):
+            fit_with_grid_search(
+                normal_equations, dev_relevant, dev_features, None, lam_grid, beta_grid
+            )
 
 
 class TestObjective:
@@ -629,8 +659,19 @@ class TestFitClosedForm:
         monkeypatch.undo()
         for lam, beta in ((0.0, 0.01), (0.5, 0.1), (10.0, 3.0)):
             formula = gram + lam * pair_gram + beta * np.eye(gram.shape[0])
-            w = numkit.solve_spd(formula, moment + lam * pair_sum)
+            w = numkit.solve_spd(np.asfortranarray(formula), moment + lam * pair_sum)
             assert np.array_equal(fit_closed_form(terms, lam, beta, registry=None).w, w)
+
+    def test_one_square_array_per_solve(self):
+        # A is built in the Fortran order the solver factors in place, so no
+        # second d x d copy is made; a solver copy of A would make it two.
+        # The slack covers the symmetry check's two temporary 64-row blocks.
+        d = 300
+        feats, labels = random_design(np.random.default_rng(29), d=d, n=40, n_clusters=4)
+        terms = build_design(feats, labels).normal_equations
+        model, _, peak = traced_call(fit_closed_form, terms, 0.5, 0.1, None)
+        assert model.w.shape == (d,)
+        assert peak <= 1.5 * d * d * 8, peak / (d * d * 8)
 
     def test_beta_must_be_positive(self):
         design = build_design([np.eye(2)], [np.array([1.0, 0.0])])
