@@ -112,12 +112,8 @@ class TokenFeatureSet:
         self._sent_index = {"positive": 1, "negative": 2, "neutral": 3}
 
     @property
-    def continuous_slots(self):
-        return 1
-
-    @property
     def feature_dim(self):
-        return len(CHANNELS) * self.dim + self.continuous_slots
+        return len(CHANNELS) * self.dim + 1  # the tf-idf slot
 
     def table_rows(self):
         return {
@@ -816,37 +812,27 @@ def _base64_rows(reader, name, block, shape):
 
 
 def _read_tensors(reader, tensors):
-    """Fill every tensor from its block; each must appear exactly once,
-    with the model's shape and the declared number of values per row.
+    """Fill every tensor from its block, in the order save_model writes
+    them: each header must read 'tensor <name> <rows> <cols>' at the
+    model's shape, and each row hold the declared number of values.
     Blocks are read one at a time, so only one tensor's text is held.
-    The 'sha256' line ends the tensors and must be the digest of every
-    line before it."""
-    seen = set()
-    digest_line = None
-    for header in reader:
-        if header.startswith("sha256 "):
-            digest_line = header
-            break
-        fields = header.split(" ")
-        if len(fields) != 4 or fields[0] != "tensor" or not all(f.isdecimal() for f in fields[2:]):
-            raise reader.error(f"line {reader.line_no}: expected a tensor header, got {header[:40]!r}")
-        _, name, rows, cols = fields
-        if name not in tensors:
-            raise reader.error(f"unknown tensor {name}")
-        if name in seen:
-            raise reader.error(f"tensor {name} appears twice")
-        target = tensors[name]
-        shape, needs = (int(rows), int(cols)), np.atleast_2d(target).shape
-        if shape != needs:
-            raise reader.error(f"tensor {name} is {shape[0]} x {shape[1]}, the model needs {needs}")
+    The 'sha256' line follows the last tensor and must be the digest of
+    every line before it."""
+    for name, target in tensors.items():
+        shape = np.atleast_2d(target).shape
+        expected = f"tensor {name} {shape[0]} {shape[1]}"
+        header = reader.next()
+        if header != expected:
+            found = "the end of the file" if header is None else repr(header[:40])
+            raise reader.error(f"line {reader.line_no}: expected {expected!r}, got {found}")
         block = reader.lines(shape[0], f"rows of tensor {name}")
         target[...] = _base64_rows(reader, name, block, shape).reshape(target.shape)
-        seen.add(name)
-    missing = [name for name in tensors if name not in seen]
-    if missing:
-        raise reader.error(f"missing tensor(s) {', '.join(missing)}")
-    if digest_line is None:
-        raise reader.error("no 'sha256 <hex>' line after the last tensor")
+    digest_line = reader.next()
+    if digest_line is None or not digest_line.startswith("sha256 "):
+        found = "the end of the file" if digest_line is None else repr(digest_line[:40])
+        raise reader.error(
+            f"line {reader.line_no}: no 'sha256 <hex>' line after the last tensor, got {found}"
+        )
     if digest_line != f"sha256 {reader.digest_before_last()}":
         raise reader.error(f"line {reader.line_no}: sha256 digest mismatch, the file was altered")
 
@@ -856,7 +842,7 @@ def load_model(path):
 
     Reads checkpoint v3 (see save_model). Raises ValueError naming the path
     unless every header line has its key and count, every tensor is
-    present exactly once and complete, and the digest matches, so a
+    present in checkpoint order and complete, and the digest matches, so a
     truncated or edited file never loads.
     """
     with read_artifact(path, MAGIC) as reader:

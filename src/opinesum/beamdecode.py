@@ -33,15 +33,6 @@ def banned_indices(vocab, cluster):
     return banned
 
 
-def _backtrack(tokens, parents, row):
-    """Token tuple of one live row, read back along the parent pointers."""
-    out = []
-    for step in range(len(tokens) - 1, -1, -1):
-        out.append(int(tokens[step][row]))
-        row = parents[step][row]
-    return tuple(reversed(out))
-
-
 def beam_search(model, z, width, max_len, banned):
     """Top-`width` beam search; returns completed hypotheses, best first.
 
@@ -52,9 +43,9 @@ def beam_search(model, z, width, max_len, banned):
     with EOS (at its actual log-prob). The pool is ordered by (-logp,
     length, tokens). The ids in `banned` are never expanded; EOS always is.
 
-    The live beam is held as arrays: the B x d_h states h and c, advanced
-    by one decode_step per time step, the running log-probs, and per
-    step the last token and parent row of every live hypothesis.
+    The live beam is held as the B x d_h states h and c, advanced by one
+    decode_step per time step, the running log-probs, and the token tuple
+    of every live hypothesis.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
@@ -73,26 +64,24 @@ def beam_search(model, z, width, max_len, banned):
     # live tuples have the same length, so (parent rank, token) orders the
     # expansions exactly as comparing their tuples does
     lex_rank = np.zeros(1, dtype=np.int64)
-    tokens, parents = [], []  # per step, for every live row
+    live = [()]  # token tuple of every live row
     pool = []
     for step in range(1, max_len + 1):
         h, c, probs = decode_step(model, prev, h, c, contexts, keys)
         expansion = np.array([vocab.eos]) if step == max_len else allowed
         with np.errstate(divide="ignore"):  # underflowed probs rank last
             logp = (live_logp[:, None] + np.log(probs[:, expansion])).ravel()
-        # every candidate tied with the width-th best stays in the final sort
-        if logp.size > width:
-            kth = np.partition(-logp, width - 1)[width - 1]
-            cand = np.flatnonzero(-logp <= kth)
-        else:
-            cand = np.arange(logp.size)
+        # every candidate tied with the width-th best stays in the final sort;
+        # with no more than `width` candidates, the k-th is the worst of them
+        k = min(width, logp.size) - 1
+        cand = np.flatnonzero(-logp <= np.partition(-logp, k)[k])
         row, col = np.divmod(cand, len(expansion))
         word = expansion[col]
         order = np.lexsort((word, lex_rank[row], -logp[cand]))[:width]
         cand, row, word = cand[order], row[order], word[order]
         done = word == vocab.eos
         for r, lp in zip(row[done], logp[cand[done]]):
-            pool.append(BeamHypothesis(_backtrack(tokens, parents, r) + (vocab.eos,), float(lp)))
+            pool.append(BeamHypothesis(live[r] + (vocab.eos,), float(lp)))
         keep = ~done
         if not keep.any():
             break
@@ -100,8 +89,7 @@ def beam_search(model, z, width, max_len, banned):
         parent_rank = lex_rank[row]
         lex_rank = np.empty(len(row), dtype=np.int64)
         lex_rank[np.lexsort((word, parent_rank))] = np.arange(len(row))
-        tokens.append(word)
-        parents.append(row)
+        live = [live[r] + (int(w),) for r, w in zip(row, word)]
         h, c = h[row], c[row]
         prev = word
         live_logp = logp[cand]

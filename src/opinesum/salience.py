@@ -180,19 +180,6 @@ def gold_scores(cluster, stopwords):
     return raw / top if top > 0 else raw
 
 
-PAIR_BLOCK = 64  # rows per block of the outer products in the pair sums
-
-
-def _subtract_cross(term, u, v, outer):
-    """term -= u v^T, then term -= v u^T, PAIR_BLOCK rows at a time, each
-    block of the outer product written into the scratch rows `outer`."""
-    for s in range(0, term.shape[0], PAIR_BLOCK):
-        rows = term[s : s + PAIR_BLOCK]
-        block = outer[: rows.shape[0]]
-        rows -= np.multiply.outer(u[s : s + PAIR_BLOCK], v, out=block)
-        rows -= np.multiply.outer(v[s : s + PAIR_BLOCK], u, out=block)
-
-
 @dataclass
 class PreferenceDesign:
     """Regression design R w ~ L with within-cluster preference pairs.
@@ -223,17 +210,16 @@ class PreferenceDesign:
         per cluster instead of O(|P| |Z| d^2) through R'.
 
         Each cluster's term is built in two d x d scratch arrays the loop
-        reuses, with the operations of the formula in its order; the outer
-        products are subtracted PAIR_BLOCK rows at a time, so no d x d
-        outer product is ever formed. The scratch is freed before R^T R.
+        reuses, with the operations of the formula in its order; once
+        |P| Z^T Z is added in, the second one holds each outer product in
+        turn. The scratch is freed before R^T R.
         R^T R and R'^T R' come back Fortran-ordered, each converted once
         with its values unchanged: the layout `fit_closed_form` builds in.
         """
         d = self.R.shape[1]
         pair_gram = np.zeros((d, d))
         pair_sum = np.zeros(d)
-        term, zero_term = np.empty((d, d)), np.empty((d, d))
-        outer = np.empty((min(PAIR_BLOCK, d), d))
+        term, scratch = np.empty((d, d)), np.empty((d, d))
         for pos, zero in self._pair_groups():
             n_pos, n_zero = pos.shape[0], zero.shape[0]
             if n_pos == 0 or n_zero == 0:
@@ -241,13 +227,14 @@ class PreferenceDesign:
             s_pos, s_zero = pos.sum(axis=0), zero.sum(axis=0)
             np.matmul(pos.T, pos, out=term)
             term *= n_zero
-            np.matmul(zero.T, zero, out=zero_term)
-            zero_term *= n_pos
-            term += zero_term
-            _subtract_cross(term, s_pos, s_zero, outer)
+            np.matmul(zero.T, zero, out=scratch)
+            scratch *= n_pos
+            term += scratch
+            term -= np.multiply.outer(s_pos, s_zero, out=scratch)
+            term -= np.multiply.outer(s_zero, s_pos, out=scratch)
             pair_gram += term
             pair_sum += n_zero * s_pos - n_pos * s_zero
-        del term, zero_term, outer  # no view into them outlives the helper
+        del term, scratch
         pair_gram = np.asfortranarray(pair_gram)
         gram = np.asfortranarray(self.R.T @ self.R)
         return gram, self.R.T @ self.L, pair_gram, pair_sum

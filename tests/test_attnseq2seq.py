@@ -695,7 +695,7 @@ class TestSerialization:
         path, lines = self._saved_lines(tiny, tmp_path)
         cut = lines.index(next(ln for ln in lines if ln.startswith("tensor W_out ")))
         path.write_text("\n".join(lines[:cut]) + "\n")
-        with pytest.raises(ValueError, match="missing tensor.*W_out"):
+        with pytest.raises(ValueError, match="expected 'tensor W_out "):
             load_model(path)
 
     def test_rejects_file_cut_inside_a_tensor(self, tiny, tmp_path):
@@ -715,7 +715,8 @@ class TestSerialization:
         start = lines.index(next(ln for ln in lines if ln.startswith("tensor b_out ")))
         # the b_out block again, between the first one and the digest line
         path.write_text("\n".join(lines[:-2] + lines[start:-2] + lines[-2:]))
-        with pytest.raises(ValueError, match="b_out appears twice"):
+        message = "no 'sha256 <hex>' line after the last tensor, got 'tensor b_out"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_model(path)
 
     def test_rejects_wrong_shape(self, tiny, tmp_path):
@@ -726,7 +727,33 @@ class TestSerialization:
         # same number of values, declared with the rows and columns swapped
         lines[start : start + 2] = [f"tensor attn.W_s {d_a} 1"] + lines[start + 1].split()
         path.write_text("\n".join(lines))
-        with pytest.raises(ValueError, match="attn.W_s is"):
+        with pytest.raises(ValueError, match="expected 'tensor attn.W_s "):
+            load_model(path)
+
+    @staticmethod
+    def _swap_attention_blocks(lines):
+        """The attn.W_s block moved before attn.W_hg, both otherwise intact."""
+        starts = {ln.split()[1]: i for i, ln in enumerate(lines) if ln.startswith("tensor ")}
+        hg, s, out = starts["attn.W_hg"], starts["attn.W_s"], starts["W_out"]
+        return lines[:hg] + lines[s:out] + lines[hg:s] + lines[out:], "attn.W_hg", hg + 1
+
+    @staticmethod
+    def _rename_a_block(lines):
+        """The attn.W_s header names a tensor the model does not have."""
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("tensor attn.W_s "))
+        lines[at] = lines[at].replace("attn.W_s", "attn.W_z")
+        return lines, "attn.W_s", at + 1
+
+    @pytest.mark.parametrize("reorder", ["_swap_attention_blocks", "_rename_a_block"])
+    def test_rejects_blocks_out_of_checkpoint_order(self, tiny, tmp_path, reorder):
+        path, lines = self._saved_lines(tiny, tmp_path)
+        lines, name, line_no = getattr(self, reorder)(lines)
+        # a digest recomputed over the changed lines, so only the order fails
+        body = "\n".join(lines[:-2]) + "\n"
+        lines[-2] = f"sha256 {hashlib.sha256(body.encode()).hexdigest()}"
+        path.write_text("\n".join(lines))
+        message = f"{path}: line {line_no}: expected 'tensor {name} "
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_model(path)
 
     def test_rejects_row_with_wrong_value_count(self, tiny, tmp_path):

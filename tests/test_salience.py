@@ -476,8 +476,8 @@ class TestNormalEquations:
     def test_transient_memory_is_two_square_arrays(self):
         # while the clusters are summed, the only d x d arrays alive are the
         # pair Gram matrix it returns and two scratch arrays; R^T R is formed
-        # after the scratch is freed. The slack covers a block of outer
-        # product rows, numpy's ufunc buffers and one cluster's row copies.
+        # after the scratch is freed. The slack covers numpy's ufunc buffers
+        # and one cluster's row copies.
         # The textbook expression peaks at four d x d arrays here.
         d = 600
         feats, labels = random_design(np.random.default_rng(19), d=d, n=40, n_clusters=4)
