@@ -247,43 +247,41 @@ def new_model(vocab, features, d_emb, d_h, d_a):
 
 
 def _rows(W, x):
-    """W @ x for a vector x, or W @ x_r for every row x_r of a matrix x.
+    """W x_r for every row x_r of the matrix x, one output row per row.
 
-    A vector takes a matrix-vector product, as each decoder step of
-    sequence_log_prob has.
+    np.dot, the same BLAS product as @ with less call overhead; one row
+    takes the matrix-vector product np.dot(W, x_r), bit for bit.
     """
-    return (W @ x.T).T
+    return np.dot(W, x.T).T
 
 
 def _lstm_stepper(p):
     """The in-place update of LSTM cell p, as step(a, h, c, h_out, c_out).
 
-    a holds the input projection Wu u of one sequence (a vector) or of one
-    row per sequence (the live rows of a beam); h and c are the previous
-    state. The step overwrites a with the activations of the gates i, f,
-    g, o and writes the new state to h_out and c_out. The weight views are
-    taken once per stepper, not on every step; a vector takes np.dot, the
-    same BLAS product as @ with less call overhead.
+    a holds the input projections Wu u and h, c the previous states, one
+    row per sequence (a chain steps one row, a beam its live rows). The
+    step overwrites a with the activations of the gates i, f, g, o and
+    writes the new states to h_out and c_out. The weight views are taken
+    once per stepper, not on every step.
     """
     d, d2, d3 = p.d_h, 2 * p.d_h, 3 * p.d_h
     Wh, b, Wc_if, Wc_o = p.Wh, p.b, p.Wc[:d2], p.Wc[d2:]
 
     def step(a, h, c, h_out, c_out):
-        mv = np.dot if h.ndim == 1 else _rows
         # summed as (Wu u + Wh h) + b, and in no other order: which snapshot
         # training keeps moves with last-bit changes
-        a += mv(Wh, h)
+        a += _rows(Wh, h)
         a += b
-        i_f = a[..., :d2]
-        i_f += mv(Wc_if, c)
+        i_f = a[:, :d2]
+        i_f += _rows(Wc_if, c)
         sigmoid_elem(i_f, out=i_f)
-        g = a[..., d2:d3]
+        g = a[:, d2:d3]
         np.tanh(g, out=g)
-        np.multiply(a[..., d:d2], c, out=c_out)
-        c_out += a[..., :d] * g
+        np.multiply(a[:, d:d2], c, out=c_out)
+        c_out += a[:, :d] * g
         # the output gate sees the NEW cell
-        o = a[..., d3:]
-        o += mv(Wc_o, c_out)
+        o = a[:, d3:]
+        o += _rows(Wc_o, c_out)
         sigmoid_elem(o, out=o)
         np.tanh(c_out, out=h_out)
         h_out *= o
@@ -306,28 +304,27 @@ class _Chain:
 def _run_chain(p, U):
     """Run an LSTM chain from zero states over the rows of U. The input
     projections of every step come from one GEMM before the recurrence;
-    each step then writes straight into its rows."""
+    each step is a batch of one row that writes straight into its rows."""
     n = U.shape[0]
     gates = U @ p.Wu.T
     H = np.zeros((n + 1, p.d_h))
     C = np.zeros((n + 1, p.d_h))
     step = _lstm_stepper(p)
-    for a, h, c, h_out, c_out in zip(gates, H, C, H[1:], C[1:]):
-        step(a, h, c, h_out, c_out)
+    for row in zip(gates[:, None], H[:-1, None], C[:-1, None], H[1:, None], C[1:, None]):
+        step(*row)
     return _Chain(U=U, gates=gates, H=H, C=C)
 
 
 def _token_repr(model, index, feat_ids, tfidf_val):
-    """Input vector of one token, or one row per token for an index array
-    (feat_ids then has one row of channel ids per token, and tfidf_val is
-    one value or one per token)."""
+    """Input vectors of the tokens of an index array, one row per token
+    (feat_ids has one row of channel ids per token, and tfidf_val is one
+    value or one per token)."""
     parts = [model.emb[index]]
     if model.features:
         for k, ch in enumerate(CHANNELS):
-            parts.append(model.feat_tables[ch][feat_ids[..., k]])
-        cont = np.asarray(tfidf_val, dtype=np.float64)[..., None]
-        parts.append(np.broadcast_to(cont, np.shape(index) + (1,)))
-    return np.concatenate(parts, axis=-1)
+            parts.append(model.feat_tables[ch][feat_ids[:, k]])
+        parts.append(np.broadcast_to(np.reshape(tfidf_val, (-1, 1)), (len(index), 1)))
+    return np.concatenate(parts, axis=1)
 
 
 @dataclass
@@ -378,11 +375,11 @@ class _AttnCache:
 
 
 def _attend(model, contexts, keys, h_prev):
-    """Attention for a decoder state h_prev, or for each row of a matrix of
-    states; a row axis on h_prev leads every output."""
-    # C-ordered state projections lay t out row by row, B x n x d_a
+    """Attention for each row of the decoder states h_prev (B x d_h); a row
+    axis leads every output: t (B x n x d_a), a (B x n), s (B x 2 d_h)."""
+    # C-ordered state projections lay t out row by row
     hq = np.ascontiguousarray(_rows(model.attn.W_hg, h_prev))
-    t = keys + hq[..., None, :]  # ([B x] n x d_a)
+    t = keys + hq[:, None, :]
     np.tanh(t, out=t)
     e = t @ model.attn.W_s
     a = softmax(e)
@@ -390,28 +387,25 @@ def _attend(model, contexts, keys, h_prev):
     return _AttnCache(t=t, a=a, s=s)
 
 
-def _decode_ids(model, y_prev_index):
-    """Feature channel ids of the previous output word(s), or None."""
+def _decode_ids(model, y_prev):
+    """Feature channel ids of the previous output words (a row each), or None."""
     if not model.features:
         return None
-    if np.ndim(y_prev_index) == 0:
-        return model.features.decode_ids(model.vocab.word_of(y_prev_index))
-    return np.array([model.features.decode_ids(model.vocab.word_of(i)) for i in y_prev_index])
+    return np.array([model.features.decode_ids(model.vocab.word_of(i)) for i in y_prev])
 
 
 def _decode_core(model, step, y_prev, h, c, contexts, keys, out):
-    """One decoder step from the state h, c, for one sequence (an int
-    token, vector states) or for a batch of sequences sharing one input (a
-    token array, one state row per sequence). step is the decoder cell's
+    """One decoder step for sequences sharing one input: y_prev holds one
+    token and h, c one state row per sequence. step is the decoder cell's
     _lstm_stepper. The step's input [token; attention summary], its gate
     activations and its new state are written to the rows out = (u, a,
-    h_out, c_out). Returns the logits and the attention cache."""
+    h_out, c_out). Returns the logits (a row each) and the attention cache."""
     u, a, h_out, c_out = out
     attn = _attend(model, contexts, keys, h)
     d = model.token_dim
-    u[..., :d] = _token_repr(model, y_prev, _decode_ids(model, y_prev), 0.0)
-    u[..., d:] = attn.s
-    a[...] = _rows(model.dec.Wu, u)
+    u[:, :d] = _token_repr(model, y_prev, _decode_ids(model, y_prev), 0.0)
+    u[:, d:] = attn.s
+    a[:] = _rows(model.dec.Wu, u)
     step(a, h, c, h_out, c_out)
     return _rows(model.W_out, h_out) + model.b_out, attn
 
@@ -440,9 +434,9 @@ def decode_step(model, y_prev, h, c, contexts, keys):
 @dataclass
 class ForwardTrace:
     """Everything backward_pass needs to replay one (z, y) example: the
-    encoder trace, the decoder chain (one row per target), the attention
-    cache and word distribution of every decoder step, and the targets.
-    backward_pass consumes probs (as its output deltas) and attn."""
+    encoder trace, the decoder chain (one row per target), the one-row
+    attention cache and word distribution of every decoder step, and the
+    inputs and targets. backward_pass consumes probs (its deltas) and attn."""
 
     model_id: int
     version: int
@@ -450,6 +444,7 @@ class ForwardTrace:
     dec: _Chain
     attn: list
     probs: np.ndarray
+    inputs: np.ndarray
     targets: list
 
 
@@ -457,7 +452,7 @@ def sequence_log_prob(model, z, y):
     """Conditional log-likelihood of target sequence y given input z.
 
     The decoder starts from zero states and consumes BOS before the first
-    target; y itself must end with EOS. Returns (loglik, trace).
+    target, one row per step; y must end with EOS. Returns (loglik, trace).
     """
     y = [int(t) for t in y]
     if not y:
@@ -477,16 +472,18 @@ def sequence_log_prob(model, z, y):
         C=np.zeros((T + 1, d_h)),
     )
     probs = np.empty((T, len(model.vocab)))
+    inputs = np.array([model.vocab.bos] + y[:-1])
     step = _lstm_stepper(model.dec)
     loglik = 0.0
     attn = []
-    for t, (inp, target) in enumerate(zip([model.vocab.bos] + y[:-1], y)):
-        out = (dec.U[t], dec.gates[t], dec.H[t + 1], dec.C[t + 1])
+    for t, target in enumerate(y):
+        now, nxt = slice(t, t + 1), slice(t + 1, t + 2)
+        out = (dec.U[now], dec.gates[now], dec.H[nxt], dec.C[nxt])
         logits, cache = _decode_core(
-            model, step, inp, dec.H[t], dec.C[t], enc.contexts, keys, out
+            model, step, inputs[now], dec.H[now], dec.C[now], enc.contexts, keys, out
         )
-        probs[t] = softmax(logits)
-        loglik += float(log_softmax(logits)[target])
+        probs[t] = softmax(logits[0])
+        loglik += float(log_softmax(logits[0])[target])
         attn.append(cache)
     return loglik, ForwardTrace(
         model_id=id(model),
@@ -495,6 +492,7 @@ def sequence_log_prob(model, z, y):
         dec=dec,
         attn=attn,
         probs=probs,
+        inputs=inputs,
         targets=y,
     )
 
@@ -584,10 +582,11 @@ def _attend_backward(model, grad, contexts, cache, ds):
     summary down to the pre-activations q: accumulates W_s and returns dq
     (n x d_a). The W_cg, W_hg and context terms are formed from the dq of
     all steps after the decoder loop."""
+    a, t = cache.a[0], cache.t[0]
     de_ctx = contexts @ ds
-    de = cache.a * (de_ctx - float(cache.a @ de_ctx))
-    grad.W_s += cache.t.T @ de
-    return np.outer(de, model.attn.W_s) * (1.0 - cache.t * cache.t)
+    de = a * (de_ctx - float(a @ de_ctx))
+    grad.W_s += t.T @ de
+    return np.outer(de, model.attn.W_s) * (1.0 - t * t)
 
 
 @dataclass
@@ -709,14 +708,14 @@ def backward_pass(model, trace, emit):
         dq_ctx += dq
         dq_steps[t] = dq.sum(axis=0)
         dh = dh_l + model.attn.W_hg.T @ dq_steps[t]
-    inputs = np.array([model.vocab.bos] + trace.targets[:-1])
+    inputs = trace.inputs
     d_in = DA @ p.Wu[:, :token_dim]  # read before emit may step p.Wu
     _emit_cell_gradients(emit, "dec", dec, DA)
 
     np.matmul(dq_steps.T, dec.H[:-1], out=g_attn.W_hg)
     np.matmul(dq_ctx.T, contexts, out=g_attn.W_cg)
     # contexts feed the attention summaries and, through W_cg, the keys
-    attn_a = np.array([cache.a for cache in trace.attn])
+    attn_a = np.concatenate([cache.a for cache in trace.attn])
     trace.attn = None  # the caches' last read
     db = attn_a.T @ DS + dq_ctx @ model.attn.W_cg
     emit({"attn.W_cg": g_attn.W_cg, "attn.W_hg": g_attn.W_hg, "attn.W_s": g_attn.W_s})

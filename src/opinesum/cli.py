@@ -20,7 +20,7 @@ import sys
 
 from . import beamdecode, evalmetrics, salience, trainer
 from .attnseq2seq import load_model as load_seq2seq, save_model as save_seq2seq
-from .numkit import derive_seed
+from .numkit import derive_seed, set_blas_threads
 from .salience import LexiconSet
 from .textcorpus import (
     TfidfStats,
@@ -459,8 +459,6 @@ def cmd_evaluate(cfg):
     clusters = load_clusters(cfg["corpus"])
     gold = {c.id: c.summary.norms() for c in clusters}
     summaries = _read_decode_summaries(cfg["decode"], gold)
-    if not summaries:
-        raise UsageError("decode file is empty")
     hyps = [[t.norm for t in tokenize(summary)] for summary in summaries.values()]
     refs = [gold[cid] for cid in summaries]
     report = evalmetrics.summarize_system(hyps, refs)
@@ -548,6 +546,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # BLAS's summation order, and so the bytes of every artifact, depends
+    # on its thread count
+    if not set_blas_threads(1):
+        print("warning: cannot set BLAS to one thread; the outputs may depend on "
+              "its thread count", file=sys.stderr)
     try:
         cfg = RunConfig.load(args.command, args.config, args.overrides)
         return COMMANDS[args.command](cfg)

@@ -70,24 +70,47 @@ DPOSV_TYPE = ctypes.CFUNCTYPE(
     None, ctypes.c_char_p, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P,
     ctypes.c_size_t,
 )
-# the 64-bit-integer dposv of numpy >= 2's bundled OpenBLAS (scipy-openblas);
-# other builds (numpy 1.2x wheels, MKL, Accelerate) take the fallback
+# the 64-bit-integer dposv and the thread-count getter and setter of numpy
+# >= 2's bundled OpenBLAS (scipy-openblas); other builds (numpy 1.2x wheels,
+# MKL, Accelerate) take the fallback solve and keep their own thread count
 DPOSV_SYMBOL = "scipy_dposv_64_"
+BLAS_GET_THREADS = "scipy_openblas_get_num_threads64_"
+BLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"
+
+
+@functools.cache
+def numpy_linalg_library():
+    """numpy's own linalg extension as a ctypes library, or None.
+
+    dlsym on it also searches the libraries it links, so numpy's bundled
+    OpenBLAS answers there. Opened once, on first use, so importing this
+    module costs nothing.
+    """
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
 
 
 @functools.cache
 def lapack_dposv():
     """LAPACK's dposv from the library numpy's own linalg links, or None.
-
-    dlsym on numpy's linalg extension also searches the libraries it links,
-    so numpy's bundled OpenBLAS answers there. Resolved once, on the first
-    solve, so importing this module costs nothing.
-    """
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except OSError:
-        return None
+    Resolved once, on the first solve."""
+    lib = numpy_linalg_library()
     return DPOSV_TYPE((DPOSV_SYMBOL, lib)) if hasattr(lib, DPOSV_SYMBOL) else None
+
+
+def set_blas_threads(n):
+    """Run numpy's bundled OpenBLAS on n threads from now on. Returns
+    False, and changes nothing, where the library exports no thread-count
+    getter and setter. A count that is n already is not set again: setting
+    it anyway slows the BLAS calls after it."""
+    lib = numpy_linalg_library()
+    if not (hasattr(lib, BLAS_GET_THREADS) and hasattr(lib, BLAS_SET_THREADS)):
+        return False
+    if ctypes.CFUNCTYPE(ctypes.c_int)((BLAS_GET_THREADS, lib))() != n:
+        ctypes.CFUNCTYPE(None, ctypes.c_int)((BLAS_SET_THREADS, lib))(n)
+    return True
 
 
 def solve_spd(a, b):

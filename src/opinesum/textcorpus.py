@@ -171,11 +171,13 @@ def _tags(value, what):
 
 
 def load_clusters(path):
-    """Read a JSON-lines corpus file into Cluster objects; cluster ids
-    must be unique within the file. Equal tokens of one file are one
-    Token object (see _text_unit); the table that shares them lives only
-    for this call."""
+    """Read a JSON-lines corpus file into Cluster objects; the file must
+    hold at least one cluster, and cluster ids must be unique within it.
+    An entity with no tokens is no entity (None). Equal tokens of one file
+    are one Token object (see _text_unit); the table that shares them
+    lives only for this call."""
     clusters = []
+    line_no = 0
     shared = {ENTITY_LABEL: ENTITY_TOKEN}
     first_line = {}
     with open(path, encoding="utf-8") as fh:
@@ -198,11 +200,13 @@ def load_clusters(path):
                     for u in obj["units"]
                 )
                 entity = obj.get("entity")
+                if entity is not None and not _string(entity, "entity").split():
+                    entity = None
                 cluster = Cluster(
                     id=_string(obj["id"], "id"),
                     units=units,
                     summary=_text_unit(_string(obj["summary"], "summary"), None, None, shared),
-                    entity=None if entity is None else _string(entity, "entity") or None,
+                    entity=entity,
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(path, line_no, str(exc)) from exc
@@ -219,6 +223,8 @@ def load_clusters(path):
                     path, line_no, f"duplicate cluster id {cluster.id!r} (first on line {first})"
                 )
             clusters.append(cluster)
+    if not clusters:
+        raise CorpusFormatError(path, line_no, "the file holds no cluster")
     return clusters
 
 

@@ -54,11 +54,12 @@ def random_cell(rng, d_u, d_h, scale=0.5):
 
 
 def lstm_step(p, u, h_prev, c_prev):
-    """One update through the in-place stepper: (h, c, gate activations)."""
-    a = p.Wu @ u
-    h, c = np.empty_like(h_prev), np.empty_like(c_prev)
-    _lstm_stepper(p)(a, h_prev, c_prev, h, c)
-    return h, c, a
+    """One update of one sequence through the in-place stepper, as a batch
+    of one row: (h, c, gate activations)."""
+    a = (p.Wu @ u)[None]
+    h, c = np.empty((1, p.d_h)), np.empty((1, p.d_h))
+    _lstm_stepper(p)(a, h_prev[None], c_prev[None], h, c)
+    return h[0], c[0], a[0]
 
 
 def where_sigmoid(x):
@@ -143,7 +144,8 @@ class TestLstmStep:
 
     def test_bit_identical_to_per_step_cell(self):
         rng = np.random.default_rng(2)
-        for d_u, d_h, rows in ((3, 2, ()), (8, 6, ()), (40, 32, ()), (12, 5, (4,)), (50, 32, (3,))):
+        shapes = ((3, 2, (1,)), (8, 6, (1,)), (40, 32, (1,)), (12, 5, (4,)), (50, 32, (3,)))
+        for d_u, d_h, rows in shapes:
             p = random_cell(rng, d_u, d_h, scale=1.5)
             u = rng.normal(size=rows + (d_u,))
             h_prev = np.tanh(rng.normal(size=rows + (d_h,)))
@@ -159,10 +161,10 @@ class TestLstmStep:
     @pytest.mark.parametrize("where", ["input", "h", "c"])
     def test_non_finite_gate_input_raises(self, where):
         p = random_cell(np.random.default_rng(3), 3, 2)
-        a, h, c = p.Wu @ np.ones(3), np.zeros(2), np.zeros(2)
-        {"input": a, "h": h, "c": c}[where][0] = np.nan if where != "c" else np.inf
+        a, h, c = (p.Wu @ np.ones(3))[None], np.zeros((1, 2)), np.zeros((1, 2))
+        {"input": a, "h": h, "c": c}[where][0, 0] = np.nan if where != "c" else np.inf
         with pytest.raises(ValueError, match="NaN or Inf"):
-            _lstm_stepper(p)(a, h, c, np.empty(2), np.empty(2))
+            _lstm_stepper(p)(a, h, c, np.empty((1, 2)), np.empty((1, 2)))
 
 
 class TestChains:
@@ -309,23 +311,23 @@ class TestAttend:
     def test_singleton(self, tiny):
         model, _, z, _ = tiny
         contexts = encode(model, z)[:1]
-        cache = _attend(model, contexts, attention_keys(model, contexts), np.zeros(model.d_h))
-        np.testing.assert_allclose(cache.a, [1.0])
-        np.testing.assert_allclose(cache.s, contexts[0])
+        cache = _attend(model, contexts, attention_keys(model, contexts), np.zeros((1, model.d_h)))
+        np.testing.assert_allclose(cache.a[0], [1.0])
+        np.testing.assert_allclose(cache.s[0], contexts[0])
 
     def test_identical_contexts_uniform(self, tiny):
         model, _, z, _ = tiny
         b = np.tile(encode(model, z)[0], (4, 1))
-        cache = _attend(model, b, attention_keys(model, b), np.ones(model.d_h) * 0.1)
-        np.testing.assert_allclose(cache.a, 0.25)
-        np.testing.assert_allclose(cache.s, b[0], atol=1e-14)
+        cache = _attend(model, b, attention_keys(model, b), np.ones((1, model.d_h)) * 0.1)
+        np.testing.assert_allclose(cache.a[0], 0.25)
+        np.testing.assert_allclose(cache.s[0], b[0], atol=1e-14)
 
     def test_matches_formula_oracle(self, tiny):
         model, _, z, _ = tiny
         rng = np.random.default_rng(4)
         contexts = rng.normal(size=(4, 2 * model.d_h))
         h_prev = rng.normal(size=model.d_h)
-        cache = _attend(model, contexts, attention_keys(model, contexts), h_prev)
+        cache = _attend(model, contexts, attention_keys(model, contexts), h_prev[None])
         affinities = np.array(
             [
                 model.attn.W_s @ np.tanh(model.attn.W_cg @ b + model.attn.W_hg @ h_prev)
@@ -333,8 +335,8 @@ class TestAttend:
             ]
         )
         expected_a = np.exp(affinities) / np.exp(affinities).sum()
-        np.testing.assert_allclose(cache.a, expected_a, atol=1e-12)
-        np.testing.assert_allclose(cache.s, expected_a @ contexts, atol=1e-12)
+        np.testing.assert_allclose(cache.a[0], expected_a, atol=1e-12)
+        np.testing.assert_allclose(cache.s[0], expected_a @ contexts, atol=1e-12)
 
     def test_sums_to_one(self, tiny):
         model, _, z, _ = tiny
@@ -342,7 +344,7 @@ class TestAttend:
         keys = attention_keys(model, contexts)
         rng = np.random.default_rng(5)
         for _ in range(100):
-            a = _attend(model, contexts, keys, rng.normal(size=model.d_h)).a
+            a = _attend(model, contexts, keys, rng.normal(size=model.d_h)[None]).a[0]
             assert abs(a.sum() - 1.0) <= 1e-12
             assert np.all(a >= 0)
 
@@ -350,7 +352,7 @@ class TestAttend:
         model, _, _, _ = tiny
         empty = np.zeros((0, 2 * model.d_h))
         with pytest.raises(ValueError):
-            _attend(model, empty, attention_keys(model, empty), np.zeros(model.d_h))
+            _attend(model, empty, attention_keys(model, empty), np.zeros((1, model.d_h)))
 
 
 class TestDecodeRows:
@@ -383,7 +385,7 @@ class TestDecodeRows:
         h_prev, c_prev = np.tanh(np.linspace(-1, 1, model.d_h)), np.linspace(-1, 1, model.d_h)
         idx = model.vocab.index_of("bb")
         h, _, p = decode_one(model, idx, h_prev, c_prev, contexts, keys)
-        s_exp = _attend(model, contexts, keys, h_prev).s
+        s_exp = _attend(model, contexts, keys, h_prev[None]).s[0]
         u = np.concatenate([model.emb[idx], s_exp])
         h_exp, c_exp = lstm_oracle(model.dec, u, h_prev, c_prev)
         logits = model.W_out @ h_exp + model.b_out
@@ -461,19 +463,24 @@ class TestSequenceLogProb:
             loglik, _ = sequence_log_prob(model, z, y)
             assert loglik <= 0.0
 
-    def test_per_step_oracle(self, tiny):
-        model, _, z, y = tiny
-        loglik, _ = sequence_log_prob(model, z, y)
-        contexts = encode(model, z)
-        keys = attention_keys(model, contexts)
-        h = c = np.zeros(model.d_h)
-        total = 0.0
-        prev = model.vocab.bos
-        for target in y:
-            h, c, p = decode_one(model, prev, h, c, contexts, keys)
-            total += np.log(p[target])
-            prev = target
-        assert loglik == pytest.approx(total, abs=1e-12)
+    def test_per_step_oracle(self):
+        # the teacher-forced decoder takes decode_step's one-row step, bit for bit
+        for with_features in (False, True):
+            model, _, z, y = tiny_setup(with_features=with_features)
+            loglik, trace = sequence_log_prob(model, z, y)
+            contexts = encode(model, z)
+            keys = attention_keys(model, contexts)
+            h = c = np.zeros(model.d_h)
+            total = 0.0
+            prev = model.vocab.bos
+            for t, target in enumerate(y):
+                h, c, p = decode_one(model, prev, h, c, contexts, keys)
+                pairs = ((trace.dec.H[t + 1], h), (trace.dec.C[t + 1], c), (trace.probs[t], p))
+                for got, want in pairs:
+                    assert np.array_equal(got, want), (with_features, t)
+                total += np.log(p[target])
+                prev = target
+            assert loglik == pytest.approx(total, abs=1e-12)
 
     def test_requires_eos(self, tiny):
         model, _, z, y = tiny

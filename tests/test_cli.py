@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import dataclasses
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import opinesum
 from opinesum import cli, salience, textcorpus, trainer
+from opinesum.attnseq2seq import new_model, save_model
 from opinesum.cli import RunConfig, _train_config, main
 
 
@@ -724,6 +726,49 @@ class TestDecodeEvaluate:
         ) == 2
 
 
+class TestEmptyCorpus:
+    CORPUS_KEYS = {
+        "preprocess": "corpus", "fit-importance": "corpus.train", "rank-eval": "corpus",
+        "train": "corpus.train", "decode": "corpus", "evaluate": "corpus",
+        "sampling-report": "corpus",
+    }
+
+    @pytest.mark.parametrize("command", list(CORPUS_KEYS))
+    def test_exits_2_naming_the_file(self, tmp_path, corpus_file, fitted_salience, capsys, command):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
+        model_dir = tmp_path / "models"
+        model_dir.mkdir()
+        checkpoint = model_dir / "topk_K2.model"
+        vocab = textcorpus.build_vocab(textcorpus.load_clusters(corpus_file))
+        save_model(new_model(vocab, None, 4, 3, 2), checkpoint)
+        (tmp_path / "decode.jsonl").write_text("")
+        model_path, registry_path = fitted_salience
+        pairs = {
+            "preprocess": {},
+            "fit-importance": {"corpus.dev": corpus_file},
+            "rank-eval": {"salience_model": model_path, "salience_registry": registry_path},
+            "train": {
+                "corpus.dev": corpus_file, "salience_model": model_path,
+                "salience_registry": registry_path,
+            },
+            "decode": {
+                "model": checkpoint, "salience_model": model_path,
+                "salience_registry": registry_path,
+            },
+            "evaluate": {"decode": tmp_path / "decode.jsonl"},
+            "sampling-report": {
+                "model_dir": model_dir, "salience_model": model_path,
+                "salience_registry": registry_path, "modes": "topk", "Ks": "2",
+            },
+        }[command]
+        pairs = {self.CORPUS_KEYS[command]: empty, **pairs, "out_dir": tmp_path / "out"}
+        argv = [command] + [arg for k, v in pairs.items() for arg in ("--set", f"{k}={v}")]
+        assert main(argv) == 2
+        assert f"error: {empty}:1: the file holds no cluster" in capsys.readouterr().err
+        assert not any((tmp_path / "out").glob("*"))
+
+
 class TestGradcheckCommand:
     def test_exit_zero(self, tmp_path):
         assert main(["gradcheck", "--set", "seeds=1"]) == 0
@@ -882,6 +927,41 @@ class TestSplitPreparation:
             # train loads the toy corpus as both splits
             loaded = ["m0", "m1", "m2"] * (2 if stage == "train" else 1)
             assert sorted(calls) == sorted(loaded), stage
+
+
+class TestBlasThreads:
+    def test_main_runs_blas_on_one_thread(self, tmp_path, corpus_file):
+        # numpy's bundled OpenBLAS answers on the library numpy's linalg links
+        getter = "scipy_openblas_get_num_threads64_"
+        if not hasattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), getter):
+            pytest.skip(f"numpy's BLAS exports no {getter}")
+        code = (
+            "import ctypes, sys, numpy\n"
+            "from opinesum import cli\n"
+            f"count = getattr(ctypes.CDLL(numpy.linalg._umath_linalg.__file__), {getter!r})\n"
+            "before = count()\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(before, count())\n"
+        )
+        # the child imports opinesum from the same checkout as this process
+        src = str(Path(opinesum.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        argv = ["preprocess", "--set", f"corpus={corpus_file}", "--set", f"out_dir={tmp_path}"]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
+        )
+        before, after = proc.stdout.split()[-2:]
+        if before != "2":
+            pytest.skip(f"BLAS starts on {before} threads here, not 2")
+        assert after == "1"
+
+    def test_without_the_setter_warns_once_and_runs(self, tmp_path, corpus_file, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "set_blas_threads", lambda n: False)
+        argv = ["preprocess", "--set", f"corpus={corpus_file}", "--set", f"out_dir={tmp_path}"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.count("warning: cannot set BLAS to one thread") == 1
+        assert (tmp_path / "preprocessed.jsonl").exists()
 
 
 class TestEntryPoint:

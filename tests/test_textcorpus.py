@@ -234,6 +234,24 @@ class TestCorpusFile:
             load_clusters(path)
         assert excinfo.value.line_no == 3
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["no_lines", "blank_lines"])
+    def test_file_without_clusters_rejected(self, tmp_path, text):
+        path = tmp_path / "empty.jsonl"
+        path.write_text(text)
+        with pytest.raises(CorpusFormatError, match="holds no cluster") as excinfo:
+            load_clusters(path)
+        assert excinfo.value.path == str(path)
+
+    def test_entity_without_tokens_is_no_entity(self, tmp_path):
+        # a blank entity would leave ENTITY expandable and unrestorable
+        path = tmp_path / "corpus.jsonl"
+        entities = ["", "  ", " \t ", None, " Mars "]
+        path.write_text("".join(
+            json.dumps({"id": str(k), "entity": e, "summary": "s", "units": [{"text": "a"}]}) + "\n"
+            for k, e in enumerate(entities)
+        ))
+        assert [c.entity for c in load_clusters(path)] == [None, None, None, None, " Mars "]
+
 
     @pytest.mark.parametrize(
         "record, message",
