@@ -58,13 +58,15 @@ print(f"best dev BLEU: {max(h[2] for h in history):.3f}")
 
 print("\ndecoding (beam width 5 + cosine re-rank):")
 stopwords = default_stopwords()
-for c in clusters:
-    text = beamdecode.decode_cluster(model, c, scores[c.id], 2, 5, config.max_len, tfidf, stopwords)["summary"]
+records = list(beamdecode.decode_split(
+    model, clusters, [scores[c.id] for c in clusters], 2, 5, config.max_len, tfidf, stopwords
+))
+for c, record in zip(clusters, records):
+    text = record["summary"]
     gold = detokenize(c.summary.norms())
     mark = "=" if text == gold else "!"
     print(f"   {c.id} [{mark}] {text!r}")
 
 print("\nn-best detail for the first cluster:")
-record = beamdecode.decode_cluster(model, clusters[0], scores["c0"], 2, 5, config.max_len, tfidf, stopwords)
-for item in record["nbest"][:5]:
+for item in records[0]["nbest"][:5]:
     print(f"   logp {item['logp']:8.3f}  cosine {item['cosine']:.3f}  {item['text']!r}")

@@ -291,9 +291,11 @@ def _lstm_stepper(p):
 
 @dataclass
 class _Chain:
-    """One LSTM chain's activations, one row per step in the order the
+    """One LSTM chain's activations, one entry per step in the order the
     chain ran: inputs U, gate activations, and the states H and C with the
-    zero initial state as row 0 (so step t reads row t, writes row t+1)."""
+    zero initial state as entry 0 (so step t reads entry t, writes entry
+    t+1). An entry is one row, or one row per sequence in a chain that
+    steps several (_run_chain)."""
 
     U: np.ndarray
     gates: np.ndarray
@@ -302,17 +304,30 @@ class _Chain:
 
 
 def _run_chain(p, U):
-    """Run an LSTM chain from zero states over the rows of U. The input
-    projections of every step come from one GEMM before the recurrence;
-    each step is a batch of one row that writes straight into its rows."""
-    n = U.shape[0]
-    gates = U @ p.Wu.T
-    H = np.zeros((n + 1, p.d_h))
-    C = np.zeros((n + 1, p.d_h))
+    """Run an LSTM chain from zero states over U (steps x rows x d_u), one
+    row per sequence. The input projections of every step and row come
+    from one GEMM over the steps * rows inputs before the recurrence; each
+    step is then one stepper call on all rows, which writes straight into
+    its rows of H and C. The chain's arrays keep the (steps, rows) lead.
+
+    One row keeps a single sequence's bits: its input GEMM is the one over
+    its steps, and each step's products are matrix-vector products. More
+    rows make each step's products GEMMs, whose results may differ from
+    one row's in the last bits.
+    """
+    steps, rows, d_u = U.shape
+    gates = (U.reshape(steps * rows, d_u) @ p.Wu.T).reshape(steps, rows, 4 * p.d_h)
+    H = np.zeros((steps + 1, rows, p.d_h))
+    C = np.zeros((steps + 1, rows, p.d_h))
     step = _lstm_stepper(p)
-    for row in zip(gates[:, None], H[:-1, None], C[:-1, None], H[1:, None], C[1:, None]):
+    for row in zip(gates, H[:-1], C[:-1], H[1:], C[1:]):
         step(*row)
     return _Chain(U=U, gates=gates, H=H, C=C)
+
+
+def _first_row(chain):
+    """The 2-D chain (one row per step) of row 0 of a chain."""
+    return _Chain(U=chain.U[:, 0], gates=chain.gates[:, 0], H=chain.H[:, 0], C=chain.C[:, 0])
 
 
 def _token_repr(model, index, feat_ids, tfidf_val):
@@ -336,9 +351,11 @@ class _EncTrace:
     contexts: np.ndarray
 
 
-def _encode_trace(model, z):
-    n = len(z)
-    if n < 1:
+def _encoder_input(model, z):
+    """The feature channel ids (or None) and the input vectors of the
+    positions of z, one row each; raises ValueError for an empty input or
+    a token index outside the vocabulary."""
+    if len(z) < 1:
         raise ValueError("encoder input is empty")
     indices = z.indices
     if indices.min() < 0 or indices.max() >= len(model.vocab):
@@ -346,16 +363,43 @@ def _encode_trace(model, z):
     ids = None
     if model.features:
         ids = np.array([model.features.encode_ids(tok) for tok in z.tokens])
-    reprs = _token_repr(model, indices, ids, z.tfidf)
-    fwd = _run_chain(model.enc_f, reprs)
-    bwd = _run_chain(model.enc_b, reprs[::-1])  # feed the input in reverse order
+    return ids, _token_repr(model, indices, ids, z.tfidf)
+
+
+def _encode_trace(model, z):
+    """Encode one input as a chain of one row, keeping both chains."""
+    ids, reprs = _encoder_input(model, z)
+    fwd = _first_row(_run_chain(model.enc_f, reprs[:, None]))
+    # feed the input in reverse order
+    bwd = _first_row(_run_chain(model.enc_b, reprs[::-1, None]))
     contexts = np.concatenate([fwd.H[1:], bwd.H[:0:-1]], axis=1)
     return _EncTrace(z=z, ids=ids, fwd=fwd, bwd=bwd, contexts=contexts)
 
 
-def encode(model, z):
-    """Context vectors b_1..b_n: concatenated forward/backward states."""
-    return _encode_trace(model, z).contexts
+def encode(model, zs):
+    """Context vectors b_1..b_n (concatenated forward/backward states) of
+    each input in zs, as one n x 2 d_h array per input.
+
+    The inputs are encoded together: each chain steps all of them as rows
+    (see _run_chain). Each input is padded at its end with zero vectors to
+    the longest; the backward chain reads each input reversed, padded the
+    same way. A row's contexts are its forward states 1..n and its
+    backward states n..1, so no padded step reaches them. One input gives
+    the bits of encoding it alone; in a block of several, an input's
+    contexts can move in their last bits with the block it shares.
+    """
+    lengths = [len(z) for z in zs]
+    U = np.zeros((max(lengths, default=0), len(zs), model.token_dim))
+    for r, z in enumerate(zs):
+        U[: lengths[r], r] = _encoder_input(model, z)[1]
+    H_f = _run_chain(model.enc_f, U).H
+    for r, n in enumerate(lengths):
+        U[:n, r] = U[:n, r][::-1].copy()  # each input reversed; the padding stays zero
+    H_b = _run_chain(model.enc_b, U).H
+    return [
+        np.concatenate([H_f[1 : n + 1, r], H_b[n:0:-1, r]], axis=1)
+        for r, n in enumerate(lengths)
+    ]
 
 
 def attention_keys(model, contexts):
@@ -793,7 +837,8 @@ def _word_map(reader, key):
 
 
 def _base64_rows(reader, name, block, shape):
-    """The rows of a tensor as base64 of little-endian float64."""
+    """The rows of a tensor as base64 of little-endian float64; a row
+    holding NaN or Inf is an error naming its line."""
     width = 8 * shape[1]
     first = reader.line_no - len(block) + 1
     rows = []
@@ -807,7 +852,11 @@ def _base64_rows(reader, name, block, shape):
                 f"line {line_no}: tensor {name} row holds {len(row)} bytes, not {width}"
             )
         rows.append(row)
-    return np.frombuffer(b"".join(rows), dtype="<f8").reshape(shape)
+    values = np.frombuffer(b"".join(rows), dtype="<f8").reshape(shape)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise reader.error(f"line {first + bad[0]}: tensor {name}: non-finite weight")
+    return values
 
 
 def _read_tensors(reader, tensors):
@@ -841,8 +890,8 @@ def load_model(path):
 
     Reads checkpoint v3 (see save_model). Raises ValueError naming the path
     unless every header line has its key and count, every tensor is
-    present in checkpoint order and complete, and the digest matches, so a
-    truncated or edited file never loads.
+    present in checkpoint order, complete and finite, and the digest
+    matches, so a truncated or edited file never loads.
     """
     with read_artifact(path, MAGIC) as reader:
         dims = reader.value("dims").split(" ")

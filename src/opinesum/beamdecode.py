@@ -16,6 +16,11 @@ from .textcorpus import (
 )
 
 
+# Test inputs encoded together: each encoder chain steps a block's inputs
+# as rows, one stepper call per position for the whole block.
+ENCODE_ROWS = 8
+
+
 @dataclass(frozen=True)
 class BeamHypothesis:
     """Completed output sequence (tokens start after BOS, end with EOS)."""
@@ -33,8 +38,9 @@ def banned_indices(vocab, cluster):
     return banned
 
 
-def beam_search(model, z, width, max_len, banned):
-    """Top-`width` beam search; returns completed hypotheses, best first.
+def beam_search(model, contexts, width, max_len, banned):
+    """Top-`width` beam search over the encoded input `contexts` (one of
+    the arrays `encode` returns); returns completed hypotheses, best first.
 
     Each step expands every live hypothesis over the allowed vocabulary
     and keeps the top-`width` expansions, ordered by (-logp, tokens); the
@@ -55,7 +61,6 @@ def beam_search(model, z, width, max_len, banned):
     banned_set = set(banned)
     banned_set.discard(vocab.eos)
     allowed = np.array([i for i in range(len(vocab)) if i not in banned_set])
-    contexts = encode(model, z)
     keys = attention_keys(model, contexts)
     h, c = np.zeros((1, model.d_h)), np.zeros((1, model.d_h))
     prev = np.array([vocab.bos])
@@ -98,8 +103,10 @@ def beam_search(model, z, width, max_len, banned):
 
 
 def greedy_decode(model, z, max_len, banned):
-    """Step-wise argmax chain (beam of width 1)."""
-    return beam_search(model, z, width=1, max_len=max_len, banned=banned)[0]
+    """Step-wise argmax chain (beam of width 1) over the input z, encoded
+    alone."""
+    contexts = encode(model, [z])[0]
+    return beam_search(model, contexts, width=1, max_len=max_len, banned=banned)[0]
 
 
 def _content_map(norms, stopwords, idf):
@@ -131,28 +138,35 @@ def cosine_rerank(nbest, sims):
     return max(range(len(nbest)), key=lambda i: (sims[i], nbest[i].logp, -i))
 
 
-def decode_cluster(model, cluster, scores, K, width, max_len, tfidf, stopwords):
-    """Full decode of one entity-substituted cluster; returns the record
-    written by the CLI.
+def decode_split(model, clusters, unit_scores, K, width, max_len, tfidf, stopwords):
+    """Full decode of a split of entity-substituted clusters, with one
+    score vector per cluster; yields the record the CLI writes for each
+    cluster, in order.
 
-    select_test_input -> beam_search -> cosine_rerank -> restore_entity;
-    record["summary"] is the one-sentence abstract.
+    The clusters go ENCODE_ROWS at a time: select_test_input for each, one
+    encode call for the block, then per cluster beam_search ->
+    cosine_rerank -> restore_entity. record["summary"] is the one-sentence
+    abstract.
     """
     vocab = model.vocab
-    z = select_test_input(cluster, scores, K, vocab, tfidf)
-    nbest = beam_search(model, z, width, max_len, banned_indices(vocab, cluster))
-    sims = rerank_similarities(nbest, cluster, tfidf, stopwords, vocab)
-    best = cosine_rerank(nbest, sims)
-
-    def text_of(hyp):
-        norms = [vocab.word_of(t) for t in hyp.tokens[:-1]]
-        return detokenize(restore_entity(norms, cluster))
-
-    return {
-        "id": cluster.id,
-        "summary": text_of(nbest[best]),
-        "nbest": [
-            {"text": text_of(h), "logp": h.logp, "cosine": s}
-            for h, s in zip(nbest, sims)
-        ],
-    }
+    for start in range(0, len(clusters), ENCODE_ROWS):
+        block = clusters[start : start + ENCODE_ROWS]
+        zs = [
+            select_test_input(c, scores, K, vocab, tfidf)
+            for c, scores in zip(block, unit_scores[start : start + ENCODE_ROWS])
+        ]
+        for cluster, contexts in zip(block, encode(model, zs)):
+            nbest = beam_search(model, contexts, width, max_len, banned_indices(vocab, cluster))
+            sims = rerank_similarities(nbest, cluster, tfidf, stopwords, vocab)
+            texts = [
+                detokenize(restore_entity([vocab.word_of(t) for t in h.tokens[:-1]], cluster))
+                for h in nbest
+            ]
+            yield {
+                "id": cluster.id,
+                "summary": texts[cosine_rerank(nbest, sims)],
+                "nbest": [
+                    {"text": text, "logp": h.logp, "cosine": sim}
+                    for text, h, sim in zip(texts, nbest, sims)
+                ],
+            }

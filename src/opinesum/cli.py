@@ -411,12 +411,12 @@ def cmd_decode(cfg):
     clusters, tfidf = _prepare(load_clusters(cfg["corpus"]))
     unit_scores = _score_split(clusters, tfidf, lexicons, registry, sal_model)
     out = cfg.out_path("decode.jsonl")
+    records = beamdecode.decode_split(
+        model, clusters, unit_scores, cfg["K"], cfg["beam_width"], cfg["max_len"], tfidf,
+        lexicons.stopwords,
+    )
     with atomic_write(out) as fh:
-        for cluster, scores in zip(clusters, unit_scores):
-            record = beamdecode.decode_cluster(
-                model, cluster, scores, cfg["K"], cfg["beam_width"], cfg["max_len"], tfidf,
-                lexicons.stopwords,
-            )
+        for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     print(f"wrote {out}")
     return 0
@@ -485,9 +485,12 @@ def cmd_evaluate(cfg):
 def cmd_sampling_report(cfg):
     lexicons = _load_lexicons(cfg)
     sal_model, registry = _load_salience(cfg)
-    clusters, tfidf = _prepare(load_clusters(cfg["corpus"]))
+    clusters_raw = load_clusters(cfg["corpus"])
+    # the gold summaries as loaded, as evaluate reads them: the decoded
+    # summaries have their entities restored
+    refs = [c.summary.norms() for c in clusters_raw]
+    clusters, tfidf = _prepare(clusters_raw)
     unit_scores = _score_split(clusters, tfidf, lexicons, registry, sal_model)
-    refs = [c.summary.norms() for c in clusters]
     cells = {}
     for mode in cfg["modes"]:
         for k in cfg["Ks"]:
@@ -496,14 +499,11 @@ def cmd_sampling_report(cfg):
                 cells[(mode, k)] = None
                 continue
             model = load_seq2seq(path)
-            summaries = (
-                beamdecode.decode_cluster(
-                    model, c, scores, k, cfg["beam_width"], cfg["max_len"], tfidf,
-                    lexicons.stopwords,
-                )["summary"]
-                for c, scores in zip(clusters, unit_scores)
+            records = beamdecode.decode_split(
+                model, clusters, unit_scores, k, cfg["beam_width"], cfg["max_len"], tfidf,
+                lexicons.stopwords,
             )
-            hyps = [[t.norm for t in tokenize(summary)] for summary in summaries]
+            hyps = [[t.norm for t in tokenize(r["summary"])] for r in records]
             cells[(mode, k)] = (hyps, refs)
     rows = evalmetrics.sampling_report(cells)
     out = cfg.out_path("sampling.csv")

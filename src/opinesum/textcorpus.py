@@ -70,12 +70,20 @@ class TextUnit:
 
 @dataclass(frozen=True)
 class Cluster:
-    """One summarization instance: M input text units plus a gold abstract."""
+    """One summarization instance: M input text units plus a gold abstract.
+
+    An entity with no tokens (empty or whitespace only) is no entity: it
+    becomes None, so the generic label stays banned and never reaches a
+    summary unrestored."""
 
     id: str
     units: tuple
     summary: TextUnit
     entity: str | None = None
+
+    def __post_init__(self):
+        if isinstance(self.entity, str) and not self.entity.split():
+            object.__setattr__(self, "entity", None)
 
 
 def tokenize(text):
@@ -200,13 +208,11 @@ def load_clusters(path):
                     for u in obj["units"]
                 )
                 entity = obj.get("entity")
-                if entity is not None and not _string(entity, "entity").split():
-                    entity = None
                 cluster = Cluster(
                     id=_string(obj["id"], "id"),
                     units=units,
                     summary=_text_unit(_string(obj["summary"], "summary"), None, None, shared),
-                    entity=entity,
+                    entity=None if entity is None else _string(entity, "entity"),
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(path, line_no, str(exc)) from exc

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from opinesum import beamdecode
-from opinesum.attnseq2seq import load_model, new_model, save_model, sequence_log_prob
+from opinesum.attnseq2seq import encode, load_model, new_model, save_model, sequence_log_prob
 from opinesum.evalmetrics import bleu, mean_ndcg_at, mrr, ndcg_at, rouge_su4
 from opinesum.numkit import SeededRng
 from opinesum.salience import (
@@ -84,7 +84,8 @@ def _six_word_model(seed):
 def test_criterion_3_beam_optimality():
     for seed in range(5):
         model, vocab, z, banned = _six_word_model(seed)
-        pool = beamdecode.beam_search(model, z, width=1296, max_len=4, banned=banned)
+        contexts = encode(model, [z])[0]
+        pool = beamdecode.beam_search(model, contexts, width=1296, max_len=4, banned=banned)
         inner = [i for i in range(len(vocab)) if i not in banned and i != vocab.eos]
         best = -np.inf
         for length in range(1, 5):
@@ -156,9 +157,9 @@ def test_criterion_4_memorization():
         hyps.append(norms)
         refs.append(c.summary.norms())
         # the full pipeline (beam + cosine rerank) also returns the gold text
-        text = beamdecode.decode_cluster(
-            model, c, scores[c.id], config.K, 5, config.max_len, tfidf, stopwords
-        )["summary"]
+        text = list(beamdecode.decode_split(
+            model, [c], [scores[c.id]], config.K, 5, config.max_len, tfidf, stopwords
+        ))[0]["summary"]
         assert text == detokenize(c.summary.norms()), f"cluster {c.id} pipeline output"
     assert bleu(hyps, refs) == pytest.approx(1.0, abs=1e-12)
     elapsed = time.perf_counter() - start
@@ -276,7 +277,8 @@ def test_criterion_8_consistency(tmp_path):
     # beam incremental log-probs equal batch scores
     for seed in range(3):
         model, vocab, z, banned = _six_word_model(seed)
-        pool = beamdecode.beam_search(model, z, width=6, max_len=5, banned=banned)
+        contexts = encode(model, [z])[0]
+        pool = beamdecode.beam_search(model, contexts, width=6, max_len=5, banned=banned)
         assert pool
         for h in pool:
             ll, _ = sequence_log_prob(model, z, list(h.tokens))

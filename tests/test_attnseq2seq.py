@@ -13,6 +13,8 @@ from opinesum.attnseq2seq import (
     _attend,
     _chain_backward,
     _emit_cell_gradients,
+    _encode_trace,
+    _first_row,
     _lstm_stepper,
     _run_chain,
     attention_keys,
@@ -184,7 +186,7 @@ class TestChains:
         rng = np.random.default_rng(d_u * 100 + n)
         p = random_cell(rng, d_u, d_h, scale=1.0)
         U = rng.normal(size=(n, d_u))
-        chain = _run_chain(p, U)
+        chain = _first_row(_run_chain(p, U[:, None]))
         gates = U @ p.Wu.T
         H, C = np.zeros((n + 1, d_h)), np.zeros((n + 1, d_h))
         for t in range(n):
@@ -262,7 +264,7 @@ class TestEncode:
         model, cluster, _, _ = tiny
         one = make_cluster(["dd"], cid="c1")
         z_one = build_input(one, [0], model.vocab, TfidfStats([one]))
-        contexts = encode(model, z_one)
+        contexts = encode(model, [z_one])[0]
         assert contexts.shape == (1, 2 * model.d_h)
         rep = model.emb[model.vocab.index_of("dd")]
         zero = np.zeros(model.d_h)
@@ -277,7 +279,7 @@ class TestEncode:
         # same parameters on both chains
         for (_, dst), (_, src) in zip(model.enc_b.named("b"), model.enc_f.named("f")):
             dst[...] = src
-        contexts = encode(model, build_input(cluster, [0], vocab, TfidfStats([cluster])))
+        contexts = encode(model, [build_input(cluster, [0], vocab, TfidfStats([cluster]))])[0]
         n, d_h = 3, model.d_h
         for i in range(n):
             np.testing.assert_allclose(
@@ -288,7 +290,7 @@ class TestEncode:
         model, cluster, _, _ = tiny
         three = make_cluster(["aa bb cc"], cid="c2")
         z = build_input(three, [0], model.vocab, TfidfStats([three]))
-        contexts = encode(model, z)
+        contexts = encode(model, [z])[0]
         reps = [model.emb[i] for i in z.indices]
         h = c = np.zeros(model.d_h)
         for t in range(3):
@@ -304,20 +306,62 @@ class TestEncode:
         bad = build_input(cluster, [0], model.vocab, TfidfStats([cluster]))
         bad.indices[0] = len(model.vocab) + 5
         with pytest.raises(ValueError):
-            encode(model, bad)
+            encode(model, [bad])[0]
+
+
+class TestEncodeBlock:
+    """encode on several inputs of unequal length at once."""
+
+    @staticmethod
+    def three_inputs(with_features):
+        model, cluster, _, _ = tiny_setup(
+            seed=6, with_features=with_features, d_emb=16, d_h=24, d_a=12, scale=0.8
+        )
+        tfidf = TfidfStats([cluster])
+        # lengths 3, 6 (both units and a SEG) and 2
+        zs = [build_input(cluster, order, model.vocab, tfidf) for order in ([0], [1, 0], [1])]
+        assert [len(z) for z in zs] == [3, 6, 2]
+        return model, zs
+
+    @pytest.mark.parametrize("with_features", [False, True])
+    def test_each_output_has_its_inputs_length(self, with_features):
+        model, zs = self.three_inputs(with_features)
+        got = encode(model, zs)
+        assert [c.shape for c in got] == [(len(z), 2 * model.d_h) for z in zs]
+
+    @pytest.mark.parametrize("with_features", [False, True])
+    def test_each_output_matches_its_input_encoded_alone(self, with_features):
+        model, zs = self.three_inputs(with_features)
+        for z, block in zip(zs, encode(model, zs)):
+            np.testing.assert_allclose(block, encode(model, [z])[0], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("with_features", [False, True])
+    def test_one_input_keeps_the_bits_of_the_training_encoder(self, with_features):
+        model, zs = self.three_inputs(with_features)
+        for z in zs:
+            got, want = encode(model, [z])[0], _encode_trace(model, z).contexts
+            assert got.shape == want.shape
+            assert (got.view(np.int64) == want.view(np.int64)).all()
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_bad_index_in_any_input_raises(self, bad):
+        model, zs = self.three_inputs(False)
+        zs[bad].indices[-1] = len(model.vocab)
+        with pytest.raises(ValueError, match="invalid token index"):
+            encode(model, zs)
 
 
 class TestAttend:
     def test_singleton(self, tiny):
         model, _, z, _ = tiny
-        contexts = encode(model, z)[:1]
+        contexts = encode(model, [z])[0][:1]
         cache = _attend(model, contexts, attention_keys(model, contexts), np.zeros((1, model.d_h)))
         np.testing.assert_allclose(cache.a[0], [1.0])
         np.testing.assert_allclose(cache.s[0], contexts[0])
 
     def test_identical_contexts_uniform(self, tiny):
         model, _, z, _ = tiny
-        b = np.tile(encode(model, z)[0], (4, 1))
+        b = np.tile(encode(model, [z])[0][0], (4, 1))
         cache = _attend(model, b, attention_keys(model, b), np.ones((1, model.d_h)) * 0.1)
         np.testing.assert_allclose(cache.a[0], 0.25)
         np.testing.assert_allclose(cache.s[0], b[0], atol=1e-14)
@@ -340,7 +384,7 @@ class TestAttend:
 
     def test_sums_to_one(self, tiny):
         model, _, z, _ = tiny
-        contexts = encode(model, z)
+        contexts = encode(model, [z])[0]
         keys = attention_keys(model, contexts)
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -360,7 +404,7 @@ class TestDecodeRows:
         model, _, z, _ = tiny
         model.W_out[...] = 0.0
         model.b_out[...] = 0.0
-        contexts = encode(model, z)
+        contexts = encode(model, [z])[0]
         zeros = np.zeros(model.d_h)
         _, _, p = decode_one(
             model, model.vocab.bos, zeros, zeros, contexts, attention_keys(model, contexts)
@@ -370,7 +414,7 @@ class TestDecodeRows:
     def test_probabilities_normalized_many_draws(self):
         for seed in range(1000):
             model, _, z, _ = tiny_setup(seed=seed, d_emb=3, d_h=2, d_a=2)
-            contexts = encode(model, z)
+            contexts = encode(model, [z])[0]
             zeros = np.zeros(2)
             _, _, p = decode_one(
                 model, model.vocab.bos, zeros, zeros, contexts, attention_keys(model, contexts)
@@ -380,7 +424,7 @@ class TestDecodeRows:
 
     def test_composed_oracle(self, tiny):
         model, _, z, _ = tiny
-        contexts = encode(model, z)
+        contexts = encode(model, [z])[0]
         keys = attention_keys(model, contexts)
         h_prev, c_prev = np.tanh(np.linspace(-1, 1, model.d_h)), np.linspace(-1, 1, model.d_h)
         idx = model.vocab.index_of("bb")
@@ -398,7 +442,7 @@ class TestDecodeRows:
         # each row of a B-row call against a one-row call
         for with_features in (False, True):
             model, _, z, y = tiny_setup(seed=5, with_features=with_features, scale=0.8)
-            contexts = encode(model, z)
+            contexts = encode(model, [z])[0]
             keys = attention_keys(model, contexts)
             rng = np.random.default_rng(4)
             rows = 4
@@ -417,7 +461,7 @@ class TestDecodeRows:
         # a hypothesis's score must not depend on the row slot the beam
         # gives it, for any beam width
         model, _, z, _ = tiny_setup(seed=2, with_features=True, d_emb=16, d_h=24, d_a=12)
-        contexts = encode(model, z)
+        contexts = encode(model, [z])[0]
         keys = attention_keys(model, contexts)
         rng = np.random.default_rng(8)
         h0, c0 = np.tanh(rng.normal(size=model.d_h)), rng.normal(size=model.d_h)
@@ -429,14 +473,14 @@ class TestDecodeRows:
 
     def test_invalid_index(self, tiny):
         model, _, z, _ = tiny
-        contexts = encode(model, z)
+        contexts = encode(model, [z])[0]
         zeros = np.zeros((1, model.d_h))
         with pytest.raises(ValueError):
             decode_step(model, [-1], zeros, zeros, contexts, attention_keys(model, contexts))
 
     def test_rejects_bad_rows(self, tiny):
         model, _, z, _ = tiny
-        contexts = encode(model, z)
+        contexts = encode(model, [z])[0]
         keys = attention_keys(model, contexts)
         zeros = np.zeros((2, model.d_h))
         with pytest.raises(ValueError):
@@ -468,7 +512,7 @@ class TestSequenceLogProb:
         for with_features in (False, True):
             model, _, z, y = tiny_setup(with_features=with_features)
             loglik, trace = sequence_log_prob(model, z, y)
-            contexts = encode(model, z)
+            contexts = encode(model, [z])[0]
             keys = attention_keys(model, contexts)
             h = c = np.zeros(model.d_h)
             total = 0.0
@@ -760,6 +804,18 @@ class TestSerialization:
         lines[-2] = f"sha256 {hashlib.sha256(body.encode()).hexdigest()}"
         path.write_text("\n".join(lines))
         message = f"{path}: line {line_no}: expected 'tensor {name} "
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(path)
+
+    @pytest.mark.parametrize("name, row, value", [("W_out", 2, np.inf), ("emb", 3, np.nan)])
+    def test_rejects_non_finite_weight(self, tiny, tmp_path, name, row, value):
+        model, _, _, _ = tiny
+        model.tensors[name][row, 1] = value
+        # save_model writes the digest of the file it writes, so only the
+        # value can fail
+        path, lines = self._saved_lines(tiny, tmp_path)
+        line_no = lines.index(next(ln for ln in lines if ln.startswith(f"tensor {name} "))) + 2
+        message = f"{path}: line {line_no + row}: tensor {name}: non-finite weight"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_model(path)
 

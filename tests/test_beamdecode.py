@@ -17,7 +17,7 @@ from opinesum.beamdecode import (
     banned_indices,
     beam_search,
     cosine_rerank,
-    decode_cluster,
+    decode_split,
     greedy_decode,
     rerank_similarities,
 )
@@ -40,7 +40,7 @@ def reference_beam_search(model, z, width, max_len, banned):
     banned_set = set(banned)
     banned_set.discard(vocab.eos)
     allowed = [i for i in range(len(vocab)) if i not in banned_set]
-    contexts = encode(model, z)
+    contexts = encode(model, [z])[0]
     keys = attention_keys(model, contexts)
     zeros = np.zeros(model.d_h)
     live = [RefHypothesis((), 0.0, (zeros, zeros), False)]
@@ -68,7 +68,7 @@ def reference_beam_search(model, z, width, max_len, banned):
 
 
 def assert_matches_reference(model, z, width, max_len, banned):
-    got = beam_search(model, z, width, max_len, banned)
+    got = beam_search(model, encode(model, [z])[0], width, max_len, banned)
     want = reference_beam_search(model, z, width, max_len, banned)
     assert [h.tokens for h in got] == [h.tokens for h in want]
     for g, w in zip(got, want):
@@ -111,7 +111,7 @@ def greedy_oracle(model, z, max_len, banned):
     """Step-wise argmax chain, independent of the beam implementation."""
     vocab = model.vocab
     allowed = [i for i in range(len(vocab)) if i not in banned]
-    contexts = encode(model, z)
+    contexts = encode(model, [z])[0]
     keys = attention_keys(model, contexts)
     h = c = np.zeros(model.d_h)
     prev = vocab.bos
@@ -149,7 +149,7 @@ class TestBeamSearch:
     def test_width_one_equals_greedy_oracle(self):
         for seed in range(5):
             model, vocab, z, banned = six_word_setup(seed)
-            pool = beam_search(model, z, width=1, max_len=6, banned=banned)
+            pool = beam_search(model, encode(model, [z])[0], width=1, max_len=6, banned=banned)
             tokens, logp = greedy_oracle(model, z, 6, banned)
             assert pool[0].tokens == tokens
             assert pool[0].logp == pytest.approx(logp, abs=1e-12)
@@ -157,38 +157,39 @@ class TestBeamSearch:
     def test_recovers_exhaustive_optimum(self):
         for seed in range(2):
             model, vocab, z, banned = six_word_setup(seed)
-            pool = beam_search(model, z, width=1296, max_len=4, banned=banned)
+            pool = beam_search(model, encode(model, [z])[0], width=1296, max_len=4, banned=banned)
             best_ll, best_tokens = exhaustive_best(model, z, 4, banned)
             assert pool[0].logp == pytest.approx(best_ll, abs=1e-10)
             assert pool[0].tokens == best_tokens
 
     def test_deterministic(self):
         model, vocab, z, banned = six_word_setup(3)
-        a = beam_search(model, z, width=4, max_len=5, banned=banned)
-        b = beam_search(model, z, width=4, max_len=5, banned=banned)
+        a = beam_search(model, encode(model, [z])[0], width=4, max_len=5, banned=banned)
+        b = beam_search(model, encode(model, [z])[0], width=4, max_len=5, banned=banned)
         assert [(h.tokens, h.logp) for h in a] == [(h.tokens, h.logp) for h in b]
 
     def test_every_hypothesis_ends_with_single_eos(self):
         model, vocab, z, banned = six_word_setup(1)
-        for h in beam_search(model, z, width=5, max_len=6, banned=banned):
+        for h in beam_search(model, encode(model, [z])[0], width=5, max_len=6, banned=banned):
             assert h.tokens[-1] == vocab.eos
             assert h.tokens.count(vocab.eos) == 1
 
     def test_pool_size_bound(self):
         for width, max_len in ((1, 4), (3, 5), (8, 3)):
             model, vocab, z, banned = six_word_setup(2)
-            pool = beam_search(model, z, width=width, max_len=max_len, banned=banned)
+            contexts = encode(model, [z])[0]
+            pool = beam_search(model, contexts, width=width, max_len=max_len, banned=banned)
             assert len(pool) <= width * max_len + width
 
     def test_banned_tokens_absent(self):
         model, vocab, z, banned = six_word_setup(4)
-        for h in beam_search(model, z, width=6, max_len=5, banned=banned):
+        for h in beam_search(model, encode(model, [z])[0], width=6, max_len=5, banned=banned):
             assert vocab.seg not in h.tokens
             assert vocab.bos not in h.tokens
 
     def test_incremental_matches_batch_scores(self):
         model, vocab, z, banned = six_word_setup(5)
-        pool = beam_search(model, z, width=6, max_len=5, banned=banned)
+        pool = beam_search(model, encode(model, [z])[0], width=6, max_len=5, banned=banned)
         assert pool
         for h in pool:
             ll, _ = sequence_log_prob(model, z, list(h.tokens))
@@ -196,25 +197,26 @@ class TestBeamSearch:
 
     def test_sorted_by_logp_then_length(self):
         model, vocab, z, banned = six_word_setup(6)
-        pool = beam_search(model, z, width=6, max_len=5, banned=banned)
+        pool = beam_search(model, encode(model, [z])[0], width=6, max_len=5, banned=banned)
         keys = [(-h.logp, len(h.tokens), h.tokens) for h in pool]
         assert keys == sorted(keys)
 
     def test_width_validation(self):
         model, vocab, z, banned = six_word_setup(0)
         with pytest.raises(ValueError):
-            beam_search(model, z, width=0, max_len=3, banned=banned)
+            beam_search(model, encode(model, [z])[0], width=0, max_len=3, banned=banned)
         with pytest.raises(ValueError):
-            beam_search(model, z, width=1, max_len=0, banned=banned)
+            beam_search(model, encode(model, [z])[0], width=1, max_len=0, banned=banned)
 
     def test_greedy_decode_helper(self):
         model, vocab, z, banned = six_word_setup(7)
         best = greedy_decode(model, z, max_len=5, banned=banned)
-        assert best.tokens == beam_search(model, z, width=1, max_len=5, banned=banned)[0].tokens
+        contexts = encode(model, [z])[0]
+        assert best.tokens == beam_search(model, contexts, width=1, max_len=5, banned=banned)[0].tokens
 
     def test_max_len_one_forces_eos(self):
         model, vocab, z, banned = six_word_setup(8)
-        pool = beam_search(model, z, width=4, max_len=1, banned=banned)
+        pool = beam_search(model, encode(model, [z])[0], width=4, max_len=1, banned=banned)
         assert [h.tokens for h in pool] == [(vocab.eos,)]
 
 
@@ -326,10 +328,10 @@ class TestCosineRerank:
 class TestGenerateSummary:
     def test_no_seg_bos_or_entity_label_in_text(self):
         model, cluster, z, y = tiny_setup(seed=11)
-        record = decode_cluster(
-            model, cluster, np.ones(len(cluster.units)), K=2, width=3, max_len=5,
+        record = list(decode_split(
+            model, [cluster], [np.ones(len(cluster.units))], K=2, width=3, max_len=5,
             tfidf=TfidfStats([cluster]), stopwords=default_stopwords(),
-        )
+        ))[0]
         text = record["summary"]
         for forbidden in ("SEG", "BOS"):
             assert forbidden not in text.split()
@@ -347,19 +349,19 @@ class TestGenerateSummary:
         # constant logits: generic label then forced EOS
         model.b_out[vocab.entity] = 2.0
         model.b_out[vocab.eos] = 1.0
-        text = decode_cluster(
-            model, sub, np.ones(2), K=2, width=2, max_len=3,
+        text = list(decode_split(
+            model, [sub], [np.ones(2)], K=2, width=2, max_len=3,
             tfidf=TfidfStats([sub]), stopwords=default_stopwords(),
-        )["summary"]
+        ))[0]["summary"]
         assert "ENTITY" not in text
         assert "the martian" in text
 
     def test_record_shape(self):
         model, cluster, z, y = tiny_setup(seed=12)
-        record = decode_cluster(
-            model, cluster, np.ones(len(cluster.units)), 2, 3, 5,
+        record = list(decode_split(
+            model, [cluster], [np.ones(len(cluster.units))], 2, 3, 5,
             TfidfStats([cluster]), default_stopwords(),
-        )
+        ))[0]
         assert record["id"] == cluster.id
         assert isinstance(record["summary"], str)
         assert record["nbest"]

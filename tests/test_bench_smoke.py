@@ -5,7 +5,8 @@ or an inlined layer would leave its span empty and its metric at zero
 without any error. Each test runs one tiny traced benchmark (about two
 seconds) and checks that the spans of the text front-end, of the salience
 fit and its SPD solve, of the training path and its dev pass, of the
-checkpoint's save and load and of the beam's decoder steps were recorded.
+checkpoint's save and load, of the test inputs' selection and of the
+beam and its decoder steps were recorded.
 """
 
 import json
@@ -33,6 +34,8 @@ POSITIVE = (
     "numkit.solve_spd.calls",
     "attnseq2seq.decode_step.calls",
     "beamdecode.candidates",
+    "beamdecode.beam_search.calls",
+    "sampler.encoder_tokens",
 )
 
 

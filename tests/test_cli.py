@@ -606,9 +606,9 @@ class TestDecodeEvaluate:
         for cluster in clusters:
             feats = salience.cluster_features(cluster, registry, lexicons, tfidf)
             scores = salience.score_units(sal, feats)
-            expected = beamdecode.decode_cluster(
-                model, cluster, scores, 2, 3, 8, tfidf, lexicons.stopwords
-            )["summary"]
+            expected = list(beamdecode.decode_split(
+                model, [cluster], [scores], 2, 3, 8, tfidf, lexicons.stopwords
+            ))[0]["summary"]
             assert records[cluster.id]["summary"] == expected
 
     def test_decode_rerun_byte_identical(self, tmp_path, corpus_file, fitted_salience):
@@ -805,6 +805,41 @@ class TestSamplingReport:
         by_key = {(r[0], r[1]): r[2] for r in rows[1:]}
         assert by_key[("topk", "2")] != ""
         assert by_key[("uniform", "1")] == ""
+
+    def test_bleu_cell_equals_decode_then_evaluate(self, tmp_path, fitted_salience):
+        # one summary names its cluster's entity: both commands score the
+        # entity-restored summaries against the gold summaries as loaded
+        clusters = toy_corpus()
+        clusters[0]["summary"] = "Red Planet is a smart thrilling ride"
+        corpus = tmp_path / "entity.jsonl"
+        write_corpus(corpus, clusters)
+        model_file = train_once(tmp_path, corpus, fitted_salience, "t9") / "model.txt"
+        model_dir = tmp_path / "models"
+        model_dir.mkdir()
+        (model_dir / "topk_K2.model").write_bytes(model_file.read_bytes())
+        model_path, registry_path = fitted_salience
+        common = [
+            "--set", f"corpus={corpus}",
+            "--set", f"salience_model={model_path}",
+            "--set", f"salience_registry={registry_path}",
+            "--set", "beam_width=3", "--set", "max_len=8",
+        ]
+        assert main(
+            ["sampling-report", "--set", f"model_dir={model_dir}", "--set", "modes=topk",
+             "--set", "Ks=2", "--set", f"out_dir={tmp_path / 'rep'}"] + common
+        ) == 0
+        assert main(
+            ["decode", "--set", f"model={model_file}", "--set", "K=2",
+             "--set", f"out_dir={tmp_path / 'dec'}"] + common
+        ) == 0
+        assert main(
+            ["evaluate", "--set", f"corpus={corpus}",
+             "--set", f"decode={tmp_path / 'dec' / 'decode.jsonl'}",
+             "--set", f"out_dir={tmp_path / 'eval'}"]
+        ) == 0
+        cell = list(csv.DictReader(open(tmp_path / "rep" / "sampling.csv")))[0]["bleu"]
+        evaluated = list(csv.DictReader(open(tmp_path / "eval" / "eval.csv")))[0]["bleu"]
+        assert cell == evaluated
 
     @pytest.mark.parametrize(
         "setting, message",

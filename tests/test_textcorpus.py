@@ -512,6 +512,37 @@ class TestEmbeddings:
             load_embeddings(path, vocab, dim=2)
 
 
+class TestBlankEntity:
+    """A Cluster built in code with an entity of no tokens has no entity,
+    as load_clusters reads one from a file."""
+
+    BLANKS = ["", "  ", "\t\n"]
+
+    @pytest.mark.parametrize("blank", BLANKS)
+    def test_blank_entity_is_none(self, blank):
+        assert make_cluster(["a b"], "c", entity=blank).entity is None
+        assert make_cluster(["a b"], "c", entity=" Mars ").entity == " Mars "
+
+    @pytest.mark.parametrize("blank", BLANKS)
+    def test_banned_indices_ban_the_label(self, blank):
+        from opinesum.beamdecode import banned_indices
+
+        cluster = make_cluster(["the ENTITY rocks"], "c", entity=blank)
+        vocab = build_vocab([cluster])
+        assert vocab.entity in banned_indices(vocab, cluster)
+
+    @pytest.mark.parametrize("blank", BLANKS)
+    def test_restore_entity_as_without_entity(self, blank):
+        norms = ["the", "ENTITY", "rocks"]
+        blank_cluster = make_cluster(["x"], "y", entity=blank)
+        assert restore_entity(norms, blank_cluster) == restore_entity(norms, make_cluster(["x"], "y"))
+
+    @pytest.mark.parametrize("blank", BLANKS)
+    def test_substitute_entity_as_without_entity(self, blank):
+        cluster = make_cluster(["the  martian"], "y", entity=blank)
+        assert substitute_entity(cluster) is cluster
+
+
 class TestEntitySubstitution:
     def test_direct_replacement(self):
         cluster = make_cluster(["the martian is smart"], "great", entity="the martian")
