@@ -45,12 +45,12 @@ config = TrainConfig(
     d_emb=32, d_h=32, d_a=16, K=2, mode="importance",
     eta=0.25, max_epochs=500, patience=60, seed=0, max_len=12,
 )
-scores = {c.id: np.ones(len(c.units)) for c in clusters}
+scores = [np.ones(len(c.units)) for c in clusters]
 # no cluster names an entity, so the corpus is its own substituted form
 tfidf = TfidfStats(clusters)
 
 start = time.perf_counter()
-model, history = train(clusters, clusters, config, scores, tfidf, None, None)
+model, history = train(clusters, scores, clusters, scores, config, tfidf, None, None)
 print(f"trained {len(history)} epochs in {time.perf_counter()-start:.1f}s")
 for epoch, nll, dev_bleu in history[:3] + history[-3:]:
     print(f"   epoch {epoch:>3}  nll/example {nll:7.3f}  dev BLEU {dev_bleu:.3f}")
@@ -59,7 +59,7 @@ print(f"best dev BLEU: {max(h[2] for h in history):.3f}")
 print("\ndecoding (beam width 5 + cosine re-rank):")
 stopwords = default_stopwords()
 records = list(beamdecode.decode_split(
-    model, clusters, [scores[c.id] for c in clusters], 2, 5, config.max_len, tfidf, stopwords
+    model, clusters, scores, 2, 5, config.max_len, tfidf, stopwords
 ))
 for c, record in zip(clusters, records):
     text = record["summary"]

@@ -31,6 +31,7 @@ from .textcorpus import (
     load_embeddings,
     load_lexicon,
     load_stopwords,
+    read_lines,
     save_clusters,
     substitute_entity,
     tokenize,
@@ -189,15 +190,14 @@ class RunConfig(dict):
         if config_path:
             if not os.path.isfile(config_path):
                 raise UsageError(f"config file not found: {config_path}")
-            with open(config_path, encoding="utf-8") as fh:
-                for line_no, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    if "=" not in line:
-                        raise UsageError(f"{config_path}:{line_no}: expected key=value")
-                    key, _, value = line.partition("=")
-                    pairs[key.strip()] = value.strip()
+            for line_no, line in read_lines(config_path):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise UsageError(f"{config_path}:{line_no}: expected key=value")
+                key, _, value = line.partition("=")
+                pairs[key.strip()] = value.strip()
         for item in overrides or ():
             if "=" not in item:
                 raise UsageError(f"--set expects key=value, got {item!r}")
@@ -356,28 +356,18 @@ def cmd_train(cfg):
     sal_model, registry = _load_salience(cfg)
     train_raw = load_clusters(cfg["corpus.train"])
     dev_raw = load_clusters(cfg["corpus.dev"])
-    # salience scores are keyed by cluster id, so a shared id must name
-    # the same cluster in both splits (as when one file serves as both)
-    train_by_id = {c.id: c for c in train_raw}
-    for c in dev_raw:
-        if c.id in train_by_id and train_by_id[c.id] != c:
-            raise UsageError(
-                f"cluster id {c.id!r} names different clusters in corpus.train and corpus.dev"
-            )
     train_clusters, tfidf = _prepare(train_raw)
     dev_clusters, dev_tfidf = _prepare(dev_raw)
     train_scores = _score_split(train_clusters, tfidf, lexicons, registry, sal_model)
     dev_scores = _score_split(dev_clusters, dev_tfidf, lexicons, registry, sal_model)
-    # a cluster in both splits keeps the scores of the split it trains on
-    scores = {c.id: s for c, s in zip(dev_clusters, dev_scores)}
-    scores.update((c.id, s) for c, s in zip(train_clusters, train_scores))
     pretrained = None
     if cfg["embeddings"]:
         vocab = build_vocab(train_clusters, config.min_count)
         pretrained, coverage = load_embeddings(cfg["embeddings"], vocab, config.d_emb)
         print(f"pretrained embedding coverage: {coverage:.3f}")
     model, history = trainer.train(
-        train_clusters, dev_clusters, config, scores, tfidf, lexicons, pretrained
+        train_clusters, train_scores, dev_clusters, dev_scores, config, tfidf, lexicons,
+        pretrained,
     )
     save_seq2seq(model, cfg.out_path("model.txt"))
     _write_csv(
@@ -427,25 +417,24 @@ def _read_decode_summaries(path, gold):
     must be a JSON object with string id and summary, and the file must
     hold exactly one record per corpus cluster."""
     summaries, first_line = {}, {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"{path}:{line_no}: invalid JSON: {exc}") from None
-            if not isinstance(record, dict) or not all(
-                isinstance(record.get(key), str) for key in ("id", "summary")
-            ):
-                raise UsageError(f"{path}:{line_no}: expected an object with string id and summary")
-            cid = record["id"]
-            if cid not in gold:
-                raise UsageError(f"{path}:{line_no}: decode record {cid!r} not in corpus")
-            if cid in first_line:
-                raise UsageError(
-                    f"{path}:{line_no}: repeats id {cid!r} (first on line {first_line[cid]})"
-                )
-            first_line[cid] = line_no
-            summaries[cid] = record["summary"]
+    for line_no, line in read_lines(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}:{line_no}: invalid JSON: {exc}") from None
+        if not isinstance(record, dict) or not all(
+            isinstance(record.get(key), str) for key in ("id", "summary")
+        ):
+            raise UsageError(f"{path}:{line_no}: expected an object with string id and summary")
+        cid = record["id"]
+        if cid not in gold:
+            raise UsageError(f"{path}:{line_no}: decode record {cid!r} not in corpus")
+        if cid in first_line:
+            raise UsageError(
+                f"{path}:{line_no}: repeats id {cid!r} (first on line {first_line[cid]})"
+            )
+        first_line[cid] = line_no
+        summaries[cid] = record["summary"]
     missing = [cid for cid in gold if cid not in summaries]
     if missing:
         raise UsageError(
@@ -491,27 +480,23 @@ def cmd_sampling_report(cfg):
     refs = [c.summary.norms() for c in clusters_raw]
     clusters, tfidf = _prepare(clusters_raw)
     unit_scores = _score_split(clusters, tfidf, lexicons, registry, sal_model)
-    cells = {}
-    for mode in cfg["modes"]:
-        for k in cfg["Ks"]:
+    # one row per distinct (mode, K), in sorted order; a missing model
+    # leaves its cell blank
+    rows = []
+    for mode in sorted(set(cfg["modes"])):
+        for k in sorted(set(cfg["Ks"])):
             path = os.path.join(cfg["model_dir"], f"{mode}_K{k}.model")
             if not os.path.isfile(path):
-                cells[(mode, k)] = None
+                rows.append([mode, k, ""])
                 continue
-            model = load_seq2seq(path)
             records = beamdecode.decode_split(
-                model, clusters, unit_scores, k, cfg["beam_width"], cfg["max_len"], tfidf,
-                lexicons.stopwords,
+                load_seq2seq(path), clusters, unit_scores, k, cfg["beam_width"], cfg["max_len"],
+                tfidf, lexicons.stopwords,
             )
             hyps = [[t.norm for t in tokenize(r["summary"])] for r in records]
-            cells[(mode, k)] = (hyps, refs)
-    rows = evalmetrics.sampling_report(cells)
+            rows.append([mode, k, f"{evalmetrics.bleu(hyps, refs):.6f}"])
     out = cfg.out_path("sampling.csv")
-    _write_csv(
-        out,
-        ["mode", "K", "bleu"],
-        [[mode, k, "" if score is None else f"{score:.6f}"] for mode, k, score in rows],
-    )
+    _write_csv(out, ["mode", "K", "bleu"], rows)
     print(f"wrote {out}")
     return 0
 

@@ -1,5 +1,5 @@
 """Corpus evaluation: BLEU (up to 4-grams, smoothed, brevity penalty),
-ROUGE-SU4 recall, MRR, NDCG@k, and the sampling-strategy report."""
+ROUGE-SU4 recall, MRR and NDCG@k."""
 
 import math
 from collections import Counter
@@ -126,17 +126,3 @@ def summarize_system(hypotheses, references):
         rouge_su4=rouge_su4_corpus(hypotheses, references),
         mean_length=sum(len(h) for h in hypotheses) / len(hypotheses),
     )
-
-
-def sampling_report(cells):
-    """Rows (mode, K, BLEU-or-None) for the sampling-strategy comparison.
-
-    `cells` maps (mode, K) to a (hypotheses, references) pair, or to None
-    for configurations whose model is absent.
-    """
-    rows = []
-    for (mode, k) in sorted(cells, key=lambda mk: (mk[0], mk[1])):
-        pair = cells[(mode, k)]
-        score = bleu(pair[0], pair[1]) if pair is not None else None
-        rows.append((mode, k, score))
-    return rows

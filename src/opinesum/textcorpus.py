@@ -38,7 +38,8 @@ _PUNCT = string.punctuation  # the ASCII punctuation characters
 
 
 class CorpusFormatError(ValueError):
-    """Malformed corpus, embedding, or lexicon file; carries a line number."""
+    """A malformed line of a text input file; carries the path and the
+    line number."""
 
     def __init__(self, path, line_no, message):
         self.path = str(path)
@@ -162,6 +163,19 @@ def _text_unit(text, pos, ner, shared):
     return TextUnit(tokens=tuple(tokens), raw=text)
 
 
+def read_lines(path):
+    """Yield (line number, line) for each line of the UTF-8 text file
+    `path`, newline kept; lines end at "\n" only. Each line is decoded on
+    its own, so a line that is not UTF-8 raises CorpusFormatError naming
+    the path and that line."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                yield line_no, raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CorpusFormatError(path, line_no, "not UTF-8 text") from None
+
+
 def _string(value, what):
     """`value`, which a corpus record must hold as a string."""
     if not isinstance(value, str):
@@ -188,47 +202,46 @@ def load_clusters(path):
     line_no = 0
     shared = {ENTITY_LABEL: ENTITY_TOKEN}
     first_line = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(path, line_no, f"invalid JSON: {exc}") from exc
-            try:
-                units = tuple(
-                    _text_unit(
-                        _string(u["text"], "unit text"),
-                        _tags(u.get("pos"), "unit pos"),
-                        _tags(u.get("ner"), "unit ner"),
-                        shared,
-                    )
-                    for u in obj["units"]
+    for line_no, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(path, line_no, f"invalid JSON: {exc}") from exc
+        try:
+            units = tuple(
+                _text_unit(
+                    _string(u["text"], "unit text"),
+                    _tags(u.get("pos"), "unit pos"),
+                    _tags(u.get("ner"), "unit ner"),
+                    shared,
                 )
-                entity = obj.get("entity")
-                cluster = Cluster(
-                    id=_string(obj["id"], "id"),
-                    units=units,
-                    summary=_text_unit(_string(obj["summary"], "summary"), None, None, shared),
-                    entity=None if entity is None else _string(entity, "entity"),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(path, line_no, str(exc)) from exc
-            if not cluster.units:
-                raise CorpusFormatError(path, line_no, "cluster has no units")
-            if not cluster.summary.tokens:
-                raise CorpusFormatError(path, line_no, "cluster summary is empty")
-            for u in cluster.units:
-                if not u.tokens:
-                    raise CorpusFormatError(path, line_no, "cluster has an empty unit")
-            first = first_line.setdefault(cluster.id, line_no)
-            if first != line_no:
-                raise CorpusFormatError(
-                    path, line_no, f"duplicate cluster id {cluster.id!r} (first on line {first})"
-                )
-            clusters.append(cluster)
+                for u in obj["units"]
+            )
+            entity = obj.get("entity")
+            cluster = Cluster(
+                id=_string(obj["id"], "id"),
+                units=units,
+                summary=_text_unit(_string(obj["summary"], "summary"), None, None, shared),
+                entity=None if entity is None else _string(entity, "entity"),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusFormatError(path, line_no, str(exc)) from exc
+        if not cluster.units:
+            raise CorpusFormatError(path, line_no, "cluster has no units")
+        if not cluster.summary.tokens:
+            raise CorpusFormatError(path, line_no, "cluster summary is empty")
+        for u in cluster.units:
+            if not u.tokens:
+                raise CorpusFormatError(path, line_no, "cluster has an empty unit")
+        first = first_line.setdefault(cluster.id, line_no)
+        if first != line_no:
+            raise CorpusFormatError(
+                path, line_no, f"duplicate cluster id {cluster.id!r} (first on line {first})"
+            )
+        clusters.append(cluster)
     if not clusters:
         raise CorpusFormatError(path, line_no, "the file holds no cluster")
     return clusters
@@ -337,44 +350,43 @@ def load_embeddings(path, vocab, dim):
     words of `vocab` the file covers, coverage over non-reserved words).
     """
     vectors = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.endswith("\n"):
-                # a file cut mid-number would otherwise load a wrong value
-                raise CorpusFormatError(path, line_no, "truncated: line has no newline")
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split()
-            if line_no == 1 and len(parts) == 2:
-                try:
-                    int(parts[0])
-                    header_dim = int(parts[1])
-                except ValueError:
-                    pass
-                else:
-                    if header_dim != dim:
-                        raise ValueError(
-                            f"embedding dim mismatch: file declares {header_dim}, expected {dim}"
-                        )
-                    continue
-            if len(parts) < 2:
-                raise CorpusFormatError(path, line_no, "expected 'word v1 ... v_d'")
-            word = parts[0]
+    for line_no, line in read_lines(path):
+        if not line.endswith("\n"):
+            # a file cut mid-number would otherwise load a wrong value
+            raise CorpusFormatError(path, line_no, "truncated: line has no newline")
+        parts = line.split()
+        if not parts:
+            continue
+        if line_no == 1 and len(parts) == 2:
             try:
-                values = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise CorpusFormatError(path, line_no, f"bad float: {exc}") from exc
-            if not np.isfinite(values).all():
-                raise CorpusFormatError(path, line_no, f"non-finite value in the vector of {word!r}")
-            if values.shape[0] != dim:
-                raise ValueError(
-                    f"embedding dim mismatch at line {line_no}: got {values.shape[0]}, expected {dim}"
-                )
-            if word in vocab:
-                # -0.0 becomes +0.0: no parameter may hold -0.0 (see trainer._adagrad_step)
-                values += 0.0
-                vectors[word] = values
+                int(parts[0])
+                header_dim = int(parts[1])
+            except ValueError:
+                pass
+            else:
+                if header_dim != dim:
+                    raise CorpusFormatError(
+                        path, line_no,
+                        f"embedding dim mismatch: file declares {header_dim}, expected {dim}",
+                    )
+                continue
+        if len(parts) < 2:
+            raise CorpusFormatError(path, line_no, "expected 'word v1 ... v_d'")
+        word = parts[0]
+        try:
+            values = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise CorpusFormatError(path, line_no, f"bad float: {exc}") from exc
+        if not np.isfinite(values).all():
+            raise CorpusFormatError(path, line_no, f"non-finite value in the vector of {word!r}")
+        if values.shape[0] != dim:
+            raise CorpusFormatError(
+                path, line_no, f"embedding dim mismatch: got {values.shape[0]}, expected {dim}"
+            )
+        if word in vocab:
+            # -0.0 becomes +0.0: no parameter may hold -0.0 (see trainer._adagrad_step)
+            values += 0.0
+            vectors[word] = values
     non_reserved = len(vocab) - len(RESERVED)
     coverage = (len(vectors) / non_reserved) if non_reserved > 0 else 1.0
     return vectors, coverage
@@ -383,11 +395,10 @@ def load_embeddings(path, vocab, dim):
 def load_stopwords(path):
     """Plain-text stopword list, one lowercase word per line."""
     words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            w = line.strip().lower()
-            if w and not w.startswith("#"):
-                words.add(w)
+    for _, line in read_lines(path):
+        w = line.strip().lower()
+        if w and not w.startswith("#"):
+            words.add(w)
     return frozenset(words)
 
 
@@ -403,16 +414,15 @@ def load_lexicon(path):
     Returns norm -> sorted tuple of categories.
     """
     cats = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                raise CorpusFormatError(path, line_no, "expected 'word<TAB>category'")
-            word = parts[0].strip().lower()
-            cats.setdefault(word, set()).add(parts[1].strip())
+    for line_no, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+            raise CorpusFormatError(path, line_no, "expected 'word<TAB>category'")
+        word = parts[0].strip().lower()
+        cats.setdefault(word, set()).add(parts[1].strip())
     return {w: tuple(sorted(c)) for w, c in cats.items()}
 
 

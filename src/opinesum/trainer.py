@@ -185,22 +185,25 @@ def _draw_input(cluster, scores, config, rng, vocab, tfidf):
     return sampler.select_test_input(cluster, scores, config.K, vocab, tfidf)
 
 
-def train(train_clusters, dev_clusters, config, scores, tfidf, lexicons, pretrained):
+def train(train_clusters, train_scores, dev_clusters, dev_scores, config, tfidf, lexicons,
+          pretrained):
     """Per-example Adagrad training with dev-BLEU early stopping.
 
     Both splits are entity-substituted and `tfidf` holds the training
-    split's statistics. `scores` maps cluster id to its per-unit importance
-    array (training sampling and dev-time top-K selection both use it), and
-    must cover every cluster of both splits. `lexicons` is read only when
-    config.use_features is set; `pretrained` is a {word: vector} dict or None.
-    Returns the best dev-BLEU snapshot and the per-epoch (epoch, train_nll,
-    dev_bleu) history.
+    split's statistics. Each split comes with one per-unit importance array
+    per cluster, in the order of its clusters: training samples with
+    `train_scores`, and the dev pass selects its top-K with `dev_scores`.
+    `lexicons` is read only when config.use_features is set; `pretrained`
+    is a {word: vector} dict or None. Returns the best dev-BLEU snapshot and
+    the per-epoch (epoch, train_nll, dev_bleu) history.
     """
     if not train_clusters or not dev_clusters:
         raise ValueError("train and dev splits must be non-empty")
-    for cluster in (*train_clusters, *dev_clusters):
-        if cluster.id not in scores:
-            raise ValueError(f"no importance scores for cluster {cluster.id!r}")
+    for split, clusters, scores in (
+        ("train", train_clusters, train_scores), ("dev", dev_clusters, dev_scores)
+    ):
+        if len(scores) != len(clusters):
+            raise ValueError(f"{len(clusters)} {split} clusters but {len(scores)} score arrays")
     vocab = build_vocab(train_clusters, config.min_count)
     if len(vocab) <= len(RESERVED):
         raise ValueError("corpus yields an empty vocabulary")
@@ -218,13 +221,13 @@ def train(train_clusters, dev_clusters, config, scores, tfidf, lexicons, pretrai
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(len(train_clusters))
         nll = 0.0
-        for idx in order:
-            cluster = train_clusters[int(idx)]
+        for idx in order.tolist():
+            cluster = train_clusters[idx]
             rng = SeededRng(derive_seed(config.seed, "sample", cluster.id, epoch))
-            z = _draw_input(cluster, scores[cluster.id], config, rng, vocab, tfidf)
+            z = _draw_input(cluster, train_scores[idx], config, rng, vocab, tfidf)
             y = list(vocab.encode(cluster.summary.norms())) + [vocab.eos]
             nll += _train_example(model, state, z, y, f"cluster {cluster.id!r}, epoch {epoch}")
-        dev_bleu = _dev_bleu(model, dev_clusters, config, scores, tfidf)
+        dev_bleu = _dev_bleu(model, dev_clusters, dev_scores, config, tfidf)
         history.append((epoch, nll / len(train_clusters), dev_bleu))
         if dev_bleu > best_bleu:
             best_bleu = dev_bleu
@@ -255,14 +258,13 @@ def _train_example(model, state, z, y, where):
     return -loglik
 
 
-def _dev_bleu(model, dev_clusters, config, scores, tfidf):
-    """Greedy-decoded corpus BLEU on the dev split (beam of width 1)."""
+def _dev_bleu(model, dev_clusters, dev_scores, config, tfidf):
+    """Greedy-decoded corpus BLEU on the dev split (beam of width 1), each
+    cluster's input the top-K of its own entry of `dev_scores`."""
     hyps = []
     refs = []
-    for cluster in dev_clusters:
-        z = sampler.select_test_input(
-            cluster, scores[cluster.id], config.K, model.vocab, tfidf
-        )
+    for cluster, scores in zip(dev_clusters, dev_scores):
+        z = sampler.select_test_input(cluster, scores, config.K, model.vocab, tfidf)
         best = beamdecode.greedy_decode(
             model, z, config.max_len, beamdecode.banned_indices(model.vocab, cluster)
         )

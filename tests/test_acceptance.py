@@ -140,15 +140,15 @@ def test_criterion_4_memorization():
         assert len(c.units) == 4
         assert 5 <= len(c.summary.tokens) <= 8
     config = memorization_config()
-    scores = {c.id: np.ones(len(c.units)) for c in corpus}
+    scores = [np.ones(len(c.units)) for c in corpus]
     # the corpus names no entity, so it is its own substituted form
     tfidf = TfidfStats(corpus)
-    model, history = train(corpus, corpus, config, scores, tfidf, None, None)
+    model, history = train(corpus, scores, corpus, scores, config, tfidf, None, None)
     assert len(history) <= 500
     stopwords = default_stopwords()
     hyps, refs = [], []
-    for c in corpus:
-        z = select_test_input(c, scores[c.id], config.K, model.vocab, tfidf)
+    for c, c_scores in zip(corpus, scores):
+        z = select_test_input(c, c_scores, config.K, model.vocab, tfidf)
         hyp = beamdecode.greedy_decode(
             model, z, config.max_len, beamdecode.banned_indices(model.vocab, c)
         )
@@ -158,7 +158,7 @@ def test_criterion_4_memorization():
         refs.append(c.summary.norms())
         # the full pipeline (beam + cosine rerank) also returns the gold text
         text = list(beamdecode.decode_split(
-            model, [c], [scores[c.id]], config.K, 5, config.max_len, tfidf, stopwords
+            model, [c], [c_scores], config.K, 5, config.max_len, tfidf, stopwords
         ))[0]["summary"]
         assert text == detokenize(c.summary.norms()), f"cluster {c.id} pipeline output"
     assert bleu(hyps, refs) == pytest.approx(1.0, abs=1e-12)
@@ -299,14 +299,16 @@ def test_criterion_8_consistency(tmp_path):
 
     # identical seeds reproduce identical histories byte-for-byte
     corpus = memorization_corpus()
-    scores = {c.id: np.ones(len(c.units)) for c in corpus}
+    scores = [np.ones(len(c.units)) for c in corpus]
     config = TrainConfig(
         d_emb=16, d_h=16, d_a=8, K=2, eta=0.15, max_epochs=5, patience=5,
         seed=3, max_len=12,
     )
     histories = []
     for _ in range(2):
-        _, history = train(corpus, corpus, config, scores, TfidfStats(corpus), None, None)
+        _, history = train(
+            corpus, scores, corpus, scores, config, TfidfStats(corpus), None, None
+        )
         rows = "\n".join(f"{e},{repr(nll)},{repr(b)}" for e, nll, b in history)
         histories.append(rows.encode())
     assert histories[0] == histories[1]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import opinesum
-from opinesum import cli, salience, textcorpus, trainer
+from opinesum import cli, evalmetrics, salience, textcorpus, trainer
 from opinesum.attnseq2seq import new_model, save_model
 from opinesum.cli import RunConfig, _train_config, main
 
@@ -224,6 +224,23 @@ class TestConfig:
         tables = {command: sorted(table) for command, table in cli.KEY_TABLES.items()}
         assert tables == {command: sorted(keys) for command, keys in accepted.items()}
         assert sum(map(len, tables.values())) == 70
+
+    def test_readme_key_table_matches_key_tables(self):
+        # each row of README's key table names its commands (blank: the
+        # row above's) and its keys, in backticks
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = readme.split("| command | key | default | check |\n| --- | --- | --- | --- |\n")[1]
+        documented = set()
+        for row in rows.split("\n\n")[0].splitlines():
+            commands_cell, keys_cell = row.split(" | ")[:2]
+            named = re.findall(r"`([^`]+)`", commands_cell)
+            if commands_cell.startswith("| every command but"):
+                commands = set(cli.KEY_TABLES) - set(named)
+            elif named:
+                commands = set(named)
+            keys = re.findall(r"`([^`]+)`", keys_cell)
+            documented |= {(c, key) for c in commands for key in keys}
+        assert documented == {(c, key) for c, table in cli.KEY_TABLES.items() for key in table}
 
     @pytest.mark.parametrize(
         "command, setting, message",
@@ -519,14 +536,18 @@ class TestTrainCommand:
         assert read == []
         assert not (out / "model.txt").exists()
 
-    def test_dev_id_naming_another_cluster_rejected(self, tmp_path, corpus_file, fitted_salience):
+    def test_colliding_ids_of_different_clusters_train(
+        self, tmp_path, corpus_file, fitted_salience
+    ):
+        # ids need only be unique within a file: the dev split's m0 is not
+        # the train split's m0
         dev = toy_corpus()[:1]
         dev[0]["summary"] = "a different summary"
         dev_file = tmp_path / "dev.jsonl"
         write_corpus(dev_file, dev)
         out = tmp_path / "clash"
-        assert main(train_args(corpus_file, fitted_salience, out, dev_file)) == 2
-        assert not (out / "model.txt").exists()
+        assert main(train_args(corpus_file, fitted_salience, out, dev_file)) == 0
+        assert (out / "model.txt").exists()
 
     def test_dev_id_naming_the_same_cluster_accepted(self, tmp_path, corpus_file, fitted_salience):
         dev_file = tmp_path / "dev.jsonl"
@@ -535,27 +556,49 @@ class TestTrainCommand:
         assert main(train_args(corpus_file, fitted_salience, out, dev_file)) == 0
         assert (out / "model.txt").exists()
 
-    def test_shared_id_keeps_train_split_scores(
+    def test_train_receives_each_splits_scores(
         self, tmp_path, corpus_file, fitted_salience, monkeypatch
     ):
-        # each split has its own TF-IDF, so m1 and m2 score differently in
-        # a dev file holding only them; training must use the train split's
+        # each split is scored on its own, with its own TF-IDF, so m1 and m2
+        # score differently in a dev file holding only them
         seen = []
         real_train = trainer.train
 
-        def spy(train_clusters, dev_clusters, config, scores, *rest):
-            seen.append(scores)
-            return real_train(train_clusters, dev_clusters, config, scores, *rest)
+        def spy(train_clusters, train_scores, dev_clusters, dev_scores, *rest):
+            seen.append((train_clusters, train_scores, dev_clusters, dev_scores))
+            return real_train(train_clusters, train_scores, dev_clusters, dev_scores, *rest)
 
         monkeypatch.setattr(trainer, "train", spy)
+        model_path, registry_path = fitted_salience
+        lexicons = cli._load_lexicons(dict.fromkeys(("stopwords", "lexicon", "sentiment_lexicon")))
+        sal_model, registry = cli._load_salience(
+            {"salience_model": model_path, "salience_registry": registry_path}
+        )
+
+        def scored(path):
+            clusters, tfidf = cli._prepare(textcorpus.load_clusters(path))
+            return clusters, cli._score_split(clusters, tfidf, lexicons, registry, sal_model)
+
         dev_file = tmp_path / "dev.jsonl"
         write_corpus(dev_file, toy_corpus()[1:])
-        assert main(train_args(corpus_file, fitted_salience, tmp_path / "a", dev_file)) == 0
-        assert main(train_args(corpus_file, fitted_salience, tmp_path / "b")) == 0
-        split_dev, train_only = seen
-        assert split_dev.keys() == train_only.keys() == {"m0", "m1", "m2"}
-        for cid, expected in train_only.items():
-            np.testing.assert_array_equal(split_dev[cid], expected, err_msg=cid)
+        runs = {}
+        for name, dev in (("split", dev_file), ("same", corpus_file)):
+            seen.clear()
+            assert main(train_args(corpus_file, fitted_salience, tmp_path / name, dev)) == 0
+            (runs[name],) = seen
+            train_clusters, train_scores, dev_clusters, dev_scores = runs[name]
+            for (clusters, scores), got_clusters, got_scores in (
+                (scored(corpus_file), train_clusters, train_scores),
+                (scored(dev), dev_clusters, dev_scores),
+            ):
+                assert got_clusters == clusters
+                assert [a.tobytes() for a in got_scores] == [a.tobytes() for a in scores]
+        # one file as both splits: the two score lists are equal bit for bit
+        _, train_scores, _, dev_scores = runs["same"]
+        assert [a.tobytes() for a in train_scores] == [a.tobytes() for a in dev_scores]
+        # the dev file's m1 is scored with its own split's TF-IDF, not train's
+        _, train_scores, _, dev_scores = runs["split"]
+        assert not np.array_equal(dev_scores[0], train_scores[1])
 
 
 class TestDecodeEvaluate:
@@ -726,6 +769,40 @@ class TestDecodeEvaluate:
         ) == 2
 
 
+class TestNonUtf8Input:
+    # (command, the key naming the bad file, its good first line); the
+    # second line holds a byte that is not UTF-8
+    INPUTS = {
+        "corpus": ("preprocess", "corpus", json.dumps(toy_corpus()[0])),
+        "config": ("preprocess", None, "# settings"),
+        "decode": ("evaluate", "decode", json.dumps({"id": "m0", "summary": "a"})),
+        "stopwords": ("fit-importance", "stopwords", "the"),
+        "lexicon": ("fit-importance", "lexicon", "good\tStrong"),
+        "sentiment_lexicon": ("fit-importance", "sentiment_lexicon", "good\tpositive"),
+        "embeddings": ("train", "embeddings", "1 12"),
+    }
+
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_exits_2_naming_file_and_line(self, tmp_path, corpus_file, request, capsys, name):
+        command, key, first = self.INPUTS[name]
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(first.encode("utf-8") + b"\ncaf\xff\n")
+        out = tmp_path / "out"
+        if command == "train":
+            args = train_args(corpus_file, request.getfixturevalue("fitted_salience"), out)
+        else:
+            pairs = {
+                "preprocess": {"corpus": corpus_file},
+                "evaluate": {"corpus": corpus_file},
+                "fit-importance": {"corpus.train": corpus_file, "corpus.dev": corpus_file},
+            }[command]
+            args = [command, "--set", f"out_dir={out}"]
+            args += [arg for k, v in pairs.items() for arg in ("--set", f"{k}={v}")]
+        args += ["--config", str(bad)] if key is None else ["--set", f"{key}={bad}"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8 text\n"
+
+
 class TestEmptyCorpus:
     CORPUS_KEYS = {
         "preprocess": "corpus", "fit-importance": "corpus.train", "rank-eval": "corpus",
@@ -782,12 +859,15 @@ class TestGradcheckCommand:
 
 
 class TestSamplingReport:
-    def test_absent_cells(self, tmp_path, corpus_file, fitted_salience):
+    def test_absent_cells(self, tmp_path, corpus_file, fitted_salience, monkeypatch):
         out = train_once(tmp_path, corpus_file, fitted_salience, "t7")
         model_dir = tmp_path / "models"
         model_dir.mkdir()
         (model_dir / "topk_K2.model").write_bytes((out / "model.txt").read_bytes())
         model_path, registry_path = fitted_salience
+        scores = []  # each BLEU the report computes, through the module
+        bleu = evalmetrics.bleu
+        monkeypatch.setattr(evalmetrics, "bleu", lambda *a: scores.append(bleu(*a)) or scores[-1])
         rep = tmp_path / "rep"
         assert main(
             ["sampling-report",
@@ -795,16 +875,20 @@ class TestSamplingReport:
              "--set", f"salience_model={model_path}",
              "--set", f"salience_registry={registry_path}",
              "--set", f"model_dir={model_dir}",
-             "--set", "modes=topk,uniform", "--set", "Ks=1,2",
+             "--set", "modes=uniform,topk,uniform", "--set", "Ks=2,1",
              "--set", "beam_width=2", "--set", "max_len=6",
              "--set", f"out_dir={rep}"]
         ) == 0
-        rows = list(csv.reader(open(rep / "sampling.csv")))
-        assert rows[0] == ["mode", "K", "bleu"]
-        assert len(rows) == 5
-        by_key = {(r[0], r[1]): r[2] for r in rows[1:]}
-        assert by_key[("topk", "2")] != ""
-        assert by_key[("uniform", "1")] == ""
+        # one row per distinct (mode, K), sorted by mode, then K; only the
+        # cell with a model has a score
+        (score,) = scores
+        assert list(csv.reader(open(rep / "sampling.csv"))) == [
+            ["mode", "K", "bleu"],
+            ["topk", "1", ""],
+            ["topk", "2", f"{score:.6f}"],
+            ["uniform", "1", ""],
+            ["uniform", "2", ""],
+        ]
 
     def test_bleu_cell_equals_decode_then_evaluate(self, tmp_path, fitted_salience):
         # one summary names its cluster's entity: both commands score the

@@ -12,7 +12,6 @@ from opinesum.evalmetrics import (
     ngram_counts,
     rouge_su4,
     rouge_su4_corpus,
-    sampling_report,
     skip_bigram_units,
     summarize_system,
 )
@@ -219,32 +218,6 @@ class TestReports:
         assert report.bleu == pytest.approx(1.0)
         assert report.rouge_su4 == pytest.approx(1.0)
         assert report.mean_length == pytest.approx(1.5)
-
-    def test_sampling_report_identical_cells(self):
-        pair = ([["a", "b"]], [["a", "b"]])
-        cells = {("importance", 1): pair, ("uniform", 1): pair, ("topk", 5): pair}
-        rows = sampling_report(cells)
-        scores = {r[2] for r in rows}
-        assert len(scores) == 1
-
-    def test_sampling_report_bookkeeping(self):
-        pair = ([["a"]], [["a"]])
-        cells = {("importance", k): pair for k in (1, 2, 5, 10)}
-        cells[("uniform", 1)] = None
-        rows = sampling_report(cells)
-        assert len(rows) == 5
-        absent = [r for r in rows if r[:2] == ("uniform", 1)]
-        assert absent[0][2] is None
-
-    def test_sampling_report_matches_direct_bleu(self):
-        rng = np.random.default_rng(5)
-        vocab = list("abcd")
-        pair = (
-            [list(rng.choice(vocab, size=5)) for _ in range(3)],
-            [list(rng.choice(vocab, size=5)) for _ in range(3)],
-        )
-        rows = sampling_report({("topk", 2): pair})
-        assert rows[0][2] == pytest.approx(bleu(pair[0], pair[1]))
 
     def test_ngram_counts(self):
         counts = ngram_counts(["a", "b", "a", "b"], 2)

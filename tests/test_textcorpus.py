@@ -511,6 +511,22 @@ class TestEmbeddings:
         with pytest.raises(ValueError, match="dim mismatch"):
             load_embeddings(path, vocab, dim=2)
 
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("2 4\naa 1 2 3\n", 1, "embedding dim mismatch: file declares 4, expected 3"),
+            ("aa 1 2 3\nbb 1 2\n", 2, "embedding dim mismatch: got 2, expected 3"),
+        ],
+        ids=["header", "row"],
+    )
+    def test_dim_mismatch_names_file_and_line(self, tmp_path, text, line_no, message):
+        vocab = build_vocab([make_cluster(["aa bb"], "aa")])
+        path = tmp_path / "vec.txt"
+        path.write_text(text)
+        with pytest.raises(CorpusFormatError) as excinfo:
+            load_embeddings(path, vocab, dim=3)
+        assert str(excinfo.value) == f"{path}:{line_no}: {message}"
+
 
 class TestBlankEntity:
     """A Cluster built in code with an entity of no tokens has no entity,

@@ -81,9 +81,9 @@ def memorize_corpus():
 
 
 def train_on(corpus, config, scores, pretrained=None):
-    """train with `corpus` as both splits; the memorize corpus names no
-    entity, so it is its own substituted form."""
-    return train(corpus, corpus, config, scores, TfidfStats(corpus), None, pretrained)
+    """train with `corpus` and `scores` as both splits; the memorize corpus
+    names no entity, so it is its own substituted form."""
+    return train(corpus, scores, corpus, scores, config, TfidfStats(corpus), None, pretrained)
 
 
 def quick_config(**kw):
@@ -300,7 +300,7 @@ class TestExampleLifetime:
 
         monkeypatch.setattr(trainer, "sequence_log_prob", tracked_log_prob)
         monkeypatch.setattr(trainer, "backward_pass", tracked_backward)
-        scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
+        scores = [np.ones(len(c.units)) for c in memorize_corpus]
         train_on(memorize_corpus, quick_config(max_epochs=2, patience=2), scores)
         # two examples per epoch, one forward and one backward pass each
         assert alive_before == [0] * 8
@@ -320,7 +320,7 @@ class TestExampleLifetime:
             earlier.extend(weakref.ref(a) for g in grads.values() for a in owned_arrays(g))
 
         monkeypatch.setattr(trainer, "adagrad_update", tracked_update)
-        scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
+        scores = [np.ones(len(c.units)) for c in memorize_corpus]
         model, _ = train_on(memorize_corpus, quick_config(max_epochs=2, patience=2), scores)
         names = [name for name, _ in model.named_tensors()]
 
@@ -387,25 +387,25 @@ class TestExampleMemory:
 class TestTrain:
     def test_history_deterministic(self, memorize_corpus):
         config = quick_config(max_epochs=4, patience=4)
-        scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
+        scores = [np.ones(len(c.units)) for c in memorize_corpus]
         _, hist_a = train_on(memorize_corpus, config, scores)
         _, hist_b = train_on(memorize_corpus, config, scores)
         assert hist_a == hist_b
 
     def test_returned_model_matches_best_epoch(self, memorize_corpus):
         config = quick_config(max_epochs=12, patience=12)
-        scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
+        scores = [np.ones(len(c.units)) for c in memorize_corpus]
         model, history = train_on(memorize_corpus, config, scores)
         from opinesum.textcorpus import TfidfStats, substitute_entity
         from opinesum.trainer import _dev_bleu
 
         subs = [substitute_entity(c) for c in memorize_corpus]
-        again = _dev_bleu(model, subs, config, scores, TfidfStats(subs))
+        again = _dev_bleu(model, subs, scores, config, TfidfStats(subs))
         assert again == pytest.approx(max(h[2] for h in history))
 
     def test_memorizes_small_corpus(self, memorize_corpus):
         config = quick_config(max_epochs=80, patience=80)
-        scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
+        scores = [np.ones(len(c.units)) for c in memorize_corpus]
         model, history = train_on(memorize_corpus, config, scores)
         assert max(h[2] for h in history) == pytest.approx(1.0)
 
@@ -413,7 +413,7 @@ class TestTrain:
         built = []
         init = trainer.init_params
         monkeypatch.setattr(trainer, "init_params", lambda *a: built.append(init(*a)) or built[-1])
-        scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
+        scores = [np.ones(len(c.units)) for c in memorize_corpus]
         model, history = train_on(memorize_corpus, quick_config(max_epochs=1, patience=1), scores)
         assert len(history) == 1 and model is built[0]
         # the best epoch (1) is followed by two more, so it is a copy
@@ -437,27 +437,28 @@ class TestTrain:
 
     def test_empty_split_rejected(self, memorize_corpus):
         with pytest.raises(ValueError):
-            train([], memorize_corpus, quick_config(), {}, TfidfStats([]), None, None)
+            train([], [], memorize_corpus, [], quick_config(), TfidfStats([]), None, None)
 
     @pytest.mark.parametrize("split", ["train", "dev"])
     def test_missing_scores_rejected_before_training(self, memorize_corpus, monkeypatch, split):
         ran = []
         log_prob = trainer.sequence_log_prob
         monkeypatch.setattr(trainer, "sequence_log_prob", lambda *a: ran.append(1) or log_prob(*a))
+        # the split's score list is one array short
         extra = make_cluster(["venus probe lands"], summary="venus wins", cid="x9")
+        scores = [np.ones(len(c.units)) for c in memorize_corpus]
         splits = {"train": memorize_corpus, "dev": memorize_corpus}
         splits[split] = memorize_corpus + [extra]
-        scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
-        with pytest.raises(ValueError, match="no importance scores for cluster 'x9'"):
+        with pytest.raises(ValueError, match=f"3 {split} clusters but 2 score arrays"):
             train(
-                splits["train"], splits["dev"], quick_config(max_epochs=2, patience=2), scores,
-                TfidfStats(splits["train"]), None, None,
+                splits["train"], scores, splits["dev"], scores,
+                quick_config(max_epochs=2, patience=2), TfidfStats(splits["train"]), None, None,
             )
         assert ran == []
 
     def test_empty_vocabulary_rejected(self, memorize_corpus):
         config = quick_config(min_count=99)  # no word reaches the threshold
-        scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
+        scores = [np.ones(len(c.units)) for c in memorize_corpus]
         with pytest.raises(ValueError, match="vocabulary"):
             train_on(memorize_corpus, config, scores)
 
@@ -465,7 +466,7 @@ class TestTrain:
         # steps of ~1e-300 leave every activation's bits as they are, so dev
         # BLEU never improves after epoch 1; training stops at patience
         config = quick_config(max_epochs=50, patience=2, eta=1e-300)
-        scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
+        scores = [np.ones(len(c.units)) for c in memorize_corpus]
         _, history = train_on(memorize_corpus, config, scores)
         assert len(history) == 3
 
@@ -473,7 +474,7 @@ class TestTrain:
         # a NaN-poisoned pretrained row aborts with cluster diagnostics
         config = quick_config(max_epochs=5, patience=5)
         poisoned = {"mars": np.full(config.d_emb, np.nan)}
-        scores = {c.id: np.ones(len(c.units)) for c in memorize_corpus}
+        scores = [np.ones(len(c.units)) for c in memorize_corpus]
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
             train_on(memorize_corpus, config, scores, poisoned)
 
