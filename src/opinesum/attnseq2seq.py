@@ -295,7 +295,7 @@ class _Chain:
     chain ran: inputs U, gate activations, and the states H and C with the
     zero initial state as entry 0 (so step t reads entry t, writes entry
     t+1). An entry is one row, or one row per sequence in a chain that
-    steps several (_run_chain)."""
+    steps several (_run_chain; _chain_row takes one sequence's entries)."""
 
     U: np.ndarray
     gates: np.ndarray
@@ -325,9 +325,10 @@ def _run_chain(p, U):
     return _Chain(U=U, gates=gates, H=H, C=C)
 
 
-def _first_row(chain):
-    """The 2-D chain (one row per step) of row 0 of a chain."""
-    return _Chain(U=chain.U[:, 0], gates=chain.gates[:, 0], H=chain.H[:, 0], C=chain.C[:, 0])
+def _chain_row(chain, r, n):
+    """The first n steps of row r of a chain, as a 2-D chain of views (one
+    row per step)."""
+    return _Chain(chain.U[:n, r], chain.gates[:n, r], chain.H[: n + 1, r], chain.C[: n + 1, r])
 
 
 def _token_repr(model, index, feat_ids, tfidf_val):
@@ -366,40 +367,38 @@ def _encoder_input(model, z):
     return ids, _token_repr(model, indices, ids, z.tfidf)
 
 
-def _encode_trace(model, z):
-    """Encode one input as a chain of one row, keeping both chains."""
-    ids, reprs = _encoder_input(model, z)
-    fwd = _first_row(_run_chain(model.enc_f, reprs[:, None]))
-    # feed the input in reverse order
-    bwd = _first_row(_run_chain(model.enc_b, reprs[::-1, None]))
-    contexts = np.concatenate([fwd.H[1:], bwd.H[:0:-1]], axis=1)
-    return _EncTrace(z=z, ids=ids, fwd=fwd, bwd=bwd, contexts=contexts)
+def _encode_block(model, zs):
+    """Encode the inputs zs together, one _EncTrace per input.
+
+    Each chain steps all the inputs as rows (see _run_chain), each padded
+    at its end with zero vectors to the longest; the backward chain reads
+    each input reversed, padded the same way, from its own buffer, since
+    backward_pass reads the forward chain's inputs. An input's contexts
+    are its forward states 1..n and its backward states n..1, so no padded
+    step reaches them. One input gives the bits of encoding it alone; in a
+    block, its contexts can move in their last bits with the block.
+    """
+    U_f = np.zeros((max(map(len, zs), default=0), len(zs), model.token_dim))
+    U_b = np.zeros_like(U_f)
+    ids = []
+    for r, z in enumerate(zs):
+        z_ids, reprs = _encoder_input(model, z)
+        ids.append(z_ids)
+        U_f[: len(z), r] = reprs
+        U_b[: len(z), r] = reprs[::-1]
+    fwd, bwd = _run_chain(model.enc_f, U_f), _run_chain(model.enc_b, U_b)
+    traces = []
+    for r, (z, z_ids) in enumerate(zip(zs, ids)):
+        f, b = _chain_row(fwd, r, len(z)), _chain_row(bwd, r, len(z))
+        contexts = np.concatenate([f.H[1:], b.H[:0:-1]], axis=1)
+        traces.append(_EncTrace(z=z, ids=z_ids, fwd=f, bwd=b, contexts=contexts))
+    return traces
 
 
 def encode(model, zs):
     """Context vectors b_1..b_n (concatenated forward/backward states) of
-    each input in zs, as one n x 2 d_h array per input.
-
-    The inputs are encoded together: each chain steps all of them as rows
-    (see _run_chain). Each input is padded at its end with zero vectors to
-    the longest; the backward chain reads each input reversed, padded the
-    same way. A row's contexts are its forward states 1..n and its
-    backward states n..1, so no padded step reaches them. One input gives
-    the bits of encoding it alone; in a block of several, an input's
-    contexts can move in their last bits with the block it shares.
-    """
-    lengths = [len(z) for z in zs]
-    U = np.zeros((max(lengths, default=0), len(zs), model.token_dim))
-    for r, z in enumerate(zs):
-        U[: lengths[r], r] = _encoder_input(model, z)[1]
-    H_f = _run_chain(model.enc_f, U).H
-    for r, n in enumerate(lengths):
-        U[:n, r] = U[:n, r][::-1].copy()  # each input reversed; the padding stays zero
-    H_b = _run_chain(model.enc_b, U).H
-    return [
-        np.concatenate([H_f[1 : n + 1, r], H_b[n:0:-1, r]], axis=1)
-        for r, n in enumerate(lengths)
-    ]
+    each input in zs, one n x 2 d_h array each, encoded as one block."""
+    return [trace.contexts for trace in _encode_block(model, zs)]
 
 
 def attention_keys(model, contexts):
@@ -506,7 +505,7 @@ def sequence_log_prob(model, z, y):
     for t in y:
         if not 0 <= t < len(model.vocab):
             raise ValueError(f"token index {t} out of vocabulary")
-    enc = _encode_trace(model, z)
+    enc = _encode_block(model, [z])[0]
     keys = attention_keys(model, enc.contexts)
     T, d_h = len(y), model.d_h
     dec = _Chain(

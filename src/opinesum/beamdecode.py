@@ -146,8 +146,11 @@ def decode_split(model, clusters, unit_scores, K, width, max_len, tfidf, stopwor
     The clusters go ENCODE_ROWS at a time: select_test_input for each, one
     encode call for the block, then per cluster beam_search ->
     cosine_rerank -> restore_entity. record["summary"] is the one-sentence
-    abstract.
+    abstract. A score list of another length than clusters raises
+    ValueError before the first cluster is decoded.
     """
+    if len(unit_scores) != len(clusters):
+        raise ValueError(f"{len(clusters)} clusters but {len(unit_scores)} score arrays")
     vocab = model.vocab
     for start in range(0, len(clusters), ENCODE_ROWS):
         block = clusters[start : start + ENCODE_ROWS]

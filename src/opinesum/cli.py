@@ -450,24 +450,21 @@ def cmd_evaluate(cfg):
     summaries = _read_decode_summaries(cfg["decode"], gold)
     hyps = [[t.norm for t in tokenize(summary)] for summary in summaries.values()]
     refs = [gold[cid] for cid in summaries]
-    report = evalmetrics.summarize_system(hyps, refs)
+    bleu = evalmetrics.bleu(hyps, refs)
+    rouge = evalmetrics.rouge_su4_corpus(hyps, refs)
+    mean_length = sum(map(len, hyps)) / len(hyps)
     _write_csv(
         cfg.out_path("eval.csv"),
         ["bleu", "rouge_su4", "mean_length"],
-        [[f"{report.bleu:.6f}", f"{report.rouge_su4:.6f}", f"{report.mean_length:.3f}"]],
+        [[f"{bleu:.6f}", f"{rouge:.6f}", f"{mean_length:.3f}"]],
     )
     with atomic_write(cfg.out_path("eval.json")) as fh:
         json.dump(
-            {
-                "bleu": report.bleu,
-                "rouge_su4": report.rouge_su4,
-                "mean_length": report.mean_length,
-                "pairs": len(hyps),
-            },
+            {"bleu": bleu, "rouge_su4": rouge, "mean_length": mean_length, "pairs": len(hyps)},
             fh,
             indent=2,
         )
-    print(f"BLEU {report.bleu:.4f}  ROUGE-SU4 {report.rouge_su4:.4f}  mean length {report.mean_length:.2f}")
+    print(f"BLEU {bleu:.4f}  ROUGE-SU4 {rouge:.4f}  mean length {mean_length:.2f}")
     return 0
 
 

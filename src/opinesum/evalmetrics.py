@@ -3,7 +3,6 @@ ROUGE-SU4 recall, MRR and NDCG@k."""
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 BLEU_N = 4  # BLEU pools 1- to BLEU_N-grams
 MAX_GAP = 4  # ROUGE-SU4: skip-bigrams with at most MAX_GAP tokens between
@@ -108,21 +107,3 @@ def mean_ndcg_at(k, relevance_lists):
     if not relevance_lists:
         raise ValueError("no queries")
     return sum(ndcg_at(k, rels) for rels in relevance_lists) / len(relevance_lists)
-
-
-@dataclass
-class EvalReport:
-    """Per-system summary metrics."""
-
-    bleu: float
-    rouge_su4: float
-    mean_length: float
-
-
-def summarize_system(hypotheses, references):
-    """BLEU, ROUGE-SU4, and mean hypothesis length for one system."""
-    return EvalReport(
-        bleu=bleu(hypotheses, references),
-        rouge_su4=rouge_su4_corpus(hypotheses, references),
-        mean_length=sum(len(h) for h in hypotheses) / len(hypotheses),
-    )

@@ -16,7 +16,7 @@ import math
 import os
 import string
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
@@ -537,13 +537,14 @@ def cosine_weight_maps(a, b, norm_b=None):
 
 class ArtifactReader:
     """Strict line reader for the text artifacts (seq2seq checkpoint,
-    salience model and registry). Every line must end in a newline, so a
-    file cut mid-line never parses, and every error is a ValueError naming
-    the path. Lines are read one at a time, so a large file streams, and
-    each is hashed as it is read (see digest_before_last)."""
+    salience model and registry) over the lines of read_lines. Every line
+    must end in a newline, so a file cut mid-line never parses, and every
+    error is a ValueError naming the path. Lines are read one at a time,
+    so a large file streams, and each is hashed as it is read (see
+    digest_before_last)."""
 
-    def __init__(self, fh, path):
-        self.path, self._fh = path, fh
+    def __init__(self, lines, path):
+        self.path, self._lines = path, lines
         self.line_no = 0  # of the line last asked for
         self._sha256 = hashlib.sha256()
         self._last = b""  # the line last read, not yet hashed
@@ -554,10 +555,7 @@ class ArtifactReader:
     def next(self):
         """The next line without its newline, or None at the end of the file."""
         self.line_no += 1
-        try:
-            line = self._fh.readline()
-        except UnicodeDecodeError:
-            raise self.error("not UTF-8 text") from None
+        _, line = next(self._lines, (None, ""))
         if line and not line.endswith("\n"):
             raise self.error(f"truncated: line {self.line_no} has no newline")
         self._sha256.update(self._last)
@@ -605,9 +603,11 @@ class ArtifactReader:
 @contextmanager
 def read_artifact(path, magic):
     """Yield an ArtifactReader over a text artifact whose first line must be
-    `magic`; when the body is done, no line may be left."""
-    with open(path, encoding="utf-8") as fh:
-        reader = ArtifactReader(fh, path)
+    `magic`; when the body is done, no line may be left. A line that ends
+    in "\r\n" keeps its "\r", so a file whose newlines were rewritten
+    fails its checks."""
+    with closing(read_lines(path)) as lines:
+        reader = ArtifactReader(lines, path)
         if reader.next() != magic:
             raise reader.error(f"line 1: expected {magic!r}")
         yield reader

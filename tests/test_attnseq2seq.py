@@ -9,12 +9,12 @@ import pytest
 from conftest import all_gradients, decode_one, make_cluster, randomize, tiny_setup
 from opinesum.attnseq2seq import (
     LstmCellParams,
+    MAGIC,
     StaleTraceError,
     _attend,
     _chain_backward,
     _emit_cell_gradients,
-    _encode_trace,
-    _first_row,
+    _chain_row,
     _lstm_stepper,
     _run_chain,
     attention_keys,
@@ -186,7 +186,7 @@ class TestChains:
         rng = np.random.default_rng(d_u * 100 + n)
         p = random_cell(rng, d_u, d_h, scale=1.0)
         U = rng.normal(size=(n, d_u))
-        chain = _first_row(_run_chain(p, U[:, None]))
+        chain = _chain_row(_run_chain(p, U[:, None]), 0, n)
         gates = U @ p.Wu.T
         H, C = np.zeros((n + 1, d_h)), np.zeros((n + 1, d_h))
         for t in range(n):
@@ -339,7 +339,9 @@ class TestEncodeBlock:
     def test_one_input_keeps_the_bits_of_the_training_encoder(self, with_features):
         model, zs = self.three_inputs(with_features)
         for z in zs:
-            got, want = encode(model, [z])[0], _encode_trace(model, z).contexts
+            y = [model.vocab.eos]
+            got = sequence_log_prob(model, z, y)[1].enc.contexts
+            want = encode(model, [z])[0]
             assert got.shape == want.shape
             assert (got.view(np.int64) == want.view(np.int64)).all()
 
@@ -843,9 +845,17 @@ class TestSerialization:
             load_model(path)
 
     def test_rejects_non_utf8(self, tiny, tmp_path):
-        path, _ = self._saved_lines(tiny, tmp_path)
+        path, lines = self._saved_lines(tiny, tmp_path)
         path.write_bytes(path.read_bytes().replace(b"\nUNK\n", b"\n\xffNK\n"))
-        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*not UTF-8"):
+        line = lines.index("UNK") + 1
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: not UTF-8 text")):
+            load_model(path)
+
+    def test_rejects_crlf_newlines_at_line_1(self, tiny, tmp_path):
+        # the digest covers every line's bytes, so rewritten newlines never load
+        path, _ = self._saved_lines(tiny, tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: expected {MAGIC!r}")):
             load_model(path)
 
     @pytest.mark.parametrize(

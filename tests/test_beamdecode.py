@@ -1,10 +1,11 @@
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from conftest import decode_one, make_cluster, randomize, tiny_setup
+from opinesum import beamdecode
 from opinesum.attnseq2seq import (
     TokenFeatureSet,
     attention_keys,
@@ -355,6 +356,18 @@ class TestGenerateSummary:
         ))[0]["summary"]
         assert "ENTITY" not in text
         assert "the martian" in text
+
+    @pytest.mark.parametrize("n_scores", [2, 4], ids=["short", "long"])
+    def test_score_count_mismatch_rejected_before_decoding(self, monkeypatch, n_scores):
+        model, cluster, _, _ = tiny_setup(seed=12)
+        clusters = [replace(cluster, id=f"c{k}") for k in range(3)]
+        monkeypatch.setattr(beamdecode, "encode", lambda *args: pytest.fail("decoding started"))
+        scores = [np.ones(len(cluster.units))] * n_scores
+        records = decode_split(
+            model, clusters, scores, 2, 3, 5, TfidfStats(clusters), default_stopwords()
+        )
+        with pytest.raises(ValueError, match=f"^3 clusters but {n_scores} score arrays$"):
+            next(records)
 
     def test_record_shape(self):
         model, cluster, z, y = tiny_setup(seed=12)

@@ -18,6 +18,12 @@ from opinesum.attnseq2seq import new_model, save_model
 from opinesum.cli import RunConfig, _train_config, main
 
 
+def read_csv(path):
+    """The rows of a CSV output."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
 def write_corpus(path, clusters):
     with open(path, "w", encoding="utf-8") as fh:
         for c in clusters:
@@ -347,7 +353,7 @@ class TestPreprocess:
     def test_substitutes_entities(self, tmp_path, corpus_file):
         out = tmp_path / "pre"
         assert main(["preprocess", "--set", f"corpus={corpus_file}", "--set", f"out_dir={out}"]) == 0
-        rows = [json.loads(l) for l in open(out / "preprocessed.jsonl")]
+        rows = [json.loads(l) for l in (out / "preprocessed.jsonl").read_text().splitlines()]
         assert rows[0]["units"][0]["text"].startswith("ENTITY")
         assert len(rows) == 3
 
@@ -360,7 +366,7 @@ class TestFitImportance:
         registry = salience.load_registry(registry_path)
         model = salience.load_model(model_path, registry)
         assert model.w.shape[0] == registry.d
-        grid = list(csv.reader(open(os.path.join(os.path.dirname(model_path), "grid.csv"))))
+        grid = read_csv(os.path.join(os.path.dirname(model_path), "grid.csv"))
         assert grid[0] == ["lambda", "beta", "dev_mrr"]
         assert len(grid) == 1 + 6 * 4  # default grid
 
@@ -420,12 +426,12 @@ class TestRankEval:
              "--set", f"salience_registry={registry_path}",
              "--set", f"out_dir={out}"]
         ) == 0
-        rows = {r[0]: r for r in list(csv.reader(open(out / "rank_eval.csv")))[1:]}
+        rows = {r[0]: r for r in read_csv(out / "rank_eval.csv")[1:]}
         # toy corpus: salience ranks a relevant unit first in every cluster
         assert float(rows["salience"][1]) == 1.0
         assert set(rows) == {"salience", "length", "centroid"}
         # per-unit ranking report: 3 clusters x 3 units, ranks 1..3 each
-        ranking = list(csv.reader(open(out / "rankings.csv")))
+        ranking = read_csv(out / "rankings.csv")
         assert ranking[0] == ["cluster_id", "unit_index", "score", "rank"]
         assert len(ranking) == 1 + 9
         for cid in ("m0", "m1", "m2"):
@@ -457,7 +463,7 @@ class TestTrainCommand:
     def test_artifacts(self, tmp_path, corpus_file, fitted_salience):
         out = train_once(tmp_path, corpus_file, fitted_salience, "t1")
         assert (out / "model.txt").exists()
-        history = list(csv.reader(open(out / "history.csv")))
+        history = read_csv(out / "history.csv")
         assert history[0] == ["epoch", "train_nll", "dev_bleu"]
         assert len(history) == 4  # 3 epochs
 
@@ -615,7 +621,7 @@ class TestDecodeEvaluate:
              "--set", f"out_dir={dec}",
              "--set", "K=2", "--set", "beam_width=3", "--set", "max_len=8"]
         ) == 0
-        records = [json.loads(l) for l in open(dec / "decode.jsonl")]
+        records = [json.loads(l) for l in (dec / "decode.jsonl").read_text().splitlines()]
         assert len(records) == 3
         for rec in records:
             assert "SEG" not in rec["summary"].split()
@@ -634,7 +640,7 @@ class TestDecodeEvaluate:
              "--set", f"out_dir={dec}",
              "--set", "K=2", "--set", "beam_width=3", "--set", "max_len=8"]
         ) == 0
-        records = {json.loads(l)["id"]: json.loads(l) for l in open(dec / "decode.jsonl")}
+        records = {json.loads(l)["id"]: json.loads(l) for l in (dec / "decode.jsonl").read_text().splitlines()}
 
         from opinesum import beamdecode, salience
         from opinesum.attnseq2seq import load_model
@@ -729,11 +735,48 @@ class TestDecodeEvaluate:
             ["evaluate", "--set", f"corpus={corpus_file}",
              "--set", f"decode={dec}", "--set", f"out_dir={out}"]
         ) == 0
-        report = json.load(open(out / "eval.json"))
+        report = json.loads((out / "eval.json").read_text())
         assert report["bleu"] == pytest.approx(1.0)
         assert report["rouge_su4"] == pytest.approx(1.0)
-        rows = list(csv.reader(open(out / "eval.csv")))
+        rows = read_csv(out / "eval.csv")
         assert rows[0] == ["bleu", "rouge_su4", "mean_length"]
+
+    def test_evaluate_matches_direct_metrics(self, tmp_path, corpus_file, monkeypatch):
+        summaries = {"m0": "a dull thrilling ride", "m1": "smart", "m2": "the ride was not fun ."}
+        dec = tmp_path / "decode.jsonl"
+        dec.write_text("".join(
+            json.dumps({"id": cid, "summary": text}) + "\n" for cid, text in summaries.items()
+        ))
+        gold = {c.id: c.summary.norms() for c in textcorpus.load_clusters(corpus_file)}
+        hyps = [[t.norm for t in textcorpus.tokenize(text)] for text in summaries.values()]
+        refs = [gold[cid] for cid in summaries]
+        want = {
+            "bleu": evalmetrics.bleu(hyps, refs),
+            "rouge_su4": evalmetrics.rouge_su4_corpus(hyps, refs),
+            "mean_length": sum(map(len, hyps)) / len(hyps),
+            "pairs": 3,
+        }
+        assert 0 < want["bleu"] < 1 and 0 < want["rouge_su4"] < 1
+        # the metrics are called through their module, where a tracer wraps them
+        called = []
+        for name in ("bleu", "rouge_su4_corpus"):
+
+            def spy(hyps, refs, real=getattr(evalmetrics, name), name=name):
+                called.append(name)
+                return real(hyps, refs)
+
+            monkeypatch.setattr(evalmetrics, name, spy)
+        out = tmp_path / "ev"
+        assert main(
+            ["evaluate", "--set", f"corpus={corpus_file}",
+             "--set", f"decode={dec}", "--set", f"out_dir={out}"]
+        ) == 0
+        assert called == ["bleu", "rouge_su4_corpus"]
+        assert json.loads((out / "eval.json").read_text()) == want
+        assert read_csv(out / "eval.csv") == [
+            ["bleu", "rouge_su4", "mean_length"],
+            [f"{want['bleu']:.6f}", f"{want['rouge_su4']:.6f}", f"{want['mean_length']:.3f}"],
+        ]
 
     @pytest.mark.parametrize(
         "records, message",
@@ -882,7 +925,7 @@ class TestSamplingReport:
         # one row per distinct (mode, K), sorted by mode, then K; only the
         # cell with a model has a score
         (score,) = scores
-        assert list(csv.reader(open(rep / "sampling.csv"))) == [
+        assert read_csv(rep / "sampling.csv") == [
             ["mode", "K", "bleu"],
             ["topk", "1", ""],
             ["topk", "2", f"{score:.6f}"],
@@ -921,8 +964,8 @@ class TestSamplingReport:
              "--set", f"decode={tmp_path / 'dec' / 'decode.jsonl'}",
              "--set", f"out_dir={tmp_path / 'eval'}"]
         ) == 0
-        cell = list(csv.DictReader(open(tmp_path / "rep" / "sampling.csv")))[0]["bleu"]
-        evaluated = list(csv.DictReader(open(tmp_path / "eval" / "eval.csv")))[0]["bleu"]
+        cell = read_csv(tmp_path / "rep" / "sampling.csv")[1][2]
+        evaluated = read_csv(tmp_path / "eval" / "eval.csv")[1][0]
         assert cell == evaluated
 
     @pytest.mark.parametrize(

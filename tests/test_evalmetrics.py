@@ -13,7 +13,6 @@ from opinesum.evalmetrics import (
     rouge_su4,
     rouge_su4_corpus,
     skip_bigram_units,
-    summarize_system,
 )
 
 
@@ -211,14 +210,6 @@ class TestNdcg:
 
 
 class TestReports:
-    def test_summarize_system(self):
-        hyps = [["a", "b"], ["c"]]
-        refs = [["a", "b"], ["c"]]
-        report = summarize_system(hyps, refs)
-        assert report.bleu == pytest.approx(1.0)
-        assert report.rouge_su4 == pytest.approx(1.0)
-        assert report.mean_length == pytest.approx(1.5)
-
     def test_ngram_counts(self):
         counts = ngram_counts(["a", "b", "a", "b"], 2)
         assert counts[("a", "b")] == 2

@@ -833,6 +833,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(str(mpath)) + ".*" + re.escape(message)):
             load_model(mpath, registry)
 
+    @pytest.mark.parametrize("which", ["model", "registry"])
+    def test_crlf_newlines_rejected_at_line_1(self, tmp_path, which):
+        registry, mpath, rpath = self.saved(tmp_path)
+        path = {"model": mpath, "registry": rpath}[which]
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        magic = f"salience-{which} v1"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: expected {magic!r}")):
+            load_model(mpath, registry) if which == "model" else load_registry(rpath)
+
     def test_hash_mismatch_rejected(self, tmp_path):
         reg_a = FeatureRegistry(lexicon_categories=("X",), top_unigrams=("a",))
         reg_b = FeatureRegistry(lexicon_categories=("Y",), top_unigrams=("b",))
