@@ -2,15 +2,19 @@
 
 Five synthetic clusters, four reviews each. The model samples two units
 per visit, trains with per-example Adagrad on exact BPTT gradients, and
-early-stops on greedy dev BLEU. Decoding then runs the whole pipeline:
+early-stops on greedy dev BLEU, saving each epoch that improves it to a
+temporary model.txt. Decoding then runs the whole pipeline:
 top-K selection, beam search, cosine re-ranking, entity restoration.
 """
 
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
 from opinesum import beamdecode
+from opinesum.attnseq2seq import load_model
 from opinesum.textcorpus import (
     Cluster,
     TfidfStats,
@@ -50,7 +54,9 @@ scores = [np.ones(len(c.units)) for c in clusters]
 tfidf = TfidfStats(clusters)
 
 start = time.perf_counter()
-model, history = train(clusters, scores, clusters, scores, config, tfidf, None, None)
+model_path = Path(tempfile.mkdtemp(prefix="opinesum_demo_")) / "model.txt"
+history = train(clusters, scores, clusters, scores, config, tfidf, None, None, model_path)
+model = load_model(model_path)
 print(f"trained {len(history)} epochs in {time.perf_counter()-start:.1f}s")
 for epoch, nll, dev_bleu in history[:3] + history[-3:]:
     print(f"   epoch {epoch:>3}  nll/example {nll:7.3f}  dev BLEU {dev_bleu:.3f}")

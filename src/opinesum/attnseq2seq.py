@@ -208,17 +208,6 @@ class ModelParams:
         own, which training updates in place and never rebinds."""
         return dict(self.named_tensors())
 
-    def zeros_like(self):
-        """A zero model of the same dimensions, sharing vocab and features."""
-        return new_model(self.vocab, self.features, self.d_emb, self.d_h, self.d_a)
-
-    def snapshot(self):
-        """Deep copy of all tensors (vocab/features are immutable, shared)."""
-        copy = self.zeros_like()
-        for (_, dst), (_, src) in zip(copy.named_tensors(), self.named_tensors()):
-            dst[...] = src
-        return copy
-
 
 def new_model(vocab, features, d_emb, d_h, d_a):
     """Zero-initialized parameter set with consistent dimensions."""
@@ -268,7 +257,7 @@ def _lstm_stepper(p):
     Wh, b, Wc_if, Wc_o = p.Wh, p.b, p.Wc[:d2], p.Wc[d2:]
 
     def step(a, h, c, h_out, c_out):
-        # summed as (Wu u + Wh h) + b, and in no other order: which snapshot
+        # summed as (Wu u + Wh h) + b, and in no other order: which epoch
         # training keeps moves with last-bit changes
         a += _rows(Wh, h)
         a += b
@@ -790,14 +779,18 @@ def backward_pass(model, trace, emit):
 # ---------------------------------------------------------------------------
 # serialization
 
+# rows per save_model write: a |V|-row tensor's text is never whole, as
+# training saves while the Adagrad accumulators are alive
+SAVE_BLOCK = 1024
+
 
 def save_model(model, path):
     """Write checkpoint v3: the text header (dims, vocabulary, feature
     registry), then each tensor's rows as base64 of their
     little-endian float64 bytes, one line per row, and last 'sha256 <hex>'
     of every byte before it. Values round-trip bit for bit. The file goes
-    to a temporary file first, one tensor at a time, and replaces `path`
-    only when complete."""
+    to a temporary file first, SAVE_BLOCK rows at a time, and replaces
+    `path` only when complete."""
     head = io.StringIO()
     head.write(f"{MAGIC}\n")
     head.write(f"dims {model.d_emb} {model.d_h} {model.d_a}\n")
@@ -823,7 +816,8 @@ def save_model(model, path):
         for name, arr in model.named_tensors():
             rows = np.ascontiguousarray(np.atleast_2d(arr), dtype="<f8")
             emit(f"tensor {name} {rows.shape[0]} {rows.shape[1]}\n".encode("ascii"))
-            emit(b"".join(map(binascii.b2a_base64, rows)))
+            for start in range(0, rows.shape[0], SAVE_BLOCK):
+                emit(b"".join(map(binascii.b2a_base64, rows[start : start + SAVE_BLOCK])))
         fh.write(f"sha256 {digest.hexdigest()}\n".encode("ascii"))
 
 

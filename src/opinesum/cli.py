@@ -7,7 +7,8 @@ one table (KEY_TABLES); unknown keys are rejected, and every key is parsed
 and checked, every input path validated and out_dir made before any input
 is read.
 
-Exit codes: 0 success, 1 quality-gate failure, 2 usage or I/O error.
+Exit codes: 0 success, 1 quality-gate failure, 2 usage or I/O error or
+diverged training.
 """
 
 import argparse
@@ -19,7 +20,7 @@ import os
 import sys
 
 from . import beamdecode, evalmetrics, salience, trainer
-from .attnseq2seq import load_model as load_seq2seq, save_model as save_seq2seq
+from .attnseq2seq import load_model as load_seq2seq
 from .numkit import derive_seed, set_blas_threads
 from .salience import LexiconSet
 from .textcorpus import (
@@ -365,11 +366,10 @@ def cmd_train(cfg):
         vocab = build_vocab(train_clusters, config.min_count)
         pretrained, coverage = load_embeddings(cfg["embeddings"], vocab, config.d_emb)
         print(f"pretrained embedding coverage: {coverage:.3f}")
-    model, history = trainer.train(
+    history = trainer.train(
         train_clusters, train_scores, dev_clusters, dev_scores, config, tfidf, lexicons,
-        pretrained,
+        pretrained, cfg.out_path("model.txt"),
     )
-    save_seq2seq(model, cfg.out_path("model.txt"))
     _write_csv(
         cfg.out_path("history.csv"),
         ["epoch", "train_nll", "dev_bleu"],
@@ -536,8 +536,9 @@ def main(argv=None):
     try:
         cfg = RunConfig.load(args.command, args.config, args.overrides)
         return COMMANDS[args.command](cfg)
-    # a bad corpus file raises CorpusFormatError, a ValueError; an out_dir
-    # that cannot be made or written raises an OSError
+    # a bad corpus file raises CorpusFormatError and a diverged training run
+    # TrainingDivergedError, both ValueErrors; an out_dir that cannot be
+    # made or written raises an OSError
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

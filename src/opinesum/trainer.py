@@ -21,6 +21,7 @@ from .attnseq2seq import (
     backward_pass,
     dense,
     new_model,
+    save_model,
     sequence_log_prob,
 )
 from .evalmetrics import bleu
@@ -39,7 +40,7 @@ from .textcorpus import (
 SAMPLING_MODES = ("importance", "uniform", "topk")
 
 
-class TrainingDivergedError(RuntimeError):
+class TrainingDivergedError(ValueError):
     """Per-example loss became non-finite; try a lower learning rate."""
 
 
@@ -186,7 +187,7 @@ def _draw_input(cluster, scores, config, rng, vocab, tfidf):
 
 
 def train(train_clusters, train_scores, dev_clusters, dev_scores, config, tfidf, lexicons,
-          pretrained):
+          pretrained, model_path):
     """Per-example Adagrad training with dev-BLEU early stopping.
 
     Both splits are entity-substituted and `tfidf` holds the training
@@ -194,8 +195,10 @@ def train(train_clusters, train_scores, dev_clusters, dev_scores, config, tfidf,
     per cluster, in the order of its clusters: training samples with
     `train_scores`, and the dev pass selects its top-K with `dev_scores`.
     `lexicons` is read only when config.use_features is set; `pretrained`
-    is a {word: vector} dict or None. Returns the best dev-BLEU snapshot and
-    the per-epoch (epoch, train_nll, dev_bleu) history.
+    is a {word: vector} dict or None. Each epoch whose dev BLEU beats every
+    earlier one is saved to `model_path` (save_model replaces the file
+    whole), so a run stopped by patience or an error leaves its best epoch
+    so far there. Returns the per-epoch (epoch, train_nll, dev_bleu) history.
     """
     if not train_clusters or not dev_clusters:
         raise ValueError("train and dev splits must be non-empty")
@@ -216,7 +219,6 @@ def train(train_clusters, train_scores, dev_clusters, dev_scores, config, tfidf,
 
     history = []
     best_bleu = -1.0
-    best_model = None
     stale = 0
     for epoch in range(1, config.max_epochs + 1):
         order = shuffle_rng.permutation(len(train_clusters))
@@ -231,14 +233,13 @@ def train(train_clusters, train_scores, dev_clusters, dev_scores, config, tfidf,
         history.append((epoch, nll / len(train_clusters), dev_bleu))
         if dev_bleu > best_bleu:
             best_bleu = dev_bleu
-            # no epoch follows the last one, so it needs no copy
-            best_model = model if epoch == config.max_epochs else model.snapshot()
+            save_model(model, model_path)
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
-    return best_model, history
+    return history
 
 
 def _train_example(model, state, z, y, where):
@@ -247,7 +248,10 @@ def _train_example(model, state, z, y, where):
     one group is held at a time; the trace is a local, freed before the
     next example runs its forward pass."""
     try:
-        loglik, trace = sequence_log_prob(model, z, y)
+        # the guards name the example, so numpy's own warnings of the same
+        # overflow would only precede that error
+        with np.errstate(over="ignore", invalid="ignore"):
+            loglik, trace = sequence_log_prob(model, z, y)
     except ValueError as exc:  # NaN/Inf tripped a kernel guard
         raise TrainingDivergedError(f"{where}: {exc}; lower eta") from exc
     if not np.isfinite(loglik):

@@ -61,6 +61,15 @@ def decode_one(model, y_prev, h, c, contexts, keys):
     return h[0], c[0], probs[0]
 
 
+def copy_model(model):
+    """A model holding copies of every tensor of `model`, sharing its
+    vocabulary and feature registry."""
+    copy = new_model(model.vocab, model.features, model.d_emb, model.d_h, model.d_a)
+    for name, arr in copy.named_tensors():
+        arr[...] = model.tensors[name]
+    return copy
+
+
 def randomize(model, seed=0, scale=0.3):
     rng = SeededRng(seed)
     for _, arr in model.named_tensors():

@@ -129,7 +129,7 @@ def memorization_config(seed=0):
     )
 
 
-def test_criterion_4_memorization():
+def test_criterion_4_memorization(tmp_path):
     from opinesum.textcorpus import default_stopwords, detokenize
 
     start = time.perf_counter()
@@ -143,8 +143,10 @@ def test_criterion_4_memorization():
     scores = [np.ones(len(c.units)) for c in corpus]
     # the corpus names no entity, so it is its own substituted form
     tfidf = TfidfStats(corpus)
-    model, history = train(corpus, scores, corpus, scores, config, tfidf, None, None)
+    path = tmp_path / "model.txt"
+    history = train(corpus, scores, corpus, scores, config, tfidf, None, None, path)
     assert len(history) <= 500
+    model = load_model(path)
     stopwords = default_stopwords()
     hyps, refs = [], []
     for c, c_scores in zip(corpus, scores):
@@ -305,9 +307,10 @@ def test_criterion_8_consistency(tmp_path):
         seed=3, max_len=12,
     )
     histories = []
-    for _ in range(2):
-        _, history = train(
-            corpus, scores, corpus, scores, config, TfidfStats(corpus), None, None
+    for run in range(2):
+        history = train(
+            corpus, scores, corpus, scores, config, TfidfStats(corpus), None, None,
+            tmp_path / f"run{run}.txt",
         )
         rows = "\n".join(f"{e},{repr(nll)},{repr(b)}" for e, nll, b in history)
         histories.append(rows.encode())

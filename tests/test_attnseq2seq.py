@@ -1,3 +1,4 @@
+import binascii
 import hashlib
 import re
 from dataclasses import replace
@@ -6,10 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import all_gradients, decode_one, make_cluster, randomize, tiny_setup
+from conftest import (
+    all_gradients,
+    copy_model,
+    decode_one,
+    make_cluster,
+    randomize,
+    tiny_setup,
+    traced_call,
+)
 from opinesum.attnseq2seq import (
     LstmCellParams,
     MAGIC,
+    SAVE_BLOCK,
     StaleTraceError,
     _attend,
     _chain_backward,
@@ -28,7 +38,7 @@ from opinesum.attnseq2seq import (
 )
 from opinesum.salience import LexiconSet
 from opinesum.sampler import build_input
-from opinesum.textcorpus import TfidfStats, build_vocab
+from opinesum.textcorpus import RESERVED, TfidfStats, Vocabulary, build_vocab
 from opinesum.trainer import build_features
 
 
@@ -718,7 +728,7 @@ class TestSerialization:
         path = tmp_path / "model.txt"
         save_model(model, path)
         before = path.read_bytes()
-        other = model.snapshot()
+        other = copy_model(model)
         other.b_out += 1.0
         first_three = list(other.named_tensors())[:3]
 
@@ -731,6 +741,20 @@ class TestSerialization:
             save_model(other, path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.txt"]
+
+    def test_save_holds_one_block_of_a_long_tensor(self, tmp_path):
+        # an embedding of three blocks and 17 rows: the traced peak of the
+        # save is bounded by one block's text, not by the whole tensor's
+        # (six blocks when each tensor was joined whole)
+        vocab = Vocabulary(f"t{i}" for i in range(3 * SAVE_BLOCK + 17 - len(RESERVED)))
+        model = randomize(new_model(vocab, None, 64, 3, 2), seed=4)
+        path = tmp_path / "model.txt"
+        _, _, peak = traced_call(save_model, model, path)
+        block_text = SAVE_BLOCK * len(binascii.b2a_base64(model.emb[0].tobytes()))
+        assert peak < 3 * block_text, peak / block_text
+        loaded = load_model(path)
+        for (name, a), (_, b) in zip(model.named_tensors(), loaded.named_tensors()):
+            assert a.tobytes() == b.tobytes(), name
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"

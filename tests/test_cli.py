@@ -542,6 +542,29 @@ class TestTrainCommand:
         assert read == []
         assert not (out / "model.txt").exists()
 
+    def test_diverged_run_exits_2_with_one_error_line(
+        self, tmp_path, corpus_file, fitted_salience
+    ):
+        # steps of 1e300 overflow the first example's activations; the run
+        # is reported like a bad input, not as a traceback with the exit
+        # code of a failed gradcheck
+        src = str(Path(opinesum.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = tmp_path / "diverged"
+        args = train_args(corpus_file, fitted_salience, out)
+        args += ["--set", "eta=1e300", "--set", "init_scale=1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "opinesum.cli", *args], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cluster "), proc.stderr
+        assert "epoch 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        # no epoch finished, so neither output was written
+        assert not (out / "model.txt").exists()
+        assert not (out / "history.csv").exists()
+
     def test_colliding_ids_of_different_clusters_train(
         self, tmp_path, corpus_file, fitted_salience
     ):

@@ -3,13 +3,14 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import all_gradients, make_cluster, traced_call
+from conftest import all_gradients, copy_model, make_cluster, traced_call
 from opinesum import trainer
 from opinesum.attnseq2seq import (
     ModelParams,
     ProductGradient,
     RowGradient,
     dense,
+    load_model,
     sequence_log_prob,
 )
 from opinesum.salience import LexiconSet
@@ -37,7 +38,7 @@ from opinesum.trainer import (
 
 
 def zero_grads(model):
-    return dict(model.zeros_like().named_tensors())
+    return {name: np.zeros_like(arr) for name, arr in model.named_tensors()}
 
 
 def owned_arrays(grad):
@@ -80,10 +81,13 @@ def memorize_corpus():
     return [c0, c1]
 
 
-def train_on(corpus, config, scores, pretrained=None):
-    """train with `corpus` and `scores` as both splits; the memorize corpus
-    names no entity, so it is its own substituted form."""
-    return train(corpus, scores, corpus, scores, config, TfidfStats(corpus), None, pretrained)
+def train_on(corpus, config, scores, model_path, pretrained=None):
+    """train with `corpus` and `scores` as both splits, saving to
+    `model_path`; the memorize corpus names no entity, so it is its own
+    substituted form."""
+    return train(
+        corpus, scores, corpus, scores, config, TfidfStats(corpus), None, pretrained, model_path
+    )
 
 
 def quick_config(**kw):
@@ -180,7 +184,7 @@ class TestAdagrad:
 
     def test_steps_the_arrays_of_the_model_passed(self):
         # the name lookup is built once per model and holds its own arrays
-        other = self.model.snapshot()
+        other = copy_model(self.model)
         for name, arr in self.model.named_tensors():
             assert np.shares_memory(self.model.tensors[name], arr), name
             assert not np.shares_memory(other.tensors[name], arr), name
@@ -275,7 +279,9 @@ class TestAdagrad:
 
 
 class TestExampleLifetime:
-    def test_train_keeps_one_example_trace_and_gradient(self, memorize_corpus, monkeypatch):
+    def test_train_keeps_one_example_trace_and_gradient(
+        self, memorize_corpus, monkeypatch, tmp_path
+    ):
         earlier = []  # weak references to the traces and gradients of finished examples
         current = []  # those of the example being run
         alive_before = []  # how many earlier ones were alive at each call
@@ -301,11 +307,11 @@ class TestExampleLifetime:
         monkeypatch.setattr(trainer, "sequence_log_prob", tracked_log_prob)
         monkeypatch.setattr(trainer, "backward_pass", tracked_backward)
         scores = [np.ones(len(c.units)) for c in memorize_corpus]
-        train_on(memorize_corpus, quick_config(max_epochs=2, patience=2), scores)
+        train_on(memorize_corpus, quick_config(max_epochs=2, patience=2), scores, tmp_path / "m")
         # two examples per epoch, one forward and one backward pass each
         assert alive_before == [0] * 8
 
-    def test_each_group_steps_alone(self, memorize_corpus, monkeypatch):
+    def test_each_group_steps_alone(self, memorize_corpus, monkeypatch, tmp_path):
         # Adagrad steps one group at a time, in the order backward_pass
         # finishes them, and each group is freed before the next one steps
         earlier = []  # weak references to the arrays of earlier groups
@@ -321,8 +327,9 @@ class TestExampleLifetime:
 
         monkeypatch.setattr(trainer, "adagrad_update", tracked_update)
         scores = [np.ones(len(c.units)) for c in memorize_corpus]
-        model, _ = train_on(memorize_corpus, quick_config(max_epochs=2, patience=2), scores)
-        names = [name for name, _ in model.named_tensors()]
+        path = tmp_path / "model.txt"
+        train_on(memorize_corpus, quick_config(max_epochs=2, patience=2), scores, path)
+        names = [name for name, _ in load_model(path).named_tensors()]
 
         def cell(prefix):
             # one group per weight: Wu, Wh, Wc, then b
@@ -385,41 +392,71 @@ class TestExampleMemory:
 
 
 class TestTrain:
-    def test_history_deterministic(self, memorize_corpus):
+    def test_history_deterministic(self, memorize_corpus, tmp_path):
         config = quick_config(max_epochs=4, patience=4)
         scores = [np.ones(len(c.units)) for c in memorize_corpus]
-        _, hist_a = train_on(memorize_corpus, config, scores)
-        _, hist_b = train_on(memorize_corpus, config, scores)
+        hist_a = train_on(memorize_corpus, config, scores, tmp_path / "a.txt")
+        hist_b = train_on(memorize_corpus, config, scores, tmp_path / "b.txt")
         assert hist_a == hist_b
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
-    def test_returned_model_matches_best_epoch(self, memorize_corpus):
+    def test_saved_model_matches_best_epoch(self, memorize_corpus, tmp_path):
         config = quick_config(max_epochs=12, patience=12)
         scores = [np.ones(len(c.units)) for c in memorize_corpus]
-        model, history = train_on(memorize_corpus, config, scores)
+        history = train_on(memorize_corpus, config, scores, tmp_path / "model.txt")
         from opinesum.textcorpus import TfidfStats, substitute_entity
         from opinesum.trainer import _dev_bleu
 
         subs = [substitute_entity(c) for c in memorize_corpus]
+        model = load_model(tmp_path / "model.txt")
         again = _dev_bleu(model, subs, scores, config, TfidfStats(subs))
         assert again == pytest.approx(max(h[2] for h in history))
 
-    def test_memorizes_small_corpus(self, memorize_corpus):
+    def test_early_stopped_model_is_the_best_epochs(self, memorize_corpus, tmp_path):
+        # patience stops the run four epochs after its best one (7), and
+        # those epochs step the model; the file still holds the best epoch,
+        # as a run that ends at that epoch writes it
+        scores = [np.ones(len(c.units)) for c in memorize_corpus]
+        stopped = tmp_path / "stopped.txt"
+        history = train_on(memorize_corpus, quick_config(patience=4), scores, stopped)
+        best = max(history, key=lambda h: h[2])[0]
+        assert (best, len(history)) == (7, 11)
+        ended = tmp_path / "ended.txt"
+        train_on(memorize_corpus, quick_config(max_epochs=best), scores, ended)
+        assert stopped.read_bytes() == ended.read_bytes()
+
+    def test_memorizes_small_corpus(self, memorize_corpus, tmp_path):
         config = quick_config(max_epochs=80, patience=80)
         scores = [np.ones(len(c.units)) for c in memorize_corpus]
-        model, history = train_on(memorize_corpus, config, scores)
+        history = train_on(memorize_corpus, config, scores, tmp_path / "model.txt")
         assert max(h[2] for h in history) == pytest.approx(1.0)
 
-    def test_best_last_epoch_is_returned_without_a_copy(self, memorize_corpus, monkeypatch):
-        built = []
-        init = trainer.init_params
-        monkeypatch.setattr(trainer, "init_params", lambda *a: built.append(init(*a)) or built[-1])
-        scores = [np.ones(len(c.units)) for c in memorize_corpus]
-        model, history = train_on(memorize_corpus, quick_config(max_epochs=1, patience=1), scores)
-        assert len(history) == 1 and model is built[0]
-        # the best epoch (1) is followed by two more, so it is a copy
-        config = quick_config(max_epochs=50, patience=2, eta=1e-300)
-        model, history = train_on(memorize_corpus, config, scores)
-        assert len(history) == 3 and model is not built[1]
+    def test_train_holds_no_second_copy_of_the_parameters(self, tmp_path):
+        # 5,000 words make the embedding and output layer dominate; the
+        # best epoch (1) is followed by two more, as in
+        # test_patience_stops_early, and is saved, not copied: the traced
+        # peak was 3.4 times the parameters' size with an in-memory copy,
+        # and 1.2 times were still held when train returned it
+        words = [f"w{i}" for i in range(5000)]
+        corpus = [
+            make_cluster(
+                [" ".join(words[j : j + 10]) for j in range(first, 5000, 20)],
+                summary=" ".join(words[first : first + 3]),
+                cid=f"m{first}",
+            )
+            for first in (0, 10)
+        ]
+        config = quick_config(d_emb=64, d_h=64, max_epochs=50, patience=2, eta=1e-300)
+        scores = [np.ones(len(c.units)) for c in corpus]
+        path = tmp_path / "model.txt"
+        history, held, peak = traced_call(train_on, corpus, config, scores, path)
+        assert len(history) == 3
+        size = sum(arr.nbytes for _, arr in load_model(path).named_tensors())
+        assert size > 5 * 2**20
+        # the model and its Adagrad accumulators, one example and one block
+        # of the file's text
+        assert peak < 2.75 * size, peak / size
+        assert held < 0.5 * size, held / size
 
     @pytest.mark.parametrize(
         "setting, message",
@@ -435,12 +472,17 @@ class TestTrain:
         with pytest.raises(ValueError, match=message):
             quick_config(**setting)
 
-    def test_empty_split_rejected(self, memorize_corpus):
+    def test_empty_split_rejected(self, memorize_corpus, tmp_path):
         with pytest.raises(ValueError):
-            train([], [], memorize_corpus, [], quick_config(), TfidfStats([]), None, None)
+            train(
+                [], [], memorize_corpus, [], quick_config(), TfidfStats([]), None, None,
+                tmp_path / "model.txt",
+            )
 
     @pytest.mark.parametrize("split", ["train", "dev"])
-    def test_missing_scores_rejected_before_training(self, memorize_corpus, monkeypatch, split):
+    def test_missing_scores_rejected_before_training(
+        self, memorize_corpus, monkeypatch, split, tmp_path
+    ):
         ran = []
         log_prob = trainer.sequence_log_prob
         monkeypatch.setattr(trainer, "sequence_log_prob", lambda *a: ran.append(1) or log_prob(*a))
@@ -453,30 +495,34 @@ class TestTrain:
             train(
                 splits["train"], scores, splits["dev"], scores,
                 quick_config(max_epochs=2, patience=2), TfidfStats(splits["train"]), None, None,
+                tmp_path / "model.txt",
             )
         assert ran == []
 
-    def test_empty_vocabulary_rejected(self, memorize_corpus):
+    def test_empty_vocabulary_rejected(self, memorize_corpus, tmp_path):
         config = quick_config(min_count=99)  # no word reaches the threshold
         scores = [np.ones(len(c.units)) for c in memorize_corpus]
         with pytest.raises(ValueError, match="vocabulary"):
-            train_on(memorize_corpus, config, scores)
+            train_on(memorize_corpus, config, scores, tmp_path / "model.txt")
 
-    def test_patience_stops_early(self, memorize_corpus):
+    def test_patience_stops_early(self, memorize_corpus, tmp_path):
         # steps of ~1e-300 leave every activation's bits as they are, so dev
         # BLEU never improves after epoch 1; training stops at patience
         config = quick_config(max_epochs=50, patience=2, eta=1e-300)
         scores = [np.ones(len(c.units)) for c in memorize_corpus]
-        _, history = train_on(memorize_corpus, config, scores)
+        history = train_on(memorize_corpus, config, scores, tmp_path / "model.txt")
         assert len(history) == 3
 
-    def test_divergence_detected(self, memorize_corpus):
-        # a NaN-poisoned pretrained row aborts with cluster diagnostics
+    def test_divergence_detected(self, memorize_corpus, tmp_path):
+        # a NaN-poisoned pretrained row aborts with cluster diagnostics,
+        # before any epoch is saved
         config = quick_config(max_epochs=5, patience=5)
         poisoned = {"mars": np.full(config.d_emb, np.nan)}
         scores = [np.ones(len(c.units)) for c in memorize_corpus]
+        path = tmp_path / "model.txt"
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
-            train_on(memorize_corpus, config, scores, poisoned)
+            train_on(memorize_corpus, config, scores, path, poisoned)
+        assert not path.exists()
 
 
 def long_instance(seed, order=(0, 1, 2, 3)):
