@@ -16,7 +16,7 @@ from opinesum.sampler import (
     select_test_input,
     uniform_training_input,
 )
-from opinesum.textcorpus import Cluster, TfidfStats, build_vocab, text_unit
+from opinesum.textcorpus import Cluster, TfidfStats, build_vocab, detokenize, text_unit
 
 cluster = Cluster(
     id="demo",
@@ -37,7 +37,8 @@ scores = np.array([4.0, 2.0, 1.0, 1.0])
 
 print("cluster units and importance scores:")
 for k, unit in enumerate(cluster.units):
-    print(f"   [{k}] score {scores[k]:.0f}  {unit.raw!r}")
+    text = detokenize([t.surface for t in unit.tokens])
+    print(f"   [{k}] score {scores[k]:.0f}  {text!r}")
 
 z = select_test_input(cluster, scores, K=2, vocab=vocab, tfidf=tfidf)
 print("\ntest-time top-2 input (descending score, SEG-joined):")

@@ -1,7 +1,7 @@
 """Command-line surface for the pipeline.
 
-Subcommands: preprocess, fit-importance, rank-eval, train, gradcheck,
-decode, evaluate, sampling-report. Configuration is a key=value text file
+Subcommands: fit-importance, rank-eval, train, gradcheck, decode,
+evaluate, sampling-report. Configuration is a key=value text file
 merged with --set overrides (flags win). Each command declares its keys in
 one table (KEY_TABLES); unknown keys are rejected, and every key is parsed
 and checked, every input path validated and out_dir made before any input
@@ -12,6 +12,7 @@ diverged training.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -33,7 +34,6 @@ from .textcorpus import (
     load_lexicon,
     load_stopwords,
     read_lines,
-    save_clusters,
     substitute_entity,
     tokenize,
 )
@@ -147,7 +147,6 @@ _DECODING = {
 _MODES = ",".join(trainer.SAMPLING_MODES)
 # {command: {key: (parse, default)}}: exactly the keys each command reads
 KEY_TABLES = {
-    "preprocess": {"corpus": _INPUT, **_OUT},
     "fit-importance": {
         "corpus.train": _INPUT, "corpus.dev": _INPUT,
         "top_unigrams": (_number(int, 0), "500"),
@@ -262,18 +261,6 @@ def _load_salience(cfg):
     return model, registry
 
 
-def cmd_preprocess(cfg):
-    clusters = load_clusters(cfg["corpus"])
-    out = cfg.out_path("preprocessed.jsonl")
-    substituted = [substitute_entity(c) for c in clusters]
-    save_clusters(substituted, out)
-    n_units = sum(len(c.units) for c in substituted)
-    vocab = build_vocab(substituted)
-    print(f"clusters: {len(substituted)}  units: {n_units}  vocab: {len(vocab)}")
-    print(f"wrote {out}")
-    return 0
-
-
 def cmd_fit_importance(cfg):
     lexicons = _load_lexicons(cfg)
     train_clusters, train_tfidf = _prepare(load_clusters(cfg["corpus.train"]))
@@ -366,6 +353,11 @@ def cmd_train(cfg):
         vocab = build_vocab(train_clusters, config.min_count)
         pretrained, coverage = load_embeddings(cfg["embeddings"], vocab, config.d_emb)
         print(f"pretrained embedding coverage: {coverage:.3f}")
+    # every input has loaded: from here on a failed run leaves no earlier
+    # run's model.txt or history.csv behind
+    for name in ("model.txt", "history.csv"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(cfg.out_path(name))
     history = trainer.train(
         train_clusters, train_scores, dev_clusters, dev_scores, config, tfidf, lexicons,
         pretrained, cfg.out_path("model.txt"),
@@ -499,7 +491,6 @@ def cmd_sampling_report(cfg):
 
 
 COMMANDS = {
-    "preprocess": cmd_preprocess,
     "fit-importance": cmd_fit_importance,
     "rank-eval": cmd_rank_eval,
     "train": cmd_train,

@@ -24,9 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 # Reserved vocabulary items. Uppercase on purpose: tokenizer norms are
-# lowercased, so these never collide with corpus words. The one exception
-# is a literal ENTITY chunk, which reads as the label (ENTITY_TOKEN), so a
-# substituted corpus that was saved loads back to the same tokens.
+# lowercased, so these never collide with corpus words.
 UNK = "UNK"
 SEG = "SEG"
 BOS = "BOS"
@@ -63,7 +61,6 @@ ENTITY_TOKEN = Token(ENTITY_LABEL, ENTITY_LABEL)
 @dataclass(frozen=True)
 class TextUnit:
     tokens: tuple
-    raw: str
 
     def norms(self):
         return [t.norm for t in self.tokens]
@@ -89,15 +86,14 @@ class Cluster:
 
 def tokenize(text):
     """Whitespace split, detaching leading/trailing ASCII punctuation."""
-    return _tokenize(text, {ENTITY_LABEL: ENTITY_TOKEN})
+    return _tokenize(text, {})
 
 
 def _tokenize(text, shared):
     """tokenize(text), taking every untagged token from `shared`, a dict
     from surface to Token that this call extends: equal tokens of every
     text tokenized with one table are one object. A surface fixes its
-    norm, so the surface alone is the key. Every table starts as
-    {ENTITY_LABEL: ENTITY_TOKEN}."""
+    norm, so the surface alone is the key."""
     tokens = []
     append = tokens.append
     get = shared.get
@@ -137,7 +133,7 @@ def detokenize(words):
 
 def text_unit(text, pos=None, ner=None):
     """Tokenize `text` into a TextUnit, attaching optional tag arrays."""
-    return _text_unit(text, pos, ner, {ENTITY_LABEL: ENTITY_TOKEN})
+    return _text_unit(text, pos, ner, {})
 
 
 def _text_unit(text, pos, ner, shared):
@@ -160,7 +156,7 @@ def _text_unit(text, pos, ner, shared):
                 t = shared.get(key) or shared.setdefault(key, Token(t.surface, t.norm, p, n))
             tagged.append(t)
         tokens = tagged
-    return TextUnit(tokens=tuple(tokens), raw=text)
+    return TextUnit(tokens=tuple(tokens))
 
 
 def read_lines(path):
@@ -200,7 +196,7 @@ def load_clusters(path):
     lives only for this call."""
     clusters = []
     line_no = 0
-    shared = {ENTITY_LABEL: ENTITY_TOKEN}
+    shared = {}
     first_line = {}
     for line_no, line in read_lines(path):
         line = line.strip()
@@ -245,26 +241,6 @@ def load_clusters(path):
     if not clusters:
         raise CorpusFormatError(path, line_no, "the file holds no cluster")
     return clusters
-
-
-def save_clusters(clusters, path):
-    """Write clusters back out in the JSON-lines corpus format."""
-    with atomic_write(path) as fh:
-        for c in clusters:
-            obj = {
-                "id": c.id,
-                "entity": c.entity,
-                "summary": c.summary.raw,
-                "units": [
-                    {
-                        "text": u.raw,
-                        "pos": [t.pos or "" for t in u.tokens] if any(t.pos for t in u.tokens) else None,
-                        "ner": [t.ner or "O" for t in u.tokens] if any(t.ner for t in u.tokens) else None,
-                    }
-                    for u in c.units
-                ],
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
 class Vocabulary:
@@ -442,8 +418,7 @@ def substitute_entity(cluster):
 
     Case-insensitive, longest-match over the entity's token sequence; applies
     to all units and the summary. No-op when the cluster has no entity, and
-    a unit with no mention is kept as it is. A substituted unit's raw text
-    is its tokens' surfaces (see detokenize), which tokenize back to them.
+    a unit with no mention is kept as it is.
     """
     if not cluster.entity:
         return cluster
@@ -468,7 +443,7 @@ def substitute_entity(cluster):
         out = tuple(out)
         if out == unit.tokens:
             return unit
-        return TextUnit(tokens=out, raw=detokenize([t.surface for t in out]))
+        return TextUnit(tokens=out)
 
     return Cluster(
         id=cluster.id,

@@ -116,7 +116,8 @@ def train_once(tmp_path, corpus_file, fitted_salience, out_name, extra=()):
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path, corpus_file):
         code = main(
-            ["preprocess", "--set", f"corpus={corpus_file}",
+            ["fit-importance", "--set", f"corpus.train={corpus_file}",
+             "--set", f"corpus.dev={corpus_file}",
              "--set", f"out_dir={tmp_path/'o'}", "--set", "bogus=1"]
         )
         assert code == 2
@@ -134,19 +135,23 @@ class TestConfig:
 
     def test_config_file_with_flag_override(self, tmp_path, corpus_file):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"corpus = {corpus_file}\nout_dir = {tmp_path/'a'}\n# comment\n")
-        code = main(["preprocess", "--config", str(cfg), "--set", f"out_dir={tmp_path/'b'}"])
+        cfg.write_text(
+            f"corpus.train = {corpus_file}\ncorpus.dev = {corpus_file}\n"
+            f"out_dir = {tmp_path/'a'}\n# comment\n"
+        )
+        code = main(["fit-importance", "--config", str(cfg), "--set", f"out_dir={tmp_path/'b'}"])
         assert code == 0
-        assert (tmp_path / "b" / "preprocessed.jsonl").exists()
+        assert (tmp_path / "b" / "salience.model").exists()
         assert not (tmp_path / "a").exists()
 
     def test_malformed_config_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just words\n")
-        assert main(["preprocess", "--config", str(cfg)]) == 2
+        assert main(["fit-importance", "--config", str(cfg)]) == 2
 
-    def test_missing_required_key(self, tmp_path):
-        assert main(["preprocess", "--set", f"out_dir={tmp_path/'x'}"]) == 2
+    def test_missing_required_key(self, tmp_path, corpus_file):
+        argv = ["fit-importance", "--set", f"corpus.train={corpus_file}"]
+        assert main(argv + ["--set", f"out_dir={tmp_path/'x'}"]) == 2
 
     def test_every_command_reads_each_of_its_keys(self, tmp_path, corpus_file, fitted_salience):
         # a key a command accepts but never reads would be silently ignored
@@ -155,7 +160,6 @@ class TestConfig:
         model_dir = tmp_path / "models"
         model_dir.mkdir()
         runs = {
-            "preprocess": {"corpus": corpus_file},
             "fit-importance": {"corpus.train": corpus_file, "corpus.dev": corpus_file},
             "rank-eval": {"corpus": corpus_file, **salience_keys},
             "train": {
@@ -205,7 +209,6 @@ class TestConfig:
     def test_accepted_keys(self):
         lexicons = ["lexicon", "sentiment_lexicon", "stopwords"]
         accepted = {
-            "preprocess": ["corpus", "out_dir"],
             "fit-importance": [
                 "beta_grid", "corpus.dev", "corpus.train", "lam_grid", "out_dir", "top_unigrams",
             ] + lexicons,
@@ -229,7 +232,7 @@ class TestConfig:
         }
         tables = {command: sorted(table) for command, table in cli.KEY_TABLES.items()}
         assert tables == {command: sorted(keys) for command, keys in accepted.items()}
-        assert sum(map(len, tables.values())) == 70
+        assert sum(map(len, tables.values())) == 68
 
     def test_readme_key_table_matches_key_tables(self):
         # each row of README's key table names its commands (blank: the
@@ -247,11 +250,17 @@ class TestConfig:
             keys = re.findall(r"`([^`]+)`", keys_cell)
             documented |= {(c, key) for c in commands for key in keys}
         assert documented == {(c, key) for c, table in cli.KEY_TABLES.items() for key in table}
+        # the usage block's `opinesum <command>` lines, and the commands
+        # cli's docstring lists, are exactly the commands
+        usage = next(b for b in readme.split("```bash\n") if b.startswith("opinesum "))
+        usage = usage.split("```")[0]
+        assert sorted(re.findall(r"^opinesum (\S+)", usage, re.M)) == sorted(cli.COMMANDS)
+        listed = cli.__doc__.split("Subcommands:")[1].split(".")[0]
+        assert sorted(re.split(r",\s*", listed.strip())) == sorted(cli.COMMANDS)
 
     @pytest.mark.parametrize(
         "command, setting, message",
         [
-            ("preprocess", "corpus=missing.jsonl", "corpus: file not found: missing.jsonl"),
             ("fit-importance", "corpus.train=missing", "corpus.train: file not found: missing"),
             ("fit-importance", "corpus.dev=missing", "corpus.dev: file not found: missing"),
             ("fit-importance", "top_unigrams=many", "config key top_unigrams must be an integer"),
@@ -327,7 +336,7 @@ class TestConfig:
         assert read == []
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["preprocess", "fit-importance", "train"])
+    @pytest.mark.parametrize("command", ["fit-importance", "train"])
     @pytest.mark.parametrize("under", [False, True], ids=["is_a_file", "under_a_file"])
     def test_out_dir_that_cannot_be_made_exits_2_before_any_input(
         self, tmp_path, corpus_file, monkeypatch, capsys, command, under
@@ -347,15 +356,6 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
         assert read == []
-
-
-class TestPreprocess:
-    def test_substitutes_entities(self, tmp_path, corpus_file):
-        out = tmp_path / "pre"
-        assert main(["preprocess", "--set", f"corpus={corpus_file}", "--set", f"out_dir={out}"]) == 0
-        rows = [json.loads(l) for l in (out / "preprocessed.jsonl").read_text().splitlines()]
-        assert rows[0]["units"][0]["text"].startswith("ENTITY")
-        assert len(rows) == 3
 
 
 class TestFitImportance:
@@ -562,6 +562,25 @@ class TestTrainCommand:
         assert "epoch 1" in proc.stderr
         assert "Traceback" not in proc.stderr
         # no epoch finished, so neither output was written
+        assert not (out / "model.txt").exists()
+        assert not (out / "history.csv").exists()
+
+    def test_diverged_rerun_leaves_no_earlier_outputs(
+        self, tmp_path, corpus_file, fitted_salience
+    ):
+        out = tmp_path / "rerun"
+        out.mkdir()
+        earlier = {"model.txt": "an earlier run's model\n", "history.csv": "epoch\n1\n"}
+        for name, text in earlier.items():
+            (out / name).write_text(text)
+        # a bad input stops the run before training: the earlier files stay
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
+        assert main(train_args(corpus_file, fitted_salience, out, empty)) == 2
+        assert {name: (out / name).read_text() for name in earlier} == earlier
+        # a run that trains and diverges leaves neither file behind
+        args = train_args(corpus_file, fitted_salience, out)
+        assert main(args + ["--set", "eta=1e300", "--set", "init_scale=1"]) == 2
         assert not (out / "model.txt").exists()
         assert not (out / "history.csv").exists()
 
@@ -839,8 +858,8 @@ class TestNonUtf8Input:
     # (command, the key naming the bad file, its good first line); the
     # second line holds a byte that is not UTF-8
     INPUTS = {
-        "corpus": ("preprocess", "corpus", json.dumps(toy_corpus()[0])),
-        "config": ("preprocess", None, "# settings"),
+        "corpus": ("fit-importance", "corpus.train", json.dumps(toy_corpus()[0])),
+        "config": ("evaluate", None, "# settings"),
         "decode": ("evaluate", "decode", json.dumps({"id": "m0", "summary": "a"})),
         "stopwords": ("fit-importance", "stopwords", "the"),
         "lexicon": ("fit-importance", "lexicon", "good\tStrong"),
@@ -858,7 +877,6 @@ class TestNonUtf8Input:
             args = train_args(corpus_file, request.getfixturevalue("fitted_salience"), out)
         else:
             pairs = {
-                "preprocess": {"corpus": corpus_file},
                 "evaluate": {"corpus": corpus_file},
                 "fit-importance": {"corpus.train": corpus_file, "corpus.dev": corpus_file},
             }[command]
@@ -871,7 +889,7 @@ class TestNonUtf8Input:
 
 class TestEmptyCorpus:
     CORPUS_KEYS = {
-        "preprocess": "corpus", "fit-importance": "corpus.train", "rank-eval": "corpus",
+        "fit-importance": "corpus.train", "rank-eval": "corpus",
         "train": "corpus.train", "decode": "corpus", "evaluate": "corpus",
         "sampling-report": "corpus",
     }
@@ -888,7 +906,6 @@ class TestEmptyCorpus:
         (tmp_path / "decode.jsonl").write_text("")
         model_path, registry_path = fitted_salience
         pairs = {
-            "preprocess": {},
             "fit-importance": {"corpus.dev": corpus_file},
             "rank-eval": {"salience_model": model_path, "salience_registry": registry_path},
             "train": {
@@ -1132,7 +1149,10 @@ class TestBlasThreads:
         src = str(Path(opinesum.__file__).resolve().parents[1])
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        argv = ["preprocess", "--set", f"corpus={corpus_file}", "--set", f"out_dir={tmp_path}"]
+        argv = [
+            "fit-importance", "--set", f"corpus.train={corpus_file}",
+            "--set", f"corpus.dev={corpus_file}", "--set", f"out_dir={tmp_path}",
+        ]
         proc = subprocess.run(
             [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
         )
@@ -1143,10 +1163,13 @@ class TestBlasThreads:
 
     def test_without_the_setter_warns_once_and_runs(self, tmp_path, corpus_file, monkeypatch, capsys):
         monkeypatch.setattr(cli, "set_blas_threads", lambda n: False)
-        argv = ["preprocess", "--set", f"corpus={corpus_file}", "--set", f"out_dir={tmp_path}"]
+        argv = [
+            "fit-importance", "--set", f"corpus.train={corpus_file}",
+            "--set", f"corpus.dev={corpus_file}", "--set", f"out_dir={tmp_path}",
+        ]
         assert main(argv) == 0
         assert capsys.readouterr().err.count("warning: cannot set BLAS to one thread") == 1
-        assert (tmp_path / "preprocessed.jsonl").exists()
+        assert (tmp_path / "salience.model").exists()
 
 
 class TestEntryPoint:

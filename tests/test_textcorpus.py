@@ -27,7 +27,6 @@ from opinesum.textcorpus import (
     load_lexicon,
     load_stopwords,
     restore_entity,
-    save_clusters,
     substitute_entity,
     text_unit,
     tokenize,
@@ -294,17 +293,6 @@ class TestSharedTokens:
              {"text": "funny , film", "ner": ["O", "O", "MISC"]},
          ]},
     ]
-    # save_clusters of the loaded clusters, and of them after substitute_entity
-    SAVED = (
-        '{"id": "a", "entity": "The Martian", "summary": "Smart, funny film!", "units": [{"text": "The Martian is smart, smart!", "pos": ["DT", "NNP", "VBZ", "JJ", ",", "", "."], "ner": ["O", "TITLE", "O", "O", "O", "O", "O"]}, {"text": "smart film, (funny) film", "pos": null, "ner": null}]}\n'
-        '{"id": "b", "entity": "the martian", "summary": "the martian: a smart film.", "units": [{"text": "Smart?! The Martian is smart.", "pos": ["JJ", ".", ".", "DT", "NNP", "VBZ", "JJ", "."], "ner": ["O", "O", "O", "O", "TITLE", "O", "O", "O"]}, {"text": "funny , film", "pos": null, "ner": ["O", "O", "MISC"]}]}\n'
-    )
-    # a unit with no mention keeps its text; a substituted one is rebuilt
-    # from its tokens' surfaces
-    PREPROCESSED = (
-        '{"id": "a", "entity": "The Martian", "summary": "Smart, funny film!", "units": [{"text": "ENTITY is smart, smart!", "pos": ["", "VBZ", "JJ", ",", "", "."], "ner": null}, {"text": "smart film, (funny) film", "pos": null, "ner": null}]}\n'
-        '{"id": "b", "entity": "the martian", "summary": "ENTITY: a smart film.", "units": [{"text": "Smart?! ENTITY is smart.", "pos": ["JJ", ".", ".", "", "VBZ", "JJ", "."], "ner": null}, {"text": "funny , film", "pos": null, "ner": ["O", "O", "MISC"]}]}\n'
-    )
 
     @pytest.fixture
     def corpus(self, tmp_path):
@@ -347,21 +335,28 @@ class TestSharedTokens:
         assert self.tokens_of(first) == self.tokens_of(second)
         assert not {id(t) for t in self.tokens_of(first)} & {id(t) for t in self.tokens_of(second)}
 
-    def test_saved_corpus_bytes_unchanged(self, corpus, tmp_path):
+    def test_substituted_tokens_unchanged(self, corpus):
         clusters = load_clusters(corpus)
-        save_clusters(clusters, tmp_path / "saved.jsonl")
-        save_clusters([substitute_entity(c) for c in clusters], tmp_path / "preprocessed.jsonl")
-        assert (tmp_path / "saved.jsonl").read_bytes() == self.SAVED.encode("utf-8")
-        assert (tmp_path / "preprocessed.jsonl").read_bytes() == self.PREPROCESSED.encode("utf-8")
-
-    def test_preprocessed_corpus_loads_back_to_the_substituted_tokens(self, corpus, tmp_path):
-        substituted = [substitute_entity(c) for c in load_clusters(corpus)]
-        path = tmp_path / "preprocessed.jsonl"
-        save_clusters(substituted, path)
-        reloaded = load_clusters(path)
-        assert self.tokens_of(reloaded) == self.tokens_of(substituted)
-        # the label reads back as the one label token, not the word "entity"
-        labels = [t for t in self.tokens_of(reloaded) if t.surface == ENTITY_LABEL]
+        (a, b) = substituted = [substitute_entity(c) for c in clusters]
+        # a unit or summary with no mention is kept as it is
+        assert a.units[1] is clusters[0].units[1]
+        assert a.summary is clusters[0].summary
+        assert b.units[1] is clusters[1].units[1]
+        # every mention, tagged or not, becomes the one untagged label; the
+        # other tokens keep their tags
+        assert a.units[0].tokens == (
+            ENTITY_TOKEN, Token("is", "is", "VBZ"), Token("smart", "smart", "JJ"),
+            Token(",", ",", ","), Token("smart", "smart"), Token("!", "!", "."),
+        )
+        assert b.units[0].tokens == (
+            Token("Smart", "smart", "JJ"), Token("?", "?", "."), Token("!", "!", "."),
+            ENTITY_TOKEN, Token("is", "is", "VBZ"), Token("smart", "smart", "JJ"),
+            Token(".", ".", "."),
+        )
+        assert b.summary.tokens == tuple(
+            [ENTITY_TOKEN] + [Token(w, w) for w in (":", "a", "smart", "film", ".")]
+        )
+        labels = [t for t in self.tokens_of(substituted) if t.norm == ENTITY_LABEL]
         assert len(labels) == 3 and all(t is ENTITY_TOKEN for t in labels)
 
     def test_bytes_per_loaded_token_bounded(self, tmp_path):
@@ -385,7 +380,7 @@ class TestSharedTokens:
         tokens = self.tokens_of(clusters)
         ratio = len(set(tokens)) / len(tokens)
         assert len(tokens) >= 50_000
-        assert held / len(tokens) <= 48, (
+        assert held / len(tokens) <= 32, (
             f"{held / len(tokens):.1f} B per token over {len(tokens)} tokens, "
             f"types/tokens {ratio:.4f}"
         )
@@ -586,13 +581,19 @@ class TestEntitySubstitution:
         cluster = make_cluster(["Great film , truly", "The Martian wins"], "s", entity="the martian")
         sub = substitute_entity(cluster)
         assert sub.units[0] is cluster.units[0]
-        assert sub.units[1].raw == "ENTITY wins"
+        assert sub.units[1].tokens == (ENTITY_TOKEN, Token("wins", "wins"))
 
-    def test_literal_label_reads_as_the_label(self):
-        # tokenize, text_unit and load_clusters read saved substituted text
-        assert tokenize("ENTITY: entity")[0] is ENTITY_TOKEN
-        assert tokenize("ENTITY: entity")[2].norm == "entity"
-        assert text_unit("so ENTITY").tokens[1] is ENTITY_TOKEN
+    def test_literal_label_reads_as_a_word(self, tmp_path):
+        # only substitute_entity makes the label; corpus text never does
+        token = tokenize("ENTITY")[0]
+        assert token.norm == "entity"
+        assert token != ENTITY_TOKEN
+        word = Token("ENTITY", "entity")
+        assert text_unit("so ENTITY").tokens[1] == word
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({"id": "c", "summary": "ENTITY", "units": [{"text": "ENTITY"}]}))
+        (cluster,) = load_clusters(path)
+        assert cluster.units[0].tokens == cluster.summary.tokens == (word,)
 
     def test_round_trip_random_insertions(self):
         rng = np.random.default_rng(4)
