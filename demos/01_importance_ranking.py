@@ -60,7 +60,7 @@ print(f"feature registry: d = {registry.d} "
       f"({len(registry.top_unigrams)} unigram features)")
 
 train_tfidf = TfidfStats(train_clusters)
-features = [cluster_features(c, registry, lexicons, train_tfidf) for c in train_clusters]
+features = [cluster_features(c, registry, train_tfidf) for c in train_clusters]
 labels = [gold_scores(c, stopwords) for c in train_clusters]
 n_pairs = sum(
     int((l > 0).sum() * (l == 0).sum()) for l in labels
@@ -83,7 +83,7 @@ for system in ("salience", "length", "centroid"):
     rels = []
     for c in eval_clusters:
         if system == "salience":
-            feats = cluster_features(c, registry, lexicons, eval_tfidf)
+            feats = cluster_features(c, registry, eval_tfidf)
             order = rank_descending(score_units(model, feats))
         else:
             order = baseline_rank(system, c, eval_tfidf)

@@ -821,14 +821,6 @@ def save_model(model, path):
         fh.write(f"sha256 {digest.hexdigest()}\n".encode("ascii"))
 
 
-def _word_map(reader, key):
-    """The 'word<TAB>value' lines of a counted block, as a dict."""
-    pairs = [line.split("\t") for line in reader.block(key)]
-    if any(len(pair) != 2 for pair in pairs):
-        raise reader.error(f"{key}: expected 'word<TAB>value' lines")
-    return dict(pairs)
-
-
 def _base64_rows(reader, name, block, shape):
     """The rows of a tensor as base64 of little-endian float64; a row
     holding NaN or Inf is an error naming its line."""
@@ -900,8 +892,8 @@ def load_model(path):
             dim = reader.count("dim")
             tags = reader.block("pos_tags")
             cats = reader.block("lex_categories")
-            word_lex = _word_map(reader, "word_lex")
-            word_sent = _word_map(reader, "word_sent")
+            word_lex = dict(reader.word_pairs("word_lex"))
+            word_sent = dict(reader.word_pairs("word_sent"))
             features = TokenFeatureSet(tags, cats, word_lex, word_sent, dim)
         elif kind != "none":
             raise reader.error(f"line {reader.line_no}: expected 'features v1' or 'features none'")

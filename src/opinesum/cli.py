@@ -128,10 +128,8 @@ def _train_entry(field):
 REQUIRED = object()
 
 _INPUT = (_FILE, REQUIRED)
-# the stopword file (default: the bundled list), the general lexicon
-# (word<TAB>category) and the sentiment lexicon (categories
-# positive/negative/neutral)
-_LEXICONS = {key: (_FILE, None) for key in ("stopwords", "lexicon", "sentiment_lexicon")}
+# the fitted salience model and its registry, which carries the stopwords
+# and lexicons it was fitted with
 _SALIENCE = {"salience_model": _INPUT, "salience_registry": _INPUT}
 # the directory all of a command's outputs are written under
 _OUT = {"out_dir": (_text, REQUIRED)}
@@ -141,7 +139,7 @@ _DECODING = {
     "corpus": _INPUT, **_SALIENCE,
     "beam_width": (_COUNT, "20"),
     "max_len": (_COUNT, str(trainer.TrainConfig.max_len)),
-    **_LEXICONS, **_OUT,
+    **_OUT,
 }
 
 _MODES = ",".join(trainer.SAMPLING_MODES)
@@ -155,14 +153,18 @@ KEY_TABLES = {
                      "0,0.01,0.1,0.5,1,10"),
         "beta_grid": (_list(float, lambda beta: 0 < beta < math.inf, "finite values > 0"),
                       "0.01,0.1,1,10"),
-        **_LEXICONS, **_OUT,
+        # the stopword file (default: the bundled list), the general lexicon
+        # (word<TAB>category) and the sentiment lexicon (categories
+        # positive/negative/neutral); the registry carries them on
+        **{key: (_FILE, None) for key in ("stopwords", "lexicon", "sentiment_lexicon")},
+        **_OUT,
     },
-    "rank-eval": {"corpus": _INPUT, **_SALIENCE, **_LEXICONS, **_OUT},
+    "rank-eval": {"corpus": _INPUT, **_SALIENCE, **_OUT},
     "train": {
         "corpus.train": _INPUT, "corpus.dev": _INPUT, **_SALIENCE,
         "embeddings": (_FILE, None),
         **{f.name: _train_entry(f) for f in dataclasses.fields(trainer.TrainConfig)},
-        **_LEXICONS, **_OUT,
+        **_OUT,
     },
     "gradcheck": {"seeds": (_COUNT, "1"), "seed": (_INT, "0")},
     "decode": {"model": _INPUT, "K": (_COUNT, str(trainer.TrainConfig.K)), **_DECODING},
@@ -245,20 +247,20 @@ def _prepare(clusters_raw):
     return clusters, TfidfStats(clusters)
 
 
-def _score_split(clusters, tfidf, lexicons, registry, model):
-    """One score vector per prepared cluster. Each cluster is scored as
-    soon as it is featurized, so only one feature matrix is alive at a
-    time."""
+def _score_split(clusters, tfidf, model):
+    """One score vector per prepared cluster, featurized with the model's
+    registry. Each cluster is scored as soon as it is featurized, so only
+    one feature matrix is alive at a time."""
     return [
-        salience.score_units(model, salience.cluster_features(c, registry, lexicons, tfidf))
+        salience.score_units(model, salience.cluster_features(c, model.registry, tfidf))
         for c in clusters
     ]
 
 
 def _load_salience(cfg):
+    """The fitted salience model, with its registry and so its lexicons."""
     registry = salience.load_registry(cfg["salience_registry"])
-    model = salience.load_model(cfg["salience_model"], registry)
-    return model, registry
+    return salience.load_model(cfg["salience_model"], registry)
 
 
 def cmd_fit_importance(cfg):
@@ -271,7 +273,7 @@ def cmd_fit_importance(cfg):
 
     # the design and the dev grid need every cluster's features at once
     def featurize(clusters, tfidf):
-        return [salience.cluster_features(c, registry, lexicons, tfidf) for c in clusters]
+        return [salience.cluster_features(c, registry, tfidf) for c in clusters]
 
     # only the normal equations outlive the design: the training features
     # and the stacked R are freed before the dev split is featurized
@@ -295,10 +297,9 @@ def cmd_fit_importance(cfg):
 
 
 def cmd_rank_eval(cfg):
-    lexicons = _load_lexicons(cfg)
-    model, registry = _load_salience(cfg)
+    model = _load_salience(cfg)
     clusters, tfidf = _prepare(load_clusters(cfg["corpus"]))
-    unit_scores = _score_split(clusters, tfidf, lexicons, registry, model)
+    unit_scores = _score_split(clusters, tfidf, model)
     systems = {
         "salience": [salience.rank_descending(scores) for scores in unit_scores],
         "length": [salience.baseline_rank("length", c, tfidf) for c in clusters],
@@ -314,7 +315,7 @@ def cmd_rank_eval(cfg):
         cfg.out_path("rankings.csv"), ["cluster_id", "unit_index", "score", "rank"], ranking_rows
     )
     # each system's gains are the same relevance flags in its order
-    relevant = [salience.relevant_units(c, lexicons.stopwords) for c in clusters]
+    relevant = [salience.relevant_units(c, model.registry.lexicons.stopwords) for c in clusters]
     eval_rows = []
     for name, orders in systems.items():
         rels = [rel[order].astype(int).tolist() for rel, order in zip(relevant, orders)]
@@ -340,14 +341,13 @@ def _train_config(cfg):
 
 def cmd_train(cfg):
     config = _train_config(cfg)
-    lexicons = _load_lexicons(cfg)
-    sal_model, registry = _load_salience(cfg)
+    sal_model = _load_salience(cfg)
     train_raw = load_clusters(cfg["corpus.train"])
     dev_raw = load_clusters(cfg["corpus.dev"])
     train_clusters, tfidf = _prepare(train_raw)
     dev_clusters, dev_tfidf = _prepare(dev_raw)
-    train_scores = _score_split(train_clusters, tfidf, lexicons, registry, sal_model)
-    dev_scores = _score_split(dev_clusters, dev_tfidf, lexicons, registry, sal_model)
+    train_scores = _score_split(train_clusters, tfidf, sal_model)
+    dev_scores = _score_split(dev_clusters, dev_tfidf, sal_model)
     pretrained = None
     if cfg["embeddings"]:
         vocab = build_vocab(train_clusters, config.min_count)
@@ -359,8 +359,8 @@ def cmd_train(cfg):
         with contextlib.suppress(FileNotFoundError):
             os.remove(cfg.out_path(name))
     history = trainer.train(
-        train_clusters, train_scores, dev_clusters, dev_scores, config, tfidf, lexicons,
-        pretrained, cfg.out_path("model.txt"),
+        train_clusters, train_scores, dev_clusters, dev_scores, config, tfidf,
+        sal_model.registry.lexicons, pretrained, cfg.out_path("model.txt"),
     )
     _write_csv(
         cfg.out_path("history.csv"),
@@ -387,15 +387,14 @@ def cmd_gradcheck(cfg):
 
 
 def cmd_decode(cfg):
-    lexicons = _load_lexicons(cfg)
-    sal_model, registry = _load_salience(cfg)
+    sal_model = _load_salience(cfg)
     model = load_seq2seq(cfg["model"])
     clusters, tfidf = _prepare(load_clusters(cfg["corpus"]))
-    unit_scores = _score_split(clusters, tfidf, lexicons, registry, sal_model)
+    unit_scores = _score_split(clusters, tfidf, sal_model)
     out = cfg.out_path("decode.jsonl")
     records = beamdecode.decode_split(
         model, clusters, unit_scores, cfg["K"], cfg["beam_width"], cfg["max_len"], tfidf,
-        lexicons.stopwords,
+        sal_model.registry.lexicons.stopwords,
     )
     with atomic_write(out) as fh:
         for record in records:
@@ -461,14 +460,14 @@ def cmd_evaluate(cfg):
 
 
 def cmd_sampling_report(cfg):
-    lexicons = _load_lexicons(cfg)
-    sal_model, registry = _load_salience(cfg)
+    sal_model = _load_salience(cfg)
     clusters_raw = load_clusters(cfg["corpus"])
     # the gold summaries as loaded, as evaluate reads them: the decoded
     # summaries have their entities restored
     refs = [c.summary.norms() for c in clusters_raw]
     clusters, tfidf = _prepare(clusters_raw)
-    unit_scores = _score_split(clusters, tfidf, lexicons, registry, sal_model)
+    unit_scores = _score_split(clusters, tfidf, sal_model)
+    stopwords = sal_model.registry.lexicons.stopwords
     # one row per distinct (mode, K), in sorted order; a missing model
     # leaves its cell blank
     rows = []
@@ -480,7 +479,7 @@ def cmd_sampling_report(cfg):
                 continue
             records = beamdecode.decode_split(
                 load_seq2seq(path), clusters, unit_scores, k, cfg["beam_width"], cfg["max_len"],
-                tfidf, lexicons.stopwords,
+                tfidf, stopwords,
             )
             hyps = [[t.norm for t in tokenize(r["summary"])] for r in records]
             rows.append([mode, k, f"{evalmetrics.bleu(hyps, refs):.6f}"])

@@ -18,7 +18,6 @@ from .evalmetrics import mrr
 from .textcorpus import (
     atomic_write,
     content_norms,
-    content_words,
     cosine_weight_maps,
     read_artifact,
     write_block,
@@ -48,20 +47,27 @@ class LexiconSet:
     sentiment: dict = field(default_factory=dict)
     stopwords: frozenset = frozenset()
 
+    @cached_property
+    def categories(self):
+        """Every category of the general lexicon, sorted."""
+        return tuple(sorted({c for cs in self.general.values() for c in cs}))
+
 
 @dataclass(frozen=True)
 class FeatureRegistry:
     """Shared feature-name registry: dense block, lexicon categories,
-    sentiment counts, then the top-U training content unigrams."""
+    sentiment counts, then the top-U training content unigrams. It carries
+    the lexicons it was built with, so every stage that reads the fitted
+    weights featurizes with them."""
 
-    lexicon_categories: tuple
+    lexicons: LexiconSet
     top_unigrams: tuple
 
     @cached_property
     def names(self):
         return (
             DENSE_NAMES
-            + tuple(f"lex:{c}" for c in self.lexicon_categories)
+            + tuple(f"lex:{c}" for c in self.lexicons.categories)
             + tuple(f"sent:{c}" for c in SENTIMENT_CATEGORIES)
             + tuple(f"unigram:{w}" for w in self.top_unigrams)
         )
@@ -75,8 +81,8 @@ class FeatureRegistry:
         """Feature column of each lexicon category, sentiment polarity and
         top unigram, as three dicts."""
         off = len(DENSE_NAMES)
-        cats = {c: off + i for i, c in enumerate(self.lexicon_categories)}
-        off += len(self.lexicon_categories)
+        cats = {c: off + i for i, c in enumerate(self.lexicons.categories)}
+        off += len(cats)
         sents = {c: off + i for i, c in enumerate(SENTIMENT_CATEGORIES)}
         off += len(SENTIMENT_CATEGORIES)
         unis = {w: off + i for i, w in enumerate(self.top_unigrams)}
@@ -90,13 +96,12 @@ class FeatureRegistry:
 def build_registry(train_clusters, lexicons, top_u):
     """Registry from the training corpus: lexicon categories plus the
     top-U most frequent content unigrams (ties broken lexicographically)."""
-    cats = sorted({c for cs in lexicons.general.values() for c in cs})
     counts = Counter()
     for cluster in train_clusters:
         for unit in cluster.units:
             counts.update(content_norms(unit, lexicons.stopwords))
     top = sorted(counts, key=lambda w: (-counts[w], w))[:top_u]
-    return FeatureRegistry(lexicon_categories=tuple(cats), top_unigrams=tuple(top))
+    return FeatureRegistry(lexicons=lexicons, top_unigrams=tuple(top))
 
 
 def centroidness(weight_maps):
@@ -113,20 +118,23 @@ def centroidness(weight_maps):
     return [cosine_weight_maps(weights, mean, mean_norm) for weights in weight_maps]
 
 
-def _norm_columns(norm, columns, lexicons):
+def _norm_columns(norm, registry):
     """The lexicon-category, sentiment and top-unigram feature columns that
-    one token with this norm counts in."""
-    cat_col, sent_col, uni_col = columns
-    cols = [cat_col[c] for c in lexicons.general.get(norm, ()) if c in cat_col]
+    one token with this norm counts in. The registry's categories and top
+    unigrams come from its own lexicons, so each category has a column and
+    each top unigram is a content word."""
+    cat_col, sent_col, uni_col = registry.columns
+    lexicons = registry.lexicons
+    cols = [cat_col[c] for c in lexicons.general.get(norm, ())]
     pol = lexicons.sentiment.get(norm)
     if pol in sent_col:
         cols.append(sent_col[pol])
-    if norm in uni_col and content_words((norm,), lexicons.stopwords):
+    if norm in uni_col:
         cols.append(uni_col[norm])
     return cols
 
 
-def cluster_features(cluster, registry, lexicons, tfidf):
+def cluster_features(cluster, registry, tfidf):
     """M x d matrix of table-style features for all units of one cluster.
 
     Per unit: token count, distinct pos tags, entity tokens, centroidness,
@@ -137,7 +145,6 @@ def cluster_features(cluster, registry, lexicons, tfidf):
     """
     units = cluster.units
     weight_maps = [tfidf.unit_weights(u) for u in units]
-    columns = registry.columns
     columns_of = {}
     dense = []
     counted = []  # the column of every counted token, unit by unit
@@ -152,7 +159,7 @@ def cluster_features(cluster, registry, lexicons, tfidf):
                 n_ner += 1
             cols = columns_of.get(norm)
             if cols is None:
-                cols = columns_of[norm] = _norm_columns(norm, columns, lexicons)
+                cols = columns_of[norm] = _norm_columns(norm, registry)
             counted.extend(cols)
         row_ends.append(len(counted))
         vals = list(weights.values())
@@ -366,20 +373,36 @@ def load_model(path, registry):
 
 
 def save_registry(registry, path):
+    """Text format: blocks of the sorted stopwords, of the lexicons'
+    sorted 'word<TAB>category|polarity' lines, then of the top unigrams."""
+    lexicons = registry.lexicons
     with atomic_write(path) as fh:
-        fh.write("salience-registry v1\n")
-        write_block(fh, "lexicon_categories", registry.lexicon_categories)
+        fh.write("salience-registry v2\n")
+        write_block(fh, "stopwords", sorted(lexicons.stopwords))
+        general = sorted((w, c) for w, cs in lexicons.general.items() for c in cs)
+        write_block(fh, "lexicon", [f"{w}\t{c}" for w, c in general])
+        sentiment = sorted(lexicons.sentiment.items())
+        write_block(fh, "sentiment_lexicon", [f"{w}\t{p}" for w, p in sentiment])
         write_block(fh, "top_unigrams", registry.top_unigrams)
 
 
 def load_registry(path):
     """Read a file written by save_registry. Raises ValueError naming the
-    path unless each block holds exactly its declared count of lines and
-    nothing follows the last block."""
-    with read_artifact(path, "salience-registry v1") as reader:
-        categories = reader.block("lexicon_categories")
+    path unless each block holds exactly its declared count of lines, each
+    lexicon line is 'word<TAB>value', and nothing follows the last block."""
+    with read_artifact(path, "salience-registry v2") as reader:
+        stopwords = reader.block("stopwords")
+        general = {}
+        for word, category in reader.word_pairs("lexicon"):
+            general.setdefault(word, set()).add(category)
+        sentiment = dict(reader.word_pairs("sentiment_lexicon"))
         unigrams = reader.block("top_unigrams")
-    return FeatureRegistry(lexicon_categories=tuple(categories), top_unigrams=tuple(unigrams))
+    lexicons = LexiconSet(
+        general={w: tuple(sorted(cs)) for w, cs in general.items()},
+        sentiment=sentiment,
+        stopwords=frozenset(stopwords),
+    )
+    return FeatureRegistry(lexicons=lexicons, top_unigrams=tuple(unigrams))
 
 
 def relevant_units(cluster, stopwords):

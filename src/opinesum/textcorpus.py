@@ -58,7 +58,7 @@ class Token(NamedTuple):
 ENTITY_TOKEN = Token(ENTITY_LABEL, ENTITY_LABEL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TextUnit:
     tokens: tuple
 
@@ -66,7 +66,7 @@ class TextUnit:
         return [t.norm for t in self.tokens]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cluster:
     """One summarization instance: M input text units plus a gold abstract.
 
@@ -413,6 +413,12 @@ def content_norms(unit, stopwords):
     return content_words([t.norm for t in unit.tokens], stopwords)
 
 
+def _entity_norms(cluster):
+    """The norms of the cluster's entity, or None when it has none. An
+    entity is never blank (see Cluster), so it has at least one norm."""
+    return [t.norm for t in tokenize(cluster.entity)] if cluster.entity else None
+
+
 def substitute_entity(cluster):
     """Replace every occurrence of the cluster entity with the generic label.
 
@@ -420,10 +426,8 @@ def substitute_entity(cluster):
     to all units and the summary. No-op when the cluster has no entity, and
     a unit with no mention is kept as it is.
     """
-    if not cluster.entity:
-        return cluster
-    pattern = [t.norm for t in tokenize(cluster.entity)]
-    if not pattern:
+    pattern = _entity_norms(cluster)
+    if pattern is None:
         return cluster
 
     def sub_unit(unit):
@@ -455,12 +459,12 @@ def substitute_entity(cluster):
 
 def restore_entity(norms, cluster):
     """Replace every generic label in `norms` with the entity's tokens."""
-    if not cluster.entity:
+    pattern = _entity_norms(cluster)
+    if pattern is None:
         return list(norms)
-    pattern = [t.norm for t in tokenize(cluster.entity)]
     out = []
     for norm in norms:
-        if norm == ENTITY_LABEL and pattern:
+        if norm == ENTITY_LABEL:
             out.extend(pattern)
         else:
             out.append(norm)
@@ -573,6 +577,13 @@ class ArtifactReader:
         if len(block) < n:
             raise self.error(f"{key} declares {n} lines, found {len(block)}")
         return block
+
+    def word_pairs(self, key):
+        """The [word, value] pairs of a block of 'word<TAB>value' lines."""
+        pairs = [line.split("\t") for line in self.block(key)]
+        if any(len(pair) != 2 for pair in pairs):
+            raise self.error(f"{key}: expected 'word<TAB>value' lines")
+        return pairs
 
 
 @contextmanager

@@ -168,11 +168,10 @@ def build_features(clusters, lexicons, dim):
     its pos tags, the sorted lexicon categories, and for each lexicon word
     its alphabetically first category."""
     tags = {t.pos for c in clusters for u in c.units for t in u.tokens if t.pos}
-    general = lexicons.general
     return TokenFeatureSet(
         pos_tags=tags,
-        lex_categories=sorted({c for cs in general.values() for c in cs}),
-        word_lex={w: sorted(cs)[0] for w, cs in general.items() if cs},
+        lex_categories=lexicons.categories,
+        word_lex={w: sorted(cs)[0] for w, cs in lexicons.general.items() if cs},
         word_sent=lexicons.sentiment,
         dim=dim,
     )

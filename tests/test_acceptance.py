@@ -253,7 +253,7 @@ def test_criterion_7_ranking_beats_baselines():
         eval_clusters = [ranking_cluster(rng, f"ev{seed}_{i}") for i in range(8)]
         registry = build_registry(train_clusters, lex, top_u=50)
         train_tfidf = TfidfStats(train_clusters)
-        feats = [cluster_features(c, registry, lex, train_tfidf) for c in train_clusters]
+        feats = [cluster_features(c, registry, train_tfidf) for c in train_clusters]
         labels = [gold_scores(c, RANK_STOPWORDS) for c in train_clusters]
         model = fit_closed_form(build_design(feats, labels).normal_equations, 0.5, 0.1, registry)
         eval_tfidf = TfidfStats(eval_clusters)
@@ -263,7 +263,7 @@ def test_criterion_7_ranking_beats_baselines():
             for c in eval_clusters:
                 if system == "salience":
                     order = rank_descending(
-                        score_units(model, cluster_features(c, registry, lex, eval_tfidf))
+                        score_units(model, cluster_features(c, registry, eval_tfidf))
                     )
                 else:
                     order = baseline_rank(system, c, eval_tfidf)

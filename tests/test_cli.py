@@ -207,32 +207,34 @@ class TestConfig:
         assert _train_config(defaults) == trainer.TrainConfig()
 
     def test_accepted_keys(self):
-        lexicons = ["lexicon", "sentiment_lexicon", "stopwords"]
+        # only fit-importance reads the lexicon files; every later command
+        # takes them from the salience registry
         accepted = {
             "fit-importance": [
-                "beta_grid", "corpus.dev", "corpus.train", "lam_grid", "out_dir", "top_unigrams",
-            ] + lexicons,
-            "rank-eval": ["corpus", "out_dir", "salience_model", "salience_registry"] + lexicons,
+                "beta_grid", "corpus.dev", "corpus.train", "lam_grid", "lexicon", "out_dir",
+                "sentiment_lexicon", "stopwords", "top_unigrams",
+            ],
+            "rank-eval": ["corpus", "out_dir", "salience_model", "salience_registry"],
             "train": [
                 "K", "corpus.dev", "corpus.train", "d_a", "d_emb", "d_feat", "d_h", "embeddings",
                 "eps", "eta", "init_scale", "max_epochs", "max_len", "min_count", "mode",
                 "out_dir", "patience", "salience_model", "salience_registry", "seed",
                 "use_features",
-            ] + lexicons,
+            ],
             "gradcheck": ["seed", "seeds"],
             "decode": [
                 "K", "beam_width", "corpus", "max_len", "model", "out_dir", "salience_model",
                 "salience_registry",
-            ] + lexicons,
+            ],
             "evaluate": ["corpus", "decode", "out_dir"],
             "sampling-report": [
                 "Ks", "beam_width", "corpus", "max_len", "model_dir", "modes", "out_dir",
                 "salience_model", "salience_registry",
-            ] + lexicons,
+            ],
         }
         tables = {command: sorted(table) for command, table in cli.KEY_TABLES.items()}
         assert tables == {command: sorted(keys) for command, keys in accepted.items()}
-        assert sum(map(len, tables.values())) == 68
+        assert sum(map(len, tables.values())) == 56
 
     def test_readme_key_table_matches_key_tables(self):
         # each row of README's key table names its commands (blank: the
@@ -313,8 +315,12 @@ class TestConfig:
             ("sampling-report", "beam_width=0", "config key beam_width must be >= 1"),
             ("sampling-report", "max_len=x", "config key max_len must be an integer"),
         ] + [
-            (command, f"{key}=missing", f"{key}: file not found: missing")
-            for command in ("fit-importance", "rank-eval", "train", "decode", "sampling-report")
+            ("fit-importance", f"{key}=missing", f"{key}: file not found: missing")
+            for key in ("stopwords", "lexicon", "sentiment_lexicon")
+        ] + [
+            # the later commands take the lexicons from the salience registry
+            (command, f"{key}=missing", f"unknown config key for {command}: {key!r}")
+            for command in ("rank-eval", "train", "decode", "sampling-report")
             for key in ("stopwords", "lexicon", "sentiment_lexicon")
         ],
     )
@@ -473,25 +479,32 @@ class TestTrainCommand:
         assert (a / "model.txt").read_bytes() == (b / "model.txt").read_bytes()
         assert (a / "history.csv").read_bytes() == (b / "history.csv").read_bytes()
 
-    def test_features_and_embeddings(self, tmp_path, corpus_file, fitted_salience):
+    def test_features_and_embeddings(self, tmp_path, corpus_file):
+        # the lexicons go to fit-importance only; train builds the token
+        # features from the ones its salience registry carries
         emb = tmp_path / "vec.txt"
         emb.write_text("smart " + " ".join(["0.5"] * 12) + "\n")
         lex = tmp_path / "lex.txt"
-        lex.write_text("smart\tPositiv\ndull\tNegativ\n")
+        lex.write_text("smart\tPositiv\nsmart\tStrong\ndull\tNegativ\n")
         sent = tmp_path / "sent.txt"
         sent.write_text("smart\tpositive\ndull\tnegative\n")
+        sal = tmp_path / "sal"
+        assert main(
+            ["fit-importance", "--set", f"corpus.train={corpus_file}",
+             "--set", f"corpus.dev={corpus_file}", "--set", f"out_dir={sal}",
+             "--set", f"lexicon={lex}", "--set", f"sentiment_lexicon={sent}"]
+        ) == 0
+        fitted = (str(sal / "salience.model"), str(sal / "salience.registry"))
         out = train_once(
-            tmp_path, corpus_file, fitted_salience, "t4",
-            extra=(
-                f"embeddings={emb}", f"lexicon={lex}", f"sentiment_lexicon={sent}",
-                "use_features=true", "d_feat=4",
-            ),
+            tmp_path, corpus_file, fitted, "t4",
+            extra=(f"embeddings={emb}", "use_features=true", "d_feat=4"),
         )
         from opinesum.attnseq2seq import load_model
 
-        model = load_model(out / "model.txt")
-        assert model.features is not None
-        assert "Positiv" in model.features.lex_categories
+        features = load_model(out / "model.txt").features
+        assert features.lex_categories == ("Negativ", "Positiv", "Strong")
+        assert features.word_lex == {"dull": "Negativ", "smart": "Positiv"}
+        assert features.word_sent == {"dull": "negative", "smart": "positive"}
 
     @pytest.mark.parametrize(
         "setting, message",
@@ -533,7 +546,7 @@ class TestTrainCommand:
         self, tmp_path, corpus_file, fitted_salience, monkeypatch, capsys, setting, message
     ):
         read = []
-        for name in ("_load_lexicons", "_load_salience", "load_clusters"):
+        for name in ("_load_salience", "load_clusters"):
             monkeypatch.setattr(cli, name, lambda arg, name=name: read.append(name))
         out = tmp_path / "bad"
         args = train_args(corpus_file, fitted_salience, out) + ["--set", setting]
@@ -618,14 +631,13 @@ class TestTrainCommand:
 
         monkeypatch.setattr(trainer, "train", spy)
         model_path, registry_path = fitted_salience
-        lexicons = cli._load_lexicons(dict.fromkeys(("stopwords", "lexicon", "sentiment_lexicon")))
-        sal_model, registry = cli._load_salience(
+        sal_model = cli._load_salience(
             {"salience_model": model_path, "salience_registry": registry_path}
         )
 
         def scored(path):
             clusters, tfidf = cli._prepare(textcorpus.load_clusters(path))
-            return clusters, cli._score_split(clusters, tfidf, lexicons, registry, sal_model)
+            return clusters, cli._score_split(clusters, tfidf, sal_model)
 
         dev_file = tmp_path / "dev.jsonl"
         write_corpus(dev_file, toy_corpus()[1:])
@@ -690,15 +702,15 @@ class TestDecodeEvaluate:
 
         model = load_model(out / "model.txt")
         registry = salience.load_registry(registry_path)
+        assert registry.lexicons == salience.LexiconSet(stopwords=default_stopwords())
         sal = salience.load_model(model_path, registry)
-        lexicons = salience.LexiconSet(stopwords=default_stopwords())
         clusters = [substitute_entity(c) for c in load_clusters(corpus_file)]
         tfidf = TfidfStats(clusters)
         for cluster in clusters:
-            feats = salience.cluster_features(cluster, registry, lexicons, tfidf)
+            feats = salience.cluster_features(cluster, registry, tfidf)
             scores = salience.score_units(sal, feats)
             expected = list(beamdecode.decode_split(
-                model, [cluster], [scores], 2, 3, 8, tfidf, lexicons.stopwords
+                model, [cluster], [scores], 2, 3, 8, tfidf, default_stopwords()
             ))[0]["summary"]
             assert records[cluster.id]["summary"] == expected
 
@@ -748,7 +760,7 @@ class TestDecodeEvaluate:
         self, tmp_path, corpus_file, fitted_salience, monkeypatch, capsys, setting, message
     ):
         read = []
-        for name in ("_load_lexicons", "_load_salience", "load_seq2seq", "load_clusters"):
+        for name in ("_load_salience", "load_seq2seq", "load_clusters"):
             monkeypatch.setattr(cli, name, lambda arg, name=name: read.append(name))
         model_file = tmp_path / "model.txt"
         model_file.write_text("")

@@ -189,7 +189,7 @@ class TestExtractFeatures:
         cluster = make_cluster(["aa bb cc"], "s")
         registry = build_registry([cluster], self.lexicons, top_u=10)
         stats = TfidfStats([cluster])
-        vec = cluster_features(cluster, registry, self.lexicons, stats)[0]
+        vec = cluster_features(cluster, registry, stats)[0]
         names = registry.names
         assert vec[names.index("num_words")] == 3
         assert vec[names.index("num_pos_tags")] == 0
@@ -199,7 +199,7 @@ class TestExtractFeatures:
         cluster = make_cluster(["great great dull fine"], "s")
         registry = build_registry([cluster], self.lexicons, top_u=10)
         stats = TfidfStats([cluster])
-        vec = cluster_features(cluster, registry, self.lexicons, stats)[0]
+        vec = cluster_features(cluster, registry, stats)[0]
         names = registry.names
         assert vec[names.index("lex:Positiv")] == 2
         assert vec[names.index("lex:Negativ")] == 1
@@ -214,7 +214,7 @@ class TestExtractFeatures:
         cluster = make_cluster(texts, "w0 w1")
         registry = build_registry([cluster], self.lexicons, top_u=5)
         stats = TfidfStats([cluster])
-        feats = cluster_features(cluster, registry, self.lexicons, stats)
+        feats = cluster_features(cluster, registry, stats)
         for unit, vec in zip(cluster.units, feats):
             for j, word in enumerate(registry.top_unigrams):
                 expected = unit.norms().count(word)
@@ -230,7 +230,7 @@ class TestExtractFeatures:
         cluster = Cluster(id="x", units=(unit,), summary=text_unit("s"))
         registry = build_registry([cluster], self.lexicons, top_u=5)
         stats = TfidfStats([cluster])
-        vec = cluster_features(cluster, registry, self.lexicons, stats)[0]
+        vec = cluster_features(cluster, registry, stats)[0]
         names = registry.names
         assert vec[names.index("num_pos_tags")] == 3  # {NNP, VBZ, RB}
         assert vec[names.index("num_ner_tokens")] == 2
@@ -239,7 +239,7 @@ class TestExtractFeatures:
         cluster = make_cluster(["cat dog", "cat"], "s")
         registry = build_registry([cluster], self.lexicons, top_u=5)
         stats = TfidfStats([cluster])
-        vec = cluster_features(cluster, registry, self.lexicons, stats)[0]
+        vec = cluster_features(cluster, registry, stats)[0]
         names = registry.names
         weights = stats.unit_weights(cluster.units[0])
         assert vec[names.index("avg_tfidf")] == pytest.approx(
@@ -297,7 +297,7 @@ class TestClusterFeaturesOracle:
         registry = build_registry(clusters, lex, top_u=12)
         stats = TfidfStats(clusters)
         for cluster in clusters:
-            feats = cluster_features(cluster, registry, lex, stats)
+            feats = cluster_features(cluster, registry, stats)
             oracle = np.stack(
                 [brute_force_features(u, cluster, registry, lex, stats) for u in cluster.units]
             )
@@ -383,7 +383,7 @@ class TestOnePassFeatures:
         for top_u in (6, 3):
             registry = build_registry(clusters, lex, top_u=top_u)
             for cluster in clusters:
-                feats = cluster_features(cluster, registry, lex, stats)
+                feats = cluster_features(cluster, registry, stats)
                 oracle = per_unit_cluster_features(cluster, registry, lex, stats)
                 assert feats.shape == oracle.shape and np.array_equal(feats, oracle)
                 assert feats.tobytes() == oracle.tobytes()
@@ -517,7 +517,7 @@ class TestNormalEquations:
         lex = LexiconSet(stopwords=frozenset())
         registry = build_registry(clusters[:2], lex, top_u=6)
         stats = TfidfStats(clusters)
-        feats = [cluster_features(c, registry, lex, stats) for c in clusters]
+        feats = [cluster_features(c, registry, stats) for c in clusters]
         labels = [gold_scores(c, lex.stopwords) for c in clusters[:2]]
         dev_relevant = [relevant_units(c, lex.stopwords) for c in clusters[2:]]
         model, rows = fit_with_grid_search(
@@ -700,7 +700,7 @@ class TestScoringAndBaselines:
         lex = LexiconSet(stopwords=frozenset())
         registry = build_registry([cluster], lex, top_u=4)
         stats = TfidfStats([cluster])
-        feats = cluster_features(cluster, registry, lex, stats)
+        feats = cluster_features(cluster, registry, stats)
         w = np.zeros(registry.d)
         w[registry.names.index("num_words")] = 1.0
         model = SalienceModel(w=w, lam=0.0, beta=1.0, registry=registry)
@@ -760,7 +760,7 @@ class TestSerialization:
         cluster = make_cluster(["great film", "dull plot"], "great film")
         registry = build_registry([cluster], lex, top_u=8)
         stats = TfidfStats([cluster])
-        feats = [cluster_features(cluster, registry, lex, stats)]
+        feats = [cluster_features(cluster, registry, stats)]
         labels = [gold_scores(cluster, lex.stopwords)]
         model = fit_closed_form(build_design(feats, labels).normal_equations, 0.5, 0.1, registry)
         mpath = tmp_path / "sal.model"
@@ -773,10 +773,43 @@ class TestSerialization:
         assert model2.w.tolist() == model.w.tolist()
         assert model2.lam == model.lam and model2.beta == model.beta
 
+    def test_registry_round_trips_its_lexicons(self, tmp_path):
+        # custom stopwords, a word in two categories and a sentiment lexicon
+        # come back as fitted, in the lexicon files' own line format
+        lex = LexiconSet(
+            general={"great": ("Positiv", "Strong"), "dull": ("Negativ",)},
+            sentiment={"great": "positive", "dull": "negative", "fine": "neutral"},
+            stopwords=frozenset({"the", "of", "w0"}),
+        )
+        registry = FeatureRegistry(lexicons=lex, top_unigrams=("plot", "acting"))
+        rpath = tmp_path / "sal.registry"
+        save_registry(registry, rpath)
+        assert rpath.read_text() == (
+            "salience-registry v2\n"
+            "stopwords 3\nof\nthe\nw0\n"
+            "lexicon 3\ndull\tNegativ\ngreat\tPositiv\ngreat\tStrong\n"
+            "sentiment_lexicon 3\ndull\tnegative\nfine\tneutral\ngreat\tpositive\n"
+            "top_unigrams 2\nplot\nacting\n"
+        )
+        loaded = load_registry(rpath)
+        assert loaded == registry
+        assert loaded.lexicons.categories == ("Negativ", "Positiv", "Strong")
+        assert loaded.names == registry.names and loaded.digest() == registry.digest()
+
+    def test_v1_registry_rejected(self, tmp_path):
+        # a v1 registry names the categories but not the lexicons behind them
+        rpath = tmp_path / "sal.registry"
+        rpath.write_text("salience-registry v1\nlexicon_categories 0\ntop_unigrams 1\nplot\n")
+        with pytest.raises(
+            ValueError, match=re.escape(f"{rpath}: line 1: expected 'salience-registry v2'")
+        ):
+            load_registry(rpath)
+
     @staticmethod
     def saved(tmp_path):
+        general = {"bad": ("Negativ",), "good": ("Positiv", "Strong")}
         registry = FeatureRegistry(
-            lexicon_categories=("Negativ", "Positiv", "Strong"),
+            lexicons=LexiconSet(general=general),
             top_unigrams=tuple(f"w{i}" for i in range(10)),
         )
         w = np.linspace(-1.0, 1.0, registry.d)
@@ -792,16 +825,18 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "damage, message",
         [
-            (lambda t: "".join(t.splitlines(True)[:8]), "top_unigrams declares 10 lines, found 2"),
-            (lambda t: "".join(t.splitlines(True)[:3]), "lexicon_categories declares 3 lines"),
+            (lambda t: "".join(t.splitlines(True)[:10]), "top_unigrams declares 10 lines, found 2"),
+            (lambda t: "".join(t.splitlines(True)[:4]), "lexicon declares 3 lines, found 1"),
             (lambda t: t.replace("top_unigrams 10", "top_unigrams ten"), "needs a count"),
             (lambda t: t.replace("top_unigrams 10\n", ""), "expected 'top_unigrams <value>'"),
             (lambda t: t + "w10\n", "1 unexpected lines"),
             (lambda t: t[:-2], "truncated"),
+            (lambda t: t.replace("bad\tNegativ", "bad Negativ"),
+             "lexicon: expected 'word<TAB>value' lines"),
         ],
         ids=[
             "cut_in_half", "cut_in_categories", "bad_count", "missing_count", "trailing_line",
-            "cut_mid_line",
+            "cut_mid_line", "lexicon_line_without_tab",
         ],
     )
     def test_damaged_registry_rejected(self, tmp_path, damage, message):
@@ -838,13 +873,13 @@ class TestSerialization:
         registry, mpath, rpath = self.saved(tmp_path)
         path = {"model": mpath, "registry": rpath}[which]
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        magic = f"salience-{which} v1"
+        magic = {"model": "salience-model v1", "registry": "salience-registry v2"}[which]
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: expected {magic!r}")):
             load_model(mpath, registry) if which == "model" else load_registry(rpath)
 
     def test_hash_mismatch_rejected(self, tmp_path):
-        reg_a = FeatureRegistry(lexicon_categories=("X",), top_unigrams=("a",))
-        reg_b = FeatureRegistry(lexicon_categories=("Y",), top_unigrams=("b",))
+        reg_a = FeatureRegistry(LexiconSet(general={"x": ("X",)}), top_unigrams=("a",))
+        reg_b = FeatureRegistry(LexiconSet(general={"y": ("Y",)}), top_unigrams=("b",))
         model = SalienceModel(w=np.zeros(reg_a.d), lam=0.0, beta=1.0, registry=reg_a)
         path = tmp_path / "m"
         save_model(model, path)

@@ -380,7 +380,7 @@ class TestSharedTokens:
         tokens = self.tokens_of(clusters)
         ratio = len(set(tokens)) / len(tokens)
         assert len(tokens) >= 50_000
-        assert held / len(tokens) <= 32, (
+        assert held / len(tokens) <= 28, (
             f"{held / len(tokens):.1f} B per token over {len(tokens)} tokens, "
             f"types/tokens {ratio:.4f}"
         )
