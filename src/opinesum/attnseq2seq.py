@@ -356,6 +356,28 @@ def _encoder_input(model, z):
     return ids, _token_repr(model, indices, ids, z.tfidf)
 
 
+def _forward_input(model, zs):
+    """The feature ids of each input in zs, and the forward chain's input
+    buffer (steps x rows x token_dim): one row per input, its vectors
+    padded at its end with zero vectors to the longest."""
+    U = np.zeros((max(map(len, zs), default=0), len(zs), model.token_dim))
+    ids = []
+    for r, z in enumerate(zs):
+        z_ids, reprs = _encoder_input(model, z)
+        ids.append(z_ids)
+        U[: len(z), r] = reprs
+    return ids, U
+
+
+def _backward_input(U, zs):
+    """The backward chain's input buffer: each row of the forward buffer U
+    reversed over its input's positions, padded the same way."""
+    U_b = np.zeros_like(U)
+    for r, z in enumerate(zs):
+        U_b[: len(z), r] = U[len(z) - 1 :: -1, r]
+    return U_b
+
+
 def _encode_block(model, zs):
     """Encode the inputs zs together, one _EncTrace per input.
 
@@ -367,15 +389,9 @@ def _encode_block(model, zs):
     step reaches them. One input gives the bits of encoding it alone; in a
     block, its contexts can move in their last bits with the block.
     """
-    U_f = np.zeros((max(map(len, zs), default=0), len(zs), model.token_dim))
-    U_b = np.zeros_like(U_f)
-    ids = []
-    for r, z in enumerate(zs):
-        z_ids, reprs = _encoder_input(model, z)
-        ids.append(z_ids)
-        U_f[: len(z), r] = reprs
-        U_b[: len(z), r] = reprs[::-1]
-    fwd, bwd = _run_chain(model.enc_f, U_f), _run_chain(model.enc_b, U_b)
+    ids, U_f = _forward_input(model, zs)
+    fwd = _run_chain(model.enc_f, U_f)
+    bwd = _run_chain(model.enc_b, _backward_input(U_f, zs))
     traces = []
     for r, (z, z_ids) in enumerate(zip(zs, ids)):
         f, b = _chain_row(fwd, r, len(z)), _chain_row(bwd, r, len(z))
@@ -386,8 +402,18 @@ def _encode_block(model, zs):
 
 def encode(model, zs):
     """Context vectors b_1..b_n (concatenated forward/backward states) of
-    each input in zs, one n x 2 d_h array each, encoded as one block."""
-    return [trace.contexts for trace in _encode_block(model, zs)]
+    each input in zs, one n x 2 d_h array each, encoded as one block: the
+    bits of _encode_block's contexts. Nothing a context does not read is
+    kept: each chain's gates and cells are freed when it has run, and the
+    forward buffer once the backward one is built."""
+    _, U = _forward_input(model, zs)
+    H_f = _run_chain(model.enc_f, U).H
+    U = _backward_input(U, zs)
+    H_b = _run_chain(model.enc_b, U).H
+    return [
+        np.concatenate([H_f[1 : len(z) + 1, r], H_b[len(z) : 0 : -1, r]], axis=1)
+        for r, z in enumerate(zs)
+    ]
 
 
 def attention_keys(model, contexts):

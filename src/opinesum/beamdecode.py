@@ -17,7 +17,8 @@ from .textcorpus import (
 
 
 # Test inputs encoded together: each encoder chain steps a block's inputs
-# as rows, one stepper call per position for the whole block.
+# as rows, one stepper call per position for the whole block. A row's bits
+# depend on how many rows share its products, so every block has this many.
 ENCODE_ROWS = 8
 
 
@@ -145,9 +146,11 @@ def decode_split(model, clusters, unit_scores, K, width, max_len, tfidf, stopwor
 
     The clusters go ENCODE_ROWS at a time: select_test_input for each, one
     encode call for the block, then per cluster beam_search ->
-    cosine_rerank -> restore_entity. record["summary"] is the one-sentence
-    abstract. A score list of another length than clusters raises
-    ValueError before the first cluster is decoded.
+    cosine_rerank -> restore_entity. A short block is padded with copies
+    of its first input, whose contexts are dropped, so a cluster's record
+    does not depend on the clusters around it. record["summary"] is the
+    one-sentence abstract. A score list of another length than clusters
+    raises ValueError before the first cluster is decoded.
     """
     if len(unit_scores) != len(clusters):
         raise ValueError(f"{len(clusters)} clusters but {len(unit_scores)} score arrays")
@@ -158,7 +161,8 @@ def decode_split(model, clusters, unit_scores, K, width, max_len, tfidf, stopwor
             select_test_input(c, scores, K, vocab, tfidf)
             for c, scores in zip(block, unit_scores[start : start + ENCODE_ROWS])
         ]
-        for cluster, contexts in zip(block, encode(model, zs)):
+        padded = zs + zs[:1] * (ENCODE_ROWS - len(zs))
+        for cluster, contexts in zip(block, encode(model, padded)):
             nbest = beam_search(model, contexts, width, max_len, banned_indices(vocab, cluster))
             sims = rerank_similarities(nbest, cluster, tfidf, stopwords, vocab)
             texts = [

@@ -233,10 +233,8 @@ def _write_csv(path, header, rows):
 def _load_lexicons(cfg):
     stopwords = load_stopwords(cfg["stopwords"]) if cfg["stopwords"] else default_stopwords()
     general = load_lexicon(cfg["lexicon"]) if cfg["lexicon"] else {}
-    sentiment = {}
-    if cfg["sentiment_lexicon"]:
-        for word, cats in load_lexicon(cfg["sentiment_lexicon"]).items():
-            sentiment[word] = cats[0]
+    path = cfg["sentiment_lexicon"]
+    sentiment = salience.sentiment_lexicon(load_lexicon(path), path) if path else {}
     return LexiconSet(general=general, sentiment=sentiment, stopwords=stopwords)
 
 

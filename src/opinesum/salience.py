@@ -6,6 +6,7 @@ scoring, baseline rankers, and grid search over the two hyperparameters.
 """
 
 import hashlib
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ from .textcorpus import (
     atomic_write,
     content_norms,
     cosine_weight_maps,
+    grouped,
     read_artifact,
     write_block,
 )
@@ -77,20 +79,39 @@ class FeatureRegistry:
         return len(self.names)
 
     @cached_property
-    def columns(self):
-        """Feature column of each lexicon category, sentiment polarity and
-        top unigram, as three dicts."""
-        off = len(DENSE_NAMES)
-        cats = {c: off + i for i, c in enumerate(self.lexicons.categories)}
-        off += len(cats)
-        sents = {c: off + i for i, c in enumerate(SENTIMENT_CATEGORIES)}
-        off += len(SENTIMENT_CATEGORIES)
-        unis = {w: off + i for i, w in enumerate(self.top_unigrams)}
-        return cats, sents, unis
+    def norm_columns(self):
+        """{norm: columns}: the lexicon-category, sentiment and top-unigram
+        feature columns that one token with this norm counts in, in that
+        order. A norm that counts in no column has no entry."""
+        column = {name: j for j, name in enumerate(self.names)}
+        lexicons = self.lexicons
+        table = {norm: [column[f"lex:{c}"] for c in cs] for norm, cs in lexicons.general.items()}
+        for norm, pol in lexicons.sentiment.items():
+            table.setdefault(norm, []).append(column[f"sent:{pol}"])
+        for norm in self.top_unigrams:
+            table.setdefault(norm, []).append(column[f"unigram:{norm}"])
+        return table
+
+    @cached_property
+    def text(self):
+        """The registry file as save_registry writes it: blocks of the
+        sorted stopwords, of the lexicons' sorted 'word<TAB>category' and
+        'word<TAB>polarity' lines, then of the top unigrams."""
+        lexicons = self.lexicons
+        general = sorted((w, c) for w, cs in lexicons.general.items() for c in cs)
+        sentiment = sorted(lexicons.sentiment.items())
+        buf = io.StringIO()
+        buf.write("salience-registry v2\n")
+        write_block(buf, "stopwords", sorted(lexicons.stopwords))
+        write_block(buf, "lexicon", [f"{w}\t{c}" for w, c in general])
+        write_block(buf, "sentiment_lexicon", [f"{w}\t{p}" for w, p in sentiment])
+        write_block(buf, "top_unigrams", self.top_unigrams)
+        return buf.getvalue()
 
     def digest(self):
-        text = "\x1f".join(self.names)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        """The start of the sha256 of `text`: it covers everything the
+        registry carries."""
+        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()[:16]
 
 
 def build_registry(train_clusters, lexicons, top_u):
@@ -118,34 +139,18 @@ def centroidness(weight_maps):
     return [cosine_weight_maps(weights, mean, mean_norm) for weights in weight_maps]
 
 
-def _norm_columns(norm, registry):
-    """The lexicon-category, sentiment and top-unigram feature columns that
-    one token with this norm counts in. The registry's categories and top
-    unigrams come from its own lexicons, so each category has a column and
-    each top unigram is a content word."""
-    cat_col, sent_col, uni_col = registry.columns
-    lexicons = registry.lexicons
-    cols = [cat_col[c] for c in lexicons.general.get(norm, ())]
-    pol = lexicons.sentiment.get(norm)
-    if pol in sent_col:
-        cols.append(sent_col[pol])
-    if norm in uni_col:
-        cols.append(uni_col[norm])
-    return cols
-
-
 def cluster_features(cluster, registry, tfidf):
     """M x d matrix of table-style features for all units of one cluster.
 
     Per unit: token count, distinct pos tags, entity tokens, centroidness,
     mean and max TF-IDF weight, then the number of its tokens in each
     lexicon category, sentiment polarity and top unigram. One pass over
-    the tokens collects the column of every count; each norm's columns
-    are looked up once per cluster.
+    the tokens collects the column of every count from the registry's
+    `norm_columns`.
     """
     units = cluster.units
     weight_maps = [tfidf.unit_weights(u) for u in units]
-    columns_of = {}
+    columns = registry.norm_columns
     dense = []
     counted = []  # the column of every counted token, unit by unit
     row_ends = []
@@ -157,10 +162,7 @@ def cluster_features(cluster, registry, tfidf):
                 tags.add(pos)
             if ner:
                 n_ner += 1
-            cols = columns_of.get(norm)
-            if cols is None:
-                cols = columns_of[norm] = _norm_columns(norm, registry)
-            counted.extend(cols)
+            counted.extend(columns.get(norm, ()))
         row_ends.append(len(counted))
         vals = list(weights.values())
         avg, top = (sum(vals) / len(vals), max(vals)) if vals else (0.0, 0.0)
@@ -373,35 +375,35 @@ def load_model(path, registry):
 
 
 def save_registry(registry, path):
-    """Text format: blocks of the sorted stopwords, of the lexicons'
-    sorted 'word<TAB>category|polarity' lines, then of the top unigrams."""
-    lexicons = registry.lexicons
+    """Write the registry's `text`."""
     with atomic_write(path) as fh:
-        fh.write("salience-registry v2\n")
-        write_block(fh, "stopwords", sorted(lexicons.stopwords))
-        general = sorted((w, c) for w, cs in lexicons.general.items() for c in cs)
-        write_block(fh, "lexicon", [f"{w}\t{c}" for w, c in general])
-        sentiment = sorted(lexicons.sentiment.items())
-        write_block(fh, "sentiment_lexicon", [f"{w}\t{p}" for w, p in sentiment])
-        write_block(fh, "top_unigrams", registry.top_unigrams)
+        fh.write(registry.text)
+
+
+def sentiment_lexicon(polarities, source):
+    """word -> polarity from word -> tuple of polarities. Raises ValueError
+    naming `source` and the word unless each word has exactly one polarity,
+    one of SENTIMENT_CATEGORIES."""
+    for word, pols in polarities.items():
+        if len(pols) != 1 or pols[0] not in SENTIMENT_CATEGORIES:
+            raise ValueError(
+                f"{source}: sentiment word {word!r} has {' and '.join(map(repr, pols))};"
+                f" it needs exactly one of {', '.join(SENTIMENT_CATEGORIES)}"
+            )
+    return {word: pols[0] for word, pols in polarities.items()}
 
 
 def load_registry(path):
     """Read a file written by save_registry. Raises ValueError naming the
     path unless each block holds exactly its declared count of lines, each
-    lexicon line is 'word<TAB>value', and nothing follows the last block."""
+    lexicon line is 'word<TAB>value', each sentiment word has one known
+    polarity, and nothing follows the last block."""
     with read_artifact(path, "salience-registry v2") as reader:
         stopwords = reader.block("stopwords")
-        general = {}
-        for word, category in reader.word_pairs("lexicon"):
-            general.setdefault(word, set()).add(category)
-        sentiment = dict(reader.word_pairs("sentiment_lexicon"))
+        general = grouped(reader.word_pairs("lexicon"))
+        sentiment = sentiment_lexicon(grouped(reader.word_pairs("sentiment_lexicon")), path)
         unigrams = reader.block("top_unigrams")
-    lexicons = LexiconSet(
-        general={w: tuple(sorted(cs)) for w, cs in general.items()},
-        sentiment=sentiment,
-        stopwords=frozenset(stopwords),
-    )
+    lexicons = LexiconSet(general=general, sentiment=sentiment, stopwords=frozenset(stopwords))
     return FeatureRegistry(lexicons=lexicons, top_unigrams=tuple(unigrams))
 
 

@@ -389,7 +389,7 @@ def load_lexicon(path):
 
     Returns norm -> sorted tuple of categories.
     """
-    cats = {}
+    pairs = []
     for line_no, line in read_lines(path):
         line = line.rstrip("\n")
         if not line.strip() or line.startswith("#"):
@@ -397,9 +397,16 @@ def load_lexicon(path):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
             raise CorpusFormatError(path, line_no, "expected 'word<TAB>category'")
-        word = parts[0].strip().lower()
-        cats.setdefault(word, set()).add(parts[1].strip())
-    return {w: tuple(sorted(c)) for w, c in cats.items()}
+        pairs.append((parts[0].strip().lower(), parts[1].strip()))
+    return grouped(pairs)
+
+
+def grouped(pairs):
+    """word -> sorted tuple of its distinct values, from (word, value) pairs."""
+    values = {}
+    for word, value in pairs:
+        values.setdefault(word, set()).add(value)
+    return {w: tuple(sorted(vs)) for w, vs in values.items()}
 
 
 def content_words(norms, stopwords):

@@ -54,7 +54,6 @@ class TrainConfig:
     K: int = 5
     mode: str = "importance"  # one of SAMPLING_MODES
     eta: float = 0.1
-    eps: float = 1e-6
     init_scale: float = 0.08
     max_epochs: int = 500
     patience: int = 3
@@ -67,10 +66,8 @@ class TrainConfig:
             raise ValueError("model dimensions must be positive")
         if self.mode not in SAMPLING_MODES:
             raise ValueError(f"unknown sampling mode: {self.mode!r}")
-        # not (x > 0) also rejects NaN
-        for key in ("eta", "eps"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be > 0")
+        if not self.eta > 0:  # also rejects NaN
+            raise ValueError("eta must be > 0")
         if not 0 < self.init_scale < math.inf:
             raise ValueError("init_scale must be finite and > 0")
         for key in ("d_feat", "K", "patience", "max_epochs", "min_count", "max_len"):
@@ -102,21 +99,20 @@ def init_params(config, vocab, features=None, pretrained=None):
     return model
 
 
+# added to Adagrad's sqrt(G); being > 0, a zero gradient steps by +-0
+ADAGRAD_EPS = 1e-6
+
+
 @dataclass
 class AdagradState:
     """Per-coordinate squared-gradient accumulators."""
 
     eta: float
-    eps: float
     accum: dict = field(default_factory=dict)
 
     @staticmethod
-    def for_model(model, eta, eps):
-        if not eps > 0:  # a zero gradient then steps by +-0 (_adagrad_step)
-            raise ValueError("eps must be > 0")
-        return AdagradState(
-            eta=eta, eps=eps, accum={n: np.zeros_like(a) for n, a in model.named_tensors()}
-        )
+    def for_model(model, eta):
+        return AdagradState(eta=eta, accum={n: np.zeros_like(a) for n, a in model.named_tensors()})
 
 
 # rows of W_out per Adagrad block: its |V| x d_h gradient is never whole
@@ -124,8 +120,8 @@ ROW_BLOCK = 1024
 
 
 def adagrad_update(model, grads, state):
-    """theta -= eta * g / (sqrt(G) + eps) with G += g^2, per coordinate,
-    for exactly the tensors `grads` names.
+    """theta -= eta * g / (sqrt(G) + ADAGRAD_EPS) with G += g^2, per
+    coordinate, for exactly the tensors `grads` names.
 
     A coordinate with g == 0 takes no step. A RowGradient updates only its
     rows: on every other row g is zero, so G and theta would keep their bits
@@ -150,14 +146,14 @@ def adagrad_update(model, grads, state):
 
 def _adagrad_step(theta, acc, g, state):
     """The Adagrad update of theta and its accumulator acc, in place. G,
-    its root and the step share one scratch array of g's size. As eps > 0,
-    a zero g steps by +-0 and keeps theta's bits: no parameter is -0.0
-    (initialization and updates never make it, load_embeddings maps it to
-    +0.0)."""
+    its root and the step share one scratch array of g's size. As
+    ADAGRAD_EPS > 0, a zero g steps by +-0 and keeps theta's bits: no
+    parameter is -0.0 (initialization and updates never make it,
+    load_embeddings maps it to +0.0)."""
     work = g * g
     acc += work
     np.sqrt(acc, out=work)
-    work += state.eps
+    work += ADAGRAD_EPS
     np.divide(g, work, out=work)
     work *= state.eta
     theta -= work
@@ -213,7 +209,7 @@ def train(train_clusters, train_scores, dev_clusters, dev_scores, config, tfidf,
         build_features(train_clusters, lexicons, config.d_feat) if config.use_features else None
     )
     model = init_params(config, vocab, features, pretrained)
-    state = AdagradState.for_model(model, config.eta, config.eps)
+    state = AdagradState.for_model(model, config.eta)
     shuffle_rng = SeededRng(derive_seed(config.seed, "shuffle"))
 
     history = []

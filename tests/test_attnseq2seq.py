@@ -25,6 +25,7 @@ from opinesum.attnseq2seq import (
     _chain_backward,
     _emit_cell_gradients,
     _chain_row,
+    _encode_block,
     _lstm_stepper,
     _run_chain,
     attention_keys,
@@ -354,6 +355,24 @@ class TestEncodeBlock:
             want = encode(model, [z])[0]
             assert got.shape == want.shape
             assert (got.view(np.int64) == want.view(np.int64)).all()
+
+    @pytest.mark.parametrize("with_features", [False, True])
+    def test_block_keeps_the_bits_of_the_training_encoder(self, with_features):
+        model, zs = self.three_inputs(with_features)
+        for got, trace in zip(encode(model, zs), _encode_block(model, zs), strict=True):
+            assert got.tobytes() == trace.contexts.tobytes()
+
+    def test_keeps_no_chain_state(self):
+        # encode frees each chain's gates and cells as soon as the chain has
+        # run, so its traced peak is about half of the training traces'
+        words = [f"w{i}" for i in range(40)]
+        cluster = make_cluster([" ".join(words[k : k + 30]) for k in range(0, 10, 2)])
+        model = randomize(new_model(build_vocab([cluster]), None, 32, 24, 12), seed=2)
+        tfidf = TfidfStats([cluster])
+        zs = [build_input(cluster, [k, 4 - k], model.vocab, tfidf) for k in range(5)]
+        _, _, encode_peak = traced_call(encode, model, zs)
+        _, _, block_peak = traced_call(_encode_block, model, zs)
+        assert encode_peak < 0.6 * block_peak, (encode_peak, block_peak)
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_bad_index_in_any_input_raises(self, bad):

@@ -1,4 +1,5 @@
 import itertools
+import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -368,6 +369,32 @@ class TestGenerateSummary:
         )
         with pytest.raises(ValueError, match=f"^3 clusters but {n_scores} score arrays$"):
             next(records)
+
+    def test_record_does_not_depend_on_neighbours(self):
+        # ten clusters: a full block of ENCODE_ROWS and a short one. Each
+        # record, logp bits included, equals that cluster decoded alone
+        rng = np.random.default_rng(3)
+        words = [f"w{i:03d}" for i in range(40)]
+
+        def text(lo, hi):
+            return " ".join(rng.choice(words, size=int(rng.integers(lo, hi))))
+
+        clusters = [
+            make_cluster([text(3, 12) for _ in range(6)], summary=text(4, 5), cid=f"c{k}")
+            for k in range(10)
+        ]
+        model = randomize(new_model(build_vocab(clusters), None, 24, 20, 10), seed=3, scale=0.5)
+        tfidf = TfidfStats(clusters)
+        scores = [rng.random(6) for _ in clusters]
+
+        def records(split, split_scores):
+            return [
+                json.dumps(r)
+                for r in decode_split(model, split, split_scores, 4, 3, 6, tfidf, default_stopwords())
+            ]
+
+        alone = [records([c], [s])[0] for c, s in zip(clusters, scores)]
+        assert records(clusters, scores) == alone
 
     def test_record_shape(self):
         model, cluster, z, y = tiny_setup(seed=12)

@@ -217,9 +217,8 @@ class TestConfig:
             "rank-eval": ["corpus", "out_dir", "salience_model", "salience_registry"],
             "train": [
                 "K", "corpus.dev", "corpus.train", "d_a", "d_emb", "d_feat", "d_h", "embeddings",
-                "eps", "eta", "init_scale", "max_epochs", "max_len", "min_count", "mode",
-                "out_dir", "patience", "salience_model", "salience_registry", "seed",
-                "use_features",
+                "eta", "init_scale", "max_epochs", "max_len", "min_count", "mode", "out_dir",
+                "patience", "salience_model", "salience_registry", "seed", "use_features",
             ],
             "gradcheck": ["seed", "seeds"],
             "decode": [
@@ -234,7 +233,7 @@ class TestConfig:
         }
         tables = {command: sorted(table) for command, table in cli.KEY_TABLES.items()}
         assert tables == {command: sorted(keys) for command, keys in accepted.items()}
-        assert sum(map(len, tables.values())) == 56
+        assert sum(map(len, tables.values())) == 55
 
     def test_readme_key_table_matches_key_tables(self):
         # each row of README's key table names its commands (blank: the
@@ -286,7 +285,7 @@ class TestConfig:
             ("train", "K=0", "K must be >= 1"),
             ("train", "mode=greedy", "unknown sampling mode: 'greedy'"),
             ("train", "eta=fast", "config key eta must be a number"),
-            ("train", "eps=0", "eps must be > 0"),
+            ("train", "eps=0", "unknown config key for train: 'eps'"),
             ("train", "init_scale=inf", "init_scale must be finite and > 0"),
             ("train", "max_epochs=0", "max_epochs must be >= 1"),
             ("train", "patience=0", "patience must be >= 1"),
@@ -420,6 +419,34 @@ class TestFitImportance:
         assert read == []
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("good\tpos\nbad\tnegative\n",
+             "sentiment word 'good' has 'pos'; it needs exactly one of positive, negative, "
+             "neutral"),
+            ("good\tpositive\nbad\tpositive\nbad\tnegative\n",
+             "sentiment word 'bad' has 'negative' and 'positive'; it needs exactly one of "),
+        ],
+        ids=["unknown_polarity", "two_polarities"],
+    )
+    def test_unplaceable_sentiment_lexicon_exits_2(
+        self, tmp_path, corpus_file, capsys, lines, message
+    ):
+        sent = tmp_path / "sent.tsv"
+        sent.write_text(lines)
+        out = tmp_path / "fit"
+        assert main(
+            ["fit-importance",
+             "--set", f"corpus.train={corpus_file}",
+             "--set", f"corpus.dev={corpus_file}",
+             "--set", f"out_dir={out}",
+             "--set", f"sentiment_lexicon={sent}"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sent}: {message}") and err.count("\n") == 1
+        assert not (out / "salience.model").exists()
+
 
 class TestRankEval:
     def test_all_relevant_first_gives_mrr_one(self, tmp_path, corpus_file, fitted_salience):
@@ -513,7 +540,7 @@ class TestTrainCommand:
             ("eta=-1", "eta must be > 0"),
             ("eta=0", "eta must be > 0"),
             ("eta=nan", "eta must be > 0"),
-            ("eps=0", "eps must be > 0"),
+            ("eps=0", "unknown config key for train: 'eps'"),
             ("init_scale=nan", "init_scale must be finite and > 0"),
             ("init_scale=inf", "init_scale must be finite and > 0"),
             ("init_scale=-1", "init_scale must be finite and > 0"),

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import re
 from collections import Counter
@@ -318,19 +319,19 @@ def per_unit_extract_features(unit, weights, centrality, registry, lexicons):
         vals = list(weights.values())
         vec[4] = sum(vals) / len(vals)
         vec[5] = max(vals)
-    cat_col, sent_col, uni_col = registry.columns
+    column = {name: j for j, name in enumerate(registry.names)}
+
+    def count(name):
+        if name in column:
+            vec[column[name]] += 1
+
     for t in unit.tokens:
         for c in lexicons.general.get(t.norm, ()):
-            if c in cat_col:
-                vec[cat_col[c]] += 1
+            count(f"lex:{c}")
     for t in unit.tokens:
-        pol = lexicons.sentiment.get(t.norm)
-        if pol in sent_col:
-            vec[sent_col[pol]] += 1
+        count(f"sent:{lexicons.sentiment.get(t.norm)}")
     for norm in content_norms(unit, lexicons.stopwords):
-        j = uni_col.get(norm)
-        if j is not None:
-            vec[j] += 1
+        count(f"unigram:{norm}")
     return vec
 
 
@@ -376,7 +377,7 @@ class TestOnePassFeatures:
         ]
         lex = LexiconSet(
             general={"great": ("Positiv", "Strong"), "dull": ("Negativ",), "plot": ("Noun",)},
-            sentiment={"great": "positive", "dull": "negative", "fine": "neutral", "w1": "odd"},
+            sentiment={"great": "positive", "dull": "negative", "fine": "neutral", "w1": "neutral"},
             stopwords=frozenset({"the", "w2"}),
         )
         stats = TfidfStats(clusters)
@@ -876,6 +877,51 @@ class TestSerialization:
         magic = {"model": "salience-model v1", "registry": "salience-registry v2"}[which]
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: expected {magic!r}")):
             load_model(mpath, registry) if which == "model" else load_registry(rpath)
+
+    @staticmethod
+    def saved_with_lexicons(tmp_path):
+        lex = LexiconSet(
+            general={"bad": ("Negativ",)},
+            sentiment={"bad": "negative", "good": "positive"},
+            stopwords=frozenset({"a", "the"}),
+        )
+        registry = FeatureRegistry(lexicons=lex, top_unigrams=("plot",))
+        model = SalienceModel(w=np.linspace(-1.0, 1.0, registry.d), lam=0.5, beta=0.1,
+                              registry=registry)
+        mpath, rpath = tmp_path / "sal.model", tmp_path / "sal.registry"
+        save_model(model, mpath)
+        save_registry(registry, rpath)
+        # the registry line is the start of the sha256 of the registry file
+        digest = hashlib.sha256(rpath.read_bytes()).hexdigest()[:16]
+        assert f"\nregistry {digest}\n" in mpath.read_text()
+        return mpath, rpath
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: t.replace("stopwords 2\na\n", "stopwords 1\n"),
+            lambda t: t.replace("bad\tnegative", "bad\tpositive"),
+        ],
+        ids=["stopword_dropped", "polarity_flipped"],
+    )
+    def test_model_rejects_an_edited_registry(self, tmp_path, edit):
+        # the edited registry still loads, and keeps its feature names, but
+        # the weights were fitted with the lexicons before the edit
+        mpath, rpath = self.saved_with_lexicons(tmp_path)
+        names = load_registry(rpath).names
+        rpath.write_text(edit(rpath.read_text()))
+        edited = load_registry(rpath)
+        assert edited.names == names
+        with pytest.raises(ValueError, match=re.escape(f"{mpath}: registry hash mismatch")):
+            load_model(mpath, edited)
+
+    def test_unknown_polarity_rejected(self, tmp_path):
+        _, rpath = self.saved_with_lexicons(tmp_path)
+        rpath.write_text(rpath.read_text().replace("good\tpositive", "good\tpos"))
+        with pytest.raises(
+            ValueError, match=re.escape(f"{rpath}: sentiment word 'good' has 'pos'; it needs")
+        ):
+            load_registry(rpath)
 
     def test_hash_mismatch_rejected(self, tmp_path):
         reg_a = FeatureRegistry(LexiconSet(general={"x": ("X",)}), top_unigrams=("a",))
