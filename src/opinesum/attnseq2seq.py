@@ -18,6 +18,7 @@ import numpy as np
 from .numkit import log_softmax, sigmoid_elem, softmax
 from .textcorpus import (
     RESERVED,
+    SENTIMENT_CATEGORIES,
     Vocabulary,
     atomic_write,
     read_artifact,
@@ -25,7 +26,7 @@ from .textcorpus import (
 )
 
 CHANNELS = ("pos", "ner", "cap", "lex", "sent")
-MAGIC = "opinesum-model v3"  # the checkpoint's first line
+MAGIC = "opinesum-model v4"  # the checkpoint's first line
 
 class StaleTraceError(RuntimeError):
     """The model changed since the trace was recorded, or a backward_pass consumed it."""
@@ -56,25 +57,8 @@ class LstmCellParams:
         )
 
     @property
-    def d_u(self):
-        return self.Wu.shape[1]
-
-    @property
     def d_h(self):
         return self.Wh.shape[1]
-
-    def named(self, prefix):
-        """The 15 per-gate tensors a checkpoint names (W_iu, W_ih, W_ic,
-        b_i, ..., W_oc, b_o), as contiguous row-block views."""
-        d = self.d_h
-        for k, gate in enumerate("ifco"):
-            rows = slice(k * d, (k + 1) * d)
-            yield f"{prefix}.W_{gate}u", self.Wu[rows]
-            yield f"{prefix}.W_{gate}h", self.Wh[rows]
-            if gate != "c":
-                j = min(k, 2) * d  # Wc has no block for g
-                yield f"{prefix}.W_{gate}c", self.Wc[j : j + d]
-            yield f"{prefix}.b_{gate}", self.b[rows]
 
 
 @dataclass
@@ -101,7 +85,7 @@ class TokenFeatureSet:
     def __init__(self, pos_tags, lex_categories, word_lex, word_sent, dim):
         """`lex_categories` lists the lex channel's categories in row order
         (it may hold categories no word resolves to); `word_lex` maps a norm
-        to its one category and `word_sent` to its sentiment polarity."""
+        to its one category and `word_sent` to one of SENTIMENT_CATEGORIES."""
         self.dim = int(dim)
         self.pos_tags = tuple(sorted(set(pos_tags)))
         self._pos_index = {t: i + 1 for i, t in enumerate(self.pos_tags)}
@@ -109,7 +93,10 @@ class TokenFeatureSet:
         self._lex_index = {c: i + 1 for i, c in enumerate(self.lex_categories)}
         self.word_lex = dict(word_lex)
         self.word_sent = dict(word_sent)
-        self._sent_index = {"positive": 1, "negative": 2, "neutral": 3}
+        self._sent_index = {p: i + 1 for i, p in enumerate(SENTIMENT_CATEGORIES)}
+        for word, pol in self.word_sent.items():
+            if pol not in self._sent_index:
+                raise ValueError(f"sentiment word {word!r} has unknown polarity {pol!r}")
 
     @property
     def feature_dim(self):
@@ -121,7 +108,7 @@ class TokenFeatureSet:
             "ner": 2,
             "cap": 2,
             "lex": len(self.lex_categories) + 1,
-            "sent": 4,
+            "sent": len(SENTIMENT_CATEGORIES) + 1,
         }
 
     def encode_ids(self, token):
@@ -188,14 +175,14 @@ class ModelParams:
 
     def named_tensors(self):
         """(name, tensor) pairs in checkpoint order: the lookup tables ("emb",
-        then "feat.<channel>" in CHANNELS order), the three cells, the
-        attention, the output layer."""
+        then "feat.<channel>" in CHANNELS order), each cell's Wu, Wh, Wc and
+        b ("enc_f.Wu", ..., "dec.b"), the attention, the output layer."""
         yield "emb", self.emb
         for ch, table in self.feat_tables.items():
             yield f"feat.{ch}", table
-        yield from self.enc_f.named("enc_f")
-        yield from self.enc_b.named("enc_b")
-        yield from self.dec.named("dec")
+        for prefix in ("enc_f", "enc_b", "dec"):
+            cell = getattr(self, prefix)
+            yield from ((f"{prefix}.{w}", getattr(cell, w)) for w in ("Wu", "Wh", "Wc", "b"))
         yield "attn.W_cg", self.attn.W_cg
         yield "attn.W_hg", self.attn.W_hg
         yield "attn.W_s", self.attn.W_s
@@ -284,7 +271,7 @@ class _Chain:
     chain ran: inputs U, gate activations, and the states H and C with the
     zero initial state as entry 0 (so step t reads entry t, writes entry
     t+1). An entry is one row, or one row per sequence in a chain that
-    steps several (_run_chain; _chain_row takes one sequence's entries)."""
+    steps several (_run_chain)."""
 
     U: np.ndarray
     gates: np.ndarray
@@ -312,12 +299,6 @@ def _run_chain(p, U):
     for row in zip(gates, H[:-1], C[:-1], H[1:], C[1:]):
         step(*row)
     return _Chain(U=U, gates=gates, H=H, C=C)
-
-
-def _chain_row(chain, r, n):
-    """The first n steps of row r of a chain, as a 2-D chain of views (one
-    row per step)."""
-    return _Chain(chain.U[:n, r], chain.gates[:n, r], chain.H[: n + 1, r], chain.C[: n + 1, r])
 
 
 def _token_repr(model, index, feat_ids, tfidf_val):
@@ -378,32 +359,27 @@ def _backward_input(U, zs):
     return U_b
 
 
-def _encode_block(model, zs):
-    """Encode the inputs zs together, one _EncTrace per input.
-
-    Each chain steps all the inputs as rows (see _run_chain), each padded
-    at its end with zero vectors to the longest; the backward chain reads
-    each input reversed, padded the same way, from its own buffer, since
-    backward_pass reads the forward chain's inputs. An input's contexts
-    are its forward states 1..n and its backward states n..1, so no padded
-    step reaches them. One input gives the bits of encoding it alone; in a
-    block, its contexts can move in their last bits with the block.
-    """
-    ids, U_f = _forward_input(model, zs)
-    fwd = _run_chain(model.enc_f, U_f)
-    bwd = _run_chain(model.enc_b, _backward_input(U_f, zs))
-    traces = []
-    for r, (z, z_ids) in enumerate(zip(zs, ids)):
-        f, b = _chain_row(fwd, r, len(z)), _chain_row(bwd, r, len(z))
-        contexts = np.concatenate([f.H[1:], b.H[:0:-1]], axis=1)
-        traces.append(_EncTrace(z=z, ids=z_ids, fwd=f, bwd=b, contexts=contexts))
-    return traces
+def _encode_trace(model, z):
+    """The _EncTrace of the one input z: both chains, one row per step (the
+    backward chain reads z reversed from its own buffer, as backward_pass
+    reads the forward chain's inputs), and the contexts, forward states
+    1..n and backward states n..1, with the bits of encode(model, [z])."""
+    (ids,), U = _forward_input(model, [z])
+    chains = _run_chain(model.enc_f, U), _run_chain(model.enc_b, _backward_input(U, [z]))
+    fwd, bwd = (_Chain(c.U[:, 0], c.gates[:, 0], c.H[:, 0], c.C[:, 0]) for c in chains)
+    contexts = np.concatenate([fwd.H[1:], bwd.H[:0:-1]], axis=1)
+    return _EncTrace(z=z, ids=ids, fwd=fwd, bwd=bwd, contexts=contexts)
 
 
 def encode(model, zs):
     """Context vectors b_1..b_n (concatenated forward/backward states) of
-    each input in zs, one n x 2 d_h array each, encoded as one block: the
-    bits of _encode_block's contexts. Nothing a context does not read is
+    each input in zs, one n x 2 d_h array each, encoded as one block.
+
+    Each chain steps all the inputs as rows (see _run_chain), each padded
+    at its end with zero vectors to the longest, the backward chain each
+    input reversed; no padded step reaches a context. One input gives the
+    bits of _encode_trace; in a block, an input's contexts can move in
+    their last bits with the block. Nothing a context does not read is
     kept: each chain's gates and cells are freed when it has run, and the
     forward buffer once the backward one is built."""
     _, U = _forward_input(model, zs)
@@ -481,7 +457,7 @@ def decode_step(model, y_prev, h, c, contexts, keys):
         raise ValueError("decode_step needs one token and one state row per sequence")
     if y_prev.min() < 0 or y_prev.max() >= len(model.vocab):
         raise ValueError("decode_step: token index out of vocabulary")
-    u, a = np.empty((y_prev.size, model.dec.d_u)), np.empty((y_prev.size, 4 * model.d_h))
+    u, a = np.empty((y_prev.size, model.dec.Wu.shape[1])), np.empty((y_prev.size, 4 * model.d_h))
     h_out, c_out = np.empty(shape), np.empty(shape)
     logits, _ = _decode_core(
         model, _lstm_stepper(model.dec), y_prev, h, c, contexts, keys, (u, a, h_out, c_out)
@@ -520,11 +496,11 @@ def sequence_log_prob(model, z, y):
     for t in y:
         if not 0 <= t < len(model.vocab):
             raise ValueError(f"token index {t} out of vocabulary")
-    enc = _encode_block(model, [z])[0]
+    enc = _encode_trace(model, z)
     keys = attention_keys(model, enc.contexts)
     T, d_h = len(y), model.d_h
     dec = _Chain(
-        U=np.empty((T, model.dec.d_u)),
+        U=np.empty((T, model.dec.Wu.shape[1])),
         gates=np.empty((T, 4 * d_h)),
         H=np.zeros((T + 1, d_h)),
         C=np.zeros((T + 1, d_h)),
@@ -601,26 +577,19 @@ def _lstm_backstepper(p):
 
 def _emit_cell_gradients(emit, prefix, chain, DA):
     """Emit the weight gradients of a chain's cell one weight at a time
-    (Wu, Wh, Wc, then b), each as its per-gate tensors under the names
-    `prefix`.W_iu, ..., `prefix`.b_o. Each weight's gradient is one GEMM
-    of the gate deltas DA of all its steps (one row per step) against the
-    stacked inputs or states."""
+    (Wu, Wh, Wc, then b), under the names `prefix`.Wu, ..., `prefix`.b.
+    Each weight's gradient is one GEMM of the gate deltas DA of all its
+    steps (one row per step) against the stacked inputs or states, and is
+    freed before the next is emitted."""
     d = chain.H.shape[1]
-
-    def gates(field, grad, letters="ifco"):
-        emit({
-            f"{prefix}.{field.format(g)}": grad[k * d : (k + 1) * d]
-            for k, g in enumerate(letters)
-        })
-
-    gates("W_{}u", DA.T @ chain.U)
-    gates("W_{}h", DA.T @ chain.H[:-1])
+    emit({f"{prefix}.Wu": DA.T @ chain.U})
+    emit({f"{prefix}.Wh": DA.T @ chain.H[:-1]})
     Wc = np.empty((3 * d, d))
     np.matmul(DA[:, : 2 * d].T, chain.C[:-1], out=Wc[: 2 * d])
     np.matmul(DA[:, 3 * d :].T, chain.C[1:], out=Wc[2 * d :])
-    gates("W_{}c", Wc, "ifo")
-    del Wc  # each weight's gradient is freed before the next is emitted
-    gates("b_{}", DA.sum(axis=0))
+    emit({f"{prefix}.Wc": Wc})
+    del Wc
+    emit({f"{prefix}.b": DA.sum(axis=0)})
 
 
 def _chain_backward(p, chain, dH):
@@ -720,12 +689,11 @@ def backward_pass(model, trace, emit):
 
     The gradients come in groups of {name: gradient} under the names of
     model.named_tensors(): the output layer, the decoder cell one weight
-    at a time (Wu, Wh, Wc, b, each as its per-gate tensors), the
-    attention, the forward and the backward encoder cell in the same way,
-    and last the lookup tables. Each group goes to emit(group) as soon as
-    the sweep has made its last read of those parameters, so emit may
-    update them in place; the sweep keeps no reference to a group once
-    emitted.
+    at a time (Wu, Wh, Wc, b), the attention, the forward and the backward
+    encoder cell in the same way, and last the lookup tables. Each group
+    goes to emit(group) as soon as the sweep has made its last read of
+    those parameters, so emit may update them in place; the sweep keeps no
+    reference to a group once emitted.
 
     W_out gets a ProductGradient; the embedding and feature tables get a
     RowGradient holding only the rows the example read; every other
@@ -805,17 +773,23 @@ def backward_pass(model, trace, emit):
 # ---------------------------------------------------------------------------
 # serialization
 
-# rows per save_model write: a |V|-row tensor's text is never whole, as
-# training saves while the Adagrad accumulators are alive
-SAVE_BLOCK = 1024
+# values per block of rows that save_model writes, load_model decodes and
+# Adagrad steps: no tensor's text or step scratch is ever whole
+BLOCK_VALUES = 2**16
+
+
+def _row_blocks(arr):
+    """Slices of arr's rows (values, if 1-D), BLOCK_VALUES values' worth each."""
+    step = max(1, BLOCK_VALUES * len(arr) // max(1, arr.size))
+    return (slice(start, start + step) for start in range(0, len(arr), step))
 
 
 def save_model(model, path):
-    """Write checkpoint v3: the text header (dims, vocabulary, feature
+    """Write checkpoint v4: the text header (dims, vocabulary, feature
     registry), then each tensor's rows as base64 of their
     little-endian float64 bytes, one line per row, and last 'sha256 <hex>'
     of every byte before it. Values round-trip bit for bit. The file goes
-    to a temporary file first, SAVE_BLOCK rows at a time, and replaces
+    to a temporary file first, a _row_blocks block at a time, and replaces
     `path` only when complete."""
     head = io.StringIO()
     head.write(f"{MAGIC}\n")
@@ -842,14 +816,14 @@ def save_model(model, path):
         for name, arr in model.named_tensors():
             rows = np.ascontiguousarray(np.atleast_2d(arr), dtype="<f8")
             emit(f"tensor {name} {rows.shape[0]} {rows.shape[1]}\n".encode("ascii"))
-            for start in range(0, rows.shape[0], SAVE_BLOCK):
-                emit(b"".join(map(binascii.b2a_base64, rows[start : start + SAVE_BLOCK])))
+            for block in _row_blocks(rows):
+                emit(b"".join(map(binascii.b2a_base64, rows[block])))
         fh.write(f"sha256 {digest.hexdigest()}\n".encode("ascii"))
 
 
 def _base64_rows(reader, name, block, shape):
-    """The rows of a tensor as base64 of little-endian float64; a row
-    holding NaN or Inf is an error naming its line."""
+    """Rows of a tensor as base64 of little-endian float64, one per line
+    of `block`; a row holding NaN or Inf is an error naming its line."""
     width = 8 * shape[1]
     first = reader.line_no - len(block) + 1
     rows = []
@@ -874,7 +848,8 @@ def _read_tensors(reader, tensors):
     """Fill every tensor from its block, in the order save_model writes
     them: each header must read 'tensor <name> <rows> <cols>' at the
     model's shape, and each row hold the declared number of values.
-    Blocks are read one at a time, so only one tensor's text is held.
+    Rows are read and decoded a _row_blocks block at a time, so at most
+    one block's text is held.
     The 'sha256' line follows the last tensor and must be the digest of
     every line before it."""
     for name, target in tensors.items():
@@ -884,8 +859,10 @@ def _read_tensors(reader, tensors):
         if header != expected:
             found = "the end of the file" if header is None else repr(header[:40])
             raise reader.error(f"line {reader.line_no}: expected {expected!r}, got {found}")
-        block = reader.lines(shape[0], f"rows of tensor {name}")
-        target[...] = _base64_rows(reader, name, block, shape).reshape(target.shape)
+        rows = target.reshape(shape)  # a view: target is C-contiguous
+        for block in _row_blocks(rows):
+            lines = reader.lines(len(rows[block]), f"rows of tensor {name} from row {block.start}")
+            rows[block] = _base64_rows(reader, name, lines, rows[block].shape)
     digest_line = reader.next()
     if digest_line is None or not digest_line.startswith("sha256 "):
         found = "the end of the file" if digest_line is None else repr(digest_line[:40])
@@ -899,7 +876,7 @@ def _read_tensors(reader, tensors):
 def load_model(path):
     """Rebuild a model (vocabulary, feature registry, tensors) from disk.
 
-    Reads checkpoint v3 (see save_model). Raises ValueError naming the path
+    Reads checkpoint v4 (see save_model). Raises ValueError naming the path
     unless every header line has its key and count, every tensor is
     present in checkpoint order, complete and finite, and the digest
     matches, so a truncated or edited file never loads.
@@ -920,7 +897,10 @@ def load_model(path):
             cats = reader.block("lex_categories")
             word_lex = dict(reader.word_pairs("word_lex"))
             word_sent = dict(reader.word_pairs("word_sent"))
-            features = TokenFeatureSet(tags, cats, word_lex, word_sent, dim)
+            try:
+                features = TokenFeatureSet(tags, cats, word_lex, word_sent, dim)
+            except ValueError as exc:
+                raise reader.error(f"word_sent: {exc}") from None
         elif kind != "none":
             raise reader.error(f"line {reader.line_no}: expected 'features v1' or 'features none'")
         model = new_model(vocab, features, *(int(d) for d in dims))

@@ -17,6 +17,7 @@ import numpy as np
 from . import numkit
 from .evalmetrics import mrr
 from .textcorpus import (
+    SENTIMENT_CATEGORIES,
     atomic_write,
     content_norms,
     cosine_weight_maps,
@@ -24,8 +25,6 @@ from .textcorpus import (
     read_artifact,
     write_block,
 )
-
-SENTIMENT_CATEGORIES = ("positive", "negative", "neutral")
 
 DENSE_NAMES = (
     "num_words",
@@ -42,12 +41,17 @@ class LexiconSet:
     """Lexicon inputs for feature extraction.
 
     general: norm -> categories (General Inquirer / MPQA style);
-    sentiment: norm -> positive|negative|neutral; stopwords define content words.
+    sentiment: norm -> one of SENTIMENT_CATEGORIES; stopwords define content words.
     """
 
     general: dict = field(default_factory=dict)
     sentiment: dict = field(default_factory=dict)
     stopwords: frozenset = frozenset()
+
+    def __post_init__(self):
+        for word, pol in self.sentiment.items():
+            if pol not in SENTIMENT_CATEGORIES:
+                raise ValueError(f"sentiment word {word!r} has unknown polarity {pol!r}")
 
     @cached_property
     def categories(self):
@@ -356,7 +360,7 @@ def load_model(path, registry):
     """Read a file written by save_model for `registry`. Raises ValueError
     naming the path unless the file has the four header lines, its registry
     hash is `registry`'s, and exactly d finite weights follow, nothing
-    after them."""
+    after them, d being the number of features the registry names."""
     with read_artifact(path, "salience-model v1") as reader:
         d = reader.count("d")
         lam, beta = reader.value("lambda"), reader.value("beta")
@@ -371,6 +375,8 @@ def load_model(path, registry):
         raise ValueError(f"{path}: non-finite weight")
     if digest != registry.digest():
         raise ValueError(f"{path}: registry hash mismatch")
+    if d != registry.d:
+        raise ValueError(f"{path}: {d} weights, but the registry names {registry.d} features")
     return SalienceModel(w=w, lam=lam, beta=beta, registry=registry)
 
 

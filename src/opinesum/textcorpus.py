@@ -33,6 +33,8 @@ ENTITY_LABEL = "ENTITY"
 RESERVED = (UNK, SEG, BOS, EOS, ENTITY_LABEL)
 
 _PUNCT = string.punctuation  # the ASCII punctuation characters
+# a sentiment lexicon's polarities, in the order of their feature columns and rows
+SENTIMENT_CATEGORIES = ("positive", "negative", "neutral")
 
 
 class CorpusFormatError(ValueError):

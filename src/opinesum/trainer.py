@@ -18,6 +18,7 @@ from .attnseq2seq import (
     ProductGradient,
     RowGradient,
     TokenFeatureSet,
+    _row_blocks,
     backward_pass,
     dense,
     new_model,
@@ -85,11 +86,18 @@ def init_params(config, vocab, features=None, pretrained=None):
     model = new_model(vocab, features, config.d_emb, config.d_h, config.d_a)
     rng = SeededRng(derive_seed(config.seed, "init"))
     s = config.init_scale
-    for name, arr in model.named_tensors():
-        if name.rsplit(".", 1)[-1].startswith("b"):
-            arr[...] = 0.0
-        else:
-            arr[...] = rng.uniform(-s, s, arr.shape)
+    # each cell gate by gate (i, f, g, o): the gate's rows of Wu, Wh, then Wc
+    # (g has none), the order of checkpoint v3's tensors, so each seed keeps
+    # the model it has always drawn
+    gates = []
+    for p in (model.enc_f, model.enc_b, model.dec):
+        Wc = np.split(p.Wc, 3)
+        for blocks in zip(np.split(p.Wu, 4), np.split(p.Wh, 4), (Wc[0], Wc[1], None, Wc[2])):
+            gates += [w for w in blocks if w is not None]
+    attn = model.attn
+    for arr in (model.emb, *model.feat_tables.values(), *gates, attn.W_cg, attn.W_hg, attn.W_s,
+                model.W_out):
+        arr[...] = rng.uniform(-s, s, arr.shape)
     for word, vector in (pretrained or {}).items():
         if word not in vocab:
             raise ValueError(f"pretrained word {word!r} is not in the vocabulary")
@@ -125,8 +133,8 @@ def adagrad_update(model, grads, state):
 
     A coordinate with g == 0 takes no step. A RowGradient updates only its
     rows: on every other row g is zero, so G and theta would keep their bits
-    anyway. A ProductGradient is formed and stepped ROW_BLOCK rows at a time.
-    """
+    anyway. A ProductGradient is formed and stepped ROW_BLOCK rows at a time,
+    a dense gradient a _row_blocks block at a time."""
     for name, g in grads.items():
         tensor = model.tensors[name]
         acc = state.accum[name]
@@ -140,7 +148,8 @@ def adagrad_update(model, grads, state):
                 block = slice(start, start + ROW_BLOCK)
                 _adagrad_step(tensor[block], acc[block], g.rows(start, block.stop), state)
         else:
-            _adagrad_step(tensor, acc, g, state)
+            for block in _row_blocks(g):
+                _adagrad_step(tensor[block], acc[block], g[block], state)
     model.version += 1
 
 
@@ -276,6 +285,7 @@ def _dev_bleu(model, dev_clusters, dev_scores, config, tfidf):
 # gradient check
 
 CHECK_EPSILON = 1e-5  # central-difference step
+CHECK_VALUES = 2**18  # values of one tensor's stacked copies per pass: bounds the memory
 
 
 def _tiny_instance(seed):
@@ -372,14 +382,15 @@ class _ExtendedForward:
         return _cat(*parts)
 
     def _cell(self, t, p, u, h, c):
-        def W(gate, x):
-            return _mv(t[f"{p}.W_{gate}"], x)
-
-        i = _sigmoid(W("iu", u) + W("ih", h) + W("ic", c) + t[f"{p}.b_i"])
-        f = _sigmoid(W("fu", u) + W("fh", h) + W("fc", c) + t[f"{p}.b_f"])
-        c_new = f * c + i * np.tanh(W("cu", u) + W("ch", h) + t[f"{p}.b_c"])
+        # the row blocks of Wu, Wh and b are the gates i, f, g, o; those of
+        # Wc the cell feedback of i, f and o
+        a = np.split(_mv(t[f"{p}.Wu"], u) + _mv(t[f"{p}.Wh"], h), 4, axis=-1)
+        Wc, b = np.split(t[f"{p}.Wc"], 3, axis=-2), np.split(t[f"{p}.b"], 4, axis=-1)
+        i = _sigmoid(a[0] + _mv(Wc[0], c) + b[0])
+        f = _sigmoid(a[1] + _mv(Wc[1], c) + b[1])
+        c_new = f * c + i * np.tanh(a[2] + b[2])
         # the output gate reads the new cell
-        o = _sigmoid(W("ou", u) + W("oh", h) + t[f"{p}.b_o"] + W("oc", c_new))
+        o = _sigmoid(a[3] + b[3] + _mv(Wc[2], c_new))
         return o * np.tanh(c_new), c_new
 
     def _loss(self, t):
@@ -418,9 +429,9 @@ def gradient_check(seed=0):
     """Max relative error between backward_pass and central differences.
 
     relerr = |ga - gn| / max(1e-8, |ga| + |gn|) over every coordinate of
-    the tiny model of `_tiny_instance(seed)`, with step CHECK_EPSILON. Each
-    tensor's +step and -step losses come from one batched pass each.
-    """
+    the tiny model of `_tiny_instance(seed)`, with step CHECK_EPSILON, each
+    tensor's +step and -step losses batched over its stacked copies, about
+    CHECK_VALUES values of copies per pass."""
     model, z, y = _tiny_instance(seed)
     _, trace = sequence_log_prob(model, z, y)
     grads = {}
@@ -429,11 +440,11 @@ def gradient_check(seed=0):
     eps = np.longdouble(CHECK_EPSILON)
     max_rel = 0.0
     for name, arr in model.named_tensors():
-        coords = np.arange(arr.size)
-        lp = fwd.losses(name, coords, eps)
-        lm = fwd.losses(name, coords, -eps)
-        gn = ((lp - lm) / (2 * eps)).astype(np.float64)
         ga = dense(grads[name]).reshape(-1)
-        rel = np.abs(ga - gn) / np.maximum(1e-8, np.abs(ga) + np.abs(gn))
-        max_rel = max(max_rel, float(rel.max()))
+        for coords in np.array_split(np.arange(arr.size), -(-arr.size**2 // CHECK_VALUES)):
+            lp = fwd.losses(name, coords, eps)
+            lm = fwd.losses(name, coords, -eps)
+            gn = ((lp - lm) / (2 * eps)).astype(np.float64)
+            rel = np.abs(ga[coords] - gn) / np.maximum(1e-8, np.abs(ga[coords]) + np.abs(gn))
+            max_rel = max(max_rel, float(rel.max()))
     return max_rel

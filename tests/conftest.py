@@ -61,6 +61,33 @@ def decode_one(model, y_prev, h, c, contexts, keys):
     return h[0], c[0], probs[0]
 
 
+def v3_gate_tensors(p, prefix):
+    """The 15 per-gate tensors of LSTM cell p that checkpoint v3 named
+    (W_iu, W_ih, W_ic, b_i, ..., W_oc, b_o), as row-block views of its
+    four arrays: the v3 layout, kept as an oracle."""
+    d = p.d_h
+    for k, gate in enumerate("ifco"):
+        rows = slice(k * d, (k + 1) * d)
+        yield f"{prefix}.W_{gate}u", p.Wu[rows]
+        yield f"{prefix}.W_{gate}h", p.Wh[rows]
+        if gate != "c":
+            j = min(k, 2) * d  # Wc has no block for g
+            yield f"{prefix}.W_{gate}c", p.Wc[j : j + d]
+        yield f"{prefix}.b_{gate}", p.b[rows]
+
+
+def v3_named_tensors(model):
+    """The (name, tensor) pairs of checkpoint v3, in its order: those of
+    model.named_tensors() with each cell's four arrays replaced by its
+    v3_gate_tensors."""
+    for name, arr in model.named_tensors():
+        prefix, _, field = name.rpartition(".")
+        if prefix not in ("enc_f", "enc_b", "dec"):
+            yield name, arr
+        elif field == "b":  # the cell's last array
+            yield from v3_gate_tensors(getattr(model, prefix), prefix)
+
+
 def copy_model(model):
     """A model holding copies of every tensor of `model`, sharing its
     vocabulary and feature registry."""
@@ -71,8 +98,10 @@ def copy_model(model):
 
 
 def randomize(model, seed=0, scale=0.3):
+    """Uniform(-scale, scale) values in every tensor, drawn in checkpoint
+    v3's order, so each seed keeps the model it gave before v4."""
     rng = SeededRng(seed)
-    for _, arr in model.named_tensors():
+    for _, arr in v3_named_tensors(model):
         arr[...] = rng.uniform(-scale, scale, arr.shape)
     return model
 

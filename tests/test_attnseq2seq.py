@@ -15,17 +15,20 @@ from conftest import (
     randomize,
     tiny_setup,
     traced_call,
+    v3_gate_tensors,
+    v3_named_tensors,
 )
 from opinesum.attnseq2seq import (
+    CHANNELS,
     LstmCellParams,
     MAGIC,
-    SAVE_BLOCK,
+    BLOCK_VALUES,
     StaleTraceError,
+    TokenFeatureSet,
     _attend,
     _chain_backward,
     _emit_cell_gradients,
-    _chain_row,
-    _encode_block,
+    _encode_trace,
     _lstm_stepper,
     _run_chain,
     attention_keys,
@@ -39,13 +42,21 @@ from opinesum.attnseq2seq import (
 )
 from opinesum.salience import LexiconSet
 from opinesum.sampler import build_input
-from opinesum.textcorpus import RESERVED, TfidfStats, Vocabulary, build_vocab
+from opinesum.textcorpus import (
+    RESERVED,
+    SENTIMENT_CATEGORIES,
+    TfidfStats,
+    Vocabulary,
+    build_vocab,
+)
 from opinesum.trainer import build_features
+
+DATA = Path(__file__).parent / "data"
 
 
 def gate_tensors(p):
-    """The cell's per-gate tensors by checkpoint field name (W_iu, b_o, ...)."""
-    return {name.split(".")[1]: arr for name, arr in p.named("cell")}
+    """The cell's checkpoint v3 per-gate tensors by field name (W_iu, b_o, ...)."""
+    return {name.split(".")[1]: arr for name, arr in v3_gate_tensors(p, "cell")}
 
 
 def lstm_oracle(p, u, h_prev, c_prev):
@@ -61,7 +72,7 @@ def lstm_oracle(p, u, h_prev, c_prev):
 
 def random_cell(rng, d_u, d_h, scale=0.5):
     p = LstmCellParams.zeros(d_u, d_h)
-    for _, arr in p.named("cell"):
+    for _, arr in v3_gate_tensors(p, "cell"):
         arr[...] = rng.uniform(-scale, scale, arr.shape)
     return p
 
@@ -185,19 +196,13 @@ class TestChains:
     the emitted weight gradients against explicit products, bit for bit,
     on random chains."""
 
-    GROUPS = (
-        ("W_iu", "W_fu", "W_cu", "W_ou"),
-        ("W_ih", "W_fh", "W_ch", "W_oh"),
-        ("W_ic", "W_fc", "W_oc"),
-        ("b_i", "b_f", "b_c", "b_o"),
-    )
-
     @pytest.mark.parametrize("d_u, d_h, n", [(3, 2, 1), (8, 6, 9), (32, 32, 25), (21, 7, 40)])
     def test_forward_and_backward_match_per_step_oracles(self, d_u, d_h, n):
         rng = np.random.default_rng(d_u * 100 + n)
         p = random_cell(rng, d_u, d_h, scale=1.0)
         U = rng.normal(size=(n, d_u))
-        chain = _chain_row(_run_chain(p, U[:, None]), 0, n)
+        chain = _run_chain(p, U[:, None])
+        chain = replace(chain, U=U, gates=chain.gates[:, 0], H=chain.H[:, 0], C=chain.C[:, 0])
         gates = U @ p.Wu.T
         H, C = np.zeros((n + 1, d_h)), np.zeros((n + 1, d_h))
         for t in range(n):
@@ -222,52 +227,25 @@ class TestChains:
             b=DA.sum(axis=0),
         )
         # one group per weight, in the order Wu, Wh, Wc, b
-        assert [sorted(g) for g in groups] == [
-            sorted(f"cell.{f}" for f in fields) for fields in self.GROUPS
-        ]
-        emitted = {name: grad for g in groups for name, grad in g.items()}
-        for name, want in oracle.named("cell"):
-            assert np.array_equal(emitted[name], want), name
+        fields = ("Wu", "Wh", "Wc", "b")
+        assert [list(g) for g in groups] == [[f"cell.{f}"] for f in fields]
+        for group, field in zip(groups, fields):
+            assert np.array_equal(group[f"cell.{field}"], getattr(oracle, field)), field
 
 
-class TestCellLayout:
-    FIELDS = (
-        "W_iu", "W_ih", "W_ic", "b_i",
-        "W_fu", "W_fh", "W_fc", "b_f",
-        "W_cu", "W_ch", "b_c",
-        "W_ou", "W_oh", "W_oc", "b_o",
-    )
+class TestTokenFeatureSet:
+    def test_sentiment_rows_follow_the_polarities(self):
+        features = TokenFeatureSet(
+            [], (), {}, {"aa": "positive", "bb": "negative", "cc": "neutral"}, dim=2
+        )
+        assert features.table_rows()["sent"] == 1 + len(SENTIMENT_CATEGORIES)
+        rows = [features.decode_ids(w)[CHANNELS.index("sent")] for w in ("dd", "aa", "bb", "cc")]
+        assert rows == [0, 1, 2, 3]
 
-    def test_named_yields_contiguous_views_in_checkpoint_order(self, tiny_feat):
-        model = tiny_feat[0]
-        d_h = model.d_h
-        for prefix in ("enc_f", "enc_b", "dec"):
-            cell = getattr(model, prefix)
-            named = list(cell.named(prefix))
-            assert [n for n, _ in named] == [f"{prefix}.{f}" for f in self.FIELDS]
-            owners = {"u": cell.Wu, "h": cell.Wh, "c": cell.Wc}
-            for name, view in named:
-                field = name.split(".")[1]
-                owner = cell.b if field.startswith("b_") else owners[field[-1]]
-                assert view.flags.c_contiguous, name
-                assert np.shares_memory(view, owner), name
-                cols = cell.d_u if field.endswith("u") else d_h
-                assert view.shape == ((d_h,) if field.startswith("b_") else (d_h, cols)), name
-            # the 15 views tile the four arrays exactly once
-            assert sum(v.size for _, v in named) == sum(
-                a.size for a in (cell.Wu, cell.Wh, cell.Wc, cell.b)
-            )
-
-    def test_views_write_through_without_overlap(self):
-        p = LstmCellParams.zeros(2, 3)
-        for k, (_, arr) in enumerate(p.named("cell")):
-            arr.reshape(-1)[...] = k + 1
-        for k, (name, arr) in enumerate(p.named("cell")):
-            assert np.all(arr == k + 1), name
-        # gate blocks are stacked i, f, g, o; the feedback blocks i, f, o
-        assert np.all(p.Wu[6:9] == self.FIELDS.index("W_cu") + 1)
-        assert np.all(p.Wc[6:9] == self.FIELDS.index("W_oc") + 1)
-        assert np.all(p.b[9:] == self.FIELDS.index("b_o") + 1)
+    def test_rejects_an_unknown_polarity(self):
+        # it would have counted in the absent row 0
+        with pytest.raises(ValueError, match="sentiment word 'aa' has unknown polarity 'odd'"):
+            TokenFeatureSet([], (), {}, {"bb": "negative", "aa": "odd"}, dim=2)
 
 
 class TestEncode:
@@ -288,8 +266,8 @@ class TestEncode:
         vocab = build_vocab([cluster])
         model = randomize(new_model(vocab, None, 4, 3, 2), seed=3)
         # same parameters on both chains
-        for (_, dst), (_, src) in zip(model.enc_b.named("b"), model.enc_f.named("f")):
-            dst[...] = src
+        for field in ("Wu", "Wh", "Wc", "b"):
+            getattr(model.enc_b, field)[...] = getattr(model.enc_f, field)
         contexts = encode(model, [build_input(cluster, [0], vocab, TfidfStats([cluster]))])[0]
         n, d_h = 3, model.d_h
         for i in range(n):
@@ -358,21 +336,25 @@ class TestEncodeBlock:
 
     @pytest.mark.parametrize("with_features", [False, True])
     def test_block_keeps_the_bits_of_the_training_encoder(self, with_features):
+        # encode and the training trace, one input at a time
         model, zs = self.three_inputs(with_features)
-        for got, trace in zip(encode(model, zs), _encode_block(model, zs), strict=True):
-            assert got.tobytes() == trace.contexts.tobytes()
+        for z in zs:
+            trace = _encode_trace(model, z)
+            assert encode(model, [z])[0].tobytes() == trace.contexts.tobytes()
+            assert trace.fwd.H.shape == trace.bwd.H.shape == (len(z) + 1, model.d_h)
 
     def test_keeps_no_chain_state(self):
         # encode frees each chain's gates and cells as soon as the chain has
-        # run, so its traced peak is about half of the training traces'
+        # run, so its traced peak is about half of the training trace's
         words = [f"w{i}" for i in range(40)]
         cluster = make_cluster([" ".join(words[k : k + 30]) for k in range(0, 10, 2)])
         model = randomize(new_model(build_vocab([cluster]), None, 32, 24, 12), seed=2)
         tfidf = TfidfStats([cluster])
-        zs = [build_input(cluster, [k, 4 - k], model.vocab, tfidf) for k in range(5)]
-        _, _, encode_peak = traced_call(encode, model, zs)
-        _, _, block_peak = traced_call(_encode_block, model, zs)
-        assert encode_peak < 0.6 * block_peak, (encode_peak, block_peak)
+        for k in range(5):
+            z = build_input(cluster, [k, 4 - k], model.vocab, tfidf)
+            _, _, encode_peak = traced_call(encode, model, [z])
+            _, _, trace_peak = traced_call(_encode_trace, model, z)
+            assert encode_peak < 0.6 * trace_peak, (k, encode_peak, trace_peak)
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_bad_index_in_any_input_raises(self, bad):
@@ -688,20 +670,23 @@ class TestSerialization:
         ll_b, _ = sequence_log_prob(loaded, z, y)
         assert ll_a == ll_b
 
-    def test_reads_and_rewrites_committed_v3_checkpoint(self, tmp_path):
-        # tests/data/model_v3.txt: a 4/3/2 model with token features, first
+    def test_reads_and_rewrites_committed_v4_checkpoint(self, tmp_path):
+        # tests/data/model_v4.txt: a 4/3/2 model with token features, first
         # saved as a v1 checkpoint (decimal text rows) by the per-gate
         # layout that predates the four-array LSTM cells, then loaded and
         # saved as v2 by the last reader of both formats, then converted to
         # v3 by dropping its all-1 'trainable' and all-0 'covered' lines
-        path = Path(__file__).parent / "data" / "model_v3.txt"
+        # (tests/data/model_v3.txt), then to v4 by the README's script
+        path = DATA / "model_v4.txt"
         model = load_model(path)
         assert model.features is not None
+        assert len(list(model.named_tensors())) == 23
         digest = hashlib.sha256()
-        for name, arr in model.named_tensors():
+        for name, arr in v3_named_tensors(model):
             digest.update(name.encode("ascii"))
             digest.update(arr.tobytes())
-        # the tensors as that reader loaded them from the v1 file
+        # the tensors as that reader loaded them from the v1 file, by their
+        # v3 names and gate row blocks
         assert digest.hexdigest() == (
             "dfcae0f7c17aea57f2f324c7d275ba7f842be62dddc7beb16eb95a5109cfc567"
         )
@@ -717,16 +702,43 @@ class TestSerialization:
         save_model(model, again)
         assert again.read_bytes() == path.read_bytes()
 
+    def test_readme_script_converts_v3_to_v4(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        script = re.search(r"A v3 file converts to v4.*?```python\n(.*?)```", readme, re.S)
+        (tmp_path / "model.txt").write_bytes((DATA / "model_v3.txt").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        exec(script.group(1), {})
+        assert (tmp_path / "model.txt").read_bytes() == (DATA / "model_v4.txt").read_bytes()
+
+    def test_rejects_checkpoint_v3(self):
+        path = DATA / "model_v3.txt"
+        message = f"{path}: line 1: expected 'opinesum-model v4'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(path)
+
     def test_rejects_checkpoint_v2(self, tmp_path):
-        # v2 is no longer read: the v3 fixture with v2's magic line and
+        # v2 is not read either: the v3 fixture with v2's magic line and
         # per-row flag lines fails on line 1
-        v3 = (Path(__file__).parent / "data" / "model_v3.txt").read_text()
+        v3 = (DATA / "model_v3.txt").read_text()
         head, sep, tensors = v3.partition("\ntensor ")
         flags = "trainable 1111111111\ncovered 0000000000"
         v2 = head.replace("opinesum-model v3", "opinesum-model v2", 1) + "\n" + flags + sep + tensors
         path = tmp_path / "model.txt"
         path.write_text(v2)
-        message = f"{path}: line 1: expected 'opinesum-model v3'"
+        message = f"{path}: line 1: expected 'opinesum-model v4'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(path)
+
+    def test_rejects_unknown_polarity(self, tmp_path):
+        # a word_sent polarity the feature rows have no row for, under a
+        # recomputed digest, so only the polarity fails
+        lines = (DATA / "model_v4.txt").read_text().split("\n")
+        lines[lines.index("ee\tnegative")] = "ee\todd"
+        body = "\n".join(lines[:-2]) + "\n"
+        lines[-2] = f"sha256 {hashlib.sha256(body.encode()).hexdigest()}"
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(lines))
+        message = f"{path}: word_sent: sentiment word 'ee' has unknown polarity 'odd'"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_model(path)
 
@@ -764,14 +776,19 @@ class TestSerialization:
     def test_save_holds_one_block_of_a_long_tensor(self, tmp_path):
         # an embedding of three blocks and 17 rows: the traced peak of the
         # save is bounded by one block's text, not by the whole tensor's
-        # (six blocks when each tensor was joined whole)
-        vocab = Vocabulary(f"t{i}" for i in range(3 * SAVE_BLOCK + 17 - len(RESERVED)))
+        # (six blocks when each tensor was joined whole); what the load
+        # holds beyond the model it builds is one block's lines, their bytes
+        # and the vocabulary (8.9 blocks' text when each tensor was read whole)
+        rows = BLOCK_VALUES // 64
+        vocab = Vocabulary(f"t{i}" for i in range(3 * rows + 17 - len(RESERVED)))
         model = randomize(new_model(vocab, None, 64, 3, 2), seed=4)
         path = tmp_path / "model.txt"
         _, _, peak = traced_call(save_model, model, path)
-        block_text = SAVE_BLOCK * len(binascii.b2a_base64(model.emb[0].tobytes()))
+        block_text = rows * len(binascii.b2a_base64(model.emb[0].tobytes()))
         assert peak < 3 * block_text, peak / block_text
-        loaded = load_model(path)
+        loaded, _, peak = traced_call(load_model, path)
+        size = sum(arr.nbytes for _, arr in model.named_tensors())
+        assert peak < size + 4 * block_text, (peak - size) / block_text
         for (name, a), (_, b) in zip(model.named_tensors(), loaded.named_tensors()):
             assert a.tobytes() == b.tobytes(), name
 

@@ -869,6 +869,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(str(mpath)) + ".*" + re.escape(message)):
             load_model(mpath, registry)
 
+    def test_weight_count_must_match_the_registry(self, tmp_path):
+        # one weight short, with d lowered to match: the registry hash still
+        # matches, so only the count can fail, at load and not when scoring
+        registry, mpath, _ = self.saved(tmp_path)
+        lines = mpath.read_text().splitlines(True)
+        assert lines[1] == f"d {registry.d}\n"
+        lines[1] = f"d {registry.d - 1}\n"
+        mpath.write_text("".join(lines[:-1]))
+        message = f"{mpath}: {registry.d - 1} weights, but the registry names {registry.d} features"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(mpath, registry)
+
     @pytest.mark.parametrize("which", ["model", "registry"])
     def test_crlf_newlines_rejected_at_line_1(self, tmp_path, which):
         registry, mpath, rpath = self.saved(tmp_path)
@@ -922,6 +934,11 @@ class TestSerialization:
             ValueError, match=re.escape(f"{rpath}: sentiment word 'good' has 'pos'; it needs")
         ):
             load_registry(rpath)
+
+    def test_lexicon_set_rejects_an_unknown_polarity(self):
+        # the registry has no feature column for it
+        with pytest.raises(ValueError, match="sentiment word 'w1' has unknown polarity 'odd'"):
+            LexiconSet(sentiment={"w0": "positive", "w1": "odd"})
 
     def test_hash_mismatch_rejected(self, tmp_path):
         reg_a = FeatureRegistry(LexiconSet(general={"x": ("X",)}), top_unigrams=("a",))

@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import all_gradients, copy_model, make_cluster, traced_call
+from conftest import all_gradients, copy_model, make_cluster, traced_call, v3_named_tensors
 from opinesum import trainer
 from opinesum.attnseq2seq import (
     ModelParams,
@@ -13,6 +13,7 @@ from opinesum.attnseq2seq import (
     load_model,
     sequence_log_prob,
 )
+from opinesum.numkit import SeededRng, derive_seed
 from opinesum.salience import LexiconSet
 from opinesum.sampler import build_input
 from opinesum.textcorpus import (
@@ -119,6 +120,26 @@ class TestInitParams:
             else:
                 assert np.abs(arr).max() <= config.init_scale
                 assert np.abs(arr).max() > 0
+
+    @pytest.mark.parametrize("use_features", [False, True])
+    def test_draws_in_checkpoint_v3_order(self, use_features):
+        # every weight drawn in the order of checkpoint v3's tensors, each
+        # cell gate by gate, so a seed gives the model it gave before v4
+        cluster = make_cluster(["aa bb cc", "dd ee"], "cc")
+        lexicons = LexiconSet(general={"aa": ("X",)}, sentiment={"bb": "positive"})
+        features = build_features([cluster], lexicons, dim=3) if use_features else None
+        config = TrainConfig(d_emb=6, d_h=4, d_a=3, seed=5, init_scale=0.2)
+        model = init_params(config, build_vocab([cluster]), features)
+        want = copy_model(model)
+        rng = SeededRng(derive_seed(config.seed, "init"))
+        for name, arr in v3_named_tensors(want):
+            if name.rsplit(".", 1)[-1].startswith("b"):
+                arr[...] = 0.0
+            else:
+                arr[...] = rng.uniform(-config.init_scale, config.init_scale, arr.shape)
+        assert len(list(model.named_tensors())) == (23 if use_features else 18)
+        for (name, got), (_, arr) in zip(model.named_tensors(), want.named_tensors()):
+            assert got.tobytes() == arr.tobytes(), name
 
     def test_pretrained_rows_overwrite(self, tmp_path):
         vocab = build_vocab([make_cluster(["aa bb"], "cc")])
@@ -329,12 +350,7 @@ class TestExampleLifetime:
 
         def cell(prefix):
             # one group per weight: Wu, Wh, Wc, then b
-            return [
-                sorted(f"{prefix}.W_{g}u" for g in "ifco"),
-                sorted(f"{prefix}.W_{g}h" for g in "ifco"),
-                sorted(f"{prefix}.W_{g}c" for g in "ifo"),
-                sorted(f"{prefix}.b_{g}" for g in "ifco"),
-            ]
+            return [[f"{prefix}.{w}"] for w in ("Wu", "Wh", "Wc", "b")]
 
         groups = [
             ["W_out", "b_out"],
@@ -571,8 +587,20 @@ class TestGradientCheck:
             rel = np.abs(ga - gn.astype(np.float64)) / np.maximum(1e-8, np.abs(ga) + np.abs(gn))
             assert rel.max() < 1e-4, (name, float(rel.max()))
 
-    def test_default_tiny_config_passes(self):
+    def test_default_tiny_config_passes(self, monkeypatch):
+        # each pass stacks about CHECK_VALUES values of copies of a tensor,
+        # however large the tensor: dec.Wu's 1,704 coordinates in one pass
+        # would stack 1,704**2, 11 times as many
+        sizes = []
+        losses = _ExtendedForward.losses
+
+        def tracked(fwd, name, coords, delta):
+            sizes.append(len(coords) * fwd.tensors[name].size)
+            return losses(fwd, name, coords, delta)
+
+        monkeypatch.setattr(_ExtendedForward, "losses", tracked)
         assert gradient_check(seed=0) < 1e-4
+        assert max(sizes) <= 1.1 * trainer.CHECK_VALUES
 
     def test_epsilon_doubling_stays_small(self, monkeypatch):
         monkeypatch.setattr(trainer, "CHECK_EPSILON", 2e-5)
