@@ -55,7 +55,10 @@ tfidf = TfidfStats(clusters)
 
 start = time.perf_counter()
 model_path = Path(tempfile.mkdtemp(prefix="opinesum_demo_")) / "model.txt"
-history = train(clusters, scores, clusters, scores, config, tfidf, None, None, model_path)
+history = train(
+    clusters, scores, clusters, scores, config, tfidf, None, None, model_path,
+    model_path.parent / "history.csv",
+)
 model = load_model(model_path)
 print(f"trained {len(history)} epochs in {time.perf_counter()-start:.1f}s")
 for epoch, nll, dev_bleu in history[:3] + history[-3:]:

@@ -534,6 +534,23 @@ def sequence_log_prob(model, z, y):
 # ---------------------------------------------------------------------------
 # backward
 
+# values per block of rows that backward_pass emits, save_model writes and
+# load_model decodes: no W_out gradient, tensor text or step scratch is
+# ever whole
+BLOCK_VALUES = 2**16
+
+
+def _row_blocks(arr):
+    """Slices of arr's rows (values, if 1-D), BLOCK_VALUES values' worth each."""
+    step = max(1, BLOCK_VALUES * len(arr) // max(1, arr.size))
+    return (slice(start, start + step) for start in range(0, len(arr), step))
+
+
+def _emit_rows(emit, name, grad):
+    """Emit the gradient `grad` of tensor `name` a _row_blocks block at a time."""
+    for block in _row_blocks(grad):
+        emit(name, block, grad[block])
+
 
 def _lstm_backstepper(p):
     """The BPTT step of LSTM cell p, as back(gates, c_prev, c, dh, dc, da).
@@ -579,17 +596,17 @@ def _emit_cell_gradients(emit, prefix, chain, DA):
     """Emit the weight gradients of a chain's cell one weight at a time
     (Wu, Wh, Wc, then b), under the names `prefix`.Wu, ..., `prefix`.b.
     Each weight's gradient is one GEMM of the gate deltas DA of all its
-    steps (one row per step) against the stacked inputs or states, and is
-    freed before the next is emitted."""
+    steps (one row per step) against the stacked inputs or states, emitted
+    a block of rows at a time and freed before the next weight's."""
     d = chain.H.shape[1]
-    emit({f"{prefix}.Wu": DA.T @ chain.U})
-    emit({f"{prefix}.Wh": DA.T @ chain.H[:-1]})
+    _emit_rows(emit, f"{prefix}.Wu", DA.T @ chain.U)
+    _emit_rows(emit, f"{prefix}.Wh", DA.T @ chain.H[:-1])
     Wc = np.empty((3 * d, d))
     np.matmul(DA[:, : 2 * d].T, chain.C[:-1], out=Wc[: 2 * d])
     np.matmul(DA[:, 3 * d :].T, chain.C[1:], out=Wc[2 * d :])
-    emit({f"{prefix}.Wc": Wc})
+    _emit_rows(emit, f"{prefix}.Wc", Wc)
     del Wc
-    emit({f"{prefix}.b": DA.sum(axis=0)})
+    _emit_rows(emit, f"{prefix}.b", DA.sum(axis=0))
 
 
 def _chain_backward(p, chain, dH):
@@ -604,103 +621,60 @@ def _chain_backward(p, chain, dH):
     return DA
 
 
-def _attend_backward(model, grad, contexts, cache, ds):
+def _attend_backward(model, g_W_s, contexts, cache, ds):
     """Backward through one attention step, from the gradient ds of its
-    summary down to the pre-activations q: accumulates W_s and returns dq
-    (n x d_a). The W_cg, W_hg and context terms are formed from the dq of
-    all steps after the decoder loop."""
+    summary down to the pre-activations q: accumulates the W_s gradient
+    g_W_s and returns dq (n x d_a). The W_cg, W_hg and context terms are
+    formed from the dq of all steps after the decoder loop."""
     a, t = cache.a[0], cache.t[0]
     de_ctx = contexts @ ds
     de = a * (de_ctx - float(a @ de_ctx))
-    grad.W_s += t.T @ de
+    g_W_s += t.T @ de
     return np.outer(de, model.attn.W_s) * (1.0 - t * t)
 
 
-@dataclass
-class RowGradient:
-    """The gradient of a lookup table as the rows one example touched:
-    `rows` holds their indices, sorted and unique, and `values` one
-    gradient row per index. Every other row of the n_rows x d gradient is
-    exactly zero."""
-
-    rows: np.ndarray
-    values: np.ndarray
-    n_rows: int
-
-    @staticmethod
-    def scatter(indices, d_rep, n_rows):
-        """Sum the rows of d_rep into the table rows `indices` names, each
-        row in the order of `indices`, as a scatter-add into a zero table
-        would."""
-        rows, slot = np.unique(indices, return_inverse=True)
-        values = np.zeros((len(rows), d_rep.shape[1]))
-        np.add.at(values, slot, d_rep)
-        return RowGradient(rows=rows, values=values, n_rows=n_rows)
+def _scatter_rows(indices, d_rep):
+    """The table rows `indices` names, sorted and unique, and their
+    gradients: the rows of d_rep summed per table row in the order of
+    `indices`, as a scatter-add into a zero table would."""
+    rows, slot = np.unique(indices, return_inverse=True)
+    values = np.zeros((len(rows), d_rep.shape[1]))
+    np.add.at(values, slot, d_rep)
+    return rows, values
 
 
-@dataclass
-class ProductGradient:
-    """The gradient left^T @ right of a weight, kept as its two factors:
-    `left` holds one row of output deltas per step (T x n_rows) and
-    `right` one row of inputs per step (T x d). The n_rows x d product is
-    formed a block of rows at a time (`rows`) or whole by `dense`."""
-
-    left: np.ndarray
-    right: np.ndarray
-
-    @property
-    def n_rows(self):
-        return self.left.shape[1]
-
-    def rows(self, start, stop):
-        """Rows start:stop of the gradient."""
-        return self.left[:, start:stop].T @ self.right
-
-
-def dense(grad):
-    """A gradient from backward_pass as a full array of its tensor's shape."""
-    if isinstance(grad, ProductGradient):
-        return grad.left.T @ grad.right
-    if not isinstance(grad, RowGradient):
-        return grad
-    out = np.zeros((grad.n_rows, grad.values.shape[1]))
-    out[grad.rows] = grad.values
-    return out
-
-
-def _table_gradients(model, indices, feat_ids, d_rep):
-    """The embedding and feature-table gradients, as RowGradients, of the
-    token input vectors whose gradients are the rows of d_rep (the
-    trailing continuous slot is an input, not a parameter)."""
+def _emit_table_gradients(emit, model, indices, feat_ids, d_rep):
+    """Emit the embedding and feature-table gradients of the token input
+    vectors whose gradients are the rows of d_rep (the trailing continuous
+    slot is an input, not a parameter), each as the rows it touched."""
     d_emb = model.d_emb
-    grads = {"emb": RowGradient.scatter(indices, d_rep[:, :d_emb], len(model.vocab))}
+    emit("emb", *_scatter_rows(indices, d_rep[:, :d_emb]))
     if model.features:
         dim = model.features.dim
         for k, ch in enumerate(CHANNELS):
             off = d_emb + k * dim
-            grads[f"feat.{ch}"] = RowGradient.scatter(
-                feat_ids[:, k], d_rep[:, off : off + dim], model.feat_tables[ch].shape[0]
-            )
-    return grads
+            emit(f"feat.{ch}", *_scatter_rows(feat_ids[:, k], d_rep[:, off : off + dim]))
 
 
 def backward_pass(model, trace, emit):
     """Exact gradients of -loglik w.r.t. every parameter tensor.
 
-    The gradients come in groups of {name: gradient} under the names of
-    model.named_tensors(): the output layer, the decoder cell one weight
+    The gradients come in pieces, emit(name, rows, values): `values` is
+    the gradient of rows `rows` of the tensor `name` of
+    model.named_tensors(). The tensors come in the order the sweep makes
+    its last read of them: the output layer, the decoder cell one weight
     at a time (Wu, Wh, Wc, b), the attention, the forward and the backward
-    encoder cell in the same way, and last the lookup tables. Each group
-    goes to emit(group) as soon as the sweep has made its last read of
-    those parameters, so emit may update them in place; the sweep keeps no
-    reference to a group once emitted.
+    encoder cell in the same way, and last the lookup tables. So emit may
+    update a piece's rows in place; the sweep keeps no reference to a
+    piece once emitted.
 
-    W_out gets a ProductGradient; the embedding and feature tables get a
-    RowGradient holding only the rows the example read; every other
-    tensor gets a dense array (see `dense`). The recurrences run one step
-    at a time; every weight gradient is then one GEMM over the stacked
-    steps of its chain. The pass consumes the trace (see ForwardTrace), so
-    a second pass over it raises StaleTraceError.
+    A lookup table's one piece holds the sorted rows the example read
+    (every other row's gradient is zero); every other tensor comes a
+    _row_blocks slice at a time, and W_out's blocks are each formed just
+    before they are emitted, so its |V| x d_h gradient is never whole. The
+    recurrences run one step at a time; every weight gradient is then one
+    GEMM over the stacked steps of its chain. The pass consumes the trace
+    (see ForwardTrace), so a second pass over it raises StaleTraceError.
     """
     if trace.model_id != id(model) or trace.version != model.version:
         raise StaleTraceError("trace is stale: model parameters changed since the forward pass")
@@ -715,12 +689,14 @@ def backward_pass(model, trace, emit):
     dlogits, trace.probs = trace.probs, None  # the distributions, in place
     dlogits[np.arange(T), trace.targets] -= 1.0
     dH = dlogits @ model.W_out
-    emit({"W_out": ProductGradient(dlogits, dec.H[1:]), "b_out": dlogits.sum(axis=0)})
+    for block in _row_blocks(model.W_out):
+        emit("W_out", block, dlogits[:, block].T @ dec.H[1:])
+    _emit_rows(emit, "b_out", dlogits.sum(axis=0))
     del dlogits
 
     p = model.dec
     back = _lstm_backstepper(p)
-    g_attn = AttentionParams.zeros(model.d_a, d_h)
+    g_W_s = np.zeros(model.d_a)
     DA = np.empty_like(dec.gates)
     DS = np.empty((T, 2 * d_h))  # gradients of the attention summaries
     dq_steps = np.empty((T, model.d_a))  # dq summed over contexts, per step
@@ -730,7 +706,7 @@ def backward_pass(model, trace, emit):
     for t in range(T - 1, -1, -1):
         dh_l, dc = back(dec.gates[t], dec.C[t], dec.C[t + 1], dH[t] + dh, dc, DA[t])
         DS[t] = p.Wu[:, token_dim:].T @ DA[t]
-        dq = _attend_backward(model, g_attn, contexts, trace.attn[t], DS[t])
+        dq = _attend_backward(model, g_W_s, contexts, trace.attn[t], DS[t])
         dq_ctx += dq
         dq_steps[t] = dq.sum(axis=0)
         dh = dh_l + model.attn.W_hg.T @ dq_steps[t]
@@ -738,14 +714,14 @@ def backward_pass(model, trace, emit):
     d_in = DA @ p.Wu[:, :token_dim]  # read before emit may step p.Wu
     _emit_cell_gradients(emit, "dec", dec, DA)
 
-    np.matmul(dq_steps.T, dec.H[:-1], out=g_attn.W_hg)
-    np.matmul(dq_ctx.T, contexts, out=g_attn.W_cg)
     # contexts feed the attention summaries and, through W_cg, the keys
     attn_a = np.concatenate([cache.a for cache in trace.attn])
     trace.attn = None  # the caches' last read
     db = attn_a.T @ DS + dq_ctx @ model.attn.W_cg
-    emit({"attn.W_cg": g_attn.W_cg, "attn.W_hg": g_attn.W_hg, "attn.W_s": g_attn.W_s})
-    del g_attn
+    _emit_rows(emit, "attn.W_cg", dq_ctx.T @ contexts)
+    _emit_rows(emit, "attn.W_hg", dq_steps.T @ dec.H[:-1])
+    _emit_rows(emit, "attn.W_s", g_W_s)
+    del g_W_s
 
     def encoder_backward(prefix, chain, dH):
         p = getattr(model, prefix)
@@ -760,28 +736,17 @@ def backward_pass(model, trace, emit):
     d_rep += encoder_backward("enc_b", enc.bwd, db[::-1, d_h:])[::-1]
     # decoder inputs first, then encoder positions: the order in which each
     # table row sums its terms, which the trained bits depend on
-    emit(
-        _table_gradients(
-            model,
-            np.concatenate([inputs, enc.z.indices]),
-            None if enc.ids is None else np.concatenate([_decode_ids(model, inputs), enc.ids]),
-            np.concatenate([d_in, d_rep]),
-        )
+    _emit_table_gradients(
+        emit,
+        model,
+        np.concatenate([inputs, enc.z.indices]),
+        None if enc.ids is None else np.concatenate([_decode_ids(model, inputs), enc.ids]),
+        np.concatenate([d_in, d_rep]),
     )
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-# values per block of rows that save_model writes, load_model decodes and
-# Adagrad steps: no tensor's text or step scratch is ever whole
-BLOCK_VALUES = 2**16
-
-
-def _row_blocks(arr):
-    """Slices of arr's rows (values, if 1-D), BLOCK_VALUES values' worth each."""
-    step = max(1, BLOCK_VALUES * len(arr) // max(1, arr.size))
-    return (slice(start, start + step) for start in range(0, len(arr), step))
 
 
 def save_model(model, path):

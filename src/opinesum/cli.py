@@ -13,7 +13,6 @@ diverged training.
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import math
@@ -36,6 +35,7 @@ from .textcorpus import (
     read_lines,
     substitute_entity,
     tokenize,
+    write_csv,
 )
 
 
@@ -223,13 +223,6 @@ class RunConfig(dict):
         return os.path.join(self["out_dir"], name)
 
 
-def _write_csv(path, header, rows):
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _load_lexicons(cfg):
     stopwords = load_stopwords(cfg["stopwords"]) if cfg["stopwords"] else default_stopwords()
     general = load_lexicon(cfg["lexicon"]) if cfg["lexicon"] else {}
@@ -284,7 +277,7 @@ def cmd_fit_importance(cfg):
     )
     salience.save_model(model, cfg.out_path("salience.model"))
     salience.save_registry(registry, cfg.out_path("salience.registry"))
-    _write_csv(
+    write_csv(
         cfg.out_path("grid.csv"),
         ["lambda", "beta", "dev_mrr"],
         [[lam, beta, f"{dev_mrr:.6f}"] for lam, beta, dev_mrr in rows],
@@ -309,7 +302,7 @@ def cmd_rank_eval(cfg):
             ranking_rows.append(
                 (cluster.id, unit_index, f"{scores[unit_index]:.6f}", rank)
             )
-    _write_csv(
+    write_csv(
         cfg.out_path("rankings.csv"), ["cluster_id", "unit_index", "score", "rank"], ranking_rows
     )
     # each system's gains are the same relevance flags in its order
@@ -326,7 +319,7 @@ def cmd_rank_eval(cfg):
             ]
         )
     out = cfg.out_path("rank_eval.csv")
-    _write_csv(out, ["system", "mrr", "ndcg3", "ndcg5"], eval_rows)
+    write_csv(out, ["system", "mrr", "ndcg3", "ndcg5"], eval_rows)
     print(f"wrote {out}")
     return 0
 
@@ -359,11 +352,7 @@ def cmd_train(cfg):
     history = trainer.train(
         train_clusters, train_scores, dev_clusters, dev_scores, config, tfidf,
         sal_model.registry.lexicons, pretrained, cfg.out_path("model.txt"),
-    )
-    _write_csv(
         cfg.out_path("history.csv"),
-        ["epoch", "train_nll", "dev_bleu"],
-        [[epoch, f"{nll:.6f}", f"{dev_bleu:.6f}"] for epoch, nll, dev_bleu in history],
     )
     best = max(h[2] for h in history)
     print(f"trained {len(history)} epochs; best dev BLEU {best:.4f}")
@@ -442,7 +431,7 @@ def cmd_evaluate(cfg):
     bleu = evalmetrics.bleu(hyps, refs)
     rouge = evalmetrics.rouge_su4_corpus(hyps, refs)
     mean_length = sum(map(len, hyps)) / len(hyps)
-    _write_csv(
+    write_csv(
         cfg.out_path("eval.csv"),
         ["bleu", "rouge_su4", "mean_length"],
         [[f"{bleu:.6f}", f"{rouge:.6f}", f"{mean_length:.3f}"]],
@@ -482,7 +471,7 @@ def cmd_sampling_report(cfg):
             hyps = [[t.norm for t in tokenize(r["summary"])] for r in records]
             rows.append([mode, k, f"{evalmetrics.bleu(hyps, refs):.6f}"])
     out = cfg.out_path("sampling.csv")
-    _write_csv(out, ["mode", "K", "bleu"], rows)
+    write_csv(out, ["mode", "K", "bleu"], rows)
     print(f"wrote {out}")
     return 0
 

@@ -1,7 +1,7 @@
 """Corpus data model: tokens, text units, clusters, vocabulary, embeddings,
 lexicons, TF-IDF statistics, and generic-label substitution for entities;
 plus the strict line reader and block writer of the package's text
-artifacts.
+artifacts, and the one writer of its CSV outputs.
 
 The corpus file format is UTF-8 JSON-lines, one object per cluster:
     {"id": str, "entity": str|null, "summary": str,
@@ -9,6 +9,7 @@ The corpus file format is UTF-8 JSON-lines, one object per cluster:
 pos/ner arrays, when present, must match the tokenizer's token count.
 """
 
+import csv
 import hashlib
 import itertools
 import json
@@ -324,10 +325,12 @@ def load_embeddings(path, vocab, dim):
     `dim`-value vectors.
 
     Format: optional "count dim" header, then "word v1 ... v_d" lines; the
-    header and every row must match `dim`. Returns ({word: vector} for the
-    words of `vocab` the file covers, coverage over non-reserved words).
+    header and every row must match `dim`, and no word of `vocab` may have
+    two lines. Returns ({word: vector} for the words of `vocab` the file
+    covers, coverage over non-reserved words).
     """
     vectors = {}
+    first_line = {}
     for line_no, line in read_lines(path):
         if not line.endswith("\n"):
             # a file cut mid-number would otherwise load a wrong value
@@ -362,6 +365,11 @@ def load_embeddings(path, vocab, dim):
                 path, line_no, f"embedding dim mismatch: got {values.shape[0]}, expected {dim}"
             )
         if word in vocab:
+            first = first_line.setdefault(word, line_no)
+            if first != line_no:
+                raise CorpusFormatError(
+                    path, line_no, f"duplicate word {word!r} (first on line {first})"
+                )
             # -0.0 becomes +0.0: no parameter may hold -0.0 (see trainer._adagrad_step)
             values += 0.0
             vectors[word] = values
@@ -634,3 +642,11 @@ def atomic_write(path, binary=False, newline=None):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, header, rows):
+    """Write a CSV file of `header` and then `rows` through atomic_write."""
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

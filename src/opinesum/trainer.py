@@ -15,12 +15,8 @@ import numpy as np
 from . import beamdecode, sampler
 from .attnseq2seq import (
     CHANNELS,
-    ProductGradient,
-    RowGradient,
     TokenFeatureSet,
-    _row_blocks,
     backward_pass,
-    dense,
     new_model,
     save_model,
     sequence_log_prob,
@@ -33,6 +29,7 @@ from .textcorpus import (
     TfidfStats,
     build_vocab,
     text_unit,
+    write_csv,
     Cluster,
 )
 
@@ -123,33 +120,16 @@ class AdagradState:
         return AdagradState(eta=eta, accum={n: np.zeros_like(a) for n, a in model.named_tensors()})
 
 
-# rows of W_out per Adagrad block: its |V| x d_h gradient is never whole
-ROW_BLOCK = 1024
-
-
-def adagrad_update(model, grads, state):
+def adagrad_update(model, state, name, rows, values):
     """theta -= eta * g / (sqrt(G) + ADAGRAD_EPS) with G += g^2, per
-    coordinate, for exactly the tensors `grads` names.
+    coordinate, for exactly the rows `rows` of tensor `name`, whose
+    gradient is `values` (one piece of backward_pass).
 
-    A coordinate with g == 0 takes no step. A RowGradient updates only its
-    rows: on every other row g is zero, so G and theta would keep their bits
-    anyway. A ProductGradient is formed and stepped ROW_BLOCK rows at a time,
-    a dense gradient a _row_blocks block at a time."""
-    for name, g in grads.items():
-        tensor = model.tensors[name]
-        acc = state.accum[name]
-        if isinstance(g, RowGradient):
-            rows = g.rows
-            theta_rows, acc_rows = tensor[rows], acc[rows]
-            _adagrad_step(theta_rows, acc_rows, g.values, state)
-            tensor[rows], acc[rows] = theta_rows, acc_rows
-        elif isinstance(g, ProductGradient):
-            for start in range(0, g.n_rows, ROW_BLOCK):
-                block = slice(start, start + ROW_BLOCK)
-                _adagrad_step(tensor[block], acc[block], g.rows(start, block.stop), state)
-        else:
-            for block in _row_blocks(g):
-                _adagrad_step(tensor[block], acc[block], g[block], state)
+    A coordinate with g == 0 takes no step. The rows are gathered, stepped
+    and scattered back; a slice gathers a view, so its step is in place."""
+    theta, acc = model.tensors[name][rows], state.accum[name][rows]
+    _adagrad_step(theta, acc, values, state)
+    model.tensors[name][rows], state.accum[name][rows] = theta, acc
     model.version += 1
 
 
@@ -191,7 +171,7 @@ def _draw_input(cluster, scores, config, rng, vocab, tfidf):
 
 
 def train(train_clusters, train_scores, dev_clusters, dev_scores, config, tfidf, lexicons,
-          pretrained, model_path):
+          pretrained, model_path, history_path):
     """Per-example Adagrad training with dev-BLEU early stopping.
 
     Both splits are entity-substituted and `tfidf` holds the training
@@ -201,8 +181,10 @@ def train(train_clusters, train_scores, dev_clusters, dev_scores, config, tfidf,
     `lexicons` is read only when config.use_features is set; `pretrained`
     is a {word: vector} dict or None. Each epoch whose dev BLEU beats every
     earlier one is saved to `model_path` (save_model replaces the file
-    whole), so a run stopped by patience or an error leaves its best epoch
-    so far there. Returns the per-epoch (epoch, train_nll, dev_bleu) history.
+    whole), and after it the history of every finished epoch is rewritten
+    to `history_path` as CSV, so a run stopped by patience or an error
+    leaves its best epoch so far and the history up to its last finished
+    epoch there. Returns the per-epoch (epoch, train_nll, dev_bleu) history.
     """
     if not train_clusters or not dev_clusters:
         raise ValueError("train and dev splits must be non-empty")
@@ -241,15 +223,20 @@ def train(train_clusters, train_scores, dev_clusters, dev_scores, config, tfidf,
             stale = 0
         else:
             stale += 1
-            if stale >= config.patience:
-                break
+        write_csv(
+            history_path,
+            ["epoch", "train_nll", "dev_bleu"],
+            [[e, f"{loss:.6f}", f"{score:.6f}"] for e, loss, score in history],
+        )
+        if stale >= config.patience:
+            break
     return history
 
 
 def _train_example(model, state, z, y, where):
-    """Adagrad on the example (z, y); returns its NLL. Each group of
-    gradients takes its step as soon as backward_pass emits it, so only
-    one group is held at a time; the trace is a local, freed before the
+    """Adagrad on the example (z, y); returns its NLL. Each piece of the
+    gradient takes its step as soon as backward_pass emits it, so only
+    one piece is held at a time; the trace is a local, freed before the
     next example runs its forward pass."""
     try:
         # the guards name the example, so numpy's own warnings of the same
@@ -261,8 +248,8 @@ def _train_example(model, state, z, y, where):
     if not np.isfinite(loglik):
         raise TrainingDivergedError(f"{where}: non-finite loss; lower eta or check the corpus")
     # adagrad_update is looked up at each call, so a wrapper bound to the
-    # module's name sees every group's step
-    backward_pass(model, trace, emit=lambda group: adagrad_update(model, group, state))
+    # module's name sees every piece's step
+    backward_pass(model, trace, emit=lambda *piece: adagrad_update(model, state, *piece))
     return -loglik
 
 
@@ -434,13 +421,17 @@ def gradient_check(seed=0):
     CHECK_VALUES values of copies per pass."""
     model, z, y = _tiny_instance(seed)
     _, trace = sequence_log_prob(model, z, y)
-    grads = {}
-    backward_pass(model, trace, grads.update)
+    grads = {name: np.zeros_like(arr) for name, arr in model.named_tensors()}
+
+    def put(name, rows, values):
+        grads[name][rows] = values
+
+    backward_pass(model, trace, put)
     fwd = _ExtendedForward(model, z, y)
     eps = np.longdouble(CHECK_EPSILON)
     max_rel = 0.0
     for name, arr in model.named_tensors():
-        ga = dense(grads[name]).reshape(-1)
+        ga = grads[name].reshape(-1)
         for coords in np.array_split(np.arange(arr.size), -(-arr.size**2 // CHECK_VALUES)):
             lp = fwd.losses(name, coords, eps)
             lm = fwd.losses(name, coords, -eps)

@@ -1,6 +1,7 @@
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from opinesum.attnseq2seq import TokenFeatureSet, backward_pass, decode_step, new_model
@@ -34,9 +35,14 @@ def make_cluster(texts, summary="great stuff", cid="c0", entity=None):
 
 
 def all_gradients(model, trace):
-    """Every gradient group backward_pass emits, collected into one dict."""
-    grads = {}
-    backward_pass(model, trace, grads.update)
+    """{name: gradient} of every tensor, each piece backward_pass emits
+    written into one zero array per tensor."""
+    grads = {name: np.zeros_like(arr) for name, arr in model.named_tensors()}
+
+    def put(name, rows, values):
+        grads[name][rows] = values
+
+    backward_pass(model, trace, put)
     return grads
 
 

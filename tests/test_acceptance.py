@@ -144,7 +144,10 @@ def test_criterion_4_memorization(tmp_path):
     # the corpus names no entity, so it is its own substituted form
     tfidf = TfidfStats(corpus)
     path = tmp_path / "model.txt"
-    history = train(corpus, scores, corpus, scores, config, tfidf, None, None, path)
+    history = train(
+        corpus, scores, corpus, scores, config, tfidf, None, None, path,
+        tmp_path / "history.csv",
+    )
     assert len(history) <= 500
     model = load_model(path)
     stopwords = default_stopwords()
@@ -310,7 +313,7 @@ def test_criterion_8_consistency(tmp_path):
     for run in range(2):
         history = train(
             corpus, scores, corpus, scores, config, TfidfStats(corpus), None, None,
-            tmp_path / f"run{run}.txt",
+            tmp_path / f"run{run}.txt", tmp_path / f"run{run}.csv",
         )
         rows = "\n".join(f"{e},{repr(nll)},{repr(b)}" for e, nll, b in history)
         histories.append(rows.encode())

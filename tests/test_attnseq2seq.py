@@ -30,10 +30,10 @@ from opinesum.attnseq2seq import (
     _emit_cell_gradients,
     _encode_trace,
     _lstm_stepper,
+    _row_blocks,
     _run_chain,
     attention_keys,
     decode_step,
-    dense,
     encode,
     load_model,
     new_model,
@@ -218,19 +218,27 @@ class TestChains:
             DA[t], dh, dc = per_step_backward(p, gates[t], C[t], C[t + 1], dH[t] + dh, dc)
         assert np.array_equal(deltas, DA)
 
-        groups = []
-        _emit_cell_gradients(groups.append, "cell", chain, DA)
+        pieces = []
+        _emit_cell_gradients(lambda *piece: pieces.append(piece), "cell", chain, DA)
         oracle = LstmCellParams(
             Wu=DA.T @ U,
             Wh=DA.T @ H[:-1],
             Wc=np.concatenate([DA[:, : 2 * d_h].T @ C[:-1], DA[:, 3 * d_h :].T @ C[1:]]),
             b=DA.sum(axis=0),
         )
-        # one group per weight, in the order Wu, Wh, Wc, b
+        # one weight at a time, in the order Wu, Wh, Wc, b, each a block of
+        # rows at a time
         fields = ("Wu", "Wh", "Wc", "b")
-        assert [list(g) for g in groups] == [[f"cell.{f}"] for f in fields]
-        for group, field in zip(groups, fields):
-            assert np.array_equal(group[f"cell.{field}"], getattr(oracle, field)), field
+        assert [name for name, _, _ in pieces] == [
+            f"cell.{f}" for f in fields for _ in _row_blocks(getattr(oracle, f))
+        ]
+        for field in fields:
+            want = getattr(oracle, field)
+            got = np.zeros_like(want)
+            for name, rows, values in pieces:
+                if name == f"cell.{field}":
+                    got[rows] = values
+            assert np.array_equal(got, want), field
 
 
 class TestTokenFeatureSet:
@@ -562,7 +570,7 @@ class TestBackwardPass:
         _, trace = sequence_log_prob(model, z, y)
         grads = all_gradients(model, trace)
         touched = set(int(i) for i in z.indices) | set(y) | {model.vocab.bos}
-        emb = dense(grads["emb"])
+        emb = grads["emb"]
         for idx in range(len(model.vocab)):
             row = emb[idx]
             if idx not in touched:
@@ -577,7 +585,7 @@ class TestBackwardPass:
         grads = all_gradients(model, trace)
         eps = 1e-6
         flat = model.W_out.reshape(-1)
-        gflat = dense(grads["W_out"]).reshape(-1)
+        gflat = grads["W_out"].reshape(-1)
         rng = np.random.default_rng(0)
         for i in rng.choice(flat.size, size=10, replace=False):
             orig = flat[i]
@@ -614,7 +622,7 @@ class TestBackwardPass:
         for tok in z.tokens:
             if tok is not None:
                 used_pos_rows.add(int(model.features.encode_ids(tok)[0]))
-        pos = dense(grads["feat.pos"])
+        pos = grads["feat.pos"]
         for row in range(model.feat_tables["pos"].shape[0]):
             if row not in used_pos_rows:
                 assert np.all(pos[row] == 0.0)

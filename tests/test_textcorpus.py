@@ -457,6 +457,17 @@ class TestEmbeddings:
         assert row.tolist() == [0.0, 0.0] and not np.signbit(row).any()
         assert vectors["bb"].tolist() == [0.5, -0.25]
 
+    def test_repeated_vocabulary_word_rejected(self, tmp_path):
+        # which of the two vectors was meant is unknowable; a repeated word
+        # outside the vocabulary is never read
+        vocab = build_vocab([make_cluster(["aa bb"], "aa")])
+        path = tmp_path / "vec.txt"
+        path.write_text("aa 0.1 0.2\nzz 1 1\nbb 0.3 0.4\nzz 2 2\naa 0.5 0.6\n")
+        message = r"duplicate word 'aa' \(first on line 1\)"
+        with pytest.raises(CorpusFormatError, match=message) as excinfo:
+            load_embeddings(path, vocab, dim=2)
+        assert excinfo.value.line_no == 5
+
     def test_header_line(self, tmp_path):
         vocab = build_vocab([make_cluster(["aa"], "aa")])
         path = tmp_path / "vec.txt"

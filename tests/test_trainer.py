@@ -1,15 +1,17 @@
 import weakref
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import all_gradients, copy_model, make_cluster, traced_call, v3_named_tensors
-from opinesum import trainer
+from opinesum import attnseq2seq, trainer
 from opinesum.attnseq2seq import (
+    BLOCK_VALUES,
     ModelParams,
-    ProductGradient,
-    RowGradient,
-    dense,
+    _row_blocks,
+    backward_pass,
     load_model,
     sequence_log_prob,
 )
@@ -17,6 +19,7 @@ from opinesum.numkit import SeededRng, derive_seed
 from opinesum.salience import LexiconSet
 from opinesum.sampler import build_input
 from opinesum.textcorpus import (
+    RESERVED,
     Cluster,
     TfidfStats,
     Vocabulary,
@@ -43,15 +46,15 @@ def zero_grads(model):
     return {name: np.zeros_like(arr) for name, arr in model.named_tensors()}
 
 
-def owned_arrays(grad):
-    """The arrays a gradient from backward_pass owns: a view's base, a
-    RowGradient's rows and values, a ProductGradient's output deltas (its
-    other factor is the trace's decoder states)."""
-    if isinstance(grad, RowGradient):
-        return [grad.rows, grad.values]
-    if isinstance(grad, ProductGradient):
-        return [grad.left]
-    return [grad if grad.base is None else grad.base]
+def step_whole(model, state, grads):
+    """Step each tensor of `grads` as one piece holding all its rows."""
+    for name, g in grads.items():
+        adagrad_update(model, state, name, slice(None), g)
+
+
+def owned(values):
+    """The array a piece's values keep alive: a view's base, or the values."""
+    return values if values.base is None else values.base
 
 
 def dense_adagrad_update(model, grads, state):
@@ -85,10 +88,11 @@ def memorize_corpus():
 
 def train_on(corpus, config, scores, model_path, pretrained=None):
     """train with `corpus` and `scores` as both splits, saving to
-    `model_path`; the memorize corpus names no entity, so it is its own
-    substituted form."""
+    `model_path` and its history beside it, with the suffix .csv; the
+    memorize corpus names no entity, so it is its own substituted form."""
     return train(
-        corpus, scores, corpus, scores, config, TfidfStats(corpus), None, pretrained, model_path
+        corpus, scores, corpus, scores, config, TfidfStats(corpus), None, pretrained, model_path,
+        Path(model_path).with_suffix(".csv"),
     )
 
 
@@ -177,26 +181,22 @@ class TestAdagrad:
     def test_zero_gradient_noop(self):
         state = AdagradState.for_model(self.model, eta=0.1)
         before = {n: a.copy() for n, a in self.model.named_tensors()}
-        adagrad_update(self.model, zero_grads(self.model), state)
+        step_whole(self.model, state, zero_grads(self.model))
         for name, arr in self.model.named_tensors():
             assert arr.tolist() == before[name].tolist()
             assert np.all(state.accum[name] == 0.0)
 
     def test_first_update_is_sign_rule(self):
         state = AdagradState.for_model(self.model, eta=0.1)
-        grads = zero_grads(self.model)
-        grads["b_out"][0] = 3.0
         before = self.model.b_out[0]
-        adagrad_update(self.model, grads, state)
+        adagrad_update(self.model, state, "b_out", slice(0, 1), np.array([3.0]))
         assert self.model.b_out[0] == pytest.approx(before - 0.1)
 
     def test_two_updates_hand_arithmetic(self):
         state = AdagradState.for_model(self.model, eta=0.1)
         before = self.model.b_out[0]
         for g in (3.0, 4.0):
-            grads = zero_grads(self.model)
-            grads["b_out"][0] = g
-            adagrad_update(self.model, grads, state)
+            adagrad_update(self.model, state, "b_out", np.array([0]), np.array([g]))
         assert self.model.b_out[0] == pytest.approx(before - 0.1 * (1 + 4 / 5))
 
     def test_steps_the_arrays_of_the_model_passed(self):
@@ -206,11 +206,11 @@ class TestAdagrad:
             assert np.shares_memory(self.model.tensors[name], arr), name
             assert not np.shares_memory(other.tensors[name], arr), name
         state = AdagradState.for_model(self.model, eta=0.1)
-        ones = {"b_out": np.ones_like(self.model.b_out)}
-        adagrad_update(self.model, ones, state)
+        ones = np.ones_like(self.model.b_out)
+        adagrad_update(self.model, state, "b_out", slice(None), ones)
         before, other_before = self.model.b_out.copy(), other.b_out.copy()
         # a state made for one model steps whichever model it is passed
-        adagrad_update(other, ones, state)
+        adagrad_update(other, state, "b_out", slice(None), ones)
         assert self.model.b_out.tobytes() == before.tobytes()
         assert np.all(other.b_out < other_before)
 
@@ -220,7 +220,7 @@ class TestAdagrad:
         prev = {n: a.copy() for n, a in state.accum.items()}
         for _ in range(5):
             grads = {n: rng.normal(size=a.shape) for n, a in self.model.named_tensors()}
-            adagrad_update(self.model, grads, state)
+            step_whole(self.model, state, grads)
             for name, acc in state.accum.items():
                 assert np.all(acc >= prev[name])
                 prev[name] = acc.copy()
@@ -231,19 +231,19 @@ class TestAdagrad:
         rng = np.random.default_rng(1)
         for _ in range(3):
             grads = {n: rng.normal(size=a.shape) for n, a in self.model.named_tensors()}
-            adagrad_update(self.model, grads, state)
+            step_whole(self.model, state, grads)
         for name, arr in self.model.named_tensors():
             assert arr.tolist() == before[name].tolist()
 
     def test_version_bumped(self):
         state = AdagradState.for_model(self.model, eta=0.1)
         v = self.model.version
-        adagrad_update(self.model, zero_grads(self.model), state)
+        adagrad_update(self.model, state, "b_out", slice(None), np.zeros_like(self.model.b_out))
         assert self.model.version == v + 1
 
     def test_row_gradients_match_dense_oracle(self):
-        # several steps of random sparse table gradients, with zero
-        # coordinates in touched rows
+        # several steps of random sparse table gradients, each table's one
+        # (rows, values) piece, with zero coordinates in touched rows
         vocab = build_vocab([make_cluster([" ".join(f"t{i}" for i in range(30))], "cc")])
         lex = LexiconSet(general={"t1": ("strong",)}, sentiment={"t2": "positive"})
         features = build_features([make_cluster(["t1 t2"], "cc")], lex, dim=4)
@@ -255,41 +255,65 @@ class TestAdagrad:
             grads = {}
             for name, arr in models[0].named_tensors():
                 g = rng.normal(size=arr.shape) * (rng.random(arr.shape) < 0.7)
+                rows = slice(None)
                 if name == "emb" or name.startswith("feat."):
                     rows = np.unique(rng.integers(arr.shape[0], size=arr.shape[0] // 3 + 1))
-                    g = RowGradient(rows=rows, values=g[rows], n_rows=arr.shape[0])
+                    g[np.setdiff1d(np.arange(arr.shape[0]), rows)] = 0.0
+                adagrad_update(models[0], states[0], name, rows, g[rows])
                 grads[name] = g
-            adagrad_update(models[0], grads, states[0])
-            dense_adagrad_update(models[1], {n: dense(g) for n, g in grads.items()}, states[1])
+            dense_adagrad_update(models[1], grads, states[1])
         for (name, got), (_, want) in zip(models[0].named_tensors(), models[1].named_tensors()):
             assert got.tobytes() == want.tobytes(), name
             assert states[0].accum[name].tobytes() == states[1].accum[name].tobytes(), name
-        assert models[0].version == models[1].version == 6
 
 
     def test_steps_only_the_named_tensors(self):
+        # and of the named tensor only the piece's rows, a slice or indices
         state = AdagradState.for_model(self.model, eta=0.1)
         before = {n: a.copy() for n, a in self.model.named_tensors()}
-        adagrad_update(self.model, {"b_out": np.ones_like(self.model.b_out)}, state)
-        for name, arr in self.model.named_tensors():
-            assert (arr.tobytes() == before[name].tobytes()) == (name != "b_out"), name
-            assert np.any(state.accum[name] != 0.0) == (name == "b_out"), name
+        stepped = {"W_out": [1, 2], "emb": [0, 3]}
+        adagrad_update(self.model, state, "W_out", slice(1, 3), np.ones((2, self.model.d_h)))
+        adagrad_update(self.model, state, "emb", np.array([0, 3]), np.ones((2, self.model.d_emb)))
 
-    def test_product_gradient_matches_dense_oracle(self):
-        # W_out stepped ROW_BLOCK rows at a time, with |V| spanning four
-        # blocks (the last one partial), against the whole product
-        n_rows = 3 * trainer.ROW_BLOCK + 17
-        vocab = Vocabulary(f"t{i}" for i in range(n_rows - 5))
-        config = TrainConfig(d_emb=3, d_h=7, d_a=2, seed=6)
+        def rows_where(mask):
+            return np.flatnonzero(mask.reshape(len(mask), -1).any(axis=1)).tolist()
+
+        for name, arr in self.model.named_tensors():
+            rows = stepped.get(name, [])
+            assert rows_where(arr != before[name]) == rows, name
+            assert rows_where(state.accum[name] != 0.0) == rows, name
+
+    def test_w_out_pieces_match_dense_oracle(self):
+        # backward_pass emits W_out a _row_blocks block at a time, each block
+        # formed alone, with |V| spanning four blocks (the last one partial):
+        # the pieces hold the bits of the whole product and step as it does
+        config = TrainConfig(d_emb=3, d_h=64, d_a=2, seed=6)
+        n_rows = 3 * (BLOCK_VALUES // config.d_h) + 17
+        words = [f"t{i}" for i in range(n_rows - len(RESERVED))]
+        vocab = Vocabulary(words)
         models = [init_params(config, vocab) for _ in range(2)]
         states = [AdagradState.for_model(m, eta=0.1) for m in models]
         rng = np.random.default_rng(6)
+        cluster = make_cluster([" ".join(rng.choice(words, 6))])
+        z = build_input(cluster, [0], vocab, TfidfStats([cluster]))
         for T in (1, 5, 13, 40):
-            left = rng.normal(size=(T, n_rows))
-            left[:, rng.integers(n_rows, size=50)] = 0.0  # rows that take no step
-            g = ProductGradient(left, rng.normal(size=(T, config.d_h)))
-            adagrad_update(models[0], {"W_out": g}, states[0])
-            dense_adagrad_update(models[1], {**zero_grads(models[1]), "W_out": dense(g)}, states[1])
+            y = rng.integers(len(RESERVED), n_rows, size=T).tolist()
+            y[-1] = vocab.eos
+            _, trace = sequence_log_prob(models[0], z, y)
+            dlogits = trace.probs.copy()
+            dlogits[np.arange(T), y] -= 1.0
+            whole = dlogits.T @ trace.dec.H[1:]
+            pieces = []
+            backward_pass(
+                models[0], trace, lambda name, *piece: name == "W_out" and pieces.append(piece)
+            )
+            assert [rows for rows, _ in pieces] == list(_row_blocks(models[0].W_out))
+            assert [rows.start for rows, _ in pieces] == [0, 1024, 2048, 3072]
+            assert len(pieces[-1][1]) == 17
+            assert np.concatenate([v for _, v in pieces]).tobytes() == whole.tobytes()
+            for rows, values in pieces:
+                adagrad_update(models[0], states[0], "W_out", rows, values)
+            dense_adagrad_update(models[1], {**zero_grads(models[1]), "W_out": whole}, states[1])
         assert models[0].W_out.shape[0] == n_rows
         assert models[0].W_out.tobytes() == models[1].W_out.tobytes()
         assert states[0].accum["W_out"].tobytes() == states[1].accum["W_out"].tobytes()
@@ -315,9 +339,9 @@ class TestExampleLifetime:
         def tracked_backward(model, trace, emit):
             alive_before.append(sum(ref() is not None for ref in earlier))
 
-            def tracked_emit(group):
-                current.extend(weakref.ref(a) for g in group.values() for a in owned_arrays(g))
-                emit(group)
+            def tracked_emit(name, rows, values):
+                current.append(weakref.ref(owned(values)))
+                emit(name, rows, values)
 
             return backward(model, trace, emit=tracked_emit)
 
@@ -329,43 +353,66 @@ class TestExampleLifetime:
         assert alive_before == [0] * 8
 
     def test_each_group_steps_alone(self, memorize_corpus, monkeypatch, tmp_path):
-        # Adagrad steps one group at a time, in the order backward_pass
-        # finishes them, and each group is freed before the next one steps
-        earlier = []  # weak references to the arrays of earlier groups
-        alive_before = []  # how many were alive at each adagrad_update call
-        stepped = []  # the names of each call
-        update = trainer.adagrad_update
+        # Adagrad steps one piece at a time, in the order backward_pass
+        # finishes the tensors, and a tensor's pieces are freed before the
+        # next tensor steps; blocks of 100 values split every tensor but
+        # the biases and W_s into several pieces
+        monkeypatch.setattr(attnseq2seq, "BLOCK_VALUES", 100)
+        examples = []  # each example's (z, y)
+        calls = []  # each adagrad_update call's (name, rows)
+        block_sizes = []  # the values of each slice piece
+        earlier = []  # (name, weak reference) of the values of earlier pieces
+        alive_before = []  # how many of another tensor's were alive at each call
+        log_prob, update = trainer.sequence_log_prob, trainer.adagrad_update
 
-        def tracked_update(model, grads, state):
-            alive_before.append(sum(ref() is not None for ref in earlier))
-            stepped.append(sorted(grads))
-            update(model, grads, state)
-            earlier.extend(weakref.ref(a) for g in grads.values() for a in owned_arrays(g))
+        def tracked_log_prob(model, z, y):
+            examples.append((z, y))
+            return log_prob(model, z, y)
 
+        def tracked_update(model, state, name, rows, values):
+            alive_before.append(sum(n != name and ref() is not None for n, ref in earlier))
+            calls.append((name, rows if isinstance(rows, slice) else rows.tolist()))
+            if isinstance(rows, slice):
+                block_sizes.append(values.size)
+            update(model, state, name, rows, values)
+            earlier.append((name, weakref.ref(owned(values))))
+
+        monkeypatch.setattr(trainer, "sequence_log_prob", tracked_log_prob)
         monkeypatch.setattr(trainer, "adagrad_update", tracked_update)
         scores = [np.ones(len(c.units)) for c in memorize_corpus]
         path = tmp_path / "model.txt"
         train_on(memorize_corpus, quick_config(max_epochs=2, patience=2), scores, path)
-        names = [name for name, _ in load_model(path).named_tensors()]
+        model = load_model(path)
 
         def cell(prefix):
-            # one group per weight: Wu, Wh, Wc, then b
-            return [[f"{prefix}.{w}"] for w in ("Wu", "Wh", "Wc", "b")]
+            # one weight at a time: Wu, Wh, Wc, then b
+            return [f"{prefix}.{w}" for w in ("Wu", "Wh", "Wc", "b")]
 
-        groups = [
-            ["W_out", "b_out"],
-            *cell("dec"),
-            sorted(n for n in names if n.startswith("attn.")),
-            *cell("enc_f"),
-            *cell("enc_b"),
-            ["emb"],
+        order = [
+            "W_out", "b_out", *cell("dec"), "attn.W_cg", "attn.W_hg", "attn.W_s",
+            *cell("enc_f"), *cell("enc_b"),
         ]
-        assert sorted(n for g in groups for n in g) == sorted(names)
-        assert stepped == groups * 4  # two examples per epoch
-        assert alive_before == [0] * len(stepped)
+        assert sorted(order + ["emb"]) == sorted(name for name, _ in model.named_tensors())
+        expected = []
+        for z, y in examples:
+            # every row of a dense tensor once, in blocks; of the table, the
+            # sorted rows the decoder inputs and the encoder read
+            expected += [(n, block) for n in order for block in _row_blocks(model.tensors[n])]
+            expected.append(("emb", np.unique(np.r_[model.vocab.bos, y[:-1], z.indices]).tolist()))
+        assert len(examples) == 4  # two examples per epoch
+        assert calls == expected
+        per_example = len(calls) // 4
+        for name in order:
+            arr = model.tensors[name]
+            pieces = [rows for n, rows in calls[:per_example] if n == name]
+            covered = [i for rows in pieces for i in range(len(arr))[rows]]
+            assert covered == list(range(len(arr))), name
+        assert sum(n == "W_out" for n, _ in calls[:per_example]) > 1
+        assert max(block_sizes) <= 100
+        assert alive_before == [0] * len(calls)
 
     def test_streamed_steps_match_two_phase_update(self):
-        # each group stepped as backward_pass emits it, against the whole
+        # each piece stepped as backward_pass emits it, against the whole
         # gradient first and one update after, over several examples
         models = [long_instance(seed=5)[0] for _ in range(2)]
         states = [AdagradState.for_model(m, eta=0.1) for m in models]
@@ -373,7 +420,7 @@ class TestExampleLifetime:
             _, z, y = long_instance(seed=5, order=order)
             trainer._train_example(models[0], states[0], z, y, "streamed")
             _, trace = sequence_log_prob(models[1], z, y)
-            adagrad_update(models[1], all_gradients(models[1], trace), states[1])
+            step_whole(models[1], states[1], all_gradients(models[1], trace))
         for (name, got), (_, want) in zip(models[0].named_tensors(), models[1].named_tensors()):
             assert got.tobytes() == want.tobytes(), name
             assert states[0].accum[name].tobytes() == states[1].accum[name].tobytes(), name
@@ -488,7 +535,7 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(
                 [], [], memorize_corpus, [], quick_config(), TfidfStats([]), None, None,
-                tmp_path / "model.txt",
+                tmp_path / "model.txt", tmp_path / "history.csv",
             )
 
     @pytest.mark.parametrize("split", ["train", "dev"])
@@ -507,7 +554,7 @@ class TestTrain:
             train(
                 splits["train"], scores, splits["dev"], scores,
                 quick_config(max_epochs=2, patience=2), TfidfStats(splits["train"]), None, None,
-                tmp_path / "model.txt",
+                tmp_path / "model.txt", tmp_path / "history.csv",
             )
         assert ran == []
 
@@ -535,6 +582,30 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
             train_on(memorize_corpus, config, scores, path, poisoned)
         assert not path.exists()
+
+    def test_divergence_in_epoch_2_keeps_epoch_1_outputs(
+        self, memorize_corpus, monkeypatch, tmp_path
+    ):
+        # each finished epoch rewrites the history beside the model it
+        # saved, so a run that diverges in epoch 2 leaves epoch 1's of both
+        save = trainer.save_model
+
+        def save_then_poison(model, path):
+            save(model, path)
+            model.W_out[...] = np.nan  # the next example's loss is NaN
+
+        scores = [np.ones(len(c.units)) for c in memorize_corpus]
+        config = quick_config(max_epochs=3, patience=3)
+        train_on(memorize_corpus, replace(config, max_epochs=1), scores, tmp_path / "one.txt")
+        monkeypatch.setattr(trainer, "save_model", save_then_poison)
+        path = tmp_path / "model.txt"
+        with pytest.raises(TrainingDivergedError, match="epoch 2"):
+            train_on(memorize_corpus, config, scores, path)
+        rows = path.with_suffix(".csv").read_text().splitlines()
+        assert rows[0] == "epoch,train_nll,dev_bleu"
+        assert [row.split(",")[0] for row in rows[1:]] == ["1"]
+        assert path.with_suffix(".csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert path.read_bytes() == (tmp_path / "one.txt").read_bytes()
 
 
 def long_instance(seed, order=(0, 1, 2, 3)):
@@ -583,7 +654,7 @@ class TestGradientCheck:
         for name, arr in model.named_tensors():
             coords = np.unique(np.r_[0, arr.size - 1, rng.integers(arr.size, size=3)])
             gn = (fwd.losses(name, coords, eps) - fwd.losses(name, coords, -eps)) / (2 * eps)
-            ga = dense(grads[name]).reshape(-1)[coords]
+            ga = grads[name].reshape(-1)[coords]
             rel = np.abs(ga - gn.astype(np.float64)) / np.maximum(1e-8, np.abs(ga) + np.abs(gn))
             assert rel.max() < 1e-4, (name, float(rel.max()))
 
@@ -640,7 +711,7 @@ class TestGradientCheck:
         grads = all_gradients(model, trace)
         touched = set(int(i) for i in z.indices) | set(y) | {model.vocab.bos}
         untouched = next(i for i in range(len(model.vocab)) if i not in touched)
-        assert np.all(dense(grads["emb"])[untouched] == 0.0)
+        assert np.all(grads["emb"][untouched] == 0.0)
         fwd = _ExtendedForward(model, z, y)
         base = float(fwd.loss())
         fwd.tensors["emb"][untouched, 0] += 1e-5
